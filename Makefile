@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench fuzz-smoke differential loadgen-smoke bench-loadgen trace-smoke adversarial-smoke bench-guided
+.PHONY: build test verify bench fuzz-smoke differential loadgen-smoke bench-loadgen trace-smoke adversarial-smoke bench-guided bench-smoke
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,17 @@ adversarial-smoke: build
 		$(GO) test -race -run 'TestAdversarial' -v .
 	@test -s adversarial-report.json \
 		|| { echo "adversarial-smoke: degradation report missing or empty"; exit 1; }
+
+# Benchmark-module smoke (CI): bench/ltqpbench is a module of its own, so the
+# root `go test ./...` never compiles it and an internal/* API break would
+# only surface when the benchmark pipeline runs. Vet and test it, then run
+# the warm and the cold workload for 3 s each with the traced replay, which
+# fails (non-zero exit) on a wrong answer or when the replay stops reaching
+# the documents the live engine reached.
+bench-smoke:
+	cd bench/ltqpbench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/ltqpbench/run.sh --workload discover_warm --seed 7 --seconds 3 --trace 1 > /dev/null
+	bash bench/ltqpbench/run.sh --workload discover_cold --seed 7 --seconds 3 --trace 1 > /dev/null
 
 # Guided-vs-FIFO queue comparison (EXPERIMENTS.md E20): the solidbench
 # Discover mix under both queue policies, archived as a dated artifact —

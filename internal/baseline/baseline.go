@@ -8,6 +8,7 @@ package baseline
 
 import (
 	"context"
+	"fmt"
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/exec"
@@ -22,15 +23,35 @@ import (
 // store — the "accumulated index" a centralized system would maintain. The
 // returned store is ready for querying; building it is the (large) upfront
 // cost the traversal engine avoids.
+//
+// Blank node labels are scoped to their document, as dereferencing scopes
+// them: a label means something only inside the document that uses it, and
+// every pod's likes are _:like1, _:like2, …, so merging equal labels across
+// documents joins one person's like to another's post.
 func CentralizedStore(pods []*solid.Pod) *store.Store {
 	st := store.New()
+	doc := 0
 	for _, p := range pods {
 		for path, d := range p.Materialize() {
-			st.AddDocument(p.IRI(path), d.Graph.Triples())
+			doc++
+			ts := d.Graph.Triples()
+			scoped := make([]rdf.Triple, len(ts))
+			for i, t := range ts {
+				scoped[i] = rdf.NewTriple(scopeBlank(t.S, doc), t.P, scopeBlank(t.O, doc))
+			}
+			st.AddDocument(p.IRI(path), scoped)
 		}
 	}
 	st.Close()
 	return st
+}
+
+// scopeBlank prefixes a blank node's label with its document's number.
+func scopeBlank(t rdf.Term, doc int) rdf.Term {
+	if t.Kind == rdf.TermBlank {
+		return rdf.NewBlank(fmt.Sprintf("d%d.%s", doc, t.Value))
+	}
+	return t
 }
 
 // RunQuery evaluates a SPARQL query over a closed store (no traversal) and

@@ -38,6 +38,26 @@ func TestCentralizedStoreAnswersDiscover(t *testing.T) {
 	}
 }
 
+// Every pod labels its likes _:like1, _:like2, …; an oracle that merged equal
+// labels from different documents joined one person's like to another's
+// post (2011 rows here, where the engine and a document-scoped oracle give
+// 1846).
+func TestCentralizedStoreScopesBlankNodes(t *testing.T) {
+	cfg := solidbench.DefaultConfig()
+	cfg.Persons = 12
+	ds := solidbench.Generate(cfg)
+	st := CentralizedStore(ds.BuildPods())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	results, err := RunQuery(ctx, st, ds.Discover(8, 2).Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1846 {
+		t.Errorf("Discover 8.2 over the centralized store = %d rows, want 1846", len(results))
+	}
+}
+
 func TestOracleIsCompleteSupersetOfTraversal(t *testing.T) {
 	// Discover 6 over the oracle must return at least as many distinct
 	// forums as any traversal can find (traversal sees a reachable

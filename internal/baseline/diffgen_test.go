@@ -16,12 +16,11 @@ import (
 // Generated queries are restricted to a sublanguage where the two systems
 // are observationally equivalent:
 //
-//   - Every subject variable of every group is anchored by a pattern that
-//     can only bind IRIs (rdf:type Post/Comment/Person, or snvoc:hasCreator,
-//     or a fixed WebID subject). The dataset's only blank nodes are its
-//     "likes" reification nodes, and blank node labels legitimately differ
-//     between the two systems (the traversal parser scopes labels per
-//     document), so queries must never bind one.
+//   - Every projected variable can only bind IRIs or literals. The dataset's
+//     only blank nodes are its "likes" reification nodes, and blank node
+//     labels legitimately differ between the two systems (each scopes them
+//     per document in its own way), so a query may join through a like
+//     node but must never project one.
 //   - No LIMIT/OFFSET: results compare as multisets (ORDER BY is allowed —
 //     it cannot change the multiset, only the order, which the comparison
 //     discards anyway).
@@ -119,7 +118,7 @@ func (g *diffGen) Next() string {
 	if g.r.Intn(3) == 0 {
 		distinct = "DISTINCT "
 	}
-	switch g.r.Intn(10) {
+	switch g.r.Intn(11) {
 	case 0: // Message star, possibly projecting the message IRI too.
 		body, vars := g.messageStar("m")
 		proj := "?" + strings.Join(vars, " ?")
@@ -189,6 +188,17 @@ func (g *diffGen) Next() string {
   ?m snvoc:creationDate ?d .
   MINUS { %s }
 }`, g.prefix(), distinct, g.person(), excl)
+	case 9: // Join through a blank node: a person's likes, the node unprojected.
+		target := [...]string{"hasPost", "hasComment"}[g.r.Intn(2)]
+		who := "?p"
+		if g.r.Intn(2) == 0 {
+			who = g.person()
+		}
+		return fmt.Sprintf(`%sSELECT %s?msg ?d WHERE {
+  %s snvoc:likes ?l .
+  ?l snvoc:%s ?msg .
+  ?l snvoc:creationDate ?d .
+}`, g.prefix(), distinct, who, target)
 	default: // Property paths: anchored knows closure or a sequence path.
 		if g.r.Intn(2) == 0 {
 			attr := personAttrs[g.r.Intn(len(personAttrs))]

@@ -743,6 +743,9 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 	}
 
 	sem := make(chan struct{}, e.opts.MaxConcurrent)
+	// The built-in extractors read a document's precomputed link table; an
+	// rdf.Graph is built per document only for extractors that want one.
+	needGraph := extract.NeedsGraph(extractors)
 
 	worker := func(l linkqueue.Link) {
 		defer func() {
@@ -807,7 +810,15 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 			defer ledger.Release(derefCat, res.Bytes)
 		}
 		guard.addBytes(res.FinalURL, res.Bytes)
-		src.AddDocument(res.FinalURL, res.Triples)
+		// A segment encoded against this engine's dictionary goes in as it
+		// is. One from another engine sharing the cache (other IDs), or a
+		// result without one, is interned here.
+		seg := res.Segment
+		if seg != nil && seg.Dict == src.Dict() {
+			src.AddEncoded(res.FinalURL, seg.Source, seg.Triples)
+		} else {
+			src.AddDocument(res.FinalURL, res.Triples)
+		}
 		if feedback != nil {
 			feedback.DocumentIngested(res.FinalURL, relevantTriples(res.Triples, shape), len(res.Triples))
 		}
@@ -816,66 +827,70 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 			URL: res.FinalURL, Via: l.Via, Depth: l.Depth, Status: res.Status,
 			Triples: len(res.Triples), Bytes: res.Bytes,
 			DurationUS: time.Since(fetchStart).Microseconds()})
-		g := rdf.NewGraph()
-		g.AddAll(res.Triples)
-		doc := extract.Document{IRI: res.FinalURL, Graph: g}
+		doc := extract.Document{IRI: res.FinalURL}
+		if seg != nil {
+			doc.Links = seg.Links
+		}
+		if needGraph || doc.Links == nil {
+			doc.Graph = rdf.NewGraph()
+			doc.Graph.AddAll(res.Triples)
+		}
 		_, xspan := obs.StartSpan(wctx, "extract")
 		accepted := 0
-		for _, ex := range extractors {
-			for _, link := range ex.Extract(doc) {
-				events.Emit(obs.Event{Kind: obs.EventLinkDiscovered,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Reason: link.Reason})
-				if link.URL == res.FinalURL || link.URL == l.URL {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeSelf)
-					events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-						URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "self"})
-					continue
-				}
-				if e.opts.MaxDepth > 0 && l.Depth+1 > e.opts.MaxDepth {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeDepthPruned)
-					events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-						URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor,
-						Depth: l.Depth + 1, Detail: "depth-pruned"})
-					continue
-				}
-				if !guard.inScope(link.URL) {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeScopePruned)
-					m.LinksOutOfScope.Inc()
-					events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-						URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "scope-pruned"})
-					tripFired(guard.record(LimitScope, linkqueue.Origin(link.URL), link.URL, 0, 0))
-					continue
-				}
-				if guard != nil && guard.limits.MaxLinksPerDoc > 0 && accepted >= guard.limits.MaxLinksPerDoc {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeLimitPruned)
-					events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-						URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "fanout-pruned"})
-					tripFired(guard.record(LimitFanout, "", res.FinalURL,
-						int64(guard.limits.MaxLinksPerDoc), int64(accepted+1)))
-					continue
-				}
-				if guard != nil && guard.limits.MaxQueuedLinks > 0 && queue.Seen() >= guard.limits.MaxQueuedLinks {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeLimitPruned)
-					events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-						URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "queue-cap-pruned"})
-					// Dedup on a fixed subject: the cap is global to the
-					// traversal, one report covers every pruned link.
-					tripFired(guard.record(LimitQueueCap, "traversal", link.URL,
-						int64(guard.limits.MaxQueuedLinks), int64(queue.Seen()+1)))
-					continue
-				}
-				if queue.Push(linkqueue.Link{URL: link.URL, Via: res.FinalURL, Reason: link.Reason, Extractor: link.Extractor, Depth: l.Depth + 1}) {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeFollowed)
-					m.LinksByExtractor.With(link.Extractor).Inc()
-					accepted++
-					mu.Lock()
-					cond.Broadcast()
-					mu.Unlock()
-				} else {
-					topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeDuplicate)
-					events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-						URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "duplicate"})
-				}
+		var linkBuf [16]extract.Link // on the stack: most documents propose fewer
+		for _, link := range extract.AppendLinks(linkBuf[:0], extractors, doc) {
+			events.Emit(obs.Event{Kind: obs.EventLinkDiscovered,
+				URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Reason: link.Reason})
+			if link.URL == res.FinalURL || link.URL == l.URL {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeSelf)
+				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
+					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "self"})
+				continue
+			}
+			if e.opts.MaxDepth > 0 && l.Depth+1 > e.opts.MaxDepth {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeDepthPruned)
+				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
+					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor,
+					Depth: l.Depth + 1, Detail: "depth-pruned"})
+				continue
+			}
+			if !guard.inScope(link.URL) {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeScopePruned)
+				m.LinksOutOfScope.Inc()
+				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
+					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "scope-pruned"})
+				tripFired(guard.record(LimitScope, linkqueue.Origin(link.URL), link.URL, 0, 0))
+				continue
+			}
+			if guard != nil && guard.limits.MaxLinksPerDoc > 0 && accepted >= guard.limits.MaxLinksPerDoc {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeLimitPruned)
+				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
+					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "fanout-pruned"})
+				tripFired(guard.record(LimitFanout, "", res.FinalURL,
+					int64(guard.limits.MaxLinksPerDoc), int64(accepted+1)))
+				continue
+			}
+			if guard != nil && guard.limits.MaxQueuedLinks > 0 && queue.Seen() >= guard.limits.MaxQueuedLinks {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeLimitPruned)
+				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
+					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "queue-cap-pruned"})
+				// Dedup on a fixed subject: the cap is global to the
+				// traversal, one report covers every pruned link.
+				tripFired(guard.record(LimitQueueCap, "traversal", link.URL,
+					int64(guard.limits.MaxQueuedLinks), int64(queue.Seen()+1)))
+				continue
+			}
+			if queue.Push(linkqueue.Link{URL: link.URL, Via: res.FinalURL, Reason: link.Reason, Extractor: link.Extractor, Depth: l.Depth + 1, Key: link.Key}) {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeFollowed)
+				m.LinksByExtractor.With(link.Extractor).Inc()
+				accepted++
+				mu.Lock()
+				cond.Broadcast()
+				mu.Unlock()
+			} else {
+				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeDuplicate)
+				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
+					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "duplicate"})
 			}
 		}
 		xspan.SetAttr(obs.Int("links", accepted))

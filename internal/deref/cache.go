@@ -3,8 +3,6 @@ package deref
 import (
 	"container/list"
 	"sync"
-
-	"ltqp/internal/rdf"
 )
 
 // Cache is a bounded LRU document cache shared across queries of one
@@ -24,12 +22,11 @@ type Cache struct {
 	hits, misses int
 }
 
-type cacheEntry struct {
-	key      string
-	finalURL string
-	// triples are shared read-only with all consumers.
-	triples []rdf.Triple
-	bytes   int64
+// cached is one entry: the Result, shared read-only with all consumers,
+// under its identity-scoped key.
+type cached struct {
+	key string
+	res *Result
 }
 
 // NewCache returns a cache bounded to capacity documents (minimum 1).
@@ -48,8 +45,8 @@ func cacheKey(url string, auth *Credentials) string {
 	return url + "\x00" + auth.WebID
 }
 
-// get returns a cached parse result.
-func (c *Cache) get(key string) (*cacheEntry, bool) {
+// get returns a cached dereference.
+func (c *Cache) get(key string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -59,24 +56,25 @@ func (c *Cache) get(key string) (*cacheEntry, bool) {
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
+	return el.Value.(*cached).res, true
 }
 
-// put stores a parse result, evicting the least recently used entry when
+// put stores a dereference, evicting the least recently used entry when
 // over capacity.
-func (c *Cache) put(e *cacheEntry) {
+func (c *Cache) put(key string, res *Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[e.key]; ok {
+	e := &cached{key: key, res: res}
+	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		el.Value = e
 		return
 	}
-	c.entries[e.key] = c.lru.PushFront(e)
+	c.entries[key] = c.lru.PushFront(e)
 	for c.lru.Len() > c.cap {
 		last := c.lru.Back()
 		c.lru.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
+		delete(c.entries, last.Value.(*cached).key)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ltqp/internal/extract"
 	"ltqp/internal/metrics"
 	"ltqp/internal/obs"
 	"ltqp/internal/rdf"
@@ -61,7 +62,8 @@ type Credentials struct {
 	Token string
 }
 
-// Result is a successful dereference.
+// Result is a successful dereference. Both caches hold and hand out the
+// *Result itself, so one is shared, read-only, by every query that hits it.
 type Result struct {
 	// URL is the requested document URL; FinalURL the post-redirect URL.
 	URL      string
@@ -69,6 +71,9 @@ type Result struct {
 	// Triples are the parsed statements, with relative IRIs resolved
 	// against the final URL and blank nodes scoped to this document.
 	Triples []rdf.Triple
+	// Segment is the document version's pre-encoded form, built once by the
+	// fetch that produced this Result; nil on a 304 answer.
+	Segment *Segment
 	Status  int
 	Bytes   int64
 	// Validators are the HTTP cache validators the server attached to a
@@ -79,6 +84,38 @@ type Result struct {
 	// 304 Not Modified: the caller's cached copy is still current and
 	// Triples is empty.
 	NotModified bool
+}
+
+// Segment is what ingesting a document needs, computed once per fetched
+// document version instead of once per query that reads it: the triples as
+// dictionary IDs and the document's link table. It is immutable and lives
+// on the Result, so it is cached, partitioned by requesting identity and
+// evicted exactly as the Result is.
+type Segment struct {
+	// Dict is the dictionary Source and Triples are encoded against — the
+	// fetching Dereferencer's, nil (and both empty) if it had none. IDs mean
+	// nothing under another dictionary: a consumer whose store uses a
+	// different one (engines sharing a cache) ingests Result.Triples instead.
+	Dict *rdf.Dict
+	// Source is the ID of the document's final URL as an IRI term.
+	Source rdf.TermID
+	// Triples parallels Result.Triples.
+	Triples []rdf.IDTriple
+	// Links is the document's link table; it does not depend on Dict.
+	Links *extract.LinkTable
+}
+
+func newSegment(dict *rdf.Dict, finalURL string, triples []rdf.Triple) *Segment {
+	seg := &Segment{Links: extract.Scan(triples)}
+	if dict != nil {
+		seg.Dict = dict
+		seg.Source = dict.Intern(rdf.NewIRI(finalURL))
+		seg.Triples = make([]rdf.IDTriple, len(triples))
+		for i, t := range triples {
+			seg.Triples[i] = dict.InternTriple(t)
+		}
+	}
+	return seg
 }
 
 // Validators are the HTTP cache validators of a document: the strong entity
@@ -135,8 +172,9 @@ type Dereferencer struct {
 	// UserAgent is sent as the User-Agent header.
 	UserAgent string
 	// Dict, when non-nil, is the engine term dictionary: parsed documents
-	// are canonicalized into it, so cached documents hold interned terms
-	// and store ingest of a cache hit is pure dictionary map hits.
+	// are canonicalized into it and their Segment is encoded against it, so
+	// a store over the same dictionary ingests a document — fetched or
+	// cached — without interning anything.
 	Dict *rdf.Dict
 	// Shared, when non-nil, layers a cross-engine shared document cache
 	// under the dereferencer (see internal/serve): fresh entries are
@@ -207,9 +245,7 @@ func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reas
 	}
 
 	if d.Cache != nil {
-		if entry, ok := d.Cache.get(cacheKey(url, d.Auth)); ok {
-			res := &Result{URL: url, FinalURL: entry.finalURL, Triples: entry.triples,
-				Status: http.StatusOK, Bytes: entry.bytes}
+		if res, ok := d.Cache.get(cacheKey(url, d.Auth)); ok {
 			d.recordCacheHit(ctx, url, parent, reason, res)
 			d.charge(resource.Serve, res)
 			return res, resource.Serve, nil
@@ -222,12 +258,7 @@ func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reas
 		return nil, 0, err
 	}
 	if d.Cache != nil {
-		d.Cache.put(&cacheEntry{
-			key:      cacheKey(url, d.Auth),
-			finalURL: res.FinalURL,
-			triples:  res.Triples,
-			bytes:    res.Bytes,
-		})
+		d.Cache.put(cacheKey(url, d.Auth), res)
 	}
 	d.charge(resource.Deref, res)
 	return res, resource.Deref, nil
@@ -483,7 +514,10 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 		return nil, &Error{URL: url, Status: resp.StatusCode, Err: err}
 	}
 	ev.Triples = len(triples)
+	// Built here, by the one fetch of this document version and before the
+	// Result reaches either cache: no query that hits it builds anything.
+	seg := newSegment(d.Dict, finalURL, triples)
 	record()
-	return &Result{URL: url, FinalURL: finalURL, Triples: triples, Status: resp.StatusCode, Bytes: ev.Bytes,
+	return &Result{URL: url, FinalURL: finalURL, Triples: triples, Segment: seg, Status: resp.StatusCode, Bytes: ev.Bytes,
 		Validators: Validators{ETag: resp.Header.Get("ETag"), LastModified: resp.Header.Get("Last-Modified")}}, nil
 }

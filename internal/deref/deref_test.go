@@ -219,10 +219,10 @@ func TestCacheKeyIncludesIdentity(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(2)
-	c.put(&cacheEntry{key: "a"})
-	c.put(&cacheEntry{key: "b"})
-	c.put(&cacheEntry{key: "a"}) // refresh a
-	c.put(&cacheEntry{key: "c"}) // evicts b (LRU)
+	c.put("a", &Result{})
+	c.put("b", &Result{})
+	c.put("a", &Result{}) // refresh a
+	c.put("c", &Result{}) // evicts b (LRU)
 	if c.Len() != 2 {
 		t.Errorf("len = %d", c.Len())
 	}

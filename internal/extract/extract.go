@@ -8,7 +8,6 @@
 package extract
 
 import (
-	"net/url"
 	"sort"
 
 	"ltqp/internal/rdf"
@@ -18,8 +17,23 @@ import (
 type Document struct {
 	// IRI is the document's (final) URL.
 	IRI string
-	// Graph holds the parsed triples.
+	// Graph holds the parsed triples. The engine populates it only when an
+	// extractor outside the built-in table-driven set is configured (see
+	// NeedsGraph); it may be nil when Links is set.
 	Graph *rdf.Graph
+	// Links, when non-nil, is the document's precomputed link table. The
+	// built-in extractors filter it; handed a bare Document{IRI, Graph}
+	// they scan the graph into a table on the fly.
+	Links *LinkTable
+}
+
+// table returns the document's link table, scanning the graph for the
+// wanted sections when none was precomputed.
+func (d Document) table(want section) *LinkTable {
+	if d.Links != nil {
+		return d.Links
+	}
+	return scan(d.Graph.Triples(), want)
 }
 
 // Link is a proposed traversal step.
@@ -34,6 +48,9 @@ type Link struct {
 	// Extractor is the Name() of the extractor that produced the link,
 	// used to label discovery edges in the traversal topology.
 	Extractor string
+	// Key, when set, is linkqueue.Normalize(URL), carried over from the
+	// document's link table so the queue need not parse the URL again.
+	Key string
 }
 
 // Extractor proposes links from a document.
@@ -58,18 +75,13 @@ type QueryShape struct {
 }
 
 // link builds a Link from an IRI term, stripping the fragment; it returns
-// false for non-HTTP terms and for http(s) IRIs that do not parse or have
-// no host ("http://", "http://%"), which can never dereference — hostile
-// documents use such IRIs to clog the queue with guaranteed-dead fetches.
+// false for terms target rejects.
 func link(t rdf.Term, extractor, reason string) (Link, bool) {
-	if t.Kind != rdf.TermIRI || !rdf.IsHTTPIRI(t.Value) {
+	u, key, ok := target(t)
+	if !ok {
 		return Link{}, false
 	}
-	u := rdf.DocumentIRI(t)
-	if parsed, err := url.Parse(u); err != nil || parsed.Host == "" {
-		return Link{}, false
-	}
-	return Link{URL: u, Reason: reason, Extractor: extractor}, true
+	return Link{URL: u, Key: key, Reason: reason, Extractor: extractor}, true
 }
 
 // dedup removes duplicate URLs preserving order.
@@ -85,6 +97,10 @@ func dedup(links []Link) []Link {
 	return out
 }
 
+// The five extractors below are filters over a document's LinkTable: what
+// each could follow is listed there once per document version, and Extract
+// only selects what the query does follow.
+
 // LDPContainer follows ldp:contains membership links, walking the document
 // hierarchy of a pod (paper Listing 1).
 type LDPContainer struct{}
@@ -93,16 +109,12 @@ type LDPContainer struct{}
 func (LDPContainer) Name() string { return "ldp-container" }
 
 // Extract implements Extractor.
-func (LDPContainer) Extract(doc Document) []Link {
-	var out []Link
-	for _, t := range doc.Graph.Triples() {
-		if t.P.Kind == rdf.TermIRI && t.P.Value == rdf.LDPContains {
-			if l, ok := link(t.O, "ldp-container", "ldp-container"); ok {
-				out = append(out, l)
-			}
-		}
-	}
-	return dedup(out)
+func (e LDPContainer) Extract(doc Document) []Link {
+	return e.appendLinks(nil, doc.table(secLDP))
+}
+
+func (LDPContainer) appendLinks(dst []Link, t *LinkTable) []Link {
+	return t.appendSection(dst, t.ldp, nil)
 }
 
 // SolidProfile follows the pod discovery links of a WebID profile document
@@ -114,24 +126,12 @@ type SolidProfile struct{}
 func (SolidProfile) Name() string { return "solid-profile" }
 
 // Extract implements Extractor.
-func (SolidProfile) Extract(doc Document) []Link {
-	var out []Link
-	for _, t := range doc.Graph.Triples() {
-		if t.P.Kind != rdf.TermIRI {
-			continue
-		}
-		switch t.P.Value {
-		case rdf.SolidPublicTypeIndex:
-			if l, ok := link(t.O, "solid-profile", "solid-profile"); ok {
-				out = append(out, l)
-			}
-		case rdf.PIMStorage:
-			if l, ok := link(t.O, "solid-profile", "storage"); ok {
-				out = append(out, l)
-			}
-		}
-	}
-	return dedup(out)
+func (e SolidProfile) Extract(doc Document) []Link {
+	return e.appendLinks(nil, doc.table(secProfile))
+}
+
+func (SolidProfile) appendLinks(dst []Link, t *LinkTable) []Link {
+	return t.appendSection(dst, t.profile, nil)
 }
 
 // TypeIndex follows solid:instance and solid:instanceContainer links from
@@ -149,27 +149,11 @@ func (TypeIndex) Name() string { return "type-index" }
 
 // Extract implements Extractor.
 func (e TypeIndex) Extract(doc Document) []Link {
-	g := doc.Graph
-	var out []Link
-	for _, reg := range g.Subjects(rdf.NewIRI(rdf.RDFType), rdf.NewIRI(rdf.SolidTypeRegistration)) {
-		if e.Shape != nil && len(e.Shape.Classes) > 0 {
-			forClass := g.FirstObject(reg, rdf.NewIRI(rdf.SolidForClass))
-			if forClass.Kind == rdf.TermIRI && !e.Shape.Classes[forClass.Value] {
-				continue
-			}
-		}
-		for _, inst := range g.Objects(reg, rdf.NewIRI(rdf.SolidInstance)) {
-			if l, ok := link(inst, "type-index", "type-index"); ok {
-				out = append(out, l)
-			}
-		}
-		for _, c := range g.Objects(reg, rdf.NewIRI(rdf.SolidInstanceContainer)) {
-			if l, ok := link(c, "type-index", "type-index-container"); ok {
-				out = append(out, l)
-			}
-		}
-	}
-	return dedup(out)
+	return e.appendLinks(nil, doc.table(secTypeIndex))
+}
+
+func (e TypeIndex) appendLinks(dst []Link, t *LinkTable) []Link {
+	return t.appendSection(dst, t.typeIndex, e.Shape)
 }
 
 // SeeAlso follows rdfs:seeAlso and owl:sameAs data links.
@@ -178,22 +162,13 @@ type SeeAlso struct{}
 // Name implements Extractor.
 func (SeeAlso) Name() string { return "see-also" }
 
-const owlSameAs = "http://www.w3.org/2002/07/owl#sameAs"
-
 // Extract implements Extractor.
-func (SeeAlso) Extract(doc Document) []Link {
-	var out []Link
-	for _, t := range doc.Graph.Triples() {
-		if t.P.Kind != rdf.TermIRI {
-			continue
-		}
-		if t.P.Value == rdf.RDFSSeeAlso || t.P.Value == owlSameAs {
-			if l, ok := link(t.O, "see-also", "see-also"); ok {
-				out = append(out, l)
-			}
-		}
-	}
-	return dedup(out)
+func (e SeeAlso) Extract(doc Document) []Link {
+	return e.appendLinks(nil, doc.table(secSeeAlso))
+}
+
+func (SeeAlso) appendLinks(dst []Link, t *LinkTable) []Link {
+	return t.appendSection(dst, t.seeAlso, nil)
 }
 
 // CMatch is Hartig's cMatch reachability criterion: follow IRIs occurring
@@ -211,26 +186,59 @@ func (e CMatch) Extract(doc Document) []Link {
 	if e.Shape == nil {
 		return nil
 	}
-	var out []Link
-	for _, t := range doc.Graph.Triples() {
-		if t.P.Kind != rdf.TermIRI {
-			continue
-		}
-		relevant := e.Shape.Predicates[t.P.Value]
-		if !relevant && t.P.Value == rdf.RDFType && t.O.Kind == rdf.TermIRI && e.Shape.Classes[t.O.Value] {
-			relevant = true
-		}
-		if !relevant {
-			continue
-		}
-		if l, ok := link(t.S, "match", "match"); ok {
-			out = append(out, l)
-		}
-		if l, ok := link(t.O, "match", "match"); ok {
-			out = append(out, l)
+	return e.appendLinks(nil, doc.table(secMatch))
+}
+
+func (e CMatch) appendLinks(dst []Link, t *LinkTable) []Link {
+	if e.Shape == nil {
+		return dst
+	}
+	return t.appendSection(dst, t.match, e.Shape)
+}
+
+// AppendLinks appends to dst what every extractor proposes for doc, in
+// extractor order, and returns the extended slice. It is Extract over the
+// whole set without a slice per extractor: the built-in extractors append
+// straight from doc.Links, so with a caller-owned dst a document costs no
+// allocation. Any other extractor goes through its Extract method.
+func AppendLinks(dst []Link, extractors []Extractor, doc Document) []Link {
+	for _, ex := range extractors {
+		dst = appendFrom(dst, ex, doc)
+	}
+	return dst
+}
+
+func appendFrom(dst []Link, ex Extractor, doc Document) []Link {
+	if t := doc.Links; t != nil {
+		// Concrete types, not an interface method: dst must not escape, or
+		// the caller's buffer moves to the heap.
+		switch e := ex.(type) {
+		case SolidProfile:
+			return e.appendLinks(dst, t)
+		case TypeIndex:
+			return e.appendLinks(dst, t)
+		case LDPContainer:
+			return e.appendLinks(dst, t)
+		case CMatch:
+			return e.appendLinks(dst, t)
+		case SeeAlso:
+			return e.appendLinks(dst, t)
 		}
 	}
-	return dedup(out)
+	return append(dst, ex.Extract(doc)...)
+}
+
+// NeedsGraph reports whether any of the extractors reads Document.Graph:
+// everything but the table-driven built-ins does.
+func NeedsGraph(extractors []Extractor) bool {
+	for _, ex := range extractors {
+		if _, tableDriven := ex.(interface {
+			appendLinks([]Link, *LinkTable) []Link
+		}); !tableDriven {
+			return true
+		}
+	}
+	return false
 }
 
 // CAll is the cAll reachability criterion: follow every IRI in every

@@ -293,3 +293,31 @@ PREFIX solid: <http://www.w3.org/ns/solid/terms#>
 		t.Errorf("instance links = %v", links)
 	}
 }
+
+func TestNeedsGraphAndAppendLinksFallback(t *testing.T) {
+	shape := &QueryShape{Predicates: map[string]bool{"http://ex/p": true}}
+	if NeedsGraph(DefaultSolidSet(shape)) {
+		t.Error("the default set is table-driven and must not need a graph")
+	}
+	for _, ex := range []Extractor{CAll{}, &TypeIndexScoped{Shape: shape}} {
+		if !NeedsGraph(append(DefaultSolidSet(shape), ex)) {
+			t.Errorf("%T reads Document.Graph", ex)
+		}
+	}
+	// With a table and a graph, built-ins read the table and everything
+	// else still goes through Extract, in extractor order.
+	d := doc(t, "http://pod/doc", `<http://pod/a> <http://ex/p> <http://pod/b> .`)
+	d.Links = Scan(d.Graph.Triples())
+	got := AppendLinks(nil, []Extractor{CMatch{Shape: shape}, CAll{}}, d)
+	var want []Link
+	want = append(want, CMatch{Shape: shape}.Extract(d)...)
+	want = append(want, CAll{}.Extract(d)...)
+	if len(got) != len(want) || len(got) != 5 {
+		t.Fatalf("AppendLinks = %+v, want %+v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("link %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

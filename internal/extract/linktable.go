@@ -1,0 +1,264 @@
+package extract
+
+import (
+	"ltqp/internal/linkqueue"
+	"ltqp/internal/rdf"
+)
+
+// LinkTable is the query-independent half of link extraction for one
+// document: every IRI a built-in extractor could follow, validated and
+// normalized once, in the order the extractor would emit it. The links of a
+// document are a property of the document; only which of them a query
+// follows depends on the query. The dereferencer therefore builds the table
+// once per document version (Scan) and the built-in extractors merely
+// filter it against the QueryShape — no rdf.Graph, no URL parsing and no
+// per-call dedup set on the per-query path.
+//
+// A table is immutable after Scan and safe for concurrent readers. It
+// refers to the triple slice it was scanned from, which must not change.
+type LinkTable struct {
+	triples []rdf.Triple
+	// One section per built-in extractor, each in that extractor's emission
+	// order. profile, ldp and seeAlso do not depend on the query and are
+	// stored already deduplicated; typeIndex and match keep every candidate
+	// and are deduplicated while filtering (see appendSection).
+	profile, typeIndex, ldp, match, seeAlso []tableLink
+}
+
+// tableLink is one followable IRI occurrence.
+type tableLink struct {
+	// url is the target document: fragment stripped, http(s), parses with a
+	// host. key is linkqueue.Normalize(url), the queue's dedup key.
+	url, key string
+	// tri indexes the triple that decides whether a query follows the link:
+	// for match links the triple the IRI occurs in, for type-index links
+	// the registration's first solid:forClass triple (-1: none with an IRI
+	// class, always followed). Unused in the other sections.
+	tri int32
+	// prev is the previous entry of the section with the same url, -1 if
+	// none: the chain first-occurrence dedup walks.
+	prev  int32
+	label label
+}
+
+// label names the (Reason, Extractor) pair a link is reported under.
+type label uint8
+
+const (
+	labelProfile label = iota
+	labelStorage
+	labelTypeIndex
+	labelTypeIndexContainer
+	labelLDP
+	labelMatch
+	labelSeeAlso
+)
+
+var labels = [...]struct{ reason, extractor string }{
+	labelProfile:            {"solid-profile", "solid-profile"},
+	labelStorage:            {"storage", "solid-profile"},
+	labelTypeIndex:          {"type-index", "type-index"},
+	labelTypeIndexContainer: {"type-index-container", "type-index"},
+	labelLDP:                {"ldp-container", "ldp-container"},
+	labelMatch:              {"match", "match"},
+	labelSeeAlso:            {"see-also", "see-also"},
+}
+
+func (e *tableLink) link() Link {
+	l := labels[e.label]
+	return Link{URL: e.url, Key: e.key, Reason: l.reason, Extractor: l.extractor}
+}
+
+// section selects which parts of a table a scan fills: the dereferencer
+// wants all of them, an extractor handed a bare Document only its own.
+type section uint8
+
+const (
+	secProfile section = 1 << iota
+	secTypeIndex
+	secLDP
+	secMatch
+	secSeeAlso
+	secAll = secProfile | secTypeIndex | secLDP | secMatch | secSeeAlso
+)
+
+const owlSameAs = "http://www.w3.org/2002/07/owl#sameAs"
+
+var (
+	rdfTypeTerm          = rdf.NewIRI(rdf.RDFType)
+	typeRegistrationTerm = rdf.NewIRI(rdf.SolidTypeRegistration)
+	forClassTerm         = rdf.NewIRI(rdf.SolidForClass)
+	instanceTerm         = rdf.NewIRI(rdf.SolidInstance)
+	instanceContainer    = rdf.NewIRI(rdf.SolidInstanceContainer)
+)
+
+// Scan builds the link table of a document from its triples. The slice is
+// retained, not copied.
+func Scan(triples []rdf.Triple) *LinkTable { return scan(triples, secAll) }
+
+// sectionBuilder appends to one section, chaining equal URLs.
+type sectionBuilder struct {
+	links []tableLink
+	last  map[string]int32 // url -> index of its latest entry
+}
+
+// add appends t's document as a link if t is a dereferenceable IRI. With
+// keepDuplicates false an URL already in the section is dropped, which is
+// first-occurrence dedup for sections no query filters.
+func (b *sectionBuilder) add(t rdf.Term, lb label, tri int, keepDuplicates bool) {
+	u, key, ok := target(t)
+	if !ok {
+		return
+	}
+	prev, dup := b.last[u]
+	if !dup {
+		prev = -1
+	} else if !keepDuplicates {
+		return
+	}
+	if b.last == nil {
+		b.last = map[string]int32{}
+	}
+	b.last[u] = int32(len(b.links))
+	b.links = append(b.links, tableLink{url: u, key: key, tri: int32(tri), prev: prev, label: lb})
+}
+
+// target maps a term to the document a link to it would fetch: ok is false
+// for anything but http(s) IRIs, and for IRIs that do not parse or have no
+// host ("http://", "http://%"), which can never dereference — hostile
+// documents use such IRIs to clog the queue with guaranteed-dead fetches.
+func target(t rdf.Term) (u, key string, ok bool) {
+	if t.Kind != rdf.TermIRI || !rdf.IsHTTPIRI(t.Value) {
+		return "", "", false
+	}
+	u = rdf.DocumentIRI(t)
+	key, ok = linkqueue.Key(u)
+	return u, key, ok
+}
+
+func scan(triples []rdf.Triple, want section) *LinkTable {
+	var profile, ldp, match, seeAlso sectionBuilder
+	if want&secMatch != 0 {
+		match.links = make([]tableLink, 0, len(triples))
+	}
+	var regs []rdf.Term // type registrations, in first-occurrence order
+	for i := range triples {
+		t := &triples[i]
+		if t.P.Kind != rdf.TermIRI {
+			continue
+		}
+		switch t.P.Value {
+		case rdf.SolidPublicTypeIndex:
+			if want&secProfile != 0 {
+				profile.add(t.O, labelProfile, i, false)
+			}
+		case rdf.PIMStorage:
+			if want&secProfile != 0 {
+				profile.add(t.O, labelStorage, i, false)
+			}
+		case rdf.LDPContains:
+			if want&secLDP != 0 {
+				ldp.add(t.O, labelLDP, i, false)
+			}
+		case rdf.RDFSSeeAlso, owlSameAs:
+			if want&secSeeAlso != 0 {
+				seeAlso.add(t.O, labelSeeAlso, i, false)
+			}
+		case rdf.RDFType:
+			if want&secTypeIndex != 0 && t.P == rdfTypeTerm && t.O == typeRegistrationTerm && !containsTerm(regs, t.S) {
+				regs = append(regs, t.S)
+			}
+		}
+		if want&secMatch != 0 {
+			match.add(t.S, labelMatch, i, true)
+			match.add(t.O, labelMatch, i, true)
+		}
+	}
+	return &LinkTable{
+		triples:   triples,
+		profile:   profile.links,
+		typeIndex: scanTypeIndex(triples, regs),
+		ldp:       ldp.links,
+		match:     match.links,
+		seeAlso:   seeAlso.links,
+	}
+}
+
+// scanTypeIndex lists, registration by registration, the instance links and
+// then the instance-container links of a Solid type index (paper Listing
+// 3), each tied to the registration's solid:forClass triple.
+func scanTypeIndex(triples []rdf.Triple, regs []rdf.Term) []tableLink {
+	var b sectionBuilder
+	for _, reg := range regs {
+		forClass := -1
+		for i := range triples {
+			if t := &triples[i]; t.S == reg && t.P == forClassTerm {
+				if t.O.Kind == rdf.TermIRI {
+					forClass = i
+				}
+				break // only the first solid:forClass counts
+			}
+		}
+		for i := range triples {
+			if t := &triples[i]; t.S == reg && t.P == instanceTerm {
+				b.add(t.O, labelTypeIndex, forClass, true)
+			}
+		}
+		for i := range triples {
+			if t := &triples[i]; t.S == reg && t.P == instanceContainer {
+				b.add(t.O, labelTypeIndexContainer, forClass, true)
+			}
+		}
+	}
+	return b.links
+}
+
+func containsTerm(ts []rdf.Term, t rdf.Term) bool {
+	for _, x := range ts {
+		if x == t {
+			return true
+		}
+	}
+	return false
+}
+
+// follows reports whether a query of the given shape follows e.
+func (t *LinkTable) follows(e *tableLink, shape *QueryShape) bool {
+	switch e.label {
+	case labelMatch:
+		// cMatch: the triple could contribute to the query.
+		tr := &t.triples[e.tri]
+		return shape.Predicates[tr.P.Value] ||
+			tr.P.Value == rdf.RDFType && tr.O.Kind == rdf.TermIRI && shape.Classes[tr.O.Value]
+	case labelTypeIndex, labelTypeIndexContainer:
+		// Class pruning [14]: with constant classes in the query, only
+		// registrations for those classes; without, every registration.
+		return shape == nil || len(shape.Classes) == 0 || e.tri < 0 ||
+			shape.Classes[t.triples[e.tri].O.Value]
+	}
+	return true
+}
+
+// appendSection appends the links of sec the shape follows, first
+// occurrence of each URL only. Whether an earlier entry with the same URL
+// was emitted depends on the query too, so dedup walks the entry's prev
+// chain re-asking follows: the walk stops at the first predecessor the
+// query follows (that one, or one before it, was emitted), and otherwise
+// passes only entries it rejects — no set, no allocation, and linear in the
+// section overall.
+func (t *LinkTable) appendSection(dst []Link, sec []tableLink, shape *QueryShape) []Link {
+next:
+	for i := range sec {
+		e := &sec[i]
+		if !t.follows(e, shape) {
+			continue
+		}
+		for j := e.prev; j >= 0; j = sec[j].prev {
+			if t.follows(&sec[j], shape) {
+				continue next
+			}
+		}
+		dst = append(dst, e.link())
+	}
+	return dst
+}

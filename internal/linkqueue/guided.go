@@ -166,12 +166,12 @@ func (q *Guided) score(l Link) float64 {
 	// whose own URL gained type-index evidence after they were queued
 	// under a blander reason (see the dedup note in Push).
 	if promoted := reasonScore["type-index"] - 2; s < promoted {
-		if q.typeIndexed[Normalize(l.URL)] ||
+		if q.typeIndexed[l.dedupKey()] ||
 			(l.Reason == "ldp-container" && q.typeIndexed[Normalize(l.Via)]) {
 			s = promoted
 		}
 	}
-	if q.rel != nil && q.rel.DocIRIs[Normalize(l.URL)] {
+	if q.rel != nil && q.rel.DocIRIs[l.dedupKey()] {
 		s += mentionBoost
 	}
 	if ratio, ok := q.prod[Normalize(l.Via)]; ok {
@@ -208,7 +208,7 @@ func (q *Guided) DocumentIngested(url string, relevantTriples, totalTriples int)
 func (q *Guided) Push(l Link) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	key := Normalize(l.URL)
+	key := l.dedupKey()
 	// Lineage is learned even from deduplicated pushes: a container is
 	// often discovered twice — first through the blind storage walk, then
 	// through the type index — and whichever arrives first wins the queue
@@ -243,7 +243,7 @@ func (q *Guided) rescore(key string) {
 		return
 	}
 	for i := range *h {
-		if Normalize((*h)[i].link.URL) == key {
+		if (*h)[i].link.dedupKey() == key {
 			(*h)[i].score = q.score((*h)[i].link)
 			heap.Fix(h, i)
 			return

@@ -277,3 +277,36 @@ func TestParsePolicy(t *testing.T) {
 		}
 	}
 }
+
+// The canonical-form shortcut in Key must agree with the parsing path on
+// everything it accepts.
+func TestKeyShortcutAgreesWithParser(t *testing.T) {
+	fixed := []string{
+		"http://h", "http://h/", "https://pod.example.org/a/b.ttl", "http://h:8080/x",
+		"http://h:80/x", "https://h:443/", "http://h:080/x", "http://h:/x", "http://h:1x",
+		"http://", "http://%", "http:///x", "HTTP://h/x", "http://H/x", "http://h/a b",
+		"http://h/a%20b", "http://h/x?q=1", "http://u@h/x", "http://[::1]/x", "http://h//a/../b/.",
+		"http://-./~_", "https://h:80/x", "http://h:443/x", "ftp://h/x",
+	}
+	check := func(raw string) {
+		key, ok := parsedKey(raw)
+		if canonicalHTTP(raw) && (key != raw || !ok) {
+			t.Errorf("canonicalHTTP(%q) but the parser gives (%q, %v)", raw, key, ok)
+		}
+		if k2, ok2 := Key(raw); k2 != key || ok2 != ok {
+			t.Errorf("Key(%q) = (%q, %v), parser gives (%q, %v)", raw, k2, ok2, key, ok)
+		}
+	}
+	for _, raw := range fixed {
+		check(raw)
+	}
+	const alphabet = "htps:/.-_~%?#@[]aZ09 :80443"
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		b := []byte([]string{"http://", "https://", ""}[rng.Intn(3)])
+		for n := rng.Intn(14); n > 0; n-- {
+			b = append(b, alphabet[rng.Intn(len(alphabet))])
+		}
+		check(string(b))
+	}
+}

@@ -31,6 +31,18 @@ type Link struct {
 	Extractor string
 	// Depth is the traversal depth (seeds are 0).
 	Depth int
+	// Key, when set, is Normalize(URL) computed ahead of time: links read
+	// from a document's link table carry it, so pushing them parses no URL.
+	// Empty means the queue normalizes URL itself.
+	Key string
+}
+
+// dedupKey is the normalized URL the queues deduplicate on.
+func (l Link) dedupKey() string {
+	if l.Key != "" {
+		return l.Key
+	}
+	return Normalize(l.URL)
 }
 
 // Queue is the interface shared by queue disciplines. Implementations are
@@ -66,7 +78,7 @@ func NewFIFO() *FIFO {
 func (q *FIFO) Push(l Link) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	key := Normalize(l.URL)
+	key := l.dedupKey()
 	if q.seen[key] {
 		return false
 	}
@@ -166,7 +178,7 @@ func (h *linkHeap) Pop() interface{} {
 func (q *Priority) Push(l Link) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	key := Normalize(l.URL)
+	key := l.dedupKey()
 	if q.seen[key] {
 		return false
 	}

@@ -30,22 +30,49 @@ func BenchmarkStartSpanTraced(b *testing.B) {
 // everything a hot path touches when tracing is disabled — starting a span
 // on an untraced context, rendering its (empty) traceparent and trace id,
 // recording an exemplar with no trace id, and offering an outcome to a nil
-// trace store — must cost 0 allocs/op.
+// trace store — must cost 0 allocs/op. The attrs case is the shape of the
+// engine's per-document spans: typed attributes built at the call site,
+// which must neither format nor let the variadic slice escape.
 func BenchmarkTraceOff(b *testing.B) {
 	ctx := context.Background()
 	h := NewRegistry().Histogram("x", "", DefaultLatencyBuckets)
 	var store *TraceStore
 	var log *ServerSpanLog
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, sp := StartSpan(ctx, "deref")
-		if tp := sp.Traceparent(); tp != "" {
-			b.Fatal("untraced span rendered a traceparent")
+	b.Run("paths", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, sp := StartSpan(ctx, "deref")
+			if tp := sp.Traceparent(); tp != "" {
+				b.Fatal("untraced span rendered a traceparent")
+			}
+			h.ObserveExemplar(0.003, sp.TraceIDString())
+			store.Offer(TraceOutcome{Duration: 1}, nil)
+			log.Record(ServerSpan{})
+			sp.End()
 		}
-		h.ObserveExemplar(0.003, sp.TraceIDString())
-		store.Offer(TraceOutcome{Duration: 1}, nil)
-		log.Record(ServerSpan{})
+	})
+	b.Run("attrs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, sp := StartSpan(ctx, "document", Str("url", "http://pod/x"), Int("depth", i), Bool("cached", true))
+			sp.SetAttr(Int("triples", i), Int64("bytes", int64(i)))
+			sp.End()
+		}
+	})
+}
+
+// TestTraceOffAttrsDoNotAllocate pins BenchmarkTraceOff/attrs at 0 allocs/op
+// in the ordinary test run.
+func TestTraceOffAttrsDoNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	n := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		n++
+		_, sp := StartSpan(ctx, "document", Str("url", "http://pod/x"), Int("depth", n), Bool("cached", true))
+		sp.SetAttr(Int("triples", n), Int64("bytes", int64(n)))
 		sp.End()
+	}); allocs != 0 {
+		t.Errorf("untraced StartSpan+SetAttr with typed attrs: %v allocs/op, want 0", allocs)
 	}
 }
 

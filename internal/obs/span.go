@@ -22,28 +22,62 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Attr is one key/value annotation on a span.
+// Attr is one key/value annotation on a span. Numeric and boolean
+// attributes carry their typed value and are rendered into Value only when
+// the span is read (Span.Attrs, and through it every export): building one
+// on a hot path costs nothing when tracing is off and no formatting when it
+// is on. An Attr obtained from a span always has Value set.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
+
+	kind attrKind
+	num  int64
 }
+
+type attrKind uint8
+
+const (
+	attrString attrKind = iota
+	attrInt
+	attrBool
+)
 
 // Str builds a string attribute.
 func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int builds an integer attribute.
-func Int(key string, value int) Attr { return Attr{Key: key, Value: fmt.Sprintf("%d", value)} }
+func Int(key string, value int) Attr { return Attr{Key: key, kind: attrInt, num: int64(value)} }
 
 // Int64 builds an int64 attribute.
-func Int64(key string, value int64) Attr { return Attr{Key: key, Value: fmt.Sprintf("%d", value)} }
+func Int64(key string, value int64) Attr { return Attr{Key: key, kind: attrInt, num: value} }
 
 // Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{Key: key, Value: fmt.Sprintf("%t", value)} }
+func Bool(key string, value bool) Attr {
+	a := Attr{Key: key, kind: attrBool}
+	if value {
+		a.num = 1
+	}
+	return a
+}
+
+// rendered returns a with its typed value formatted into Value.
+func (a Attr) rendered() Attr {
+	switch a.kind {
+	case attrInt:
+		a.Value = strconv.FormatInt(a.num, 10)
+	case attrBool:
+		a.Value = strconv.FormatBool(a.num != 0)
+	}
+	a.kind, a.num = attrString, 0
+	return a
+}
 
 // Span is one timed operation in a query's trace tree. Spans are created
 // with StartSpan and closed with End; children may be created concurrently
@@ -105,8 +139,10 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	return ContextWithSpan(ctx, child), child
 }
 
+// newSpan copies attrs: callers' variadic slices must not escape, or every
+// StartSpan call site would heap-allocate one even with tracing off.
 func newSpan(name string, attrs ...Attr) *Span {
-	return &Span{name: name, start: time.Now(), attrs: attrs}
+	return &Span{name: name, start: time.Now(), attrs: append([]Attr(nil), attrs...)}
 }
 
 // End closes the span. Ending twice keeps the first end time.
@@ -229,7 +265,9 @@ func (s *Span) Attrs() []Attr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Attr, len(s.attrs))
-	copy(out, s.attrs)
+	for i, a := range s.attrs {
+		out[i] = a.rendered()
+	}
 	return out
 }
 

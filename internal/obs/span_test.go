@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -78,8 +79,9 @@ func TestSpanConcurrentChildren(t *testing.T) {
 
 func TestTraceJSONAndTree(t *testing.T) {
 	ctx, trace := NewTrace(context.Background(), "query")
-	_, sp := StartSpan(ctx, "parse", Str("lang", "sparql"))
+	_, sp := StartSpan(ctx, "parse", Str("lang", "sparql"), Int("depth", -3))
 	time.Sleep(time.Millisecond)
+	sp.SetAttr(Int64("bytes", 1<<40), Bool("cached", true), Bool("stale", false))
 	sp.End()
 	trace.End()
 
@@ -97,6 +99,16 @@ func TestTraceJSONAndTree(t *testing.T) {
 	decoded := envelope.Root
 	if decoded.Name != "query" || len(decoded.Children) != 1 || decoded.Children[0].Name != "parse" {
 		t.Fatalf("decoded = %+v", decoded)
+	}
+	// Typed attributes are rendered on export exactly as when they were
+	// formatted eagerly.
+	wantAttrs := []Attr{{Key: "lang", Value: "sparql"}, {Key: "depth", Value: "-3"},
+		{Key: "bytes", Value: "1099511627776"}, {Key: "cached", Value: "true"}, {Key: "stale", Value: "false"}}
+	if got := decoded.Children[0].Attrs; !reflect.DeepEqual(got, wantAttrs) {
+		t.Errorf("exported attrs = %+v, want %+v", got, wantAttrs)
+	}
+	if got := sp.Attrs(); !reflect.DeepEqual(got, wantAttrs) {
+		t.Errorf("Attrs() = %+v, want %+v", got, wantAttrs)
 	}
 	if decoded.Children[0].DurUS <= 0 {
 		t.Fatal("child duration missing")

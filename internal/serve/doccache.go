@@ -2,11 +2,12 @@
 // one engine process safely shareable by thousands of concurrent clients.
 //
 //   - SharedCache: a cross-query (and cross-engine) document cache layered
-//     under internal/deref. Entries hold the parsed, dictionary-interned
-//     triples of a dereferenced document together with its HTTP cache
-//     validators; fresh entries are served without a network request, stale
-//     entries revalidate with a conditional GET (a 304 keeps the cached
-//     parse), the whole cache is bounded by a byte budget with LRU eviction,
+//     under internal/deref. Entries hold the *deref.Result of a dereferenced
+//     document — its parsed triples, its pre-encoded segment (ID triples and
+//     link table) and its HTTP cache validators; fresh entries are served
+//     without a network request, stale entries revalidate with a conditional
+//     GET (a 304 keeps the cached Result, segment included), the whole cache
+//     is bounded by a byte budget with LRU eviction,
 //     and an epoch counter invalidates everything at once without dropping
 //     validators (post-bump accesses revalidate instead of refetching).
 //   - Singleflight dereference dedup, built into SharedCache: N concurrent
@@ -94,7 +95,9 @@ type sharedEntry struct {
 	res     *deref.Result
 	fetched time.Time // when the entry was fetched or last revalidated
 	epoch   uint64    // invalidation epoch the entry is valid for
-	cost    int64
+	// cost is the body size: the budget's proxy for what the entry retains
+	// (parsed triples plus a segment of at most about as much again).
+	cost int64
 }
 
 // NewSharedCache builds a shared document cache.

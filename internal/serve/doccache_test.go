@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,5 +411,72 @@ func TestFetchErrorKeepsStaleEntry(t *testing.T) {
 	}
 	if res != first {
 		t.Fatal("stale entry dropped on fetch failure")
+	}
+}
+
+// A cached document keeps its pre-encoded segment for as long as its body
+// is current: a 304 revalidation serves the very same Result (so nothing is
+// re-encoded or re-scanned), and only a changed body gets a new segment.
+func TestSegmentSurvivesRevalidation(t *testing.T) {
+	var mu sync.Mutex
+	etag, body := `"v1"`, `<#a> <http://www.w3.org/2000/01/rdf-schema#seeAlso> <other> .`
+	var conditional atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r.Header.Get("If-None-Match") == etag {
+			conditional.Add(1)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Header().Set("Content-Type", "text/turtle")
+		w.Header().Set("ETag", etag)
+		fmt.Fprint(w, body)
+	}))
+	defer srv.Close()
+
+	dict := rdf.NewDict()
+	cache := NewSharedCache(SharedCacheOptions{})
+	d := &deref.Dereferencer{Client: srv.Client(), Dict: dict, Shared: cache}
+	get := func() *deref.Result {
+		t.Helper()
+		res, err := d.Dereference(context.Background(), srv.URL+"/doc", "", "seed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	first := get()
+	seg := first.Segment
+	if seg == nil || seg.Dict != dict || seg.Links == nil || len(seg.Triples) != 1 || len(first.Triples) != 1 {
+		t.Fatalf("fetched result carries segment %+v for %d triples", seg, len(first.Triples))
+	}
+	if got := dict.DecodeTriple(seg.Triples[0]); got != first.Triples[0] {
+		t.Errorf("segment triple decodes to %v, parsed %v", got, first.Triples[0])
+	}
+	if got := dict.Decode(seg.Source); got != rdf.NewIRI(first.FinalURL) {
+		t.Errorf("segment source decodes to %v, want the final URL %s", got, first.FinalURL)
+	}
+
+	cache.Invalidate() // every entry must revalidate
+	again := get()
+	if conditional.Load() != 1 {
+		t.Fatalf("second access made %d conditional requests answered 304, want 1", conditional.Load())
+	}
+	if again != first || again.Segment != seg {
+		t.Error("a 304 revalidation must keep serving the cached Result and its segment")
+	}
+
+	mu.Lock()
+	etag, body = `"v2"`, body+` <#a> <http://www.w3.org/2000/01/rdf-schema#seeAlso> <third> .`
+	mu.Unlock()
+	cache.Invalidate()
+	changed := get()
+	if changed == first || changed.Segment == nil || changed.Segment == seg {
+		t.Fatal("a changed body must produce a new Result with a new segment")
+	}
+	if len(changed.Segment.Triples) != 2 || len(changed.Triples) != 2 {
+		t.Errorf("new segment has %d ID triples for %d parsed", len(changed.Segment.Triples), len(changed.Triples))
 	}
 }

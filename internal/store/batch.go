@@ -19,6 +19,22 @@ import (
 // batch scans can attach provenance without a seen-map lookup. Caller holds
 // store.mu.
 func (it *Iterator) scanLockedIdx() (rdf.IDTriple, int32, bool) {
+	return it.scanIn(it.candidatesLocked())
+}
+
+// candidatesLocked returns the pattern's current candidate list (nil for a
+// full scan). It aliases the index and is valid until store.mu is released.
+func (it *Iterator) candidatesLocked() []int32 {
+	if it.scan {
+		return nil
+	}
+	return it.store.candidates(&it.pattern)
+}
+
+// scanIn is scanLockedIdx over a candidate list the caller already looked
+// up under the same lock hold, so a batch pays one index probe, not one per
+// match.
+func (it *Iterator) scanIn(list []int32) (rdf.IDTriple, int32, bool) {
 	s := it.store
 	if it.scan {
 		for it.next < len(s.triples) {
@@ -31,7 +47,6 @@ func (it *Iterator) scanLockedIdx() (rdf.IDTriple, int32, bool) {
 		}
 		return rdf.IDTriple{}, 0, false
 	}
-	list := s.candidates(&it.pattern)
 	for it.next < len(list) {
 		i := list[it.next]
 		t := s.triples[i]
@@ -61,8 +76,9 @@ func (it *Iterator) NextBatch(ctx context.Context, ids []rdf.IDTriple, srcs []rd
 			return 0, false
 		}
 		n := 0
+		list := it.candidatesLocked()
 		for n < len(ids) {
-			t, idx, ok := it.scanLockedIdx()
+			t, idx, ok := it.scanIn(list)
 			if !ok {
 				break
 			}

@@ -1,0 +1,110 @@
+package store
+
+// postings is one pattern index: for every key, the ascending list of
+// positions (into Store.triples) of the triples carrying that key. All five
+// of the store's indexes use it; TermID keys are widened to uint64 so the
+// single-constant and the composite (s,p)/(p,o) indexes share one
+// representation.
+//
+// The layout exists so that growing a posting list does not allocate per
+// key, which append on a map[K][]int32 does (one fresh slice for every new
+// key, and again at every doubling):
+//
+//   - idx maps a key to its slot in slab;
+//   - a slot holds up to inlinePostings positions in place — most subjects,
+//     objects and composite keys never have more — so a new key costs no
+//     allocation beyond the amortized growth of idx and slab;
+//   - a longer list moves, whole, into a run carved from an arena chunk the
+//     store's indexes share, doubling when it fills. Abandoned runs stay in
+//     their chunk (at most as much again as the live runs, by the
+//     doubling), so allocations are per chunk, not per key.
+//
+// A list is always contiguous — in the slot or in its run — so reading it
+// is reading a slice. The slice aliases the slab or the arena and is valid
+// only while the store lock is held: add may move the slab.
+type postings struct {
+	idx   map[uint64]int32
+	slab  []posting
+	arena *arena
+}
+
+// arena hands out runs from the tail of its current chunk.
+type arena struct{ chunk []int32 }
+
+const (
+	inlinePostings = 4
+	// firstRun is the capacity of a list's first arena run.
+	firstRun = 4 * inlinePostings
+	// arenaChunk is the arena's allocation unit, in positions (16 KiB).
+	arenaChunk = 4096
+)
+
+type posting struct {
+	n      int32
+	inline [inlinePostings]int32
+	run    []int32 // holds the whole list once n > inlinePostings
+}
+
+func newPostings(a *arena, sizeHint int) *postings {
+	return &postings{idx: make(map[uint64]int32, sizeHint), arena: a}
+}
+
+// add appends position i to key's list.
+func (ps *postings) add(key uint64, i int32) {
+	slot, ok := ps.idx[key]
+	if !ok {
+		slot = int32(len(ps.slab))
+		ps.idx[key] = slot
+		ps.slab = append(ps.slab, posting{})
+	}
+	p := &ps.slab[slot]
+	if p.n < inlinePostings {
+		p.inline[p.n] = i
+	} else {
+		if len(p.run) == cap(p.run) { // full, or the first spill (nil run)
+			ps.grow(p)
+		}
+		p.run = append(p.run, i)
+	}
+	p.n++
+}
+
+// grow moves p's list into a run of twice the capacity, carved from the
+// arena.
+func (ps *postings) grow(p *posting) {
+	old := p.run
+	if old == nil {
+		old = p.inline[:]
+	}
+	size := 2 * cap(p.run)
+	if size < firstRun {
+		size = firstRun
+	}
+	a := ps.arena
+	if len(a.chunk)+size > cap(a.chunk) {
+		n := arenaChunk
+		if size > n {
+			n = size
+		}
+		a.chunk = make([]int32, 0, n)
+	}
+	at := len(a.chunk)
+	a.chunk = a.chunk[:at+size]
+	// The three-index slice caps the run, so its appends never reach into
+	// the next run carved from the same chunk.
+	p.run = append(a.chunk[at:at:at+size], old...)
+}
+
+// list returns key's positions in insertion (ascending) order; nil when the
+// key is absent. Valid only while the store lock is held.
+func (ps *postings) list(key uint64) []int32 {
+	slot, ok := ps.idx[key]
+	if !ok {
+		return nil
+	}
+	p := &ps.slab[slot]
+	if p.run != nil {
+		return p.run
+	}
+	return p.inline[:p.n]
+}

@@ -43,17 +43,17 @@ type Store struct {
 	sources []rdf.TermID // sources[i] is the document triples[i] came from
 	seen    map[rdf.IDTriple]int32
 
-	bySubject   map[rdf.TermID][]int32
-	byPredicate map[rdf.TermID][]int32
-	byObject    map[rdf.TermID][]int32
+	// The pattern indexes (see postings.go for their layout); runs is the
+	// arena their longer lists share.
+	bySubject, byPredicate, byObject *postings
 	// Composite two-constant indexes: star joins overwhelmingly probe the
 	// (?s, p, o) and (s, p, ?o) shapes, which these answer exactly instead
 	// of filtering a one-constant candidate list. They are built lazily on
 	// the first probe of their shape (nil until then), so pure ingest never
 	// pays their per-triple cost; once built they are maintained on every
 	// add.
-	bySP map[uint64][]int32
-	byPO map[uint64][]int32
+	bySP, byPO *postings
+	runs       arena
 
 	closed    bool
 	documents map[string]bool // document IRIs ingested
@@ -86,13 +86,13 @@ func New() *Store {
 // IDs across queries.
 func NewWithDict(dict *rdf.Dict) *Store {
 	s := &Store{
-		dict:        dict,
-		seen:        make(map[rdf.IDTriple]int32),
-		bySubject:   make(map[rdf.TermID][]int32),
-		byPredicate: make(map[rdf.TermID][]int32),
-		byObject:    make(map[rdf.TermID][]int32),
-		documents:   make(map[string]bool),
+		dict:      dict,
+		seen:      make(map[rdf.IDTriple]int32),
+		documents: make(map[string]bool),
 	}
+	s.bySubject = newPostings(&s.runs, 0)
+	s.byPredicate = newPostings(&s.runs, 0)
+	s.byObject = newPostings(&s.runs, 0)
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -138,16 +138,16 @@ func (s *Store) addLocked(t rdf.IDTriple, src rdf.TermID) bool {
 	s.seen[t] = i
 	s.triples = append(s.triples, t)
 	s.sources = append(s.sources, src)
-	s.bySubject[t.S] = append(s.bySubject[t.S], i)
-	s.byPredicate[t.P] = append(s.byPredicate[t.P], i)
-	s.byObject[t.O] = append(s.byObject[t.O], i)
+	s.bySubject.add(uint64(t.S), i)
+	s.byPredicate.add(uint64(t.P), i)
+	s.byObject.add(uint64(t.O), i)
 	charge := int64(bytesPerTriple)
 	if s.bySP != nil {
-		s.bySP[t.SP()] = append(s.bySP[t.SP()], i)
+		s.bySP.add(t.SP(), i)
 		charge += bytesPerCompositePosting
 	}
 	if s.byPO != nil {
-		s.byPO[t.PO()] = append(s.byPO[t.PO()], i)
+		s.byPO.add(t.PO(), i)
 		charge += bytesPerCompositePosting
 	}
 	s.ledger.Charge(resource.Store, charge)
@@ -156,15 +156,21 @@ func (s *Store) addLocked(t rdf.IDTriple, src rdf.TermID) bool {
 
 // AddDocument ingests all triples of a dereferenced document and reports
 // how many were new. It also records the document IRI. The whole document
-// is interned outside the store lock and inserted under one lock
-// acquisition with a single iterator wakeup, so ingest cost per document is
-// one critical section, not one per triple.
+// is interned outside the store lock, then ingested by AddEncoded.
 func (s *Store) AddDocument(docIRI string, triples []rdf.Triple) int {
-	src := s.dict.Intern(rdf.NewIRI(docIRI))
 	ids := make([]rdf.IDTriple, len(triples))
 	for i, t := range triples {
 		ids[i] = s.dict.InternTriple(t)
 	}
+	return s.AddEncoded(docIRI, s.dict.Intern(rdf.NewIRI(docIRI)), ids)
+}
+
+// AddEncoded is AddDocument for a document that is already encoded: ids and
+// src (the document IRI's ID) must come from this store's dictionary, and
+// ids is only read. The document is inserted under one lock acquisition
+// with a single iterator wakeup, so ingest cost per document is one
+// critical section, not one per triple, and nothing is interned.
+func (s *Store) AddEncoded(docIRI string, src rdf.TermID, ids []rdf.IDTriple) int {
 	n := 0
 	s.mu.Lock()
 	if !s.closed {
@@ -306,7 +312,8 @@ func (p *idPattern) fullScan() bool {
 }
 
 // candidates returns the index list to scan for a compiled pattern,
-// choosing the most selective available index. Caller holds s.mu.
+// choosing the most selective available index. Caller holds s.mu; the list
+// aliases the index and must not be used after the lock is released.
 func (s *Store) candidates(p *idPattern) []int32 {
 	constS := !p.isVar[0] && p.id[0] != rdf.NoTerm
 	constP := !p.isVar[1] && p.id[1] != rdf.NoTerm
@@ -314,31 +321,34 @@ func (s *Store) candidates(p *idPattern) []int32 {
 	switch {
 	case constS && constP:
 		if s.bySP == nil {
-			s.bySP = make(map[uint64][]int32, len(s.triples))
-			for i, t := range s.triples {
-				s.bySP[t.SP()] = append(s.bySP[t.SP()], int32(i))
-			}
-			s.ledger.Charge(resource.Store, int64(len(s.triples))*bytesPerCompositePosting)
+			s.bySP = s.buildComposite(rdf.IDTriple.SP)
 		}
-		return s.bySP[uint64(p.id[0])<<32|uint64(p.id[1])]
+		return s.bySP.list(rdf.PackID2(p.id[0], p.id[1]))
 	case constP && constO:
 		if s.byPO == nil {
-			s.byPO = make(map[uint64][]int32, len(s.triples))
-			for i, t := range s.triples {
-				s.byPO[t.PO()] = append(s.byPO[t.PO()], int32(i))
-			}
-			s.ledger.Charge(resource.Store, int64(len(s.triples))*bytesPerCompositePosting)
+			s.byPO = s.buildComposite(rdf.IDTriple.PO)
 		}
-		return s.byPO[uint64(p.id[1])<<32|uint64(p.id[2])]
+		return s.byPO.list(rdf.PackID2(p.id[1], p.id[2]))
 	case constS:
-		return s.bySubject[p.id[0]]
+		return s.bySubject.list(uint64(p.id[0]))
 	case constO:
-		return s.byObject[p.id[2]]
+		return s.byObject.list(uint64(p.id[2]))
 	case constP:
-		return s.byPredicate[p.id[1]]
+		return s.byPredicate.list(uint64(p.id[1]))
 	default:
 		return nil // full scan
 	}
+}
+
+// buildComposite indexes every current triple under key, on the first probe
+// of a two-constant shape. Caller holds s.mu.
+func (s *Store) buildComposite(key func(rdf.IDTriple) uint64) *postings {
+	ps := newPostings(&s.runs, len(s.triples))
+	for i, t := range s.triples {
+		ps.add(key(t), int32(i))
+	}
+	s.ledger.Charge(resource.Store, int64(len(s.triples))*bytesPerCompositePosting)
+	return ps
 }
 
 // MatchNow returns a snapshot of all current matches of the pattern.
