@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench fuzz-smoke differential loadgen-smoke bench-loadgen trace-smoke adversarial-smoke bench-guided bench-smoke
+.PHONY: build test verify fuzz-smoke differential loadgen-smoke bench-loadgen trace-smoke adversarial-smoke bench-guided bench-smoke
 
 build:
 	$(GO) build ./...
@@ -37,18 +37,6 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchSelection$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkExtraction$$' -fuzztime $(FUZZTIME) ./internal/extract
-
-# Performance trajectory: run the micro-benchmarks and archive them as a
-# dated JSON report (see cmd/benchreport --parse-bench). Compare two
-# reports to catch regressions, e.g. the <5% tracing-overhead budget.
-BENCH_PKGS ?= ./internal/rdf ./internal/store ./internal/turtle ./internal/sparql ./internal/obs ./internal/exec
-BENCH_OUT  ?= BENCH_$(shell date +%Y-%m-%d).json
-
-bench: build
-	$(GO) test -bench . -benchmem -run '^$$' $(BENCH_PKGS) \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchreport --parse-bench > $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT)"
 
 # Multi-tenant serving smoke (CI): a short multi-client load run that must
 # finish with zero errors, nonzero shared-cache hits, and zero duplicate

@@ -13,6 +13,7 @@ import (
 
 	"ltqp"
 	"ltqp/internal/faultinject"
+	"ltqp/internal/obs"
 	"ltqp/internal/podserver"
 	"ltqp/internal/simenv"
 	"ltqp/internal/solid"
@@ -122,10 +123,15 @@ func TestAdversarialPerOriginBudget(t *testing.T) {
 	adv.Fanout, adv.Depth = 8, 4
 	srv, requests := hostileServer(t, adv)
 
+	bus := ltqp.NewEventBus()
+	sub := bus.Subscribe(1 << 16)
+	defer sub.Close()
 	engine := ltqp.New(ltqp.Config{
 		Client:  srv.Client(),
 		Lenient: true,
 		Limits:  ltqp.TraversalLimits{MaxDocsPerOrigin: 6},
+		Events:  bus,
+		Explain: true,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -142,6 +148,23 @@ func TestAdversarialPerOriginBudget(t *testing.T) {
 	}
 	if !hasTrip(res.Degradation(), "max-docs-per-origin") {
 		t.Errorf("degradation misses the per-origin trip: %+v", res.Degradation().LimitTrips)
+	}
+	// Links refused at pop time are reported once, as link_pruned events, and
+	// the explain topology (a fold of those events) marks their edges.
+	refused := 0
+	for _, ev := range sub.Drain() {
+		if ev.Kind == obs.EventLinkPruned && ev.Detail == obs.FateOriginBudgetPruned {
+			refused++
+		}
+	}
+	edges := 0
+	for _, e := range res.Explain().Topology.Edges {
+		if e.Status == obs.EdgeLimitPruned {
+			edges++
+		}
+	}
+	if refused == 0 || edges != refused {
+		t.Errorf("%d origin-budget link_pruned events, %d limit-pruned edges: want equal and non-zero", refused, edges)
 	}
 }
 

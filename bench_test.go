@@ -369,7 +369,7 @@ func BenchmarkPriorityQueue(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prio, err = experiments.RunCatalogQuery(ctx, env, q, ltqp.Config{Lenient: true, PrioritizedQueue: true})
+		prio, err = experiments.RunCatalogQuery(ctx, env, q, ltqp.Config{Lenient: true, QueuePolicy: "reason"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -383,13 +383,14 @@ func BenchmarkPriorityQueue(b *testing.B) {
 }
 
 // BenchmarkDocumentCache reproduces the "(disk cache)" rows of the paper's
-// Fig. 4: with the engine-level document cache, a repeated query is served
-// almost entirely without network traffic.
+// Fig. 4: with a shared document cache, a repeated query is served almost
+// entirely without network traffic.
 func BenchmarkDocumentCache(b *testing.B) {
 	env := benchEnv(b)
 	ctx := context.Background()
 	q := env.Dataset.Discover(1, 3)
-	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, CacheDocuments: 10000})
+	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true,
+		SharedCache: ltqp.NewSharedCache(ltqp.SharedCacheOptions{TTL: time.Hour})})
 	// Warm.
 	res, err := engine.Query(ctx, q.Text)
 	if err != nil {

@@ -4,12 +4,6 @@
 //
 //	benchreport --persons 16 --latency 2ms
 //
-// With --parse-bench it instead converts `go test -bench` output on stdin
-// into a JSON benchmark report on stdout (the BENCH_<date>.json files of
-// `make bench` that seed the performance trajectory):
-//
-//	go test -bench . -benchmem ./internal/store | benchreport --parse-bench
-//
 // With --replay-journal it analyzes an engine event journal (written by
 // `ltqp-sparql --journal out.jsonl`) offline, reconstructing each query's
 // timeline from the recorded timestamps: per-phase wall clock, time to
@@ -40,15 +34,14 @@ import (
 
 func main() {
 	var (
-		persons    = flag.Int("persons", 16, "pods in the simulated environment")
-		seed       = flag.Int64("seed", 42, "generator seed")
-		latency    = flag.Duration("latency", 2*time.Millisecond, "simulated network latency")
-		waterfall  = flag.Bool("waterfalls", false, "print the full E3/E4 waterfalls")
-		parseBench = flag.Bool("parse-bench", false, "parse `go test -bench` output from stdin into JSON on stdout")
-		replay     = flag.String("replay-journal", "", "analyze an engine event journal (JSONL) offline and print the reconstructed timeline")
-		traceIn    = flag.String("trace", "", "render critical-path latency attribution from a trace export (/debug/traces/<id> JSON) or an engine journal (JSONL); - reads stdin")
-		topN       = flag.Int("top", 10, "with --replay-journal/--trace, how many slowest entries to report per query / queries to report")
-		loadFile   = flag.String("loadgen", "", "render a cmd/loadgen artifact (bench/BENCH_*_loadgen.json) as a table")
+		persons   = flag.Int("persons", 16, "pods in the simulated environment")
+		seed      = flag.Int64("seed", 42, "generator seed")
+		latency   = flag.Duration("latency", 2*time.Millisecond, "simulated network latency")
+		waterfall = flag.Bool("waterfalls", false, "print the full E3/E4 waterfalls")
+		replay    = flag.String("replay-journal", "", "analyze an engine event journal (JSONL) offline and print the reconstructed timeline")
+		traceIn   = flag.String("trace", "", "render critical-path latency attribution from a trace export (/debug/traces/<id> JSON) or an engine journal (JSONL); - reads stdin")
+		topN      = flag.Int("top", 10, "with --replay-journal/--trace, how many slowest entries to report per query / queries to report")
+		loadFile  = flag.String("loadgen", "", "render a cmd/loadgen artifact (bench/BENCH_*_loadgen.json) as a table")
 	)
 	flag.Parse()
 
@@ -60,13 +53,6 @@ func main() {
 		return
 	}
 
-	if *parseBench {
-		if err := writeBenchJSON(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *replay != "" {
 		if err := replayJournal(*replay, *topN, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchreport:", err)

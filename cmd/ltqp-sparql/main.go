@@ -51,12 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		explainOut = fs.String("explain", "", "write the explain report (traversal topology + result provenance) as JSON to this file (\"-\" for stderr)")
 		explainDot = fs.String("explain-dot", "", "write the traversal topology as a Graphviz digraph to this file (\"-\" for stderr)")
 		provenance = fs.Bool("provenance", false, "annotate each ndjson result with a \"_sources\" list of its source documents")
-		prioritize = fs.Bool("prioritize", false, "use the priority link queue instead of FIFO")
 		queryFile  = fs.String("query-file", "", "read the query from this file")
 		format     = fs.String("format", "ndjson", "result format: ndjson (streaming, as in the paper), json, csv, tsv")
 		adaptive   = fs.Bool("adaptive", false, "re-plan from observed cardinalities after a traversal warmup")
 		maxDepth   = fs.Int("max-depth", 0, "cap traversal depth in hops from the seeds (0 = unbounded)")
-		cacheDocs  = fs.Int("cache", 0, "enable an engine-wide document cache of this many documents")
 		sharedMB   = fs.Int64("shared-cache", 0, "enable a shared revalidating document cache with this byte budget in MiB (singleflight dedup included)")
 		retries    = fs.Int("max-retries", 3, "retries per document on transient failures (429/5xx, transport errors); 0 disables")
 		retryBase  = fs.Duration("retry-base", 100*time.Millisecond, "initial retry backoff (doubles per retry, with deterministic jitter)")
@@ -68,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		memBudget  = fs.Int64("mem-budget-per-query", 0, "ledger-accounted memory the query may hold in bytes; crossing it aborts with the per-layer breakdown (0 = unlimited)")
 
-		queuePolicy   = fs.String("queue-policy", "", "link queue discipline: fifo (default), reason, or guided (query-relevance scoring with per-origin fairness); overrides --prioritize")
+		queuePolicy   = fs.String("queue-policy", "", "link queue discipline: fifo (default), reason, or guided (query-relevance scoring with per-origin fairness)")
 		maxDocsOrigin = fs.Int("max-docs-per-origin", 0, "cap dereferenced documents per origin (0 = unbounded)")
 		maxBytesOrig  = fs.Int64("max-bytes-per-origin", 0, "cap body bytes read per origin (0 = unbounded)")
 		maxInflight   = fs.Int("max-inflight-per-origin", 0, "cap concurrent dereferences per origin (0 = global limit only)")
@@ -116,23 +114,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ltqp-sparql:", perr)
 		return 2
 	}
-	if *queuePolicy == "" {
-		// No explicit policy: leave it empty so --prioritize (the legacy
-		// spelling of the reason queue) still decides.
-		policy = ""
-	}
 
 	cfg := ltqp.Config{
-		Lenient:          *lenient,
-		MaxDocuments:     *limitDocs,
-		MaxDepth:         *maxDepth,
-		PrioritizedQueue: *prioritize,
-		QueuePolicy:      policy,
-		Adaptive:         *adaptive,
-		CacheDocuments:   *cacheDocs,
-		Trace:            *traceOut != "",
-		Explain:          *explainOut != "" || *explainDot != "" || *provenance,
-		MemBudget:        *memBudget,
+		Lenient:      *lenient,
+		MaxDocuments: *limitDocs,
+		MaxDepth:     *maxDepth,
+		QueuePolicy:  policy,
+		Adaptive:     *adaptive,
+		Trace:        *traceOut != "",
+		Explain:      *explainOut != "" || *explainDot != "" || *provenance,
+		MemBudget:    *memBudget,
 		Limits: ltqp.TraversalLimits{
 			MaxDocsPerOrigin:     *maxDocsOrigin,
 			MaxBytesPerOrigin:    *maxBytesOrig,
@@ -292,10 +283,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			n, elapsed.Round(time.Millisecond), ttfr)
 		fmt.Fprintf(stderr, "%d HTTP requests (%d failed), %d triples from %d documents, max depth %d\n",
 			s.Requests, s.Failed, s.TotalTriples, s.Requests-s.Failed, s.MaxDepth)
-		if hits, misses, enabled := res.CacheStats(); enabled {
-			fmt.Fprintf(stderr, "document cache: %d hits this run; engine-wide %d hits / %d misses\n",
-				s.CacheHits, hits, misses)
-		}
 		if sc, enabled := engine.SharedCacheStats(); enabled {
 			fmt.Fprintf(stderr, "shared cache: %.0f%% hit ratio (%d hits / %d misses), %d docs / %d bytes held, %d revalidations (%d answered 304), %d singleflight dedups\n",
 				sc.HitRatio()*100, sc.Hits, sc.Misses, sc.Documents, sc.Bytes,

@@ -244,7 +244,7 @@ func TestCLIAdaptiveAndDepthFlags(t *testing.T) {
 	defer stop()
 	q := ds.Discover(1, 1)
 	var stdout, stderr strings.Builder
-	code := run([]string{"--adaptive", "--max-depth", "6", "--cache", "500", q.Text}, &stdout, &stderr)
+	code := run([]string{"--adaptive", "--max-depth", "6", "--shared-cache", "8", q.Text}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d: %s", code, stderr.String())
 	}
@@ -368,19 +368,19 @@ func TestCLITraceExport(t *testing.T) {
 }
 
 // TestCLICacheStats asserts --stats surfaces document cache hit/miss
-// counters when --cache is enabled.
+// counters when --shared-cache is enabled.
 func TestCLICacheStats(t *testing.T) {
 	ds, stop := startEnv(t)
 	defer stop()
 	q := ds.Discover(1, 1)
 
 	var stdout, stderr strings.Builder
-	code := run([]string{"--stats", "--cache", "128", q.Text}, &stdout, &stderr)
+	code := run([]string{"--stats", "--shared-cache", "8", q.Text}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, stderr.String())
 	}
 	out := stderr.String()
-	if !strings.Contains(out, "document cache:") || !strings.Contains(out, "misses") {
+	if !strings.Contains(out, "shared cache:") || !strings.Contains(out, "misses") {
 		t.Errorf("stats output lacks cache line:\n%s", out)
 	}
 }

@@ -51,13 +51,12 @@ func main() {
 		simulate  = flag.Bool("simulate", false, "host a simulated Solid environment in-process")
 		persons   = flag.Int("persons", 16, "pods for --simulate")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-query timeout")
-		cacheDocs = flag.Int("cache", 1024, "engine-wide document cache size (0 disables)")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight queries")
 		logFormat = flag.String("log", "", "enable structured logging to stderr: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		degraded  = flag.Float64("degraded-threshold", obs.DefaultDegradedThreshold, "recent deref failure ratio above which /healthz reports degraded")
 
-		sharedBytes = flag.Int64("shared-cache-bytes", serve.DefaultMaxBytes, "shared document cache byte budget (0 disables the shared cache)")
+		sharedBytes = flag.Int64("shared-cache-bytes", serve.DefaultMaxBytes, "shared document cache byte budget (0 = the 64 MiB default)")
 		sharedTTL   = flag.Duration("shared-cache-ttl", serve.DefaultTTL, "shared-cache freshness lifetime before conditional revalidation")
 		resultCache = flag.Int("result-cache", serve.DefaultResultCacheEntries, "result cache entries for repeated SELECT queries (0 disables)")
 		maxInflight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "queries executing at once across all tenants (0 disables admission control)")
@@ -101,7 +100,7 @@ func main() {
 	}
 	// Explain makes every query record its traversal topology and result
 	// provenance, served live on /debug/topology and in /debug/queries.
-	cfg := ltqp.Config{Lenient: true, Obs: observer, CacheDocuments: *cacheDocs,
+	cfg := ltqp.Config{Lenient: true, Obs: observer,
 		Explain: true, MaxDocuments: *maxDocs, MemBudget: *memBudget,
 		QueuePolicy: policy,
 		Limits: ltqp.TraversalLimits{
@@ -131,16 +130,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simulated pods at %s\nexample query name: %s\n", env.Server.URL, q.Name)
 	}
 
-	// Serving subsystem: shared document cache, admission control, result
-	// cache. Each piece is individually optional via its flag.
+	// Serving subsystem: shared document cache (the endpoint's one document
+	// cache, always on), admission control, result cache — the last two
+	// individually optional via their flags.
 	var serving Serving
-	if *sharedBytes > 0 {
-		serving.Shared = serve.NewSharedCache(serve.SharedCacheOptions{
-			MaxBytes: *sharedBytes, TTL: *sharedTTL,
-			Obs: observer.Metrics, Events: observer.Events,
-		})
-		cfg.SharedCache = serving.Shared
-	}
+	serving.Shared = serve.NewSharedCache(serve.SharedCacheOptions{
+		MaxBytes: *sharedBytes, TTL: *sharedTTL,
+		Obs: observer.Metrics, Events: observer.Events,
+	})
+	cfg.SharedCache = serving.Shared
 	if *maxInflight > 0 {
 		qd := *queueDepth
 		if qd <= 0 {

@@ -194,7 +194,8 @@ func newObservedEndpoint(t *testing.T) (*httptest.Server, *simenv.Env, *ltqp.Obs
 	env := simenv.New(solidbench.SmallConfig())
 	t.Cleanup(env.Close)
 	observer := ltqp.NewObserver()
-	h := NewHandler(ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, Obs: observer, CacheDocuments: 64}), 2*time.Minute)
+	h := NewHandler(ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, Obs: observer,
+		SharedCache: ltqp.NewSharedCache(ltqp.SharedCacheOptions{})}), 2*time.Minute)
 	mux := http.NewServeMux()
 	mux.Handle("/sparql", h)
 	observer.Register(mux)

@@ -69,7 +69,7 @@ func main() {
 	// The priority queue schedules type-index links before blind container
 	// members, an enhancement direction the paper cites [34].
 	fmt.Println("\nwith the priority link queue (type-index links first):")
-	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, PrioritizedQueue: true})
+	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, QueuePolicy: "reason"})
 	start := time.Now()
 	res, err := engine.Query(ctx, query.Text)
 	if err != nil {

@@ -105,9 +105,9 @@ func TestDifferentialTraversalVsCentralized(t *testing.T) {
 	sort.Strings(seeds)
 
 	engine := ltqp.New(ltqp.Config{
-		Client:         env.Client(),
-		Lenient:        true, // vocabulary/tag IRIs in the environment 404
-		CacheDocuments: len(seeds) + 16,
+		Client:      env.Client(),
+		Lenient:     true, // vocabulary/tag IRIs in the environment 404
+		SharedCache: ltqp.NewSharedCache(ltqp.SharedCacheOptions{TTL: time.Hour}),
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)

@@ -51,10 +51,6 @@ type Options struct {
 	// Extractors builds the link extraction strategy for a query shape.
 	// Nil means extract.DefaultSolidSet (the paper's configuration).
 	Extractors func(shape *extract.QueryShape) []extract.Extractor
-	// NewQueue constructs the link queue; nil means QueuePolicy decides.
-	// Takes precedence over QueuePolicy when set (tests inject custom
-	// disciplines here).
-	NewQueue func() linkqueue.Queue
 	// QueuePolicy selects the link-queue discipline: FIFO (the default and
 	// the differential-testing oracle), reason-ranked, or guided (query-
 	// relevance scoring with per-origin round-robin fairness). Ordering
@@ -65,10 +61,6 @@ type Options struct {
 	// scope allowlist, fanout/queue caps, and oversized/slow-body
 	// cutoffs. The zero value disables all of them.
 	Limits Limits
-	// Cache, when non-nil, is a document cache shared by all queries of
-	// this engine: repeated dereferences of a pod document are served
-	// locally, like the browser disk cache visible in the paper's Fig. 4.
-	Cache *deref.Cache
 	// MaxConcurrent bounds parallel dereferences (default 6).
 	MaxConcurrent int
 	// MaxDocuments caps traversal (0 = unbounded). A safety valve for
@@ -117,8 +109,8 @@ type Options struct {
 	// Shared, when non-nil, layers a cross-engine shared document cache
 	// (internal/serve.SharedCache) under every dereference: fresh entries
 	// skip the network, stale entries revalidate with conditional GETs,
-	// and concurrent fetches of one IRI collapse to a single flight. It
-	// takes precedence over Cache.
+	// and concurrent fetches of one IRI collapse to a single flight — the
+	// browser disk cache visible in the paper's Fig. 4.
 	Shared deref.SharedCache
 	// ExecWorkers sizes the executor's morsel worker pool (parallel join
 	// probes and grouping); 0 means GOMAXPROCS.
@@ -269,7 +261,14 @@ func (x *Execution) CriticalPath() *obs.CritPath {
 func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*Execution, error) {
 	qid := obs.NextQueryID()
 	qctx := obs.ContextWithQueryID(ctx, qid)
-	emitter := e.opts.Events.ForQuery(qid)
+	// Every occurrence of the query is reported once, as an event; the
+	// explain topology is a fold over them, attached to the emitter so it
+	// sees each one whether or not anyone subscribes to the bus.
+	var topo *obs.Topology
+	if e.opts.Explain {
+		topo = obs.NewTopology()
+	}
+	emitter := obs.NewEmitter(e.opts.Events, qid, topo)
 	var trace *obs.Trace
 	if e.opts.Trace || (e.opts.Obs != nil && e.opts.Obs.TraceQueries) {
 		qctx, trace = obs.NewTrace(qctx, "query", obs.Str("query", compactQuery(queryStr)))
@@ -337,12 +336,10 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 		id:       qid,
 		store:    src,
 		trace:    trace,
+		topo:     topo,
 		queryStr: queryStr,
 	}
-	x.queuePolicy = e.opts.QueuePolicy
-	if e.opts.NewQueue != nil {
-		x.queuePolicy = "custom"
-	} else if x.queuePolicy == "" {
+	if x.queuePolicy = e.opts.QueuePolicy; x.queuePolicy == "" {
 		x.queuePolicy = linkqueue.PolicyFIFO
 	}
 
@@ -358,8 +355,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	x.start = queryStart
 	if e.opts.Explain {
 		x.prov = exec.NewProv()
-		x.topo = obs.NewTopology(queryStart)
-		rec.AttachTopology(x.topo)
+		rec.AttachTopology(topo)
 	}
 
 	// The resource ledger accounts every layer's memory against this query:
@@ -395,7 +391,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	go func() {
 		traverseDone := stage("traverse")
 		tctx, tspan := obs.StartSpan(runCtx, "traverse")
-		err := e.traverse(tctx, seeds, extractors, shape, src, recorder, x.topo, emitter, ledger)
+		err := e.traverse(tctx, seeds, extractors, shape, src, recorder, emitter, ledger)
 		tspan.End()
 		traverseDone()
 		if err != nil && !e.opts.Lenient {
@@ -514,11 +510,12 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 				}
 				m.ResultsEmitted.Inc()
 				rec.AddResult()
-				if x.topo != nil {
-					x.topo.Result(row, b.Sources())
-				}
 				row++
-				emitter.Emit(obs.Event{Kind: obs.EventResultEmitted, Row: row})
+				ev := obs.Event{Kind: obs.EventResultEmitted, Row: row}
+				if x.prov != nil {
+					ev.Sources = b.Sources()
+				}
+				emitter.Emit(ev)
 				return true
 			case <-ctx.Done():
 				return false
@@ -655,82 +652,51 @@ func instantiate(tp sparql.TriplePattern, b rdf.Binding, scope int) (rdf.Triple,
 	return rdf.NewTriple(s, p, o), true
 }
 
-// traverse runs the link traversal loop: pop a link, dereference it, add
-// its triples to the source, extract further links, repeat — with up to
-// MaxConcurrent dereferences in flight. When topo is non-nil, the traversal
-// records its discovery topology: every dereference becomes a node, every
-// extracted link an edge labeled with its extractor and fate. The
-// configured Limits are enforced throughout: out-of-scope links and links
-// beyond the fanout/queue caps are pruned at discovery, origins over their
-// document/byte budget stop being fetched, and each defense firing is
-// recorded as a LimitTrip (a typed TraversalLimitError for non-lenient
-// traversals).
+// traversal is one run of the paper's Fig. 1 loop — link queue →
+// dereferencer → link extractors → back into the queue, feeding the growing
+// triple source — shared by its MaxConcurrent workers.
+type traversal struct {
+	e          *Engine
+	ctx        context.Context
+	queue      linkqueue.Queue
+	guard      *limitGuard
+	deref      *deref.Dereferencer
+	extractors []extract.Extractor
+	needGraph  bool // an extractor reads an rdf.Graph, not the link table
+	shape      *extract.QueryShape
+	src        *store.Store
+	recorder   *metrics.Recorder
+	events     *obs.Emitter
+	m          *obs.Metrics
+	ledger     *resource.Ledger
+
+	mu      sync.Mutex
+	cond    *sync.Cond // a link was pushed, the last active worker went idle, or the traversal stopped
+	active  int        // links handed out by next and not yet visited
+	fetched int        // links handed out in total, against MaxDocuments
+	err     error      // first failure of a non-lenient traversal
+}
+
+// traverse runs the link traversal loop over the seeds: MaxConcurrent
+// workers each take the next link, dereference it, add its triples to the
+// source, run the link extractors and push what they found. It returns once
+// every worker has exited — the queue is empty and no document is in
+// flight, the context is cancelled, or a non-lenient traversal failed — so
+// nothing is ingested after it returns. The configured Limits are enforced
+// throughout (limits.go).
 func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extract.Extractor,
-	shape *extract.QueryShape, src *store.Store, recorder *metrics.Recorder, topo *obs.Topology,
+	shape *extract.QueryShape, src *store.Store, recorder *metrics.Recorder,
 	events *obs.Emitter, ledger *resource.Ledger) error {
 
-	m := obs.On(e.opts.Obs.M())
-	var queue linkqueue.Queue
-	switch {
-	case e.opts.NewQueue != nil:
-		queue = e.opts.NewQueue()
-	default:
-		queue = e.opts.QueuePolicy.New(relevanceOf(shape))
-	}
-	// The guided queue learns from traversal: capture the discipline's
-	// feedback hook before the instrumentation wrappers hide it.
-	feedback, _ := queue.(linkqueue.Feedback)
-	guard := newLimitGuard(e.opts.Limits, seeds)
-	if mset := e.opts.Obs.M(); mset != nil {
-		iq := linkqueue.Instrument(queue, mset.LinksQueued, mset.LinkQueueDepth)
-		// Whatever is still queued when traversal ends (cancellation,
-		// document cap) must not linger in the process-wide depth gauge.
-		defer iq.Abandon()
-		queue = iq
-	}
-	queue = linkqueue.WithEvents(queue, events)
-
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		inflight int
-		fetched  int
-		firstErr error
-	)
-	// tripFired reports one deduplicated defense firing on every surface:
-	// the per-query degradation report, the limit_tripped event, and the
-	// process-wide trip counter. Non-lenient traversals also fail with the
-	// typed error.
-	tripFired := func(trip *metrics.LimitTrip) {
-		if trip == nil {
-			return
-		}
-		recorder.RecordLimitTrip(*trip)
-		m.LimitTrips.With(trip.Kind).Inc()
-		if events.Active() {
-			events.Emit(obs.Event{Kind: obs.EventLimitTripped, URL: trip.URL,
-				Reason: trip.Kind, Detail: trip.String()})
-		}
-		if !e.opts.Lenient {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = &TraversalLimitError{Trip: *trip}
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-
-	for _, s := range seeds {
-		topo.Seed(s)
-		queue.Push(linkqueue.Link{URL: s, Reason: "seed", Extractor: "seed"})
-	}
-
-	d := &deref.Dereferencer{
+	t := &traversal{e: e, ctx: ctx, extractors: extractors, shape: shape, src: src,
+		recorder: recorder, events: events, m: obs.On(e.opts.Obs.M()), ledger: ledger,
+		queue: e.opts.QueuePolicy.New(relevanceOf(shape)),
+		guard: newLimitGuard(e.opts.Limits, seeds), needGraph: extract.NeedsGraph(extractors)}
+	t.cond = sync.NewCond(&t.mu)
+	t.deref = &deref.Dereferencer{
 		Client:       e.opts.Client,
 		Auth:         e.opts.Auth,
 		Recorder:     recorder,
-		Cache:        e.opts.Cache,
 		Shared:       e.opts.Shared,
 		Retry:        e.opts.Retry,
 		Obs:          e.opts.Obs.M(),
@@ -741,237 +707,199 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 		MaxBodyBytes: e.opts.Limits.MaxDocBytes,
 		BodyTimeout:  e.opts.Limits.BodyTimeout,
 	}
+	for _, s := range seeds {
+		t.push(linkqueue.Link{URL: s, Reason: "seed", Extractor: "seed"})
+	}
+	// Whatever is still queued when traversal ends (cancellation, document
+	// cap) must not linger in the process-wide depth gauge.
+	defer func() { t.m.LinkQueueDepth.Add(-int64(t.queue.Len())) }()
+	// Cancellation must reach the workers waiting in next.
+	stop := context.AfterFunc(ctx, func() {
+		t.mu.Lock()
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	})
+	defer stop()
 
-	sem := make(chan struct{}, e.opts.MaxConcurrent)
-	// The built-in extractors read a document's precomputed link table; an
-	// rdf.Graph is built per document only for extractors that want one.
-	needGraph := extract.NeedsGraph(extractors)
-
-	worker := func(l linkqueue.Link) {
-		defer func() {
-			<-sem
-			mu.Lock()
-			inflight--
-			cond.Broadcast()
-			mu.Unlock()
+	var workers sync.WaitGroup
+	for i := 0; i < e.opts.MaxConcurrent; i++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for l, ok := t.next(); ok; l, ok = t.next() {
+				t.visit(l)
+				t.mu.Lock()
+				if t.active--; t.active == 0 {
+					t.cond.Broadcast() // nothing in flight can refill the queue
+				}
+				t.mu.Unlock()
+			}
 		}()
-		// Hold a per-origin slot for the duration of the fetch, so one slow
-		// or hostile origin cannot absorb the whole global concurrency
-		// budget.
-		if slot := guard.originSlot(l.URL); slot != nil {
-			select {
-			case slot <- struct{}{}:
-				defer func() { <-slot }()
-			case <-ctx.Done():
-				return
+	}
+	workers.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return t.err
+}
+
+// next hands a worker the next link to dereference, waiting while the queue
+// is empty but documents in flight may still refill it. ok is false when the
+// traversal is over: complete (queue empty, no worker active), cancelled, or
+// failed — documents already being visited finish, none start.
+func (t *traversal) next() (l linkqueue.Link, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.ctx.Err() == nil && t.err == nil {
+		if l, ok = t.queue.Pop(); !ok {
+			if t.active == 0 {
+				break
 			}
+			t.cond.Wait()
+			continue
 		}
-		wctx, dspan := obs.StartSpan(ctx, "document",
-			obs.Str("url", l.URL), obs.Str("reason", l.Reason), obs.Int("depth", l.Depth))
-		fetchStart := time.Now()
-		res, derefCat, err := d.DereferenceTracked(wctx, l.URL, l.Via, l.Reason)
-		if err != nil {
-			topo.DocumentError(l.URL, l.Depth, err.Error(), fetchStart, time.Since(fetchStart))
-			if events.Active() {
-				events.Emit(obs.Event{Kind: obs.EventDocumentDereferenced,
-					URL: l.URL, Via: l.Via, Depth: l.Depth, Err: err.Error(),
-					DurationUS: time.Since(fetchStart).Microseconds()})
-			}
-			dspan.SetAttr(obs.Str("error", err.Error()))
-			dspan.End()
-			// An oversized or slow-loris body is a contained defense trip,
-			// not a generic fetch failure: report it on the trip surfaces
-			// (and in lenient mode keep traversing without the document).
-			if guard != nil {
-				switch {
-				case errors.Is(err, deref.ErrBodyLimit):
-					tripFired(guard.record(LimitDocBytes, linkqueue.Origin(l.URL), l.URL, d.BodyLimit(), 0))
-					return
-				case errors.Is(err, deref.ErrSlowBody):
-					tripFired(guard.record(LimitSlowBody, linkqueue.Origin(l.URL), l.URL, int64(d.BodyTimeout/time.Millisecond), 0))
-					return
-				}
-			}
-			if !e.opts.Lenient {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
+		t.m.LinkQueueDepth.Dec()
+		// Track the link queue's evolution over the execution [34].
+		t.recorder.RecordQueueSample(t.queue.Len(), t.queue.Seen())
+		if max := t.e.opts.MaxDocuments; max > 0 && t.fetched >= max {
+			continue // cap reached: drain without fetching
+		}
+		if admitted, trip := t.guard.admitFetch(l.URL); !admitted {
+			// Origin over its document or byte budget: drain without
+			// fetching. (Unlocked: a trip may fail the traversal.)
+			t.mu.Unlock()
+			t.settle(l, obs.FateOriginBudgetPruned, trip)
+			t.mu.Lock()
+			continue
+		}
+		t.fetched++
+		t.active++
+		return l, true
+	}
+	return linkqueue.Link{}, false
+}
+
+// fail stops a non-lenient traversal with its first error.
+func (t *traversal) fail(err error) {
+	if t.e.opts.Lenient {
+		return
+	}
+	t.mu.Lock()
+	if t.err == nil {
+		t.err = err
+	}
+	t.cond.Broadcast()
+	t.mu.Unlock()
+}
+
+// push is the one place a link enters the queue. It reports whether the
+// queue accepted it (false: its URL was seen before).
+func (t *traversal) push(l linkqueue.Link) bool {
+	if !t.queue.Push(l) {
+		return false
+	}
+	t.m.LinksQueued.Inc()
+	t.m.LinkQueueDepth.Inc()
+	ev := obs.Event{Kind: obs.EventLinkQueued, URL: l.URL,
+		Via: l.Via, Extractor: l.Extractor, Reason: l.Reason, Depth: l.Depth}
+	if ranked, ok := t.queue.(linkqueue.Scorer); ok && t.events.Active() {
+		ev.Score = ranked.Score(l)
+	}
+	t.events.Emit(ev)
+	t.mu.Lock()
+	t.cond.Signal()
+	t.mu.Unlock()
+	return true
+}
+
+// visit is one turn of the loop for one link: dereference it, add its
+// triples to the source, run the link extractors over it and offer every
+// link they propose to the queue.
+func (t *traversal) visit(l linkqueue.Link) {
+	// Hold a per-origin slot for the duration of the fetch, so one slow or
+	// hostile origin cannot absorb the whole global concurrency budget.
+	if slot := t.guard.originSlot(l.URL); slot != nil {
+		select {
+		case slot <- struct{}{}:
+			defer func() { <-slot }()
+		case <-t.ctx.Done():
 			return
 		}
-		// The dereference charged the document's bytes to the ledger (the
-		// in-flight parse); released once it is ingested into the store —
-		// which takes over accounting for the retained triples — and its
-		// links are extracted.
-		if ledger != nil && !res.NotModified {
-			defer ledger.Release(derefCat, res.Bytes)
-		}
-		guard.addBytes(res.FinalURL, res.Bytes)
-		// A segment encoded against this engine's dictionary goes in as it
-		// is. One from another engine sharing the cache (other IDs), or a
-		// result without one, is interned here.
-		seg := res.Segment
-		if seg != nil && seg.Dict == src.Dict() {
-			src.AddEncoded(res.FinalURL, seg.Source, seg.Triples)
-		} else {
-			src.AddDocument(res.FinalURL, res.Triples)
-		}
-		if feedback != nil {
-			feedback.DocumentIngested(res.FinalURL, relevantTriples(res.Triples, shape), len(res.Triples))
-		}
-		topo.Document(res.FinalURL, l.Depth, res.Status, len(res.Triples), res.Bytes, fetchStart, time.Since(fetchStart))
-		events.Emit(obs.Event{Kind: obs.EventDocumentDereferenced,
-			URL: res.FinalURL, Via: l.Via, Depth: l.Depth, Status: res.Status,
-			Triples: len(res.Triples), Bytes: res.Bytes,
-			DurationUS: time.Since(fetchStart).Microseconds()})
-		doc := extract.Document{IRI: res.FinalURL}
-		if seg != nil {
-			doc.Links = seg.Links
-		}
-		if needGraph || doc.Links == nil {
-			doc.Graph = rdf.NewGraph()
-			doc.Graph.AddAll(res.Triples)
-		}
-		_, xspan := obs.StartSpan(wctx, "extract")
-		accepted := 0
-		var linkBuf [16]extract.Link // on the stack: most documents propose fewer
-		for _, link := range extract.AppendLinks(linkBuf[:0], extractors, doc) {
-			events.Emit(obs.Event{Kind: obs.EventLinkDiscovered,
-				URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Reason: link.Reason})
-			if link.URL == res.FinalURL || link.URL == l.URL {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeSelf)
-				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "self"})
-				continue
-			}
-			if e.opts.MaxDepth > 0 && l.Depth+1 > e.opts.MaxDepth {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeDepthPruned)
-				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor,
-					Depth: l.Depth + 1, Detail: "depth-pruned"})
-				continue
-			}
-			if !guard.inScope(link.URL) {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeScopePruned)
-				m.LinksOutOfScope.Inc()
-				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "scope-pruned"})
-				tripFired(guard.record(LimitScope, linkqueue.Origin(link.URL), link.URL, 0, 0))
-				continue
-			}
-			if guard != nil && guard.limits.MaxLinksPerDoc > 0 && accepted >= guard.limits.MaxLinksPerDoc {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeLimitPruned)
-				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "fanout-pruned"})
-				tripFired(guard.record(LimitFanout, "", res.FinalURL,
-					int64(guard.limits.MaxLinksPerDoc), int64(accepted+1)))
-				continue
-			}
-			if guard != nil && guard.limits.MaxQueuedLinks > 0 && queue.Seen() >= guard.limits.MaxQueuedLinks {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeLimitPruned)
-				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "queue-cap-pruned"})
-				// Dedup on a fixed subject: the cap is global to the
-				// traversal, one report covers every pruned link.
-				tripFired(guard.record(LimitQueueCap, "traversal", link.URL,
-					int64(guard.limits.MaxQueuedLinks), int64(queue.Seen()+1)))
-				continue
-			}
-			if queue.Push(linkqueue.Link{URL: link.URL, Via: res.FinalURL, Reason: link.Reason, Extractor: link.Extractor, Depth: l.Depth + 1, Key: link.Key}) {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeFollowed)
-				m.LinksByExtractor.With(link.Extractor).Inc()
-				accepted++
-				mu.Lock()
-				cond.Broadcast()
-				mu.Unlock()
-			} else {
-				topo.Link(res.FinalURL, link.URL, link.Extractor, link.Reason, obs.EdgeDuplicate)
-				events.Emit(obs.Event{Kind: obs.EventLinkPruned,
-					URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Detail: "duplicate"})
-			}
-		}
-		xspan.SetAttr(obs.Int("links", accepted))
-		xspan.End()
-		dspan.SetAttr(obs.Int("triples", len(res.Triples)))
-		dspan.End()
 	}
-
-	// Wake the dispatcher when the context dies.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			cond.Broadcast()
-			mu.Unlock()
-		case <-stopWatch:
+	wctx, dspan := obs.StartSpan(t.ctx, "document",
+		obs.Str("url", l.URL), obs.Str("reason", l.Reason), obs.Int("depth", l.Depth))
+	defer dspan.End()
+	fetchStart := time.Now()
+	res, derefCat, err := t.deref.DereferenceTracked(wctx, l.URL, l.Via, l.Reason)
+	if err != nil {
+		if t.events.Active() {
+			t.events.Emit(obs.Event{Kind: obs.EventDocumentDereferenced,
+				URL: l.URL, Via: l.Via, Depth: l.Depth, Err: err.Error(),
+				DurationUS: time.Since(fetchStart).Microseconds()})
 		}
-	}()
-
-	for {
-		if ctx.Err() != nil {
-			// Wait for workers to drain before returning.
-			mu.Lock()
-			for inflight > 0 {
-				cond.Wait()
-			}
-			mu.Unlock()
-			return ctx.Err()
+		dspan.SetAttr(obs.Str("error", err.Error()))
+		// An oversized or slow-loris body is a contained defense trip, not a
+		// generic fetch failure: lenient traversals go on without it.
+		switch origin := linkqueue.Origin(l.URL); {
+		case t.guard != nil && errors.Is(err, deref.ErrBodyLimit):
+			t.tripped(t.guard.record(LimitDocBytes, origin, l.URL, t.deref.BodyLimit(), 0))
+		case t.guard != nil && errors.Is(err, deref.ErrSlowBody):
+			t.tripped(t.guard.record(LimitSlowBody, origin, l.URL, int64(t.deref.BodyTimeout/time.Millisecond), 0))
+		default:
+			t.fail(err)
 		}
-		mu.Lock()
-		if firstErr != nil {
-			for inflight > 0 {
-				cond.Wait()
-			}
-			err := firstErr
-			mu.Unlock()
-			return err
-		}
-		mu.Unlock()
-
-		l, ok := queue.Pop()
-		if ok {
-			// Track the link queue's evolution over the execution [34].
-			recorder.RecordQueueSample(queue.Len(), queue.Seen())
-		}
-		if !ok {
-			mu.Lock()
-			if inflight == 0 && queue.Len() == 0 {
-				mu.Unlock()
-				return nil // traversal complete
-			}
-			cond.Wait()
-			mu.Unlock()
-			continue
-		}
-		if e.opts.MaxDocuments > 0 && fetched >= e.opts.MaxDocuments {
-			// Cap reached: drain without fetching.
-			continue
-		}
-		if ok, trip := guard.admitFetch(l.URL); !ok {
-			// Origin over its document or byte budget: drain without
-			// fetching (lenient), or fail typed (strict, via tripFired).
-			topo.Link(l.Via, l.URL, l.Extractor, l.Reason, obs.EdgeLimitPruned)
-			tripFired(trip)
-			continue
-		}
-		fetched++
-		mu.Lock()
-		inflight++
-		mu.Unlock()
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			mu.Lock()
-			inflight--
-			cond.Broadcast()
-			mu.Unlock()
-			continue
-		}
-		go worker(l)
+		return
 	}
+	// The dereference charged the document's bytes to the ledger (the
+	// in-flight parse); released once it is ingested into the store — which
+	// takes over accounting for the retained triples — and its links are
+	// extracted.
+	if t.ledger != nil && !res.NotModified {
+		defer t.ledger.Release(derefCat, res.Bytes)
+	}
+	t.guard.addBytes(res.FinalURL, res.Bytes)
+	// A segment encoded against this engine's dictionary goes in as it is.
+	// One from another engine sharing the cache (other IDs), or a result
+	// without one, is interned here.
+	seg := res.Segment
+	if seg != nil && seg.Dict == t.src.Dict() {
+		t.src.AddEncoded(res.FinalURL, seg.Source, seg.Triples)
+	} else {
+		t.src.AddDocument(res.FinalURL, res.Triples)
+	}
+	if learns, ok := t.queue.(linkqueue.Feedback); ok {
+		learns.DocumentIngested(res.FinalURL, relevantTriples(res.Triples, t.shape), len(res.Triples))
+	}
+	t.events.Emit(obs.Event{Kind: obs.EventDocumentDereferenced,
+		URL: res.FinalURL, Via: l.Via, Depth: l.Depth, Status: res.Status,
+		Triples: len(res.Triples), Bytes: res.Bytes,
+		DurationUS: time.Since(fetchStart).Microseconds()})
+	dspan.SetAttr(obs.Int("triples", len(res.Triples)))
+
+	// The built-in extractors read the document's precomputed link table; an
+	// rdf.Graph is built only for extractors that want one.
+	doc := extract.Document{IRI: res.FinalURL}
+	if seg != nil {
+		doc.Links = seg.Links
+	}
+	if t.needGraph || doc.Links == nil {
+		doc.Graph = rdf.NewGraph()
+		doc.Graph.AddAll(res.Triples)
+	}
+	_, xspan := obs.StartSpan(wctx, "extract")
+	accepted := 0
+	var linkBuf [16]extract.Link // on the stack: most documents propose fewer
+	for _, link := range extract.AppendLinks(linkBuf[:0], t.extractors, doc) {
+		t.events.Emit(obs.Event{Kind: obs.EventLinkDiscovered,
+			URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Reason: link.Reason})
+		found := linkqueue.Link{URL: link.URL, Via: res.FinalURL, Reason: link.Reason,
+			Extractor: link.Extractor, Depth: l.Depth + 1, Key: link.Key}
+		fate, trip := t.fate(found, l.URL, accepted)
+		if fate == obs.EdgeFollowed {
+			accepted++
+		}
+		t.settle(found, fate, trip)
+	}
+	xspan.SetAttr(obs.Int("links", accepted))
+	xspan.End()
 }

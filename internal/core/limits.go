@@ -7,6 +7,7 @@ import (
 
 	"ltqp/internal/linkqueue"
 	"ltqp/internal/metrics"
+	"ltqp/internal/obs"
 )
 
 // Limit kinds, as they appear in TraversalLimitError, degradation reports,
@@ -106,7 +107,6 @@ type limitGuard struct {
 	bytes    map[string]int64
 	inflight map[string]chan struct{}
 	reported map[string]bool
-	trips    []metrics.LimitTrip
 }
 
 // newLimitGuard builds the guard; nil when no defense is configured, and
@@ -167,7 +167,6 @@ func (g *limitGuard) record(kind, origin, url string, limit, observed int64) *me
 	}
 	g.reported[key] = true
 	t := metrics.LimitTrip{Kind: kind, Origin: origin, URL: url, Limit: limit, Observed: observed}
-	g.trips = append(g.trips, t)
 	return &t
 }
 
@@ -222,4 +221,66 @@ func (g *limitGuard) originSlot(url string) chan struct{} {
 		g.inflight[origin] = sem
 	}
 	return sem
+}
+
+// fate decides what becomes of link l — found in document l.Via, which was
+// requested as requested and has had accepted links followed so far — and
+// pushes it when nothing stands in the way. Everything that can reject a
+// discovered link is a case here, in order of precedence; a rejection that
+// is a defense firing also returns its trip (nil when already reported).
+func (t *traversal) fate(l linkqueue.Link, requested string, accepted int) (string, *metrics.LimitTrip) {
+	lim := t.e.opts.Limits
+	switch {
+	case l.URL == l.Via || l.URL == requested:
+		return obs.EdgeSelf, nil
+	case t.e.opts.MaxDepth > 0 && l.Depth > t.e.opts.MaxDepth:
+		return obs.EdgeDepthPruned, nil
+	case !t.guard.inScope(l.URL):
+		return obs.EdgeScopePruned, t.guard.record(LimitScope, linkqueue.Origin(l.URL), l.URL, 0, 0)
+	case lim.MaxLinksPerDoc > 0 && accepted >= lim.MaxLinksPerDoc:
+		return obs.FateFanoutPruned, t.guard.record(LimitFanout, "", l.Via,
+			int64(lim.MaxLinksPerDoc), int64(accepted+1))
+	case lim.MaxQueuedLinks > 0 && t.queue.Seen() >= lim.MaxQueuedLinks:
+		// Dedup on a fixed subject: the cap is global to the traversal, one
+		// report covers every pruned link.
+		return obs.FateQueueCapPruned, t.guard.record(LimitQueueCap, "traversal", l.URL,
+			int64(lim.MaxQueuedLinks), int64(t.queue.Seen()+1))
+	case t.push(l):
+		return obs.EdgeFollowed, nil
+	default:
+		return obs.EdgeDuplicate, nil
+	}
+}
+
+// settle reports a link's fate, and the defense trip that came with it. It
+// is the one place a link not followed is reported (push announces the
+// followed ones).
+func (t *traversal) settle(l linkqueue.Link, fate string, trip *metrics.LimitTrip) {
+	if fate == obs.EdgeFollowed {
+		t.m.LinksByExtractor.With(l.Extractor).Inc()
+	} else {
+		if fate == obs.EdgeScopePruned {
+			t.m.LinksOutOfScope.Inc()
+		}
+		t.events.Emit(obs.Event{Kind: obs.EventLinkPruned, URL: l.URL, Via: l.Via,
+			Extractor: l.Extractor, Reason: l.Reason, Depth: l.Depth, Detail: fate})
+	}
+	t.tripped(trip)
+}
+
+// tripped reports one deduplicated defense firing on every surface: the
+// per-query degradation report, the limit_tripped event, and the
+// process-wide trip counter. Non-lenient traversals also fail with the typed
+// error.
+func (t *traversal) tripped(trip *metrics.LimitTrip) {
+	if trip == nil {
+		return
+	}
+	t.recorder.RecordLimitTrip(*trip)
+	t.m.LimitTrips.With(trip.Kind).Inc()
+	if t.events.Active() {
+		t.events.Emit(obs.Event{Kind: obs.EventLimitTripped, URL: trip.URL,
+			Reason: trip.Kind, Detail: trip.String()})
+	}
+	t.fail(&TraversalLimitError{Trip: *trip})
 }

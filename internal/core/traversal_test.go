@@ -1,0 +1,254 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ltqp/internal/extract"
+	"ltqp/internal/linkqueue"
+	"ltqp/internal/metrics"
+	"ltqp/internal/obs"
+	"ltqp/internal/simenv"
+	"ltqp/internal/solidbench"
+)
+
+// newFateTraversal is a traversal with just enough state for next, fate and
+// settle: a queue, the guard and a recorder, no dereferencer.
+func newFateTraversal(opts Options, seeds []string) *traversal {
+	t := &traversal{e: New(opts), ctx: context.Background(), queue: linkqueue.NewFIFO(),
+		guard: newLimitGuard(opts.Limits, seeds), recorder: metrics.NewRecorder(), m: obs.On(nil)}
+	t.cond = sync.NewCond(&t.mu)
+	return t
+}
+
+// TestLinkFate pins the one decision every discovered link goes through: all
+// seven fates, their precedence, and which of them are defense firings.
+func TestLinkFate(t *testing.T) {
+	const doc = "http://pod.example/doc"
+	tr := newFateTraversal(Options{Lenient: true, MaxDepth: 2, Limits: Limits{
+		ScopeToSeeds: true, MaxLinksPerDoc: 2, MaxQueuedLinks: 3,
+	}}, []string{doc})
+	tr.push(linkqueue.Link{URL: doc, Reason: "seed", Extractor: "seed"})
+
+	found := func(url string, depth int) linkqueue.Link {
+		return linkqueue.Link{URL: url, Via: doc, Reason: "match", Extractor: "match", Depth: depth}
+	}
+	for _, c := range []struct {
+		name      string
+		link      linkqueue.Link
+		requested string
+		accepted  int
+		fate      string
+		trip      string // limit kind of the trip fired, "" for none
+	}{
+		{"a new in-scope link is followed", found("http://pod.example/a", 1), doc, 0, obs.EdgeFollowed, ""},
+		{"a URL seen before is a duplicate", found("http://pod.example/a", 1), doc, 1, obs.EdgeDuplicate, ""},
+		{"the normalized alias of a seen URL too", found("HTTP://POD.example:80/a", 1), doc, 1, obs.EdgeDuplicate, ""},
+		{"a link to its own document is self", found(doc, 1), doc, 1, obs.EdgeSelf, ""},
+		{"so is one to the pre-redirect URL", found("http://pod.example/alias", 1), "http://pod.example/alias", 1, obs.EdgeSelf, ""},
+		{"past MaxDepth is depth-pruned", found("http://pod.example/deep", 3), doc, 1, obs.EdgeDepthPruned, ""},
+		{"depth is checked before scope", found("http://evil.example/deep", 3), doc, 1, obs.EdgeDepthPruned, ""},
+		{"off the seed origins is scope-pruned, a trip", found("http://evil.example/x", 1), doc, 1, obs.EdgeScopePruned, LimitScope},
+		{"the same origin again: pruned, trip already reported", found("http://evil.example/y", 1), doc, 1, obs.EdgeScopePruned, ""},
+		{"another origin trips again", found("http://evil2.example/x", 1), doc, 1, obs.EdgeScopePruned, LimitScope},
+		{"a document at its fanout cap is fanout-pruned, a trip", found("http://pod.example/b", 1), doc, 2, obs.FateFanoutPruned, LimitFanout},
+		{"once per document", found("http://pod.example/c", 1), doc, 2, obs.FateFanoutPruned, ""},
+		{"under the caps the third distinct link is followed", found("http://pod.example/b", 1), doc, 1, obs.EdgeFollowed, ""},
+		{"the queue cap counts every link ever accepted: a trip", found("http://pod.example/c", 1), doc, 1, obs.FateQueueCapPruned, LimitQueueCap},
+		{"once per traversal", found("http://pod.example/d", 1), doc, 1, obs.FateQueueCapPruned, ""},
+		{"dedup only happens at the queue, after the caps", found("http://pod.example/a", 1), doc, 1, obs.FateQueueCapPruned, ""},
+	} {
+		fate, trip := tr.fate(c.link, c.requested, c.accepted)
+		kind := ""
+		if trip != nil {
+			kind = trip.Kind
+		}
+		if fate != c.fate || kind != c.trip {
+			t.Errorf("%s: fate = %q trip = %q, want %q / %q", c.name, fate, kind, c.fate, c.trip)
+		}
+		tr.settle(c.link, fate, trip)
+	}
+	if got, want := tr.queue.Seen(), 3; got != want {
+		t.Errorf("queue accepted %d links, want %d (the seed and the two followed)", got, want)
+	}
+	if got := len(tr.recorder.LimitTrips()); got != 4 {
+		t.Errorf("recorded %d trips, want 4: %v", got, tr.recorder.LimitTrips())
+	}
+	if tr.err != nil {
+		t.Errorf("a lenient traversal failed on a trip: %v", tr.err)
+	}
+}
+
+// TestOriginBudgetPrunesAtPop covers the one fate decided when a link's turn
+// comes rather than at discovery, and the strict-mode consequence of a trip:
+// next stops handing out links.
+func TestOriginBudgetPrunesAtPop(t *testing.T) {
+	tr := newFateTraversal(Options{Limits: Limits{MaxDocsPerOrigin: 1}}, nil)
+	for _, u := range []string{"http://pod.example/a", "http://pod.example/b", "http://other.example/c"} {
+		tr.push(linkqueue.Link{URL: u, Reason: "seed", Extractor: "seed"})
+	}
+	if l, ok := tr.next(); !ok || l.URL != "http://pod.example/a" {
+		t.Fatalf("first link = %v %v", l, ok)
+	}
+	// /b is refused (its origin served its one document); the refusal is a
+	// trip, which fails this non-lenient traversal before /c is handed out.
+	if l, ok := tr.next(); ok {
+		t.Fatalf("next handed out %v after a strict trip", l)
+	}
+	var lerr *TraversalLimitError
+	if !errors.As(tr.err, &lerr) || lerr.Trip.Kind != LimitDocsPerOrigin {
+		t.Fatalf("traversal error = %v, want a max-docs-per-origin TraversalLimitError", tr.err)
+	}
+	if tr.active != 1 || tr.fetched != 1 {
+		t.Errorf("active = %d fetched = %d, want 1/1: a refused link is not a fetch", tr.active, tr.fetched)
+	}
+}
+
+// goroutineRecorder is a link extractor that proposes nothing and notes
+// which goroutine ran it — the goroutine that visits the document.
+type goroutineRecorder struct {
+	mu   sync.Mutex
+	ids  map[string]bool
+	docs int
+}
+
+func (g *goroutineRecorder) Name() string { return "goroutine-recorder" }
+
+func (g *goroutineRecorder) Extract(extract.Document) []extract.Link {
+	buf := make([]byte, 64)
+	id := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1] // "goroutine 42 [running]:"
+	g.mu.Lock()
+	g.ids[id] = true
+	g.docs++
+	g.mu.Unlock()
+	return nil
+}
+
+// inflightGauge counts the requests a handler is serving at once.
+type inflightGauge struct{ cur, peak atomic.Int64 }
+
+func (g *inflightGauge) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := g.cur.Add(1)
+		defer g.cur.Add(-1)
+		for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestWorkerPoolSize: a traversal visits its documents on MaxConcurrent
+// goroutines, however many documents there are, and never has more requests
+// in flight at the pod server than that.
+func TestWorkerPoolSize(t *testing.T) {
+	gauge := &inflightGauge{}
+	env := simenv.NewWith(solidbench.SmallConfig(), gauge.wrap)
+	defer env.Close()
+	env.PodServer.Latency = time.Millisecond // long enough for fetches to overlap
+	q := env.Dataset.Discover(8, 1)
+	for _, n := range []int{1, 2, 6} {
+		gauge.peak.Store(0)
+		rec := &goroutineRecorder{ids: map[string]bool{}}
+		e := New(Options{Client: env.Client(), Lenient: true, MaxConcurrent: n,
+			Extractors: func(shape *extract.QueryShape) []extract.Extractor {
+				return append(extract.DefaultSolidSet(shape), rec)
+			}})
+		if _, _, err := e.Select(context.Background(), q.Text, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rec.docs < 10*n {
+			t.Fatalf("MaxConcurrent %d: only %d documents visited", n, rec.docs)
+		}
+		if len(rec.ids) > n {
+			t.Errorf("MaxConcurrent %d: %d documents were visited on %d goroutines", n, rec.docs, len(rec.ids))
+		}
+		if peak := gauge.peak.Load(); peak > int64(n) || (n > 1 && peak < 2) {
+			t.Errorf("MaxConcurrent %d: peak concurrent pod-server requests = %d", n, peak)
+		}
+	}
+}
+
+// TestTraversalLeavesNothingBehind ends queries every way a traversal can
+// end early and checks what must hold afterwards: no goroutine the query
+// started is still running, and the process-wide queue-depth gauge is back
+// where it was although links were left in the queue.
+func TestTraversalLeavesNothingBehind(t *testing.T) {
+	env := newTestEnv(t)
+	env.PodServer.Latency = 2 * time.Millisecond
+	observer := obs.NewObserver()
+	multiPod := env.Dataset.Discover(8, 1).Text
+	_, full, err := New(Options{Client: env.Client(), Lenient: true}).Select(context.Background(), multiPod, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		opts    Options
+		query   string
+		cancel  bool // cancel the context once the first documents are in
+		wantErr bool
+	}{
+		{name: "cancelled mid-traversal", opts: Options{Lenient: true}, query: multiPod, cancel: true},
+		{name: "LIMIT satisfied", opts: Options{Lenient: true}, query: multiPod + " LIMIT 1"},
+		// The seed is the WebID profile of a person the dataset does not
+		// have: a 404, which a non-lenient traversal stops on.
+		{name: "strict first error", opts: Options{}, wantErr: true,
+			query: "SELECT ?o WHERE { <" + env.Server.URL + "/pods/nobody/profile/card#me> ?p ?o }"},
+		{name: "MaxDocuments cap", opts: Options{Lenient: true, MaxDocuments: 5}, query: multiPod},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env.Client().CloseIdleConnections()
+			var before int
+			settle(t, "goroutine count does not settle before the query", func() bool {
+				n := runtime.NumGoroutine()
+				stable := n == before
+				before = n
+				return stable
+			})
+			c.opts.Client, c.opts.Obs = env.Client(), observer
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			x, err := New(c.opts).Query(ctx, c.query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.cancel {
+				settle(t, "traversal never started", func() bool { return x.Recorder.Stats().Requests >= 3 })
+				cancel()
+			}
+			for range x.Results {
+			}
+			x.Close()
+			if gotErr := x.Err() != nil; gotErr != c.wantErr {
+				t.Errorf("Err() = %v, want an error: %v", x.Err(), c.wantErr)
+			}
+			if got, all := x.Recorder.Stats().Requests, full.Recorder.Stats().Requests; got >= all {
+				t.Errorf("%d requests, as many as the uninterrupted traversal (%d): it was not cut short", got, all)
+			}
+			env.Client().CloseIdleConnections()
+			settle(t, "goroutines outlive the query", func() bool { return runtime.NumGoroutine() <= before })
+			settle(t, "link queue depth gauge does not return to 0", func() bool {
+				return observer.Metrics.LinkQueueDepth.Value() == 0
+			})
+		})
+	}
+}
+
+// settle polls until done reports true, failing the test with every
+// goroutine's stack when it does not within ten seconds.
+func settle(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s\n%s", what, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}

@@ -62,8 +62,9 @@ type Credentials struct {
 	Token string
 }
 
-// Result is a successful dereference. Both caches hold and hand out the
-// *Result itself, so one is shared, read-only, by every query that hits it.
+// Result is a successful dereference. The shared cache holds and hands out
+// the *Result itself, so one is shared, read-only, by every query that hits
+// it.
 type Result struct {
 	// URL is the requested document URL; FinalURL the post-redirect URL.
 	URL      string
@@ -155,9 +156,6 @@ type Dereferencer struct {
 	// Recorder, when non-nil, receives request metrics (one event per
 	// attempt, so retries are visible in the waterfall).
 	Recorder *metrics.Recorder
-	// Cache, when non-nil, serves repeated dereferences of a document
-	// without touching the network (Fig. 4's "(disk cache)" behaviour).
-	Cache *Cache
 	// Retry, when non-nil, retries transient failures with backoff. Nil
 	// means a single attempt with no per-attempt timeout.
 	Retry *RetryPolicy
@@ -180,7 +178,7 @@ type Dereferencer struct {
 	// under the dereferencer (see internal/serve): fresh entries are
 	// served without touching the network, stale entries revalidate with
 	// conditional requests, and concurrent dereferences of the same key
-	// collapse into one upstream fetch. Takes precedence over Cache.
+	// collapse into one upstream fetch (Fig. 4's "(disk cache)" rows).
 	Shared SharedCache
 	// MaxBodyBytes, when positive, overrides the 64 MiB default response
 	// body cap: a larger body fails with an error wrapping ErrBodyLimit.
@@ -199,6 +197,15 @@ type Dereferencer struct {
 
 	// docCounter scopes blank node labels per dereferenced document.
 	docCounter atomic.Int64
+}
+
+// cacheKey is the identity-scoped shared-cache key: access-controlled
+// documents must never leak across requesting identities.
+func cacheKey(url string, auth *Credentials) string {
+	if auth == nil {
+		return url
+	}
+	return url + "\x00" + auth.WebID
 }
 
 // BodyLimit returns the effective response-body byte cap.
@@ -221,8 +228,8 @@ func (d *Dereferencer) Dereference(ctx context.Context, url, parent, reason stri
 // DereferenceTracked is Dereference plus ledger accounting: a successful
 // dereference charges the attached resource ledger once for res.Bytes and
 // returns the category charged — resource.Deref for documents read off the
-// network, resource.Serve for documents pinned from a cache (engine-local or
-// shared) on this query's behalf. The caller must Release the same category
+// network, resource.Serve for documents pinned from the shared cache on this
+// query's behalf. The caller must Release the same category
 // and amount once the document has been ingested and its links extracted.
 // The category is returned rather than stored on Result because Result
 // pointers are shared across queries by the shared-cache singleflight.
@@ -244,21 +251,9 @@ func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reas
 		return res, cat, nil
 	}
 
-	if d.Cache != nil {
-		if res, ok := d.Cache.get(cacheKey(url, d.Auth)); ok {
-			d.recordCacheHit(ctx, url, parent, reason, res)
-			d.charge(resource.Serve, res)
-			return res, resource.Serve, nil
-		}
-		obs.On(d.Obs).CacheMisses.Inc()
-	}
-
 	res, err := d.fetchWithRetry(ctx, url, parent, reason, Validators{})
 	if err != nil {
 		return nil, 0, err
-	}
-	if d.Cache != nil {
-		d.Cache.put(cacheKey(url, d.Auth), res)
 	}
 	d.charge(resource.Deref, res)
 	return res, resource.Deref, nil
@@ -273,8 +268,8 @@ func (d *Dereferencer) charge(cat resource.Category, res *Result) {
 	d.Ledger.Charge(cat, res.Bytes)
 }
 
-// recordCacheHit records a dereference served from a cache (engine-local or
-// shared) in the per-query waterfall, span stream and process metrics.
+// recordCacheHit records a dereference served from the shared cache in the
+// per-query waterfall, span stream and process metrics.
 func (d *Dereferencer) recordCacheHit(ctx context.Context, url, parent, reason string, res *Result) {
 	start := time.Now()
 	ev := metrics.Request{URL: url, Parent: parent, Reason: reason,
@@ -515,7 +510,7 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	}
 	ev.Triples = len(triples)
 	// Built here, by the one fetch of this document version and before the
-	// Result reaches either cache: no query that hits it builds anything.
+	// Result reaches the cache: no query that hits it builds anything.
 	seg := newSegment(d.Dict, finalURL, triples)
 	record()
 	return &Result{URL: url, FinalURL: finalURL, Triples: triples, Segment: seg, Status: resp.StatusCode, Bytes: ev.Bytes,

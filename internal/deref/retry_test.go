@@ -345,8 +345,8 @@ func TestCacheStoresRetriedSuccess(t *testing.T) {
 		})(w, r)
 	})
 	var slept []time.Duration
-	cache := NewCache(10)
-	d := &Dereferencer{Client: ts.Client(), Cache: cache, Retry: fastPolicy(4, &slept)}
+	cache := mapCache{}
+	d := &Dereferencer{Client: ts.Client(), Shared: cache, Retry: fastPolicy(4, &slept)}
 
 	// First dereference: two 503s, then success — cached.
 	res, err := d.Dereference(context.Background(), ts.URL+"/doc", "", "seed")
@@ -356,8 +356,8 @@ func TestCacheStoresRetriedSuccess(t *testing.T) {
 	if len(res.Triples) != 1 || hits != 3 {
 		t.Fatalf("triples = %d, hits = %d", len(res.Triples), hits)
 	}
-	if h, m := cache.Stats(); h != 0 || m != 1 {
-		t.Errorf("cache stats after retried fetch = %d hits, %d misses", h, m)
+	if len(cache) != 1 {
+		t.Errorf("cache holds %d entries after the retried fetch, want 1", len(cache))
 	}
 
 	// Second dereference: served from cache, no further requests.
@@ -366,9 +366,6 @@ func TestCacheStoresRetriedSuccess(t *testing.T) {
 	}
 	if hits != 3 {
 		t.Errorf("server hits = %d, want 3 (cache hit)", hits)
-	}
-	if h, _ := cache.Stats(); h != 1 {
-		t.Errorf("cache hits = %d, want 1", h)
 	}
 }
 

@@ -30,9 +30,9 @@ func NewRelevance(iris []string) *Relevance {
 	return r
 }
 
-// Scorer is implemented by queue disciplines that rank links; the Evented
-// wrapper surfaces the score on link_queued events so queue-policy
-// decisions are observable.
+// Scorer is implemented by queue disciplines that rank links; the traversal
+// loop surfaces the score on link_queued events so queue-policy decisions
+// are observable.
 type Scorer interface {
 	// Score returns the discipline's current relevance score for a link
 	// (higher runs earlier). Pure: it does not mutate the queue.

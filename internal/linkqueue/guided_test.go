@@ -151,12 +151,15 @@ func TestGuidedRoundRobinAcrossOrigins(t *testing.T) {
 // Whatever the scores do, the set of links popped equals the set of links
 // FIFO pops for the same push sequence — so results cannot change, only
 // arrival order (the differential-oracle property of ISSUE satellite 2).
+// Pops are interleaved with the pushes, as the traversal's worker pool does
+// (a link is popped whenever a worker is free, not after discovery ends).
 func TestGuidedIsPermutationOfFIFO(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		reasons := []string{"seed", "type-index", "match", "ldp-container", "see-also", "all", "weird"}
 		fifo, guided := NewFIFO(), NewGuided(NewRelevance([]string{"http://h0/doc3#me"}))
 		n := 5 + rng.Intn(120)
+		fset, gset := map[string]bool{}, map[string]bool{}
 		for i := 0; i < n; i++ {
 			l := Link{
 				URL:    fmt.Sprintf("http://h%d/doc%d", rng.Intn(4), rng.Intn(40)),
@@ -172,13 +175,20 @@ func TestGuidedIsPermutationOfFIFO(t *testing.T) {
 				t.Errorf("push accept mismatch for %+v: fifo %v, guided %v", l, a, b)
 				return false
 			}
+			if rng.Intn(4) == 0 { // a worker came free
+				if l, ok := fifo.Pop(); ok {
+					fset[l.URL] = true
+				}
+				if l, ok := guided.Pop(); ok {
+					gset[l.URL] = true
+				}
+			}
 		}
 		if fifo.Len() != guided.Len() || fifo.Seen() != guided.Seen() {
 			t.Errorf("Len/Seen mismatch: fifo %d/%d, guided %d/%d",
 				fifo.Len(), fifo.Seen(), guided.Len(), guided.Seen())
 			return false
 		}
-		fset, gset := map[string]bool{}, map[string]bool{}
 		for {
 			l, ok := fifo.Pop()
 			if !ok {

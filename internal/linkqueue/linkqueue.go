@@ -3,11 +3,16 @@
 // and every dereferenced document contributes newly discovered links that
 // are appended for later dereferencing.
 //
-// Two disciplines are provided: a plain FIFO queue (breadth-first traversal,
-// the Comunica default) and a priority queue that ranks links by how they
-// were discovered — type-index instances, which are known to contain query-
-// relevant data, ahead of blind container members — one of the link-queue
-// enhancements the paper points to as future work [34].
+// Three disciplines are provided, selected by Policy: a plain FIFO queue
+// (breadth-first traversal, the Comunica default and the differential-testing
+// oracle); a priority queue that ranks links by how they were discovered —
+// type-index instances, which are known to contain query-relevant data,
+// ahead of blind container members; and the guided queue (guided.go), which
+// scores links by query relevance and source-document productivity and pops
+// round-robin across origins — the link-queue enhancements the paper points
+// to as future work [34]. The traversal loop (internal/core) pushes and pops
+// the bare queue; a discipline that ranks or learns says so by implementing
+// Scorer or Feedback.
 package linkqueue
 
 import (

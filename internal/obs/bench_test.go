@@ -126,7 +126,7 @@ func BenchmarkEventPublishNoSubscriber(b *testing.B) {
 // BenchmarkEmitterNoSubscriber measures the same opt-out through the
 // per-query Emitter wrapper core/deref/exec actually hold.
 func BenchmarkEmitterNoSubscriber(b *testing.B) {
-	e := NewBus().ForQuery(1)
+	e := NewEmitter(NewBus(), 1, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Emit(Event{Kind: EventLinkDiscovered, URL: "http://pod/a", Via: "http://pod/b"})

@@ -46,14 +46,20 @@ const (
 	EventLinkDiscovered EventKind = "link_discovered"
 	// EventLinkQueued records a discovered link accepted by the link queue.
 	EventLinkQueued EventKind = "link_queued"
-	// EventLinkPruned records a discovered link not followed; Detail names
-	// why (duplicate, depth-pruned, self).
+	// EventLinkPruned records a link not followed; Detail names its fate
+	// (the Fate*/Edge* constants of topology.go: duplicate, self,
+	// depth-pruned, scope-pruned, fanout-pruned, queue-cap-pruned at
+	// discovery, origin-budget-pruned when its origin's budget refuses it at
+	// pop time) and Reason its discovery label. (Reason, Depth and the
+	// pop-time event are additive to schema 1.)
 	EventLinkPruned EventKind = "link_pruned"
 	// EventRetryScheduled records a transient dereference failure about to
 	// be retried after DelayUS.
 	EventRetryScheduled EventKind = "retry_scheduled"
 	// EventResultEmitted records one solution delivered to the client; Row
-	// is the 1-based result number.
+	// is the 1-based result number, Sources the documents whose triples
+	// produced it when the query ran with provenance. (Sources is additive
+	// to schema 1.)
 	EventResultEmitted EventKind = "result_emitted"
 	// EventQueryFinished closes a query with its total result count, wall
 	// time, and error if any.
@@ -136,6 +142,9 @@ type Event struct {
 	// Score carries a link_queued link's queue-policy score when the
 	// traversal runs a ranking discipline. (Additive to schema 1.)
 	Score float64 `json:"score,omitempty"`
+	// Sources carries a result_emitted solution's source documents when the
+	// query ran with provenance. (Additive to schema 1.)
+	Sources []string `json:"sources,omitempty"`
 }
 
 // Bus fans engine events out to subscribers. Publishing is bounded and
@@ -386,31 +395,53 @@ func TenantFromContext(ctx context.Context) string {
 }
 
 // Emitter binds a Bus to one query's correlation id, so instrumented code
-// deep in the engine (dereferencer, link queue, iterator stages) publishes
-// correlated events without threading the id itself. A nil *Emitter no-ops
-// every method at zero cost, mirroring the nil-span and nil-metrics idiom.
+// deep in the engine (dereferencer, traversal loop, iterator stages)
+// publishes correlated events without threading the id itself. A nil
+// *Emitter no-ops every method at zero cost, mirroring the nil-span and
+// nil-metrics idiom.
+//
+// An emitter may also carry the query's Topology: every event is then folded
+// into it synchronously, before it is published — never through a droppable
+// subscriber channel — and under one lock, so the fold sees a query's events
+// in the order the bus numbers them and a journal replays to the same graph.
 type Emitter struct {
 	bus   *Bus
 	query int64
+
+	mu   sync.Mutex // orders fold + publish; unused without topo
+	topo *Topology
 }
 
-// ForQuery returns an emitter stamping events with the query id, or nil
-// when the bus is nil (events disabled).
-func (b *Bus) ForQuery(id int64) *Emitter {
-	if b == nil {
+// NewEmitter returns the emitter of one query: events go to bus (nil means
+// no event stream) and are folded into topo (nil means no explain layer).
+// With neither it returns nil, the free disabled state.
+func NewEmitter(bus *Bus, id int64, topo *Topology) *Emitter {
+	if bus == nil && topo == nil {
 		return nil
 	}
-	return &Emitter{bus: b, query: id}
+	return &Emitter{bus: bus, query: id, topo: topo}
 }
 
-// Active reports whether emitted events currently have an audience.
-func (e *Emitter) Active() bool { return e != nil && e.bus.Active() }
+// Active reports whether emitted events currently have an audience: a bus
+// subscriber or the query's topology.
+func (e *Emitter) Active() bool { return e != nil && (e.topo != nil || e.bus.Active()) }
 
-// Emit stamps the event with the emitter's query id and publishes it.
+// Emit stamps the event with the emitter's query id, folds it into the
+// topology when one is attached, and publishes it.
 func (e *Emitter) Emit(ev Event) {
 	if e == nil {
 		return
 	}
 	ev.Query = e.query
+	if e.topo == nil {
+		e.bus.Publish(ev)
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ev.Time.IsZero() {
+		ev.Time = time.Now()
+	}
+	e.topo.Apply(ev)
 	e.bus.Publish(ev)
 }

@@ -137,11 +137,16 @@ func TestExpositionEndpoints(t *testing.T) {
 func TestTopologyEndpoint(t *testing.T) {
 	o := NewObserver()
 	rec := o.Tracker.Start(0, "SELECT ?x WHERE {}", []string{"http://x/a"}, nil)
-	topo := NewTopology(time.Now())
-	topo.Seed("http://x/a")
-	topo.Document("http://x/a", 0, 200, 4, 300, time.Now(), time.Millisecond)
-	topo.Link("http://x/a", "http://x/b", "ldp-container", "ldp-container", EdgeFollowed)
-	topo.Result(0, []string{"http://x/a"})
+	topo := NewTopology()
+	for _, ev := range []Event{
+		{Kind: EventLinkQueued, URL: "http://x/a", Extractor: "seed", Reason: "seed"},
+		{Kind: EventDocumentDereferenced, URL: "http://x/a", Status: 200, Triples: 4, Bytes: 300, DurationUS: 1000},
+		{Kind: EventLinkQueued, URL: "http://x/b", Via: "http://x/a", Extractor: "ldp-container", Reason: "ldp-container", Depth: 1},
+		{Kind: EventResultEmitted, Row: 1, Sources: []string{"http://x/a"}},
+	} {
+		ev.Time = time.Now()
+		topo.Apply(ev)
+	}
 	rec.AttachTopology(topo)
 	rec.SetContributions([]DocMatches{{Document: "http://x/a", Matches: 2}})
 	o.Tracker.Finish(rec, nil)

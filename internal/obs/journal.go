@@ -220,6 +220,12 @@ type QueryReplay struct {
 	// reconstructed by sweeping each document's [End-Duration, End] span.
 	MaxConcurrency  int
 	MeanConcurrency float64
+
+	// Topology is the traversal graph folded from the query's events — the
+	// fold the live engine runs, so it equals the Explain report's topology
+	// of the recorded run (result sources included when it ran with
+	// provenance).
+	Topology *Topology
 }
 
 // JournalSummary is a parsed journal: header metadata plus one replay per
@@ -310,7 +316,7 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 	replay := func(id int64) *QueryReplay {
 		q, ok := byID[id]
 		if !ok {
-			q = &QueryReplay{ID: id}
+			q = &QueryReplay{ID: id, Topology: NewTopology()}
 			byID[id] = q
 			s.Queries = append(s.Queries, q)
 		}
@@ -319,6 +325,7 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 	stageStart := map[[2]interface{}]time.Time{}
 	for _, ev := range events {
 		q := replay(ev.Query)
+		q.Topology.Apply(ev)
 		switch ev.Kind {
 		case EventQueryStarted:
 			q.Query = ev.Detail

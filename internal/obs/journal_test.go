@@ -13,7 +13,7 @@ import (
 func emitSyntheticQuery(b *Bus, id int64) time.Time {
 	t0 := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-	e := b.ForQuery(id)
+	e := NewEmitter(b, id, nil)
 	e.Emit(Event{Kind: EventQueryStarted, Time: t0, Detail: "SELECT ?x WHERE { ?x ?p ?o }",
 		Seeds: []string{"http://pod/a"}})
 	e.Emit(Event{Kind: EventStageStarted, Stage: "parse", Time: t0})

@@ -20,8 +20,9 @@ type Metrics struct {
 	BytesFetched     *Counter
 	TriplesParsed    *Counter
 
-	CacheHits   *Counter
-	CacheMisses *Counter
+	// CacheHits counts dereferences served by the shared document cache
+	// without a request of their own (its misses: SharedCacheMisses).
+	CacheHits *Counter
 
 	LinksQueued    *Counter
 	LinkQueueDepth *Gauge
@@ -90,8 +91,7 @@ func NewMetrics(r *Registry) *Metrics {
 		BytesFetched:     r.Counter("ltqp_bytes_fetched_total", "Response body bytes read."),
 		TriplesParsed:    r.Counter("ltqp_triples_parsed_total", "Triples parsed from dereferenced documents."),
 
-		CacheHits:   r.Counter("ltqp_cache_hits_total", "Dereferences served from the engine document cache."),
-		CacheMisses: r.Counter("ltqp_cache_misses_total", "Dereferences that missed the engine document cache."),
+		CacheHits: r.Counter("ltqp_cache_hits_total", "Dereferences served from the document cache without a request of their own."),
 
 		LinksQueued:       r.Counter("ltqp_links_queued_total", "Links accepted by link queues."),
 		LinkQueueDepth:    r.Gauge("ltqp_link_queue_depth", "Links currently queued across in-flight traversals."),

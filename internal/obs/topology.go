@@ -8,17 +8,18 @@ import (
 	"time"
 )
 
-// Topology records the link-discovery graph of one traversal: a node per
-// dereferenced document (status, triples, bytes, timing, depth) and an edge
-// per discovered link, labeled with the extractor that found it and with
-// what happened to it (followed, deduplicated, pruned). It also captures
-// the result-arrival timeline interleaved with document completions, which
-// makes the "first results while traversal is still running" behaviour
-// measurable rather than just claimed.
+// Topology is the link-discovery graph of one traversal, folded from the
+// query's event stream (Apply): a node per dereferenced document (status,
+// triples, bytes, timing, depth) and an edge per discovered link, labeled
+// with the extractor that found it and with what happened to it (followed,
+// deduplicated, pruned). It also captures the result-arrival timeline
+// interleaved with document completions, which makes the "first results
+// while traversal is still running" behaviour measurable rather than just
+// claimed.
 //
 // All methods are safe on a nil receiver — a nil *Topology is the disabled
 // state and costs nothing, the same opt-out pattern as the no-op spans.
-// Non-nil recorders are safe for concurrent use by traversal workers.
+// A non-nil topology may be read while events are still being applied.
 type Topology struct {
 	mu      sync.Mutex
 	epoch   time.Time
@@ -42,8 +43,24 @@ const (
 	// EdgeScopePruned marks a link rejected by the traversal allowlist.
 	EdgeScopePruned = "scope-pruned"
 	// EdgeLimitPruned marks a link rejected by a traversal defense (a
-	// per-origin budget, a per-document fanout cap, or the queue cap).
+	// per-origin budget, a per-document fanout cap, or the queue cap): the
+	// edge status of the three Fate* values below.
 	EdgeLimitPruned = "limit-pruned"
+)
+
+// Link fates beyond the edge statuses above. A discovered link's fate is an
+// Edge* or Fate* value: EdgeFollowed becomes a link_queued event, every
+// other fate the Detail of a link_pruned event.
+const (
+	// FateFanoutPruned: the source document already contributed its
+	// per-document maximum of links.
+	FateFanoutPruned = "fanout-pruned"
+	// FateQueueCapPruned: the traversal already accepted its maximum total
+	// of distinct links.
+	FateQueueCapPruned = "queue-cap-pruned"
+	// FateOriginBudgetPruned: the link was queued, but when its turn came
+	// its origin had used up its document or byte budget.
+	FateOriginBudgetPruned = "origin-budget-pruned"
 )
 
 // TopoNode is one dereferenced (or attempted) document.
@@ -104,26 +121,14 @@ type TopologyJSON struct {
 	Timeline []TimelineEvent `json:"timeline"`
 }
 
-// NewTopology returns a recorder whose timeline offsets are relative to
-// epoch (the query start).
-func NewTopology(epoch time.Time) *Topology {
-	return &Topology{epoch: epoch, nodes: map[string]*TopoNode{}}
+// NewTopology returns an empty topology. Timeline offsets are relative to
+// the time of the first event applied — a query's query_started.
+func NewTopology() *Topology {
+	return &Topology{nodes: map[string]*TopoNode{}}
 }
 
 func (t *Topology) sinceMS(at time.Time) float64 {
 	return float64(at.Sub(t.epoch).Microseconds()) / 1000
-}
-
-// Seed records a traversal seed: a root node plus a synthetic "seed" edge
-// with no source document.
-func (t *Topology) Seed(url string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.node(url, 0).Seed = true
-	t.edges = append(t.edges, TopoEdge{To: url, Extractor: "seed", Reason: "seed", Status: EdgeFollowed})
 }
 
 // node returns the node for url, creating it at the given depth.
@@ -138,55 +143,46 @@ func (t *Topology) node(url string, depth int) *TopoNode {
 	return n
 }
 
-// Document records a successful dereference.
-func (t *Topology) Document(url string, depth, status, triples int, bytes int64, start time.Time, dur time.Duration) {
+// Apply folds one engine event into the topology. The topology is a pure
+// function of its query's event sequence: the engine applies each event as
+// it emits it, ReadJournal applies the recorded ones, and both arrive at the
+// same graph. A document_dereferenced becomes (or completes) a node, a
+// link_queued a followed edge — a seed node too when it has no source
+// document — a link_pruned an edge labeled with its fate, a result_emitted a
+// point on the result timeline; every other kind is ignored.
+func (t *Topology) Apply(ev Event) {
 	if t == nil {
 		return
 	}
+	// Wall clock only: a replayed event has no monotonic reading, and the
+	// live fold must compute the offsets the replay will.
+	at := ev.Time.Round(0)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.node(url, depth)
-	n.Status = status
-	n.Triples = triples
-	n.Bytes = bytes
-	n.StartMS = t.sinceMS(start)
-	n.DurMS = float64(dur.Microseconds()) / 1000
-}
-
-// DocumentError records a failed dereference attempt (the node stays in the
-// graph so failures are visible in the topology).
-func (t *Topology) DocumentError(url string, depth int, errMsg string, start time.Time, dur time.Duration) {
-	if t == nil {
-		return
+	if t.epoch.IsZero() {
+		t.epoch = at
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.node(url, depth)
-	n.Error = errMsg
-	n.StartMS = t.sinceMS(start)
-	n.DurMS = float64(dur.Microseconds()) / 1000
-}
-
-// Link records one discovered link and its fate.
-func (t *Topology) Link(from, to, extractor, reason, status string) {
-	if t == nil {
-		return
+	switch ev.Kind {
+	case EventDocumentDereferenced:
+		n := t.node(ev.URL, ev.Depth)
+		n.Status, n.Triples, n.Bytes, n.Error = ev.Status, ev.Triples, ev.Bytes, ev.Err
+		n.StartMS = t.sinceMS(at.Add(-time.Duration(ev.DurationUS) * time.Microsecond))
+		n.DurMS = float64(ev.DurationUS) / 1000
+	case EventLinkQueued:
+		if ev.Via == "" {
+			t.node(ev.URL, 0).Seed = true
+		}
+		t.edges = append(t.edges, TopoEdge{From: ev.Via, To: ev.URL, Extractor: ev.Extractor, Reason: ev.Reason, Status: EdgeFollowed})
+	case EventLinkPruned:
+		status := ev.Detail
+		switch status {
+		case FateFanoutPruned, FateQueueCapPruned, FateOriginBudgetPruned:
+			status = EdgeLimitPruned
+		}
+		t.edges = append(t.edges, TopoEdge{From: ev.Via, To: ev.URL, Extractor: ev.Extractor, Reason: ev.Reason, Status: status})
+	case EventResultEmitted:
+		t.results = append(t.results, ResultEvent{Row: ev.Row - 1, AtMS: t.sinceMS(at), Sources: ev.Sources})
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.edges = append(t.edges, TopoEdge{From: from, To: to, Extractor: extractor, Reason: reason, Status: status})
-}
-
-// Result records the arrival of result row n (0-based) with its source
-// documents (nil when provenance is off).
-func (t *Topology) Result(row int, sources []string) {
-	if t == nil {
-		return
-	}
-	at := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.results = append(t.results, ResultEvent{Row: row, AtMS: t.sinceMS(at), Sources: sources})
 }
 
 // FirstResultSources returns the source documents of the earliest recorded

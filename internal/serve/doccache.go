@@ -134,7 +134,8 @@ func (c *SharedCache) Dereference(ctx context.Context, key, url string, fetch de
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
 			e := el.Value.(*sharedEntry)
-			if e.epoch == epoch && (c.ttl < 0 || now.Sub(e.fetched) <= c.ttl) {
+			// A negative TTL is never met: every access revalidates.
+			if e.epoch == epoch && now.Sub(e.fetched) <= c.ttl {
 				c.lru.MoveToFront(el)
 				res := e.res
 				c.mu.Unlock()

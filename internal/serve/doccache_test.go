@@ -480,3 +480,45 @@ func TestSegmentSurvivesRevalidation(t *testing.T) {
 		t.Errorf("new segment has %d ID triples for %d parsed", len(changed.Segment.Triples), len(changed.Triples))
 	}
 }
+
+// A negative TTL means no entry is ever fresh: every access after the first
+// is a conditional request, and as long as the origin answers 304 the one
+// parse made by the first fetch keeps being served.
+func TestSharedCacheNegativeTTLRevalidates(t *testing.T) {
+	var full, conditional atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("If-None-Match") == `"v1"` {
+			conditional.Add(1)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		full.Add(1)
+		w.Header().Set("Content-Type", "text/turtle")
+		w.Header().Set("ETag", `"v1"`)
+		fmt.Fprint(w, `<#a> <http://x/p> "v" .`)
+	}))
+	defer srv.Close()
+
+	cache := NewSharedCache(SharedCacheOptions{TTL: -1})
+	d := &deref.Dereferencer{Client: srv.Client(), Shared: cache}
+	const n = 5
+	var first *deref.Result
+	for i := 0; i < n; i++ {
+		res, err := d.Dereference(context.Background(), srv.URL+"/doc", "", "seed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+		}
+		if res != first {
+			t.Fatalf("access %d served another parse than the first fetch's", i+1)
+		}
+	}
+	if full.Load() != 1 || conditional.Load() != n-1 {
+		t.Errorf("origin saw %d full and %d conditional requests, want 1 and %d", full.Load(), conditional.Load(), n-1)
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Revalidations != n-1 || st.NotModified != n-1 {
+		t.Errorf("stats = %+v, want 0 hits, 1 miss, %d revalidations all answered 304", st, n-1)
+	}
+}

@@ -3,6 +3,7 @@ package ltqp_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -12,11 +13,14 @@ import (
 	"ltqp"
 	"ltqp/internal/obs"
 	"ltqp/internal/podserver"
+	"ltqp/internal/simenv"
 	"ltqp/internal/solid"
+	"ltqp/internal/solidbench"
 )
 
 // journalEnv is the 3-hop chain of explainEnv with an event bus attached,
-// so a query's full event stream can be journaled and replayed.
+// so a query's full event stream can be journaled and replayed; Explain is
+// on, so the live run also folds that stream into its topology.
 func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Engine) {
 	t.Helper()
 	ps := podserver.New()
@@ -33,6 +37,7 @@ func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Eng
 		Client:   srv.Client(),
 		Strategy: ltqp.StrategyCMatch,
 		Events:   bus,
+		Explain:  true,
 	})
 	return base, engine
 }
@@ -41,7 +46,8 @@ func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Eng
 // capture a query over the 3-hop podserver fixture to a JSONL journal, then
 // replay it offline and check the reconstruction reproduces the live run —
 // same result count, a TTFR bounded by the recorded timestamps, all three
-// documents, and the full phase set.
+// documents, the full phase set, and the very topology the live run's
+// Explain report carries.
 func TestJournalReplayMatchesLiveRun(t *testing.T) {
 	bus := ltqp.NewEventBus()
 	var buf bytes.Buffer
@@ -122,6 +128,10 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 		t.Errorf("max concurrency = %d", q.MaxConcurrency)
 	}
 
+	// The topology is a fold of the event stream, so the replay arrives at
+	// the live run's: same nodes, edges, result sources and timeline offsets.
+	assertReplayedTopology(t, q, res)
+
 	// The core phase set is reconstructed in order.
 	var phases []string
 	for _, p := range q.Phases {
@@ -152,4 +162,66 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, report.String())
 		}
 	}
+}
+
+// assertReplayedTopology checks that folding a query's journaled events
+// yields exactly the topology of its live Explain report.
+func assertReplayedTopology(t *testing.T, q *obs.QueryReplay, res *ltqp.Result) {
+	t.Helper()
+	live, err := json.Marshal(res.Explain().Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := json.Marshal(q.Topology.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Explain().Topology.Nodes) == 0 || len(res.Explain().Topology.Results) == 0 {
+		t.Fatalf("live topology is empty: %s", live)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Errorf("replayed topology differs from the live one\nlive:     %s\nreplayed: %s", live, replayed)
+	}
+}
+
+// TestJournalReplayTopologyUnderConcurrency is the same live-vs-replay
+// equality on a SolidBench query at the default six workers: hundreds of
+// link events emitted concurrently must fold live in the order the journal
+// recorded them.
+func TestJournalReplayTopologyUnderConcurrency(t *testing.T) {
+	env := simenv.New(solidbench.SmallConfig())
+	defer env.Close()
+	bus := ltqp.NewEventBus()
+	var buf bytes.Buffer
+	journal, err := ltqp.NewJournal(&buf, bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, Events: bus, Explain: true})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := engine.Query(ctx, env.Dataset.Discover(8, 1).Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range res.Results {
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	summary, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if summary.Dropped != 0 {
+		t.Fatalf("journal dropped %d events", summary.Dropped)
+	}
+	q := summary.Replay(res.ID())
+	if q == nil {
+		t.Fatalf("query %d not in the journal", res.ID())
+	}
+	if n := len(res.Explain().Topology.Edges); n < 100 {
+		t.Fatalf("only %d edges: not a concurrent traversal", n)
+	}
+	assertReplayedTopology(t, q, res)
 }

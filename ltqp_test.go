@@ -106,7 +106,7 @@ func TestStrategyCAllBounded(t *testing.T) {
 
 func TestPrioritizedQueue(t *testing.T) {
 	env := testEnv(t)
-	engine := New(Config{Client: env.Client(), Lenient: true, PrioritizedQueue: true})
+	engine := New(Config{Client: env.Client(), Lenient: true, QueuePolicy: "reason"})
 	q := env.Dataset.Discover(1, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -201,7 +201,7 @@ SELECT ?m WHERE { ?m snvoc:hasCreator ?c } LIMIT 5`)
 
 func TestDocumentCacheAcrossQueries(t *testing.T) {
 	env := testEnv(t)
-	engine := New(Config{Client: env.Client(), Lenient: true, CacheDocuments: 1000})
+	engine := New(Config{Client: env.Client(), Lenient: true, SharedCache: NewSharedCache(SharedCacheOptions{})})
 	q := env.Dataset.Discover(1, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -249,15 +249,16 @@ func TestCacheRespectsIdentity(t *testing.T) {
 	defer cancel()
 
 	// Owner warms the cache...
-	owner := New(Config{Client: env2.Client(), Lenient: true, CacheDocuments: 1000,
+	shared := NewSharedCache(SharedCacheOptions{})
+	owner := New(Config{Client: env2.Client(), Lenient: true, SharedCache: shared,
 		Auth: env2.CredentialsFor(q.Person)})
 	ownerResults, err := owner.Select(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ...but an anonymous engine with its own cache (caches are per
-	// engine) and, more importantly, identity-scoped keys sees less.
-	anon := New(Config{Client: env2.Client(), Lenient: true, CacheDocuments: 1000})
+	// ...but an anonymous engine on the same cache sees less: keys are
+	// scoped to the requesting identity.
+	anon := New(Config{Client: env2.Client(), Lenient: true, SharedCache: shared})
 	anonResults, err := anon.Select(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,8 @@ func drainAll(t *testing.T, engine *Engine, query string) (*Result, int) {
 func TestObserverMetricsMatchRecorder(t *testing.T) {
 	env := testEnv(t)
 	observer := NewObserver()
-	engine := New(Config{Client: env.Client(), Lenient: true, Obs: observer, CacheDocuments: 256})
+	engine := New(Config{Client: env.Client(), Lenient: true, Obs: observer,
+		SharedCache: NewSharedCache(SharedCacheOptions{})})
 	q := env.Dataset.Discover(1, 1)
 
 	res1, n1 := drainAll(t, engine, q.Text)
@@ -83,9 +84,8 @@ func TestObserverMetricsMatchRecorder(t *testing.T) {
 	if s2.CacheHits == 0 {
 		t.Error("second run should have per-run cache hits in Stats")
 	}
-	hits, misses, enabled := res2.CacheStats()
-	if !enabled || hits == 0 {
-		t.Errorf("engine cache stats = %d/%d enabled=%t", hits, misses, enabled)
+	if sc, enabled := engine.SharedCacheStats(); !enabled || sc.Hits == 0 {
+		t.Errorf("shared cache stats = %+v enabled=%t", sc, enabled)
 	}
 	if got := m.CacheHits.Value(); got != int64(s1.CacheHits+s2.CacheHits) {
 		t.Errorf("cache_hits_total = %d, want %d", got, s1.CacheHits+s2.CacheHits)
@@ -184,7 +184,7 @@ func TestUntracedQueryHasNoTrace(t *testing.T) {
 	if res.Trace() != nil {
 		t.Fatal("trace recorded without opt-in")
 	}
-	if _, _, enabled := res.CacheStats(); enabled {
+	if _, enabled := engine.SharedCacheStats(); enabled {
 		t.Fatal("cache stats enabled without a cache")
 	}
 }
