@@ -12,7 +12,9 @@ test: build
 # Pre-merge verification: vet plus the full suite (including the chaos
 # integration tests and the traversal-vs-oracle differential harness) under
 # the race detector — the engine is heavily concurrent and must stay
-# race-clean.
+# race-clean. The package tests include the allocation pins of the ingest
+# path (turtle.TestParseAllocations, the 0 allocs/op disabled-path pins of
+# obs and resource), which hold under -race too.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...

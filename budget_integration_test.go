@@ -10,6 +10,7 @@ package ltqp_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -58,21 +59,31 @@ func TestBudgetExceededIsolatesSiblings(t *testing.T) {
 		t.Fatal("variants resolve to the same person; test proves nothing")
 	}
 
-	// Calibrate the budget from fault-free peaks: generous headroom over
-	// either clean query, far below what the bloated run will attempt.
-	base := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, Obs: ltqp.NewObserver()})
-	budget := measurePeak(t, base, qa.Text)
-	if p := measurePeak(t, base, qb.Text); p > budget {
-		budget = p
-	}
-	budget *= 2
-
-	inj := faultinject.New(7, faultinject.Rule{
+	// Calibrate the budget from the ledger's own measurements, halfway (in
+	// ratio) between the largest clean peak and the bloated query's peak. A
+	// clean peak depends on how many fetches happen to be in flight at once
+	// and was seen to vary 3.6x between runs of one query, so the former
+	// "2x one clean run" failed the sibling about once in fifty runs on a
+	// loaded machine.
+	bloat := faultinject.Rule{
 		Pattern:      env.Dataset.PodBase(qa.Person),
 		Probability:  1,
 		Kind:         faultinject.Bloat,
 		BloatTriples: 16384,
-	})
+	}
+	base := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, Obs: ltqp.NewObserver()})
+	var clean int64
+	for i := 0; i < 3; i++ {
+		clean = max(clean, measurePeak(t, base, qa.Text), measurePeak(t, base, qb.Text))
+	}
+	bloated := measurePeak(t, ltqp.New(ltqp.Config{Client: faultinject.New(7, bloat).Client(env.Client()),
+		Lenient: true, Obs: ltqp.NewObserver()}), qa.Text)
+	if bloated < 16*clean {
+		t.Fatalf("bloated peak %d is under 16x the clean peak %d: no room for a budget between them", bloated, clean)
+	}
+	budget := int64(math.Sqrt(float64(clean) * float64(bloated)))
+
+	inj := faultinject.New(7, bloat)
 	engine := ltqp.New(ltqp.Config{
 		Client:    inj.Client(env.Client()),
 		Lenient:   true,

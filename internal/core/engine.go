@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ltqp/internal/algebra"
@@ -40,9 +41,10 @@ const DefaultMaxConcurrent = 6
 
 // Options configures an Engine.
 type Options struct {
-	// Client is the HTTP client used for dereferencing; nil means
-	// http.DefaultClient. Tests and the simulated environment inject the
-	// pod server's client here.
+	// Client is the HTTP client used for dereferencing; nil means a client
+	// of the engine's own, http.DefaultTransport's settings with one idle
+	// connection kept per worker. Tests and the simulated environment
+	// inject the pod server's client here.
 	Client *http.Client
 	// Auth, when non-nil, makes the engine query on behalf of an agent:
 	// its credentials accompany every dereference, unlocking documents
@@ -149,7 +151,25 @@ func New(opts Options) *Engine {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = DefaultMaxConcurrent
 	}
+	if opts.Client == nil {
+		opts.Client = defaultClient(opts.MaxConcurrent)
+	}
 	return &Engine{opts: opts, dict: rdf.NewDict()}
+}
+
+// defaultClient is the client of an engine that was given none. A pod is one
+// origin, and http.DefaultTransport keeps only two idle connections per host:
+// with more workers than that, every round of fetches closed the surplus
+// connections and the next round dialed them again. The engine's own
+// transport keeps one idle connection per worker.
+func defaultClient(workers int) *http.Client {
+	base, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return http.DefaultClient // replaced by the program: leave it alone
+	}
+	t := base.Clone()
+	t.MaxIdleConnsPerHost = workers
+	return &http.Client{Transport: t}
 }
 
 // Execution is a running query. Results stream on Results while traversal
@@ -170,7 +190,10 @@ type Execution struct {
 	// Plan is the optimized logical plan (for EXPLAIN-style output).
 	Plan algebra.Operator
 
-	cancel      context.CancelFunc
+	cancel context.CancelFunc
+	// satisfied is set when the pipeline finished while traversal was still
+	// running and cancelled it as no longer needed.
+	satisfied   atomic.Bool
 	id          int64
 	mu          sync.Mutex
 	err         error
@@ -394,7 +417,9 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 		err := e.traverse(tctx, seeds, extractors, shape, src, recorder, emitter, ledger)
 		tspan.End()
 		traverseDone()
-		if err != nil && !e.opts.Lenient {
+		// Being cancelled by the pipeline, which has every row it needs
+		// (LIMIT, ASK), is how such a query ends, not a failure of it.
+		if err != nil && !e.opts.Lenient && !(x.satisfied.Load() && errors.Is(err, context.Canceled)) {
 			x.setErr(err)
 			cancel()
 		}
@@ -495,7 +520,13 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 		// DESCRIBE query still needs the full traversed store for its
 		// concise bounded descriptions, so traversal runs to completion.
 		if q.Form != sparql.FormDescribe {
-			defer cancel()
+			defer func() {
+				// Only a pipeline that finished on its own makes the
+				// cancellation clean; one that was itself cancelled (by the
+				// caller, a budget, a traversal error) changes nothing.
+				x.satisfied.Store(runCtx.Err() == nil)
+				cancel()
+			}()
 		}
 		execDone := stage("exec")
 		defer execDone()

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,5 +254,81 @@ func settle(t *testing.T, what string, done func() bool) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%s\n%s", what, buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestStrictLimitEndsCleanly pins that a non-lenient query whose LIMIT is
+// satisfied ends without an error: the pipeline cancels the traversal it no
+// longer needs, and that cancellation — unlike the caller's own — is not a
+// failure of the query. (It used to race into Err() == context.Canceled.)
+// Run with -race -count=200.
+func TestStrictLimitEndsCleanly(t *testing.T) {
+	// A chain of documents, each slow enough that the first row is out while
+	// later fetches are still in flight.
+	var srv *httptest.Server
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/doc"))
+		if n > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		w.Header().Set("Content-Type", "text/turtle")
+		fmt.Fprintf(w, "<> <http://example.org/p> %d ; <http://www.w3.org/2000/01/rdf-schema#seeAlso> <%s/doc%d>, <%s/doc%d> .\n",
+			n, srv.URL, 2*n+1, srv.URL, 2*n+2)
+	}))
+	defer srv.Close()
+	const query = "SELECT ?o WHERE { ?s <http://example.org/p> ?o } LIMIT 1"
+	e := New(Options{Client: srv.Client()})
+	rows, x, err := e.Select(context.Background(), query, []string{srv.URL + "/doc0"})
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("%d rows, Select error %v; want 1 row and no error", len(rows), err)
+	}
+	// Traversal closes the store last, after it has reported how it ended.
+	if err := x.store.WaitClosed(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if x.Err() != nil {
+		t.Fatalf("Err() = %v after a satisfied LIMIT, want nil", x.Err())
+	}
+
+}
+
+// TestDefaultClientReusesConnections pins the engine's own transport: with
+// no Client configured, a 100-document walk of one origin by the default six
+// workers opens at most six connections. (http.DefaultClient keeps two idle
+// connections per host, so four of every six were closed after each round of
+// fetches and dialed again for the next.)
+func TestDefaultClientReusesConnections(t *testing.T) {
+	const docs = 100
+	var dialed atomic.Int64
+	var srv *httptest.Server
+	srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Long enough that every worker's first dial is done before any
+		// request is: the transport dials whenever no connection is idle at
+		// that instant, so a request outrunning a dial would count one more.
+		time.Sleep(5 * time.Millisecond)
+		w.Header().Set("Content-Type", "text/turtle")
+		fmt.Fprintf(w, "<> <http://example.org/p> %q .\n", r.URL.Path)
+		if r.URL.Path == "/doc0" {
+			for i := 1; i < docs; i++ {
+				fmt.Fprintf(w, "<> <http://www.w3.org/2000/01/rdf-schema#seeAlso> <%s/doc%d> .\n", srv.URL, i)
+			}
+		}
+	}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	e := New(Options{})
+	defer e.opts.Client.CloseIdleConnections()
+	rows, x, err := e.Select(context.Background(), "SELECT ?o WHERE { ?s <http://example.org/p> ?o }", []string{srv.URL + "/doc0"})
+	if err != nil || x.Err() != nil || len(rows) != docs {
+		t.Fatalf("%d rows, errors %v / %v; want %d rows", len(rows), err, x.Err(), docs)
+	}
+	if got := dialed.Load(); got > DefaultMaxConcurrent {
+		t.Errorf("the walk opened %d connections, want at most %d (one per worker)", got, DefaultMaxConcurrent)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -106,17 +107,40 @@ type Segment struct {
 	Links *extract.LinkTable
 }
 
-func newSegment(dict *rdf.Dict, finalURL string, triples []rdf.Triple) *Segment {
-	seg := &Segment{Links: extract.Scan(triples)}
-	if dict != nil {
-		seg.Dict = dict
-		seg.Source = dict.Intern(rdf.NewIRI(finalURL))
-		seg.Triples = make([]rdf.IDTriple, len(triples))
-		for i, t := range triples {
-			seg.Triples[i] = dict.InternTriple(t)
+// bodyPool recycles response-body buffers: a body is only needed until its
+// segment is built, so a worker reads into the buffer it used last. Buffers
+// over maxPooledBody are dropped, so one huge document pins nothing.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// readBody reads r to EOF into buf, reusing its capacity. hint, the
+// response's Content-Length (negative: unknown), sizes the buffer up front
+// but is never trusted: no more than limit+1 bytes are allocated or read on
+// its word, and a longer body is still read in full. A result longer than
+// limit means the body exceeds it.
+func readBody(r io.Reader, buf []byte, hint, limit int64) ([]byte, error) {
+	if hint < 0 {
+		hint = 4 << 10
+	}
+	// One byte of slack: the read that fills the body also sees EOF.
+	if need := min(hint, limit) + 1; int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = buf[:0]
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF || int64(len(buf)) > limit {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(2*int64(cap(buf)), limit+1)), buf...)
 		}
 	}
-	return seg
 }
 
 // Validators are the HTTP cache validators of a document: the strong entity
@@ -433,9 +457,18 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 		defer timer.Stop()
 	}
 
-	// Read one byte past the cap so truncation is detected, not silent.
+	// The body lives in a pooled buffer until the segment is built: nothing
+	// returned from here may alias it. Read one byte past the cap so an
+	// oversized body is detected, not silently truncated.
 	limit := d.BodyLimit()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	bufp := bodyPool.Get().(*[]byte)
+	body, err := readBody(resp.Body, *bufp, resp.ContentLength, limit)
+	defer func() {
+		if cap(body) <= maxPooledBody {
+			*bufp = body[:0]
+		}
+		bodyPool.Put(bufp)
+	}()
 	if err != nil {
 		if slowTripped.Load() {
 			ev.Err = ErrSlowBody.Error()
@@ -498,20 +531,29 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 			Err: fmt.Errorf("unsupported content type %q", ctype)}
 	}
 
-	triples, err := turtle.Parse(string(body), turtle.Options{
-		Base:        finalURL,
-		BlankPrefix: fmt.Sprintf("d%d.", d.docCounter.Add(1)),
-		Dict:        d.Dict,
-	})
+	// One pass from the response bytes to the segment, built here, by the one
+	// fetch of this document version: no query that hits it in the cache
+	// builds anything. With a dictionary the parser emits IDs, looking terms
+	// up by substrings of the body, and Result.Triples is one exactly-sized
+	// decode of them; without one the triples alias a private copy.
+	opts := turtle.Options{Base: finalURL, BlankPrefix: "d" + strconv.FormatInt(d.docCounter.Add(1), 10) + ".", Dict: d.Dict}
+	seg := &Segment{Dict: d.Dict}
+	var triples []rdf.Triple
+	if d.Dict != nil {
+		if seg.Triples, err = turtle.ParseIDs(body, opts); err == nil {
+			triples = d.Dict.DecodeTriples(seg.Triples)
+			seg.Source = d.Dict.Intern(rdf.NewIRI(finalURL))
+		}
+	} else {
+		triples, err = turtle.Parse(string(body), opts)
+	}
 	if err != nil {
 		ev.Err = err.Error()
 		record()
 		return nil, &Error{URL: url, Status: resp.StatusCode, Err: err}
 	}
 	ev.Triples = len(triples)
-	// Built here, by the one fetch of this document version and before the
-	// Result reaches the cache: no query that hits it builds anything.
-	seg := newSegment(d.Dict, finalURL, triples)
+	seg.Links = extract.Scan(triples)
 	record()
 	return &Result{URL: url, FinalURL: finalURL, Triples: triples, Segment: seg, Status: resp.StatusCode, Bytes: ev.Bytes,
 		Validators: Validators{ETag: resp.Header.Get("ETag"), LastModified: resp.Header.Get("Last-Modified")}}, nil

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -112,8 +113,15 @@ func shardOf(t Term) uint32 {
 // Intern returns the ID of t, assigning a fresh one on first sight. The
 // undefined term always interns to NoTerm. Intern is safe for concurrent
 // use; equal terms receive equal IDs no matter which goroutine interned
-// them first.
-func (d *Dict) Intern(t Term) TermID {
+// them first. The dictionary keeps t's strings.
+func (d *Dict) Intern(t Term) TermID { return d.intern(t, false) }
+
+// InternBorrowed is Intern for a term whose strings alias memory the caller
+// will reuse (a pooled response body): a hit allocates nothing and a miss
+// stores clones, so the dictionary never pins or reads that memory later.
+func (d *Dict) InternBorrowed(t Term) TermID { return d.intern(t, true) }
+
+func (d *Dict) intern(t Term, borrowed bool) TermID {
 	if t.Kind == TermUndef {
 		return NoTerm
 	}
@@ -128,6 +136,11 @@ func (d *Dict) Intern(t Term) TermID {
 	defer sh.mu.Unlock()
 	if id, ok := sh.m[t]; ok {
 		return id
+	}
+	if borrowed {
+		t.Value = strings.Clone(t.Value)
+		t.Datatype = strings.Clone(t.Datatype)
+		t.Language = strings.Clone(t.Language)
 	}
 	id = d.appendTerm(t)
 	sh.m[t] = id
@@ -214,6 +227,16 @@ func (d *Dict) LookupTriple(t Triple) (IDTriple, bool) {
 // DecodeTriple decodes all three positions of an IDTriple.
 func (d *Dict) DecodeTriple(t IDTriple) Triple {
 	return Triple{S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O)}
+}
+
+// DecodeTriples decodes ids into one exactly-sized slice holding the
+// dictionary's own copies of the terms.
+func (d *Dict) DecodeTriples(ids []IDTriple) []Triple {
+	out := make([]Triple, len(ids))
+	for i, t := range ids {
+		out[i] = d.DecodeTriple(t)
+	}
+	return out
 }
 
 // Size returns the number of distinct terms interned so far.

@@ -6,25 +6,95 @@ import (
 )
 
 // ResolveIRI resolves a possibly-relative IRI reference against a base IRI,
-// per RFC 3986. It is used by the Turtle parser (relative IRIs in documents
-// resolve against the document URL) and by the pod builder. If resolution
-// fails or base is empty, ref is returned unchanged.
+// per RFC 3986. It is used by the SPARQL parser and the pod builder; a
+// caller resolving many references against one base keeps a Base instead.
+// If resolution fails or base is empty, ref is returned unchanged.
 func ResolveIRI(base, ref string) string {
+	b := NewBase(base)
+	return b.Resolve(ref)
+}
+
+// Base resolves references against one base IRI: the base is parsed once,
+// on the first relative reference, and the shapes documents are made of —
+// "#fragment" and dot-free relative paths — are answered by concatenation,
+// with net/url for the rest. The zero value is the empty base.
+type Base struct {
+	iri    string
+	parsed bool
+	u      *url.URL // nil if the base does not parse
+	// doc and dir are set when the fast paths apply (see parse): the base
+	// without its fragment, and up to the last '/' of its path.
+	doc, dir string
+}
+
+// NewBase returns the resolver for base.
+func NewBase(base string) Base { return Base{iri: base} }
+
+// Resolve resolves ref. An absolute ref, and any ref against an empty base,
+// is returned as is, without copying.
+func (b *Base) Resolve(ref string) string {
 	if ref == "" {
-		return base
+		return b.iri
 	}
-	if base == "" || isAbsoluteIRI(ref) {
+	if b.iri == "" || isAbsoluteIRI(ref) {
 		return ref
 	}
-	b, err := url.Parse(base)
-	if err != nil {
+	if !b.parsed {
+		b.parse()
+	}
+	if path, frag, hasFrag := strings.Cut(ref, "#"); b.doc != "" && (!hasFrag || frag != "" && plainRef(frag)) {
+		switch {
+		case path == "":
+			return b.doc + ref
+		case path[0] != '/' && path[0] != '.' && plainRef(path) && !strings.Contains(path, "/."):
+			return b.dir + ref
+		}
+	}
+	if b.u == nil {
 		return ref
 	}
 	r, err := url.Parse(ref)
 	if err != nil {
 		return ref
 	}
-	return b.ResolveReference(r).String()
+	return b.u.ResolveReference(r).String()
+}
+
+// parse parses the base and decides whether the fast paths apply: they do
+// when net/url would print the base's own scheme, authority, path and query
+// back byte for byte — a hierarchical base that round-trips through
+// url.Parse and whose path has no dot segment for resolution to remove.
+func (b *Base) parse() {
+	b.parsed = true
+	u, err := url.Parse(b.iri)
+	if err != nil {
+		return
+	}
+	b.u = u
+	path := u.EscapedPath()
+	if u.Opaque != "" || u.Host == "" || u.ForceQuery || !strings.HasPrefix(path, "/") ||
+		strings.Contains(path, "/.") || u.String() != b.iri {
+		return
+	}
+	b.doc, _, _ = strings.Cut(b.iri, "#")
+	end := strings.IndexByte(b.doc, '?')
+	if end < 0 {
+		end = len(b.doc)
+	}
+	b.dir = b.doc[:strings.LastIndexByte(b.doc[:end], '/')+1]
+}
+
+// plainRef reports whether s consists of characters net/url neither escapes
+// nor gives meaning to in a path or fragment: unreserved characters and '/'.
+func plainRef(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '-' || c == '_' || c == '.' || c == '~' || c == '/') {
+			return false
+		}
+	}
+	return true
 }
 
 // isAbsoluteIRI reports whether s has a scheme component.

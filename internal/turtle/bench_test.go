@@ -29,14 +29,47 @@ var benchDoc = func() string {
 	return sb.String()
 }()
 
+var benchOpts = Options{Base: "https://example.org/pods/1/posts/2010-10-12", BlankPrefix: "d1."}
+
+// BenchmarkParseDocument measures one document through each sink: triples
+// (what a caller without a dictionary gets), and IDs against a dictionary
+// that already holds every term (a document seen before, or one sharing its
+// vocabulary with the rest of its pod) and against an empty one.
 func BenchmarkParseDocument(b *testing.B) {
-	b.SetBytes(int64(len(benchDoc)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(benchDoc, Options{Base: "https://example.org/pods/1/posts/2010-10-12"}); err != nil {
-			b.Fatal(err)
+	body := []byte(benchDoc)
+	b.Run("triples", func(b *testing.B) {
+		b.SetBytes(int64(len(benchDoc)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Parse(benchDoc, benchOpts); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("dict-warm", func(b *testing.B) {
+		opts := benchOpts
+		opts.Dict = rdf.NewDict()
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ParseIDs(body, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dict-cold", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			opts := benchOpts
+			opts.Dict = rdf.NewDict()
+			b.StartTimer()
+			if _, err := ParseIDs(body, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkWriteDocument(b *testing.B) {
@@ -64,8 +97,9 @@ func BenchmarkWriteNTriples(b *testing.B) {
 }
 
 // FuzzParse feeds arbitrary inputs to the Turtle parser: it must never
-// panic, and anything it accepts must re-serialize and re-parse to the
-// same triple count.
+// panic, it must agree with the reference parser on error versus no error
+// and on every triple, through both sinks, and anything it accepts must
+// re-serialize and re-parse to the same triple count.
 func FuzzParse(f *testing.F) {
 	f.Add(`<http://a> <http://p> <http://b> .`)
 	f.Add(`@prefix ex: <http://example.org/> . ex:a ex:p "lit"@en, 3.14, true .`)
@@ -74,7 +108,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("<http://a> <http://p> \"\"\"long\nstring\"\"\" .")
 	f.Add(`@base <http://b/> . <rel> <p> <#frag> .`)
 	f.Fuzz(func(t *testing.T, input string) {
-		triples, err := Parse(input, Options{Base: "http://fuzz.example/doc"})
+		triples, err := agreeWithReference(t, input, Options{Base: "http://fuzz.example/doc", BlankPrefix: "d1."})
 		if err != nil {
 			return // rejected input is fine
 		}

@@ -9,7 +9,7 @@ import (
 
 func mustParse(t *testing.T, input string, opts Options) []rdf.Triple {
 	t.Helper()
-	ts, err := Parse(input, opts)
+	ts, err := agreeWithReference(t, input, opts)
 	if err != nil {
 		t.Fatalf("Parse error: %v\ninput:\n%s", err, input)
 	}
@@ -288,17 +288,47 @@ func TestParseErrors(t *testing.T) {
 		{"bad number", `<http://a> <http://p> +. .`},
 		{"unterminated collection", `<http://a> <http://p> (<http://b> .`},
 		{"whitespace in iri", "<http://a b> <http://p> <http://c> ."},
+		{"newline in iri", "<http://a\nb> <http://p> <http://c> ."},
+		{"tab in iri", "<http://a\tb> <http://p> <http://c> ."},
+		{"NUL in iri", "<http://a\x00b> <http://p> <http://c> ."},
+		{"control character in iri", "<http://a\x1fb> <http://p> <http://c> ."},
+		{"'<' in iri", "<http://a<b> <http://p> <http://c> ."},
+		{"'\"' in iri", `<http://a"b> <http://p> <http://c> .`},
+		{"'{' in iri", "<http://a{b> <http://p> <http://c> ."},
+		{"'}' in iri", "<http://a}b> <http://p> <http://c> ."},
+		{"'|' in iri", "<http://a|b> <http://p> <http://c> ."},
+		{"'^' in iri", "<http://a^b> <http://p> <http://c> ."},
+		{"'`' in iri", "<http://a`b> <http://p> <http://c> ."},
+		{"forbidden character after an escape", `<http://a\u00e9{b> <http://p> <http://c> .`},
+		{"forbidden character in a prefix iri", "@prefix ex: <http://a|b/> . ex:s ex:p ex:o ."},
+		{"forbidden character in a datatype iri", `<http://a> <http://p> "x"^^<http://d^t> .`},
+		{"bad iri escape", `<http://a\nb> <http://p> <http://c> .`},
+		{"truncated iri escape", `<http://a\u00`},
 		{"eof in object", `<http://a> <http://p>`},
 		{"empty lang", `<http://a> <http://p> "x"@ .`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Parse(c.input, Options{}); err == nil {
+			if _, err := agreeWithReference(t, c.input, Options{}); err == nil {
 				t.Errorf("expected error for %q", c.input)
 			} else if !strings.Contains(err.Error(), "turtle: line") {
 				t.Errorf("error should carry position: %v", err)
 			}
 		})
+	}
+}
+
+func TestParseIRIRefCharacters(t *testing.T) {
+	// Everything the IRIREF production allows stays allowed, verbatim: the
+	// printable ASCII outside the forbidden set, DEL, and any non-ASCII byte.
+	for _, iri := range []string{
+		"http://a/!$&'()*+,;=:@/?#[]~-._%41", "http://a/\x7f", "http://a/é/日本", "urn:x:y", "http://a/\\u00e9\\U0001F600",
+	} {
+		input := "<" + iri + "> <http://p> <" + iri + "> ."
+		ts := mustParse(t, input, Options{})
+		if want := strings.NewReplacer(`\u00e9`, "é", `\U0001F600`, "😀").Replace(iri); ts[0].S.Value != want || ts[0].O.Value != want {
+			t.Errorf("IRI %q parsed as %q / %q", want, ts[0].S.Value, ts[0].O.Value)
+		}
 	}
 }
 

@@ -1,138 +1,81 @@
-// Package turtle implements a parser and serializers for the RDF Turtle
-// family of formats (Turtle, N-Triples, N-Quads), which Solid pods use as
-// their primary representation. The parser supports the full Turtle grammar
-// used in practice by Solid servers: prefix and base directives, prefixed
-// names with escapes, literals (quoted, long-quoted, numeric and boolean
-// shorthands, language tags, datatypes), anonymous and labelled blank nodes,
-// blank node property lists, collections, and comment handling.
 package turtle
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unsafe"
+	"testing"
 
 	"ltqp/internal/rdf"
 )
 
-// Options configures a parse.
-type Options struct {
-	// Base is the base IRI against which relative IRIs resolve; for
-	// dereferenced documents this is the document URL.
-	Base string
-	// BlankPrefix is prepended to every blank node label so that labels
-	// from different documents do not collide when merged into one store.
-	BlankPrefix string
-	// Dict, when non-nil, interns every emitted term: Parse returns the
-	// dictionary's canonical copies (terms across documents parsed with the
-	// same Dict share backing strings) and ParseIDs the IDs themselves.
-	Dict *rdf.Dict
-}
+// This file is the byte-wise parser that was turtle.Parse until PR 17, kept
+// as the reference the one-pass scanner is compared against: every term
+// built in a strings.Builder, every IRI resolved through rdf.ResolveIRI,
+// every emitted term canonicalized through Dict.Canonical. Obviously
+// correct, slow, test-only. RefParse is exported to the package's external
+// tests in export_test.go.
 
-// Parse parses a Turtle document and returns its triples in document order.
-// Without a Dict the terms alias input wherever the document spells them out
-// in full, and keep it alive; with one they are the dictionary's own copies.
-func Parse(input string, opts Options) ([]rdf.Triple, error) {
-	p := newParser(input, opts)
+// refParse parses a Turtle document and returns its triples in document
+// order.
+func refParse(input string, opts Options) ([]rdf.Triple, error) {
+	p := &refParser{
+		in:       input,
+		base:     opts.Base,
+		bnPrefix: opts.BlankPrefix,
+		dict:     opts.Dict,
+		prefixes: map[string]string{},
+		line:     1,
+	}
 	if err := p.parseDocument(); err != nil {
 		return nil, err
-	}
-	if p.dict != nil {
-		return p.dict.DecodeTriples(p.ids), nil
 	}
 	return p.triples, nil
 }
 
-// ParseIDs parses a Turtle document straight into triples encoded against
-// opts.Dict, which must be set. Terms the dictionary holds are found by
-// substrings of body, new ones are cloned: the caller may reuse body after.
-func ParseIDs(body []byte, opts Options) ([]rdf.IDTriple, error) {
-	p := newParser(unsafe.String(unsafe.SliceData(body), len(body)), opts)
-	if err := p.parseDocument(); err != nil {
-		return nil, err
-	}
-	return p.ids, nil
-}
-
-// ParseString parses with an empty configuration; relative IRIs are kept
-// as-is. It is a convenience for tests and embedded documents.
-func ParseString(input string) ([]rdf.Triple, error) {
-	return Parse(input, Options{})
-}
-
-// parser is a recursive-descent Turtle parser over an input string: one
-// scanner, which cuts terms out of the input as substrings (a builder only
-// runs once an escape is met), and two sinks behind emit.
-type parser struct {
+// refParser is a recursive-descent Turtle parser over an input string.
+type refParser struct {
 	in       string
 	pos      int
 	line     int
-	base     rdf.Base
+	base     string
 	bnPrefix string
+	dict     *rdf.Dict
 	prefixes map[string]string
-	// names memoizes what a prefixed name (keyed by its lexeme, "ex:local")
-	// or a blank label (keyed bare, so without a colon) expands to: ns+local
-	// and bnPrefix+label are built once per distinct name of the document.
-	names  map[string]string
-	bnodeN int
-	// dict selects the sink: nil collects triples, otherwise ids.
-	dict    *rdf.Dict
-	triples []rdf.Triple
-	ids     []rdf.IDTriple
-	// The subject and predicate emit interned last.
-	lastS, lastP     rdf.Term
-	lastSID, lastPID rdf.TermID
+	triples  []rdf.Triple
+	bnodeN   int
 }
 
-func newParser(input string, opts Options) *parser {
-	p := &parser{
-		in:       input,
-		base:     rdf.NewBase(opts.Base),
-		bnPrefix: opts.BlankPrefix,
-		dict:     opts.Dict,
-		prefixes: map[string]string{},
-		names:    map[string]string{},
-		line:     1,
+// emit appends one parsed triple, canonicalizing its terms through the
+// configured dictionary (if any) so every emitted term is the dictionary's
+// shared copy.
+func (p *refParser) emit(s, pred, o rdf.Term) {
+	if p.dict != nil {
+		s = p.dict.Canonical(s)
+		pred = p.dict.Canonical(pred)
+		o = p.dict.Canonical(o)
 	}
-	// Pod documents run at 60-90 bytes a triple: one allocation, rarely two.
-	if n := len(input)/64 + 1; p.dict != nil {
-		p.ids = make([]rdf.IDTriple, 0, n)
-	} else {
-		p.triples = make([]rdf.Triple, 0, n)
-	}
-	return p
-}
-
-// emit hands one parsed triple to the sink.
-func (p *parser) emit(s, pred, o rdf.Term) {
-	if p.dict == nil {
-		p.triples = append(p.triples, rdf.Triple{S: s, P: pred, O: o})
-		return
-	}
-	// Subjects and predicates come in runs: look each up once per run.
-	if s != p.lastS {
-		p.lastS, p.lastSID = s, p.dict.InternBorrowed(s)
-	}
-	if pred != p.lastP {
-		p.lastP, p.lastPID = pred, p.dict.InternBorrowed(pred)
-	}
-	p.ids = append(p.ids, rdf.IDTriple{S: p.lastSID, P: p.lastPID, O: p.dict.InternBorrowed(o)})
+	p.triples = append(p.triples, rdf.NewTriple(s, pred, o))
 }
 
 // errf formats a parse error with the current line number.
-func (p *parser) errf(format string, args ...interface{}) error {
+func (p *refParser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("turtle: line %d: %s", p.line, fmt.Sprintf(format, args...))
 }
 
 // eof reports whether the input is exhausted.
-func (p *parser) eof() bool { return p.pos >= len(p.in) }
+func (p *refParser) eof() bool { return p.pos >= len(p.in) }
 
 // peek returns the current byte without consuming it (0 at EOF).
-func (p *parser) peek() byte { return p.peekAt(0) }
+func (p *refParser) peek() byte {
+	if p.eof() {
+		return 0
+	}
+	return p.in[p.pos]
+}
 
 // peekAt returns the byte at offset from the current position.
-func (p *parser) peekAt(off int) byte {
+func (p *refParser) peekAt(off int) byte {
 	if p.pos+off >= len(p.in) {
 		return 0
 	}
@@ -140,7 +83,7 @@ func (p *parser) peekAt(off int) byte {
 }
 
 // next consumes and returns the current byte.
-func (p *parser) next() byte {
+func (p *refParser) next() byte {
 	c := p.in[p.pos]
 	p.pos++
 	if c == '\n' {
@@ -150,7 +93,7 @@ func (p *parser) next() byte {
 }
 
 // skipWS consumes whitespace and comments.
-func (p *parser) skipWS() {
+func (p *refParser) skipWS() {
 	for !p.eof() {
 		c := p.peek()
 		switch {
@@ -158,7 +101,7 @@ func (p *parser) skipWS() {
 			p.next()
 		case c == '#':
 			for !p.eof() && p.peek() != '\n' {
-				p.pos++
+				p.next()
 			}
 		default:
 			return
@@ -167,7 +110,7 @@ func (p *parser) skipWS() {
 }
 
 // expect consumes the given byte or errors.
-func (p *parser) expect(c byte) error {
+func (p *refParser) expect(c byte) error {
 	p.skipWS()
 	if p.eof() || p.peek() != c {
 		return p.errf("expected %q, got %q", string(c), p.rest(10))
@@ -177,7 +120,7 @@ func (p *parser) expect(c byte) error {
 }
 
 // rest returns up to n characters of remaining input, for error messages.
-func (p *parser) rest(n int) string {
+func (p *refParser) rest(n int) string {
 	end := p.pos + n
 	if end > len(p.in) {
 		end = len(p.in)
@@ -187,7 +130,7 @@ func (p *parser) rest(n int) string {
 
 // hasKeyword reports whether the case-insensitive keyword occurs at the
 // current position followed by a non-name character.
-func (p *parser) hasKeyword(kw string) bool {
+func (p *refParser) hasKeyword(kw string) bool {
 	if p.pos+len(kw) > len(p.in) {
 		return false
 	}
@@ -199,7 +142,7 @@ func (p *parser) hasKeyword(kw string) bool {
 }
 
 // parseDocument parses the whole document: directives and triple statements.
-func (p *parser) parseDocument() error {
+func (p *refParser) parseDocument() error {
 	for {
 		p.skipWS()
 		if p.eof() {
@@ -229,7 +172,7 @@ func (p *parser) parseDocument() error {
 }
 
 // parseAtDirective parses @prefix and @base directives.
-func (p *parser) parseAtDirective() error {
+func (p *refParser) parseAtDirective() error {
 	p.next() // '@'
 	switch {
 	case strings.HasPrefix(p.in[p.pos:], "prefix"):
@@ -244,7 +187,7 @@ func (p *parser) parseAtDirective() error {
 }
 
 // parsePrefixBody parses `pfx: <iri>` with an optional trailing dot.
-func (p *parser) parsePrefixBody(dotted bool) error {
+func (p *refParser) parsePrefixBody(dotted bool) error {
 	p.skipWS()
 	start := p.pos
 	for !p.eof() && p.peek() != ':' {
@@ -263,9 +206,6 @@ func (p *parser) parsePrefixBody(dotted bool) error {
 	if err != nil {
 		return err
 	}
-	if old, redefined := p.prefixes[name]; redefined && old != iri {
-		clear(p.names) // expansions under the old namespace are stale
-	}
 	p.prefixes[name] = iri
 	if dotted {
 		return p.expect('.')
@@ -274,13 +214,13 @@ func (p *parser) parsePrefixBody(dotted bool) error {
 }
 
 // parseBaseBody parses `<iri>` with an optional trailing dot.
-func (p *parser) parseBaseBody(dotted bool) error {
+func (p *refParser) parseBaseBody(dotted bool) error {
 	p.skipWS()
 	iri, err := p.parseIRIRef()
 	if err != nil {
 		return err
 	}
-	p.base = rdf.NewBase(iri)
+	p.base = iri
 	if dotted {
 		return p.expect('.')
 	}
@@ -288,7 +228,7 @@ func (p *parser) parseBaseBody(dotted bool) error {
 }
 
 // parseTriples parses one triples statement: subject predicateObjectList '.'
-func (p *parser) parseTriples() error {
+func (p *refParser) parseTriples() error {
 	p.skipWS()
 	var subject rdf.Term
 	var err error
@@ -322,11 +262,15 @@ func (p *parser) parseTriples() error {
 }
 
 // parseSubject parses an IRI or blank node label.
-func (p *parser) parseSubject() (rdf.Term, error) {
+func (p *refParser) parseSubject() (rdf.Term, error) {
 	p.skipWS()
 	switch {
 	case p.peek() == '<':
-		return p.parseIRI()
+		iri, err := p.parseIRIRef()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewIRI(iri), nil
 	case p.peek() == '_' && p.peekAt(1) == ':':
 		return p.parseBlankLabel()
 	default:
@@ -335,7 +279,7 @@ func (p *parser) parseSubject() (rdf.Term, error) {
 }
 
 // parsePredicateObjectList parses `verb objectList (';' (verb objectList)?)*`.
-func (p *parser) parsePredicateObjectList(subject rdf.Term) error {
+func (p *refParser) parsePredicateObjectList(subject rdf.Term) error {
 	for {
 		p.skipWS()
 		pred, err := p.parseVerb()
@@ -361,7 +305,7 @@ func (p *parser) parsePredicateObjectList(subject rdf.Term) error {
 }
 
 // parseVerb parses a predicate: IRI, prefixed name, or the keyword 'a'.
-func (p *parser) parseVerb() (rdf.Term, error) {
+func (p *refParser) parseVerb() (rdf.Term, error) {
 	p.skipWS()
 	if p.peek() == 'a' {
 		c := p.peekAt(1)
@@ -371,13 +315,17 @@ func (p *parser) parseVerb() (rdf.Term, error) {
 		}
 	}
 	if p.peek() == '<' {
-		return p.parseIRI()
+		iri, err := p.parseIRIRef()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewIRI(iri), nil
 	}
 	return p.parsePrefixedName()
 }
 
 // parseObjectList parses `object (',' object)*`, emitting triples.
-func (p *parser) parseObjectList(subject, pred rdf.Term) error {
+func (p *refParser) parseObjectList(subject, pred rdf.Term) error {
 	for {
 		obj, err := p.parseObject()
 		if err != nil {
@@ -393,14 +341,18 @@ func (p *parser) parseObjectList(subject, pred rdf.Term) error {
 }
 
 // parseObject parses any object term.
-func (p *parser) parseObject() (rdf.Term, error) {
+func (p *refParser) parseObject() (rdf.Term, error) {
 	p.skipWS()
 	if p.eof() {
 		return rdf.Term{}, p.errf("unexpected end of input in object position")
 	}
 	switch c := p.peek(); {
 	case c == '<':
-		return p.parseIRI()
+		iri, err := p.parseIRIRef()
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return rdf.NewIRI(iri), nil
 	case c == '_' && p.peekAt(1) == ':':
 		return p.parseBlankLabel()
 	case c == '[':
@@ -423,7 +375,7 @@ func (p *parser) parseObject() (rdf.Term, error) {
 }
 
 // hasBareKeyword reports a case-sensitive keyword followed by a delimiter.
-func (p *parser) hasBareKeyword(kw string) bool {
+func (p *refParser) hasBareKeyword(kw string) bool {
 	if !strings.HasPrefix(p.in[p.pos:], kw) {
 		return false
 	}
@@ -435,66 +387,57 @@ func (p *parser) hasBareKeyword(kw string) bool {
 	return false
 }
 
-// parseIRI parses `<...>` as an IRI term.
-func (p *parser) parseIRI() (rdf.Term, error) {
-	iri, err := p.parseIRIRef()
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	return rdf.NewIRI(iri), nil
-}
-
-// parseIRIRef parses `<...>` applying \u escapes and base resolution. An
-// absolute IRI without escapes comes back as a substring of the input.
-func (p *parser) parseIRIRef() (string, error) {
+// parseIRIRef parses `<...>` applying \u escapes and base resolution.
+func (p *refParser) parseIRIRef() (string, error) {
 	if p.peek() != '<' {
 		return "", p.errf("expected IRI, got %q", p.rest(10))
 	}
-	p.pos++
-	var b strings.Builder // holds the IRI so far once an escape was met
-	run := p.pos          // start of the escape-free run not yet in b
-	for !p.eof() {
-		switch c := p.in[p.pos]; {
-		case c == '>':
-			ref := p.in[run:p.pos]
-			if b.Len() > 0 {
-				b.WriteString(ref)
-				ref = b.String()
-			}
-			p.pos++
-			return p.base.Resolve(ref), nil
-		case c == '\\':
-			b.WriteString(p.in[run:p.pos])
-			if p.pos += 2; p.pos > len(p.in) {
+	p.next()
+	var b strings.Builder
+	for {
+		if p.eof() {
+			return "", p.errf("unterminated IRI")
+		}
+		c := p.next()
+		switch c {
+		case '>':
+			return rdf.ResolveIRI(p.base, b.String()), nil
+		case '\\':
+			if p.eof() {
 				return "", p.errf("unterminated escape in IRI")
 			}
-			e := p.in[p.pos-1]
-			if e != 'u' && e != 'U' {
+			e := p.next()
+			switch e {
+			case 'u':
+				r, err := p.readHex(4)
+				if err != nil {
+					return "", err
+				}
+				b.WriteRune(r)
+			case 'U':
+				r, err := p.readHex(8)
+				if err != nil {
+					return "", err
+				}
+				b.WriteRune(r)
+			default:
 				return "", p.errf("invalid escape \\%c in IRI", e)
 			}
-			r, err := p.readHex(e)
-			if err != nil {
-				return "", err
-			}
-			b.WriteRune(r)
-			run = p.pos
-		case c <= ' ' || c == '<' || c == '"' || c == '{' || c == '}' || c == '|' || c == '^' || c == '`':
-			// IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>'
+		case '<', '"', '{', '}', '|', '^', '`':
+			// Not in the pre-PR-17 parser: the IRIREF grammar fix is applied
+			// to the reference too, so the two agree on what is an error.
 			return "", p.errf("character %q not allowed in IRI", c)
 		default:
-			p.pos++
+			if c <= ' ' {
+				return "", p.errf("whitespace or control character in IRI")
+			}
+			b.WriteByte(c)
 		}
 	}
-	return "", p.errf("unterminated IRI")
 }
 
-// readHex reads the code point of a \u (four hex digits) or \U (eight)
-// escape, positioned after the letter e.
-func (p *parser) readHex(e byte) (rune, error) {
-	n := 4
-	if e == 'U' {
-		n = 8
-	}
+// readHex reads n hex digits and returns the code point.
+func (p *refParser) readHex(n int) (rune, error) {
 	if p.pos+n > len(p.in) {
 		return 0, p.errf("truncated \\u escape")
 	}
@@ -507,94 +450,73 @@ func (p *parser) readHex(e byte) (rune, error) {
 }
 
 // isPNChar reports whether c may appear inside a prefixed-name local part.
-func isPNChar(c byte) bool {
+func refIsPNChar(c byte) bool {
 	return c == '_' || c == '-' || c == '.' || c == ':' || c == '%' || c == '\\' ||
 		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c >= 0x80
 }
 
-// parsePrefixedName parses `prefix:local` and expands it, once per distinct
-// name of the document.
-func (p *parser) parsePrefixedName() (rdf.Term, error) {
+// parsePrefixedName parses `prefix:local` and expands it.
+func (p *refParser) parsePrefixedName() (rdf.Term, error) {
 	start := p.pos
 	// Prefix part (may be empty).
 	for !p.eof() {
-		if c := p.peek(); c == ':' || !isPNChar(c) || c == '.' {
+		c := p.peek()
+		if c == ':' {
 			break
 		}
-		p.pos++
+		if !refIsPNChar(c) || c == '.' {
+			break
+		}
+		p.next()
 	}
 	if p.eof() || p.peek() != ':' {
 		return rdf.Term{}, p.errf("expected prefixed name, got %q", p.rest(10))
 	}
 	prefix := p.in[start:p.pos]
-	p.pos++ // ':'
+	p.next() // ':'
 	ns, ok := p.prefixes[prefix]
 	if !ok {
 		return rdf.Term{}, p.errf("undeclared prefix %q", prefix)
 	}
-	// Local part; a backslash escapes the next byte, trailing dots terminate
-	// the name.
-	localStart, escaped := p.pos, false
+	// Local part with escape handling; trailing dots terminate the name.
+	var local strings.Builder
 	for !p.eof() {
 		c := p.peek()
 		if c == '\\' {
-			if p.pos+1 >= len(p.in) {
-				p.pos++
+			p.next()
+			if p.eof() {
 				return rdf.Term{}, p.errf("unterminated local escape")
 			}
-			escaped = true
-			p.next()
-			p.next()
+			local.WriteByte(p.next())
 			continue
 		}
-		if !isPNChar(c) {
+		if !refIsPNChar(c) || c == '\\' {
 			break
 		}
 		if c == '.' {
 			// A dot is part of the name only if followed by another name char.
-			if !isPNChar(p.peekAt(1)) || p.peekAt(1) == '.' && !isPNChar(p.peekAt(2)) {
+			if !refIsPNChar(p.peekAt(1)) || p.peekAt(1) == '.' && !refIsPNChar(p.peekAt(2)) {
 				break
 			}
 		}
-		p.pos++
+		local.WriteByte(p.next())
 	}
-	name := p.in[start:p.pos]
-	iri, ok := p.names[name]
-	if !ok {
-		local := p.in[localStart:p.pos]
-		if escaped {
-			local = unescapeLocal(local)
-		}
-		iri = ns + local
-		p.names[name] = iri
-	}
-	return rdf.NewIRI(iri), nil
-}
-
-// unescapeLocal drops the backslash of every `\c` pair of a local name.
-func unescapeLocal(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' {
-			i++
-		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
+	return rdf.NewIRI(ns + local.String()), nil
 }
 
 // parseBlankLabel parses `_:label`, applying the configured prefix.
-func (p *parser) parseBlankLabel() (rdf.Term, error) {
-	p.pos += 2 // "_:"
+func (p *refParser) parseBlankLabel() (rdf.Term, error) {
+	p.next() // '_'
+	p.next() // ':'
 	start := p.pos
 	for !p.eof() {
 		c := p.peek()
 		if c == '-' || c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') {
-			p.pos++
+			p.next()
 			continue
 		}
-		if c == '.' && p.pos+1 < len(p.in) && isPNChar(p.in[p.pos+1]) && p.in[p.pos+1] != '.' {
-			p.pos++
+		if c == '.' && p.pos+1 < len(p.in) && refIsPNChar(p.in[p.pos+1]) && p.in[p.pos+1] != '.' {
+			p.next()
 			continue
 		}
 		break
@@ -602,26 +524,17 @@ func (p *parser) parseBlankLabel() (rdf.Term, error) {
 	if p.pos == start {
 		return rdf.Term{}, p.errf("empty blank node label")
 	}
-	label := p.in[start:p.pos]
-	if p.bnPrefix == "" {
-		return rdf.NewBlank(label), nil
-	}
-	scoped, ok := p.names[label]
-	if !ok {
-		scoped = p.bnPrefix + label
-		p.names[label] = scoped
-	}
-	return rdf.NewBlank(scoped), nil
+	return rdf.NewBlank(p.bnPrefix + p.in[start:p.pos]), nil
 }
 
 // freshBlank mints a new anonymous blank node.
-func (p *parser) freshBlank() rdf.Term {
+func (p *refParser) freshBlank() rdf.Term {
 	p.bnodeN++
-	return rdf.NewBlank(p.bnPrefix + "genid" + strconv.Itoa(p.bnodeN))
+	return rdf.NewBlank(fmt.Sprintf("%sgenid%d", p.bnPrefix, p.bnodeN))
 }
 
 // parseBlankNodePropertyList parses `[ predicateObjectList? ]`.
-func (p *parser) parseBlankNodePropertyList() (rdf.Term, error) {
+func (p *refParser) parseBlankNodePropertyList() (rdf.Term, error) {
 	p.next() // '['
 	node := p.freshBlank()
 	p.skipWS()
@@ -639,7 +552,7 @@ func (p *parser) parseBlankNodePropertyList() (rdf.Term, error) {
 }
 
 // parseCollection parses `( object* )` into an rdf:List.
-func (p *parser) parseCollection() (rdf.Term, error) {
+func (p *refParser) parseCollection() (rdf.Term, error) {
 	p.next() // '('
 	var items []rdf.Term
 	for {
@@ -676,7 +589,7 @@ func (p *parser) parseCollection() (rdf.Term, error) {
 }
 
 // parseLiteral parses quoted strings with optional language tag or datatype.
-func (p *parser) parseLiteral() (rdf.Term, error) {
+func (p *refParser) parseLiteral() (rdf.Term, error) {
 	lex, err := p.parseQuoted()
 	if err != nil {
 		return rdf.Term{}, err
@@ -688,7 +601,7 @@ func (p *parser) parseLiteral() (rdf.Term, error) {
 		for !p.eof() {
 			c := p.peek()
 			if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '-' {
-				p.pos++
+				p.next()
 				continue
 			}
 			break
@@ -701,59 +614,63 @@ func (p *parser) parseLiteral() (rdf.Term, error) {
 		if p.peekAt(1) != '^' {
 			return rdf.Term{}, p.errf("expected ^^ after literal")
 		}
-		p.pos += 2
+		p.next()
+		p.next()
 		var dt rdf.Term
 		if p.peek() == '<' {
-			dt, err = p.parseIRI()
+			iri, err := p.parseIRIRef()
+			if err != nil {
+				return rdf.Term{}, err
+			}
+			dt = rdf.NewIRI(iri)
 		} else {
 			dt, err = p.parsePrefixedName()
-		}
-		if err != nil {
-			return rdf.Term{}, err
+			if err != nil {
+				return rdf.Term{}, err
+			}
 		}
 		return rdf.NewTypedLiteral(lex, dt.Value), nil
 	}
 	return rdf.NewLiteral(lex), nil
 }
 
-// parseQuoted parses single/double and long quoted strings with escapes. A
-// string without escapes comes back as a substring of the input.
-func (p *parser) parseQuoted() (string, error) {
+// parseQuoted parses single/double and long quoted strings with escapes.
+func (p *refParser) parseQuoted() (string, error) {
 	quote := p.next() // '"' or '\''
 	long := false
 	if p.peek() == quote && p.peekAt(1) == quote {
-		p.pos += 2
+		p.next()
+		p.next()
 		long = true
 	} else if p.peek() == quote {
 		// Empty short string.
-		p.pos++
+		p.next()
 		return "", nil
 	}
-	var b strings.Builder // holds the string so far once an escape was met
-	run := p.pos          // start of the escape-free run not yet in b
-	for !p.eof() {
+	var b strings.Builder
+	for {
+		if p.eof() {
+			return "", p.errf("unterminated string")
+		}
 		c := p.next()
-		switch {
-		case c == quote:
-			end := p.pos - 1
-			if long {
-				if p.peek() != quote || p.peekAt(1) != quote {
-					continue // a lone quote inside a long string
-				}
-				p.pos += 2
+		if c == quote {
+			if !long {
+				return b.String(), nil
 			}
-			s := p.in[run:end]
-			if b.Len() > 0 {
-				b.WriteString(s)
-				s = b.String()
+			if p.peek() == quote && p.peekAt(1) == quote {
+				p.next()
+				p.next()
+				return b.String(), nil
 			}
-			return s, nil
-		case c == '\\':
-			b.WriteString(p.in[run : p.pos-1])
+			b.WriteByte(c)
+			continue
+		}
+		if c == '\\' {
 			if p.eof() {
 				return "", p.errf("unterminated escape")
 			}
-			switch e := p.next(); e {
+			e := p.next()
+			switch e {
 			case 't':
 				b.WriteByte('\t')
 			case 'n':
@@ -766,8 +683,14 @@ func (p *parser) parseQuoted() (string, error) {
 				b.WriteByte('\f')
 			case '"', '\'', '\\':
 				b.WriteByte(e)
-			case 'u', 'U':
-				r, err := p.readHex(e)
+			case 'u':
+				r, err := p.readHex(4)
+				if err != nil {
+					return "", err
+				}
+				b.WriteRune(r)
+			case 'U':
+				r, err := p.readHex(8)
 				if err != nil {
 					return "", err
 				}
@@ -775,16 +698,17 @@ func (p *parser) parseQuoted() (string, error) {
 			default:
 				return "", p.errf("invalid string escape \\%c", e)
 			}
-			run = p.pos
-		case !long && (c == '\n' || c == '\r'):
+			continue
+		}
+		if !long && (c == '\n' || c == '\r') {
 			return "", p.errf("newline in short string")
 		}
+		b.WriteByte(c)
 	}
-	return "", p.errf("unterminated string")
 }
 
 // parseNumber parses integer, decimal, and double shorthands.
-func (p *parser) parseNumber() (rdf.Term, error) {
+func (p *refParser) parseNumber() (rdf.Term, error) {
 	start := p.pos
 	if c := p.peek(); c == '+' || c == '-' {
 		p.next()
@@ -825,4 +749,38 @@ func (p *parser) parseNumber() (rdf.Term, error) {
 	default:
 		return rdf.NewTypedLiteral(lex, rdf.XSDInteger), nil
 	}
+}
+
+// agreeWithReference parses input with the reference and with both sinks of
+// the scanner — triples, and dictionary IDs (through Parse and through
+// ParseIDs over a byte slice) — and fails t unless all agree on error versus
+// no error and, triple for triple in document order, on every term. It
+// returns the scanner's own answer.
+func agreeWithReference(t testing.TB, input string, opts Options) ([]rdf.Triple, error) {
+	t.Helper()
+	opts.Dict = nil
+	want, wantErr := refParse(input, opts)
+	check := func(sink string, got []rdf.Triple, err error) {
+		t.Helper()
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%s sink: error %v, reference error %v\ninput: %q", sink, err, wantErr, input)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s sink: %d triples, reference %d\ninput: %q", sink, len(got), len(want), input)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s sink: triple %d = %v, reference %v\ninput: %q", sink, i, got[i], want[i], input)
+			}
+		}
+	}
+	got, err := Parse(input, opts)
+	check("triple", got, err)
+
+	opts.Dict = rdf.NewDict()
+	viaDict, dictErr := Parse(input, opts)
+	check("dictionary", viaDict, dictErr)
+	ids, idsErr := ParseIDs([]byte(input), opts)
+	check("ID", opts.Dict.DecodeTriples(ids), idsErr)
+	return got, err
 }

@@ -176,9 +176,3 @@ func sameTripleSet(a, b []rdf.Triple) bool {
 	}
 	return true
 }
-
-func TestValidUTF8Helper(t *testing.T) {
-	if !validUTF8("héllo") || validUTF8(string([]byte{0xff, 0xfe})) {
-		t.Error("validUTF8 misbehaves")
-	}
-}
