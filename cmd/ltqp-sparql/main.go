@@ -284,8 +284,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%d HTTP requests (%d failed), %d triples from %d documents, max depth %d\n",
 			s.Requests, s.Failed, s.TotalTriples, s.Requests-s.Failed, s.MaxDepth)
 		if sc, enabled := engine.SharedCacheStats(); enabled {
-			fmt.Fprintf(stderr, "shared cache: %.0f%% hit ratio (%d hits / %d misses), %d docs / %d bytes held, %d revalidations (%d answered 304), %d singleflight dedups\n",
-				sc.HitRatio()*100, sc.Hits, sc.Misses, sc.Documents, sc.Bytes,
+			fmt.Fprintf(stderr, "shared cache: %.0f%% hit ratio (%d hits / %d misses), %d negative hits, %d entries / %d bytes held, %d revalidations (%d answered 304), %d singleflight dedups\n",
+				sc.HitRatio()*100, sc.Hits, sc.Misses, sc.NegativeHits, sc.Documents, sc.Bytes,
 				sc.Revalidations, sc.NotModified, sc.Dedups)
 		}
 		if deg := res.Degradation(); deg.Degraded() {

@@ -267,6 +267,7 @@ func servingHealth(observer *ltqp.Observer, s Serving) func() *obs.ServingHealth
 			CacheHitRatio:      st.HitRatio(),
 			CacheHits:          st.Hits,
 			CacheMisses:        st.Misses,
+			CacheNegativeHits:  st.NegativeHits,
 			CacheBytes:         st.Bytes,
 			CacheDocuments:     st.Documents,
 			Revalidations:      st.Revalidations,

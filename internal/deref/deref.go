@@ -161,13 +161,17 @@ func (v Validators) Zero() bool { return v.ETag == "" && v.LastModified == "" }
 type FetchFunc func(ctx context.Context, vals Validators) (*Result, error)
 
 // SharedCache is a cross-engine shared document cache layered under the
-// dereferencer (implemented by internal/serve). Dereference serves the key
-// from cache when fresh, revalidates stale entries with a conditional fetch,
-// and deduplicates concurrent fetches of the same key so N concurrent
+// dereferencer (implemented by internal/serve). Lookup answers the key from a
+// fresh entry and needs nothing to fetch with. Dereference does the same,
+// and otherwise fetches: it revalidates stale entries with a conditional
+// fetch and deduplicates concurrent fetches of the same key so N concurrent
 // queries issue one upstream request. hit reports whether this caller was
 // served without a network request of its own (fresh hit or deduplicated
-// join of another caller's in-flight fetch).
+// join of another caller's in-flight fetch). The cache also keeps that a
+// document does not exist (a terminal 404/410): such a hit comes with the
+// *Error the origin's answer produced, and no Result.
 type SharedCache interface {
+	Lookup(ctx context.Context, key, url string) (res *Result, hit bool, err error)
 	Dereference(ctx context.Context, key, url string, fetch FetchFunc) (res *Result, hit bool, err error)
 }
 
@@ -259,16 +263,26 @@ func (d *Dereferencer) Dereference(ctx context.Context, url, parent, reason stri
 // pointers are shared across queries by the shared-cache singleflight.
 func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reason string) (*Result, resource.Category, error) {
 	if d.Shared != nil {
-		res, hit, err := d.Shared.Dereference(ctx, cacheKey(url, d.Auth), url,
-			func(fctx context.Context, vals Validators) (*Result, error) {
-				return d.fetchWithRetry(fctx, url, parent, reason, vals)
-			})
+		// The fetch closure is built only once the cache has no fresh entry.
+		key := cacheKey(url, d.Auth)
+		res, hit, err := d.Shared.Lookup(ctx, key, url)
+		if !hit {
+			res, hit, err = d.Shared.Dereference(ctx, key, url,
+				func(fctx context.Context, vals Validators) (*Result, error) {
+					return d.fetchWithRetry(fctx, url, parent, reason, vals)
+				})
+		}
+		// A fetch recorded its attempts itself; a hit, the cached absence of
+		// a document included, is recorded here so the query's record is the
+		// same whether or not the cache answered.
+		if hit {
+			d.recordCacheHit(ctx, url, parent, reason, res, err)
+		}
 		if err != nil {
 			return nil, 0, err
 		}
 		cat := resource.Deref
 		if hit {
-			d.recordCacheHit(ctx, url, parent, reason, res)
 			cat = resource.Serve
 		}
 		d.charge(cat, res)
@@ -293,24 +307,32 @@ func (d *Dereferencer) charge(cat resource.Category, res *Result) {
 }
 
 // recordCacheHit records a dereference served from the shared cache in the
-// per-query waterfall, span stream and process metrics.
-func (d *Dereferencer) recordCacheHit(ctx context.Context, url, parent, reason string, res *Result) {
+// per-query waterfall, span stream and process metrics: the document res, or
+// the failure a negative entry holds, as the fetch that found it recorded it.
+func (d *Dereferencer) recordCacheHit(ctx context.Context, url, parent, reason string, res *Result, failure error) {
 	start := time.Now()
 	ev := metrics.Request{URL: url, Parent: parent, Reason: reason,
-		Start: start, Status: http.StatusOK, Bytes: res.Bytes,
-		Triples: len(res.Triples), Cached: true, Attempt: 1}
-	ev.End = ev.Start
+		Start: start, End: start, Cached: true, Attempt: 1}
+	_, sp := obs.StartSpan(ctx, "deref", obs.Str("url", url), obs.Bool("cached", true))
+	defer sp.End()
+	// Asserted, not errors.As: its target would escape, one allocation a hit.
+	if gone, ok := failure.(*Error); ok {
+		ev.Status, ev.Err = gone.Status, statusErr(gone.Status)
+		sp.SetAttr(obs.Str("error", ev.Err))
+	} else {
+		ev.Status, ev.Bytes, ev.Triples = http.StatusOK, res.Bytes, len(res.Triples)
+		sp.SetAttr(obs.Int("triples", ev.Triples))
+		m := obs.On(d.Obs)
+		m.CacheHits.Inc()
+		m.DerefDuration.ObserveExemplar(time.Since(start).Seconds(), sp.TraceIDString())
+	}
 	if d.Recorder != nil {
 		d.Recorder.Record(ev)
 	}
-	_, sp := obs.StartSpan(ctx, "deref",
-		obs.Str("url", url), obs.Bool("cached", true),
-		obs.Int("triples", len(res.Triples)))
-	sp.End()
-	m := obs.On(d.Obs)
-	m.CacheHits.Inc()
-	m.DerefDuration.ObserveExemplar(time.Since(start).Seconds(), sp.TraceIDString())
 }
+
+// statusErr is the waterfall's error for a response that is not a document.
+func statusErr(status int) string { return "status " + strconv.Itoa(status) }
 
 // fetchWithRetry performs the network dereference with the configured retry
 // policy, sending vals as a conditional request when present.
@@ -500,7 +522,7 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	}
 
 	if resp.StatusCode != http.StatusOK {
-		ev.Err = fmt.Sprintf("status %d", resp.StatusCode)
+		ev.Err = statusErr(resp.StatusCode)
 		record()
 		derr := &Error{URL: url, Status: resp.StatusCode, Retryable: RetryableStatus(resp.StatusCode)}
 		if derr.Retryable {

@@ -167,6 +167,11 @@ func TestDereferenceContextCancelled(t *testing.T) {
 // singleflight — enough to drive the dereferencer's cache-hit path.
 type mapCache map[string]*Result
 
+func (c mapCache) Lookup(ctx context.Context, key, url string) (*Result, bool, error) {
+	res, ok := c[key]
+	return res, ok, nil
+}
+
 func (c mapCache) Dereference(ctx context.Context, key, url string, fetch FetchFunc) (*Result, bool, error) {
 	if res, ok := c[key]; ok {
 		return res, true, nil

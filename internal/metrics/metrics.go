@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,9 +176,8 @@ func (r *Recorder) PeakQueueLength() int {
 func (r *Recorder) Requests() []Request {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Request, len(r.requests))
-	copy(out, r.requests)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	out := slices.Clone(r.requests)
+	slices.SortFunc(out, func(a, b Request) int { return a.Start.Compare(b.Start) })
 	return out
 }
 
@@ -217,81 +217,82 @@ type Stats struct {
 	// FailedDocuments counts distinct URLs that never yielded a
 	// successful fetch — the documents a lenient traversal ran without.
 	FailedDocuments int
-	// CacheHits counts requests served from the engine's document cache
+	// CacheHits counts documents served from the engine's document cache
 	// rather than the network (the "(disk cache)" rows of Fig. 4).
 	CacheHits int
+	// NegativeHits counts requests the cache answered with the failure it
+	// keeps for a document that does not exist. They are in Failed, not in
+	// CacheHits: Requests - CacheHits - Failed is what the network delivered.
+	NegativeHits int
 }
 
 // Stats aggregates the recorded events.
 func (r *Recorder) Stats() Stats {
 	reqs := r.Requests()
 	s := Stats{Requests: len(reqs)}
-	depth := map[string]int{}
-	hosts := map[string]bool{}
-	succeeded := map[string]bool{}
-	attempted := map[string]bool{}
-	var minStart, maxEnd time.Time
+	if len(reqs) == 0 {
+		return s
+	}
+	// Per document: its depth in the fetch tree and whether any request for
+	// it succeeded. reqs is in start order, so a parent precedes its children.
+	type doc struct {
+		depth int
+		ok    bool
+	}
+	docs := make(map[string]doc, len(reqs))
+	hosts := map[string]struct{}{}
+	// Max parallelism is a sweep over starts (reqs, in order) and ends, as
+	// offsets from the first start.
+	epoch := reqs[0].Start
+	ends := make([]time.Duration, len(reqs))
+	maxEnd := reqs[0].End
 	for i, q := range reqs {
-		if q.Status == 0 || q.Status >= 400 || q.Err != "" {
-			s.Failed++
-		} else {
-			succeeded[q.URL] = true
+		d := docs[q.URL]
+		d.depth = 0
+		if q.Parent != "" {
+			d.depth = docs[q.Parent].depth + 1
 		}
-		attempted[q.URL] = true
+		s.MaxDepth = max(s.MaxDepth, d.depth)
+		failed := q.Status == 0 || q.Status >= 400 || q.Err != ""
+		switch {
+		case failed && q.Cached:
+			s.NegativeHits++
+			s.Failed++
+		case failed:
+			s.Failed++
+		case q.Cached:
+			s.CacheHits++
+		}
+		d.ok = d.ok || !failed
+		docs[q.URL] = d
 		if q.Attempt > 1 {
 			s.Retries++
 		}
-		if q.Cached {
-			s.CacheHits++
-		}
 		s.TotalBytes += q.Bytes
 		s.TotalTriples += q.Triples
-		d := 0
-		if q.Parent != "" {
-			d = depth[q.Parent] + 1
-		}
-		depth[q.URL] = d
-		if d > s.MaxDepth {
-			s.MaxDepth = d
-		}
-		hosts[hostAndPod(q.URL)] = true
-		if i == 0 || q.Start.Before(minStart) {
-			minStart = q.Start
-		}
+		hosts[hostAndPod(q.URL)] = struct{}{}
+		ends[i] = q.End.Sub(epoch)
 		if q.End.After(maxEnd) {
 			maxEnd = q.End
 		}
 	}
 	s.DistinctHosts = len(hosts)
-	for u := range attempted {
-		if !succeeded[u] {
+	for _, d := range docs {
+		if !d.ok {
 			s.FailedDocuments++
 		}
 	}
-	if !minStart.IsZero() {
-		s.WallTime = maxEnd.Sub(minStart)
-	}
-	// Max parallelism: sweep over start/end events.
-	type ev struct {
-		t     time.Time
-		delta int
-	}
-	var evs []ev
+	s.WallTime = maxEnd.Sub(epoch)
+	// A request that ends the instant another starts does not overlap it
+	// (nor, with zero duration, itself): ends go first.
+	slices.Sort(ends)
+	cur, ended := 0, 0
 	for _, q := range reqs {
-		evs = append(evs, ev{q.Start, 1}, ev{q.End, -1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].t.Equal(evs[j].t) {
-			return evs[i].delta < evs[j].delta
+		for start := q.Start.Sub(epoch); ended < len(ends) && ends[ended] <= start; ended++ {
+			cur--
 		}
-		return evs[i].t.Before(evs[j].t)
-	})
-	cur := 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > s.MaxParallel {
-			s.MaxParallel = cur
-		}
+		cur++
+		s.MaxParallel = max(s.MaxParallel, cur)
 	}
 	return s
 }
@@ -347,20 +348,19 @@ func (r *Recorder) Degradation() Degradation {
 }
 
 // hostAndPod extracts "host/pods/<id>" style prefixes so that multi-pod
-// traversal on a single simulated host still counts distinct pods.
+// traversal on a single simulated host still counts distinct pods. The
+// prefix is returned as a substring of u.
 func hostAndPod(u string) string {
 	rest := u
 	if i := strings.Index(rest, "://"); i >= 0 {
 		rest = rest[i+3:]
 	}
-	parts := strings.Split(rest, "/")
-	if len(parts) >= 3 && parts[1] == "pods" {
-		return parts[0] + "/pods/" + parts[2]
+	host, path, _ := strings.Cut(rest, "/")
+	if strings.HasPrefix(path, "pods/") {
+		id, _, _ := strings.Cut(path[len("pods/"):], "/")
+		return rest[:len(host)+len("/pods/")+len(id)]
 	}
-	if len(parts) > 0 {
-		return parts[0]
-	}
-	return rest
+	return host
 }
 
 // PodsTouched counts the distinct simulated pods among the requests.

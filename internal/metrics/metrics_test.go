@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -232,5 +233,80 @@ func TestWaterfallMarksRetries(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 retries") {
 		t.Errorf("summary lacks retry count:\n%s", out)
+	}
+}
+
+// Every request falls in exactly one of: delivered by the network, served
+// from the cache, failed. A negative hit (cached, and a failure) is a failed
+// request — never a cache hit — and is also reported on its own.
+func TestStatsPartitionsRequests(t *testing.T) {
+	r := NewRecorder()
+	at := r.Epoch()
+	row := func(url string, status int, cached bool, err string) {
+		r.Record(Request{URL: url, Start: at, End: at, Status: status, Cached: cached, Err: err, Attempt: 1})
+	}
+	row("http://h/a", 200, false, "")                 // fetched
+	row("http://h/b", 200, false, "")                 // fetched
+	row("http://h/c", 200, true, "")                  // cache hit
+	row("http://h/dead", 404, true, "status 404")     // negative hit
+	row("http://h/gone", 410, true, "status 410")     // negative hit
+	row("http://h/missing", 404, false, "status 404") // fetched, failed
+	row("http://h/down", 0, false, "connection refused")
+
+	s := r.Stats()
+	if s.Requests != 7 || s.CacheHits != 1 || s.Failed != 4 || s.NegativeHits != 2 || s.FailedDocuments != 4 {
+		t.Fatalf("stats = %+v", s)
+	}
+	if fetched := s.Requests - s.CacheHits - s.Failed; fetched != 2 {
+		t.Errorf("Requests - CacheHits - Failed = %d, want the 2 documents the network delivered", fetched)
+	}
+	// One negative hit adds exactly one request and one failure.
+	row("http://h/dead", 404, true, "status 404")
+	if n := r.Stats(); n.Requests != s.Requests+1 || n.Failed != s.Failed+1 ||
+		n.CacheHits != s.CacheHits || n.NegativeHits != s.NegativeHits+1 || n.FailedDocuments != s.FailedDocuments {
+		t.Errorf("after one more negative hit: %+v, before: %+v", n, s)
+	}
+}
+
+func TestHostAndPod(t *testing.T) {
+	for u, want := range map[string]string{
+		"http://h:8080/pods/0007/posts/a": "h:8080/pods/0007",
+		"http://h/pods/1":                 "h/pods/1",
+		"http://h/pods/":                  "h/pods/",
+		"http://h/pods":                   "h",
+		"http://h/www.ldbc.eu/vocabulary": "h",
+		"https://h":                       "h",
+		"h/pods/2/x":                      "h/pods/2",
+		"":                                "",
+	} {
+		if got := hostAndPod(u); got != want {
+			t.Errorf("hostAndPod(%q) = %q, want %q", u, got, want)
+		}
+	}
+}
+
+// Stats costs a fixed number of allocations — the copy of the rows, the sweep
+// of their ends and two maps — not two per request for the pod prefix.
+func TestStatsAllocations(t *testing.T) {
+	r := NewRecorder()
+	const requests = 128
+	for i := 0; i < requests; i++ {
+		parent := ""
+		if i > 0 {
+			parent = fmt.Sprintf("http://h/pods/%d/doc%d", (i-1)%4, i-1)
+		}
+		record(r, fmt.Sprintf("http://h/pods/%d/doc%d", i%4, i), parent, i, 3, 200, 100)
+	}
+	if s := r.Stats(); s.Requests != requests || s.DistinctHosts != 4 || s.MaxParallel != 3 || s.MaxDepth != requests-1 {
+		t.Fatalf("stats = %+v", s)
+	}
+	// Measured 5: two slices, the presized per-document map and its buckets,
+	// the host map. The rest is room for a map to grow differently.
+	const limit = 8
+	if got := testing.AllocsPerRun(50, func() { r.Stats() }); got > limit {
+		t.Errorf("Stats over %d requests: %.0f allocations, want at most %d", requests, got, limit)
+	}
+	if got := testing.AllocsPerRun(50, func() { r.PodsTouched() }); got > limit {
+		t.Errorf("PodsTouched over %d requests: %.0f allocations, want at most %d", requests, got, limit)
 	}
 }

@@ -65,7 +65,9 @@ const (
 	// time, and error if any.
 	EventQueryFinished EventKind = "query_finished"
 	// EventCacheHit records a dereference served fresh from the shared
-	// document cache without a network request. (Additive to schema 1.)
+	// document cache without a network request; a Status (404/410) marks a
+	// negative hit, the cached absence of the document. (Additive to
+	// schema 1.)
 	EventCacheHit EventKind = "cache_hit"
 	// EventCacheRevalidated records a stale shared-cache entry refreshed by
 	// a conditional request; Status 304 means the cached parse was kept,

@@ -45,6 +45,8 @@ type ServingHealth struct {
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 	CacheHits     int64   `json:"cache_hits"`
 	CacheMisses   int64   `json:"cache_misses"`
+	// CacheNegativeHits counts dead links answered from a cached 404/410.
+	CacheNegativeHits int64 `json:"cache_negative_hits"`
 	// CacheBytes / CacheDocuments are the cache's current occupancy.
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheDocuments int   `json:"cache_documents"`

@@ -37,6 +37,7 @@ type Metrics struct {
 	// cache with revalidation, singleflight dereference dedup, admission
 	// control and the result cache.
 	SharedCacheHits          *Counter
+	SharedCacheNegativeHits  *Counter
 	SharedCacheMisses        *Counter
 	SharedCacheRevalidations *Counter // conditional refetches issued for stale entries
 	SharedCacheNotModified   *Counter // revalidations answered 304 (cached copy kept)
@@ -101,6 +102,7 @@ func NewMetrics(r *Registry) *Metrics {
 		ResultsEmitted: r.Counter("ltqp_results_total", "Solutions streamed to clients."),
 
 		SharedCacheHits:          r.Counter("ltqp_shared_cache_hits_total", "Dereferences served fresh from the shared document cache."),
+		SharedCacheNegativeHits:  r.Counter("ltqp_shared_cache_negative_hits_total", "Dereferences of documents that do not exist (404/410) answered from the shared document cache."),
 		SharedCacheMisses:        r.Counter("ltqp_shared_cache_misses_total", "Dereferences the shared document cache had no entry for."),
 		SharedCacheRevalidations: r.Counter("ltqp_shared_cache_revalidations_total", "Conditional refetches issued for stale shared-cache entries."),
 		SharedCacheNotModified:   r.Counter("ltqp_shared_cache_not_modified_total", "Revalidations answered 304 Not Modified (cached parse kept)."),

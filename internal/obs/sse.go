@@ -96,21 +96,35 @@ func (s *EventStream) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	defer ticker.Stop()
 
 	enc := json.NewEncoder(w)
+	send := func(ev Event) bool {
+		fmt.Fprintf(w, "event: %s\ndata: ", ev.Kind)
+		if err := enc.Encode(ev); err != nil {
+			return false
+		}
+		fmt.Fprint(w, "\n")
+		flusher.Flush()
+		return true
+	}
 	for {
 		select {
 		case ev := <-sub.C:
-			fmt.Fprintf(w, "event: %s\ndata: ", ev.Kind)
-			if err := enc.Encode(ev); err != nil {
+			if !send(ev) {
 				return
 			}
-			fmt.Fprint(w, "\n")
-			flusher.Flush()
 		case <-ticker.C:
 			fmt.Fprint(w, ": keepalive\n\n")
 			flusher.Flush()
 		case <-req.Context().Done():
 			return
 		case <-s.done:
+			// select takes any ready arm: events published before the
+			// shutdown can still be buffered. They go out before the close
+			// (this handler is the subscription's only reader).
+			for len(sub.C) > 0 {
+				if !send(<-sub.C) {
+					return
+				}
+			}
 			if n := sub.Dropped(); n > 0 {
 				fmt.Fprintf(w, ": closing, %d events dropped\n\n", n)
 			} else {

@@ -9,7 +9,10 @@
 //     GET (a 304 keeps the cached Result, segment included), the whole cache
 //     is bounded by a byte budget with LRU eviction,
 //     and an epoch counter invalidates everything at once without dropping
-//     validators (post-bump accesses revalidate instead of refetching).
+//     validators (post-bump accesses revalidate instead of refetching). A
+//     document the origin says does not exist (404/410) is an entry too — a
+//     negative one, holding the error — so a dead link costs one request per
+//     TTL, not one per query.
 //   - Singleflight dereference dedup, built into SharedCache: N concurrent
 //     queries dereferencing the same IRI issue exactly one upstream fetch
 //     and share the parsed document.
@@ -28,6 +31,8 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,22 +87,47 @@ type SharedCache struct {
 	bytes   int64
 	flights map[string]*flight
 
-	hits, misses, revalidations, notModified, evictions, dedups atomic.Int64
+	// hits counts documents served; a negative entry served counts in
+	// negativeHits only.
+	hits, negativeHits, misses, revalidations, notModified, evictions, dedups atomic.Int64
 	// duplicateInflight counts violations of the singleflight invariant
 	// (two live fetches for one key). It is structurally impossible and
 	// asserted at runtime so load harnesses can prove it stayed zero.
 	duplicateInflight atomic.Int64
 }
 
-// sharedEntry is one cached document.
+// sharedEntry is one cached document, or (negative) the cached absence of one.
 type sharedEntry struct {
-	key     string
+	key, url string
+	// Exactly one of res and gone is set: the document, or the terminal
+	// 404/410 the origin answered in its place.
 	res     *deref.Result
+	gone    *deref.Error
 	fetched time.Time // when the entry was fetched or last revalidated
 	epoch   uint64    // invalidation epoch the entry is valid for
 	// cost is the body size: the budget's proxy for what the entry retains
-	// (parsed triples plus a segment of at most about as much again).
+	// (parsed triples plus a segment of at most about as much again);
+	// negativeCost for a negative entry.
 	cost int64
+}
+
+// negativeCost is what a negative entry counts against the byte budget:
+// about what its key, error and bookkeeping retain, and not zero, so dead
+// links are held to the budget like documents are: a pod minting them fills
+// no more of the cache than the same bytes of documents would.
+const negativeCost = 256
+
+// gone returns err as the error a negative entry holds, nil if err is not
+// one: only the origin's plain answer that the document does not exist is
+// kept. Refusals (401/403), rate limits, server and transport failures and
+// unreadable bodies or documents say nothing about the next request.
+func gone(err error) *deref.Error {
+	var de *deref.Error
+	if errors.As(err, &de) && de.Err == nil && !de.Retryable &&
+		(de.Status == http.StatusNotFound || de.Status == http.StatusGone) {
+		return de
+	}
+	return nil
 }
 
 // NewSharedCache builds a shared document cache.
@@ -123,37 +153,53 @@ func NewSharedCache(o SharedCacheOptions) *SharedCache {
 	}
 }
 
+// Lookup implements deref.SharedCache: answer key from a fresh entry, the
+// document or, from a negative entry, the error kept in its place. hit is
+// false when there is no entry or it is stale (TTL elapsed or epoch bumped).
+func (c *SharedCache) Lookup(ctx context.Context, key, url string) (res *deref.Result, hit bool, err error) {
+	epoch, now := c.epoch.Load(), c.now()
+	c.mu.Lock()
+	el, ok := c.entries[key]
+	var e *sharedEntry
+	if ok {
+		e = el.Value.(*sharedEntry)
+	}
+	// A negative TTL is never met: every access revalidates.
+	if e == nil || e.epoch != epoch || now.Sub(e.fetched) > c.ttl {
+		c.mu.Unlock()
+		return nil, false, nil
+	}
+	c.lru.MoveToFront(el)
+	res, neg := e.res, e.gone
+	c.mu.Unlock()
+	status := 0 // of a negative hit, in its cache_hit event
+	if neg != nil {
+		c.negativeHits.Add(1)
+		obs.On(c.obs).SharedCacheNegativeHits.Inc()
+		status, err = neg.Status, neg
+	} else {
+		c.hits.Add(1)
+		obs.On(c.obs).SharedCacheHits.Inc()
+	}
+	if c.events.Active() {
+		c.events.Publish(obs.Event{Kind: obs.EventCacheHit, URL: url, Status: status,
+			Query: obs.QueryIDFromContext(ctx)})
+	}
+	return res, true, err
+}
+
 // Dereference implements deref.SharedCache: serve key from cache when
 // fresh, revalidate stale entries with a conditional fetch, collapse
-// concurrent fetches of the same key into one, and account everything.
+// concurrent fetches of the same key into one, and account everything. An
+// error comes with hit set when it is a negative entry's, served from the
+// cache or shared from the flight that stored it.
 func (c *SharedCache) Dereference(ctx context.Context, key, url string, fetch deref.FetchFunc) (*deref.Result, bool, error) {
 	for {
-		epoch := c.epoch.Load()
-		now := c.now()
-
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			e := el.Value.(*sharedEntry)
-			// A negative TTL is never met: every access revalidates.
-			if e.epoch == epoch && now.Sub(e.fetched) <= c.ttl {
-				c.lru.MoveToFront(el)
-				res := e.res
-				c.mu.Unlock()
-				c.hits.Add(1)
-				obs.On(c.obs).SharedCacheHits.Inc()
-				if c.events.Active() {
-					c.events.Publish(obs.Event{Kind: obs.EventCacheHit, URL: url,
-						Query: obs.QueryIDFromContext(ctx)})
-				}
-				return res, true, nil
-			}
-			// Stale (TTL elapsed or epoch bumped): fall through to a
-			// singleflight revalidation.
+		if res, hit, err := c.Lookup(ctx, key, url); hit {
+			return res, true, err
 		}
-		c.mu.Unlock()
-
 		res, shared, err := c.do(ctx, key, func() (*deref.Result, error) {
-			return c.refresh(ctx, key, url, fetch, epoch)
+			return c.refresh(ctx, key, url, fetch)
 		})
 		if err != nil {
 			// A follower whose leader was cancelled retries as its own
@@ -161,7 +207,7 @@ func (c *SharedCache) Dereference(ctx context.Context, key, url string, fetch de
 			if shared && ctx.Err() == nil && isContextErr(err) {
 				continue
 			}
-			return nil, false, err
+			return nil, shared && gone(err) != nil, err
 		}
 		return res, shared, nil
 	}
@@ -169,14 +215,15 @@ func (c *SharedCache) Dereference(ctx context.Context, key, url string, fetch de
 
 // refresh is the singleflight leader's work: fetch or revalidate key and
 // update the cache. Called with no locks held.
-func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.FetchFunc, epoch uint64) (*deref.Result, error) {
+func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.FetchFunc) (*deref.Result, error) {
+	// A stale negative entry has nothing to revalidate: it is fetched in
+	// full, like a key never seen.
 	var vals deref.Validators
 	var stale *deref.Result
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*sharedEntry)
-		vals = e.res.Validators
-		stale = e.res
+	if el, ok := c.entries[key]; ok && el.Value.(*sharedEntry).res != nil {
+		stale = el.Value.(*sharedEntry).res
+		vals = stale.Validators
 	}
 	c.mu.Unlock()
 
@@ -190,8 +237,16 @@ func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.
 
 	res, err := fetch(ctx, vals)
 	if err != nil {
-		// The stale entry survives: a later request retries the
-		// revalidation, and a bumped epoch still invalidates it.
+		// The origin's word that the document does not exist replaces
+		// whatever the key held. Any other failure leaves a stale entry be:
+		// a later request retries the revalidation, and a bumped epoch still
+		// invalidates it.
+		if neg := gone(err); neg != nil {
+			c.mu.Lock()
+			c.insertLocked(&sharedEntry{key: key, url: url, gone: neg, cost: negativeCost}, c.now())
+			c.mu.Unlock()
+			c.publishGauges()
+		}
 		return nil, err
 	}
 
@@ -206,7 +261,7 @@ func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.
 			c.lru.MoveToFront(el)
 		} else {
 			// Evicted while we revalidated: reinstate the stale parse.
-			c.insertLocked(key, stale, now)
+			c.insertLocked(&sharedEntry{key: key, url: url, res: stale, cost: stale.Bytes}, now)
 		}
 		c.mu.Unlock()
 		c.notModified.Add(1)
@@ -220,7 +275,7 @@ func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.
 	}
 
 	c.mu.Lock()
-	c.insertLocked(key, res, now)
+	c.insertLocked(&sharedEntry{key: key, url: url, res: res, cost: res.Bytes}, now)
 	c.mu.Unlock()
 	c.publishGauges()
 	if stale != nil && c.events.Active() {
@@ -230,25 +285,21 @@ func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.
 	return res, nil
 }
 
-// insertLocked stores res under key and evicts LRU entries past the byte
-// budget. Caller holds c.mu.
-func (c *SharedCache) insertLocked(key string, res *deref.Result, now time.Time) {
-	cost := res.Bytes
-	if cost < 1 {
-		cost = 1
-	}
-	if cost > c.maxBytes {
+// insertLocked stores e, fetched now, in place of whatever its key held and
+// evicts LRU entries past the byte budget. Caller holds c.mu.
+func (c *SharedCache) insertLocked(e *sharedEntry, now time.Time) {
+	e.cost = max(e.cost, 1)
+	if e.cost > c.maxBytes {
 		return // a document larger than the whole budget is never cached
 	}
-	if el, ok := c.entries[key]; ok {
-		old := el.Value.(*sharedEntry)
-		c.bytes -= old.cost
+	if el, ok := c.entries[e.key]; ok {
+		c.bytes -= el.Value.(*sharedEntry).cost
 		c.lru.Remove(el)
-		delete(c.entries, key)
+		delete(c.entries, e.key)
 	}
-	e := &sharedEntry{key: key, res: res, fetched: now, epoch: c.epoch.Load(), cost: cost}
-	c.entries[key] = c.lru.PushFront(e)
-	c.bytes += cost
+	e.fetched, e.epoch = now, c.epoch.Load()
+	c.entries[e.key] = c.lru.PushFront(e)
+	c.bytes += e.cost
 	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		last := c.lru.Back()
 		victim := last.Value.(*sharedEntry)
@@ -258,8 +309,7 @@ func (c *SharedCache) insertLocked(key string, res *deref.Result, now time.Time)
 		c.evictions.Add(1)
 		obs.On(c.obs).SharedCacheEvictions.Inc()
 		if c.events.Active() {
-			c.events.Publish(obs.Event{Kind: obs.EventCacheEvicted, URL: victim.res.URL,
-				Bytes: victim.cost})
+			c.events.Publish(obs.Event{Kind: obs.EventCacheEvicted, URL: victim.url, Bytes: victim.cost})
 		}
 	}
 }
@@ -308,7 +358,10 @@ func (c *SharedCache) Bytes() int64 {
 
 // CacheStats is a point-in-time snapshot of the shared cache's counters.
 type CacheStats struct {
-	Hits          int64  `json:"hits"`
+	Hits int64 `json:"hits"`
+	// NegativeHits counts dereferences answered from a negative entry: the
+	// cached 404/410 of a document that does not exist. Not part of Hits.
+	NegativeHits  int64  `json:"negative_hits"`
 	Misses        int64  `json:"misses"`
 	Revalidations int64  `json:"revalidations"`
 	NotModified   int64  `json:"not_modified"`
@@ -340,6 +393,7 @@ func (c *SharedCache) Stats() CacheStats {
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:              c.hits.Load(),
+		NegativeHits:      c.negativeHits.Load(),
 		Misses:            c.misses.Load(),
 		Revalidations:     c.revalidations.Load(),
 		NotModified:       c.notModified.Load(),

@@ -22,8 +22,9 @@ type flight struct {
 
 // do runs fn under singleflight for key. The second return reports whether
 // this caller shared another flight's outcome (joined as a follower) —
-// those count as dedups and, on success, as cache hits for the caller's
-// accounting, since no network request of their own was issued.
+// those count as dedups and, on success or when the flight found the
+// document not to exist, as hits for the caller's accounting, since no
+// network request of their own was issued.
 //
 // A follower never inherits its leader's context: if the follower's own ctx
 // dies while waiting, it returns that error; if the leader died of context

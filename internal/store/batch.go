@@ -16,7 +16,7 @@ import (
 
 // scanLockedIdx advances the cursor to the next match and additionally
 // returns the triple's index into the store's triples/sources arrays, so
-// batch scans can attach provenance without a seen-map lookup. Caller holds
+// batch scans can attach provenance without looking the triple up. Caller holds
 // store.mu.
 func (it *Iterator) scanLockedIdx() (rdf.IDTriple, int32, bool) {
 	return it.scanIn(it.candidatesLocked())
@@ -84,7 +84,7 @@ func (it *Iterator) NextBatch(ctx context.Context, ids []rdf.IDTriple, srcs []rd
 			}
 			ids[n] = t
 			if srcs != nil {
-				srcs[n] = s.sources[idx]
+				srcs[n] = s.sourceLocked(idx)
 			}
 			n++
 		}

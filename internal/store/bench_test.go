@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ltqp/internal/rdf"
@@ -105,4 +106,25 @@ func BenchmarkConcurrentAddAndMatch(b *testing.B) {
 			b.Fatalf("reader saw %d", n)
 		}
 	}
+}
+
+// BenchmarkAddEncoded attaches 20-triple segments to one store, the ingest of
+// a warm query: no index but the predicate's exists, because nothing probes
+// while the benchmark runs. B/triple is what the store allocated per triple
+// it kept, growth slack included.
+func BenchmarkAddEncoded(b *testing.B) {
+	const perDoc = 20
+	ids := make([]rdf.IDTriple, perDoc)
+	var m0, m1 runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&m0)
+	s := New()
+	for d := 0; d < b.N; d++ {
+		for i := range ids {
+			ids[i] = rdf.IDTriple{S: rdf.TermID(1000 + d*4 + i/5), P: rdf.TermID(1 + i%7), O: rdf.TermID(1<<20 + d*perDoc + i)}
+		}
+		s.AddEncoded("http://pod/doc", rdf.TermID(1+d), ids)
+	}
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N*perDoc), "B/triple")
 }

@@ -1,5 +1,7 @@
 package store
 
+import "ltqp/internal/rdf"
+
 // postings is one pattern index: for every key, the ascending list of
 // positions (into Store.triples) of the triples carrying that key. All five
 // of the store's indexes use it; TermID keys are widened to uint64 so the
@@ -107,4 +109,49 @@ func (ps *postings) list(key uint64) []int32 {
 		return p.run
 	}
 	return p.inline[:p.n]
+}
+
+// positions finds a triple's position in Store.triples: the store's dedup
+// set and the way into its provenance. It is an open-addressing table of
+// position+1 (0: empty) hashed on (S,P,O); the key of a slot is the triple at
+// that position, so the table holds four bytes per slot and no second copy of
+// any triple. Every triple of the store is in it, and nothing else.
+type positions struct{ slots []int32 }
+
+func hashTriple(t rdf.IDTriple) uint64 {
+	h := (t.SP() ^ uint64(t.O)*0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
+	return h ^ h>>32
+}
+
+// find returns the position of t among triples, or the empty slot where its
+// position belongs (reserve keeps one free).
+func (ps *positions) find(triples []rdf.IDTriple, t rdf.IDTriple) (pos int32, slot int, ok bool) {
+	mask := len(ps.slots) - 1
+	for slot = int(hashTriple(t)) & mask; ; slot = (slot + 1) & mask {
+		v := ps.slots[slot]
+		if v == 0 {
+			return 0, slot, false
+		}
+		if triples[v-1] == t {
+			return v - 1, slot, true
+		}
+	}
+}
+
+// reserve makes room for extra more triples at a load of at most 3/4,
+// re-placing the current ones in one pass when the table has to grow. Sizes
+// are powers of two, from the store's first.
+func (ps *positions) reserve(triples []rdf.IDTriple, extra int) {
+	size := len(ps.slots)
+	for 4*(len(triples)+extra) > 3*size {
+		size *= 2
+	}
+	if size == len(ps.slots) {
+		return
+	}
+	ps.slots = make([]int32, size)
+	for i, t := range triples {
+		_, slot, _ := ps.find(triples, t)
+		ps.slots[slot] = int32(i) + 1
+	}
 }

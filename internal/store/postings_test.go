@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ltqp/internal/rdf"
@@ -41,11 +42,13 @@ func constPattern(t rdf.IDTriple, s, p, o bool) idPattern {
 
 // TestPostingsMatchReferenceIndexes drives random ID triples through the
 // store and a map[K][]int32 reference side by side and compares the
-// candidate list of every index shape — S, P, O and the lazily built SP and
-// PO, first probed mid-stream so both their bulk build and their
-// incremental maintenance are covered — while a live iterator drains one
-// pattern concurrently (run under -race). Keys are drawn from small ranges
-// so lists outgrow the inline slots and several arena runs.
+// candidate list of every index shape — P, and the four built on demand (S,
+// O, SP, PO), each first probed at a different point mid-stream so both its
+// bulk build and its incremental maintenance are covered — while live
+// iterators drain a predicate from the start and a subject and an object
+// from mid-stream, concurrently with the ingest (run under -race). Keys are
+// drawn from small ranges so lists outgrow the inline slots and several
+// arena runs.
 func TestPostingsMatchReferenceIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New()
@@ -54,50 +57,66 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 	const docs, perDoc = 120, 60
 	term := func(n int) rdf.TermID { return rdf.TermID(1 + rng.Intn(n)) }
 
-	// The live reader: everything with predicate 1, counted to the end.
-	livePattern := constPattern(rdf.IDTriple{P: 1}, false, true, false)
-	live := &Iterator{store: s, pattern: livePattern}
-	drained := make(chan int)
-	go func() {
-		n := 0
-		buf := make([]rdf.IDTriple, 16)
-		for {
-			k, ok := live.NextBatch(context.Background(), buf, nil)
-			if !ok {
-				break
-			}
-			for _, tr := range buf[:k] {
-				if tr.P != 1 {
-					t.Errorf("live iterator yielded %v for predicate 1", tr)
+	// drain counts what a live iterator over pat yields until the store
+	// closes, checking every triple against keep and the order of arrival
+	// against the store's insertion order.
+	drain := func(pat idPattern, keep func(rdf.IDTriple) bool) chan int {
+		live := &Iterator{store: s, pattern: pat}
+		drained := make(chan int)
+		go func() {
+			n := 0
+			buf := make([]rdf.IDTriple, 16)
+			for {
+				k, ok := live.NextBatch(context.Background(), buf, nil)
+				if !ok {
+					break
 				}
+				for _, tr := range buf[:k] {
+					if !keep(tr) {
+						t.Errorf("live iterator over %+v yielded %v", pat.id, tr)
+					}
+				}
+				n += k
 			}
-			n += k
-		}
-		drained <- n
-	}()
+			drained <- n
+		}()
+		return drained
+	}
+	// The live reader from the start: everything with predicate 1.
+	byP := drain(constPattern(rdf.IDTriple{P: 1}, false, true, false), func(tr rdf.IDTriple) bool { return tr.P == 1 })
+	var byS, byO chan int
 
-	probe := func(composite bool) {
+	// Each on-demand index is first probed once this many documents are in.
+	firstProbe := map[string]int{"S": docs / 4, "SP": docs / 3, "O": docs / 2, "PO": 2 * docs / 3}
+	built := func() map[string]bool {
+		return map[string]bool{"S": s.bySubject != nil, "O": s.byObject != nil, "SP": s.bySP != nil, "PO": s.byPO != nil}
+	}
+	probe := func(d int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		for name, is := range built() {
+			if is && d < firstProbe[name] {
+				t.Fatalf("%s index exists after %d documents, before anything probed its shape", name, d)
+			}
+		}
 		for n := 0; n < 40; n++ {
 			t0 := rdf.IDTriple{S: term(40), P: term(6), O: term(300)}
 			if len(s.triples) > 0 && n%2 == 0 {
 				t0 = s.triples[rng.Intn(len(s.triples))] // a key that is present
 			}
 			shapes := []struct {
-				name        string
-				pat         idPattern
-				want        []int32
-				isComposite bool
+				name string
+				pat  idPattern
+				want []int32
 			}{
-				{"S", constPattern(t0, true, false, false), ref.s[t0.S], false},
-				{"P", constPattern(t0, false, true, false), ref.p[t0.P], false},
-				{"O", constPattern(t0, false, false, true), ref.o[t0.O], false},
-				{"SP", constPattern(t0, true, true, false), ref.sp[t0.SP()], true},
-				{"PO", constPattern(t0, false, true, true), ref.po[t0.PO()], true},
+				{"S", constPattern(t0, true, false, false), ref.s[t0.S]},
+				{"P", constPattern(t0, false, true, false), ref.p[t0.P]},
+				{"O", constPattern(t0, false, false, true), ref.o[t0.O]},
+				{"SP", constPattern(t0, true, true, false), ref.sp[t0.SP()]},
+				{"PO", constPattern(t0, false, true, true), ref.po[t0.PO()]},
 			}
 			for _, sh := range shapes {
-				if sh.isComposite && !composite {
+				if d < firstProbe[sh.name] {
 					continue
 				}
 				got := s.candidates(&sh.pat)
@@ -113,6 +132,14 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 	}
 
 	for d := 0; d < docs; d++ {
+		// Live readers whose first batch is the first probe of S and of O:
+		// they see what the build indexed, then what ingest keeps adding.
+		if d == firstProbe["S"] {
+			byS = drain(constPattern(rdf.IDTriple{S: 1}, true, false, false), func(tr rdf.IDTriple) bool { return tr.S == 1 })
+		}
+		if d == firstProbe["O"] {
+			byO = drain(constPattern(rdf.IDTriple{O: 1}, false, false, true), func(tr rdf.IDTriple) bool { return tr.O == 1 })
+		}
 		ids := make([]rdf.IDTriple, perDoc)
 		for i := range ids {
 			ids[i] = rdf.IDTriple{S: term(40), P: term(6), O: term(300)}
@@ -126,15 +153,134 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 			ref.add(s.triples[i], int32(i))
 		}
 		s.mu.Unlock()
-		// SP and PO stay unbuilt for the first third of the stream.
-		probe(d >= docs/3)
+		probe(d)
 	}
-	if s.bySP == nil || s.byPO == nil {
-		t.Fatal("composite indexes were never built")
+	for name, is := range built() {
+		if !is {
+			t.Fatalf("%s index was never built", name)
+		}
 	}
 	s.Close()
-	if got, want := <-drained, len(ref.p[1]); got != want {
-		t.Errorf("live iterator drained %d triples with predicate 1, reference has %d", got, want)
+	for name, live := range map[string]struct {
+		got  chan int
+		want int
+	}{"predicate 1": {byP, len(ref.p[1])}, "subject 1": {byS, len(ref.s[1])}, "object 1": {byO, len(ref.o[1])}} {
+		if got := <-live.got; got != live.want {
+			t.Errorf("live iterator drained %d triples with %s, reference has %d", got, name, live.want)
+		}
+	}
+}
+
+// The position table is the store's set of triples and its way to their
+// provenance: duplicates within a document and across documents are dropped,
+// the first contributor keeps the attribution, and both hold while the table
+// is re-placed many times over as documents attach.
+func TestPositionsDedupAndFirstContributor(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := New()
+	doc := func(d int) rdf.Term { return rdf.NewIRI("http://pod/doc" + strconv.Itoa(d)) }
+	term := func(n int) rdf.Term { return rdf.NewIRI("http://x/t" + strconv.Itoa(rng.Intn(n))) }
+	first := map[rdf.Triple]int{} // triple -> the document that brought it first
+	var sizes []int
+	const docs = 400
+	for d := 0; d < docs; d++ {
+		src := s.dict.Intern(doc(d))
+		ids := make([]rdf.IDTriple, 0, 24)
+		fresh := 0
+		for i := 0; i < 20; i++ {
+			// A small key space: a third of the triples repeat an earlier
+			// document's.
+			tr := rdf.NewTriple(term(300), term(5), term(40))
+			if _, dup := first[tr]; !dup {
+				first[tr] = d
+				fresh++
+			}
+			ids = append(ids, s.dict.InternTriple(tr))
+		}
+		ids = append(ids, ids[0], ids[7], ids[0]) // and repeats within the document
+		if got := s.AddEncoded(doc(d).Value, src, ids); got != fresh {
+			t.Fatalf("document %d: AddEncoded = %d new triples, want %d", d, got, fresh)
+		}
+		if n := len(s.seen.slots); len(sizes) == 0 || sizes[len(sizes)-1] != n {
+			sizes = append(sizes, n)
+		}
+	}
+	held := 0
+	for _, v := range s.seen.slots {
+		if v != 0 {
+			held++
+		}
+	}
+	if s.Len() != len(first) || held != len(first) {
+		t.Fatalf("Len = %d, table holds %d, want %d distinct triples", s.Len(), held, len(first))
+	}
+	if len(sizes) < 4 {
+		t.Fatalf("table sizes %v: the test must cross several re-placements", sizes)
+	}
+	if 4*held > 3*len(s.seen.slots) {
+		t.Errorf("table load %d/%d exceeds 3/4", held, len(s.seen.slots))
+	}
+	if len(s.origins) > docs {
+		t.Errorf("%d provenance runs for %d documents", len(s.origins), docs)
+	}
+	for tr, d := range first {
+		it, _ := s.dict.LookupTriple(tr)
+		pos, _, ok := s.seen.find(s.triples, it)
+		if !ok || s.triples[pos] != it {
+			t.Fatalf("triple %v: find = %d, %v", tr, pos, ok)
+		}
+		if src, ok := s.Source(tr); !ok || src != doc(d) {
+			t.Fatalf("Source(%v) = %v, %v; first contributor was document %d", tr, src, ok, d)
+		}
+	}
+	absent := rdf.NewTriple(rdf.NewIRI("http://x/t0"), rdf.NewIRI("http://x/t1"), rdf.NewIRI("http://x/never"))
+	if _, ok := s.Source(absent); ok {
+		t.Error("Source found a triple nobody added")
+	}
+}
+
+// Attaching a document to a store that is in use costs a bounded number of
+// allocations, not one per triple or per key: nothing is allocated but the
+// occasional doubling of the triple array, the position table, an index map
+// or slab, and a fresh arena chunk. Nobody probed S or O, so those two
+// indexes do not exist and cost nothing.
+func TestAttachAllocations(t *testing.T) {
+	const perDoc, warm, runs = 20, 100, 200
+	s := New()
+	segment := func(d int) []rdf.IDTriple {
+		ids := make([]rdf.IDTriple, perDoc)
+		for i := range ids {
+			// A document's own subject with a handful of properties.
+			ids[i] = rdf.IDTriple{S: rdf.TermID(1000 + d*4 + i/5), P: rdf.TermID(1 + i%7), O: rdf.TermID(100000 + d*perDoc + i)}
+		}
+		return ids
+	}
+	var segs [][]rdf.IDTriple
+	var names []string
+	for d := 0; d < warm+runs+1; d++ {
+		segs = append(segs, segment(d))
+		names = append(names, "http://pod/doc"+strconv.Itoa(d))
+	}
+	for d := 0; d < warm; d++ {
+		s.AddEncoded(names[d], rdf.TermID(d+1), segs[d])
+	}
+	// What a star join over the store has probed by now.
+	s.CountNow(rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewVar("o")))
+	s.CountNow(rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o")))
+	if s.bySP == nil || s.byPO == nil || s.bySubject != nil || s.byObject != nil {
+		t.Fatal("want SP and PO built, S and O not")
+	}
+	d := warm
+	perAttach := testing.AllocsPerRun(runs, func() {
+		if s.AddEncoded(names[d], rdf.TermID(d+1), segs[d]) != perDoc {
+			t.Fatal("segment not new")
+		}
+		d++
+	})
+	// Measured: fewer than one (AllocsPerRun reports the whole part, 0).
+	const limit = 1
+	if perAttach > limit {
+		t.Errorf("attaching a %d-triple segment: %.2f allocations on average, want at most %d", perDoc, perAttach, limit)
 	}
 }
 

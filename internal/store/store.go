@@ -9,9 +9,10 @@
 // dereferenced, as described in the paper's architecture (Fig. 1).
 //
 // Internally the store is dictionary-encoded: every term is interned in an
-// engine-scoped rdf.Dict, triples are stored and deduplicated as 12-byte
-// rdf.IDTriple values, and the pattern indexes are keyed by integer TermIDs
-// (plus uint64 composite keys for the two-constant (s,p) and (p,o) shapes).
+// engine-scoped rdf.Dict, triples are stored once as 12-byte rdf.IDTriple
+// values and deduplicated through a table of their positions, and the pattern
+// indexes are keyed by integer TermIDs (plus uint64 composite keys for the
+// two-constant (s,p) and (p,o) shapes).
 // The hot ingest and match paths therefore hash and compare small integers
 // instead of lexical strings; terms are decoded back to rdf.Term only at
 // the iterator emission boundary.
@@ -19,6 +20,8 @@ package store
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 
 	"ltqp/internal/rdf"
@@ -40,20 +43,27 @@ type Store struct {
 	dict *rdf.Dict
 
 	triples []rdf.IDTriple
-	sources []rdf.TermID // sources[i] is the document triples[i] came from
-	seen    map[rdf.IDTriple]int32
+	// seen finds a triple's position in triples (see postings.go).
+	seen positions
+	// origins attributes triples to the documents that contributed them
+	// first: the triples from origins[k].from up to origins[k+1].from came
+	// from origins[k].src. A document is one entry, not one per triple.
+	origins []origin
 
 	// The pattern indexes (see postings.go for their layout); runs is the
-	// arena their longer lists share.
-	bySubject, byPredicate, byObject *postings
-	// Composite two-constant indexes: star joins overwhelmingly probe the
-	// (?s, p, o) and (s, p, ?o) shapes, which these answer exactly instead
-	// of filtering a one-constant candidate list. They are built lazily on
-	// the first probe of their shape (nil until then), so pure ingest never
-	// pays their per-triple cost; once built they are maintained on every
-	// add.
-	bySP, byPO *postings
-	runs       arena
+	// arena their longer lists share. Nearly every pattern names a predicate,
+	// so byPredicate is maintained from the start.
+	byPredicate *postings
+	// The other indexes exist once somebody reads them: each is nil until
+	// the first probe of its shape builds it from the triples held then, and
+	// is maintained on every add from there on. Star joins probe the
+	// (s, p, ?o) and (?s, p, o) shapes, which bySP and byPO answer exactly;
+	// most queries never probe bySubject or byObject, and pure ingest pays
+	// for none of the four.
+	bySubject, byObject, bySP, byPO *postings
+	runs                            arena
+	// perTriple is the ledger's charge for a new triple and its postings.
+	perTriple int64
 
 	closed    bool
 	documents map[string]bool // document IRIs ingested
@@ -65,14 +75,19 @@ type Store struct {
 	ledger *resource.Ledger
 }
 
+// origin starts a run of triples contributed by one document.
+type origin struct {
+	from int32
+	src  rdf.TermID
+}
+
 // Estimated retained bytes per distinct triple: the 12-byte IDTriple, its
-// 4-byte source entry, the seen-map entry (~28 bytes of key+value+bucket
-// overhead), and one 4-byte posting in each of the three single-constant
-// indexes. Composite (SP/PO) postings are charged separately when those
-// indexes exist.
+// slot in the position table (4 bytes at a load between 3/8 and 3/4) and its
+// 4-byte predicate posting. A posting in each index built on demand is
+// charged on top while that index exists.
 const (
-	bytesPerTriple           = 12 + 4 + 28 + 3*4
-	bytesPerCompositePosting = 4
+	bytesPerTriple  = 12 + 8 + 4
+	bytesPerPosting = 4
 )
 
 // New returns an empty open store with its own private term dictionary.
@@ -87,12 +102,11 @@ func New() *Store {
 func NewWithDict(dict *rdf.Dict) *Store {
 	s := &Store{
 		dict:      dict,
-		seen:      make(map[rdf.IDTriple]int32),
 		documents: make(map[string]bool),
+		seen:      positions{slots: make([]int32, 64)},
+		perTriple: bytesPerTriple,
 	}
-	s.bySubject = newPostings(&s.runs, 0)
 	s.byPredicate = newPostings(&s.runs, 0)
-	s.byObject = newPostings(&s.runs, 0)
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -119,39 +133,57 @@ func (s *Store) Add(t rdf.Triple, source rdf.Term) bool {
 	src := s.dict.Intern(source)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if !s.addLocked(it, src) {
-		return false
-	}
-	s.cond.Broadcast()
-	return true
+	return s.addLocked(src, it) == 1
 }
 
-// addLocked inserts one interned triple. Caller holds s.mu.
-func (s *Store) addLocked(t rdf.IDTriple, src rdf.TermID) bool {
-	if _, dup := s.seen[t]; dup {
-		return false
+// addLocked inserts the interned triples ids, contributed by document src,
+// and returns how many were new. Caller holds s.mu.
+func (s *Store) addLocked(src rdf.TermID, ids ...rdf.IDTriple) int {
+	if s.closed {
+		return 0
 	}
-	i := int32(len(s.triples))
-	s.seen[t] = i
-	s.triples = append(s.triples, t)
-	s.sources = append(s.sources, src)
-	s.bySubject.add(uint64(t.S), i)
-	s.byPredicate.add(uint64(t.P), i)
-	s.byObject.add(uint64(t.O), i)
-	charge := int64(bytesPerTriple)
-	if s.bySP != nil {
-		s.bySP.add(t.SP(), i)
-		charge += bytesPerCompositePosting
+	first := len(s.triples)
+	s.seen.reserve(s.triples, len(ids))
+	s.triples = slices.Grow(s.triples, len(ids))
+	for _, t := range ids {
+		_, slot, dup := s.seen.find(s.triples, t)
+		if dup {
+			continue
+		}
+		i := int32(len(s.triples))
+		s.triples = append(s.triples, t)
+		s.seen.slots[slot] = i + 1
+		s.byPredicate.add(uint64(t.P), i)
+		if s.bySubject != nil {
+			s.bySubject.add(uint64(t.S), i)
+		}
+		if s.byObject != nil {
+			s.byObject.add(uint64(t.O), i)
+		}
+		if s.bySP != nil {
+			s.bySP.add(t.SP(), i)
+		}
+		if s.byPO != nil {
+			s.byPO.add(t.PO(), i)
+		}
 	}
-	if s.byPO != nil {
-		s.byPO.add(t.PO(), i)
-		charge += bytesPerCompositePosting
+	n := len(s.triples) - first
+	if n == 0 {
+		return 0
 	}
-	s.ledger.Charge(resource.Store, charge)
-	return true
+	if k := len(s.origins); k == 0 || s.origins[k-1].src != src {
+		s.origins = append(s.origins, origin{from: int32(first), src: src})
+	}
+	s.ledger.Charge(resource.Store, int64(n)*s.perTriple)
+	s.cond.Broadcast()
+	return n
+}
+
+// sourceLocked returns the document that contributed triples[i]. Caller
+// holds s.mu.
+func (s *Store) sourceLocked(i int32) rdf.TermID {
+	k := sort.Search(len(s.origins), func(k int) bool { return s.origins[k].from > i })
+	return s.origins[k-1].src
 }
 
 // AddDocument ingests all triples of a dereferenced document and reports
@@ -171,18 +203,8 @@ func (s *Store) AddDocument(docIRI string, triples []rdf.Triple) int {
 // with a single iterator wakeup, so ingest cost per document is one
 // critical section, not one per triple, and nothing is interned.
 func (s *Store) AddEncoded(docIRI string, src rdf.TermID, ids []rdf.IDTriple) int {
-	n := 0
 	s.mu.Lock()
-	if !s.closed {
-		for _, it := range ids {
-			if s.addLocked(it, src) {
-				n++
-			}
-		}
-		if n > 0 {
-			s.cond.Broadcast()
-		}
-	}
+	n := s.addLocked(src, ids...)
 	s.documents[docIRI] = true
 	s.mu.Unlock()
 	return n
@@ -228,10 +250,10 @@ func (s *Store) Source(t rdf.Triple) (rdf.Term, bool) {
 		return rdf.Term{}, false
 	}
 	s.mu.Lock()
-	i, ok := s.seen[it]
 	var src rdf.TermID
+	i, _, ok := s.seen.find(s.triples, it)
 	if ok {
-		src = s.sources[i]
+		src = s.sourceLocked(i)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -320,19 +342,13 @@ func (s *Store) candidates(p *idPattern) []int32 {
 	constO := !p.isVar[2] && p.id[2] != rdf.NoTerm
 	switch {
 	case constS && constP:
-		if s.bySP == nil {
-			s.bySP = s.buildComposite(rdf.IDTriple.SP)
-		}
-		return s.bySP.list(rdf.PackID2(p.id[0], p.id[1]))
+		return s.index(&s.bySP, rdf.IDTriple.SP).list(rdf.PackID2(p.id[0], p.id[1]))
 	case constP && constO:
-		if s.byPO == nil {
-			s.byPO = s.buildComposite(rdf.IDTriple.PO)
-		}
-		return s.byPO.list(rdf.PackID2(p.id[1], p.id[2]))
+		return s.index(&s.byPO, rdf.IDTriple.PO).list(rdf.PackID2(p.id[1], p.id[2]))
 	case constS:
-		return s.bySubject.list(uint64(p.id[0]))
+		return s.index(&s.bySubject, subjectKey).list(uint64(p.id[0]))
 	case constO:
-		return s.byObject.list(uint64(p.id[2]))
+		return s.index(&s.byObject, objectKey).list(uint64(p.id[2]))
 	case constP:
 		return s.byPredicate.list(uint64(p.id[1]))
 	default:
@@ -340,15 +356,21 @@ func (s *Store) candidates(p *idPattern) []int32 {
 	}
 }
 
-// buildComposite indexes every current triple under key, on the first probe
-// of a two-constant shape. Caller holds s.mu.
-func (s *Store) buildComposite(key func(rdf.IDTriple) uint64) *postings {
-	ps := newPostings(&s.runs, len(s.triples))
-	for i, t := range s.triples {
-		ps.add(key(t), int32(i))
+func subjectKey(t rdf.IDTriple) uint64 { return uint64(t.S) }
+func objectKey(t rdf.IDTriple) uint64  { return uint64(t.O) }
+
+// index returns the on-demand index *ps, on the first probe of its shape
+// after indexing every current triple under key. Caller holds s.mu.
+func (s *Store) index(ps **postings, key func(rdf.IDTriple) uint64) *postings {
+	if *ps == nil {
+		*ps = newPostings(&s.runs, len(s.triples))
+		for i, t := range s.triples {
+			(*ps).add(key(t), int32(i))
+		}
+		s.ledger.Charge(resource.Store, int64(len(s.triples))*bytesPerPosting)
+		s.perTriple += bytesPerPosting
 	}
-	s.ledger.Charge(resource.Store, int64(len(s.triples))*bytesPerCompositePosting)
-	return ps
+	return *ps
 }
 
 // MatchNow returns a snapshot of all current matches of the pattern.

@@ -220,3 +220,107 @@ func TestStoreIteratorNeverTornUnderIngest(t *testing.T) {
 	wg.Wait()
 	s.Close()
 }
+
+// TestOnDemandIndexBuiltUnderIngest has the first probe of the subject and of
+// the object index arrive mid-stream, from live iterators and MatchNow
+// readers, while several writers keep attaching documents (run under
+// -race): the build sees a prefix of the stream, maintenance the rest, and
+// every reader must end up with exactly the triples of its key, each once.
+func TestOnDemandIndexBuiltUnderIngest(t *testing.T) {
+	const writers, docsPerWriter, perDoc = 4, 40, 24
+	s := New()
+	hub := rdf.NewIRI("http://example.org/hub")
+	// Half of every document's triples leave the hub, half arrive at it.
+	triple := func(n int) rdf.Triple {
+		p := rdf.NewIRI(fmt.Sprintf("http://example.org/p/%d", n%7))
+		node := rdf.NewIRI(fmt.Sprintf("http://example.org/n/%d", n))
+		if n%2 == 0 {
+			return rdf.NewTriple(hub, p, node)
+		}
+		return rdf.NewTriple(node, p, hub)
+	}
+	underway := make(chan struct{}) // closed once a quarter of the documents are in
+	var ingested sync.WaitGroup
+	ingested.Add(writers * docsPerWriter / 4)
+	go func() { ingested.Wait(); close(underway) }()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for d := 0; d < docsPerWriter; d++ {
+				doc := w*docsPerWriter + d
+				batch := make([]rdf.Triple, perDoc)
+				for i := range batch {
+					batch[i] = triple(doc*perDoc + i)
+				}
+				s.AddDocument(fmt.Sprintf("http://example.org/doc/%d", doc), batch)
+				if d < docsPerWriter/4 {
+					ingested.Done()
+				}
+			}
+		}(w)
+	}
+
+	<-underway
+	s.mu.Lock()
+	if s.bySubject != nil || s.byObject != nil {
+		t.Error("subject or object index exists before anything probed its shape")
+	}
+	s.mu.Unlock()
+	fromHub := rdf.NewTriple(hub, rdf.NewVar("p"), rdf.NewVar("o"))
+	toHub := rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), hub)
+	counts := make(chan [2]int, 2)
+	for side, pattern := range []rdf.Triple{fromHub, toHub} {
+		go func(side int, pattern rdf.Triple) {
+			it := s.Match(pattern)
+			defer it.Close()
+			seen := map[rdf.Triple]bool{}
+			for {
+				tr, ok := it.Next(context.Background())
+				if !ok {
+					break
+				}
+				if (side == 0 && tr.S != hub) || (side == 1 && tr.O != hub) || seen[tr] {
+					t.Errorf("live iterator %d yielded %v (seen before: %v)", side, tr, seen[tr])
+				}
+				seen[tr] = true
+			}
+			counts <- [2]int{side, len(seen)}
+		}(side, pattern)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := [2]int{}
+			for i := 0; i < 100; i++ {
+				for side, pattern := range []rdf.Triple{fromHub, toHub} {
+					n := len(s.MatchNow(pattern))
+					if n < prev[side] {
+						t.Errorf("MatchNow side %d went from %d to %d matches", side, prev[side], n)
+					}
+					prev[side] = n
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+
+	const want = writers * docsPerWriter * perDoc / 2
+	for i := 0; i < 2; i++ {
+		if c := <-counts; c[1] != want {
+			t.Errorf("live iterator %d saw %d triples, want %d", c[0], c[1], want)
+		}
+	}
+	for side, pattern := range []rdf.Triple{fromHub, toHub} {
+		if n := s.CountNow(pattern); n != want {
+			t.Errorf("side %d: %d matches in the end, want %d", side, n, want)
+		}
+	}
+	if s.bySubject == nil || s.byObject == nil {
+		t.Error("probing the subject and object shapes built no index")
+	}
+}
