@@ -38,6 +38,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzDictRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchSelection$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseServerTiming$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkExtraction$$' -fuzztime $(FUZZTIME) ./internal/extract
 
 # Multi-tenant serving smoke (CI): a short multi-client load run that must

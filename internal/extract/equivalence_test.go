@@ -91,6 +91,35 @@ func TestTableLinksEqualReference(t *testing.T) {
 	t.Logf("%d documents x %d shapes, %d links compared", docs, len(shapes), links)
 }
 
+// TestScanAllocatesPerDocument pins what a link table costs: the table and
+// the one array behind its five sections, whatever the document — no
+// per-section map, no per-link growth. It holds for every document of the
+// fixture. A count above two is retried a few times: under the race detector
+// the pool behind Scan drops items at random, and a call that finds it empty
+// pays for a new builder.
+func TestScanAllocatesPerDocument(t *testing.T) {
+	cfg := solidbench.DefaultConfig()
+	cfg.Persons = 12
+	docs := 0
+	for _, pod := range solidbench.Generate(cfg).BuildPods() {
+		for path, d := range pod.Materialize() {
+			docs++
+			triples := d.Graph.Triples()
+			scan := func() { extract.Scan(triples) }
+			n := testing.AllocsPerRun(1, scan)
+			for try := 0; n > 2 && try < 10; try++ {
+				n = testing.AllocsPerRun(1, scan)
+			}
+			if n > 2 {
+				t.Fatalf("%s: Scan of %d triples makes %v allocations, want at most 2", pod.IRI(path), len(triples), n)
+			}
+		}
+	}
+	if docs != 1469 {
+		t.Fatalf("scanned %d documents, want 1469", docs)
+	}
+}
+
 // diffLinks reports the first difference in URL, Reason or Extractor.
 func diffLinks(got, want []extract.Link) string {
 	for i := 0; i < len(got) || i < len(want); i++ {

@@ -28,12 +28,12 @@ type Document struct {
 }
 
 // table returns the document's link table, scanning the graph for the
-// wanted sections when none was precomputed.
+// wanted section only when none was precomputed.
 func (d Document) table(want section) *LinkTable {
 	if d.Links != nil {
 		return d.Links
 	}
-	return scan(d.Graph.Triples(), want)
+	return scan(d.Graph.Triples(), 1<<want)
 }
 
 // Link is a proposed traversal step.
@@ -114,7 +114,7 @@ func (e LDPContainer) Extract(doc Document) []Link {
 }
 
 func (LDPContainer) appendLinks(dst []Link, t *LinkTable) []Link {
-	return t.appendSection(dst, t.ldp, nil)
+	return t.appendSection(dst, t.secs[secLDP], nil)
 }
 
 // SolidProfile follows the pod discovery links of a WebID profile document
@@ -131,7 +131,7 @@ func (e SolidProfile) Extract(doc Document) []Link {
 }
 
 func (SolidProfile) appendLinks(dst []Link, t *LinkTable) []Link {
-	return t.appendSection(dst, t.profile, nil)
+	return t.appendSection(dst, t.secs[secProfile], nil)
 }
 
 // TypeIndex follows solid:instance and solid:instanceContainer links from
@@ -153,7 +153,7 @@ func (e TypeIndex) Extract(doc Document) []Link {
 }
 
 func (e TypeIndex) appendLinks(dst []Link, t *LinkTable) []Link {
-	return t.appendSection(dst, t.typeIndex, e.Shape)
+	return t.appendSection(dst, t.secs[secTypeIndex], e.Shape)
 }
 
 // SeeAlso follows rdfs:seeAlso and owl:sameAs data links.
@@ -168,7 +168,7 @@ func (e SeeAlso) Extract(doc Document) []Link {
 }
 
 func (SeeAlso) appendLinks(dst []Link, t *LinkTable) []Link {
-	return t.appendSection(dst, t.seeAlso, nil)
+	return t.appendSection(dst, t.secs[secSeeAlso], nil)
 }
 
 // CMatch is Hartig's cMatch reachability criterion: follow IRIs occurring
@@ -193,7 +193,7 @@ func (e CMatch) appendLinks(dst []Link, t *LinkTable) []Link {
 	if e.Shape == nil {
 		return dst
 	}
-	return t.appendSection(dst, t.match, e.Shape)
+	return t.appendSection(dst, t.secs[secMatch], e.Shape)
 }
 
 // AppendLinks appends to dst what every extractor proposes for doc, in

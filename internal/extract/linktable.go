@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"sync"
+
 	"ltqp/internal/linkqueue"
 	"ltqp/internal/rdf"
 )
@@ -19,10 +21,11 @@ import (
 type LinkTable struct {
 	triples []rdf.Triple
 	// One section per built-in extractor, each in that extractor's emission
-	// order. profile, ldp and seeAlso do not depend on the query and are
-	// stored already deduplicated; typeIndex and match keep every candidate
+	// order, all five views of one backing array. The profile, LDP and
+	// see-also sections do not depend on the query and are stored already
+	// deduplicated; the type-index and match sections keep every candidate
 	// and are deduplicated while filtering (see appendSection).
-	profile, typeIndex, ldp, match, seeAlso []tableLink
+	secs [numSections][]tableLink
 }
 
 // tableLink is one followable IRI occurrence.
@@ -69,17 +72,16 @@ func (e *tableLink) link() Link {
 	return Link{URL: e.url, Key: e.key, Reason: l.reason, Extractor: l.extractor}
 }
 
-// section selects which parts of a table a scan fills: the dereferencer
-// wants all of them, an extractor handed a bare Document only its own.
+// section indexes the sections of a table, one per built-in extractor.
 type section uint8
 
 const (
-	secProfile section = 1 << iota
+	secProfile section = iota
 	secTypeIndex
 	secLDP
 	secMatch
 	secSeeAlso
-	secAll = secProfile | secTypeIndex | secLDP | secMatch | secSeeAlso
+	numSections
 )
 
 const owlSameAs = "http://www.w3.org/2002/07/owl#sameAs"
@@ -94,33 +96,72 @@ var (
 
 // Scan builds the link table of a document from its triples. The slice is
 // retained, not copied.
-func Scan(triples []rdf.Triple) *LinkTable { return scan(triples, secAll) }
+func Scan(triples []rdf.Triple) *LinkTable { return scan(triples, 1<<numSections-1) }
 
-// sectionBuilder appends to one section, chaining equal URLs.
-type sectionBuilder struct {
-	links []tableLink
-	last  map[string]int32 // url -> index of its latest entry
+// builder is the scratch a scan fills the sections in before copying them
+// into the table. Scans take it from a pool, so building a table allocates
+// the table and the one array behind its sections, and nothing per link.
+type builder struct {
+	want uint8 // bit s set: fill section s
+	secs [numSections][]tableLink
+	// latest finds a URL's row in lasts: per section, the index of the URL's
+	// latest entry there, -1 if none — what chains equal URLs.
+	latest map[string]int32
+	lasts  [][numSections]int32
+	regs   []rdf.Term // type registrations, in first-occurrence order
 }
 
-// add appends t's document as a link if t is a dereferenceable IRI. With
-// keepDuplicates false an URL already in the section is dropped, which is
-// first-occurrence dedup for sections no query filters.
-func (b *sectionBuilder) add(t rdf.Term, lb label, tri int, keepDuplicates bool) {
+var builders = sync.Pool{New: func() any { return &builder{latest: map[string]int32{}} }}
+
+// add appends t's document to section sec as a link if t is a
+// dereferenceable IRI. With keepDuplicates false an URL already in the
+// section is dropped, which is first-occurrence dedup for sections no query
+// filters.
+func (b *builder) add(sec section, t rdf.Term, lb label, tri int, keepDuplicates bool) {
+	if b.want&(1<<sec) == 0 {
+		return
+	}
 	u, key, ok := target(t)
 	if !ok {
 		return
 	}
-	prev, dup := b.last[u]
-	if !dup {
-		prev = -1
-	} else if !keepDuplicates {
+	row, known := b.latest[u]
+	if !known {
+		row = int32(len(b.lasts))
+		b.latest[u] = row
+		b.lasts = append(b.lasts, [numSections]int32{-1, -1, -1, -1, -1})
+	}
+	last := &b.lasts[row][sec]
+	if *last >= 0 && !keepDuplicates {
 		return
 	}
-	if b.last == nil {
-		b.last = map[string]int32{}
+	links := b.secs[sec]
+	b.secs[sec] = append(links, tableLink{url: u, key: key, tri: int32(tri), prev: *last, label: lb})
+	*last = int32(len(links))
+}
+
+// table copies the sections into one exactly-sized array behind a new
+// table, and returns the builder to the pool emptied.
+func (b *builder) table(triples []rdf.Triple) *LinkTable {
+	n := 0
+	for _, links := range b.secs {
+		n += len(links)
 	}
-	b.last[u] = int32(len(b.links))
-	b.links = append(b.links, tableLink{url: u, key: key, tri: int32(tri), prev: prev, label: lb})
+	all := make([]tableLink, n)
+	t := &LinkTable{triples: triples}
+	n = 0
+	for i, links := range b.secs {
+		t.secs[i] = all[n : n+len(links) : n+len(links)]
+		copy(t.secs[i], links)
+		n += len(links)
+		clear(links) // drop the strings, so the pool pins no document
+		b.secs[i] = links[:0]
+	}
+	clear(b.latest)
+	clear(b.regs)
+	b.lasts, b.regs = b.lasts[:0], b.regs[:0]
+	builders.Put(b)
+	return t
 }
 
 // target maps a term to the document a link to it would fetch: ok is false
@@ -136,12 +177,10 @@ func target(t rdf.Term) (u, key string, ok bool) {
 	return u, key, ok
 }
 
-func scan(triples []rdf.Triple, want section) *LinkTable {
-	var profile, ldp, match, seeAlso sectionBuilder
-	if want&secMatch != 0 {
-		match.links = make([]tableLink, 0, len(triples))
-	}
-	var regs []rdf.Term // type registrations, in first-occurrence order
+// scan builds a table with the sections whose bits are set in want.
+func scan(triples []rdf.Triple, want uint8) *LinkTable {
+	b := builders.Get().(*builder)
+	b.want = want
 	for i := range triples {
 		t := &triples[i]
 		if t.P.Kind != rdf.TermIRI {
@@ -149,47 +188,30 @@ func scan(triples []rdf.Triple, want section) *LinkTable {
 		}
 		switch t.P.Value {
 		case rdf.SolidPublicTypeIndex:
-			if want&secProfile != 0 {
-				profile.add(t.O, labelProfile, i, false)
-			}
+			b.add(secProfile, t.O, labelProfile, i, false)
 		case rdf.PIMStorage:
-			if want&secProfile != 0 {
-				profile.add(t.O, labelStorage, i, false)
-			}
+			b.add(secProfile, t.O, labelStorage, i, false)
 		case rdf.LDPContains:
-			if want&secLDP != 0 {
-				ldp.add(t.O, labelLDP, i, false)
-			}
+			b.add(secLDP, t.O, labelLDP, i, false)
 		case rdf.RDFSSeeAlso, owlSameAs:
-			if want&secSeeAlso != 0 {
-				seeAlso.add(t.O, labelSeeAlso, i, false)
-			}
+			b.add(secSeeAlso, t.O, labelSeeAlso, i, false)
 		case rdf.RDFType:
-			if want&secTypeIndex != 0 && t.P == rdfTypeTerm && t.O == typeRegistrationTerm && !containsTerm(regs, t.S) {
-				regs = append(regs, t.S)
+			if want&(1<<secTypeIndex) != 0 && t.P == rdfTypeTerm && t.O == typeRegistrationTerm && !containsTerm(b.regs, t.S) {
+				b.regs = append(b.regs, t.S)
 			}
 		}
-		if want&secMatch != 0 {
-			match.add(t.S, labelMatch, i, true)
-			match.add(t.O, labelMatch, i, true)
-		}
+		b.add(secMatch, t.S, labelMatch, i, true)
+		b.add(secMatch, t.O, labelMatch, i, true)
 	}
-	return &LinkTable{
-		triples:   triples,
-		profile:   profile.links,
-		typeIndex: scanTypeIndex(triples, regs),
-		ldp:       ldp.links,
-		match:     match.links,
-		seeAlso:   seeAlso.links,
-	}
+	b.scanTypeIndex(triples)
+	return b.table(triples)
 }
 
 // scanTypeIndex lists, registration by registration, the instance links and
 // then the instance-container links of a Solid type index (paper Listing
 // 3), each tied to the registration's solid:forClass triple.
-func scanTypeIndex(triples []rdf.Triple, regs []rdf.Term) []tableLink {
-	var b sectionBuilder
-	for _, reg := range regs {
+func (b *builder) scanTypeIndex(triples []rdf.Triple) {
+	for _, reg := range b.regs {
 		forClass := -1
 		for i := range triples {
 			if t := &triples[i]; t.S == reg && t.P == forClassTerm {
@@ -201,16 +223,15 @@ func scanTypeIndex(triples []rdf.Triple, regs []rdf.Term) []tableLink {
 		}
 		for i := range triples {
 			if t := &triples[i]; t.S == reg && t.P == instanceTerm {
-				b.add(t.O, labelTypeIndex, forClass, true)
+				b.add(secTypeIndex, t.O, labelTypeIndex, forClass, true)
 			}
 		}
 		for i := range triples {
 			if t := &triples[i]; t.S == reg && t.P == instanceContainer {
-				b.add(t.O, labelTypeIndexContainer, forClass, true)
+				b.add(secTypeIndex, t.O, labelTypeIndexContainer, forClass, true)
 			}
 		}
 	}
-	return b.links
 }
 
 func containsTerm(ts []rdf.Term, t rdf.Term) bool {

@@ -29,15 +29,20 @@ func FormatServerTiming(name string, d time.Duration) string {
 // ParseServerTiming sums every dur= parameter across all Server-Timing
 // header values (a response may carry several, each a comma-separated
 // metric list) and returns the total server-reported duration. Malformed
-// entries are skipped; a response without the header yields zero.
+// entries are skipped; a response without the header yields zero. It walks
+// the values in place and allocates nothing.
 func ParseServerTiming(vals []string) time.Duration {
 	var totalMS float64
 	for _, v := range vals {
-		for _, entry := range strings.Split(v, ",") {
-			params := strings.Split(entry, ";")
-			for _, p := range params[1:] {
-				p = strings.TrimSpace(p)
-				if rest, ok := strings.CutPrefix(p, "dur="); ok {
+		for more := true; more; {
+			var entry string
+			entry, v, more = strings.Cut(v, ",")
+			// The metric name comes first; parameters follow, each after a ';'.
+			_, params, hasParam := strings.Cut(entry, ";")
+			for hasParam {
+				var p string
+				p, params, hasParam = strings.Cut(params, ";")
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(p), "dur="); ok {
 					if f, err := strconv.ParseFloat(strings.TrimSpace(rest), 64); err == nil && f > 0 {
 						totalMS += f
 					}

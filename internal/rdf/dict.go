@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // TermID is a dictionary-encoded term: a dense integer handle for one
@@ -47,6 +48,11 @@ const (
 	// are append-only: once a slot is published it never moves, so readers
 	// decode without taking any lock.
 	dictChunkSize = 1024
+
+	// arenaChunkSize is the size of a chunk of the term-byte arena. A string
+	// longer than a quarter of it gets an allocation of its own, so a chunk
+	// given up for a string that does not fit wastes at most that quarter.
+	arenaChunkSize = 16 << 10
 )
 
 // Dict is a concurrent term dictionary: an engine-scoped bijection between
@@ -66,8 +72,13 @@ const (
 type Dict struct {
 	shards [dictShards]dictShard
 
-	// tableMu serializes ID allocation and decode-table appends.
+	// tableMu serializes ID allocation, decode-table appends and arena
+	// writes.
 	tableMu sync.Mutex
+	// arena is the chunk the bytes of borrowed terms are copied into. A
+	// chunk is only ever appended to, and is dropped, never reused, once
+	// full: the strings viewing it are immutable.
+	arena []byte
 	// chunks is the atomically-published list of decode chunks.
 	chunks atomic.Pointer[[]*dictChunk]
 	// n is the number of published IDs; a reader that observes n >= id is
@@ -117,8 +128,9 @@ func shardOf(t Term) uint32 {
 func (d *Dict) Intern(t Term) TermID { return d.intern(t, false) }
 
 // InternBorrowed is Intern for a term whose strings alias memory the caller
-// will reuse (a pooled response body): a hit allocates nothing and a miss
-// stores clones, so the dictionary never pins or reads that memory later.
+// will reuse (a pooled response body, a parser's scratch): a hit allocates
+// nothing and a miss copies the strings into the dictionary's own arena, so
+// the dictionary never pins or reads that memory later.
 func (d *Dict) InternBorrowed(t Term) TermID { return d.intern(t, true) }
 
 func (d *Dict) intern(t Term, borrowed bool) TermID {
@@ -137,20 +149,20 @@ func (d *Dict) intern(t Term, borrowed bool) TermID {
 	if id, ok := sh.m[t]; ok {
 		return id
 	}
-	if borrowed {
-		t.Value = strings.Clone(t.Value)
-		t.Datatype = strings.Clone(t.Datatype)
-		t.Language = strings.Clone(t.Language)
-	}
-	id = d.appendTerm(t)
+	id, t = d.appendTerm(t, borrowed)
 	sh.m[t] = id
 	return id
 }
 
-// appendTerm allocates the next ID and publishes t in the decode table.
-func (d *Dict) appendTerm(t Term) TermID {
+// appendTerm allocates the next ID and publishes t in the decode table, with
+// a borrowed t's strings first copied into the arena. It returns the ID and
+// the term as stored.
+func (d *Dict) appendTerm(t Term, borrowed bool) (TermID, Term) {
 	d.tableMu.Lock()
 	defer d.tableMu.Unlock()
+	if borrowed {
+		t.Value, t.Datatype, t.Language = d.own(t.Value), d.own(t.Datatype), d.own(t.Language)
+	}
 	next := d.n.Load() // only this goroutine can advance it right now
 	idx := int(next)   // 0-based slot of the new term; its ID is next+1
 	chunks := *d.chunks.Load()
@@ -164,7 +176,23 @@ func (d *Dict) appendTerm(t Term) TermID {
 	chunks[idx/dictChunkSize][idx%dictChunkSize] = t
 	id := TermID(next + 1)
 	d.n.Store(uint32(id)) // release: publishes the slot write above
-	return id
+	return id, t
+}
+
+// own returns a copy of s the dictionary owns: a view of the arena, or for
+// a long string a clone. Caller holds tableMu.
+func (d *Dict) own(s string) string {
+	switch {
+	case s == "":
+		return ""
+	case len(s) > arenaChunkSize/4:
+		return strings.Clone(s)
+	case len(d.arena)+len(s) > cap(d.arena):
+		d.arena = make([]byte, 0, arenaChunkSize)
+	}
+	start := len(d.arena)
+	d.arena = append(d.arena, s...)
+	return unsafe.String(&d.arena[start], len(s))
 }
 
 // Lookup returns the ID of t without interning it. The second result

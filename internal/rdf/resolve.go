@@ -11,7 +11,7 @@ import (
 // If resolution fails or base is empty, ref is returned unchanged.
 func ResolveIRI(base, ref string) string {
 	b := NewBase(base)
-	return b.Resolve(ref)
+	return b.Resolve(ref, nil)
 }
 
 // Base resolves references against one base IRI: the base is parsed once,
@@ -31,8 +31,10 @@ type Base struct {
 func NewBase(base string) Base { return Base{iri: base} }
 
 // Resolve resolves ref. An absolute ref, and any ref against an empty base,
-// is returned as is, without copying.
-func (b *Base) Resolve(ref string) string {
+// is returned as is, without copying. The fast paths answer with cat(prefix,
+// ref), so a caller decides where that string lives; nil concatenates on the
+// heap.
+func (b *Base) Resolve(ref string, cat func(a, b string) string) string {
 	if ref == "" {
 		return b.iri
 	}
@@ -43,11 +45,18 @@ func (b *Base) Resolve(ref string) string {
 		b.parse()
 	}
 	if path, frag, hasFrag := strings.Cut(ref, "#"); b.doc != "" && (!hasFrag || frag != "" && plainRef(frag)) {
+		prefix := ""
 		switch {
 		case path == "":
-			return b.doc + ref
+			prefix = b.doc
 		case path[0] != '/' && path[0] != '.' && plainRef(path) && !strings.Contains(path, "/."):
-			return b.dir + ref
+			prefix = b.dir
+		}
+		if prefix != "" {
+			if cat == nil {
+				return prefix + ref
+			}
+			return cat(prefix, ref)
 		}
 	}
 	if b.u == nil {

@@ -60,20 +60,23 @@ func TestBaseResolveEqualsReference(t *testing.T) {
 		}
 		pieces = append(pieces, sb.String())
 	}
+	// The caller-supplied concatenation sees every fast-path answer; ResolveIRI
+	// passes none and concatenates on the heap.
 	fast := 0
+	cat := func(a, b string) string {
+		fast++
+		return a + b
+	}
 	for _, base := range bases {
 		b := NewBase(base)
 		for _, ref := range pieces {
 			want := refResolveIRI(base, ref)
-			if got, oneShot := b.Resolve(ref), ResolveIRI(base, ref); got != want || oneShot != want {
+			if got, oneShot := b.Resolve(ref, cat), ResolveIRI(base, ref); got != want || oneShot != want {
 				t.Errorf("Base(%q).Resolve(%q) = %q, ResolveIRI = %q, net/url gives %q", base, ref, got, oneShot, want)
-			}
-			if b.doc != "" && want != ref && (want == b.doc+ref || want == b.dir+ref) {
-				fast++
 			}
 		}
 	}
 	if fast < 1000 {
-		t.Errorf("only %d pairs could have taken a fast path: the generator no longer exercises them", fast)
+		t.Errorf("only %d pairs took a fast path: the generator no longer exercises them", fast)
 	}
 }

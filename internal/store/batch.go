@@ -69,6 +69,8 @@ func (it *Iterator) NextBatch(ctx context.Context, ids []rdf.IDTriple, srcs []rd
 		return 0, false
 	}
 	s := it.store
+	var w waiter
+	defer w.done()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -94,20 +96,6 @@ func (it *Iterator) NextBatch(ctx context.Context, ids []rdf.IDTriple, srcs []rd
 		if s.closed {
 			return 0, false
 		}
-		// Block until new triples arrive or the store closes; a helper
-		// goroutine turns context cancellation into a broadcast (same
-		// pattern as Next).
-		stop := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			case <-stop:
-			}
-		}()
-		s.cond.Wait()
-		close(stop)
+		s.waitLocked(ctx, &w)
 	}
 }

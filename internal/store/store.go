@@ -37,6 +37,9 @@ import (
 type Store struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	// wake broadcasts cond under mu: what a blocked call's cancellation runs
+	// (see waitLocked), made once per store rather than once per wait.
+	wake func()
 
 	// dict is the term dictionary all IDs below refer to. It may be shared
 	// with the parser and document cache of the owning engine.
@@ -108,6 +111,11 @@ func NewWithDict(dict *rdf.Dict) *Store {
 	}
 	s.byPredicate = newPostings(&s.runs, 0)
 	s.cond = sync.NewCond(&s.mu)
+	s.wake = func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}
 	return s
 }
 
@@ -444,10 +452,8 @@ type Iterator struct {
 // iterator was closed, or the context was cancelled.
 func (it *Iterator) Next(ctx context.Context) (rdf.Triple, bool) {
 	s := it.store
-
-	// Wake the wait loop when the context is cancelled. We register a
-	// broadcast goroutine lazily per Next call only when we actually need
-	// to block, to keep the fast path allocation-free.
+	var w waiter
+	defer w.done()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -460,20 +466,30 @@ func (it *Iterator) Next(ctx context.Context) (rdf.Triple, bool) {
 		if s.closed {
 			return rdf.Triple{}, false
 		}
-		// Block until new triples arrive or the store closes. A helper
-		// goroutine turns context cancellation into a broadcast.
-		stop := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			case <-stop:
-			}
-		}()
-		s.cond.Wait()
-		close(stop)
+		s.waitLocked(ctx, &w)
+	}
+}
+
+// waiter is what one blocking call (Next, NextBatch, WaitClosed) registers
+// so that its context's cancellation wakes it: once, on its first wait, not
+// on every wake-up, and not at all when the call never blocks.
+type waiter struct{ stop func() bool }
+
+// waitLocked blocks until the next broadcast: new triples, Close, an
+// iterator's Close, or the cancellation of ctx. Caller holds s.mu.
+func (s *Store) waitLocked(ctx context.Context, w *waiter) {
+	if w.stop == nil {
+		w.stop = context.AfterFunc(ctx, s.wake)
+	}
+	s.cond.Wait()
+}
+
+// done unregisters the waiter's cancellation hook, if it set one. A hook
+// already started may broadcast after its call returned: a spurious wake-up,
+// harmless, since every waiter re-checks its condition.
+func (w *waiter) done() {
+	if w.stop != nil {
+		w.stop()
 	}
 }
 
@@ -521,9 +537,7 @@ func (it *Iterator) Close() {
 	it.mu.Lock()
 	it.closed = true
 	it.mu.Unlock()
-	it.store.mu.Lock()
-	it.store.cond.Broadcast()
-	it.store.mu.Unlock()
+	it.store.wake()
 }
 
 func (it *Iterator) isClosed() bool {
@@ -548,24 +562,15 @@ func (s *Store) Snapshot() []rdf.Triple {
 // Blocking operators (ORDER BY, OPTIONAL, aggregation) use it to gate their
 // final emission on traversal quiescence.
 func (s *Store) WaitClosed(ctx context.Context) error {
+	var w waiter
+	defer w.done()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		stop := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			case <-stop:
-			}
-		}()
-		s.cond.Wait()
-		close(stop)
+		s.waitLocked(ctx, &w)
 	}
 	return nil
 }
