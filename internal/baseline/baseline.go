@@ -55,7 +55,10 @@ func scopeBlank(t rdf.Term, doc int) rdf.Term {
 }
 
 // RunQuery evaluates a SPARQL query over a closed store (no traversal) and
-// returns all solutions.
+// returns all solutions. It runs exec.Reference, the materialising
+// evaluator, never the batch pipeline: the differential harness compares
+// the pipeline against this answer, so the oracle must not route through
+// the code under test.
 func RunQuery(ctx context.Context, st *store.Store, query string) ([]rdf.Binding, error) {
 	q, err := sparql.ParseQuery(query)
 	if err != nil {
@@ -66,14 +69,5 @@ func RunQuery(ctx context.Context, st *store.Store, query string) ([]rdf.Binding
 		return nil, err
 	}
 	op = plan.New(q.MentionedIRIs()).Optimize(op)
-	env := exec.NewEnv(st)
-	// The oracle is pinned to the row-at-a-time operators: differential
-	// runs compare the vectorized pipeline against these semantics, so the
-	// reference side must never route through the code under test.
-	env.NoVectorize = true
-	var out []rdf.Binding
-	for b := range exec.Eval(ctx, op, env) {
-		out = append(out, b)
-	}
-	return out, ctx.Err()
+	return exec.Reference(op, exec.NewEnv(st)), ctx.Err()
 }

@@ -21,17 +21,22 @@ import (
 //     labels legitimately differ between the two systems (each scopes them
 //     per document in its own way), so a query may join through a like
 //     node but must never project one.
-//   - No LIMIT/OFFSET: results compare as multisets (ORDER BY is allowed —
-//     it cannot change the multiset, only the order, which the comparison
-//     discards anyway).
+//   - Results compare as multisets (ORDER BY is allowed — it cannot change
+//     the multiset, only the order, which the comparison discards anyway).
+//     A query with LIMIT/OFFSET comes with its unlimited text: its answer
+//     must be a sub-multiset of the unlimited oracle answer, with exactly
+//     the oracle's count; an ordered one must also carry, row by row, the
+//     sort keys of the oracle's ordered rows [offset, offset+limit).
 //   - Aggregates are restricted to the order-insensitive folds over exact
 //     values: COUNT, MIN/MAX, and SUM over the dataset's integer ids.
 //     SAMPLE and GROUP_CONCAT depend on encounter order and would diff
 //     spuriously between the two systems.
 //   - Groups use BGPs, OPTIONAL, FILTER, UNION, MINUS (always sharing the
-//     anchored subject variable), GROUP BY, ORDER BY, and property paths
-//     (anchored snvoc:knows+ closures and replyOf/hasCreator sequences) —
-//     the constructs the vectorized executor rewrites or bridges.
+//     anchored subject variable), GROUP BY with and without HAVING, ORDER
+//     BY, property paths (anchored snvoc:knows+ closures and
+//     replyOf/hasCreator sequences), VALUES, GRAPH ?g, FILTER (NOT) EXISTS,
+//     BIND, projection expressions and LIMIT/OFFSET — every operator the
+//     executor implements, streaming or blocking.
 type diffGen struct {
 	r  *rand.Rand
 	ds *solidbench.Dataset
@@ -112,49 +117,92 @@ func (g *diffGen) personStar(pv string) (string, []string) {
 	return b.String(), vars
 }
 
-// Next returns the next generated query.
-func (g *diffGen) Next() string {
+// Next returns the next generated query and, when it ends in LIMIT/OFFSET,
+// the same query without them ("" otherwise).
+func (g *diffGen) Next() (query, unlimited string) {
 	distinct := ""
 	if g.r.Intn(3) == 0 {
 		distinct = "DISTINCT "
 	}
-	switch g.r.Intn(11) {
+	switch g.r.Intn(17) {
+	case 11: // VALUES: two creators' messages.
+		return fmt.Sprintf(`%sSELECT %s?c ?m ?id WHERE {
+  VALUES ?c { %s %s }
+  ?m snvoc:hasCreator ?c .
+  ?m snvoc:id ?id .
+}`, g.prefix(), distinct, g.person(), g.person()), ""
+	case 12: // GRAPH ?g: the document each message's date came from.
+		return fmt.Sprintf(`%sSELECT %s?m ?g WHERE {
+  ?m snvoc:hasCreator %s .
+  GRAPH ?g { ?m snvoc:creationDate ?d }
+}`, g.prefix(), distinct, g.person()), ""
+	case 13: // FILTER (NOT) EXISTS on a sibling attribute.
+		not := [...]string{"", "NOT "}[g.r.Intn(2)]
+		attr := [...]string{"imageFile", "content", "replyOf"}[g.r.Intn(3)]
+		return fmt.Sprintf(`%sSELECT %s?m ?d WHERE {
+  ?m snvoc:hasCreator %s .
+  ?m snvoc:creationDate ?d .
+  FILTER %sEXISTS { ?m snvoc:%s ?x }
+}`, g.prefix(), distinct, g.person(), not, attr), ""
+	case 14: // BIND and projection expressions.
+		return fmt.Sprintf(`%sSELECT %s?m ?len (CONCAT(UCASE(?b), "@", STR(?m)) AS ?tag) WHERE {
+  ?m snvoc:hasCreator %s .
+  ?m snvoc:browserUsed ?b .
+  BIND(STRLEN(?b) AS ?len)
+}`, g.prefix(), distinct, g.person()), ""
+	case 15: // GROUP BY with HAVING.
+		return fmt.Sprintf(`%sSELECT ?c (COUNT(?m) AS ?n) WHERE {
+  ?m snvoc:hasCreator ?c .
+  ?m snvoc:creationDate ?d .
+} GROUP BY ?c HAVING (COUNT(?m) > %d)`, g.prefix(), g.r.Intn(16)), ""
+	case 16: // LIMIT/OFFSET over a message star, ordered or not.
+		body, vars := g.messageStar("m")
+		unlimited = fmt.Sprintf("%sSELECT %s?%s WHERE {\n%s}", g.prefix(), distinct, strings.Join(vars, " ?"), body)
+		query = unlimited
+		if g.r.Intn(2) == 0 {
+			query += fmt.Sprintf(" ORDER BY ?%s", vars[g.r.Intn(len(vars))])
+		}
+		query += fmt.Sprintf(" LIMIT %d", 1+g.r.Intn(5))
+		if g.r.Intn(2) == 0 {
+			query += fmt.Sprintf(" OFFSET %d", g.r.Intn(4))
+		}
+		return query, unlimited
 	case 0: // Message star, possibly projecting the message IRI too.
 		body, vars := g.messageStar("m")
 		proj := "?" + strings.Join(vars, " ?")
 		if g.r.Intn(2) == 0 {
 			proj = "?m " + proj
 		}
-		return fmt.Sprintf("%sSELECT %s%s WHERE {\n%s}", g.prefix(), distinct, proj, body)
+		return fmt.Sprintf("%sSELECT %s%s WHERE {\n%s}", g.prefix(), distinct, proj, body), ""
 	case 1: // Person profile star over all pods.
 		body, vars := g.personStar("p")
 		return fmt.Sprintf("%sSELECT %s?%s WHERE {\n%s}",
-			g.prefix(), distinct, strings.Join(vars, " ?"), body)
+			g.prefix(), distinct, strings.Join(vars, " ?"), body), ""
 	case 2: // Friend join: fixed person -> knows -> friend attribute.
 		attr := personAttrs[g.r.Intn(len(personAttrs))]
 		return fmt.Sprintf(`%sSELECT %s?f ?v WHERE {
   %s snvoc:knows ?f .
   ?f snvoc:%s ?v .
-}`, g.prefix(), distinct, g.person(), attr)
+}`, g.prefix(), distinct, g.person(), attr), ""
 	case 3: // OPTIONAL: posts with content, optionally an image sibling.
 		return fmt.Sprintf(`%sSELECT %s?m ?d ?img WHERE {
   ?m snvoc:hasCreator %s .
   ?m snvoc:creationDate ?d .
   OPTIONAL { ?m snvoc:imageFile ?img . }
-}`, g.prefix(), distinct, g.person())
+}`, g.prefix(), distinct, g.person()), ""
 	case 4: // FILTER on a string attribute.
 		body, vars := g.messageStar("m")
 		v := vars[g.r.Intn(len(vars))]
 		needle := []string{"a", "e", "1", "0", "co"}[g.r.Intn(5)]
 		return fmt.Sprintf("%sSELECT %s?%s WHERE {\n%s  FILTER(CONTAINS(STR(?%s), %q))\n}",
-			g.prefix(), distinct, strings.Join(vars, " ?"), body, v, needle)
+			g.prefix(), distinct, strings.Join(vars, " ?"), body, v, needle), ""
 	case 5: // UNION of two creators' messages.
 		attr := messageAttrs[g.r.Intn(len(messageAttrs))]
 		return fmt.Sprintf(`%sSELECT %s?v WHERE {
   { ?m snvoc:hasCreator %s . ?m snvoc:%s ?v . }
   UNION
   { ?m snvoc:hasCreator %s . ?m snvoc:%s ?v . }
-}`, g.prefix(), distinct, g.person(), attr, g.person(), attr)
+}`, g.prefix(), distinct, g.person(), attr, g.person(), attr), ""
 	case 6: // ORDER BY over a message star (multiset unchanged by order).
 		body, vars := g.messageStar("m")
 		ov := vars[g.r.Intn(len(vars))]
@@ -163,7 +211,7 @@ func (g *diffGen) Next() string {
 			desc = "DESC"
 		}
 		return fmt.Sprintf("%sSELECT %s?%s WHERE {\n%s} ORDER BY %s(?%s)",
-			g.prefix(), distinct, strings.Join(vars, " ?"), body, desc, ov)
+			g.prefix(), distinct, strings.Join(vars, " ?"), body, desc, ov), ""
 	case 7: // GROUP BY creator with order-insensitive aggregates.
 		agg := [...]string{
 			"(COUNT(?m) AS ?n)",
@@ -176,7 +224,7 @@ func (g *diffGen) Next() string {
   ?m snvoc:hasCreator ?c .
   ?m snvoc:id ?id .
   ?m snvoc:creationDate ?d .
-} GROUP BY ?c`, g.prefix(), agg)
+} GROUP BY ?c`, g.prefix(), agg), ""
 	case 8: // MINUS, sharing the anchored subject variable ?m.
 		excl := [...]string{
 			"?m rdf:type snvoc:Comment .",
@@ -187,7 +235,7 @@ func (g *diffGen) Next() string {
   ?m snvoc:hasCreator %s .
   ?m snvoc:creationDate ?d .
   MINUS { %s }
-}`, g.prefix(), distinct, g.person(), excl)
+}`, g.prefix(), distinct, g.person(), excl), ""
 	case 9: // Join through a blank node: a person's likes, the node unprojected.
 		target := [...]string{"hasPost", "hasComment"}[g.r.Intn(2)]
 		who := "?p"
@@ -198,19 +246,19 @@ func (g *diffGen) Next() string {
   %s snvoc:likes ?l .
   ?l snvoc:%s ?msg .
   ?l snvoc:creationDate ?d .
-}`, g.prefix(), distinct, who, target)
+}`, g.prefix(), distinct, who, target), ""
 	default: // Property paths: anchored knows closure or a sequence path.
 		if g.r.Intn(2) == 0 {
 			attr := personAttrs[g.r.Intn(len(personAttrs))]
 			return fmt.Sprintf(`%sSELECT %s?f ?v WHERE {
   %s snvoc:knows+ ?f .
   ?f snvoc:%s ?v .
-}`, g.prefix(), distinct, g.person(), attr)
+}`, g.prefix(), distinct, g.person(), attr), ""
 		}
 		attr := personAttrs[g.r.Intn(len(personAttrs))]
 		return fmt.Sprintf(`%sSELECT %s?v WHERE {
   ?cm snvoc:replyOf/snvoc:hasCreator ?p .
   ?p snvoc:%s ?v .
-}`, g.prefix(), distinct, attr)
+}`, g.prefix(), distinct, attr), ""
 	}
 }

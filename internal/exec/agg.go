@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"strconv"
 	"strings"
 
@@ -10,111 +9,93 @@ import (
 	"ltqp/internal/sparql"
 )
 
-// evalGroup implements GROUP BY with aggregate projection and HAVING. It is
-// a blocking operator: grouping over a still-growing source would produce
-// retractable results, so evaluation waits for the complete input.
-func evalGroup(ctx context.Context, g algebra.Group, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, g.Input, env)
-	go func() {
-		defer close(out)
-		rows := drain(ctx, in)
-		if ctx.Err() != nil {
-			return
-		}
-
-		// Compute group keys.
-		keyVars := make([]string, 0, len(g.By))
-		type grp struct {
-			key  rdf.Binding
-			rows []rdf.Binding
-		}
-		groups := map[string]*grp{}
-		var order []string
+// groupRows implements GROUP BY with aggregate projection and HAVING over
+// materialised rows. It is the reference's Group and the pipeline's for
+// the shapes the columnar grouping does not take; either way grouping is
+// blocking, since a group over a still-growing source would be retractable.
+func groupRows(env *Env, g algebra.Group, rows []rdf.Binding) []rdf.Binding {
+	type grp struct {
+		key  rdf.Binding
+		rows []rdf.Binding
+	}
+	groups := map[string]*grp{}
+	var order []string
+	for _, row := range rows {
+		key := rdf.NewBinding()
 		for _, c := range g.By {
-			if c.Var != "" {
-				keyVars = append(keyVars, c.Var)
-			}
-		}
-		for _, row := range rows {
-			key := rdf.NewBinding()
-			for _, c := range g.By {
-				switch {
-				case c.Expr == nil:
-					if t, ok := row.Get(c.Var); ok {
-						key[c.Var] = t
-					}
-				default:
-					if v, err := evalExpr(env, c.Expr, row); err == nil {
-						if c.Var != "" {
-							key[c.Var] = v
-						} else {
-							// Unnamed expression keys participate in
-							// grouping via a synthetic name.
-							key["__groupkey"+strconv.Itoa(len(key))] = v
-						}
+			switch {
+			case c.Expr == nil:
+				if t, ok := row.Get(c.Var); ok {
+					key[c.Var] = t
+				}
+			default:
+				if v, err := evalExpr(env, c.Expr, row); err == nil {
+					if c.Var != "" {
+						key[c.Var] = v
+					} else {
+						// Unnamed expression keys participate in
+						// grouping via a synthetic name.
+						key["__groupkey"+strconv.Itoa(len(key))] = v
 					}
 				}
 			}
-			ks := key.Key(key.Vars())
-			gr, ok := groups[ks]
-			if !ok {
-				gr = &grp{key: key}
-				groups[ks] = gr
-				order = append(order, ks)
-			}
-			gr.rows = append(gr.rows, row)
 		}
-		// Implicit single group for aggregate queries without GROUP BY.
-		if len(groups) == 0 && len(g.By) == 0 {
-			groups[""] = &grp{key: rdf.NewBinding()}
-			order = append(order, "")
+		ks := key.Key(key.Vars())
+		gr, ok := groups[ks]
+		if !ok {
+			gr = &grp{key: key}
+			groups[ks] = gr
+			order = append(order, ks)
 		}
+		gr.rows = append(gr.rows, row)
+	}
+	// Implicit single group for aggregate queries without GROUP BY.
+	if len(groups) == 0 && len(g.By) == 0 {
+		groups[""] = &grp{key: rdf.NewBinding()}
+		order = append(order, "")
+	}
 
-		for _, ks := range order {
-			gr := groups[ks]
-			result := gr.key.Copy()
-			if env.Prov != nil {
-				// An aggregate row descends from every row of its group:
-				// its provenance is the union of theirs.
-				for _, row := range gr.rows {
-					for k, v := range row {
-						if rdf.IsProvVar(k) {
-							result[k] = v
-						}
+	var out []rdf.Binding
+	for _, ks := range order {
+		gr := groups[ks]
+		result := gr.key.Copy()
+		if env.Prov != nil {
+			// An aggregate row descends from every row of its group:
+			// its provenance is the union of theirs.
+			for _, row := range gr.rows {
+				for k, v := range row {
+					if rdf.IsProvVar(k) {
+						result[k] = v
 					}
 				}
 			}
-			for _, item := range g.Items {
-				if item.Expr == nil {
-					// Plain variable: must be a group key; already present.
-					continue
-				}
-				if v, err := evalAggExpr(env, item.Expr, gr.key, gr.rows); err == nil {
-					result[item.Var] = v
-				}
-			}
-			havingOK := true
-			for _, h := range g.Having {
-				v, err := evalAggExpr(env, h, result, gr.rows)
-				if err != nil {
-					havingOK = false
-					break
-				}
-				ok, err := v.EffectiveBooleanValue()
-				if err != nil || !ok {
-					havingOK = false
-					break
-				}
-			}
-			if !havingOK {
+		}
+		for _, item := range g.Items {
+			if item.Expr == nil {
+				// Plain variable: must be a group key; already present.
 				continue
 			}
-			if !send(ctx, out, result) {
-				return
+			if v, err := evalAggExpr(env, item.Expr, gr.key, gr.rows); err == nil {
+				result[item.Var] = v
 			}
 		}
-	}()
+		havingOK := true
+		for _, h := range g.Having {
+			v, err := evalAggExpr(env, h, result, gr.rows)
+			if err != nil {
+				havingOK = false
+				break
+			}
+			ok, err := v.EffectiveBooleanValue()
+			if err != nil || !ok {
+				havingOK = false
+				break
+			}
+		}
+		if havingOK {
+			out = append(out, result)
+		}
+	}
 	return out
 }
 
@@ -211,8 +192,8 @@ func evalAggregate(env *Env, call sparql.ExprCall, rows []rdf.Binding) (rdf.Term
 }
 
 // aggCompute folds the collected argument values of one aggregate call.
-// It is shared by the row-path evalAggregate and the vectorized grouping,
-// which collect values differently (expression evaluation per row vs column
+// It is shared by groupRows' evalAggregate and the columnar grouping, which
+// collect values differently (expression evaluation per row vs column
 // decode) but must fold identically.
 func aggCompute(call sparql.ExprCall, values []rdf.Term) (rdf.Term, error) {
 	switch call.Func {
@@ -270,143 +251,4 @@ func aggCompute(call sparql.ExprCall, values []rdf.Term) (rdf.Term, error) {
 		return rdf.NewLiteral(strings.Join(parts, sep)), nil
 	}
 	return rdf.Term{}, typeErrf("unknown aggregate %s", call.Func)
-}
-
-// snapshotHasSolution evaluates an operator tree against the *current*
-// store contents (no blocking on growth) and reports whether at least one
-// solution exists. Used by EXISTS.
-func snapshotHasSolution(env *Env, op algebra.Operator) bool {
-	return len(snapshotSolutions(env, op, 1)) > 0
-}
-
-// snapshotSolutions evaluates op over the current snapshot, returning up to
-// limit solutions (limit <= 0 means all). This is a simple recursive
-// evaluator over materialized intermediate results; EXISTS patterns are
-// small, so this is fine.
-func snapshotSolutions(env *Env, op algebra.Operator, limit int) []rdf.Binding {
-	var eval func(op algebra.Operator) []rdf.Binding
-	eval = func(op algebra.Operator) []rdf.Binding {
-		switch x := op.(type) {
-		case algebra.Unit:
-			return []rdf.Binding{rdf.NewBinding()}
-		case algebra.Pattern:
-			var out []rdf.Binding
-			for _, t := range env.Store.MatchNow(x.Triple) {
-				b, ok := rdf.NewBinding().MatchPattern(x.Triple, t)
-				if !ok {
-					continue
-				}
-				if b, ok = applyGraphConstraint(env, x.Graph, t, b); ok {
-					out = append(out, b)
-				}
-			}
-			return out
-		case algebra.PathPattern:
-			return evalPathSnapshot(env, x)
-		case algebra.Join:
-			ls, rs := eval(x.Left), eval(x.Right)
-			var out []rdf.Binding
-			for _, l := range ls {
-				for _, r := range rs {
-					if m, ok := l.Merge(r); ok {
-						out = append(out, m)
-					}
-				}
-			}
-			return out
-		case algebra.Union:
-			return append(eval(x.Left), eval(x.Right)...)
-		case algebra.Filter:
-			var out []rdf.Binding
-			for _, b := range eval(x.Input) {
-				if v, err := evalExpr(env, x.Expr, b); err == nil {
-					if ok, err := v.EffectiveBooleanValue(); err == nil && ok {
-						out = append(out, b)
-					}
-				}
-			}
-			return out
-		case algebra.LeftJoin:
-			ls, rs := eval(x.Left), eval(x.Right)
-			var out []rdf.Binding
-			for _, l := range ls {
-				matched := false
-				for _, r := range rs {
-					if m, ok := l.Merge(r); ok {
-						out = append(out, m)
-						matched = true
-					}
-				}
-				if !matched {
-					out = append(out, l)
-				}
-			}
-			return out
-		case algebra.Extend:
-			var out []rdf.Binding
-			for _, b := range eval(x.Input) {
-				if v, err := evalExpr(env, x.Expr, b); err == nil {
-					if e, ok := b.Extend(x.Var, v); ok {
-						out = append(out, e)
-						continue
-					}
-				}
-				out = append(out, b)
-			}
-			return out
-		case algebra.Values:
-			return x.Rows
-		case algebra.Distinct:
-			seen := map[string]bool{}
-			var out []rdf.Binding
-			vars := x.Input.Vars()
-			for _, b := range eval(x.Input) {
-				k := b.Key(vars)
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, b)
-				}
-			}
-			return out
-		case algebra.Project:
-			var out []rdf.Binding
-			for _, b := range eval(x.Input) {
-				if len(x.Items) == 0 {
-					out = append(out, b)
-					continue
-				}
-				res := rdf.NewBinding()
-				for _, item := range x.Items {
-					if item.Expr == nil {
-						if t, ok := b.Get(item.Var); ok {
-							res[item.Var] = t
-						}
-					} else if v, err := evalExpr(env, item.Expr, b); err == nil {
-						res[item.Var] = v
-					}
-				}
-				out = append(out, res)
-			}
-			return out
-		case algebra.Slice:
-			all := eval(x.Input)
-			if x.Offset > 0 {
-				if x.Offset >= len(all) {
-					return nil
-				}
-				all = all[x.Offset:]
-			}
-			if x.Limit >= 0 && x.Limit < len(all) {
-				all = all[:x.Limit]
-			}
-			return all
-		default:
-			return nil
-		}
-	}
-	out := eval(op)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

@@ -6,10 +6,9 @@
 // provenance column (per-row source-document ID sets), so Result.Explain()
 // is unchanged when batches flow through the pipeline.
 //
-// The row-at-a-time operators in exec.go remain the reference semantics:
-// every vectorized operator is pinned against them by the property-based
-// suite (batch_prop_test.go), the differential harness
-// (internal/baseline), and FuzzBatchSelection.
+// Reference (ref.go) is the semantics every batch operator is pinned
+// against: by the property-based suite (batch_prop_test.go), the
+// differential harness (internal/baseline), and FuzzBatchSelection.
 package exec
 
 import (
@@ -242,23 +241,6 @@ func sameVars(a, b []string) bool {
 	return true
 }
 
-// bindsExactly reports whether the variables bind binds, provenance keys
-// excluded as Binding.Vars excludes them, are exactly vars (distinct names).
-func bindsExactly(bind rdf.Binding, vars []string) bool {
-	n := 0
-	for k := range bind {
-		if !rdf.IsProvVar(k) {
-			n++
-		}
-	}
-	for _, v := range vars {
-		if _, ok := bind[v]; !ok {
-			return false
-		}
-	}
-	return n == len(vars)
-}
-
 // schemaMap returns, for every variable of to, its column index in from or
 // -1 when absent.
 func schemaMap(from, to []string) []int {
@@ -275,13 +257,71 @@ func schemaMap(from, to []string) []int {
 	return m
 }
 
-// batchesToRows decodes a batch stream back into the binding representation
-// at the pipeline boundary: IDs become terms only here, after every
-// vectorized operator has run on integers.
+// discard releases every batch left in a stream until its producer closes
+// it. Operators that stop reading early (cancelled, or LIMIT satisfied
+// after cancelling upstream) defer it, so batches still in flight return
+// their ledger charge and every upstream goroutine has exited by the time
+// the operator closes its own output.
+func discard(in BatchStream) {
+	for b := range in {
+		putBatch(b)
+	}
+}
+
+// decodeRow decodes physical row r of b into a binding, provenance
+// included: IDs become terms only at the pipeline's decode boundaries.
+func decodeRow(env *Env, b *Batch, r int32) rdf.Binding {
+	bind := make(rdf.Binding, len(b.vars))
+	for c, v := range b.vars {
+		if id := b.cols[c][r]; id != rdf.NoTerm {
+			bind[v] = env.dict.Decode(id)
+		}
+	}
+	if b.prov != nil {
+		for _, src := range b.prov[r] {
+			t := env.dict.Decode(src)
+			bind[rdf.ProvKey(t.Value)] = t
+		}
+	}
+	return bind
+}
+
+// encodeRows interns rows into batches over vars (an absent variable is
+// NoTerm) and sends them; it reports whether every batch was delivered.
+func encodeRows(ctx context.Context, env *Env, out chan<- *Batch, vars []string, rows []rdf.Binding) bool {
+	var b *Batch
+	for _, row := range rows {
+		if b == nil {
+			b = env.getBatch(vars, env.Prov != nil)
+		}
+		for c, v := range vars {
+			var id rdf.TermID
+			if t, ok := row[v]; ok {
+				id = env.dict.Intern(t)
+			}
+			b.cols[c] = append(b.cols[c], id)
+		}
+		if b.prov != nil {
+			b.prov = append(b.prov, row.SourceIDs(env.dict))
+		}
+		if b.n++; b.n == batchCap {
+			if !sendBatch(ctx, out, b) {
+				return false
+			}
+			b = nil
+		}
+	}
+	return b == nil || sendBatch(ctx, out, b)
+}
+
+// batchesToRows decodes a batch stream back into bindings at the pipeline
+// boundary (Eval): IDs become terms only here, after every operator has run
+// on integers.
 func batchesToRows(ctx context.Context, env *Env, in BatchStream) Stream {
 	out := make(chan rdf.Binding, chanCap)
 	go func() {
 		defer close(out)
+		defer discard(in)
 		for {
 			select {
 			case b, ok := <-in:
@@ -289,20 +329,9 @@ func batchesToRows(ctx context.Context, env *Env, in BatchStream) Stream {
 					return
 				}
 				for li := 0; li < b.Len(); li++ {
-					r := b.Row(li)
-					bind := make(rdf.Binding, len(b.vars))
-					for c, v := range b.vars {
-						if id := b.cols[c][r]; id != rdf.NoTerm {
-							bind[v] = env.dict.Decode(id)
-						}
-					}
-					if b.prov != nil {
-						for _, src := range b.prov[r] {
-							t := env.dict.Decode(src)
-							bind[rdf.ProvKey(t.Value)] = t
-						}
-					}
-					if !send(ctx, out, bind) {
+					select {
+					case out <- decodeRow(env, b, b.Row(li)):
+					case <-ctx.Done():
 						putBatch(b)
 						return
 					}
@@ -310,87 +339,6 @@ func batchesToRows(ctx context.Context, env *Env, in BatchStream) Stream {
 				putBatch(b)
 			case <-ctx.Done():
 				return
-			}
-		}
-	}()
-	return out
-}
-
-// rowsToBatches bridges a row stream into batches: the adapter vectorized
-// operators use to consume a non-vectorized child (blocking operators,
-// VALUES, paths). Rows are interned into columns per schema; a schema
-// change, a full batch, or an input stall flushes — stall-flushing keeps
-// the pipeline's first-result latency at row granularity even though the
-// transport is batched.
-func rowsToBatches(ctx context.Context, env *Env, in Stream) BatchStream {
-	out := make(chan *Batch, batchChanCap)
-	go func() {
-		defer close(out)
-		var cur *Batch
-		var curVars []string
-		flush := func() bool {
-			if cur == nil {
-				return true
-			}
-			b := cur
-			cur = nil
-			if b.Len() == 0 {
-				putBatch(b)
-				return true
-			}
-			return sendBatch(ctx, out, b)
-		}
-		add := func(bind rdf.Binding) bool {
-			if cur != nil && !bindsExactly(bind, curVars) {
-				if !flush() {
-					return false
-				}
-			}
-			if cur == nil {
-				curVars = bind.Vars()
-				cur = env.getBatch(curVars, env.Prov != nil)
-			}
-			for c, v := range curVars {
-				var id rdf.TermID
-				if t, ok := bind[v]; ok {
-					id = env.dict.Intern(t)
-				}
-				cur.cols[c] = append(cur.cols[c], id)
-			}
-			if cur.prov != nil {
-				cur.prov = append(cur.prov, bind.SourceIDs(env.dict))
-			}
-			cur.n++
-			if cur.n >= batchCap {
-				return flush()
-			}
-			return true
-		}
-		for {
-			select {
-			case bind, ok := <-in:
-				if !ok {
-					flush()
-					return
-				}
-				if !add(bind) {
-					return
-				}
-			default:
-				if !flush() {
-					return
-				}
-				select {
-				case bind, ok := <-in:
-					if !ok {
-						return
-					}
-					if !add(bind) {
-						return
-					}
-				case <-ctx.Done():
-					return
-				}
 			}
 		}
 	}()

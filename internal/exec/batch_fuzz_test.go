@@ -14,9 +14,9 @@ import (
 // operators: the fuzzer controls the row count, the cell contents, the
 // selection vector (empty, full, single-row, sparse, out-of-order — raw
 // bytes, deduplicated to keep the at-most-once invariant), and which
-// operator runs. Every execution is checked against the row-at-a-time
-// reference on the flattened input, so the target is a differential oracle,
-// not just a crash hunt.
+// operator runs. Every execution is checked against Reference on the
+// flattened input, so the target is a differential oracle, not just a crash
+// hunt.
 func FuzzBatchSelection(f *testing.F) {
 	f.Add(int64(1), uint16(0), []byte{}, uint8(0))             // empty batch
 	f.Add(int64(2), uint16(1), []byte{0}, uint8(1))            // single row
@@ -74,25 +74,25 @@ func FuzzBatchSelection(f *testing.F) {
 				sparql.ExprCall{Func: "STR", Args: []sparql.Expression{sparql.ExprVar{Name: "a"}}},
 				sparql.ExprTerm{Term: rdf.NewLiteral("e")},
 			}}
-			want = canon(schema, collect(Eval(ctx, algebra.Filter{Input: values, Expr: expr}, rig.ref)))
+			want = canon(schema, Reference(algebra.Filter{Input: values, Expr: expr}, rig.env))
 			got = canon(schema, collect(batchesToRows(ctx, rig.env,
 				batchFilter(ctx, rig.env, expr, streamOf(input)))))
 		case 1: // BIND
 			expr := sparql.ExprCall{Func: "STRLEN", Args: []sparql.Expression{
 				sparql.ExprCall{Func: "STR", Args: []sparql.Expression{sparql.ExprVar{Name: "b"}}}}}
 			ext := append(append([]string{}, schema...), "z")
-			want = canon(ext, collect(Eval(ctx, algebra.Extend{Input: values, Var: "z", Expr: expr}, rig.ref)))
+			want = canon(ext, Reference(algebra.Extend{Input: values, Var: "z", Expr: expr}, rig.env))
 			got = canon(ext, collect(batchesToRows(ctx, rig.env,
 				batchExtend(ctx, rig.env, "z", expr, streamOf(input)))))
 		case 2: // DISTINCT
-			want = canon(schema, collect(Eval(ctx, algebra.Distinct{Input: values}, rig.ref)))
+			want = canon(schema, Reference(algebra.Distinct{Input: values}, rig.env))
 			got = canon(schema, collect(batchesToRows(ctx, rig.env,
 				batchDedup(ctx, rig.env, schema, true, streamOf(input)))))
 		default: // self-JOIN (all variables shared)
 			join := algebra.Join{Left: values, Right: values}
-			want = canon(schema, collect(Eval(ctx, join, rig.ref)))
+			want = canon(schema, Reference(join, rig.env))
 			got = canon(schema, collect(batchesToRows(ctx, rig.env,
-				batchJoin(ctx, rig.env, join.Vars(), algebra.SharedVars(values, values),
+				batchJoin(ctx, rig.env, join.Vars(), algebra.SharedVars(values, values), nil, false,
 					streamOf(input), streamOf(input)))))
 		}
 		if len(got) != len(want) {

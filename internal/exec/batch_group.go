@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/rdf"
@@ -24,8 +25,8 @@ const groupParts = 64
 
 // vectorizableGroup reports whether a Group can run on the columnar path:
 // variable-only keys, no HAVING, and aggregates that are order-insensitive
-// folds of a plain variable (or COUNT(*)). Everything else falls back to
-// the row implementation.
+// folds of a plain variable (or COUNT(*)). Everything else runs groupRows
+// in batchMaterialize.
 func vectorizableGroup(g algebra.Group) bool {
 	if len(g.Having) > 0 {
 		return false
@@ -77,12 +78,11 @@ func hashIDKey(k idKey) uint64 {
 	return h
 }
 
-// evalGroupBatch drains the vectorized input into a columnar arena and
-// aggregates it partition-parallel, emitting result bindings (grouping is
-// the pipeline's decode boundary: only group keys and aggregate results
-// become terms).
-func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
+// batchGroup drains the input into a columnar arena and aggregates it
+// partition-parallel; only group keys and aggregate results become terms,
+// encoded back into batches over the group's variables.
+func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
+	out := make(chan *Batch, batchChanCap)
 	in := EvalBatch(ctx, g.Input, env)
 
 	keyVars := make([]string, len(g.By))
@@ -117,6 +117,9 @@ func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
 			itemVars = append(itemVars, item.Var)
 		}
 	}
+	// The output row's column of each group key and each aggregate.
+	outVars := g.Vars()
+	keyOut, itemOut := schemaMap(outVars, keyVars), schemaMap(outVars, itemVars)
 
 	go func() {
 		defer close(out)
@@ -192,7 +195,9 @@ func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
 			byPart[parts[i]] = append(byPart[parts[i]], int32(i))
 		}
 
-		// Phase 3: aggregate, one worker per disjoint partition set.
+		// Phase 3: aggregate, one worker per disjoint partition set. Each
+		// group becomes one ID row over outVars: key IDs copied from the
+		// arena, aggregate results interned.
 		type grp struct {
 			first int32
 			rows  []int32
@@ -200,9 +205,10 @@ func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
 		type partResult struct {
 			order  []idKey
 			groups map[idKey]*grp
-			out    []rdf.Binding
+			ids    []rdf.TermID // one row of len(outVars) IDs per group
+			prov   [][]rdf.TermID
 		}
-		results := make([]partResult, groupParts)
+		results := make([]partResult, groupParts, groupParts+1)
 		aggregatePart := func(p int) {
 			rows := byPart[p]
 			if len(rows) == 0 {
@@ -224,30 +230,27 @@ func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
 			var seen map[rdf.TermID]bool
 			for _, k := range pr.order {
 				gr := pr.groups[k]
-				result := rdf.NewBinding()
-				for c, v := range keyVars {
-					if id := cols[c][gr.first]; id != rdf.NoTerm {
-						result[v] = env.dict.Decode(id)
-					}
+				row := len(pr.ids)
+				for range outVars {
+					pr.ids = append(pr.ids, rdf.NoTerm)
+				}
+				ids := pr.ids[row:]
+				for c, o := range keyOut {
+					ids[o] = cols[c][gr.first]
 				}
 				if withProv {
+					// An aggregate row descends from every row of its
+					// group: its provenance is the union of theirs.
+					var srcs []rdf.TermID
 					for _, r := range gr.rows {
-						for _, src := range prov[r] {
-							t := env.dict.Decode(src)
-							result[rdf.ProvKey(t.Value)] = t
-						}
+						srcs = append(srcs, prov[r]...)
 					}
+					slices.Sort(srcs)
+					pr.prov = append(pr.prov, slices.Compact(srcs))
 				}
-				ii := 0
-				for _, item := range g.Items {
-					if item.Expr == nil {
-						continue
-					}
-					ai := items[ii]
-					name := itemVars[ii]
-					ii++
+				for ii, ai := range items {
 					if ai.call.Func == "COUNT" {
-						result[name] = countAgg(ai, cols, gr.rows, &seen)
+						ids[itemOut[ii]] = env.dict.Intern(countAgg(ai, cols, gr.rows, &seen))
 						continue
 					}
 					values = values[:0]
@@ -272,10 +275,9 @@ func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
 						values = append(values, env.dict.Decode(id))
 					}
 					if v, err := aggCompute(ai.call, values); err == nil {
-						result[name] = v
+						ids[itemOut[ii]] = env.dict.Intern(v)
 					}
 				}
-				pr.out = append(pr.out, result)
 			}
 		}
 		workers := env.workerCount()
@@ -304,30 +306,37 @@ func evalGroupBatch(ctx context.Context, g algebra.Group, env *Env) Stream {
 			}
 		}
 
-		emitted := false
-		for p := 0; p < groupParts; p++ {
-			for _, b := range results[p].out {
-				emitted = true
-				if !send(ctx, out, b) {
-					return
+		// Implicit single group for aggregate queries without GROUP BY over
+		// an empty input (COUNT() = 0 etc.), as in groupRows.
+		if n == 0 && len(g.By) == 0 {
+			ids := make([]rdf.TermID, len(outVars))
+			for ii, ai := range items {
+				if v, err := aggCompute(ai.call, nil); err == nil {
+					ids[itemOut[ii]] = env.dict.Intern(v)
+				}
+			}
+			results = append(results, partResult{order: []idKey{{}}, ids: ids, prov: make([][]rdf.TermID, 1)})
+		}
+		var b *Batch
+		for _, pr := range results {
+			for i := range pr.order {
+				if b == nil {
+					b = env.getBatch(outVars, withProv)
+				}
+				var pv []rdf.TermID
+				if withProv {
+					pv = pr.prov[i]
+				}
+				if b.appendRow(pr.ids[i*len(outVars):], pv); b.n == batchCap {
+					if !sendBatch(ctx, out, b) {
+						return
+					}
+					b = nil
 				}
 			}
 		}
-		// Implicit single group for aggregate queries without GROUP BY over
-		// an empty input (COUNT() = 0 etc.), as on the row path.
-		if !emitted && n == 0 && len(g.By) == 0 {
-			result := rdf.NewBinding()
-			ii := 0
-			for _, item := range g.Items {
-				if item.Expr == nil {
-					continue
-				}
-				if v, err := aggCompute(items[ii].call, nil); err == nil {
-					result[item.Var] = v
-				}
-				ii++
-			}
-			send(ctx, out, result)
+		if b != nil {
+			sendBatch(ctx, out, b)
 		}
 	}()
 	return out

@@ -8,16 +8,17 @@ import (
 
 	"ltqp/internal/rdf"
 	"ltqp/internal/resource"
+	"ltqp/internal/sparql"
 )
 
 // Vectorized symmetric hash join. A sequential coordinator alternates
 // between the two input batch streams; each arriving batch is first
 // inserted into its side's columnar arena, then probed against the other
 // side's arena — insert-before-probe per batch gives exactly-once pair
-// emission, the same invariant as the row join's insert-then-candidates
-// protocol. The probe phase is morsel-driven: workers steal fixed-size row
+// emission. The probe phase is morsel-driven: workers steal fixed-size row
 // ranges of the just-inserted batch and probe concurrently, which is safe
-// because both arenas are read-only between coordinator steps.
+// because both arenas are read-only between coordinator steps. OPTIONAL is
+// the same join with a filter on each pair and a matched flag per left row.
 
 // joinArena is one side's accumulated rows, stored column-wise over the
 // join's output schema (absent variables are NoTerm).
@@ -29,12 +30,23 @@ type joinArena struct {
 	// key: a key's rows link head to tail through next (parallel to the
 	// rows, -1 ends a chain) in insertion order, so a new key costs a map
 	// entry and no slice. Rows leaving a shared variable unbound (below
-	// OPTIONAL/VALUES) go to partial and are probed linearly — mirroring
-	// joinState.
+	// OPTIONAL/VALUES) go to partial and are probed linearly.
 	exact   map[idKey]chain
 	next    []int32
 	partial []int32
 	ids     []rdf.TermID // insertBatch's shared-key scratch
+	// matched flags the rows that joined, for OPTIONAL's left arena only:
+	// probes of either side set it atomically.
+	matched []uint32
+}
+
+// joinWorker is one probe worker's state: the output batch under
+// construction, a scratch row over the output schema, and the reader that
+// evaluates OPTIONAL's filters (nil without filters).
+type joinWorker struct {
+	b   *Batch
+	ids []rdf.TermID
+	rr  *rowReader
 }
 
 // chain is the first and last row of one exact-key bucket.
@@ -77,7 +89,7 @@ func (a *joinArena) reset() {
 	for c := range cols {
 		cols[c] = cols[c][:0]
 	}
-	a.prov, a.n, a.next, a.partial = nil, 0, a.next[:0], a.partial[:0]
+	a.prov, a.n, a.next, a.partial, a.matched = nil, 0, a.next[:0], a.partial[:0], a.matched[:0]
 }
 
 // insertBatch appends the live rows of b (mapped through cmap onto the out
@@ -130,7 +142,11 @@ func (a *joinArena) insertBatch(b *Batch, cmap []int, sharedIdx []int, keys []id
 	return start, keys, full
 }
 
-func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, right BatchStream) BatchStream {
+// batchJoin joins left and right on the shared variables. With outer set
+// it is OPTIONAL's left join: a pair is kept only when filters hold on the
+// merged row, matches stream as they are found, and the left rows that
+// never matched are emitted bare once both inputs have ended.
+func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters []sparql.Expression, outer bool, left, right BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	sharedIdx := make([]int, len(shared))
 	for i, v := range shared {
@@ -143,6 +159,8 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 	}
 	go func() {
 		defer close(out)
+		defer discard(right)
+		defer discard(left)
 		withProv := env.Prov != nil
 		la := getJoinArena(len(outVars), withProv)
 		ra := getJoinArena(len(outVars), withProv)
@@ -160,23 +178,42 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 		var arenaBytes int64
 		defer func() { env.Ledger.Release(resource.Exec, arenaBytes) }()
 
-		// Per-worker probe state: an output batch under construction and a
-		// scratch row. Workers send full batches themselves; leftovers are
-		// flushed by the coordinator at stream end.
-		nw := env.workerCount()
-		outs := make([]*Batch, nw)
-		scratch := make([][]rdf.TermID, nw)
-		for w := range scratch {
-			scratch[w] = make([]rdf.TermID, len(outVars))
+		// Per-worker probe state: an output batch under construction, a
+		// scratch row and a filter reader. Workers send full batches
+		// themselves; leftovers are flushed by the coordinator.
+		ws := make([]joinWorker, env.workerCount())
+		defer func() {
+			for _, jw := range ws {
+				putBatch(jw.b)
+			}
+		}()
+		for w := range ws {
+			ws[w].ids = make([]rdf.TermID, len(outVars))
+			if filters != nil {
+				ws[w].rr = newRowReader(filters...)
+				ws[w].rr.bind(outVars)
+			}
 		}
 		var aborted atomic.Bool
+		emit := func(jw *joinWorker, prov []rdf.TermID) {
+			if jw.b == nil {
+				jw.b = env.getBatch(outVars, withProv)
+			}
+			if jw.b.appendRow(jw.ids, prov); jw.b.n >= batchCap {
+				b := jw.b
+				jw.b = nil
+				if !sendBatch(ctx, out, b) {
+					aborted.Store(true)
+				}
+			}
+		}
 
 		// tryPair merges arena rows (mr of mine, or of other) into worker
 		// w's output batch; incompatible rows (both bind a variable to
-		// different terms) emit nothing.
+		// different terms) and pairs failing the filters emit nothing.
 		tryPair := func(w int, mine, other *joinArena, mr, or int32) {
-			ids := scratch[w]
-			for c := range ids {
+			jw := &ws[w]
+			for c := range jw.ids {
 				v := mine.cols[c][mr]
 				if ov := other.cols[c][or]; ov != rdf.NoTerm {
 					if v == rdf.NoTerm {
@@ -185,12 +222,17 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 						return
 					}
 				}
-				ids[c] = v
+				jw.ids[c] = v
 			}
-			b := outs[w]
-			if b == nil {
-				b = env.getBatch(outVars, withProv)
-				outs[w] = b
+			if jw.rr != nil && !holds(env, jw.rr.rowOf(env, jw.ids), filters...) {
+				return
+			}
+			if outer {
+				lr := mr
+				if mine != la {
+					lr = or
+				}
+				atomic.StoreUint32(&la.matched[lr], 1)
 			}
 			var prov []rdf.TermID
 			if withProv {
@@ -198,13 +240,7 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 				prov = make([]rdf.TermID, 0, len(mp)+len(op))
 				prov = append(append(prov, mp...), op...)
 			}
-			b.appendRow(ids, prov)
-			if b.n >= batchCap {
-				outs[w] = nil
-				if !sendBatch(ctx, out, b) {
-					aborted.Store(true)
-				}
-			}
+			emit(jw, prov)
 		}
 
 		var keys []idKey
@@ -216,6 +252,11 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 			var first int32
 			first, keys, full = mine.insertBatch(b, cmap, sharedIdx, keys, full)
 			putBatch(b)
+			if outer && mine == la {
+				n := len(la.matched)
+				la.matched = slices.Grow(la.matched, len(keys))[:n+len(keys)]
+				clear(la.matched[n:])
+			}
 			if env.Ledger != nil && len(keys) > 0 {
 				delta := int64(len(keys)) * arenaRowBytes
 				env.Ledger.Charge(resource.Exec, delta)
@@ -247,11 +288,12 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 		// incremental: results never wait for a batch to fill across
 		// input batches) and at stream end.
 		flush := func() bool {
-			for w, b := range outs {
+			for w := range ws {
+				b := ws[w].b
 				if b == nil {
 					continue
 				}
-				outs[w] = nil
+				ws[w].b = nil
 				if b.Len() == 0 {
 					putBatch(b)
 					continue
@@ -283,6 +325,22 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, left, ri
 			}
 			if !flush() {
 				return
+			}
+		}
+		if outer && !aborted.Load() && ctx.Err() == nil {
+			jw := &ws[0]
+			for r := int32(0); r < la.n && !aborted.Load(); r++ {
+				if la.matched[r] != 0 {
+					continue
+				}
+				for c := range jw.ids {
+					jw.ids[c] = la.cols[c][r]
+				}
+				var prov []rdf.TermID
+				if withProv {
+					prov = la.prov[r]
+				}
+				emit(jw, prov)
 			}
 		}
 		flush()

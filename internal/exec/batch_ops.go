@@ -6,61 +6,57 @@ import (
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/rdf"
+	"ltqp/internal/resource"
 	"ltqp/internal/sparql"
 )
 
-// vectorizableOp reports whether an operator has a vectorized physical
-// implementation. It is the single routing predicate shared by Eval and
-// EvalBatch: Eval decodes the batch pipeline of a vectorizable root back
-// into bindings, EvalBatch bridges a non-vectorizable child through
-// rowsToBatches — the predicate being shared is what makes that mutual
-// recursion terminate.
-func vectorizableOp(op algebra.Operator) bool {
-	switch x := op.(type) {
-	case algebra.Pattern:
-		// GRAPH-constrained scans consult per-triple sources through the
-		// row path.
-		return x.Graph.IsZero()
-	case algebra.Join, algebra.Union, algebra.Distinct, algebra.Reduced, algebra.Extend:
-		return true
-	case algebra.Filter:
-		// EXISTS gates on store completion; it stays on the row path.
-		return !exprContainsExists(x.Expr)
-	case algebra.Project:
-		for _, item := range x.Items {
-			if item.Expr != nil {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// EvalBatch evaluates a logical operator into a stream of ID batches.
-// Operators without a vectorized implementation (blocking operators, paths,
-// VALUES, GRAPH scans) are evaluated on the row path and bridged in, so any
-// plan shape runs end to end with the vectorized operators covering the
-// monotonic core.
+// EvalBatch evaluates a logical operator into a stream of ID batches. It is
+// the executor's one dispatcher: every operator of every plan runs here.
 func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
-	if env.NoVectorize || !vectorizableOp(op) {
-		return rowsToBatches(ctx, env, Eval(ctx, op, env))
-	}
 	switch x := op.(type) {
+	case algebra.Unit:
+		return batchMaterialize(ctx, env, nil, false, func([][]rdf.Binding) []rdf.Binding { return []rdf.Binding{{}} })
+	case algebra.Values:
+		return batchMaterialize(ctx, env, x.Variables, false, func([][]rdf.Binding) []rdf.Binding { return x.Rows })
 	case algebra.Pattern:
 		return tracedBatch(ctx, env, "scan", opAttrs(algebra.String(x)), func(ctx context.Context) BatchStream {
 			return batchScan(ctx, x, env)
 		})
+	case algebra.PathPattern:
+		return tracedBatch(ctx, env, "path", opAttrs(algebra.String(x)), func(ctx context.Context) BatchStream {
+			return batchMaterialize(ctx, env, x.Vars(), true, func([][]rdf.Binding) []rdf.Binding {
+				return evalPathSnapshot(env, x)
+			})
+		})
 	case algebra.Join:
 		return tracedBatch(ctx, env, "join", nil, func(ctx context.Context) BatchStream {
-			return batchJoin(ctx, env, x.Vars(), algebra.SharedVars(x.Left, x.Right),
+			return batchJoin(ctx, env, x.Vars(), algebra.SharedVars(x.Left, x.Right), nil, false,
+				EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
+		})
+	case algebra.LeftJoin:
+		return tracedBatch(ctx, env, "leftjoin", nil, func(ctx context.Context) BatchStream {
+			return batchJoin(ctx, env, x.Vars(), algebra.SharedVars(x.Left, x.Right), x.Filters, true,
 				EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
 		})
 	case algebra.Union:
 		return tracedBatch(ctx, env, "union", nil, func(ctx context.Context) BatchStream {
 			return batchUnion(ctx, EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
 		})
+	case algebra.Minus:
+		return tracedBatch(ctx, env, "minus", nil, func(ctx context.Context) BatchStream {
+			return batchMaterialize(ctx, env, x.Vars(), false, func(in [][]rdf.Binding) []rdf.Binding {
+				return minusRows(in[0], in[1])
+			}, EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
+		})
 	case algebra.Filter:
+		if exprContainsExists(x.Expr) {
+			// EXISTS is non-monotonic: the filter holds its input until the
+			// store has closed, so no later-arriving triple can invalidate
+			// its answer.
+			return batchMaterialize(ctx, env, x.Vars(), true, func(in [][]rdf.Binding) []rdf.Binding {
+				return filterRows(env, x.Expr, in[0])
+			}, EvalBatch(ctx, x.Input, env))
+		}
 		return batchFilter(ctx, env, x.Expr, EvalBatch(ctx, x.Input, env))
 	case algebra.Extend:
 		return batchExtend(ctx, env, x.Var, x.Expr, EvalBatch(ctx, x.Input, env))
@@ -68,55 +64,156 @@ func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
 		if len(x.Items) == 0 {
 			return EvalBatch(ctx, x.Input, env)
 		}
-		vars := make([]string, len(x.Items))
-		for i, item := range x.Items {
-			vars[i] = item.Var
-		}
-		return batchProject(ctx, env, vars, EvalBatch(ctx, x.Input, env))
+		return batchProject(ctx, env, x.Items, EvalBatch(ctx, x.Input, env))
 	case algebra.Distinct:
 		return tracedBatch(ctx, env, "distinct", nil, func(ctx context.Context) BatchStream {
 			return batchDedup(ctx, env, x.Input.Vars(), true, EvalBatch(ctx, x.Input, env))
 		})
 	case algebra.Reduced:
 		return batchDedup(ctx, env, x.Input.Vars(), false, EvalBatch(ctx, x.Input, env))
+	case algebra.OrderBy:
+		return tracedBatch(ctx, env, "orderby", nil, func(ctx context.Context) BatchStream {
+			return batchMaterialize(ctx, env, x.Vars(), false, func(in [][]rdf.Binding) []rdf.Binding {
+				return orderRows(env, x.Conds, in[0])
+			}, EvalBatch(ctx, x.Input, env))
+		})
+	case algebra.Slice:
+		return batchSlice(ctx, env, x)
+	case algebra.Group:
+		return tracedBatch(ctx, env, "group", nil, func(ctx context.Context) BatchStream {
+			if vectorizableGroup(x) {
+				return batchGroup(ctx, x, env)
+			}
+			return batchMaterialize(ctx, env, x.Vars(), false, func(in [][]rdf.Binding) []rdf.Binding {
+				return groupRows(env, x, in[0])
+			}, EvalBatch(ctx, x.Input, env))
+		})
 	}
-	return rowsToBatches(ctx, env, Eval(ctx, op, env))
+	out := make(chan *Batch)
+	close(out)
+	return out
 }
 
-// idKeyOf builds the identity key of a row from its IDs in key-variable
-// order — the exact layout idKeyer.key produces from a binding, so batch
-// DISTINCT/join keys and row-path keys agree.
-func idKeyOf(ids []rdf.TermID) idKey {
-	var out idKey
-	n := len(ids)
-	if n > 0 {
-		out.packed = uint64(ids[0]) << 32
-	}
-	if n > 1 {
-		out.packed |= uint64(ids[1])
-	}
-	if n > 2 {
-		buf := make([]byte, 0, (n-2)*4)
-		for _, id := range ids[2:] {
-			buf = append(buf, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+// batchMaterialize is the one operator for the blocking operators the
+// pipeline has no streaming form of (MINUS, ORDER BY, property paths, the
+// GROUP BY shapes the columnar grouping does not take, FILTER with EXISTS),
+// and with no inputs the source for VALUES and Unit. It drains its inputs,
+// decoding rows with their provenance and charging them to the ledger while
+// held, waits for the store to close when wait is set, runs the reference's
+// row function for the operator, and encodes the result into batches over
+// vars.
+func batchMaterialize(ctx context.Context, env *Env, vars []string, wait bool, fn func(in [][]rdf.Binding) []rdf.Binding, ins ...BatchStream) BatchStream {
+	out := make(chan *Batch, batchChanCap)
+	go func() {
+		defer close(out)
+		rows := make([][]rdf.Binding, len(ins))
+		var charged int64
+		defer func() { env.Ledger.Release(resource.Exec, charged) }()
+		for i, in := range ins {
+			for b := range in {
+				if ctx.Err() == nil {
+					for li := 0; li < b.Len(); li++ {
+						rows[i] = append(rows[i], decodeRow(env, b, b.Row(li)))
+					}
+				}
+				putBatch(b)
+			}
+			charged += env.chargeBuffered(rows[i])
 		}
-		out.rest = string(buf)
-	}
+		if ctx.Err() != nil || wait && env.Store.WaitClosed(ctx) != nil {
+			return
+		}
+		encodeRows(ctx, env, out, vars, fn(rows))
+	}()
 	return out
+}
+
+// batchSlice applies OFFSET and LIMIT by narrowing selection vectors. Once
+// the limit is met it cancels its upstream, which aborts the pattern
+// iterators and, through the facade, the traversal itself.
+func batchSlice(ctx context.Context, env *Env, s algebra.Slice) BatchStream {
+	out := make(chan *Batch, batchChanCap)
+	inCtx, cancel := context.WithCancel(ctx)
+	in := EvalBatch(inCtx, s.Input, env)
+	go func() {
+		defer close(out)
+		defer discard(in)
+		defer cancel()
+		skip, left := s.Offset, s.Limit // left < 0: unlimited
+		for left != 0 {
+			select {
+			case b, ok := <-in:
+				if !ok {
+					return
+				}
+				compactSel(b, func(int32) bool {
+					switch {
+					case skip > 0:
+						skip--
+						return false
+					case left == 0:
+						return false
+					case left > 0:
+						left--
+					}
+					return true
+				})
+				if b.Len() == 0 {
+					putBatch(b)
+				} else if !sendBatch(ctx, out, b) {
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out
+}
+
+// exprContainsExists reports whether the expression contains EXISTS.
+func exprContainsExists(e sparql.Expression) bool {
+	switch x := e.(type) {
+	case sparql.ExprExists:
+		return true
+	case sparql.ExprBinary:
+		return exprContainsExists(x.L) || exprContainsExists(x.R)
+	case sparql.ExprUnary:
+		return exprContainsExists(x.X)
+	case sparql.ExprCall:
+		for _, a := range x.Args {
+			if exprContainsExists(a) {
+				return true
+			}
+		}
+	case sparql.ExprIn:
+		if exprContainsExists(x.X) {
+			return true
+		}
+		for _, a := range x.List {
+			if exprContainsExists(a) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // batchScan emits matches of a triple pattern as ID batches straight out of
 // the store postings: no term is decoded. Each NextBatch call drains
 // whatever the store holds (up to batchCap), so first results keep row
-// latency while steady-state flow is batch-granular.
+// latency while steady-state flow is batch-granular. A GRAPH term is
+// checked against each match's source document: a constant must equal it,
+// a variable binds to it.
 func batchScan(ctx context.Context, p algebra.Pattern, env *Env) BatchStream {
 	out := make(chan *Batch, batchChanCap)
-	vars := p.Triple.Vars()
-	// pos[c] is the triple position (0=S,1=P,2=O) the c-th variable reads
-	// from (its first occurrence; the store already enforced repeated-
-	// variable equality).
+	vars := p.Vars()
+	// pos[c] is the position (0=S,1=P,2=O, 3=source document) the c-th
+	// variable reads from: its first occurrence, the store having already
+	// enforced repeated-variable equality within the triple.
 	pos := make([]int, len(vars))
-	pats := [3]rdf.Term{p.Triple.S, p.Triple.P, p.Triple.O}
+	pats := [4]rdf.Term{p.Triple.S, p.Triple.P, p.Triple.O, p.Graph}
+	gcol := -1 // column a GRAPH variable must agree with the source on
 	for c, v := range vars {
 		for i, t := range pats {
 			if t.Kind == rdf.TermVar && t.Value == v {
@@ -124,6 +221,14 @@ func batchScan(ctx context.Context, p algebra.Pattern, env *Env) BatchStream {
 				break
 			}
 		}
+		if p.Graph.IsVar() && p.Graph.Value == v {
+			gcol = c
+		}
+	}
+	graph := !p.Graph.IsZero()
+	var gid rdf.TermID
+	if graph && gcol < 0 {
+		gid = env.dict.Intern(p.Graph)
 	}
 	go func() {
 		defer close(out)
@@ -132,7 +237,7 @@ func batchScan(ctx context.Context, p algebra.Pattern, env *Env) BatchStream {
 		withProv := env.Prov != nil
 		ids := make([]rdf.IDTriple, batchCap)
 		var srcs []rdf.TermID
-		if withProv {
+		if withProv || graph {
 			srcs = make([]rdf.TermID, batchCap)
 		}
 		for {
@@ -152,22 +257,36 @@ func batchScan(ctx context.Context, p algebra.Pattern, env *Env) BatchStream {
 					for i := 0; i < n; i++ {
 						col = append(col, ids[i].P)
 					}
-				default:
+				case 2:
 					for i := 0; i < n; i++ {
 						col = append(col, ids[i].O)
 					}
+				default:
+					col = append(col, srcs[:n]...)
 				}
 				b.cols[c] = col
 			}
+			b.n = n
+			if graph {
+				compactSel(b, func(r int32) bool {
+					want := gid
+					if gcol >= 0 {
+						want = b.cols[gcol][r]
+					}
+					return srcs[r] != rdf.NoTerm && srcs[r] == want
+				})
+			}
 			if withProv {
 				for i := 0; i < n; i++ {
-					src := srcs[i]
-					b.prov = append(b.prov, []rdf.TermID{src})
-					env.Prov.add(env.dict.Decode(src).Value)
+					b.prov = append(b.prov, []rdf.TermID{srcs[i]})
+				}
+				for i := 0; i < b.Len(); i++ {
+					env.Prov.add(env.dict.Decode(srcs[b.Row(i)]).Value)
 				}
 			}
-			b.n = n
-			if !sendBatch(ctx, out, b) {
+			if b.Len() == 0 {
+				putBatch(b)
+			} else if !sendBatch(ctx, out, b) {
 				return
 			}
 		}
@@ -184,39 +303,56 @@ type rowReader struct {
 	// against the current batch schema by bind().
 	cols  []int
 	names []string
-	need  map[string]bool
-	vars  []string // schema the cols/names resolution is valid for
+	need  map[string]bool // nil: every column
+	vars  []string        // schema the cols/names resolution is valid for
 }
 
+// newRowReader reads the variables the expressions mention, or every
+// column when one contains EXISTS: the whole row is substituted into the
+// EXISTS pattern, and a sub-select inside it names only its projection.
 func newRowReader(exprs ...sparql.Expression) *rowReader {
 	need := map[string]bool{}
 	for _, e := range exprs {
+		if exprContainsExists(e) {
+			return &rowReader{scratch: rdf.Binding{}}
+		}
 		sparql.ExprVars(e, need)
 	}
 	return &rowReader{scratch: make(rdf.Binding, len(need)), need: need}
 }
 
-// bind resolves the needed variables against a batch schema.
-func (rr *rowReader) bind(b *Batch) {
-	if sameVars(rr.vars, b.vars) {
+// bind resolves the needed variables against a schema.
+func (rr *rowReader) bind(vars []string) {
+	if sameVars(rr.vars, vars) {
 		return
 	}
-	rr.vars = b.vars
+	rr.vars = vars
 	rr.cols = rr.cols[:0]
 	rr.names = rr.names[:0]
-	for c, v := range b.vars {
-		if rr.need[v] {
+	for c, v := range vars {
+		if rr.need == nil || rr.need[v] {
 			rr.cols = append(rr.cols, c)
 			rr.names = append(rr.names, v)
 		}
 	}
 }
 
-// row materializes physical row r into the scratch binding.
+// row materializes physical row r of b into the scratch binding.
 func (rr *rowReader) row(env *Env, b *Batch, r int32) rdf.Binding {
 	clear(rr.scratch)
 	for i, c := range rr.cols {
 		if id := b.cols[c][r]; id != rdf.NoTerm {
+			rr.scratch[rr.names[i]] = env.dict.Decode(id)
+		}
+	}
+	return rr.scratch
+}
+
+// rowOf materializes a row given as one ID per schema column.
+func (rr *rowReader) rowOf(env *Env, ids []rdf.TermID) rdf.Binding {
+	clear(rr.scratch)
+	for i, c := range rr.cols {
+		if id := ids[c]; id != rdf.NoTerm {
 			rr.scratch[rr.names[i]] = env.dict.Decode(id)
 		}
 	}
@@ -247,13 +383,14 @@ func compactSel(b *Batch, keep func(r int32) bool) {
 
 // batchFilter applies a FILTER vectorized: per batch it evaluates the
 // expression over the live rows and narrows the selection vector; the batch
-// itself (columns, provenance) is forwarded untouched. Error semantics
-// match the row path exactly — an evaluation error drops the row, never the
-// stream.
+// itself (columns, provenance) is forwarded untouched. An evaluation error
+// drops the row, never the stream. A filter with EXISTS does not come here
+// (see EvalBatch).
 func batchFilter(ctx context.Context, env *Env, expr sparql.Expression, in BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	go func() {
 		defer close(out)
+		defer discard(in)
 		rr := newRowReader(expr)
 		for {
 			select {
@@ -261,20 +398,11 @@ func batchFilter(ctx context.Context, env *Env, expr sparql.Expression, in Batch
 				if !ok {
 					return
 				}
-				rr.bind(b)
-				compactSel(b, func(r int32) bool {
-					v, err := evalExpr(env, expr, rr.row(env, b, r))
-					if err != nil {
-						return false
-					}
-					ok, err := v.EffectiveBooleanValue()
-					return err == nil && ok
-				})
+				rr.bind(b.vars)
+				compactSel(b, func(r int32) bool { return holds(env, rr.row(env, b, r), expr) })
 				if b.Len() == 0 {
 					putBatch(b)
-					continue
-				}
-				if !sendBatch(ctx, out, b) {
+				} else if !sendBatch(ctx, out, b) {
 					return
 				}
 			case <-ctx.Done():
@@ -292,6 +420,7 @@ func batchExtend(ctx context.Context, env *Env, name string, expr sparql.Express
 	out := make(chan *Batch, batchChanCap)
 	go func() {
 		defer close(out)
+		defer discard(in)
 		rr := newRowReader(expr)
 		var extVars []string // cached extended schema, keyed by input schema
 		var forVars []string
@@ -301,7 +430,7 @@ func batchExtend(ctx context.Context, env *Env, name string, expr sparql.Express
 				if !ok {
 					return
 				}
-				rr.bind(b)
+				rr.bind(b.vars)
 				c := b.col(name)
 				if c < 0 {
 					// Fresh variable: extend the schema by one column.
@@ -362,11 +491,26 @@ func batchExtend(ctx context.Context, env *Env, name string, expr sparql.Express
 
 // batchProject narrows batches to the projected variables by gathering the
 // kept columns into a fresh batch (whole-slab copies when no selection
-// vector is set). SELECT * is a passthrough, as on the row path.
-func batchProject(ctx context.Context, env *Env, vars []string, in BatchStream) BatchStream {
+// vector is set), then fills each expression item's column by evaluating it
+// over the input row (an evaluation error leaves it unbound). SELECT * is a
+// passthrough in EvalBatch.
+func batchProject(ctx context.Context, env *Env, items []sparql.SelectItem, in BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
+	vars := make([]string, len(items))
+	var exprs []sparql.Expression
+	for i, item := range items {
+		vars[i] = item.Var
+		if item.Expr != nil {
+			exprs = append(exprs, item.Expr)
+		}
+	}
 	go func() {
 		defer close(out)
+		defer discard(in)
+		var rr *rowReader
+		if exprs != nil {
+			rr = newRowReader(exprs...)
+		}
 		for {
 			select {
 			case b, ok := <-in:
@@ -374,6 +518,11 @@ func batchProject(ctx context.Context, env *Env, vars []string, in BatchStream) 
 					return
 				}
 				src := schemaMap(b.vars, vars)
+				for c, item := range items {
+					if item.Expr != nil {
+						src[c] = -1
+					}
+				}
 				nb := env.getBatch(vars, b.prov != nil)
 				if b.sel == nil {
 					for c, j := range src {
@@ -408,6 +557,20 @@ func batchProject(ctx context.Context, env *Env, vars []string, in BatchStream) 
 					}
 					nb.n = len(b.sel)
 				}
+				if exprs != nil {
+					rr.bind(b.vars)
+					for i := 0; i < b.Len(); i++ {
+						row := rr.row(env, b, b.Row(i))
+						for c, item := range items {
+							if item.Expr == nil {
+								continue
+							}
+							if v, err := evalExpr(env, item.Expr, row); err == nil {
+								nb.cols[c][i] = env.dict.Intern(v)
+							}
+						}
+					}
+				}
 				putBatch(b)
 				if nb.Len() == 0 {
 					putBatch(nb)
@@ -426,12 +589,12 @@ func batchProject(ctx context.Context, env *Env, vars []string, in BatchStream) 
 
 // batchDedup implements DISTINCT (global seen-set) and REDUCED (consecutive
 // duplicates only) over batches by narrowing the selection vector; rows are
-// keyed by their IDs over the input operator's variable set, matching the
-// row-path keyer layout bit for bit.
+// keyed by their IDs over the input operator's variable set.
 func batchDedup(ctx context.Context, env *Env, keyVars []string, distinct bool, in BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	go func() {
 		defer close(out)
+		defer discard(in)
 		var seen map[idKey]bool
 		if distinct {
 			seen = map[idKey]bool{}
@@ -496,6 +659,7 @@ func batchUnion(ctx context.Context, left, right BatchStream) BatchStream {
 	var wg sync.WaitGroup
 	forward := func(in BatchStream) {
 		defer wg.Done()
+		defer discard(in)
 		for {
 			select {
 			case b, ok := <-in:

@@ -15,26 +15,22 @@ import (
 	"ltqp/internal/store"
 )
 
-// Property-based suite pinning every vectorized operator to the
-// row-at-a-time reference semantics: for randomly generated batches with
-// random selection vectors (nil, ordered-sparse, out-of-order, reversed,
-// empty, single-row), each batch operator must produce the same solution
-// multiset as the row operator run over the flattened input — across worker
-// counts, so morsel scheduling can never change results.
+// Property-based suite pinning every vectorized operator to the reference
+// semantics: for randomly generated batches with random selection vectors
+// (nil, ordered-sparse, out-of-order, reversed, empty, single-row), each
+// batch operator must produce the same solution multiset as Reference run
+// over the flattened input — across worker counts, so morsel scheduling can
+// never change results.
 
 type propRig struct {
 	r    *rand.Rand
-	env  *Env // vectorized side; Workers swept per run
-	ref  *Env // reference side, pinned to the row path
+	env  *Env // Workers swept per run; Reference ignores them
 	pool []rdf.TermID
 }
 
 func newPropRig(seed int64) *propRig {
 	s := store.New()
-	env := NewEnv(s)
-	ref := NewEnv(s)
-	ref.NoVectorize = true
-	rig := &propRig{r: rand.New(rand.NewSource(seed)), env: env, ref: ref}
+	rig := &propRig{r: rand.New(rand.NewSource(seed)), env: NewEnv(s)}
 	d := s.Dict()
 	for i := 0; i < 8; i++ {
 		rig.pool = append(rig.pool, d.Intern(rdf.NewIRI(fmt.Sprintf("http://example.org/e%d", i))))
@@ -237,7 +233,7 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 
 	// FILTER.
 	fexpr := rig.randExprOver(schemaL)
-	want := canon(schemaL, collect(Eval(ctx, algebra.Filter{Input: valuesL, Expr: fexpr}, rig.ref)))
+	want := canon(schemaL, Reference(algebra.Filter{Input: valuesL, Expr: fexpr}, rig.env))
 	checkOp(t, rig, workers, "filter", schemaL, want, func() BatchStream {
 		return batchFilter(ctx, rig.env, fexpr, streamOf(left))
 	})
@@ -245,24 +241,24 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 	// BIND onto a fresh variable and onto an existing one.
 	bexpr := rig.randExprOver(schemaL)
 	extVars := append(append([]string{}, schemaL...), "z")
-	want = canon(extVars, collect(Eval(ctx, algebra.Extend{Input: valuesL, Var: "z", Expr: bexpr}, rig.ref)))
+	want = canon(extVars, Reference(algebra.Extend{Input: valuesL, Var: "z", Expr: bexpr}, rig.env))
 	checkOp(t, rig, workers, "bind-fresh", extVars, want, func() BatchStream {
 		return batchExtend(ctx, rig.env, "z", bexpr, streamOf(left))
 	})
-	want = canon(schemaL, collect(Eval(ctx, algebra.Extend{Input: valuesL, Var: "c", Expr: bexpr}, rig.ref)))
+	want = canon(schemaL, Reference(algebra.Extend{Input: valuesL, Var: "c", Expr: bexpr}, rig.env))
 	checkOp(t, rig, workers, "bind-existing", schemaL, want, func() BatchStream {
 		return batchExtend(ctx, rig.env, "c", bexpr, streamOf(left))
 	})
 
 	// DISTINCT.
-	want = canon(schemaL, collect(Eval(ctx, algebra.Distinct{Input: valuesL}, rig.ref)))
+	want = canon(schemaL, Reference(algebra.Distinct{Input: valuesL}, rig.env))
 	checkOp(t, rig, workers, "distinct", schemaL, want, func() BatchStream {
 		return batchDedup(ctx, rig.env, schemaL, true, streamOf(left))
 	})
 
 	// UNION of the two schemas.
 	unionVars := algebra.Union{Left: valuesL, Right: valuesR}.Vars()
-	want = canon(unionVars, collect(Eval(ctx, algebra.Union{Left: valuesL, Right: valuesR}, rig.ref)))
+	want = canon(unionVars, Reference(algebra.Union{Left: valuesL, Right: valuesR}, rig.env))
 	checkOp(t, rig, workers, "union", unionVars, want, func() BatchStream {
 		return batchUnion(ctx, streamOf(left), streamOf(right))
 	})
@@ -272,9 +268,17 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 	join := algebra.Join{Left: valuesL, Right: valuesR}
 	outVars := join.Vars()
 	shared := algebra.SharedVars(valuesL, valuesR)
-	want = canon(outVars, collect(Eval(ctx, join, rig.ref)))
+	want = canon(outVars, Reference(join, rig.env))
 	checkOp(t, rig, workers, "join", outVars, want, func() BatchStream {
-		return batchJoin(ctx, rig.env, outVars, shared, streamOf(left), streamOf(right))
+		return batchJoin(ctx, rig.env, outVars, shared, nil, false, streamOf(left), streamOf(right))
+	})
+
+	// OPTIONAL with a filter over the merged row: matched flags are set by
+	// probes from both sides, morsel-parallel.
+	lj := algebra.LeftJoin{Left: valuesL, Right: valuesR, Filters: []sparql.Expression{rig.randExprOver(outVars)}}
+	want = canon(outVars, Reference(lj, rig.env))
+	checkOp(t, rig, workers, "leftjoin", outVars, want, func() BatchStream {
+		return batchJoin(ctx, rig.env, outVars, shared, lj.Filters, true, streamOf(left), streamOf(right))
 	})
 
 	for _, b := range append(left, right...) {

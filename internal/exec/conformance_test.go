@@ -197,6 +197,45 @@ SELECT ?n WHERE { ?s ex:q ?n } ORDER BY ?n OFFSET 1`,
 			want: []string{"?n=" + intLit("2")},
 		},
 	}
+	// EXISTS over MINUS, GROUP BY, ORDER BY + LIMIT, REDUCED and a
+	// filtered OPTIONAL: the reference evaluator EXISTS runs must handle
+	// every operator the pipeline does.
+	all := []string{"?s=" + ex("s1"), "?s=" + ex("s2"), "?s=" + ex("s3")}
+	for _, c := range []struct {
+		name, inner string
+		want        []string
+	}{
+		{"exists over minus", `?s ex:p ?x MINUS { ?s2 ex:p ?x . ?s2 ex:label ?l }`, []string{"?s=" + ex("s1"), "?s=" + ex("s3")}},
+		{"exists over group", `SELECT ?s (COUNT(?x) AS ?n) WHERE { ?s ex:p ?x } GROUP BY ?s`, all},
+		{"exists over order and limit", `SELECT ?s WHERE { ?s ex:p ?x } ORDER BY ?x LIMIT 1`, all},
+		{"exists over reduced", `SELECT REDUCED ?s WHERE { ?s ex:p ?x }`, all},
+		{"exists over optional filter", `?s ex:p ?y OPTIONAL { ?s ex:q ?x FILTER(?x > 5) } FILTER(!BOUND(?x))`, all},
+		// SELECT * names no variable of its own: the outer row must still
+		// reach the sub-select's pattern.
+		{"exists over select star", `SELECT * WHERE { ?s ex:q ?w }`, []string{"?s=" + ex("s1"), "?s=" + ex("s2")}},
+	} {
+		cases = append(cases, conformanceCase{name: c.name, data: confData, want: c.want,
+			query: "PREFIX ex: <http://example.org/>\nSELECT ?s WHERE { ?s ex:p ?o FILTER EXISTS { " + c.inner + " } }"})
+	}
+	// EXISTS outside a FILTER (an OPTIONAL's filter, a projected
+	// expression) also sees the whole row.
+	cases = append(cases, conformanceCase{
+		name: "exists in optional filter over select star",
+		data: confData,
+		query: `PREFIX ex: <http://example.org/>
+SELECT ?s ?n WHERE { ?s ex:p ?o OPTIONAL { ?s ex:q ?n FILTER EXISTS { SELECT * WHERE { ?s ex:label ?l } } } }`,
+		want: []string{"?n=" + intLit("2") + " ?s=" + ex("s2"), "?s=" + ex("s1"), "?s=" + ex("s3")},
+	}, conformanceCase{
+		name: "exists projected over select star",
+		data: confData,
+		query: `PREFIX ex: <http://example.org/>
+SELECT ?s (EXISTS { SELECT * WHERE { ?s ex:label ?l } } AS ?b) WHERE { ?s ex:p ?o }`,
+		want: []string{
+			`?b="false"^^<http://www.w3.org/2001/XMLSchema#boolean> ?s=` + ex("s1"),
+			`?b="false"^^<http://www.w3.org/2001/XMLSchema#boolean> ?s=` + ex("s3"),
+			`?b="true"^^<http://www.w3.org/2001/XMLSchema#boolean> ?s=` + ex("s2"),
+		},
+	})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

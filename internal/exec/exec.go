@@ -1,17 +1,21 @@
 // Package exec implements the physical, pipelined execution of logical
-// plans over the growing triple source. Operators are goroutines connected
-// by channels; monotonic operators (pattern scans, symmetric hash joins,
-// unions, filters, binds, distinct, projections) emit solutions
-// incrementally while traversal is still dereferencing documents, which is
-// what lets first results appear long before the link queue drains.
-// Blocking operators (ORDER BY, GROUP BY, MINUS, the bare-row phase of
-// OPTIONAL, transitive property paths, EXISTS filters) gate on completion
-// of their inputs.
+// plans over the growing triple source. EvalBatch is the one dispatcher:
+// every operator is a goroutine exchanging batches of dictionary term IDs
+// over channels, and Eval decodes the root's batches into bindings.
+// Monotonic operators (pattern scans, symmetric hash joins and OPTIONAL's
+// matches, unions, filters, binds, projections, distinct, LIMIT) emit
+// solutions incrementally while traversal is still dereferencing documents,
+// which is what lets first results appear long before the link queue
+// drains. Blocking operators (ORDER BY, GROUP BY, MINUS, transitive property
+// paths, EXISTS filters, the bare-row phase of OPTIONAL) wait for their
+// inputs to end or the store to close.
+//
+// Reference is the materialising evaluator over a closed store: EXISTS runs
+// it, and it is the oracle the pipeline is tested against.
 package exec
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -19,14 +23,13 @@ import (
 	"ltqp/internal/obs"
 	"ltqp/internal/rdf"
 	"ltqp/internal/resource"
-	"ltqp/internal/sparql"
 	"ltqp/internal/store"
 )
 
-// chanCap is the buffer size of inter-operator channels.
+// chanCap is the buffer size of the decoded result channel.
 const chanCap = 64
 
-// Stream is a channel of solution bindings produced by an operator.
+// Stream is a channel of solution bindings produced by Eval.
 type Stream <-chan rdf.Binding
 
 // Env carries the evaluation environment shared by all operators of one
@@ -49,10 +52,6 @@ type Env struct {
 	// Workers is the morsel worker-pool size for parallel join probes and
 	// grouping; 0 means GOMAXPROCS.
 	Workers int
-	// NoVectorize pins the whole execution to the row-at-a-time operators.
-	// The differential oracle and the property-test reference side set it,
-	// so the batch pipeline is always measured against the row semantics.
-	NoVectorize bool
 	// Ledger, when non-nil, is charged (under resource.Exec) for the
 	// memory execution retains: batch slab capacity in flight, join and
 	// grouping arenas, and rows buffered by blocking operators. Nil
@@ -94,91 +93,13 @@ func (e *Env) nextRand() float64 {
 	return float64(e.randN>>11) / float64(1<<53)
 }
 
-// Eval evaluates a logical operator into a stream of bindings. The stream
-// closes when the operator is exhausted or the context is cancelled.
-//
-// Operators with a vectorized implementation run on the batch pipeline
-// (EvalBatch) and are decoded back into bindings at this boundary; the
-// row-at-a-time implementations below remain both the fallback for
-// non-vectorizable operators and the reference semantics the batch
-// operators are tested against.
+// Eval evaluates a logical operator into a stream of bindings: the batch
+// pipeline, decoded at this boundary. The stream closes when the operator
+// is exhausted or the context is cancelled.
 func Eval(ctx context.Context, op algebra.Operator, env *Env) Stream {
-	if !env.NoVectorize && vectorizableOp(op) {
-		return batchesToRows(ctx, env, EvalBatch(ctx, op, env))
-	}
-	switch x := op.(type) {
-	case algebra.Unit:
-		return evalUnit(ctx)
-	case algebra.Pattern:
-		return traced(ctx, env, "scan", opAttrs(algebra.String(x)), func(ctx context.Context) Stream {
-			return evalPattern(ctx, x, env)
-		})
-	case algebra.PathPattern:
-		return traced(ctx, env, "path", opAttrs(algebra.String(x)), func(ctx context.Context) Stream {
-			return evalPathPattern(ctx, x, env)
-		})
-	case algebra.Join:
-		return traced(ctx, env, "join", nil, func(ctx context.Context) Stream {
-			return evalJoin(ctx, x, env)
-		})
-	case algebra.LeftJoin:
-		return traced(ctx, env, "leftjoin", nil, func(ctx context.Context) Stream {
-			return evalLeftJoin(ctx, x, env)
-		})
-	case algebra.Union:
-		return traced(ctx, env, "union", nil, func(ctx context.Context) Stream {
-			return evalUnion(ctx, x, env)
-		})
-	case algebra.Minus:
-		return traced(ctx, env, "minus", nil, func(ctx context.Context) Stream {
-			return evalMinus(ctx, x, env)
-		})
-	case algebra.Filter:
-		return evalFilter(ctx, x, env)
-	case algebra.Extend:
-		return evalExtend(ctx, x, env)
-	case algebra.Values:
-		return evalValues(ctx, x)
-	case algebra.Project:
-		return evalProject(ctx, x, env)
-	case algebra.Distinct:
-		return traced(ctx, env, "distinct", nil, func(ctx context.Context) Stream {
-			return evalDistinct(ctx, x, env)
-		})
-	case algebra.Reduced:
-		return evalReduced(ctx, x, env)
-	case algebra.OrderBy:
-		return traced(ctx, env, "orderby", nil, func(ctx context.Context) Stream {
-			return evalOrderBy(ctx, x, env)
-		})
-	case algebra.Slice:
-		return evalSlice(ctx, x, env)
-	case algebra.Group:
-		return traced(ctx, env, "group", nil, func(ctx context.Context) Stream {
-			if !env.NoVectorize && vectorizableGroup(x) {
-				return evalGroupBatch(ctx, x, env)
-			}
-			return evalGroup(ctx, x, env)
-		})
-	default:
-		// Unknown operator: empty stream.
-		out := make(chan rdf.Binding)
-		close(out)
-		return out
-	}
+	return batchesToRows(ctx, env, EvalBatch(ctx, op, env))
 }
 
-// send delivers b unless the context is cancelled; it reports success.
-func send(ctx context.Context, out chan<- rdf.Binding, b rdf.Binding) bool {
-	select {
-	case out <- b:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// drain collects an entire stream (used by blocking operators).
 // chargeBuffered bills the environment's ledger (resource.Exec) for rows a
 // blocking operator has materialized — an estimated map-plus-entries
 // footprint per binding. It returns the charged amount, which the caller
@@ -193,622 +114,4 @@ func (e *Env) chargeBuffered(rows []rdf.Binding) int64 {
 	}
 	e.Ledger.Charge(resource.Exec, n)
 	return n
-}
-
-func drain(ctx context.Context, in Stream) []rdf.Binding {
-	var all []rdf.Binding
-	for {
-		select {
-		case b, ok := <-in:
-			if !ok {
-				return all
-			}
-			all = append(all, b)
-		case <-ctx.Done():
-			// Let the upstream goroutines observe cancellation themselves;
-			// consume nothing further.
-			return all
-		}
-	}
-}
-
-func evalUnit(ctx context.Context) Stream {
-	out := make(chan rdf.Binding, 1)
-	go func() {
-		defer close(out)
-		send(ctx, out, rdf.NewBinding())
-	}()
-	return out
-}
-
-func evalPattern(ctx context.Context, p algebra.Pattern, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	go func() {
-		defer close(out)
-		it := env.Store.Match(p.Triple)
-		defer it.Close()
-		for {
-			t, ok := it.Next(ctx)
-			if !ok {
-				return
-			}
-			b, ok := rdf.NewBinding().MatchPattern(p.Triple, t)
-			if !ok {
-				continue
-			}
-			b, ok = applyGraphConstraint(env, p.Graph, t, b)
-			if !ok {
-				continue
-			}
-			if env.Prov != nil {
-				b = env.Prov.Annotate(env.Store, b, t)
-			}
-			if !send(ctx, out, b) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// applyGraphConstraint enforces a GRAPH term against the provenance of a
-// matched triple: a constant graph must equal the source document, a
-// variable graph binds to it.
-func applyGraphConstraint(env *Env, graph rdf.Term, t rdf.Triple, b rdf.Binding) (rdf.Binding, bool) {
-	if graph.IsZero() {
-		return b, true
-	}
-	src, ok := env.Store.Source(t)
-	if !ok {
-		return nil, false
-	}
-	if graph.IsVar() {
-		return b.Extend(graph.Value, src)
-	}
-	if graph != src {
-		return nil, false
-	}
-	return b, true
-}
-
-func evalValues(ctx context.Context, v algebra.Values) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	go func() {
-		defer close(out)
-		for _, row := range v.Rows {
-			if !send(ctx, out, row.Copy()) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// joinState is one side of a symmetric hash join: solutions that bind all
-// shared variables live in exact buckets; solutions leaving some shared
-// variable unbound (possible below OPTIONAL/VALUES) are probed linearly.
-type joinState struct {
-	shared  []string
-	keyer   idKeyer
-	exact   map[idKey][]rdf.Binding
-	partial []rdf.Binding
-}
-
-func newJoinState(shared []string, env *Env) *joinState {
-	return &joinState{
-		shared: shared,
-		keyer:  newIDKeyer(env.dict, shared),
-		exact:  map[idKey][]rdf.Binding{},
-	}
-}
-
-// insert stores b and returns the candidate matches from the other side.
-func (s *joinState) insert(b rdf.Binding, other *joinState) []rdf.Binding {
-	full := true
-	for _, v := range s.shared {
-		if !b.Has(v) {
-			full = false
-			break
-		}
-	}
-	var candidates []rdf.Binding
-	if full {
-		key := s.keyer.key(b)
-		s.exact[key] = append(s.exact[key], b)
-		candidates = append(candidates, other.exact[key]...)
-		candidates = append(candidates, other.partial...)
-	} else {
-		s.partial = append(s.partial, b)
-		for _, bucket := range other.exact {
-			candidates = append(candidates, bucket...)
-		}
-		candidates = append(candidates, other.partial...)
-	}
-	return candidates
-}
-
-func evalJoin(ctx context.Context, j algebra.Join, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	shared := algebra.SharedVars(j.Left, j.Right)
-	left := Eval(ctx, j.Left, env)
-	right := Eval(ctx, j.Right, env)
-	go func() {
-		defer close(out)
-		ls, rs := newJoinState(shared, env), newJoinState(shared, env)
-		l, r := left, right
-		for l != nil || r != nil {
-			var b rdf.Binding
-			var ok bool
-			var mine, other *joinState
-			select {
-			case b, ok = <-l:
-				if !ok {
-					l = nil
-					continue
-				}
-				mine, other = ls, rs
-			case b, ok = <-r:
-				if !ok {
-					r = nil
-					continue
-				}
-				mine, other = rs, ls
-			case <-ctx.Done():
-				return
-			}
-			for _, cand := range mine.insert(b, other) {
-				if merged, ok := b.Merge(cand); ok {
-					if !send(ctx, out, merged) {
-						return
-					}
-				}
-			}
-		}
-	}()
-	return out
-}
-
-func evalLeftJoin(ctx context.Context, j algebra.LeftJoin, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	shared := algebra.SharedVars(j.Left, j.Right)
-	left := Eval(ctx, j.Left, env)
-	right := Eval(ctx, j.Right, env)
-	go func() {
-		defer close(out)
-		var lefts []rdf.Binding
-		ls, rs := newJoinState(shared, env), newJoinState(shared, env)
-		// A left solution is identified by its key over the left-side
-		// variable set; once any extension of it is emitted, its bare row
-		// is suppressed.
-		matched := map[idKey]bool{}
-		allVarsL := j.Left.Vars()
-		leftKeyer := newIDKeyer(env.dict, allVarsL)
-
-		conditionOK := func(merged rdf.Binding) bool {
-			for _, f := range j.Filters {
-				v, err := evalExpr(env, f, merged)
-				if err != nil {
-					return false
-				}
-				ok, err := v.EffectiveBooleanValue()
-				if err != nil || !ok {
-					return false
-				}
-			}
-			return true
-		}
-
-		l, r := left, right
-		for l != nil || r != nil {
-			var b rdf.Binding
-			var ok bool
-			var fromLeft bool
-			select {
-			case b, ok = <-l:
-				if !ok {
-					l = nil
-					continue
-				}
-				fromLeft = true
-			case b, ok = <-r:
-				if !ok {
-					r = nil
-					continue
-				}
-			case <-ctx.Done():
-				return
-			}
-			if fromLeft {
-				lefts = append(lefts, b)
-				for _, cand := range ls.insert(b, rs) {
-					if merged, ok := b.Merge(cand); ok && conditionOK(merged) {
-						matched[leftKeyer.key(b)] = true
-						if !send(ctx, out, merged) {
-							return
-						}
-					}
-				}
-			} else {
-				for _, cand := range rs.insert(b, ls) {
-					if merged, ok := cand.Merge(b); ok && conditionOK(merged) {
-						matched[leftKeyer.key(cand)] = true
-						if !send(ctx, out, merged) {
-							return
-						}
-					}
-				}
-			}
-		}
-		// Emit bare left rows that never joined.
-		for _, b := range lefts {
-			if !matched[leftKeyer.key(b)] {
-				if !send(ctx, out, b) {
-					return
-				}
-			}
-		}
-	}()
-	return out
-}
-
-func evalUnion(ctx context.Context, u algebra.Union, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	var wg sync.WaitGroup
-	forward := func(in Stream) {
-		defer wg.Done()
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				if !send(ctx, out, b) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
-	wg.Add(2)
-	go forward(Eval(ctx, u.Left, env))
-	go forward(Eval(ctx, u.Right, env))
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-func evalMinus(ctx context.Context, m algebra.Minus, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	go func() {
-		defer close(out)
-		lefts := drain(ctx, Eval(ctx, m.Left, env))
-		rights := drain(ctx, Eval(ctx, m.Right, env))
-		if ctx.Err() != nil {
-			return
-		}
-		for _, l := range lefts {
-			excluded := false
-			for _, r := range rights {
-				// MINUS removes l when some r is compatible AND shares at
-				// least one bound variable with l (SPARQL §8.3.3).
-				// Provenance pseudo-variables are not part of the solution
-				// domain and must not create spurious overlap.
-				sharesDom := false
-				for v := range r {
-					if rdf.IsProvVar(v) {
-						continue
-					}
-					if l.Has(v) {
-						sharesDom = true
-						break
-					}
-				}
-				if sharesDom && l.Compatible(r) {
-					excluded = true
-					break
-				}
-			}
-			if !excluded {
-				if !send(ctx, out, l) {
-					return
-				}
-			}
-		}
-	}()
-	return out
-}
-
-func evalFilter(ctx context.Context, f algebra.Filter, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, f.Input, env)
-	blocking := exprContainsExists(f.Expr)
-	go func() {
-		defer close(out)
-		emit := func(b rdf.Binding) bool {
-			v, err := evalExpr(env, f.Expr, b)
-			if err != nil {
-				return true // type error: drop binding, keep stream
-			}
-			ok, err := v.EffectiveBooleanValue()
-			if err != nil || !ok {
-				return true
-			}
-			return send(ctx, out, b)
-		}
-		if blocking {
-			// EXISTS / NOT EXISTS are non-monotonic: gate evaluation on a
-			// complete source so their answer cannot be invalidated by
-			// later-arriving triples.
-			all := drain(ctx, in)
-			if env.Store.WaitClosed(ctx) != nil {
-				return
-			}
-			for _, b := range all {
-				if !emit(b) {
-					return
-				}
-			}
-			return
-		}
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				if !emit(b) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// exprContainsExists reports whether the expression contains EXISTS.
-func exprContainsExists(e sparql.Expression) bool {
-	switch x := e.(type) {
-	case sparql.ExprExists:
-		return true
-	case sparql.ExprBinary:
-		return exprContainsExists(x.L) || exprContainsExists(x.R)
-	case sparql.ExprUnary:
-		return exprContainsExists(x.X)
-	case sparql.ExprCall:
-		for _, a := range x.Args {
-			if exprContainsExists(a) {
-				return true
-			}
-		}
-	case sparql.ExprIn:
-		if exprContainsExists(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if exprContainsExists(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func evalExtend(ctx context.Context, e algebra.Extend, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, e.Input, env)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				v, err := evalExpr(env, e.Expr, b)
-				if err == nil {
-					if ext, ok := b.Extend(e.Var, v); ok {
-						b = ext
-					} else {
-						continue // conflicting rebind: drop
-					}
-				}
-				// On evaluation error the variable stays unbound (SPARQL
-				// BIND semantics) and the solution is kept.
-				if !send(ctx, out, b) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-func evalProject(ctx context.Context, p algebra.Project, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, p.Input, env)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				res := b
-				if len(p.Items) > 0 {
-					res = rdf.NewBinding()
-					for _, item := range p.Items {
-						if item.Expr == nil {
-							if t, ok := b.Get(item.Var); ok {
-								res[item.Var] = t
-							}
-							continue
-						}
-						if v, err := evalExpr(env, item.Expr, b); err == nil {
-							res[item.Var] = v
-						}
-					}
-					if env.Prov != nil {
-						// Projection narrows variables, not provenance.
-						res = res.WithProvFrom(b)
-					}
-				}
-				if !send(ctx, out, res) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-func evalDistinct(ctx context.Context, d algebra.Distinct, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, d.Input, env)
-	vars := d.Input.Vars()
-	keyer := newIDKeyer(env.dict, vars)
-	go func() {
-		defer close(out)
-		seen := map[idKey]bool{}
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				key := keyer.key(b)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				if !send(ctx, out, b) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-func evalReduced(ctx context.Context, r algebra.Reduced, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, r.Input, env)
-	vars := r.Input.Vars()
-	keyer := newIDKeyer(env.dict, vars)
-	go func() {
-		defer close(out)
-		var last idKey
-		first := true
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				key := keyer.key(b)
-				if !first && key == last {
-					continue
-				}
-				first = false
-				last = key
-				if !send(ctx, out, b) {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-func evalOrderBy(ctx context.Context, o algebra.OrderBy, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	in := Eval(ctx, o.Input, env)
-	go func() {
-		defer close(out)
-		all := drain(ctx, in)
-		charged := env.chargeBuffered(all)
-		defer func() { env.Ledger.Release(resource.Exec, charged) }()
-		if ctx.Err() != nil {
-			return
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			for _, c := range o.Conds {
-				vi, erri := evalExpr(env, c.Expr, all[i])
-				vj, errj := evalExpr(env, c.Expr, all[j])
-				// Errors/unbound sort first (SPARQL: unbound < everything).
-				if erri != nil {
-					vi = rdf.Term{}
-				}
-				if errj != nil {
-					vj = rdf.Term{}
-				}
-				cmp := orderCompare(vi, vj)
-				if cmp == 0 {
-					continue
-				}
-				if c.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-		for _, b := range all {
-			if !send(ctx, out, b) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-func evalSlice(ctx context.Context, s algebra.Slice, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	// A satisfied LIMIT cancels its upstream, which aborts pattern
-	// iterators and, through the facade, the traversal itself.
-	inCtx, cancel := context.WithCancel(ctx)
-	in := Eval(inCtx, s.Input, env)
-	go func() {
-		defer close(out)
-		defer cancel()
-		skipped, emitted := 0, 0
-		for {
-			select {
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				if skipped < s.Offset {
-					skipped++
-					continue
-				}
-				if s.Limit >= 0 && emitted >= s.Limit {
-					return
-				}
-				if !send(ctx, out, b) {
-					return
-				}
-				emitted++
-				if s.Limit >= 0 && emitted >= s.Limit {
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
 }

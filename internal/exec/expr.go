@@ -190,7 +190,9 @@ func evalIn(env *Env, x sparql.ExprIn, b rdf.Binding) (rdf.Term, error) {
 }
 
 // evalExists evaluates EXISTS { pattern } by substituting the current
-// binding into the pattern and probing the (complete) source snapshot.
+// binding into the pattern and running the reference evaluator over the
+// store. Filters that contain EXISTS wait for the store to close first, so
+// the store is complete when it matters.
 func evalExists(env *Env, x sparql.ExprExists, b rdf.Binding) (rdf.Term, error) {
 	op, err := algebra.Translate(&sparql.Query{
 		Form:  sparql.FormSelect,
@@ -200,8 +202,7 @@ func evalExists(env *Env, x sparql.ExprExists, b rdf.Binding) (rdf.Term, error) 
 	if err != nil {
 		return rdf.Term{}, typeErrf("EXISTS: %v", err)
 	}
-	op = substituteOp(op, b)
-	found := existsInSnapshot(env, op, b)
+	found := len(Reference(substituteOp(op, b), env)) > 0
 	if x.Not {
 		found = !found
 	}
@@ -254,16 +255,15 @@ func substituteOp(op algebra.Operator, b rdf.Binding) algebra.Operator {
 		return algebra.Project{Input: substituteOp(x.Input, b), Items: x.Items}
 	case algebra.Distinct:
 		return algebra.Distinct{Input: substituteOp(x.Input, b)}
+	case algebra.Reduced:
+		return algebra.Reduced{Input: substituteOp(x.Input, b)}
+	case algebra.OrderBy:
+		return algebra.OrderBy{Input: substituteOp(x.Input, b), Conds: x.Conds}
+	case algebra.Group:
+		return algebra.Group{Input: substituteOp(x.Input, b), By: x.By, Items: x.Items, Having: x.Having}
 	default:
 		return op
 	}
-}
-
-// existsInSnapshot runs the substituted pattern against the current store
-// contents. Filters that gate on EXISTS already waited for store closure,
-// so the snapshot is complete when it matters.
-func existsInSnapshot(env *Env, op algebra.Operator, b rdf.Binding) bool {
-	return snapshotHasSolution(env, op)
 }
 
 // builtin regexp cache; patterns in queries are static.

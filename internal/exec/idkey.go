@@ -4,50 +4,37 @@ import (
 	"ltqp/internal/rdf"
 )
 
-// idKey is a compact comparable identity key for a binding row over a fixed
+// idKey is a compact comparable identity key for a row over a fixed
 // variable list, built from dictionary term IDs instead of rendered lexical
 // forms. Up to two variables pack into the uint64 (zero-allocation — the
 // overwhelmingly common join arity); wider rows append 4 bytes per extra
 // variable to rest. Unbound variables key as NoTerm (ID 0), matching the
-// pre-dictionary "UNDEF" sentinel semantics exactly.
+// "UNDEF" sentinel semantics exactly.
 type idKey struct {
 	packed uint64
 	rest   string
 }
 
-// idKeyer renders binding rows over vars into idKeys using the engine
-// dictionary.
-type idKeyer struct {
-	dict *rdf.Dict
-	vars []string
-}
-
-func newIDKeyer(dict *rdf.Dict, vars []string) idKeyer {
-	return idKeyer{dict: dict, vars: vars}
-}
-
-// key computes the identity key of b over the keyer's variable list. Two
-// rows receive the same key if and only if they bind equal terms (or are
-// both unbound) for every variable in the list: Intern gives equal terms
+// idKeyOf builds the identity key of a row from its IDs in key-variable
+// order. Two rows receive the same key if and only if they hold equal IDs
+// (or are both unbound) at every position: the dictionary gives equal terms
 // equal IDs and distinct terms distinct IDs, and the fixed 4-bytes-per-ID
 // layout of rest cannot collide across positions.
-func (k idKeyer) key(b rdf.Binding) idKey {
-	var stack [8]rdf.TermID
-	ids := stack[:0]
-	for _, v := range k.vars {
-		ids = append(ids, k.id(b, v))
+func idKeyOf(ids []rdf.TermID) idKey {
+	var out idKey
+	n := len(ids)
+	if n > 0 {
+		out.packed = uint64(ids[0]) << 32
 	}
-	return idKeyOf(ids)
-}
-
-// id returns the dictionary ID of the term bound to v, or NoTerm when v is
-// unbound. Interning (not looking up) keeps keys total: a term produced by
-// an expression (BIND, VALUES) that never occurred in any document still
-// gets a stable ID.
-func (k idKeyer) id(b rdf.Binding, v string) rdf.TermID {
-	t, ok := b[v]
-	if !ok {
-		return rdf.NoTerm
+	if n > 1 {
+		out.packed |= uint64(ids[1])
 	}
-	return k.dict.Intern(t)
+	if n > 2 {
+		buf := make([]byte, 0, (n-2)*4)
+		for _, id := range ids[2:] {
+			buf = append(buf, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+		}
+		out.rest = string(buf)
+	}
+	return out
 }

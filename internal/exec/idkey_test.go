@@ -21,8 +21,8 @@ func keyVarNames(w int) []string {
 }
 
 // TestIDKeyExhaustiveWidths exhaustively checks, for key widths 0..6, that
-// idKeyer.key separates every pair of distinct rows and unifies every pair
-// of equal rows over a small term universe — including unbound slots, which
+// idKeyOf separates every pair of distinct rows and unifies every pair of
+// equal rows over a small term universe — including unbound slots, which
 // must key exactly like the NoTerm sentinel and nothing else.
 func TestIDKeyExhaustiveWidths(t *testing.T) {
 	s := store.New()
@@ -34,8 +34,6 @@ func TestIDKeyExhaustiveWidths(t *testing.T) {
 		rdf.NewTypedLiteral("1", rdf.XSDInteger),
 	}
 	for width := 0; width <= 6; width++ {
-		vars := keyVarNames(width)
-		keyer := newIDKeyer(d, vars)
 		// Enumerate all (len(terms)+1)^width rows.
 		total := 1
 		for i := 0; i < width; i++ {
@@ -43,29 +41,22 @@ func TestIDKeyExhaustiveWidths(t *testing.T) {
 		}
 		keys := make(map[idKey]int, total) // key -> row encoding
 		for enc := 0; enc < total; enc++ {
-			b := rdf.Binding{}
 			ids := make([]rdf.TermID, width)
 			rem := enc
 			for i := 0; i < width; i++ {
 				choice := rem % (len(terms) + 1)
 				rem /= len(terms) + 1
 				if choice > 0 {
-					b[vars[i]] = terms[choice-1]
 					ids[i] = d.Intern(terms[choice-1])
 				}
 			}
-			k := keyer.key(b)
+			k := idKeyOf(ids)
 			if prev, dup := keys[k]; dup {
 				t.Fatalf("width %d: rows %d and %d collide on key %+v", width, prev, enc, k)
 			}
 			keys[k] = enc
-			// The batch path must produce the bit-identical key from the
-			// same IDs in the same variable order.
-			if bk := idKeyOf(ids); bk != k {
-				t.Fatalf("width %d row %d: idKeyOf %+v != idKeyer.key %+v", width, enc, bk, k)
-			}
 			// Keys are deterministic: recomputing gives the same key.
-			if again := keyer.key(b); again != k {
+			if again := idKeyOf(ids); again != k {
 				t.Fatalf("width %d row %d: key not deterministic", width, enc)
 			}
 		}
@@ -83,7 +74,15 @@ func TestIDKeyCollisionFreedomRandom(t *testing.T) {
 	d := s.Dict()
 	r := rand.New(rand.NewSource(11))
 	vars := keyVarNames(6)
-	keyer := newIDKeyer(d, vars)
+	keyOf := func(b rdf.Binding) idKey {
+		ids := make([]rdf.TermID, len(vars))
+		for i, v := range vars {
+			if t, ok := b[v]; ok {
+				ids[i] = d.Intern(t)
+			}
+		}
+		return idKeyOf(ids)
+	}
 
 	var pool []rdf.Term
 	for i := 0; i < 50; i++ {
@@ -113,7 +112,7 @@ func TestIDKeyCollisionFreedomRandom(t *testing.T) {
 				b[v] = pool[r.Intn(len(pool))]
 			}
 		}
-		k := keyer.key(b)
+		k := keyOf(b)
 		row := canonRow(b)
 		if prevRow, ok := byKey[k]; ok && prevRow != row {
 			t.Fatalf("collision: rows %q and %q share key %+v", prevRow, row, k)
@@ -170,7 +169,7 @@ func TestUnboundRoundTripsThroughBatchJoin(t *testing.T) {
 	valuesR := algebra.Values{Variables: schemaR, Rows: rightRows}
 	join := algebra.Join{Left: valuesL, Right: valuesR}
 	outVars := join.Vars()
-	want := canon(outVars, collect(Eval(ctx, join, rig.ref)))
+	want := canon(outVars, Reference(join, rig.env))
 
 	lb := getBatch(schemaL, false)
 	rb := getBatch(schemaR, false)
@@ -189,7 +188,7 @@ func TestUnboundRoundTripsThroughBatchJoin(t *testing.T) {
 		return ch
 	}
 	got := canon(outVars, collect(batchesToRows(ctx, rig.env,
-		batchJoin(ctx, rig.env, outVars, algebra.SharedVars(valuesL, valuesR), one(lb), one(rb)))))
+		batchJoin(ctx, rig.env, outVars, algebra.SharedVars(valuesL, valuesR), nil, false, one(lb), one(rb)))))
 
 	if len(got) != len(want) {
 		t.Fatalf("join through batches: %d solutions, reference %d\ngot:  %v\nwant: %v", len(got), len(want), got, want)

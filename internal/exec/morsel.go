@@ -1,13 +1,9 @@
 package exec
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"ltqp/internal/obs"
 )
 
 // Morsel-driven parallelism: phases that process an index range of rows
@@ -62,40 +58,4 @@ func runMorsels(env *Env, total int, fn func(worker, lo, hi int)) int {
 	}
 	wg.Wait()
 	return workers
-}
-
-// tracedBatch mirrors traced for batch streams: it wraps a vectorized
-// operator in an obs span and stage_started/stage_finished events carrying
-// the live row count, plus one morsel_processed event per forwarded batch
-// (Rows = live rows of that batch) so subscribers see the batch granularity
-// of the pipeline. Unobserved executions get the inner stream back
-// untouched.
-func tracedBatch(ctx0 context.Context, env *Env, name string, attrs []obs.Attr, inner func(context.Context) BatchStream) BatchStream {
-	ctx, sp := obs.StartSpan(ctx0, name, attrs...)
-	s := inner(ctx)
-	ev := env.Events
-	if sp == nil && !ev.Active() {
-		return s
-	}
-	ev.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name, Detail: attrDetail(attrs)})
-	start := time.Now()
-	out := make(chan *Batch, batchChanCap)
-	go func() {
-		defer close(out)
-		rows, batches := 0, 0
-		for b := range s {
-			n := b.Len()
-			if !sendBatch(ctx, out, b) {
-				break
-			}
-			rows += n
-			batches++
-			ev.Emit(obs.Event{Kind: obs.EventMorselProcessed, Stage: name, Rows: n, Row: batches})
-		}
-		sp.SetAttr(obs.Int("rows", rows))
-		sp.End()
-		ev.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: name, Rows: rows,
-			DurationUS: time.Since(start).Microseconds(), Detail: attrDetail(attrs)})
-	}()
-	return out
 }

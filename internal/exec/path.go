@@ -1,36 +1,14 @@
 package exec
 
 import (
-	"context"
-
 	"ltqp/internal/algebra"
 	"ltqp/internal/rdf"
 	"ltqp/internal/sparql"
 )
 
-// evalPathPattern evaluates transitive/negated property paths. These are
-// non-monotonic in the presence of a growing source only in the sense that
-// their full closure keeps extending, so — like other blocking operators —
-// evaluation gates on source completion and then computes the closure over
-// the final snapshot.
-func evalPathPattern(ctx context.Context, p algebra.PathPattern, env *Env) Stream {
-	out := make(chan rdf.Binding, chanCap)
-	go func() {
-		defer close(out)
-		if env.Store.WaitClosed(ctx) != nil {
-			return
-		}
-		for _, b := range evalPathSnapshot(env, p) {
-			if !send(ctx, out, b) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// evalPathSnapshot computes the solutions of a path pattern over the
-// current store contents.
+// evalPathSnapshot computes the solutions of a transitive or negated
+// property path over the current store contents. The pipeline runs it once
+// the store has closed: a closure over a growing source keeps extending.
 func evalPathSnapshot(env *Env, p algebra.PathPattern) []rdf.Binding {
 	var out []rdf.Binding
 	emit := func(s, o rdf.Term) {

@@ -3,9 +3,6 @@ package exec
 import (
 	"sort"
 	"sync"
-
-	"ltqp/internal/rdf"
-	"ltqp/internal/store"
 )
 
 // Prov is the per-execution provenance sink. When attached to an Env,
@@ -26,26 +23,8 @@ func NewProv() *Prov {
 	return &Prov{docs: map[string]int{}}
 }
 
-// Annotate extends a pattern-match solution with the source document of the
-// matched triple, tallying the contribution. Nil-safe: a nil sink returns b
-// untouched.
-func (p *Prov) Annotate(s *store.Store, b rdf.Binding, t rdf.Triple) rdf.Binding {
-	if p == nil {
-		return b
-	}
-	src, ok := s.Source(t)
-	if !ok {
-		return b
-	}
-	p.mu.Lock()
-	p.docs[src.Value]++
-	p.mu.Unlock()
-	return b.WithSource(src)
-}
-
-// add tallies one pattern match contributed by the document. Batch scans
-// use it directly: they carry source IDs in the batch provenance column
-// instead of binding entries, but the contribution ledger is the same.
+// add tallies one pattern match contributed by the document; the scan
+// carries the source ID in the batch provenance column.
 func (p *Prov) add(doc string) {
 	if p == nil {
 		return

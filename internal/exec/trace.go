@@ -5,18 +5,19 @@ import (
 	"time"
 
 	"ltqp/internal/obs"
-	"ltqp/internal/rdf"
 )
 
-// traced wraps an operator's stream in an obs span — and, when the owning
-// query's event stream has an audience, a stage_started/stage_finished
-// event pair — so traced executions record per-stage timings and row counts
+// tracedBatch wraps an operator's batch stream in an obs span — and, when
+// the owning query's event stream has an audience, a stage_started /
+// stage_finished event pair carrying the live row count plus one
+// morsel_processed event per forwarded batch (Rows = live rows of that
+// batch) — so traced executions record per-operator timings and row counts
 // (the join/iterator stages of a query's span tree). With no trace on the
 // context and no event subscriber this is a context lookup plus one atomic
 // load: the inner stream is returned untouched, so unobserved queries pay
-// nothing per solution.
-func traced(ctx context.Context, env *Env, name string, attrs []obs.Attr, inner func(context.Context) Stream) Stream {
-	ctx, sp := obs.StartSpan(ctx, name, attrs...)
+// nothing per batch.
+func tracedBatch(ctx0 context.Context, env *Env, name string, attrs []obs.Attr, inner func(context.Context) BatchStream) BatchStream {
+	ctx, sp := obs.StartSpan(ctx0, name, attrs...)
 	s := inner(ctx)
 	ev := env.Events
 	if sp == nil && !ev.Active() {
@@ -24,15 +25,19 @@ func traced(ctx context.Context, env *Env, name string, attrs []obs.Attr, inner 
 	}
 	ev.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name, Detail: attrDetail(attrs)})
 	start := time.Now()
-	out := make(chan rdf.Binding, chanCap)
+	out := make(chan *Batch, batchChanCap)
 	go func() {
 		defer close(out)
-		rows := 0
+		defer discard(s)
+		rows, batches := 0, 0
 		for b := range s {
-			if !send(ctx, out, b) {
+			n := b.Len()
+			if !sendBatch(ctx, out, b) {
 				break
 			}
-			rows++
+			rows += n
+			batches++
+			ev.Emit(obs.Event{Kind: obs.EventMorselProcessed, Stage: name, Rows: n, Row: batches})
 		}
 		sp.SetAttr(obs.Int("rows", rows))
 		sp.End()

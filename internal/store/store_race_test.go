@@ -188,6 +188,12 @@ func TestStoreConcurrentAddMatchIterate(t *testing.T) {
 func TestStoreIteratorNeverTornUnderIngest(t *testing.T) {
 	s := New()
 	stop := make(chan struct{})
+	// The writer takes one token per document and the reader hands out one
+	// per snapshot, blocking once the writer is two behind. Unpaced, a slow
+	// reader (-race on a loaded box) let the store, and so every snapshot,
+	// grow without bound, while a fast one finished before the writer had
+	// added anything.
+	tokens := make(chan struct{}, 2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -196,7 +202,7 @@ func TestStoreIteratorNeverTornUnderIngest(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-tokens:
 			}
 			batch := make([]rdf.Triple, 10)
 			for i := range batch {
@@ -207,6 +213,7 @@ func TestStoreIteratorNeverTornUnderIngest(t *testing.T) {
 	}()
 	prev := 0
 	for i := 0; i < 100; i++ {
+		tokens <- struct{}{}
 		snap := s.Snapshot()
 		if len(snap) < prev {
 			t.Fatalf("snapshot shrank: %d -> %d", prev, len(snap))
