@@ -326,37 +326,9 @@ func BenchmarkOracleQueryOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveReplanning measures the engine's adaptive re-planning
-// extension (the paper's §5 future-work direction) against the static
-// zero-knowledge plan on Discover 6 — a query whose selectivities are
-// unknowable upfront.
-func BenchmarkAdaptiveReplanning(b *testing.B) {
-	env := benchEnv(b)
-	ctx := context.Background()
-	q := env.Dataset.Discover(6, 1)
-	var static, adaptive experiments.QueryRun
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		static, err = experiments.RunCatalogQuery(ctx, env, q, ltqp.Config{Lenient: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		adaptive, err = experiments.RunCatalogQuery(ctx, env, q, ltqp.Config{Lenient: true, Adaptive: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if static.Results != adaptive.Results {
-		b.Errorf("adaptive changed results: %d vs %d", static.Results, adaptive.Results)
-	}
-	b.ReportMetric(float64(static.Total.Microseconds())/1000, "static_ms")
-	b.ReportMetric(float64(adaptive.Total.Microseconds())/1000, "adaptive_ms")
-}
-
-// BenchmarkPriorityQueue compares FIFO and priority link queues on time to
-// first result — the link-queue enhancement direction the paper cites [34].
+// BenchmarkPriorityQueue compares the FIFO and guided link queues on time
+// to first result — the link-queue enhancement direction the paper cites
+// [34].
 func BenchmarkPriorityQueue(b *testing.B) {
 	env := benchEnv(b)
 	ctx := context.Background()
@@ -369,7 +341,7 @@ func BenchmarkPriorityQueue(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prio, err = experiments.RunCatalogQuery(ctx, env, q, ltqp.Config{Lenient: true, QueuePolicy: "reason"})
+		prio, err = experiments.RunCatalogQuery(ctx, env, q, ltqp.Config{Lenient: true, QueuePolicy: "guided"})
 		if err != nil {
 			b.Fatal(err)
 		}

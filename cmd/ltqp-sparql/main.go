@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		provenance = fs.Bool("provenance", false, "annotate each ndjson result with a \"_sources\" list of its source documents")
 		queryFile  = fs.String("query-file", "", "read the query from this file")
 		format     = fs.String("format", "ndjson", "result format: ndjson (streaming, as in the paper), json, csv, tsv")
-		adaptive   = fs.Bool("adaptive", false, "re-plan from observed cardinalities after a traversal warmup")
 		maxDepth   = fs.Int("max-depth", 0, "cap traversal depth in hops from the seeds (0 = unbounded)")
 		sharedMB   = fs.Int64("shared-cache", 0, "enable a shared revalidating document cache with this byte budget in MiB (singleflight dedup included)")
 		retries    = fs.Int("max-retries", 3, "retries per document on transient failures (429/5xx, transport errors); 0 disables")
@@ -66,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		memBudget  = fs.Int64("mem-budget-per-query", 0, "ledger-accounted memory the query may hold in bytes; crossing it aborts with the per-layer breakdown (0 = unlimited)")
 
-		queuePolicy   = fs.String("queue-policy", "", "link queue discipline: fifo (default), reason, or guided (query-relevance scoring with per-origin fairness)")
+		queuePolicy   = fs.String("queue-policy", "", "link queue discipline: fifo (default) or guided (query-relevance scoring with per-origin fairness)")
 		maxDocsOrigin = fs.Int("max-docs-per-origin", 0, "cap dereferenced documents per origin (0 = unbounded)")
 		maxBytesOrig  = fs.Int64("max-bytes-per-origin", 0, "cap body bytes read per origin (0 = unbounded)")
 		maxInflight   = fs.Int("max-inflight-per-origin", 0, "cap concurrent dereferences per origin (0 = global limit only)")
@@ -120,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxDocuments: *limitDocs,
 		MaxDepth:     *maxDepth,
 		QueuePolicy:  policy,
-		Adaptive:     *adaptive,
 		Trace:        *traceOut != "",
 		Explain:      *explainOut != "" || *explainDot != "" || *provenance,
 		MemBudget:    *memBudget,

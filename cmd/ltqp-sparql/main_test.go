@@ -239,17 +239,27 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLIAdaptiveAndDepthFlags: --max-depth and --shared-cache run the
+// query, while the removed --adaptive flag (restart-based re-planning) and
+// the removed "reason" queue policy are rejected as usage errors.
 func TestCLIAdaptiveAndDepthFlags(t *testing.T) {
 	ds, stop := startEnv(t)
 	defer stop()
 	q := ds.Discover(1, 1)
 	var stdout, stderr strings.Builder
-	code := run([]string{"--adaptive", "--max-depth", "6", "--shared-cache", "8", q.Text}, &stdout, &stderr)
+	code := run([]string{"--max-depth", "6", "--shared-cache", "8", q.Text}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d: %s", code, stderr.String())
 	}
 	if stdout.Len() == 0 {
-		t.Error("no results with adaptive+depth+cache flags")
+		t.Error("no results with depth+cache flags")
+	}
+	for _, args := range [][]string{{"--adaptive"}, {"--queue-policy", "reason"}} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(append(args, q.Text), &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit = %d, want 2 (usage error): %s", args, code, stderr.String())
+		}
 	}
 }
 

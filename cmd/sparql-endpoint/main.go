@@ -67,7 +67,7 @@ func main() {
 		maxRows     = flag.Int("max-result-rows", 0, "rows one SELECT may return; excess is truncated (0 = unbounded)")
 		memBudget   = flag.Int64("mem-budget-per-query", 0, "ledger-accounted memory one query may hold in bytes; over-budget queries are cancelled with 507 (0 = unlimited)")
 
-		queuePolicy   = flag.String("queue-policy", "", "link queue discipline: fifo (default), reason, or guided")
+		queuePolicy   = flag.String("queue-policy", "", "link queue discipline: fifo (default) or guided")
 		maxDocsOrigin = flag.Int("max-docs-per-origin", 0, "documents one query may dereference per origin (0 = unbounded)")
 		maxBytesOrig  = flag.Int64("max-bytes-per-origin", 0, "body bytes one query may read per origin (0 = unbounded)")
 		maxInflOrigin = flag.Int("max-inflight-per-origin", 0, "concurrent dereferences per origin within one query (0 = global limit only)")

@@ -5,8 +5,8 @@
 // the flexible combination of techniques during experimentation").
 //
 // This example runs one Discover query under every built-in strategy and
-// prints the cost/completeness trade-off, then shows the priority link
-// queue reordering traversal.
+// prints the cost/completeness trade-off, then shows the guided link queue
+// reordering traversal.
 //
 //	go run ./examples/custom-strategy
 package main
@@ -66,10 +66,11 @@ func main() {
 			time.Since(start).Round(time.Millisecond), s.note)
 	}
 
-	// The priority queue schedules type-index links before blind container
-	// members, an enhancement direction the paper cites [34].
-	fmt.Println("\nwith the priority link queue (type-index links first):")
-	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, QueuePolicy: "reason"})
+	// The guided queue schedules type-index links before blind container
+	// members and favours links the query names or that productive
+	// documents yielded, an enhancement direction the paper cites [34].
+	fmt.Println("\nwith the guided link queue (type-index links first):")
+	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, QueuePolicy: "guided"})
 	start := time.Now()
 	res, err := engine.Query(ctx, query.Text)
 	if err != nil {

@@ -15,12 +15,11 @@ func TestCentralizedStoreAnswersDiscover(t *testing.T) {
 	if st.Len() == 0 {
 		t.Fatal("empty centralized store")
 	}
-	if !st.Closed() {
-		t.Fatal("store must be closed")
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	if err := st.WaitClosed(ctx); err != nil {
+		t.Fatalf("store must be closed: %v", err)
+	}
 	q := ds.Discover(1, 1)
 	results, err := RunQuery(ctx, st, q.Text)
 	if err != nil {

@@ -69,12 +69,14 @@ func canonicalBindingRows(t *testing.T, vars []string, bindings []rdf.Binding) [
 //
 //   - the live traversal engine (public ltqp API) over an in-process Solid
 //     environment, seeded with every document so traversal reaches the
-//     whole dataset, under one of four configurations (default, Explain,
-//     ExecWorkers 1, both), and
+//     whole dataset, under one cell of the configuration matrix (queue
+//     policy × MaxConcurrent × Explain × ExecWorkers × shared cache ×
+//     Observer, matrix_test.go), and
 //   - the centralized oracle: CentralizedStore + RunQuery over the same
 //     pods,
 //
-// asserting the solution multisets are identical. This pins the traversal
+// asserting the solution multisets are identical, and that the query left
+// no goroutine, queued link or ledger byte behind. This pins the traversal
 // pipeline (dereference → parse → dictionary-interned store → symmetric
 // hash joins) against the direct evaluation path end to end; any
 // value-vs-identity bug, lost triple, or duplicated solution in either path
@@ -108,25 +110,16 @@ func TestDifferentialTraversalVsCentralized(t *testing.T) {
 	}
 	sort.Strings(seeds)
 
-	// Query i runs on configuration i mod 4, so the options the executor
-	// honours are each checked against the oracle without running any query
-	// twice. All four engines share one document cache.
+	// Query i runs on matrix cell i mod 64, so every option the facade
+	// exposes is checked against the oracle in every combination without
+	// running any query twice.
 	cache := ltqp.NewSharedCache(ltqp.SharedCacheOptions{TTL: time.Hour})
-	configs := []struct {
-		name    string
-		explain bool
-		workers int
-	}{{"default", false, 0}, {"explain", true, 0}, {"workers=1", false, 1}, {"explain+workers=1", true, 1}}
-	engines := make([]*ltqp.Engine, len(configs))
-	for i, c := range configs {
-		engines[i] = ltqp.New(ltqp.Config{
-			Client:      env.Client(),
-			Lenient:     true, // vocabulary/tag IRIs in the environment 404
-			SharedCache: cache,
-			Explain:     c.explain,
-			ExecWorkers: c.workers,
-		})
+	cells := configMatrix()
+	engines := make([]*ltqp.Engine, len(cells))
+	for i, c := range cells {
+		engines[i] = ltqp.New(c.config(env, cache))
 	}
+	ran := make([]int, len(cells))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -135,9 +128,11 @@ func TestDifferentialTraversalVsCentralized(t *testing.T) {
 	totalRows := 0
 	for i := 0; i < queries; i++ {
 		query, unlimited := gen.Next()
-		config := configs[i%len(configs)].name
+		cell := i % len(cells)
+		config := cells[cell].String()
 		t.Run(fmt.Sprintf("q%02d", i), func(t *testing.T) {
-			res, err := engines[i%len(engines)].QueryWithSeeds(ctx, query, seeds)
+			before := quiesce(t, env)
+			res, err := engines[cell].QueryWithSeeds(ctx, query, seeds)
 			if err != nil {
 				t.Fatalf("traversal query failed (%s): %v\nquery:\n%s", config, err, query)
 			}
@@ -148,6 +143,8 @@ func TestDifferentialTraversalVsCentralized(t *testing.T) {
 			if err := res.Err(); err != nil {
 				t.Fatalf("traversal failed (%s): %v\nquery:\n%s", config, err, query)
 			}
+			checkHygiene(t, env, engines[cell], res, before, config)
+			ran[cell]++
 
 			want, err := RunQuery(ctx, oracle, query)
 			if err != nil {
@@ -193,6 +190,13 @@ func TestDifferentialTraversalVsCentralized(t *testing.T) {
 	}
 	if totalRows == 0 {
 		t.Fatal("differential suite produced zero solutions overall; generator is vacuous")
+	}
+	if queries >= len(cells) {
+		for c, n := range ran {
+			if n == 0 {
+				t.Errorf("matrix cell %s ran no query", cells[c])
+			}
+		}
 	}
 	t.Logf("differential harness: %d queries, %d total solutions compared", queries, totalRows)
 }

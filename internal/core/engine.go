@@ -82,14 +82,6 @@ type Options struct {
 	// exponential backoff before giving up on a document. Nil means a
 	// single attempt — every failure is immediately terminal.
 	Retry *deref.RetryPolicy
-	// Adaptive enables restart-based adaptive re-planning (the paper's
-	// §5 future-work direction): once AdaptiveWarmupDocs documents have
-	// been traversed, the join order is re-derived from observed pattern
-	// cardinalities and the pipeline restarted if it changed. Queries
-	// with LIMIT/OFFSET always run non-adaptively.
-	Adaptive bool
-	// AdaptiveWarmupDocs is the warmup document count (default 12).
-	AdaptiveWarmupDocs int
 	// Obs, when non-nil, aggregates process-level metrics across every
 	// query of this engine (counters, gauges, latency histograms with
 	// Prometheus exposition) and registers executions with the query
@@ -198,7 +190,6 @@ type Execution struct {
 	mu          sync.Mutex
 	err         error
 	store       *store.Store
-	adaptedPlan algebra.Operator
 	trace       *obs.Trace
 	prov        *exec.Prov
 	topo        *obs.Topology
@@ -552,11 +543,6 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 				return false
 			}
 		}
-		if e.opts.Adaptive && !containsSlice(op) {
-			final := e.runAdaptive(ectx, op, env, src, recorder, seeds, emit)
-			x.setAdaptedPlan(final)
-			return
-		}
 		for b := range exec.Eval(ectx, op, env) {
 			recorder.RecordResult()
 			if !emit(b) {
@@ -576,24 +562,6 @@ func compactQuery(q string) string {
 		s = s[:197] + "..."
 	}
 	return s
-}
-
-// setAdaptedPlan records the plan that finished an adaptive execution.
-func (x *Execution) setAdaptedPlan(op algebra.Operator) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.adaptedPlan = op
-}
-
-// AdaptedPlan returns the plan an adaptive execution finished under (the
-// initial plan when no re-planning occurred or adaptivity is off).
-func (x *Execution) AdaptedPlan() algebra.Operator {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.adaptedPlan != nil {
-		return x.adaptedPlan
-	}
-	return x.Plan
 }
 
 // Select runs a SELECT query to completion and returns all solutions.
@@ -894,7 +862,7 @@ func (t *traversal) visit(l linkqueue.Link) {
 	// without one, is interned here.
 	seg := res.Segment
 	if seg != nil && seg.Dict == t.src.Dict() {
-		t.src.AddEncoded(res.FinalURL, seg.Source, seg.Triples)
+		t.src.AddEncoded(seg.Source, seg.Triples)
 	} else {
 		t.src.AddDocument(res.FinalURL, res.Triples)
 	}

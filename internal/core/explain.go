@@ -37,7 +37,7 @@ type Explain struct {
 	// dependent dereference chains that gated them.
 	CriticalPath *obs.CritPath `json:"critical_path,omitempty"`
 	// QueuePolicy names the link-queue discipline the traversal ran with
-	// ("fifo", "reason" or "guided").
+	// ("fifo" or "guided").
 	QueuePolicy string `json:"queue_policy,omitempty"`
 	// LimitTrips lists the traversal defenses that fired during this query
 	// (deduplicated per limit kind and origin/document).

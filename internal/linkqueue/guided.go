@@ -48,9 +48,11 @@ type Feedback interface {
 	DocumentIngested(url string, relevantTriples, totalTriples int)
 }
 
-// reasonScore maps discovery reasons to base scores (higher runs earlier);
-// the inverse of DefaultPriorities' ranks, on a wider scale so the
-// relevance and productivity boosts interleave between reason tiers.
+// reasonScore maps discovery reasons to base scores (higher runs earlier):
+// seeds, then type-index links, then profile/storage roots, pattern
+// matches, container members and blind links. The tiers are spaced wide
+// enough that the relevance and productivity boosts interleave between
+// them; an unknown reason scores 2, below every tier.
 var reasonScore = map[string]float64{
 	"seed":                 100,
 	"type-index":           40,

@@ -48,7 +48,7 @@ func TestOrigin(t *testing.T) {
 // Every queue discipline must collapse scheme/host-case and default-port
 // aliases into one entry — the loop/spoofing defense.
 func TestDedupNormalizesAliases(t *testing.T) {
-	for _, q := range []Queue{NewFIFO(), NewPriority(nil), NewGuided(nil)} {
+	for _, q := range []Queue{NewFIFO(), NewGuided(nil)} {
 		if !q.Push(Link{URL: "http://pod.example/doc", Reason: "seed"}) {
 			t.Fatalf("%T: first push rejected", q)
 		}
@@ -272,7 +272,7 @@ func TestParsePolicy(t *testing.T) {
 	}{
 		{"", PolicyFIFO, true},
 		{"fifo", PolicyFIFO, true},
-		{"reason", PolicyReason, true},
+		{"reason", "", false},
 		{"guided", PolicyGuided, true},
 		{"bogus", "", false},
 	} {
@@ -281,7 +281,7 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %q, %v", c.in, got, err)
 		}
 	}
-	for _, p := range []Policy{PolicyFIFO, PolicyReason, PolicyGuided, Policy("")} {
+	for _, p := range []Policy{PolicyFIFO, PolicyGuided, Policy("")} {
 		if q := p.New(nil); q == nil {
 			t.Errorf("%q.New returned nil", p)
 		}

@@ -97,7 +97,7 @@ func TestFIFOConcurrent(t *testing.T) {
 }
 
 func TestPriorityConcurrent(t *testing.T) {
-	q := NewPriority(nil)
+	q := NewGuided(nil)
 	popped := hammer(t, q, 8, 200, 4)
 	checkHammer(t, q, popped, 8, 200)
 }
@@ -105,7 +105,7 @@ func TestPriorityConcurrent(t *testing.T) {
 func TestConcurrentPushUniqueAcceptance(t *testing.T) {
 	// Many goroutines race to push the same URL: exactly one Push may
 	// report acceptance.
-	for name, q := range map[string]Queue{"fifo": NewFIFO(), "priority": NewPriority(nil)} {
+	for name, q := range map[string]Queue{"fifo": NewFIFO(), "priority": NewGuided(nil)} {
 		q := q
 		t.Run(name, func(t *testing.T) {
 			var wg sync.WaitGroup

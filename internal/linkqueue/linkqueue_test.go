@@ -40,13 +40,14 @@ func TestFIFOOrderAndDedup(t *testing.T) {
 	}
 }
 
+// TestPriorityRanksReasons pins the guided queue's reason tiers: with
+// every link on one origin (so round-robin does not interleave) and no
+// relevance or productivity boost, links pop in tier order.
 func TestPriorityRanksReasons(t *testing.T) {
-	q := NewPriority(nil)
-	q.Push(Link{URL: "http://noise", Reason: "all"})
-	q.Push(Link{URL: "http://container", Reason: "ldp-container"})
-	q.Push(Link{URL: "http://ti", Reason: "type-index"})
-	q.Push(Link{URL: "http://seed", Reason: "seed"})
-	q.Push(Link{URL: "http://match", Reason: "match"})
+	q := NewGuided(nil)
+	for _, reason := range []string{"all", "ldp-container", "mystery", "see-also", "type-index", "seed", "storage", "match"} {
+		q.Push(Link{URL: "http://pod/" + reason, Reason: reason})
+	}
 	var order []string
 	for {
 		l, ok := q.Pop()
@@ -55,37 +56,14 @@ func TestPriorityRanksReasons(t *testing.T) {
 		}
 		order = append(order, l.Reason)
 	}
-	want := "[seed type-index match ldp-container all]"
+	want := "[seed type-index storage match ldp-container see-also all mystery]"
 	if fmt.Sprint(order) != want {
 		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
-func TestPriorityFIFOWithinRank(t *testing.T) {
-	q := NewPriority(nil)
-	for i := 0; i < 5; i++ {
-		q.Push(Link{URL: fmt.Sprintf("http://x%d", i), Reason: "match"})
-	}
-	for i := 0; i < 5; i++ {
-		l, ok := q.Pop()
-		if !ok || l.URL != fmt.Sprintf("http://x%d", i) {
-			t.Errorf("pop %d = %v", i, l.URL)
-		}
-	}
-}
-
-func TestPriorityUnknownReasonLowest(t *testing.T) {
-	q := NewPriority(nil)
-	q.Push(Link{URL: "http://unknown", Reason: "mystery"})
-	q.Push(Link{URL: "http://all", Reason: "all"})
-	l, _ := q.Pop()
-	if l.Reason != "all" {
-		t.Errorf("known reason should outrank unknown; got %s", l.Reason)
-	}
-}
-
 func TestQueuesConcurrentSafety(t *testing.T) {
-	for _, q := range []Queue{NewFIFO(), NewPriority(nil)} {
+	for _, q := range []Queue{NewFIFO(), NewGuided(nil)} {
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -107,7 +85,7 @@ func TestQueuesConcurrentSafety(t *testing.T) {
 func TestQueueProperties(t *testing.T) {
 	// Property: popping yields each accepted URL exactly once.
 	f := func(urls []string) bool {
-		q := NewPriority(nil)
+		q := NewGuided(nil)
 		accepted := map[string]bool{}
 		for _, u := range urls {
 			if u == "" {

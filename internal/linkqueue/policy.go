@@ -10,9 +10,6 @@ type Policy string
 const (
 	// PolicyFIFO is breadth-first traversal (the Comunica default).
 	PolicyFIFO Policy = "fifo"
-	// PolicyReason ranks links by their discovery reason only (type-index
-	// before blind container walks) — the pre-guided priority queue.
-	PolicyReason Policy = "reason"
 	// PolicyGuided scores links by query relevance (constant-IRI mentions,
 	// discovery reason, source-document productivity) with per-origin
 	// round-robin fairness.
@@ -24,24 +21,18 @@ func ParsePolicy(s string) (Policy, error) {
 	switch Policy(s) {
 	case "", PolicyFIFO:
 		return PolicyFIFO, nil
-	case PolicyReason:
-		return PolicyReason, nil
 	case PolicyGuided:
 		return PolicyGuided, nil
 	default:
-		return "", fmt.Errorf("linkqueue: unknown queue policy %q (want fifo, reason or guided)", s)
+		return "", fmt.Errorf("linkqueue: unknown queue policy %q (want fifo or guided)", s)
 	}
 }
 
 // New builds an empty queue under the policy. The relevance is used only by
 // PolicyGuided (nil disables its mention boost).
 func (p Policy) New(rel *Relevance) Queue {
-	switch p {
-	case PolicyReason:
-		return NewPriority(nil)
-	case PolicyGuided:
+	if p == PolicyGuided {
 		return NewGuided(rel)
-	default:
-		return NewFIFO()
 	}
+	return NewFIFO()
 }

@@ -27,9 +27,6 @@ type Planner struct {
 	// seedDocs holds the documents of the seed URLs for seed-directed
 	// scoring.
 	seedDocs map[string]bool
-	// counts, when set (OptimizeWithCounts), overrides pattern scoring
-	// with observed cardinalities.
-	counts CountSource
 }
 
 // New returns a planner aware of the given seed URLs.
@@ -167,12 +164,6 @@ func (p *Planner) score(op algebra.Operator) int {
 		// Inline data is tiny and fully bound: schedule first.
 		return 100
 	case algebra.Pattern:
-		if p.counts != nil {
-			// Adaptive scoring: fewer current matches → more selective →
-			// earlier. Scores are negated counts so the greedy order
-			// picks the smallest extension first.
-			return -p.counts.CountNow(x.Triple)
-		}
 		return p.scorePattern(x.Triple)
 	case algebra.PathPattern:
 		s := 0

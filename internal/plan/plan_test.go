@@ -173,43 +173,3 @@ func TestScoreOrdering(t *testing.T) {
 		}
 	}
 }
-
-// fakeCounts is a static CountSource for adaptive-planning tests.
-type fakeCounts map[string]int
-
-func (f fakeCounts) CountNow(pattern rdf.Triple) int {
-	return f[pattern.P.Value]
-}
-
-func TestOptimizeWithCountsPrefersSmallExtensions(t *testing.T) {
-	p := New(nil)
-	// Zero-knowledge would put the constant-subject pattern first; the
-	// observed counts say the other pattern is far more selective.
-	big := pattern(iri("s"), iri("pBig"), v("x"))   // constant subject, huge extension
-	small := pattern(v("x"), iri("pSmall"), v("y")) // all-var but tiny extension
-	counts := fakeCounts{
-		"http://example.org/pBig":   10000,
-		"http://example.org/pSmall": 2,
-	}
-	got := p.OptimizeWithCounts(algebra.Join{Left: big, Right: small}, counts)
-	if fl := firstLeaf(got); fl != algebra.Operator(small) {
-		t.Errorf("first leaf = %s, want the low-cardinality pattern", algebra.String(fl))
-	}
-	// Without counts, the static heuristics pick the constant subject.
-	got = p.Optimize(algebra.Join{Left: small, Right: big})
-	if fl := firstLeaf(got); fl != algebra.Operator(big) {
-		t.Errorf("static first leaf = %s, want the constant-subject pattern", algebra.String(fl))
-	}
-}
-
-func TestOptimizeWithCountsRestoresStaticScoring(t *testing.T) {
-	p := New(nil)
-	big := pattern(iri("s"), iri("pBig"), v("x"))
-	small := pattern(v("x"), iri("pSmall"), v("y"))
-	_ = p.OptimizeWithCounts(algebra.Join{Left: big, Right: small}, fakeCounts{})
-	// After an adaptive call the planner must be back to static scoring.
-	got := p.Optimize(algebra.Join{Left: small, Right: big})
-	if fl := firstLeaf(got); fl != algebra.Operator(big) {
-		t.Errorf("planner state leaked: first leaf = %s", algebra.String(fl))
-	}
-}

@@ -8,7 +8,7 @@ import "fmt"
 // LDBC SNB interactive complex reads). The paper notes that "for more
 // complex queries in terms of the number of triple patterns ... more
 // fundamental optimization work is needed"; these queries are the
-// regression workload for that frontier (and for the adaptive planner).
+// regression workload for that frontier.
 func (d *Dataset) ComplexQueries() []Query {
 	v := NewVocab(d.Config.Host)
 	prefix := fmt.Sprintf("PREFIX snvoc: <%s>\nPREFIX foaf: <http://xmlns.com/foaf/0.1/>\n", v.NS())

@@ -123,7 +123,7 @@ func BenchmarkAddEncoded(b *testing.B) {
 		for i := range ids {
 			ids[i] = rdf.IDTriple{S: rdf.TermID(1000 + d*4 + i/5), P: rdf.TermID(1 + i%7), O: rdf.TermID(1<<20 + d*perDoc + i)}
 		}
-		s.AddEncoded("http://pod/doc", rdf.TermID(1+d), ids)
+		s.AddEncoded(rdf.TermID(1+d), ids)
 	}
 	runtime.ReadMemStats(&m1)
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N*perDoc), "B/triple")

@@ -145,7 +145,7 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 			ids[i] = rdf.IDTriple{S: term(40), P: term(6), O: term(300)}
 		}
 		before := s.Len()
-		s.AddEncoded("doc", 1, ids)
+		s.AddEncoded(1, ids)
 		// Mirror what the store kept: duplicates are dropped, positions are
 		// insertion order.
 		s.mu.Lock()
@@ -198,7 +198,7 @@ func TestPositionsDedupAndFirstContributor(t *testing.T) {
 			ids = append(ids, s.dict.InternTriple(tr))
 		}
 		ids = append(ids, ids[0], ids[7], ids[0]) // and repeats within the document
-		if got := s.AddEncoded(doc(d).Value, src, ids); got != fresh {
+		if got := s.AddEncoded(src, ids); got != fresh {
 			t.Fatalf("document %d: AddEncoded = %d new triples, want %d", d, got, fresh)
 		}
 		if n := len(s.seen.slots); len(sizes) == 0 || sizes[len(sizes)-1] != n {
@@ -256,23 +256,21 @@ func TestAttachAllocations(t *testing.T) {
 		return ids
 	}
 	var segs [][]rdf.IDTriple
-	var names []string
 	for d := 0; d < warm+runs+1; d++ {
 		segs = append(segs, segment(d))
-		names = append(names, "http://pod/doc"+strconv.Itoa(d))
 	}
 	for d := 0; d < warm; d++ {
-		s.AddEncoded(names[d], rdf.TermID(d+1), segs[d])
+		s.AddEncoded(rdf.TermID(d+1), segs[d])
 	}
 	// What a star join over the store has probed by now.
-	s.CountNow(rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewVar("o")))
-	s.CountNow(rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o")))
+	s.MatchNow(rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewVar("o")))
+	s.MatchNow(rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o")))
 	if s.bySP == nil || s.byPO == nil || s.bySubject != nil || s.byObject != nil {
 		t.Fatal("want SP and PO built, S and O not")
 	}
 	d := warm
 	perAttach := testing.AllocsPerRun(runs, func() {
-		if s.AddEncoded(names[d], rdf.TermID(d+1), segs[d]) != perDoc {
+		if s.AddEncoded(rdf.TermID(d+1), segs[d]) != perDoc {
 			t.Fatal("segment not new")
 		}
 		d++

@@ -68,8 +68,7 @@ type Store struct {
 	// perTriple is the ledger's charge for a new triple and its postings.
 	perTriple int64
 
-	closed    bool
-	documents map[string]bool // document IRIs ingested
+	closed bool
 
 	// ledger, when set, is charged resource.Store bytes for every distinct
 	// triple and index posting this store retains on behalf of its query.
@@ -105,7 +104,6 @@ func New() *Store {
 func NewWithDict(dict *rdf.Dict) *Store {
 	s := &Store{
 		dict:      dict,
-		documents: make(map[string]bool),
 		seen:      positions{slots: make([]int32, 64)},
 		perTriple: bytesPerTriple,
 	}
@@ -194,15 +192,15 @@ func (s *Store) sourceLocked(i int32) rdf.TermID {
 	return s.origins[k-1].src
 }
 
-// AddDocument ingests all triples of a dereferenced document and reports
-// how many were new. It also records the document IRI. The whole document
-// is interned outside the store lock, then ingested by AddEncoded.
+// AddDocument ingests all triples of a dereferenced document, with the
+// document IRI as their source, and reports how many were new. The whole
+// document is interned outside the store lock, then ingested by AddEncoded.
 func (s *Store) AddDocument(docIRI string, triples []rdf.Triple) int {
 	ids := make([]rdf.IDTriple, len(triples))
 	for i, t := range triples {
 		ids[i] = s.dict.InternTriple(t)
 	}
-	return s.AddEncoded(docIRI, s.dict.Intern(rdf.NewIRI(docIRI)), ids)
+	return s.AddEncoded(s.dict.Intern(rdf.NewIRI(docIRI)), ids)
 }
 
 // AddEncoded is AddDocument for a document that is already encoded: ids and
@@ -210,10 +208,9 @@ func (s *Store) AddDocument(docIRI string, triples []rdf.Triple) int {
 // ids is only read. The document is inserted under one lock acquisition
 // with a single iterator wakeup, so ingest cost per document is one
 // critical section, not one per triple, and nothing is interned.
-func (s *Store) AddEncoded(docIRI string, src rdf.TermID, ids []rdf.IDTriple) int {
+func (s *Store) AddEncoded(src rdf.TermID, ids []rdf.IDTriple) int {
 	s.mu.Lock()
 	n := s.addLocked(src, ids...)
-	s.documents[docIRI] = true
 	s.mu.Unlock()
 	return n
 }
@@ -230,25 +227,11 @@ func (s *Store) Close() {
 	}
 }
 
-// Closed reports whether the store has been closed.
-func (s *Store) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // Len returns the number of distinct triples currently in the store.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.triples)
-}
-
-// DocumentCount returns the number of documents ingested so far.
-func (s *Store) DocumentCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.documents)
 }
 
 // Source returns the document a ground triple was first contributed by.
@@ -401,29 +384,6 @@ func (s *Store) MatchNow(pattern rdf.Triple) []rdf.Triple {
 		}
 	}
 	return out
-}
-
-// CountNow returns the number of current matches of the pattern. It is used
-// by cardinality-estimating planners and tests.
-func (s *Store) CountNow(pattern rdf.Triple) int {
-	p := s.compilePattern(pattern)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	if p.fullScan() {
-		for _, t := range s.triples {
-			if p.matches(t) {
-				n++
-			}
-		}
-		return n
-	}
-	for _, i := range s.candidates(&p) {
-		if p.matches(s.triples[i]) {
-			n++
-		}
-	}
-	return n
 }
 
 // Match returns a live iterator over current and future matches of the

@@ -131,7 +131,7 @@ func TestStoreConcurrentAddMatchIterate(t *testing.T) {
 				if srcTerm, ok := s.Source(tr); ok && srcTerm.IsZero() {
 					t.Errorf("Source returned ok with zero term for %s", tr)
 				}
-				_ = s.CountNow(pat)
+				_ = s.MatchNow(pat)
 			}
 		}(r)
 	}
@@ -323,7 +323,7 @@ func TestOnDemandIndexBuiltUnderIngest(t *testing.T) {
 		}
 	}
 	for side, pattern := range []rdf.Triple{fromHub, toHub} {
-		if n := s.CountNow(pattern); n != want {
+		if n := len(s.MatchNow(pattern)); n != want {
 			t.Errorf("side %d: %d matches in the end, want %d", side, n, want)
 		}
 	}

@@ -45,8 +45,10 @@ func TestAddAfterClose(t *testing.T) {
 	if s.Add(tp("a", "p", "b"), doc) {
 		t.Error("add after close should be rejected")
 	}
-	if !s.Closed() {
-		t.Error("Closed() should be true")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := s.WaitClosed(ctx); err != nil {
+		t.Errorf("WaitClosed on a closed store = %v", err)
 	}
 	s.Close() // idempotent
 }
@@ -59,8 +61,8 @@ func TestAddDocument(t *testing.T) {
 	if n != 2 {
 		t.Errorf("new triples = %d, want 2", n)
 	}
-	if s.DocumentCount() != 1 {
-		t.Errorf("DocumentCount = %d", s.DocumentCount())
+	if s.Len() != 2 {
+		t.Errorf("Len = %d", s.Len())
 	}
 }
 
@@ -86,9 +88,9 @@ func TestMatchNowIndexSelection(t *testing.T) {
 	if got := s.MatchNow(rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o"))); len(got) != 20 {
 		t.Errorf("full scan = %d", len(got))
 	}
-	// Count.
-	if got := s.CountNow(rdf.NewTriple(rdf.NewVar("s"), iri("q"), rdf.NewVar("o"))); got != 10 {
-		t.Errorf("CountNow = %d", got)
+	// By predicate and object.
+	if got := s.MatchNow(rdf.NewTriple(rdf.NewVar("s"), iri("q"), iri("fixed"))); len(got) != 10 {
+		t.Errorf("by-predicate-object match = %d", len(got))
 	}
 }
 

@@ -106,7 +106,7 @@ func TestStrategyCAllBounded(t *testing.T) {
 
 func TestPrioritizedQueue(t *testing.T) {
 	env := testEnv(t)
-	engine := New(Config{Client: env.Client(), Lenient: true, QueuePolicy: "reason"})
+	engine := New(Config{Client: env.Client(), Lenient: true, QueuePolicy: "guided"})
 	q := env.Dataset.Discover(1, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -308,21 +308,6 @@ func TestCommonPrefixesIsCopy(t *testing.T) {
 	p["ldp"] = "mutated"
 	if CommonPrefixes()["ldp"] == "mutated" {
 		t.Error("CommonPrefixes must return a copy")
-	}
-}
-
-func TestAdaptiveViaFacade(t *testing.T) {
-	env := testEnv(t)
-	engine := New(Config{Client: env.Client(), Lenient: true, Adaptive: true})
-	q := env.Dataset.Discover(6, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	results, err := engine.Select(ctx, q.Text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) == 0 {
-		t.Error("adaptive facade run found nothing")
 	}
 }
 
