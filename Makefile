@@ -9,15 +9,17 @@ build:
 test: build
 	$(GO) test ./...
 
-# Pre-merge verification: vet plus the full suite (including the chaos
-# integration tests and the traversal-vs-oracle differential harness) under
-# the race detector — the engine is heavily concurrent and must stay
-# race-clean. The package tests include the allocation pins of the ingest
-# path (turtle.TestParseAllocations, the 0 allocs/op disabled-path pins of
-# obs and resource), which hold under -race too. The paper-scale environment
-# test (1 531 pods, ~3 GB) runs in a second pass without the race detector,
-# which would slow it past the CI timeout on a 2-CPU runner.
+# Pre-merge verification: gofmt-clean sources, vet, plus the full suite
+# (including the chaos integration tests and the traversal-vs-oracle
+# differential harness) under the race detector — the engine is heavily
+# concurrent and must stay race-clean. The package tests include the
+# allocation pins of the ingest path (turtle.TestParseAllocations, the 0
+# allocs/op disabled-path pins of obs and resource), which hold under -race
+# too. The paper-scale environment test (1 531 pods, ~3 GB) runs in a second
+# pass without the race detector, which would slow it past the CI timeout on
+# a 2-CPU runner.
 verify:
+	@test -z "$$(gofmt -l .)" || { echo "verify: unformatted files:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench

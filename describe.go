@@ -1,4 +1,4 @@
-package core
+package ltqp
 
 import (
 	"context"
@@ -12,28 +12,28 @@ import (
 // by traversal, and each described resource is rendered as its concise
 // bounded description (CBD) over all traversed data — the resource's
 // outgoing triples, expanded recursively through blank nodes.
-func (e *Engine) Describe(ctx context.Context, queryStr string, seeds []string) ([]rdf.Triple, error) {
-	x, err := e.Query(ctx, queryStr, seeds)
+func (e *Engine) Describe(ctx context.Context, query string, seeds ...string) ([]rdf.Triple, error) {
+	x, err := e.QueryWithSeeds(ctx, query, seeds)
 	if err != nil {
 		return nil, err
 	}
-	if x.Query.Form != sparql.FormDescribe {
+	if x.query.Form != sparql.FormDescribe {
 		x.Close()
-		return nil, errors.New("core: Describe requires a DESCRIBE query")
+		return nil, errors.New("ltqp: Describe requires a DESCRIBE query")
 	}
 
 	// Collect the described resources: constants plus variable bindings
 	// from the WHERE evaluation.
 	resources := map[rdf.Term]bool{}
 	var vars []string
-	for _, d := range x.Query.Describe {
+	for _, d := range x.query.Describe {
 		if d.IsVar() {
 			vars = append(vars, d.Value)
 		} else {
 			resources[d] = true
 		}
 	}
-	describeAll := len(x.Query.Describe) == 0 // DESCRIBE *
+	describeAll := len(x.query.Describe) == 0 // DESCRIBE *
 	for b := range x.Results {
 		if describeAll {
 			for _, v := range b.Vars() {

@@ -1,4 +1,4 @@
-package core
+package ltqp
 
 import (
 	"context"
@@ -15,7 +15,7 @@ func TestDescribeConstantResource(t *testing.T) {
 	webID := env.Dataset.WebID(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	triples, err := e.Describe(ctx, "DESCRIBE <"+webID+">", nil)
+	triples, err := e.Describe(ctx, "DESCRIBE <"+webID+">")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDescribeWithWhere(t *testing.T) {
 	defer cancel()
 	triples, err := e.Describe(ctx, `
 PREFIX snvoc: <`+v.NS()+`>
-DESCRIBE ?m WHERE { ?m snvoc:hasCreator <`+webID+`> }`, nil)
+DESCRIBE ?m WHERE { ?m snvoc:hasCreator <`+webID+`> }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ DESCRIBE ?m WHERE { ?m snvoc:hasCreator <`+webID+`> }`, nil)
 func TestDescribeRequiresDescribeForm(t *testing.T) {
 	env := newTestEnv(t)
 	e := newTestEngine(env)
-	_, err := e.Describe(context.Background(), "SELECT ?x WHERE { ?x ?p <"+env.Dataset.WebID(0)+"> }", nil)
+	_, err := e.Describe(context.Background(), "SELECT ?x WHERE { ?x ?p <"+env.Dataset.WebID(0)+"> }")
 	if err == nil {
 		t.Error("SELECT passed to Describe should error")
 	}

@@ -1,15 +1,4 @@
-// Package core implements the paper's primary contribution: a link
-// traversal SPARQL query engine for the Solid decentralized environment.
-//
-// The engine wires together the components of the paper's Fig. 1: a link
-// queue initialized with seed URLs, a pool of dereferencers that fetch and
-// parse documents, link extractors that append newly discovered links to
-// the queue, and a continuously growing internal triple source over which a
-// pipelined iterator network evaluates the query — producing results while
-// traversal is still in flight. Query planning uses the zero-knowledge
-// technique (no prior statistics), and seed URLs may be user-provided or
-// derived from IRIs mentioned in the query ("query-based seed selection").
-package core
+package ltqp
 
 import (
 	"context"
@@ -18,10 +7,10 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ltqp/internal/algebra"
+	"ltqp/internal/core"
 	"ltqp/internal/deref"
 	"ltqp/internal/exec"
 	"ltqp/internal/extract"
@@ -35,119 +24,9 @@ import (
 	"ltqp/internal/store"
 )
 
-// DefaultMaxConcurrent mirrors a browser's per-host connection budget, the
+// defaultMaxConcurrent mirrors a browser's per-host connection budget, the
 // environment the paper demonstrates in.
-const DefaultMaxConcurrent = 6
-
-// Options configures an Engine.
-type Options struct {
-	// Client is the HTTP client used for dereferencing; nil means a client
-	// of the engine's own, http.DefaultTransport's settings with one idle
-	// connection kept per worker. Tests and the simulated environment
-	// inject the pod server's client here.
-	Client *http.Client
-	// Auth, when non-nil, makes the engine query on behalf of an agent:
-	// its credentials accompany every dereference, unlocking documents
-	// behind access control.
-	Auth *deref.Credentials
-	// Extractors builds the link extraction strategy for a query shape.
-	// Nil means extract.DefaultSolidSet (the paper's configuration).
-	Extractors func(shape *extract.QueryShape) []extract.Extractor
-	// QueuePolicy selects the link-queue discipline: FIFO (the default and
-	// the differential-testing oracle), reason-ranked, or guided (query-
-	// relevance scoring with per-origin round-robin fairness). Ordering
-	// never changes the answer set — only how soon answers arrive and how
-	// many documents are dereferenced on the way.
-	QueuePolicy linkqueue.Policy
-	// Limits configures the traversal defenses: per-origin budgets, the
-	// scope allowlist, fanout/queue caps, and oversized/slow-body
-	// cutoffs. The zero value disables all of them.
-	Limits Limits
-	// MaxConcurrent bounds parallel dereferences (default 6).
-	MaxConcurrent int
-	// MaxDocuments caps traversal (0 = unbounded). A safety valve for
-	// exhaustive strategies such as cAll.
-	MaxDocuments int
-	// MaxDepth caps traversal depth: links discovered more than MaxDepth
-	// hops from a seed are not followed (0 = unbounded). Depth-bounded
-	// reachability is a classic LTQP completeness/cost trade-off.
-	MaxDepth int
-	// Lenient makes traversal tolerate fetch/parse failures, mirroring
-	// the --lenient flag of the paper's CLI (Fig. 2). Non-lenient
-	// traversal aborts the query on the first failure. Degradation()
-	// reports what a lenient execution ran without.
-	Lenient bool
-	// Retry, when non-nil, retries transient dereference failures
-	// (transport errors, 429/5xx, stalled responses) with capped
-	// exponential backoff before giving up on a document. Nil means a
-	// single attempt — every failure is immediately terminal.
-	Retry *deref.RetryPolicy
-	// Obs, when non-nil, aggregates process-level metrics across every
-	// query of this engine (counters, gauges, latency histograms with
-	// Prometheus exposition) and registers executions with the query
-	// tracker behind /debug/queries. Nil disables all of it at zero
-	// cost on the hot paths.
-	Obs *obs.Observer
-	// Trace records a span tree per query (parse → plan → per-document
-	// dereference attempts → link extraction → join/iterator stages)
-	// even without an Observer; Execution.Trace returns it. Tracing is
-	// also enabled when Obs.TraceQueries is set.
-	Trace bool
-	// Events, when non-nil, publishes the engine's ordered event stream —
-	// query lifecycle, pipeline stages, dereferences, link discovery and
-	// pruning, retries, result arrival — to whoever subscribes (the SSE
-	// feed, the slog adapter, the JSONL journal). With no subscriber
-	// attached, publishing is a nil check plus one atomic load: the hot
-	// path performs zero allocations (benchmarked in internal/obs).
-	Events *obs.Bus
-	// Shared, when non-nil, layers a cross-engine shared document cache
-	// (internal/serve.SharedCache) under every dereference: fresh entries
-	// skip the network, stale entries revalidate with conditional GETs,
-	// and concurrent fetches of one IRI collapse to a single flight — the
-	// browser disk cache visible in the paper's Fig. 4.
-	Shared deref.SharedCache
-	// ExecWorkers sizes the executor's morsel worker pool (parallel join
-	// probes and grouping); 0 means GOMAXPROCS.
-	ExecWorkers int
-	// Explain enables the per-query explain layer: every solution is
-	// annotated with the exact set of documents whose triples produced it
-	// (result provenance), and traversal records its link-discovery
-	// topology — a node per dereferenced document, an edge per discovered
-	// link labeled with the extractor that found it and whether it was
-	// followed, deduplicated, or pruned — plus the result-arrival
-	// timeline. Execution.Explain exports the report; when an Observer is
-	// attached, the topology also appears on /debug/topology. Off by
-	// default: the disabled path adds one nil check per pattern match and
-	// zero allocations.
-	Explain bool
-	// MemBudget caps one query's ledger-accounted memory in bytes (0 =
-	// unlimited). A query whose live charges cross the budget is cancelled
-	// with a *resource.BudgetExceededError carrying the full per-layer
-	// breakdown; sibling queries on the same engine are unaffected. A
-	// positive budget enables the resource ledger even without an Observer.
-	MemBudget int64
-}
-
-// Engine executes SPARQL queries over Solid pods by link traversal.
-type Engine struct {
-	opts Options
-	// dict is the engine-scoped term dictionary: parsers, the document
-	// cache, and every per-query store intern into it, so term IDs are
-	// stable across queries and repeated documents cost no new string
-	// allocations.
-	dict *rdf.Dict
-}
-
-// New returns an engine with the given options.
-func New(opts Options) *Engine {
-	if opts.MaxConcurrent <= 0 {
-		opts.MaxConcurrent = DefaultMaxConcurrent
-	}
-	if opts.Client == nil {
-		opts.Client = defaultClient(opts.MaxConcurrent)
-	}
-	return &Engine{opts: opts, dict: rdf.NewDict()}
-}
+const defaultMaxConcurrent = 6
 
 // defaultClient is the client of an engine that was given none. A pod is one
 // origin, and http.DefaultTransport keeps only two idle connections per host:
@@ -164,128 +43,32 @@ func defaultClient(workers int) *http.Client {
 	return &http.Client{Transport: t}
 }
 
-// Execution is a running query. Results stream on Results while traversal
-// and execution proceed concurrently; the channel closes when the query
-// completes (or the context is cancelled). After the channel closes, Err
-// reports a traversal failure (always nil under Lenient).
-type Execution struct {
-	// Query is the parsed query.
-	Query *sparql.Query
-	// Vars are the projected variable names, in projection order.
-	Vars []string
-	// Results streams the solutions.
-	Results <-chan rdf.Binding
-	// Recorder captures the HTTP waterfall and result timings.
-	Recorder *metrics.Recorder
-	// Seeds are the seed URLs traversal started from.
-	Seeds []string
-	// Plan is the optimized logical plan (for EXPLAIN-style output).
-	Plan algebra.Operator
-
-	cancel context.CancelFunc
-	// satisfied is set when the pipeline finished while traversal was still
-	// running and cancelled it as no longer needed.
-	satisfied   atomic.Bool
-	id          int64
-	mu          sync.Mutex
-	err         error
-	store       *store.Store
-	trace       *obs.Trace
-	prov        *exec.Prov
-	topo        *obs.Topology
-	ledger      *resource.Ledger
-	queryStr    string
-	start       time.Time
-	queuePolicy linkqueue.Policy
+// Query starts a SPARQL query with seeds derived from the query (IRIs
+// mentioned in its patterns) or the engine's default seeds.
+func (e *Engine) Query(ctx context.Context, query string) (*Result, error) {
+	return e.QueryWithSeeds(ctx, query, nil)
 }
 
-// ID returns the query's correlation id: the same id appears on the
-// query's events, journal lines, structured log records and the
-// /debug/queries tracker, so one execution can be followed across every
-// observability surface.
-func (x *Execution) ID() int64 { return x.id }
-
-// Trace returns the execution's span tree, or nil when tracing is off. The
-// tree is complete once Results has closed.
-func (x *Execution) Trace() *obs.Trace { return x.trace }
-
-// Topology returns the traversal topology recorder, or nil when the engine
-// ran without Options.Explain. Complete once Results has closed.
-func (x *Execution) Topology() *obs.Topology { return x.topo }
-
-// Prov returns the provenance sink, or nil when the engine ran without
-// Options.Explain.
-func (x *Execution) Prov() *exec.Prov { return x.prov }
-
-// Resources returns the query's resource-ledger snapshot — live and peak
-// bytes per layer, budget state — or nil when the engine ran without
-// accounting (no Observer and no MemBudget). Final once Results has closed;
-// calling earlier returns the in-flight state.
-func (x *Execution) Resources() *resource.Snapshot { return x.ledger.Snapshot() }
-
-// Err returns the traversal error, if any. Valid after Results closes.
-func (x *Execution) Err() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.err
-}
-
-func (x *Execution) setErr(err error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.err == nil {
-		x.err = err
+// QueryWithSeeds starts a SPARQL query from explicit seed URLs. Without
+// any, the engine's default seeds (Config.Seeds) apply, and without those
+// the IRIs the query mentions.
+func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []string) (*Result, error) {
+	if len(seeds) == 0 {
+		seeds = e.cfg.Seeds
 	}
-}
-
-// Close aborts the execution. It is safe to call multiple times.
-func (x *Execution) Close() { x.cancel() }
-
-// StoreSize reports how many triples traversal has accumulated so far.
-func (x *Execution) StoreSize() int { return x.store.Len() }
-
-// Degradation reports how far the execution ran short of the fault-free
-// ideal: documents abandoned after exhausting their retries, and the retry
-// count. Under Lenient these losses are otherwise silent — a caller that
-// cares whether results are partial should inspect this after Results
-// closes.
-func (x *Execution) Degradation() metrics.Degradation {
-	return x.Recorder.Degradation()
-}
-
-// CriticalPath attributes the execution's latency to its gating
-// dereference chains; nil before any request was recorded. When the query
-// ran with Explain, the first result's provenance pins the gating document
-// exactly; otherwise the latest-finishing successful fetch before the
-// first result stands in.
-func (x *Execution) CriticalPath() *obs.CritPath {
-	reqs := x.Recorder.Requests()
-	if len(reqs) == 0 {
-		return nil
-	}
-	var firstSources []string
-	if x.topo != nil {
-		firstSources = x.topo.FirstResultSources()
-	}
-	return obs.ComputeCritPath(reqs, x.Recorder.Epoch(), x.Recorder.ResultTimes(), firstSources)
-}
-
-// Query parses and starts a query. Seed URLs are taken from seeds; when
-// empty, they are derived from IRIs mentioned in the query.
-func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*Execution, error) {
 	qid := obs.NextQueryID()
 	qctx := obs.ContextWithQueryID(ctx, qid)
 	// Every occurrence of the query is reported once, as an event; the
 	// explain topology is a fold over them, attached to the emitter so it
 	// sees each one whether or not anyone subscribes to the bus.
 	var topo *obs.Topology
-	if e.opts.Explain {
+	if e.cfg.Explain {
 		topo = obs.NewTopology()
 	}
-	emitter := obs.NewEmitter(e.opts.Events, qid, topo)
+	emitter := obs.NewEmitter(e.cfg.Events, qid, topo)
 	var trace *obs.Trace
-	if e.opts.Trace || (e.opts.Obs != nil && e.opts.Obs.TraceQueries) {
-		qctx, trace = obs.NewTrace(qctx, "query", obs.Str("query", compactQuery(queryStr)))
+	if e.cfg.Trace || (e.cfg.Obs != nil && e.cfg.Obs.TraceQueries) {
+		qctx, trace = obs.NewTrace(qctx, "query", obs.Str("query", compactQuery(query)))
 	}
 
 	stage := func(name string) func() {
@@ -299,7 +82,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 
 	t0 := time.Now()
 	_, parseSpan := obs.StartSpan(qctx, "parse")
-	q, err := sparql.ParseQuery(queryStr)
+	q, err := sparql.ParseQuery(query)
 	if err != nil {
 		parseSpan.End()
 		return nil, err
@@ -310,7 +93,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	parseSpan.End()
 	parseDur := time.Since(t0)
 	if len(seeds) == 0 {
-		return nil, errors.New("core: no seed URLs: provide seeds or mention IRIs in the query")
+		return nil, errors.New("ltqp: no seed URLs: provide seeds or mention IRIs in the query")
 	}
 	// query_started is always a query's first event; the parse stage pair
 	// is emitted retroactively (with explicit timestamps) once the seeds
@@ -318,7 +101,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	// nothing: no started event without a matching finished one.
 	if emitter.Active() {
 		emitter.Emit(obs.Event{Kind: obs.EventQueryStarted, Time: t0,
-			Detail: compactQuery(queryStr), Seeds: seeds})
+			Detail: compactQuery(query), Seeds: seeds})
 		emitter.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: "parse", Time: t0})
 		emitter.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: "parse",
 			Time: t0.Add(parseDur), DurationUS: parseDur.Microseconds()})
@@ -340,34 +123,32 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	recorder := metrics.NewRecorder()
 	runCtx, cancel := context.WithCancel(qctx)
 
-	x := &Execution{
-		Query:    q,
-		Vars:     q.ProjectedVars(),
-		Recorder: recorder,
-		Seeds:    seeds,
-		Plan:     op,
-		cancel:   cancel,
-		id:       qid,
-		store:    src,
-		trace:    trace,
-		topo:     topo,
-		queryStr: queryStr,
-	}
-	if x.queuePolicy = e.opts.QueuePolicy; x.queuePolicy == "" {
-		x.queuePolicy = linkqueue.PolicyFIFO
+	x := &Result{
+		Vars:        q.ProjectedVars(),
+		Seeds:       seeds,
+		query:       q,
+		plan:        op,
+		recorder:    recorder,
+		cancel:      cancel,
+		id:          qid,
+		store:       src,
+		trace:       trace,
+		topo:        topo,
+		queryStr:    query,
+		queuePolicy: e.policy,
 	}
 
-	m := obs.On(e.opts.Obs.M())
+	m := obs.On(e.cfg.Obs.M())
 	m.QueriesStarted.Inc()
 	m.QueriesInFlight.Inc()
 	var rec *obs.QueryRecord
-	if e.opts.Obs != nil {
-		rec = e.opts.Obs.Tracker.Start(qid, queryStr, seeds, trace)
+	if e.cfg.Obs != nil {
+		rec = e.cfg.Obs.Tracker.Start(qid, query, seeds, trace)
 		rec.SetTenant(obs.TenantFromContext(ctx))
 	}
 	queryStart := time.Now()
 	x.start = queryStart
-	if e.opts.Explain {
+	if e.cfg.Explain {
 		x.prov = exec.NewProv()
 		rec.AttachTopology(topo)
 	}
@@ -378,8 +159,8 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	// whenever an Observer is attached (live cost attribution) or a budget
 	// is set (enforcement); otherwise nil, and every charge site no-ops.
 	var ledger *resource.Ledger
-	if e.opts.MemBudget > 0 || e.opts.Obs != nil {
-		ledger = resource.New(qid, obs.TenantFromContext(ctx), e.opts.MemBudget)
+	if e.cfg.MemBudget > 0 || e.cfg.Obs != nil {
+		ledger = resource.New(qid, obs.TenantFromContext(ctx), e.cfg.MemBudget)
 		ledger.OnExceeded(func(berr *resource.BudgetExceededError) {
 			x.setErr(berr)
 			m.MemBudgetExceeded.Inc()
@@ -395,11 +176,8 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 		rec.AttachLedger(ledger)
 	}
 
-	shape := ShapeOf(q)
-	extractors := extract.DefaultSolidSet(shape)
-	if e.opts.Extractors != nil {
-		extractors = e.opts.Extractors(shape)
-	}
+	shape := core.ShapeOf(q)
+	extractors := e.cfg.Strategy.extractors(shape)
 
 	// Traversal feeds the store; closing the store ends the pipeline.
 	go func() {
@@ -410,7 +188,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 		traverseDone()
 		// Being cancelled by the pipeline, which has every row it needs
 		// (LIMIT, ASK), is how such a query ends, not a failure of it.
-		if err != nil && !e.opts.Lenient && !(x.satisfied.Load() && errors.Is(err, context.Canceled)) {
+		if err != nil && !e.cfg.Lenient && !(x.satisfied.Load() && errors.Is(err, context.Canceled)) {
 			x.setErr(err)
 			cancel()
 		}
@@ -422,7 +200,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 	env := exec.NewEnv(src)
 	env.Prov = x.prov
 	env.Events = emitter
-	env.Workers = e.opts.ExecWorkers
+	env.Workers = e.cfg.ExecWorkers
 	env.Ledger = ledger
 	out := make(chan rdf.Binding)
 	go func() {
@@ -447,7 +225,7 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 					}
 					m.TenantMemCharged.With(tenant).Add(charged)
 				}
-				e.opts.Obs.Res().Record(ledger)
+				e.cfg.Obs.Res().Record(ledger)
 				if emitter.Active() {
 					emitter.Emit(obs.Event{Kind: obs.EventResourceSnapshot,
 						MemBytes: ledger.Current(), MemPeak: ledger.Peak(),
@@ -461,11 +239,11 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 			// ID stamps the query-duration bucket as an exemplar so a slow
 			// bucket on /metrics points at a retained trace.
 			var keptTrace string
-			if ts := e.opts.Obs.TraceStore(); ts != nil && trace != nil {
+			if ts := e.cfg.Obs.TraceStore(); ts != nil && trace != nil {
 				o := obs.TraceOutcome{
 					TraceID:  trace.ID(),
 					QueryID:  qid,
-					Query:    compactQuery(queryStr),
+					Query:    compactQuery(query),
 					Tenant:   obs.TenantFromContext(ctx),
 					Start:    queryStart,
 					Duration: dur,
@@ -483,17 +261,17 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 				if kept, _ := ts.Offer(o, func(tr *obs.TraceRecord) {
 					tr.Root = trace.Snapshot()
 					tr.Requests = obs.RequestsJSON(recorder.Requests(), recorder.Epoch())
-					tr.CriticalPath = x.CriticalPath()
+					tr.CriticalPath = x.criticalPath()
 				}); kept {
 					keptTrace = o.TraceID
 				}
 			}
 			m.QueryDuration.ObserveExemplar(dur.Seconds(), keptTrace)
 			if x.prov != nil {
-				rec.SetContributions(docMatches(x.prov.Contributions()))
+				rec.SetContributions(x.prov.Contributions())
 			}
-			if e.opts.Obs != nil {
-				e.opts.Obs.Tracker.Finish(rec, err)
+			if e.cfg.Obs != nil {
+				e.cfg.Obs.Tracker.Finish(rec, err)
 			}
 			// Emitted before the deferred close(out) above runs (LIFO), so
 			// the journal's query_finished always precedes the caller
@@ -539,7 +317,9 @@ func (e *Engine) Query(ctx context.Context, queryStr string, seeds []string) (*E
 				}
 				emitter.Emit(ev)
 				return true
-			case <-ctx.Done():
+			case <-runCtx.Done():
+				// Close cancels runCtx: a caller that stops reading must not
+				// strand this goroutine on a row nobody will take.
 				return false
 			}
 		}
@@ -564,34 +344,31 @@ func compactQuery(q string) string {
 	return s
 }
 
-// Select runs a SELECT query to completion and returns all solutions.
-func (e *Engine) Select(ctx context.Context, queryStr string, seeds []string) ([]rdf.Binding, *Execution, error) {
-	x, err := e.Query(ctx, queryStr, seeds)
+// Select runs a SELECT query to completion.
+func (e *Engine) Select(ctx context.Context, query string, seeds ...string) ([]Binding, error) {
+	res, err := e.QueryWithSeeds(ctx, query, seeds)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var all []rdf.Binding
-	for b := range x.Results {
+	var all []Binding
+	for b := range res.Results {
 		all = append(all, b)
 	}
-	if err := x.Err(); err != nil {
-		return all, x, err
+	if err := res.Err(); err != nil {
+		return all, err
 	}
-	if err := ctx.Err(); err != nil {
-		return all, x, err
-	}
-	return all, x, nil
+	return all, ctx.Err()
 }
 
 // Ask runs an ASK query.
-func (e *Engine) Ask(ctx context.Context, queryStr string, seeds []string) (bool, error) {
-	x, err := e.Query(ctx, queryStr, seeds)
+func (e *Engine) Ask(ctx context.Context, query string, seeds ...string) (bool, error) {
+	x, err := e.QueryWithSeeds(ctx, query, seeds)
 	if err != nil {
 		return false, err
 	}
-	if x.Query.Form != sparql.FormAsk {
+	if x.query.Form != sparql.FormAsk {
 		x.Close()
-		return false, errors.New("core: Ask requires an ASK query")
+		return false, errors.New("ltqp: Ask requires an ASK query")
 	}
 	found := false
 	for range x.Results {
@@ -600,21 +377,21 @@ func (e *Engine) Ask(ctx context.Context, queryStr string, seeds []string) (bool
 	return found, x.Err()
 }
 
-// Construct runs a CONSTRUCT query and returns the built graph.
-func (e *Engine) Construct(ctx context.Context, queryStr string, seeds []string) ([]rdf.Triple, error) {
-	x, err := e.Query(ctx, queryStr, seeds)
+// Construct runs a CONSTRUCT query and returns the resulting triples.
+func (e *Engine) Construct(ctx context.Context, query string, seeds ...string) ([]rdf.Triple, error) {
+	x, err := e.QueryWithSeeds(ctx, query, seeds)
 	if err != nil {
 		return nil, err
 	}
-	if x.Query.Form != sparql.FormConstruct {
+	if x.query.Form != sparql.FormConstruct {
 		x.Close()
-		return nil, errors.New("core: Construct requires a CONSTRUCT query")
+		return nil, errors.New("ltqp: Construct requires a CONSTRUCT query")
 	}
 	g := rdf.NewGraph()
 	bnodeN := 0
 	for b := range x.Results {
 		bnodeN++
-		for _, tp := range x.Query.Template {
+		for _, tp := range x.query.Template {
 			tr, ok := instantiate(tp, b, bnodeN)
 			if ok {
 				g.Add(tr)
@@ -681,30 +458,30 @@ type traversal struct {
 // source, run the link extractors and push what they found. It returns once
 // every worker has exited — the queue is empty and no document is in
 // flight, the context is cancelled, or a non-lenient traversal failed — so
-// nothing is ingested after it returns. The configured Limits are enforced
+// nothing is ingested after it returns. The configured TraversalLimits are enforced
 // throughout (limits.go).
 func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extract.Extractor,
 	shape *extract.QueryShape, src *store.Store, recorder *metrics.Recorder,
 	events *obs.Emitter, ledger *resource.Ledger) error {
 
 	t := &traversal{e: e, ctx: ctx, extractors: extractors, shape: shape, src: src,
-		recorder: recorder, events: events, m: obs.On(e.opts.Obs.M()), ledger: ledger,
-		queue: e.opts.QueuePolicy.New(relevanceOf(shape)),
-		guard: newLimitGuard(e.opts.Limits, seeds), needGraph: extract.NeedsGraph(extractors)}
+		recorder: recorder, events: events, m: obs.On(e.cfg.Obs.M()), ledger: ledger,
+		queue: e.policy.New(relevanceOf(shape)),
+		guard: newLimitGuard(e.cfg.Limits, seeds), needGraph: extract.NeedsGraph(extractors)}
 	t.cond = sync.NewCond(&t.mu)
 	t.deref = &deref.Dereferencer{
-		Client:       e.opts.Client,
-		Auth:         e.opts.Auth,
+		Client:       e.cfg.Client,
+		Auth:         e.cfg.Auth,
 		Recorder:     recorder,
-		Shared:       e.opts.Shared,
-		Retry:        e.opts.Retry,
-		Obs:          e.opts.Obs.M(),
+		Shared:       e.shared,
+		Retry:        e.cfg.Retry,
+		Obs:          e.cfg.Obs.M(),
 		Events:       events,
 		UserAgent:    "ltqp-go/1.0 (link-traversal SPARQL engine)",
 		Dict:         e.dict,
 		Ledger:       ledger,
-		MaxBodyBytes: e.opts.Limits.MaxDocBytes,
-		BodyTimeout:  e.opts.Limits.BodyTimeout,
+		MaxBodyBytes: e.cfg.Limits.MaxDocBytes,
+		BodyTimeout:  e.cfg.Limits.BodyTimeout,
 	}
 	for _, s := range seeds {
 		t.push(linkqueue.Link{URL: s, Reason: "seed", Extractor: "seed"})
@@ -721,7 +498,7 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 	defer stop()
 
 	var workers sync.WaitGroup
-	for i := 0; i < e.opts.MaxConcurrent; i++ {
+	for i := 0; i < e.cfg.MaxConcurrent; i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
@@ -760,7 +537,7 @@ func (t *traversal) next() (l linkqueue.Link, ok bool) {
 		t.m.LinkQueueDepth.Dec()
 		// Track the link queue's evolution over the execution [34].
 		t.recorder.RecordQueueSample(t.queue.Len(), t.queue.Seen())
-		if max := t.e.opts.MaxDocuments; max > 0 && t.fetched >= max {
+		if max := t.e.cfg.MaxDocuments; max > 0 && t.fetched >= max {
 			continue // cap reached: drain without fetching
 		}
 		if admitted, trip := t.guard.admitFetch(l.URL); !admitted {
@@ -780,7 +557,7 @@ func (t *traversal) next() (l linkqueue.Link, ok bool) {
 
 // fail stops a non-lenient traversal with its first error.
 func (t *traversal) fail(err error) {
-	if t.e.opts.Lenient {
+	if t.e.cfg.Lenient {
 		return
 	}
 	t.mu.Lock()
@@ -841,9 +618,9 @@ func (t *traversal) visit(l linkqueue.Link) {
 		// generic fetch failure: lenient traversals go on without it.
 		switch origin := linkqueue.Origin(l.URL); {
 		case t.guard != nil && errors.Is(err, deref.ErrBodyLimit):
-			t.tripped(t.guard.record(LimitDocBytes, origin, l.URL, t.deref.BodyLimit(), 0))
+			t.tripped(t.guard.record(limitDocBytes, origin, l.URL, t.deref.BodyLimit(), 0))
 		case t.guard != nil && errors.Is(err, deref.ErrSlowBody):
-			t.tripped(t.guard.record(LimitSlowBody, origin, l.URL, int64(t.deref.BodyTimeout/time.Millisecond), 0))
+			t.tripped(t.guard.record(limitSlowBody, origin, l.URL, int64(t.deref.BodyTimeout/time.Millisecond), 0))
 		default:
 			t.fail(err)
 		}

@@ -1,16 +1,16 @@
-package core
+package ltqp
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"ltqp/internal/extract"
+	"ltqp/internal/obs"
 	"ltqp/internal/rdf"
 	"ltqp/internal/simenv"
 	"ltqp/internal/solidbench"
-	"ltqp/internal/sparql"
 )
 
 // newTestEnv builds a small simulated Solid environment.
@@ -22,7 +22,24 @@ func newTestEnv(t testing.TB) *simenv.Env {
 }
 
 func newTestEngine(env *simenv.Env) *Engine {
-	return New(Options{Client: env.Client(), Lenient: true})
+	return New(Config{Client: env.Client(), Lenient: true})
+}
+
+// selectAll runs a query to completion like Engine.Select and also returns
+// the execution, for the tests that inspect it.
+func selectAll(ctx context.Context, e *Engine, query string, seeds []string) ([]Binding, *Result, error) {
+	x, err := e.QueryWithSeeds(ctx, query, seeds)
+	if err != nil {
+		return nil, nil, err
+	}
+	var all []Binding
+	for b := range x.Results {
+		all = append(all, b)
+	}
+	if err := x.Err(); err != nil {
+		return all, x, err
+	}
+	return all, x, ctx.Err()
 }
 
 func TestDiscover1PostsOfPerson(t *testing.T) {
@@ -31,7 +48,7 @@ func TestDiscover1PostsOfPerson(t *testing.T) {
 	q := env.Dataset.Discover(1, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	results, x, err := e.Select(ctx, q.Text, nil)
+	results, x, err := selectAll(ctx, e, q.Text, nil)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -55,7 +72,7 @@ func TestDiscover1PostsOfPerson(t *testing.T) {
 		t.Errorf("seeds = %v", x.Seeds)
 	}
 	// Traversal stayed within (mostly) one pod.
-	if pods := x.Recorder.PodsTouched(); pods != 1 {
+	if pods := x.Metrics().PodsTouched(); pods != 1 {
 		t.Errorf("pods touched = %d, want 1 (single-pod query)", pods)
 	}
 }
@@ -66,7 +83,7 @@ func TestDiscover6ForumsOfPerson(t *testing.T) {
 	q := env.Dataset.Discover(6, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	results, _, err := e.Select(ctx, q.Text, nil)
+	results, err := e.Select(ctx, q.Text)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -113,14 +130,14 @@ func TestDiscover8TraversesMultiplePods(t *testing.T) {
 	q := env.Dataset.Discover(8, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	results, x, err := e.Select(ctx, q.Text, nil)
+	results, x, err := selectAll(ctx, e, q.Text, nil)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
 	if len(results) == 0 {
 		t.Error("Discover 8 should produce results")
 	}
-	if pods := x.Recorder.PodsTouched(); pods < 2 {
+	if pods := x.Metrics().PodsTouched(); pods < 2 {
 		t.Errorf("pods touched = %d, want >= 2 (multi-pod traversal, Fig. 5)", pods)
 	}
 }
@@ -134,7 +151,7 @@ func TestFirstResultBeforeTraversalCompletes(t *testing.T) {
 	q := env.Dataset.Discover(2, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	x, err := e.Query(ctx, q.Text, nil)
+	x, err := e.Query(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +165,15 @@ func TestFirstResultBeforeTraversalCompletes(t *testing.T) {
 	if first == nil {
 		t.Fatal("no results")
 	}
-	reqsAtFirst := len(x.Recorder.Requests())
+	reqsAtFirst := len(x.Metrics().Requests())
 	for range x.Results {
 	}
-	reqsAtEnd := len(x.Recorder.Requests())
+	reqsAtEnd := len(x.Metrics().Requests())
 	if reqsAtFirst >= reqsAtEnd {
 		t.Errorf("first result only after all %d requests (at %d); pipeline not incremental",
 			reqsAtEnd, reqsAtFirst)
 	}
-	if ttfr, ok := x.Recorder.TimeToFirstResult(); !ok || ttfr <= 0 {
+	if ttfr, ok := x.Metrics().TimeToFirstResult(); !ok || ttfr <= 0 {
 		t.Errorf("TTFR = %v, %v", ttfr, ok)
 	}
 }
@@ -168,7 +185,7 @@ func TestExplicitSeedsOverrideDerived(t *testing.T) {
 	seed := env.Dataset.PodBase(q.Person) + "profile/card"
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	x, err := e.Query(ctx, q.Text, []string{seed})
+	x, err := e.QueryWithSeeds(ctx, q.Text, []string{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +199,7 @@ func TestExplicitSeedsOverrideDerived(t *testing.T) {
 func TestNoSeedsError(t *testing.T) {
 	env := newTestEnv(t)
 	e := newTestEngine(env)
-	_, err := e.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`, nil)
+	_, err := e.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`)
 	if err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("err = %v, want seed error", err)
 	}
@@ -197,7 +214,7 @@ func TestAskQuery(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	ok, err := e.Ask(ctx, q.Text, nil)
+	ok, err := e.Ask(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +240,7 @@ func TestConstructQuery(t *testing.T) {
 		"CONSTRUCT { ?message <"+v.NS()+"content> ?messageContent } WHERE", 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	triples, err := e.Construct(ctx, construct, nil)
+	triples, err := e.Construct(ctx, construct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +262,11 @@ func TestLenientToleratesDeadLinks(t *testing.T) {
 	q := env.Dataset.Discover(3, 1) // tags query reaches tag IRIs via cMatch
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	_, x, err := e.Select(ctx, q.Text, nil)
+	_, x, err := selectAll(ctx, e, q.Text, nil)
 	if err != nil {
 		t.Fatalf("lenient Select failed: %v", err)
 	}
-	stats := x.Recorder.Stats()
+	stats := x.Metrics().Stats()
 	if stats.Failed == 0 {
 		t.Log("note: no failed requests observed (tag IRIs may not have been traversed)")
 	}
@@ -257,10 +274,10 @@ func TestLenientToleratesDeadLinks(t *testing.T) {
 
 func TestNonLenientFailsOnDeadSeed(t *testing.T) {
 	env := newTestEnv(t)
-	e := New(Options{Client: env.Client(), Lenient: false})
+	e := New(Config{Client: env.Client(), Lenient: false})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, _, err := e.Select(ctx, `SELECT ?o WHERE { <`+env.Server.URL+`/pods/nope/profile/card#me> ?p ?o }`, nil)
+	_, err := e.Select(ctx, `SELECT ?o WHERE { <`+env.Server.URL+`/pods/nope/profile/card#me> ?p ?o }`)
 	if err == nil {
 		t.Error("non-lenient query over a 404 seed should fail")
 	}
@@ -268,15 +285,15 @@ func TestNonLenientFailsOnDeadSeed(t *testing.T) {
 
 func TestMaxDocumentsCap(t *testing.T) {
 	env := newTestEnv(t)
-	e := New(Options{Client: env.Client(), Lenient: true, MaxDocuments: 3})
+	e := New(Config{Client: env.Client(), Lenient: true, MaxDocuments: 3})
 	q := env.Dataset.Discover(2, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	_, x, err := e.Select(ctx, q.Text, nil)
+	_, x, err := selectAll(ctx, e, q.Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(x.Recorder.Requests()); got > 3 {
+	if got := len(x.Metrics().Requests()); got > 3 {
 		t.Errorf("requests = %d, want <= 3", got)
 	}
 }
@@ -291,15 +308,15 @@ func TestAuthenticatedQuerySeesPrivateDocuments(t *testing.T) {
 	defer cancel()
 
 	// Anonymous engine: post documents are behind 401s.
-	anon := New(Options{Client: env.Client(), Lenient: true})
-	anonResults, _, err := anon.Select(ctx, q.Text, nil)
+	anon := New(Config{Client: env.Client(), Lenient: true})
+	anonResults, err := anon.Select(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Authenticated as the person: full access.
-	authed := New(Options{Client: env.Client(), Lenient: true, Auth: env.CredentialsFor(q.Person)})
-	authedResults, _, err := authed.Select(ctx, q.Text, nil)
+	authed := New(Config{Client: env.Client(), Lenient: true, Auth: env.CredentialsFor(q.Person)})
+	authedResults, err := authed.Select(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,13 +345,13 @@ func TestWrongCredentialsAreForbidden(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	e := New(Options{Client: env.Client(), Lenient: true, Auth: env.CredentialsFor(stranger)})
-	_, x, err := e.Select(ctx, q.Text, nil)
+	e := New(Config{Client: env.Client(), Lenient: true, Auth: env.CredentialsFor(stranger)})
+	_, x, err := selectAll(ctx, e, q.Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forbidden := 0
-	for _, r := range x.Recorder.Requests() {
+	for _, r := range x.Metrics().Requests() {
 		if r.Status == 403 {
 			forbidden++
 		}
@@ -344,46 +361,13 @@ func TestWrongCredentialsAreForbidden(t *testing.T) {
 	}
 }
 
-func TestShapeOf(t *testing.T) {
-	q, err := sparql.ParseQuery(`
-PREFIX snvoc: <https://x.invalid/vocab/>
-PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-SELECT ?m WHERE {
-  ?m rdf:type snvoc:Post.
-  ?m snvoc:hasCreator <https://pod.invalid/profile/card#me>.
-  ?m (snvoc:hasPost|snvoc:hasComment) ?x.
-  OPTIONAL { ?m snvoc:content ?c }
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := ShapeOf(q)
-	for _, p := range []string{"hasCreator", "hasPost", "hasComment", "content"} {
-		if !shape.Predicates["https://x.invalid/vocab/"+p] {
-			t.Errorf("missing predicate %s", p)
-		}
-	}
-	if !shape.Classes["https://x.invalid/vocab/Post"] {
-		t.Error("missing class Post")
-	}
-	if !shape.IRIs["https://pod.invalid/profile/card#me"] {
-		t.Error("missing IRI")
-	}
-}
-
 func TestExtractorConfigurationLDPOnly(t *testing.T) {
 	env := newTestEnv(t)
-	e := New(Options{
-		Client:  env.Client(),
-		Lenient: true,
-		Extractors: func(shape *extract.QueryShape) []extract.Extractor {
-			return []extract.Extractor{extract.SolidProfile{}, extract.LDPContainer{}}
-		},
-	})
+	e := New(Config{Client: env.Client(), Lenient: true, Strategy: StrategyLDPOnly})
 	q := env.Dataset.Discover(1, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	results, _, err := e.Select(ctx, q.Text, nil)
+	results, err := e.Select(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,15 +383,15 @@ func TestMaxDepthBoundsTraversal(t *testing.T) {
 	defer cancel()
 
 	requestsAt := func(depth int) int {
-		e := New(Options{Client: env.Client(), Lenient: true, MaxDepth: depth})
-		_, x, err := e.Select(ctx, q.Text, nil)
+		e := New(Config{Client: env.Client(), Lenient: true, MaxDepth: depth})
+		_, x, err := selectAll(ctx, e, q.Text, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range x.Recorder.Requests() {
+		for _, r := range x.Metrics().Requests() {
 			_ = r
 		}
-		return len(x.Recorder.Requests())
+		return len(x.Metrics().Requests())
 	}
 	d1 := requestsAt(1) // seed + its direct links only
 	d3 := requestsAt(3)
@@ -429,11 +413,11 @@ func TestGraphBindsDocumentProvenance(t *testing.T) {
 	defer cancel()
 
 	// GRAPH ?g binds each message to the document it was dereferenced from.
-	results, _, err := e.Select(ctx, `
+	results, err := e.Select(ctx, `
 PREFIX snvoc: <`+v.NS()+`>
 SELECT ?m ?g WHERE {
   GRAPH ?g { ?m snvoc:hasCreator <`+webID+`> }
-}`, nil)
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,11 +438,11 @@ SELECT ?m ?g WHERE {
 
 	// A constant GRAPH term restricts to that document.
 	doc := rdf.StripFragment(rdf.NewIRI(results[0]["m"].Value)).Value
-	restricted, _, err := e.Select(ctx, `
+	restricted, err := e.Select(ctx, `
 PREFIX snvoc: <`+v.NS()+`>
 SELECT ?m WHERE {
   GRAPH <`+doc+`> { ?m snvoc:hasCreator <`+webID+`> }
-}`, nil)
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +462,7 @@ func TestContextCancellationMidTraversal(t *testing.T) {
 	e := newTestEngine(env)
 	q := env.Dataset.Discover(8, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	x, err := e.Query(ctx, q.Text, nil)
+	x, err := e.Query(ctx, q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,4 +480,40 @@ func TestContextCancellationMidTraversal(t *testing.T) {
 			t.Fatal("Results did not close after context cancellation")
 		}
 	}
+}
+
+// TestCloseWithoutDrainLeavesNothingBehind: a caller that reads one row and
+// then closes the query without draining Results (what WaitWithTimeout does
+// on timeout) must not strand the goroutine forwarding the rows. The next
+// row is pending when Close comes; the query must still finish — its
+// goroutines exit, and it leaves the in-flight gauge and the tracker.
+func TestCloseWithoutDrainLeavesNothingBehind(t *testing.T) {
+	env := newTestEnv(t)
+	observer := obs.NewObserver()
+	e := New(Config{Client: env.Client(), Lenient: true, Obs: observer})
+	var before int
+	settle(t, "goroutine count does not settle before the query", func() bool {
+		n := runtime.NumGoroutine()
+		stable := n == before
+		before = n
+		return stable
+	})
+	x, err := e.Query(context.Background(), env.Dataset.Discover(1, 1).Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := <-x.Results; !ok {
+		t.Fatal("no first row")
+	}
+	// A row is recorded right before it is handed over: once the second is,
+	// the forwarding goroutine is on its way to, or blocked in, the send.
+	settle(t, "no second row", func() bool { return len(x.Metrics().ResultTimes()) >= 2 })
+	x.Close()
+	settle(t, "goroutines outlive the closed query", func() bool {
+		env.Client().CloseIdleConnections()
+		return runtime.NumGoroutine() <= before
+	})
+	settle(t, "the closed query is still in flight", func() bool {
+		return observer.Metrics.QueriesInFlight.Value() == 0 && len(observer.Tracker.InFlight()) == 0
+	})
 }

@@ -3,6 +3,8 @@ package exec
 import (
 	"sort"
 	"sync"
+
+	"ltqp/internal/obs"
 )
 
 // Prov is the per-execution provenance sink. When attached to an Env,
@@ -36,23 +38,16 @@ func (p *Prov) add(doc string) {
 
 // Contributions returns, per document IRI, how many pattern matches the
 // document's triples fed into the pipeline, sorted by IRI.
-func (p *Prov) Contributions() []DocContribution {
+func (p *Prov) Contributions() []obs.DocMatches {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
-	out := make([]DocContribution, 0, len(p.docs))
+	out := make([]obs.DocMatches, 0, len(p.docs))
 	for doc, n := range p.docs {
-		out = append(out, DocContribution{Document: doc, Matches: n})
+		out = append(out, obs.DocMatches{Document: doc, Matches: n})
 	}
 	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Document < out[j].Document })
 	return out
-}
-
-// DocContribution is one document's share of the pattern matches that
-// entered the pipeline.
-type DocContribution struct {
-	Document string `json:"document"`
-	Matches  int    `json:"matches"`
 }

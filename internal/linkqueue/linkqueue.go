@@ -10,7 +10,7 @@
 // data, ahead of blind container members — by query relevance and by
 // source-document productivity, and pops round-robin across origins: the
 // link-queue enhancements the paper points to as future work [34]. The
-// traversal loop (internal/core) pushes and pops the bare queue; a
+// traversal loop (package ltqp) pushes and pops the bare queue; a
 // discipline that ranks or learns says so by implementing Scorer or
 // Feedback.
 package linkqueue

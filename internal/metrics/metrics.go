@@ -51,6 +51,11 @@ type Request struct {
 // Duration returns the wall time of the request.
 func (r Request) Duration() time.Duration { return r.End.Sub(r.Start) }
 
+// Failed reports whether the request brought no document: a transport
+// error (no status), an HTTP error status, or a fetch or parse failure. A
+// cache hit fails exactly when the fetch it replays did (a negative entry).
+func (r Request) Failed() bool { return r.Status == 0 || r.Status >= 400 || r.Err != "" }
+
 // QueueSample is one observation of the link queue's state, following the
 // queue-evolution analysis of Eschauzier et al. [34] that the paper cites
 // as a direction for link-queue enhancements.
@@ -253,7 +258,7 @@ func (r *Recorder) Stats() Stats {
 			d.depth = docs[q.Parent].depth + 1
 		}
 		s.MaxDepth = max(s.MaxDepth, d.depth)
-		failed := q.Status == 0 || q.Status >= 400 || q.Err != ""
+		failed := q.Failed()
 		switch {
 		case failed && q.Cached:
 			s.NegativeHits++
@@ -330,10 +335,9 @@ func (r *Recorder) Degradation() Degradation {
 		if q.Attempt > 1 {
 			d.Retries++
 		}
-		if q.Status == 0 || q.Status >= 400 || q.Err != "" {
-			continue
+		if !q.Failed() {
+			succeeded[q.URL] = true
 		}
-		succeeded[q.URL] = true
 	}
 	seen := map[string]bool{}
 	for _, q := range r.Requests() {

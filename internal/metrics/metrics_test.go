@@ -268,6 +268,27 @@ func TestStatsPartitionsRequests(t *testing.T) {
 	}
 }
 
+// Failed is the one rule Stats, Degradation and the critical path share for
+// whether a recorded request brought a document.
+func TestRequestFailed(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		req    Request
+		failed bool
+	}{
+		{"200", Request{Status: 200}, false},
+		{"304 revalidation", Request{Status: 304}, false},
+		{"404", Request{Status: 404, Err: "status 404"}, true},
+		{"transport error", Request{Err: "connection refused"}, true},
+		{"cached hit", Request{Status: 200, Cached: true}, false},
+		{"cached negative hit", Request{Status: 404, Cached: true, Err: "status 404"}, true},
+	} {
+		if got := c.req.Failed(); got != c.failed {
+			t.Errorf("%s: Failed() = %v, want %v", c.name, got, c.failed)
+		}
+	}
+}
+
 func TestHostAndPod(t *testing.T) {
 	for u, want := range map[string]string{
 		"http://h:8080/pods/0007/posts/a": "h:8080/pods/0007",

@@ -69,13 +69,13 @@ func ComputeCritPath(reqs []metrics.Request, epoch time.Time, resultTimes []time
 		switch {
 		case !ok:
 			best[q.URL] = q
-		case requestOK(q) && !requestOK(cur):
+		case !q.Failed() && cur.Failed():
 			best[q.URL] = q
-		case requestOK(q) && requestOK(cur):
+		case !q.Failed() && !cur.Failed():
 			if q.End.Before(cur.End) { // earliest successful completion
 				best[q.URL] = q
 			}
-		case !requestOK(q) && !requestOK(cur):
+		case q.Failed() && cur.Failed():
 			if q.End.After(cur.End) { // latest failed attempt
 				best[q.URL] = q
 			}
@@ -110,7 +110,7 @@ func ComputeCritPath(reqs []metrics.Request, epoch time.Time, resultTimes []time
 		} else {
 			cutoff := epoch.Add(resultTimes[0])
 			for u, q := range best {
-				if requestOK(q) && !q.End.After(cutoff) && q.End.After(gateEnd) {
+				if !q.Failed() && !q.End.After(cutoff) && q.End.After(gateEnd) {
 					gate, gateEnd = u, q.End
 				}
 			}
@@ -127,10 +127,6 @@ func ComputeCritPath(reqs []metrics.Request, epoch time.Time, resultTimes []time
 		cp.LongestChain = chainSteps(best, lastURL, epoch)
 	}
 	return cp
-}
-
-func requestOK(q metrics.Request) bool {
-	return q.Err == "" && (q.Cached || (q.Status > 0 && q.Status < 400))
 }
 
 // chainSteps walks parent links from url back to a seed and returns the

@@ -70,8 +70,7 @@ type SharedCacheOptions struct {
 // SharedCache is a byte-bounded, revalidating, singleflight-deduplicating
 // document cache shared across all queries (and engines) of one process.
 // It implements deref.SharedCache; set it on deref.Dereferencer.Shared (or
-// core.Options.Shared / ltqp.Config.SharedCache) to layer it under the
-// dereferencer. Safe for concurrent use.
+// ltqp.Config.SharedCache) to layer it under the dereferencer. Safe for concurrent use.
 type SharedCache struct {
 	maxBytes int64
 	ttl      time.Duration

@@ -1,4 +1,4 @@
-package core
+package ltqp
 
 import (
 	"fmt"
@@ -13,35 +13,35 @@ import (
 // Limit kinds, as they appear in TraversalLimitError, degradation reports,
 // limit_tripped events and the ltqp_traversal_limit_trips_total metric.
 const (
-	// LimitDocsPerOrigin fires when an origin has served its full
+	// limitDocsPerOrigin fires when an origin has served its full
 	// document budget and traversal tries to fetch another from it.
-	LimitDocsPerOrigin = "max-docs-per-origin"
-	// LimitBytesPerOrigin fires when an origin's served bytes crossed its
+	limitDocsPerOrigin = "max-docs-per-origin"
+	// limitBytesPerOrigin fires when an origin's served bytes crossed its
 	// budget; further fetches from it are refused.
-	LimitBytesPerOrigin = "max-bytes-per-origin"
-	// LimitScope fires when a discovered link leaves the traversal
+	limitBytesPerOrigin = "max-bytes-per-origin"
+	// limitScope fires when a discovered link leaves the traversal
 	// allowlist (the subweb the query is scoped to).
-	LimitScope = "scope"
-	// LimitFanout fires when one document proposes more links than the
+	limitScope = "scope"
+	// limitFanout fires when one document proposes more links than the
 	// per-document fanout cap — the link-bomb signature.
-	LimitFanout = "fanout"
-	// LimitQueueCap fires when the queue has accepted the maximum total
+	limitFanout = "fanout"
+	// limitQueueCap fires when the queue has accepted the maximum total
 	// number of distinct links for one traversal.
-	LimitQueueCap = "queue-cap"
-	// LimitDocBytes fires when a response body exceeds the per-document
+	limitQueueCap = "queue-cap"
+	// limitDocBytes fires when a response body exceeds the per-document
 	// byte cap (an oversized-document attack, surfaced via deref).
-	LimitDocBytes = "doc-bytes"
-	// LimitSlowBody fires when a response body trickles in slower than
+	limitDocBytes = "doc-bytes"
+	// limitSlowBody fires when a response body trickles in slower than
 	// the body timeout allows (a slow-loris pod, surfaced via deref).
-	LimitSlowBody = "slow-body"
+	limitSlowBody = "slow-body"
 )
 
-// Limits configures the traversal defenses — the budgets and scopes that
-// keep an unguarded open-web traversal from being steered into link bombs,
+// TraversalLimits configures the traversal defenses (see Config.Limits) —
+// the budgets and scopes that keep an unguarded open-web traversal from being steered into link bombs,
 // loops, hostile origins, or resource exhaustion (the attack classes of the
 // LTQP security-vulnerabilities analysis). The zero value disables every
 // defense (the closed simulated environment needs none).
-type Limits struct {
+type TraversalLimits struct {
 	// MaxDocsPerOrigin caps successful dereferences per origin
 	// (scheme://host, default ports normalized); 0 = unbounded.
 	MaxDocsPerOrigin int
@@ -74,31 +74,33 @@ type Limits struct {
 }
 
 // Enabled reports whether any defense is configured.
-func (l Limits) Enabled() bool {
+func (l TraversalLimits) Enabled() bool {
 	return l.MaxDocsPerOrigin > 0 || l.MaxBytesPerOrigin > 0 ||
 		l.MaxInFlightPerOrigin > 0 || l.MaxLinksPerDoc > 0 ||
 		l.MaxQueuedLinks > 0 || len(l.Allowlist) > 0 || l.ScopeToSeeds ||
 		l.MaxDocBytes > 0 || l.BodyTimeout > 0
 }
 
-// TraversalLimitError is the typed failure of a non-lenient traversal that
-// hit a defense limit. Lenient traversals never fail on limits — they
-// contain the trip and report it through Degradation().LimitTrips.
+// TraversalLimitError is the typed failure of a non-lenient query whose
+// traversal hit a defense limit (per-origin budget, scope, fanout, queue
+// cap, oversized or slow-loris document); match it with errors.As on
+// Result.Err. Lenient queries contain the trip instead and report it in
+// Result.Degradation().LimitTrips.
 type TraversalLimitError struct {
 	Trip metrics.LimitTrip
 }
 
 // Error implements error.
 func (e *TraversalLimitError) Error() string {
-	return fmt.Sprintf("core: traversal limit %s", e.Trip)
+	return fmt.Sprintf("ltqp: traversal limit %s", e.Trip)
 }
 
-// limitGuard enforces Limits for one traversal. It tracks per-origin
+// limitGuard enforces TraversalLimits for one traversal. It tracks per-origin
 // document/byte/in-flight accounting, evaluates the scope allowlist, and
 // deduplicates trip reporting (each (kind, subject) pair is reported once,
 // or every link out of a bombed document would flood the event stream).
 type limitGuard struct {
-	limits      Limits
+	limits      TraversalLimits
 	seedOrigins map[string]bool
 	allow       []string // normalized allowlist prefixes
 
@@ -111,7 +113,7 @@ type limitGuard struct {
 
 // newLimitGuard builds the guard; nil when no defense is configured, and
 // every method no-ops on a nil receiver.
-func newLimitGuard(limits Limits, seeds []string) *limitGuard {
+func newLimitGuard(limits TraversalLimits, seeds []string) *limitGuard {
 	if !limits.Enabled() {
 		return nil
 	}
@@ -183,12 +185,12 @@ func (g *limitGuard) admitFetch(url string) (ok bool, trip *metrics.LimitTrip) {
 	if g.limits.MaxDocsPerOrigin > 0 && g.docs[origin] >= g.limits.MaxDocsPerOrigin {
 		observed := int64(g.docs[origin] + 1)
 		g.mu.Unlock()
-		return false, g.record(LimitDocsPerOrigin, origin, url, int64(g.limits.MaxDocsPerOrigin), observed)
+		return false, g.record(limitDocsPerOrigin, origin, url, int64(g.limits.MaxDocsPerOrigin), observed)
 	}
 	if g.limits.MaxBytesPerOrigin > 0 && g.bytes[origin] >= g.limits.MaxBytesPerOrigin {
 		observed := g.bytes[origin]
 		g.mu.Unlock()
-		return false, g.record(LimitBytesPerOrigin, origin, url, g.limits.MaxBytesPerOrigin, observed)
+		return false, g.record(limitBytesPerOrigin, origin, url, g.limits.MaxBytesPerOrigin, observed)
 	}
 	g.docs[origin]++
 	g.mu.Unlock()
@@ -229,21 +231,21 @@ func (g *limitGuard) originSlot(url string) chan struct{} {
 // discovered link is a case here, in order of precedence; a rejection that
 // is a defense firing also returns its trip (nil when already reported).
 func (t *traversal) fate(l linkqueue.Link, requested string, accepted int) (string, *metrics.LimitTrip) {
-	lim := t.e.opts.Limits
+	lim := t.e.cfg.Limits
 	switch {
 	case l.URL == l.Via || l.URL == requested:
 		return obs.EdgeSelf, nil
-	case t.e.opts.MaxDepth > 0 && l.Depth > t.e.opts.MaxDepth:
+	case t.e.cfg.MaxDepth > 0 && l.Depth > t.e.cfg.MaxDepth:
 		return obs.EdgeDepthPruned, nil
 	case !t.guard.inScope(l.URL):
-		return obs.EdgeScopePruned, t.guard.record(LimitScope, linkqueue.Origin(l.URL), l.URL, 0, 0)
+		return obs.EdgeScopePruned, t.guard.record(limitScope, linkqueue.Origin(l.URL), l.URL, 0, 0)
 	case lim.MaxLinksPerDoc > 0 && accepted >= lim.MaxLinksPerDoc:
-		return obs.FateFanoutPruned, t.guard.record(LimitFanout, "", l.Via,
+		return obs.FateFanoutPruned, t.guard.record(limitFanout, "", l.Via,
 			int64(lim.MaxLinksPerDoc), int64(accepted+1))
 	case lim.MaxQueuedLinks > 0 && t.queue.Seen() >= lim.MaxQueuedLinks:
 		// Dedup on a fixed subject: the cap is global to the traversal, one
 		// report covers every pruned link.
-		return obs.FateQueueCapPruned, t.guard.record(LimitQueueCap, "traversal", l.URL,
+		return obs.FateQueueCapPruned, t.guard.record(limitQueueCap, "traversal", l.URL,
 			int64(lim.MaxQueuedLinks), int64(t.queue.Seen()+1))
 	case t.push(l):
 		return obs.EdgeFollowed, nil

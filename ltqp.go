@@ -40,10 +40,13 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"ltqp/internal/core"
+	"ltqp/internal/algebra"
 	"ltqp/internal/deref"
+	"ltqp/internal/exec"
 	"ltqp/internal/extract"
 	"ltqp/internal/linkqueue"
 	"ltqp/internal/metrics"
@@ -51,6 +54,8 @@ import (
 	"ltqp/internal/rdf"
 	"ltqp/internal/resource"
 	"ltqp/internal/serve"
+	"ltqp/internal/sparql"
+	"ltqp/internal/store"
 )
 
 // Term is an RDF term in a query solution.
@@ -84,16 +89,6 @@ type RetryPolicy = deref.RetryPolicy
 // Degradation reports what a lenient execution ran without: documents
 // abandoned after exhausting retries, and the retry count.
 type Degradation = metrics.Degradation
-
-// TraversalLimits configures the traversal defenses (see Config.Limits).
-type TraversalLimits = core.Limits
-
-// TraversalLimitError is the typed failure of a non-lenient query whose
-// traversal hit a defense limit (per-origin budget, scope, fanout, queue
-// cap, oversized or slow-loris document); match it with errors.As on
-// Result.Err. Lenient queries contain the trip instead and report it in
-// Result.Degradation().LimitTrips.
-type TraversalLimitError = core.TraversalLimitError
 
 // LimitTrip describes one traversal-defense firing: the limit kind, the
 // origin or document that tripped it, and the configured vs observed value.
@@ -188,7 +183,7 @@ const (
 	StrategyCAll
 )
 
-// extractorsFor builds the extractor set of a strategy.
+// extractors builds the extractor set of a strategy.
 func (s Strategy) extractors(shape *extract.QueryShape) []extract.Extractor {
 	switch s {
 	case StrategySolidNoLDP:
@@ -322,43 +317,37 @@ type Config struct {
 
 // Engine executes SPARQL queries over Solid pods using link traversal.
 type Engine struct {
-	cfg   Config
-	inner *core.Engine
+	cfg    Config
+	policy linkqueue.Policy
+	shared deref.SharedCache // cfg.SharedCache; a nil interface when unset
+	// dict is the engine-scoped term dictionary: parsers, the document
+	// cache, and every per-query store intern into it, so term IDs are
+	// stable across queries and repeated documents cost no new string
+	// allocations.
+	dict *rdf.Dict
 }
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	strategy := cfg.Strategy
-	events := cfg.Events
-	if events == nil {
-		events = cfg.Obs.Bus()
+	if cfg.MaxConcurrent <= 0 {
+		cfg.MaxConcurrent = defaultMaxConcurrent
 	}
-	opts := core.Options{
-		Client:        cfg.Client,
-		Auth:          cfg.Auth,
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxDocuments:  cfg.MaxDocuments,
-		MaxDepth:      cfg.MaxDepth,
-		Lenient:       cfg.Lenient,
-		Retry:         cfg.Retry,
-		Obs:           cfg.Obs,
-		Events:        events,
-		Trace:         cfg.Trace,
-		Explain:       cfg.Explain,
-		ExecWorkers:   cfg.ExecWorkers,
-		MemBudget:     cfg.MemBudget,
-		Extractors: func(shape *extract.QueryShape) []extract.Extractor {
-			return strategy.extractors(shape)
-		},
+	if cfg.Client == nil {
+		cfg.Client = defaultClient(cfg.MaxConcurrent)
 	}
-	opts.Limits = cfg.Limits
+	if cfg.Events == nil {
+		cfg.Events = cfg.Obs.Bus()
+	}
+	e := &Engine{cfg: cfg, dict: rdf.NewDict()}
 	// An unknown policy name falls back to FIFO rather than erroring — New
 	// has no error return; CLIs validate the flag with ParseQueuePolicy.
-	opts.QueuePolicy, _ = linkqueue.ParsePolicy(cfg.QueuePolicy)
-	if cfg.SharedCache != nil {
-		opts.Shared = cfg.SharedCache
+	if e.policy, _ = linkqueue.ParsePolicy(cfg.QueuePolicy); e.policy == "" {
+		e.policy = linkqueue.PolicyFIFO
 	}
-	return &Engine{cfg: cfg, inner: core.New(opts)}
+	if cfg.SharedCache != nil {
+		e.shared = cfg.SharedCache
+	}
+	return e
 }
 
 // Observer returns the engine's attached observability bundle (nil when
@@ -385,68 +374,105 @@ type Result struct {
 	// Seeds are the seed URLs traversal started from.
 	Seeds []string
 
-	exec *core.Execution
+	query    *sparql.Query
+	plan     algebra.Operator  // the optimized logical plan
+	recorder *metrics.Recorder // the HTTP waterfall and result timings
+	cancel   context.CancelFunc
+	// satisfied is set when the pipeline finished while traversal was still
+	// running and cancelled it as no longer needed.
+	satisfied   atomic.Bool
+	id          int64
+	mu          sync.Mutex
+	err         error
+	store       *store.Store
+	trace       *obs.Trace
+	prov        *exec.Prov
+	topo        *obs.Topology
+	ledger      *resource.Ledger
+	queryStr    string
+	start       time.Time
+	queuePolicy linkqueue.Policy
 }
 
 // ID returns the query's correlation id — the same id stamped on its
 // events, journal lines, log records, and /debug/queries entry, so one
 // execution can be followed across every observability surface (e.g.
 // /debug/events?id=N).
-func (r *Result) ID() int64 { return r.exec.ID() }
+func (r *Result) ID() int64 { return r.id }
 
 // Err reports a traversal failure; valid after Results closes. Always nil
 // for lenient engines.
-func (r *Result) Err() error { return r.exec.Err() }
+func (r *Result) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
+func (r *Result) setErr(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 // Close aborts the execution.
-func (r *Result) Close() { r.exec.Close() }
+func (r *Result) Close() { r.cancel() }
 
 // Metrics returns the execution's HTTP and result-timing recorder.
-func (r *Result) Metrics() *metrics.Recorder { return r.exec.Recorder }
+func (r *Result) Metrics() *metrics.Recorder { return r.recorder }
 
 // Stats summarizes the traversal after (or during) execution.
-func (r *Result) Stats() metrics.Stats { return r.exec.Recorder.Stats() }
+func (r *Result) Stats() metrics.Stats { return r.recorder.Stats() }
 
 // Degradation reports which documents the traversal abandoned after
 // exhausting retries and how many retries it absorbed — how partial a
 // lenient query's results may be.
-func (r *Result) Degradation() Degradation { return r.exec.Degradation() }
+func (r *Result) Degradation() Degradation { return r.recorder.Degradation() }
 
 // Trace returns the query's span tree (nil unless Config.Trace or an
 // Observer with TraceQueries is attached). Complete once Results closes.
-func (r *Result) Trace() *Trace { return r.exec.Trace() }
+func (r *Result) Trace() *Trace { return r.trace }
 
 // TraceID returns the query's W3C trace ID in hex — the id propagated to
 // every dereference via the traceparent header, stamped on metric
 // exemplars, and keyed by /debug/traces. Empty when tracing is off.
-func (r *Result) TraceID() string { return r.exec.Trace().ID() }
+func (r *Result) TraceID() string { return r.trace.ID() }
 
 // CriticalPath is the query's latency attribution: the dependent
 // dereference chains that gated time-to-first-result and total traversal
 // time, each hop split into server and network cost. See Explain.
 type CriticalPath = obs.CritPath
 
+// criticalPath attributes the execution's latency to its gating
+// dereference chains; nil before any request was recorded. When the query
+// ran with Explain, the first result's provenance pins the gating document
+// exactly; otherwise the latest-finishing successful fetch before the
+// first result stands in.
+func (r *Result) criticalPath() *CriticalPath {
+	reqs := r.recorder.Requests()
+	if len(reqs) == 0 {
+		return nil
+	}
+	var firstSources []string
+	if r.topo != nil {
+		firstSources = r.topo.FirstResultSources()
+	}
+	return obs.ComputeCritPath(reqs, r.recorder.Epoch(), r.recorder.ResultTimes(), firstSources)
+}
+
 // PlanString renders the optimized logical plan (EXPLAIN-style).
-func (r *Result) PlanString() string { return planString(r.exec) }
+func (r *Result) PlanString() string { return strings.TrimSpace(algebra.String(r.plan)) }
 
 // Resources returns the query's resource-ledger snapshot — live and peak
 // bytes per engine layer, the dominant layer, and budget state — or nil
 // when the engine ran without accounting (no Observer and no MemBudget).
 // Final once Results closes.
-func (r *Result) Resources() *ResourceSnapshot { return r.exec.Resources() }
-
-// Explain is the post-execution explain report: the traversal topology
-// (documents as nodes, discovered links as labeled edges), per-document
-// provenance contributions, and the result-arrival timeline.
-type Explain = core.Explain
-
-// Explain returns the execution's explain report, or nil unless
-// Config.Explain was set. Complete once Results closes.
-func (r *Result) Explain() *Explain { return r.exec.Explain() }
+func (r *Result) Resources() *ResourceSnapshot { return r.ledger.Snapshot() }
 
 // TopologyDOT renders the traversal topology as a Graphviz digraph (empty
 // skeleton unless Config.Explain was set).
-func (r *Result) TopologyDOT() string { return r.exec.DOT() }
+func (r *Result) TopologyDOT() string { return r.topo.DOT() }
 
 // Sources returns the sorted document IRIs whose triples produced the
 // solution — the per-result provenance recorded under Config.Explain (nil
@@ -457,65 +483,6 @@ func Sources(b Binding) []string {
 		return nil
 	}
 	return b.Sources()
-}
-
-// Query starts a SPARQL query with seeds derived from the query (IRIs
-// mentioned in its patterns) or the engine's default seeds.
-func (e *Engine) Query(ctx context.Context, query string) (*Result, error) {
-	return e.QueryWithSeeds(ctx, query, nil)
-}
-
-// QueryWithSeeds starts a SPARQL query from explicit seed URLs.
-func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []string) (*Result, error) {
-	if len(seeds) == 0 {
-		seeds = e.cfg.Seeds
-	}
-	x, err := e.inner.Query(ctx, query, seeds)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Vars: x.Vars, Results: x.Results, Seeds: x.Seeds, exec: x}, nil
-}
-
-// Select runs a SELECT query to completion.
-func (e *Engine) Select(ctx context.Context, query string, seeds ...string) ([]Binding, error) {
-	res, err := e.QueryWithSeeds(ctx, query, seeds)
-	if err != nil {
-		return nil, err
-	}
-	var all []Binding
-	for b := range res.Results {
-		all = append(all, b)
-	}
-	if err := res.Err(); err != nil {
-		return all, err
-	}
-	return all, ctx.Err()
-}
-
-// Ask runs an ASK query.
-func (e *Engine) Ask(ctx context.Context, query string, seeds ...string) (bool, error) {
-	if len(seeds) == 0 {
-		seeds = e.cfg.Seeds
-	}
-	return e.inner.Ask(ctx, query, seeds)
-}
-
-// Construct runs a CONSTRUCT query and returns the resulting triples.
-func (e *Engine) Construct(ctx context.Context, query string, seeds ...string) ([]rdf.Triple, error) {
-	if len(seeds) == 0 {
-		seeds = e.cfg.Seeds
-	}
-	return e.inner.Construct(ctx, query, seeds)
-}
-
-// Describe runs a DESCRIBE query, returning the concise bounded
-// description of the described resources over all traversed data.
-func (e *Engine) Describe(ctx context.Context, query string, seeds ...string) ([]rdf.Triple, error) {
-	if len(seeds) == 0 {
-		seeds = e.cfg.Seeds
-	}
-	return e.inner.Describe(ctx, query, seeds)
 }
 
 // BindingJSON renders a solution as the paper's CLI does (Fig. 2): a JSON
@@ -591,8 +558,4 @@ func WaitWithTimeout(res *Result, d time.Duration) []Binding {
 			return all
 		}
 	}
-}
-
-func planString(x *core.Execution) string {
-	return strings.TrimSpace(algebraString(x))
 }

@@ -1,4 +1,4 @@
-package core
+package ltqp
 
 import (
 	"ltqp/internal/extract"

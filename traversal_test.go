@@ -1,4 +1,4 @@
-package core
+package ltqp
 
 import (
 	"context"
@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"ltqp/internal/extract"
 	"ltqp/internal/linkqueue"
 	"ltqp/internal/metrics"
 	"ltqp/internal/obs"
@@ -25,9 +24,9 @@ import (
 
 // newFateTraversal is a traversal with just enough state for next, fate and
 // settle: a queue, the guard and a recorder, no dereferencer.
-func newFateTraversal(opts Options, seeds []string) *traversal {
-	t := &traversal{e: New(opts), ctx: context.Background(), queue: linkqueue.NewFIFO(),
-		guard: newLimitGuard(opts.Limits, seeds), recorder: metrics.NewRecorder(), m: obs.On(nil)}
+func newFateTraversal(cfg Config, seeds []string) *traversal {
+	t := &traversal{e: New(cfg), ctx: context.Background(), queue: linkqueue.NewFIFO(),
+		guard: newLimitGuard(cfg.Limits, seeds), recorder: metrics.NewRecorder(), m: obs.On(nil)}
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
@@ -36,7 +35,7 @@ func newFateTraversal(opts Options, seeds []string) *traversal {
 // seven fates, their precedence, and which of them are defense firings.
 func TestLinkFate(t *testing.T) {
 	const doc = "http://pod.example/doc"
-	tr := newFateTraversal(Options{Lenient: true, MaxDepth: 2, Limits: Limits{
+	tr := newFateTraversal(Config{Lenient: true, MaxDepth: 2, Limits: TraversalLimits{
 		ScopeToSeeds: true, MaxLinksPerDoc: 2, MaxQueuedLinks: 3,
 	}}, []string{doc})
 	tr.push(linkqueue.Link{URL: doc, Reason: "seed", Extractor: "seed"})
@@ -59,13 +58,13 @@ func TestLinkFate(t *testing.T) {
 		{"so is one to the pre-redirect URL", found("http://pod.example/alias", 1), "http://pod.example/alias", 1, obs.EdgeSelf, ""},
 		{"past MaxDepth is depth-pruned", found("http://pod.example/deep", 3), doc, 1, obs.EdgeDepthPruned, ""},
 		{"depth is checked before scope", found("http://evil.example/deep", 3), doc, 1, obs.EdgeDepthPruned, ""},
-		{"off the seed origins is scope-pruned, a trip", found("http://evil.example/x", 1), doc, 1, obs.EdgeScopePruned, LimitScope},
+		{"off the seed origins is scope-pruned, a trip", found("http://evil.example/x", 1), doc, 1, obs.EdgeScopePruned, limitScope},
 		{"the same origin again: pruned, trip already reported", found("http://evil.example/y", 1), doc, 1, obs.EdgeScopePruned, ""},
-		{"another origin trips again", found("http://evil2.example/x", 1), doc, 1, obs.EdgeScopePruned, LimitScope},
-		{"a document at its fanout cap is fanout-pruned, a trip", found("http://pod.example/b", 1), doc, 2, obs.FateFanoutPruned, LimitFanout},
+		{"another origin trips again", found("http://evil2.example/x", 1), doc, 1, obs.EdgeScopePruned, limitScope},
+		{"a document at its fanout cap is fanout-pruned, a trip", found("http://pod.example/b", 1), doc, 2, obs.FateFanoutPruned, limitFanout},
 		{"once per document", found("http://pod.example/c", 1), doc, 2, obs.FateFanoutPruned, ""},
 		{"under the caps the third distinct link is followed", found("http://pod.example/b", 1), doc, 1, obs.EdgeFollowed, ""},
-		{"the queue cap counts every link ever accepted: a trip", found("http://pod.example/c", 1), doc, 1, obs.FateQueueCapPruned, LimitQueueCap},
+		{"the queue cap counts every link ever accepted: a trip", found("http://pod.example/c", 1), doc, 1, obs.FateQueueCapPruned, limitQueueCap},
 		{"once per traversal", found("http://pod.example/d", 1), doc, 1, obs.FateQueueCapPruned, ""},
 		{"dedup only happens at the queue, after the caps", found("http://pod.example/a", 1), doc, 1, obs.FateQueueCapPruned, ""},
 	} {
@@ -94,7 +93,7 @@ func TestLinkFate(t *testing.T) {
 // comes rather than at discovery, and the strict-mode consequence of a trip:
 // next stops handing out links.
 func TestOriginBudgetPrunesAtPop(t *testing.T) {
-	tr := newFateTraversal(Options{Limits: Limits{MaxDocsPerOrigin: 1}}, nil)
+	tr := newFateTraversal(Config{Limits: TraversalLimits{MaxDocsPerOrigin: 1}}, nil)
 	for _, u := range []string{"http://pod.example/a", "http://pod.example/b", "http://other.example/c"} {
 		tr.push(linkqueue.Link{URL: u, Reason: "seed", Extractor: "seed"})
 	}
@@ -107,7 +106,7 @@ func TestOriginBudgetPrunesAtPop(t *testing.T) {
 		t.Fatalf("next handed out %v after a strict trip", l)
 	}
 	var lerr *TraversalLimitError
-	if !errors.As(tr.err, &lerr) || lerr.Trip.Kind != LimitDocsPerOrigin {
+	if !errors.As(tr.err, &lerr) || lerr.Trip.Kind != limitDocsPerOrigin {
 		t.Fatalf("traversal error = %v, want a max-docs-per-origin TraversalLimitError", tr.err)
 	}
 	if tr.active != 1 || tr.fetched != 1 {
@@ -115,24 +114,24 @@ func TestOriginBudgetPrunesAtPop(t *testing.T) {
 	}
 }
 
-// goroutineRecorder is a link extractor that proposes nothing and notes
-// which goroutine ran it — the goroutine that visits the document.
+// goroutineRecorder is an HTTP transport that notes which goroutine sent
+// each request — http.Client.Do runs the round trip on its caller, the
+// goroutine that visits the document.
 type goroutineRecorder struct {
+	next http.RoundTripper
 	mu   sync.Mutex
 	ids  map[string]bool
 	docs int
 }
 
-func (g *goroutineRecorder) Name() string { return "goroutine-recorder" }
-
-func (g *goroutineRecorder) Extract(extract.Document) []extract.Link {
+func (g *goroutineRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
 	buf := make([]byte, 64)
 	id := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1] // "goroutine 42 [running]:"
 	g.mu.Lock()
 	g.ids[id] = true
 	g.docs++
 	g.mu.Unlock()
-	return nil
+	return g.next.RoundTrip(r)
 }
 
 // inflightGauge counts the requests a handler is serving at once.
@@ -159,12 +158,9 @@ func TestWorkerPoolSize(t *testing.T) {
 	q := env.Dataset.Discover(8, 1)
 	for _, n := range []int{1, 2, 6} {
 		gauge.peak.Store(0)
-		rec := &goroutineRecorder{ids: map[string]bool{}}
-		e := New(Options{Client: env.Client(), Lenient: true, MaxConcurrent: n,
-			Extractors: func(shape *extract.QueryShape) []extract.Extractor {
-				return append(extract.DefaultSolidSet(shape), rec)
-			}})
-		if _, _, err := e.Select(context.Background(), q.Text, nil); err != nil {
+		rec := &goroutineRecorder{next: env.Client().Transport, ids: map[string]bool{}}
+		e := New(Config{Client: &http.Client{Transport: rec}, Lenient: true, MaxConcurrent: n})
+		if _, err := e.Select(context.Background(), q.Text); err != nil {
 			t.Fatal(err)
 		}
 		if rec.docs < 10*n {
@@ -188,24 +184,24 @@ func TestTraversalLeavesNothingBehind(t *testing.T) {
 	env.PodServer.Latency = 2 * time.Millisecond
 	observer := obs.NewObserver()
 	multiPod := env.Dataset.Discover(8, 1).Text
-	_, full, err := New(Options{Client: env.Client(), Lenient: true}).Select(context.Background(), multiPod, nil)
+	_, full, err := selectAll(context.Background(), New(Config{Client: env.Client(), Lenient: true}), multiPod, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name    string
-		opts    Options
+		cfg     Config
 		query   string
 		cancel  bool // cancel the context once the first documents are in
 		wantErr bool
 	}{
-		{name: "cancelled mid-traversal", opts: Options{Lenient: true}, query: multiPod, cancel: true},
-		{name: "LIMIT satisfied", opts: Options{Lenient: true}, query: multiPod + " LIMIT 1"},
+		{name: "cancelled mid-traversal", cfg: Config{Lenient: true}, query: multiPod, cancel: true},
+		{name: "LIMIT satisfied", cfg: Config{Lenient: true}, query: multiPod + " LIMIT 1"},
 		// The seed is the WebID profile of a person the dataset does not
 		// have: a 404, which a non-lenient traversal stops on.
-		{name: "strict first error", opts: Options{}, wantErr: true,
+		{name: "strict first error", cfg: Config{}, wantErr: true,
 			query: "SELECT ?o WHERE { <" + env.Server.URL + "/pods/nobody/profile/card#me> ?p ?o }"},
-		{name: "MaxDocuments cap", opts: Options{Lenient: true, MaxDocuments: 5}, query: multiPod},
+		{name: "MaxDocuments cap", cfg: Config{Lenient: true, MaxDocuments: 5}, query: multiPod},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env.Client().CloseIdleConnections()
@@ -216,15 +212,15 @@ func TestTraversalLeavesNothingBehind(t *testing.T) {
 				before = n
 				return stable
 			})
-			c.opts.Client, c.opts.Obs = env.Client(), observer
+			c.cfg.Client, c.cfg.Obs = env.Client(), observer
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			x, err := New(c.opts).Query(ctx, c.query, nil)
+			x, err := New(c.cfg).Query(ctx, c.query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.cancel {
-				settle(t, "traversal never started", func() bool { return x.Recorder.Stats().Requests >= 3 })
+				settle(t, "traversal never started", func() bool { return x.Metrics().Stats().Requests >= 3 })
 				cancel()
 			}
 			for range x.Results {
@@ -233,7 +229,7 @@ func TestTraversalLeavesNothingBehind(t *testing.T) {
 			if gotErr := x.Err() != nil; gotErr != c.wantErr {
 				t.Errorf("Err() = %v, want an error: %v", x.Err(), c.wantErr)
 			}
-			if got, all := x.Recorder.Stats().Requests, full.Recorder.Stats().Requests; got >= all {
+			if got, all := x.Metrics().Stats().Requests, full.Metrics().Stats().Requests; got >= all {
 				t.Errorf("%d requests, as many as the uninterrupted traversal (%d): it was not cut short", got, all)
 			}
 			env.Client().CloseIdleConnections()
@@ -277,8 +273,8 @@ func TestStrictLimitEndsCleanly(t *testing.T) {
 	}))
 	defer srv.Close()
 	const query = "SELECT ?o WHERE { ?s <http://example.org/p> ?o } LIMIT 1"
-	e := New(Options{Client: srv.Client()})
-	rows, x, err := e.Select(context.Background(), query, []string{srv.URL + "/doc0"})
+	e := New(Config{Client: srv.Client()})
+	rows, x, err := selectAll(context.Background(), e, query, []string{srv.URL + "/doc0"})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("%d rows, Select error %v; want 1 row and no error", len(rows), err)
 	}
@@ -322,13 +318,13 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	e := New(Options{})
-	defer e.opts.Client.CloseIdleConnections()
-	rows, x, err := e.Select(context.Background(), "SELECT ?o WHERE { ?s <http://example.org/p> ?o }", []string{srv.URL + "/doc0"})
+	e := New(Config{})
+	defer e.cfg.Client.CloseIdleConnections()
+	rows, x, err := selectAll(context.Background(), e, "SELECT ?o WHERE { ?s <http://example.org/p> ?o }", []string{srv.URL + "/doc0"})
 	if err != nil || x.Err() != nil || len(rows) != docs {
 		t.Fatalf("%d rows, errors %v / %v; want %d rows", len(rows), err, x.Err(), docs)
 	}
-	if got := dialed.Load(); got > DefaultMaxConcurrent {
-		t.Errorf("the walk opened %d connections, want at most %d (one per worker)", got, DefaultMaxConcurrent)
+	if got := dialed.Load(); got > defaultMaxConcurrent {
+		t.Errorf("the walk opened %d connections, want at most %d (one per worker)", got, defaultMaxConcurrent)
 	}
 }
