@@ -80,11 +80,15 @@ adversarial-smoke: build
 # only surface when the benchmark pipeline runs. Vet and test it, then run
 # the warm and the cold workload for 3 s each with the traced replay, which
 # fails (non-zero exit) on a wrong answer or when the replay stops reaching
-# the documents the live engine reached.
+# the documents the live engine reached, and complex_exec for 3 s untraced:
+# the only workload that sorts over the full store. An ORDER BY answer out
+# of the oracle's sequence, or a LIMIT answer that is not part of the
+# unlimited one, fails it.
 bench-smoke:
 	cd bench/ltqpbench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/ltqpbench/run.sh --workload discover_warm --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload discover_cold --seed 7 --seconds 3 --trace 1 > /dev/null
+	bash bench/ltqpbench/run.sh --workload complex_exec --seed 7 --seconds 3 --trace 0 > /dev/null
 
 # Guided-vs-FIFO queue comparison (EXPERIMENTS.md E20): the solidbench
 # Discover mix under both queue policies, archived as a dated artifact —

@@ -144,6 +144,33 @@ func (b *Batch) appendRow(ids []rdf.TermID, prov []rdf.TermID) int {
 	return i
 }
 
+// appendLive appends the live rows [lo, hi) of b, mapped through cmap
+// onto the columns (-1: unbound), to cols and, with withProv, their
+// provenance to prov, which it returns.
+func appendLive(cols [][]rdf.TermID, prov [][]rdf.TermID, withProv bool, b *Batch, cmap []int, lo, hi int) [][]rdf.TermID {
+	for c, j := range cmap {
+		if j >= 0 && b.sel == nil {
+			cols[c] = append(cols[c], b.cols[j][lo:hi]...)
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			id := rdf.NoTerm
+			if j >= 0 {
+				id = b.cols[j][b.Row(i)]
+			}
+			cols[c] = append(cols[c], id)
+		}
+	}
+	for i := lo; withProv && i < hi; i++ {
+		var p []rdf.TermID
+		if b.prov != nil {
+			p = b.prov[b.Row(i)]
+		}
+		prov = append(prov, p)
+	}
+	return prov
+}
+
 // batchPool recycles batch shells and their column slabs. Steady-state
 // vectorized execution allocates (almost) nothing per batch: shells cycle
 // between producers and the decode boundary.

@@ -140,36 +140,20 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 				forVars = b.vars
 				cmap = schemaMap(b.vars, arenaVars)
 			}
-			for i := 0; i < b.Len(); i++ {
-				r := b.Row(i)
-				for c, j := range cmap {
-					if j >= 0 {
-						cols[c] = append(cols[c], b.cols[j][r])
-					} else {
-						cols[c] = append(cols[c], rdf.NoTerm)
-					}
-				}
-				if withProv {
-					if b.prov != nil {
-						prov = append(prov, b.prov[r])
-					} else {
-						prov = append(prov, nil)
-					}
-				}
-				n++
-			}
+			prov = appendLive(cols, prov, withProv, b, cmap, 0, b.Len())
+			n += b.Len()
 			putBatch(b)
 		}
 		if ctx.Err() != nil {
 			return
 		}
 
-		// The drained arena plus the per-row key/partition slabs of phase 2
+		// The drained arena plus the per-row partition and group postings
 		// are retained until the groups are emitted; charge them now and
-		// release when the operator finishes. ~20 bytes covers the idKey,
-		// partition byte and posting per row.
+		// release when the operator finishes. 12 bytes covers the partition
+		// byte, the partition posting and the group's row posting per row.
 		if env.Ledger != nil && n > 0 {
-			arenaBytes := int64(n) * (int64(len(arenaVars))*termIDBytes + 20)
+			arenaBytes := int64(n) * (int64(len(arenaVars))*termIDBytes + 12)
 			if withProv {
 				arenaBytes += int64(n) * provRefBytes
 			}
@@ -177,17 +161,18 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 			defer env.Ledger.Release(resource.Exec, arenaBytes)
 		}
 
-		// Phase 2: key and partition every row, morsel-parallel.
-		keys := make([]idKey, n)
+		// Phase 2: partition every row by its key, morsel-parallel.
 		parts := make([]uint8, n)
+		keyOf := func(key []rdf.TermID, r int32) []rdf.TermID {
+			for k := range key {
+				key[k] = cols[k][r]
+			}
+			return key
+		}
 		runMorsels(env, n, func(_, lo, hi int) {
-			ids := make([]rdf.TermID, len(keyVars))
+			key := make([]rdf.TermID, len(keyVars))
 			for i := lo; i < hi; i++ {
-				for k := range keyVars {
-					ids[k] = cols[k][i]
-				}
-				keys[i] = idKeyOf(ids)
-				parts[i] = uint8(hashIDKey(keys[i]) % groupParts)
+				parts[i] = uint8(hashIDKey(idKeyOf(keyOf(key, int32(i)))) % groupParts)
 			}
 		})
 		byPart := make([][]int32, groupParts)
@@ -203,8 +188,7 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 			rows  []int32
 		}
 		type partResult struct {
-			order  []idKey
-			groups map[idKey]*grp
+			groups []grp        // by slot in the partition's idTable: first-seen order
 			ids    []rdf.TermID // one row of len(outVars) IDs per group
 			prov   [][]rdf.TermID
 		}
@@ -215,21 +199,19 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 				return
 			}
 			pr := &results[p]
-			pr.groups = map[idKey]*grp{}
+			var slots idTable
+			key := make([]rdf.TermID, len(keyVars))
 			for _, r := range rows {
-				k := keys[r]
-				gr, ok := pr.groups[k]
-				if !ok {
-					gr = &grp{first: r}
-					pr.groups[k] = gr
-					pr.order = append(pr.order, k)
+				if s, fresh := slots.slot(keyOf(key, r)); fresh {
+					pr.groups = append(pr.groups, grp{first: r, rows: []int32{r}})
+				} else {
+					pr.groups[s].rows = append(pr.groups[s].rows, r)
 				}
-				gr.rows = append(gr.rows, r)
 			}
 			var values []rdf.Term
 			var seen map[rdf.TermID]bool
-			for _, k := range pr.order {
-				gr := pr.groups[k]
+			for gi := range pr.groups {
+				gr := &pr.groups[gi]
 				row := len(pr.ids)
 				for range outVars {
 					pr.ids = append(pr.ids, rdf.NoTerm)
@@ -315,11 +297,11 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 					ids[itemOut[ii]] = env.dict.Intern(v)
 				}
 			}
-			results = append(results, partResult{order: []idKey{{}}, ids: ids, prov: make([][]rdf.TermID, 1)})
+			results = append(results, partResult{groups: make([]grp, 1), ids: ids, prov: make([][]rdf.TermID, 1)})
 		}
 		var b *Batch
 		for _, pr := range results {
-			for i := range pr.order {
+			for i := range pr.groups {
 				if b == nil {
 					b = env.getBatch(outVars, withProv)
 				}

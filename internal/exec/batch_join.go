@@ -26,14 +26,15 @@ type joinArena struct {
 	cols [][]rdf.TermID
 	prov [][]rdf.TermID // nil without provenance
 	n    int32
-	// exact chains rows binding all shared variables by their shared-var
-	// key: a key's rows link head to tail through next (parallel to the
-	// rows, -1 ends a chain) in insertion order, so a new key costs a map
-	// entry and no slice. Rows leaving a shared variable unbound (below
-	// OPTIONAL/VALUES) go to partial and are probed linearly.
-	exact   map[idKey]chain
+	// chains[s] links, in insertion order, the rows whose shared-var key has
+	// slot s in the left arena's keys (both sides use them), head to tail
+	// through next (parallel to the rows; -1 ends a chain, head -1: none).
+	// Rows leaving a shared variable unbound (below OPTIONAL/VALUES) go to
+	// partial and are probed linearly.
+	chains  []chain
 	next    []int32
 	partial []int32
+	keys    idTable      // the join's key slots, on the left arena only
 	ids     []rdf.TermID // insertBatch's shared-key scratch
 	// matched flags the rows that joined, for OPTIONAL's left arena only:
 	// probes of either side set it atomically.
@@ -55,7 +56,7 @@ type chain struct{ head, tail int32 }
 // arenaPool recycles join arenas across joins: a join returns both arenas
 // when its goroutine exits, and the next join reuses their map buckets and
 // column capacity. An arena that grew past maxPooledArenaRows is dropped.
-var arenaPool = sync.Pool{New: func() any { return &joinArena{exact: map[idKey]chain{}} }}
+var arenaPool = sync.Pool{New: func() any { return new(joinArena) }}
 
 const maxPooledArenaRows = 1 << 16
 
@@ -74,17 +75,18 @@ func getJoinArena(width int, withProv bool) *joinArena {
 // putJoinArena empties a and returns it to the pool. No probe may still
 // read it: runMorsels returns only after its workers finish.
 func putJoinArena(a *joinArena) {
-	if len(a.next) > maxPooledArenaRows {
+	if len(a.next) > maxPooledArenaRows || a.keys.n > maxPooledArenaRows {
 		return
 	}
 	a.reset()
 	arenaPool.Put(a)
 }
 
-// reset empties a, keeping the capacity of its map, columns and chains; it
-// drops the provenance column, whose entries belong to the input batches.
+// reset empties a, keeping the capacity of its maps, columns and chains;
+// it drops the provenance column, whose entries belong to the input batches.
 func (a *joinArena) reset() {
-	clear(a.exact)
+	a.keys.reset()
+	a.chains = a.chains[:0]
 	cols := a.cols[:cap(a.cols)]
 	for c := range cols {
 		cols[c] = cols[c][:0]
@@ -93,30 +95,16 @@ func (a *joinArena) reset() {
 }
 
 // insertBatch appends the live rows of b (mapped through cmap onto the out
-// schema) and files each into exact or partial. It returns the arena index
-// of the first inserted row and, via keys/full (caller-owned scratch,
-// resliced), each row's shared key and fullness.
-func (a *joinArena) insertBatch(b *Batch, cmap []int, sharedIdx []int, keys []idKey, full []bool) (int32, []idKey, []bool) {
+// schema) and files each into its key's chain or into partial. It returns
+// the arena index of the first inserted row and, via slots (caller-owned
+// scratch, resliced), each row's key slot in keys, -1 for a partial row.
+func (a *joinArena) insertBatch(b *Batch, cmap []int, sharedIdx []int, keys *idTable, slots []int32) (int32, []int32) {
 	start := a.n
-	keys, full = keys[:0], full[:0]
+	slots = slots[:0]
 	ids := slices.Grow(a.ids[:0], len(sharedIdx))[:len(sharedIdx)]
 	a.ids = ids
+	a.prov = appendLive(a.cols, a.prov, a.prov != nil, b, cmap, 0, b.Len())
 	for i := 0; i < b.Len(); i++ {
-		r := b.Row(i)
-		for c, j := range cmap {
-			if j >= 0 {
-				a.cols[c] = append(a.cols[c], b.cols[j][r])
-			} else {
-				a.cols[c] = append(a.cols[c], rdf.NoTerm)
-			}
-		}
-		if a.prov != nil {
-			if b.prov != nil {
-				a.prov = append(a.prov, b.prov[r])
-			} else {
-				a.prov = append(a.prov, nil)
-			}
-		}
 		row := a.n
 		a.n++
 		a.next = append(a.next, -1)
@@ -127,19 +115,24 @@ func (a *joinArena) insertBatch(b *Batch, cmap []int, sharedIdx []int, keys []id
 				isFull = false
 			}
 		}
-		key := idKeyOf(ids)
 		if !isFull {
 			a.partial = append(a.partial, row)
-		} else if ch, ok := a.exact[key]; ok {
-			a.next[ch.tail] = row
-			a.exact[key] = chain{ch.head, row}
-		} else {
-			a.exact[key] = chain{row, row}
+			slots = append(slots, -1)
+			continue
 		}
-		keys = append(keys, key)
-		full = append(full, isFull)
+		s, _ := keys.slot(ids)
+		for int(s) >= len(a.chains) {
+			a.chains = append(a.chains, chain{-1, -1})
+		}
+		if ch := &a.chains[s]; ch.head < 0 {
+			*ch = chain{row, row}
+		} else {
+			a.next[ch.tail] = row
+			ch.tail = row
+		}
+		slots = append(slots, s)
 	}
-	return start, keys, full
+	return start, slots
 }
 
 // batchJoin joins left and right on the shared variables. With outer set
@@ -243,31 +236,30 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 			emit(jw, prov)
 		}
 
-		var keys []idKey
-		var full []bool
+		var slots []int32
 		// processBatch inserts b into mine, then probes other over the
 		// inserted rows, morsel-parallel.
 		processBatch := func(b *Batch, mine, other *joinArena) {
 			cmap := schemaMap(b.vars, outVars)
 			var first int32
-			first, keys, full = mine.insertBatch(b, cmap, sharedIdx, keys, full)
+			first, slots = mine.insertBatch(b, cmap, sharedIdx, &la.keys, slots)
 			putBatch(b)
 			if outer && mine == la {
 				n := len(la.matched)
-				la.matched = slices.Grow(la.matched, len(keys))[:n+len(keys)]
+				la.matched = slices.Grow(la.matched, len(slots))[:n+len(slots)]
 				clear(la.matched[n:])
 			}
-			if env.Ledger != nil && len(keys) > 0 {
-				delta := int64(len(keys)) * arenaRowBytes
+			if env.Ledger != nil && len(slots) > 0 {
+				delta := int64(len(slots)) * arenaRowBytes
 				env.Ledger.Charge(resource.Exec, delta)
 				arenaBytes += delta
 			}
-			runMorsels(env, len(keys), func(w, lo, hi int) {
+			runMorsels(env, len(slots), func(w, lo, hi int) {
 				for k := lo; k < hi && !aborted.Load(); k++ {
 					mr := first + int32(k)
-					if full[k] {
-						if ch, ok := other.exact[keys[k]]; ok {
-							for or := ch.head; or >= 0; or = other.next[or] {
+					if s := slots[k]; s >= 0 {
+						if int(s) < len(other.chains) {
+							for or := other.chains[s].head; or >= 0; or = other.next[or] {
 								tryPair(w, mine, other, mr, or)
 							}
 						}

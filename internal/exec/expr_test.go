@@ -249,24 +249,56 @@ func TestGenerativeBuiltins(t *testing.T) {
 	}
 }
 
+// TestOrderCompare pins ORDER BY's order over terms parsed per comparison
+// (orderCompare, what the reference orderRows compares) and over sort keys
+// parsed once (what the batch ORDER BY compares) to one table, both ways.
 func TestOrderCompare(t *testing.T) {
+	lit := rdf.NewTypedLiteral
+	xsdString := rdf.Term{Kind: rdf.TermLiteral, Value: "a", Datatype: rdf.XSDString}
 	cases := []struct {
 		a, b rdf.Term
 		want int // sign
 	}{
 		{rdf.Term{}, rdf.NewBlank("b"), -1},
+		{rdf.Term{}, rdf.Term{}, 0},
 		{rdf.NewBlank("b"), rdf.NewIRI("http://a"), -1},
+		{rdf.NewBlank("b1"), rdf.NewBlank("b2"), -1},
 		{rdf.NewIRI("http://a"), rdf.NewLiteral("z"), -1},
+		{rdf.NewIRI("http://a"), rdf.NewIRI("http://b"), -1},
 		{rdf.Integer(2), rdf.Integer(10), -1},
 		{rdf.Integer(2), rdf.NewTypedLiteral("2.0", rdf.XSDDouble), 0},
+		{lit("1", rdf.XSDInteger), lit("1.0", rdf.XSDDecimal), 0},
+		{lit("-0", rdf.XSDDouble), lit("0", rdf.XSDInt), 0},
+		{lit("NaN", rdf.XSDDouble), rdf.Integer(1), 1},       // NaN orders syntactically
+		{lit("abc", rdf.XSDInteger), rdf.Integer(1), 1},      // so does an invalid form
+		{lit("10", rdf.XSDInteger), rdf.NewLiteral("9"), -1}, // a number against a string
 		{rdf.NewLiteral("a"), rdf.NewLiteral("b"), -1},
+		{rdf.NewLiteral("a"), xsdString, -1},
+		{rdf.NewLiteral("a"), rdf.NewLangLiteral("a", "en"), -1},
+		{rdf.NewLangLiteral("a", "en"), rdf.NewLangLiteral("a", "fr"), -1},
+		{lit("x", "http://ex/dt"), lit("y", "http://ex/dt"), -1},
 		{rdf.NewTypedLiteral("2010-01-02", rdf.XSDDate), rdf.NewTypedLiteral("2010-01-01", rdf.XSDDate), 1},
+		{lit("2024-01-01T00:00:00Z", rdf.XSDDateTime), lit("2024-01-01T01:00:00+01:00", rdf.XSDDateTime), 0},
+		{lit("2024-01-01T00:00:00", rdf.XSDDateTime), lit("2024-01-01T00:00:00Z", rdf.XSDDateTime), 0}, // no zone: UTC
+		{lit("2023-12-31T23:59:59.5Z", rdf.XSDDateTime), lit("2024-01-01T00:00:00Z", rdf.XSDDateTime), -1},
+		{lit("2024-01-01", rdf.XSDDate), lit("2023-12-31T23:59:59.5Z", rdf.XSDDateTime), 1},
+		{lit("bad", rdf.XSDDateTime), lit("2024-01-01T00:00:00Z", rdf.XSDDateTime), 1},
+		{lit("false", rdf.XSDBoolean), lit("true", rdf.XSDBoolean), -1},
+		{lit("1", rdf.XSDBoolean), lit("true", rdf.XSDBoolean), 0},
 	}
+	sign := func(n int) int { return min(max(n, -1), 1) }
 	for _, c := range cases {
-		got := orderCompare(c.a, c.b)
-		switch {
-		case c.want < 0 && got >= 0, c.want == 0 && got != 0, c.want > 0 && got <= 0:
-			t.Errorf("orderCompare(%v, %v) = %d, want sign %d", c.a, c.b, got, c.want)
+		for _, d := range []struct {
+			a, b rdf.Term
+			want int
+		}{{c.a, c.b, c.want}, {c.b, c.a, -c.want}} {
+			if got := sign(orderCompare(d.a, d.b)); got != d.want {
+				t.Errorf("orderCompare(%v, %v) = %d, want sign %d", d.a, d.b, got, d.want)
+			}
+			ka, kb := parseValue(d.a), parseValue(d.b)
+			if got := sign(orderParsed(&ka, &kb)); got != d.want {
+				t.Errorf("keys %v, %v: orderParsed = %d, want sign %d", d.a, d.b, got, d.want)
+			}
 		}
 	}
 }

@@ -38,3 +38,43 @@ func idKeyOf(ids []rdf.TermID) idKey {
 	}
 	return out
 }
+
+// idTable numbers the distinct ID keys of one width in first-seen order,
+// for join, DISTINCT and GROUP BY to file rows in slices by slot. A key of
+// up to two IDs (the usual arity) hashes as its packed uint64.
+type idTable struct {
+	narrow map[uint64]int32
+	wide   map[idKey]int32
+	n      int32
+}
+
+// slot returns the slot of the key ids, adding it when absent; fresh
+// reports whether it was. A key already present costs one map lookup.
+func (t *idTable) slot(ids []rdf.TermID) (s int32, fresh bool) {
+	k, ok := idKeyOf(ids), false
+	if len(ids) <= 2 {
+		if s, ok = t.narrow[k.packed]; !ok {
+			if t.narrow == nil {
+				t.narrow = map[uint64]int32{}
+			}
+			t.narrow[k.packed] = t.n
+		}
+	} else if s, ok = t.wide[k]; !ok {
+		if t.wide == nil {
+			t.wide = map[idKey]int32{}
+		}
+		t.wide[k] = t.n
+	}
+	if ok {
+		return s, false
+	}
+	t.n++
+	return t.n - 1, true
+}
+
+// reset empties the table, keeping its maps' capacity.
+func (t *idTable) reset() {
+	clear(t.narrow)
+	clear(t.wide)
+	t.n = 0
+}

@@ -45,14 +45,21 @@ SELECT ?m ?c ?id WHERE {
 }`
 
 // TestJoinProvenanceExact pins the tentpole contract: a solution joined
-// from triples of three documents carries exactly those three documents.
+// from triples of three documents carries exactly those three documents,
+// also through ORDER BY, which holds rows as ID columns.
 func TestJoinProvenanceExact(t *testing.T) {
+	for _, query := range []string{provQuery, provQuery + " ORDER BY DESC(?c) LIMIT 5"} {
+		joinProvenanceExact(t, query)
+	}
+}
+
+func joinProvenanceExact(t *testing.T, query string) {
 	s := provStore()
 	env := NewEnv(s)
 	env.Prov = NewProv()
 
 	var rows []rdf.Binding
-	for b := range Eval(context.Background(), testPlan(t, provQuery), env) {
+	for b := range Eval(context.Background(), testPlan(t, query), env) {
 		rows = append(rows, b)
 	}
 	if len(rows) != 1 {
