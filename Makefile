@@ -83,9 +83,13 @@ adversarial-smoke: build
 # the documents the live engine reached, and complex_exec for 3 s untraced:
 # the only workload that sorts over the full store. An ORDER BY answer out
 # of the oracle's sequence, or a LIMIT answer that is not part of the
-# unlimited one, fails it.
+# unlimited one, fails it. The two per-document micro-benchmarks of a warm
+# query (link-table filtering, segment attach) run 100 iterations each so
+# they keep compiling and running.
 bench-smoke:
 	cd bench/ltqpbench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench '^BenchmarkAppendLinksTable$$' -benchtime 100x ./internal/extract
+	$(GO) test -run '^$$' -bench '^BenchmarkAttachWarmSegments$$' -benchtime 100x ./internal/store
 	bash bench/ltqpbench/run.sh --workload discover_warm --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload discover_cold --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload complex_exec --seed 7 --seconds 3 --trace 0 > /dev/null

@@ -42,7 +42,18 @@ type tableLink struct {
 	// none: the chain first-occurrence dedup walks.
 	prev  int32
 	label label
+	// mk numbers a match entry's matchKey, from 1, in the document; 0 for
+	// other entries and past memoKeys-1 keys. See decide.
+	mk uint8
 }
+
+// matchKey is what cMatch reads of a triple: the predicate, and the class
+// of an rdf:type triple with an IRI object. Entries with one key are
+// followed alike, so appendSection asks the shape once per key, for the
+// first memoKeys-1 keys of a document.
+type matchKey struct{ p, class string }
+
+const memoKeys = 64
 
 // label names the (Reason, Extractor) pair a link is reported under.
 type label uint8
@@ -109,9 +120,10 @@ type builder struct {
 	latest map[string]int32
 	lasts  [][numSections]int32
 	regs   []rdf.Term // type registrations, in first-occurrence order
+	keys   map[matchKey]uint8
 }
 
-var builders = sync.Pool{New: func() any { return &builder{latest: map[string]int32{}} }}
+var builders = sync.Pool{New: func() any { return &builder{latest: map[string]int32{}, keys: map[matchKey]uint8{}} }}
 
 // add appends t's document to section sec as a link if t is a
 // dereferenceable IRI. With keepDuplicates false an URL already in the
@@ -158,6 +170,7 @@ func (b *builder) table(triples []rdf.Triple) *LinkTable {
 		b.secs[i] = links[:0]
 	}
 	clear(b.latest)
+	clear(b.keys)
 	clear(b.regs)
 	b.lasts, b.regs = b.lasts[:0], b.regs[:0]
 	builders.Put(b)
@@ -200,11 +213,33 @@ func scan(triples []rdf.Triple, want uint8) *LinkTable {
 				b.regs = append(b.regs, t.S)
 			}
 		}
+		n := len(b.secs[secMatch])
 		b.add(secMatch, t.S, labelMatch, i, true)
 		b.add(secMatch, t.O, labelMatch, i, true)
+		if added := b.secs[secMatch][n:]; len(added) > 0 {
+			mk := b.matchKey(t)
+			for j := range added {
+				added[j].mk = mk
+			}
+		}
 	}
 	b.scanTypeIndex(triples)
 	return b.table(triples)
+}
+
+// matchKey returns the number of t's match key (see tableLink.mk), giving
+// the next one to a key not seen before in this document.
+func (b *builder) matchKey(t *rdf.Triple) uint8 {
+	k := matchKey{p: t.P.Value}
+	if t.P.Value == rdf.RDFType && t.O.Kind == rdf.TermIRI {
+		k.class = t.O.Value
+	}
+	mk, ok := b.keys[k]
+	if !ok && len(b.keys) < memoKeys-1 {
+		mk = uint8(len(b.keys) + 1)
+		b.keys[k] = mk
+	}
+	return mk
 }
 
 // scanTypeIndex lists, registration by registration, the instance links and
@@ -248,6 +283,9 @@ func (t *LinkTable) follows(e *tableLink, shape *QueryShape) bool {
 	switch e.label {
 	case labelMatch:
 		// cMatch: the triple could contribute to the query.
+		if askHook != nil {
+			askHook(e)
+		}
 		tr := &t.triples[e.tri]
 		return shape.Predicates[tr.P.Value] ||
 			tr.P.Value == rdf.RDFType && tr.O.Kind == rdf.TermIRI && shape.Classes[tr.O.Value]
@@ -260,22 +298,41 @@ func (t *LinkTable) follows(e *tableLink, shape *QueryShape) bool {
 	return true
 }
 
+// askHook, when set, runs on every cMatch decision that reads the shape.
+var askHook func(*tableLink)
+
+// decide is follows, asked of the shape once per match key: the first entry
+// with a key records the answer in memo (1 followed, -1 not).
+func (t *LinkTable) decide(e *tableLink, shape *QueryShape, memo *[memoKeys]int8) bool {
+	if e.mk == 0 {
+		return t.follows(e, shape)
+	}
+	if memo[e.mk] == 0 {
+		memo[e.mk] = -1
+		if t.follows(e, shape) {
+			memo[e.mk] = 1
+		}
+	}
+	return memo[e.mk] > 0
+}
+
 // appendSection appends the links of sec the shape follows, first
 // occurrence of each URL only. Whether an earlier entry with the same URL
 // was emitted depends on the query too, so dedup walks the entry's prev
-// chain re-asking follows: the walk stops at the first predecessor the
+// chain re-asking decide: the walk stops at the first predecessor the
 // query follows (that one, or one before it, was emitted), and otherwise
 // passes only entries it rejects — no set, no allocation, and linear in the
 // section overall.
 func (t *LinkTable) appendSection(dst []Link, sec []tableLink, shape *QueryShape) []Link {
+	var memo [memoKeys]int8
 next:
 	for i := range sec {
 		e := &sec[i]
-		if !t.follows(e, shape) {
+		if !t.decide(e, shape, &memo) {
 			continue
 		}
 		for j := e.prev; j >= 0; j = sec[j].prev {
-			if t.follows(&sec[j], shape) {
+			if t.decide(&sec[j], shape, &memo) {
 				continue next
 			}
 		}

@@ -61,10 +61,12 @@ type Queue interface {
 	Seen() int
 }
 
-// FIFO is the breadth-first link queue.
+// FIFO is the breadth-first link queue: items[head:], in an array that
+// popping zeroes and reuses, so pushes reallocate only as the queue grows.
 type FIFO struct {
 	mu    sync.Mutex
 	items []Link
+	head  int
 	seen  map[string]bool
 }
 
@@ -93,11 +95,19 @@ func (q *FIFO) Push(l Link) bool {
 func (q *FIFO) Pop() (Link, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return Link{}, false
 	}
-	l := q.items[0]
-	q.items = q.items[1:]
+	l := q.items[q.head]
+	q.items[q.head] = Link{} // drop the strings
+	q.head++
+	if q.head == len(q.items) || 2*q.head > cap(q.items) {
+		// Move the live tail down: the array is reused, and stays bounded
+		// for a queue that never empties.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	return l, true
 }
 
@@ -105,7 +115,7 @@ func (q *FIFO) Pop() (Link, bool) {
 func (q *FIFO) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Seen implements Queue.

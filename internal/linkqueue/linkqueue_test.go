@@ -2,6 +2,8 @@ package linkqueue
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -113,5 +115,55 @@ func TestQueueProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// The FIFO reuses its array: random interleavings of pushes (with repeated
+// URLs) and pops, long enough to cross many emptyings and tail moves, pop in
+// the order of a plain-slice reference, drop what that reference has seen,
+// and report its length. The array stays bounded by the live queue.
+func TestFIFOReusesArrayLikeSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	q := NewFIFO()
+	var ref []string
+	seen := map[string]bool{}
+	peak := 0
+	for step := 0; step < 20000; step++ {
+		// Phases that favour pushes, then pops, so the queue both drains
+		// to empty and stays long for a while.
+		pushBias := 3 + 4*((step/500)%2)
+		if rng.Intn(10) < pushBias {
+			u := "http://pod/" + strconv.Itoa(rng.Intn(6000))
+			if got, want := q.Push(Link{URL: u}), !seen[u]; got != want {
+				t.Fatalf("step %d: Push(%s) = %v, reference %v", step, u, got, want)
+			}
+			if !seen[u] {
+				seen[u] = true
+				ref = append(ref, u)
+			}
+		} else {
+			l, ok := q.Pop()
+			if ok != (len(ref) > 0) {
+				t.Fatalf("step %d: Pop ok = %v with %d queued in the reference", step, ok, len(ref))
+			}
+			if ok {
+				if l.URL != ref[0] {
+					t.Fatalf("step %d: popped %s, reference %s", step, l.URL, ref[0])
+				}
+				ref = ref[1:]
+			}
+		}
+		if q.Len() != len(ref) || q.Seen() != len(seen) {
+			t.Fatalf("step %d: Len = %d, Seen = %d; reference %d, %d", step, q.Len(), q.Seen(), len(ref), len(seen))
+		}
+		peak = max(peak, len(ref))
+		if c := cap(q.items); c > 4*peak+8 {
+			t.Fatalf("step %d: array capacity %d for a peak of %d queued links", step, c, peak)
+		}
+		for _, l := range q.items[:q.head] {
+			if l != (Link{}) {
+				t.Fatalf("step %d: a popped slot still holds %s", step, l.URL)
+			}
+		}
 	}
 }

@@ -128,3 +128,31 @@ func BenchmarkAddEncoded(b *testing.B) {
 	runtime.ReadMemStats(&m1)
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N*perDoc), "B/triple")
 }
+
+// BenchmarkAttachWarmSegments is the store side of a warm query: a fresh
+// store takes 127 cached 19-triple segments, then one (?s, p, o) probe
+// builds the PO index over them. Most of its keys hold one position.
+func BenchmarkAttachWarmSegments(b *testing.B) {
+	const docs, perDoc = 127, 19
+	segs := make([][]rdf.IDTriple, docs)
+	for d := range segs {
+		segs[d] = make([]rdf.IDTriple, perDoc)
+		for i := range segs[d] {
+			segs[d][i] = rdf.IDTriple{S: rdf.TermID(1000 + d*3 + i/7), P: rdf.TermID(1 + i%9), O: rdf.TermID(1<<20 + d*perDoc + i)}
+		}
+	}
+	probe := constPattern(segs[docs/2][4], false, true, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s := New()
+		for d, seg := range segs {
+			s.AddEncoded(rdf.TermID(1+d), seg)
+		}
+		s.mu.Lock()
+		if len(s.candidates(&probe)) != 1 {
+			b.Fatal("the probed key must hold one position")
+		}
+		s.mu.Unlock()
+	}
+}

@@ -12,20 +12,25 @@ import "ltqp/internal/rdf"
 // key, which append on a map[K][]int32 does (one fresh slice for every new
 // key, and again at every doubling):
 //
-//   - idx maps a key to its slot in slab;
-//   - a slot holds up to inlinePostings positions in place — most subjects,
-//     objects and composite keys never have more — so a new key costs no
-//     allocation beyond the amortized growth of idx and slab;
+//   - idx maps a key to its one position in one (values >= 0), or to ^slot
+//     in slab (values < 0): most composite keys only ever hold one
+//     position, which costs four bytes and no slot;
+//   - a second position promotes the key into a slot, which holds up to
+//     inlinePostings positions in place, so a new key costs no allocation
+//     beyond the amortized growth of idx, one and slab;
 //   - a longer list moves, whole, into a run carved from an arena chunk the
 //     store's indexes share, doubling when it fills. Abandoned runs stay in
 //     their chunk (at most as much again as the live runs, by the
 //     doubling), so allocations are per chunk, not per key.
 //
-// A list is always contiguous — in the slot or in its run — so reading it
-// is reading a slice. The slice aliases the slab or the arena and is valid
-// only while the store lock is held: add may move the slab.
+// A list is always contiguous — in one, in the slot or in its run — so
+// reading it is reading a slice, and every move keeps the list's prefix, so
+// a live iterator's cursor into it stays valid. The slice aliases one, the
+// slab or the arena and is valid only while the store lock is held: add may
+// move them.
 type postings struct {
 	idx   map[uint64]int32
+	one   []int32
 	slab  []posting
 	arena *arena
 }
@@ -48,18 +53,23 @@ type posting struct {
 }
 
 func newPostings(a *arena, sizeHint int) *postings {
-	return &postings{idx: make(map[uint64]int32, sizeHint), arena: a}
+	return &postings{idx: make(map[uint64]int32, sizeHint), one: make([]int32, 0, sizeHint), arena: a}
 }
 
 // add appends position i to key's list.
 func (ps *postings) add(key uint64, i int32) {
-	slot, ok := ps.idx[key]
-	if !ok {
-		slot = int32(len(ps.slab))
-		ps.idx[key] = slot
-		ps.slab = append(ps.slab, posting{})
+	v, ok := ps.idx[key]
+	switch {
+	case !ok:
+		ps.idx[key] = int32(len(ps.one))
+		ps.one = append(ps.one, i)
+		return
+	case v >= 0:
+		ps.idx[key] = ^int32(len(ps.slab))
+		ps.slab = append(ps.slab, posting{n: 2, inline: [inlinePostings]int32{ps.one[v], i}})
+		return
 	}
-	p := &ps.slab[slot]
+	p := &ps.slab[^v]
 	if p.n < inlinePostings {
 		p.inline[p.n] = i
 	} else {
@@ -100,11 +110,14 @@ func (ps *postings) grow(p *posting) {
 // list returns key's positions in insertion (ascending) order; nil when the
 // key is absent. Valid only while the store lock is held.
 func (ps *postings) list(key uint64) []int32 {
-	slot, ok := ps.idx[key]
+	v, ok := ps.idx[key]
 	if !ok {
 		return nil
 	}
-	p := &ps.slab[slot]
+	if v >= 0 {
+		return ps.one[v : v+1 : v+1] // capped: an append cannot write into one
+	}
+	p := &ps.slab[^v]
 	if p.run != nil {
 		return p.run
 	}

@@ -310,3 +310,98 @@ func TestPostingsGrowth(t *testing.T) {
 		t.Error("absent key must list nil")
 	}
 }
+
+// A key's list moves from its single entry in one into a slot on its second
+// position and into an arena run past inlinePostings. The test follows two
+// such keys — a predicate in the eager byPredicate index and a (p,o) key in
+// byPO, built on demand while that key holds one position — against the
+// map reference, with a live iterator over each whose cursor sits on the
+// key's single entry when the key is promoted: it must go on with exactly
+// the positions added after it, none twice and none skipped.
+func TestPostingsPromotionUnderLiveCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := New()
+	ref := &refIndexes{s: map[rdf.TermID][]int32{}, p: map[rdf.TermID][]int32{}, o: map[rdf.TermID][]int32{},
+		sp: map[uint64][]int32{}, po: map[uint64][]int32{}}
+	const p, o = 9, 9999 // the watched predicate and object; noise never uses them
+	watched := rdf.IDTriple{P: p, O: o}
+	noise := func() rdf.IDTriple {
+		return rdf.IDTriple{S: rdf.TermID(1 + rng.Intn(30)), P: rdf.TermID(1 + rng.Intn(8)), O: rdf.TermID(100 + rng.Intn(200))}
+	}
+	add := func(ids ...rdf.IDTriple) {
+		before := s.Len()
+		s.AddEncoded(1, ids)
+		s.mu.Lock()
+		for i := before; i < len(s.triples); i++ {
+			ref.add(s.triples[i], int32(i))
+		}
+		s.mu.Unlock()
+	}
+	var byP, byPO *Iterator
+	var gotP, gotPO []int32
+	// step drains what each live iterator can yield now and compares it,
+	// and every P and PO candidate list, with the reference.
+	step := func(when string) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, it := range []struct {
+			it  *Iterator
+			got *[]int32
+		}{{byP, &gotP}, {byPO, &gotPO}} {
+			if it.it == nil {
+				continue
+			}
+			for {
+				_, i, ok := it.it.scanLockedIdx()
+				if !ok {
+					break
+				}
+				*it.got = append(*it.got, i)
+			}
+		}
+		if byP != nil && !reflect.DeepEqual(gotP, ref.p[p]) {
+			t.Fatalf("%s: live iterator over P yielded %v, reference %v", when, gotP, ref.p[p])
+		}
+		if byPO != nil && !reflect.DeepEqual(gotPO, ref.po[watched.PO()]) {
+			t.Fatalf("%s: live iterator over PO yielded %v, reference %v", when, gotPO, ref.po[watched.PO()])
+		}
+		for _, tr := range s.triples {
+			if got := s.byPredicate.list(uint64(tr.P)); !reflect.DeepEqual(append([]int32(nil), got...), ref.p[tr.P]) {
+				t.Fatalf("%s: P list of %d = %v, reference %v", when, tr.P, got, ref.p[tr.P])
+			}
+			if s.byPO == nil {
+				continue
+			}
+			if got := s.byPO.list(tr.PO()); !reflect.DeepEqual(append([]int32(nil), got...), ref.po[tr.PO()]) {
+				t.Fatalf("%s: PO list of %v = %v, reference %v", when, tr, got, ref.po[tr.PO()])
+			}
+		}
+	}
+
+	for d := 0; d < 5; d++ {
+		add(noise(), noise(), noise())
+	}
+	add(rdf.IDTriple{S: 1, P: p, O: o}, noise())
+	byP = &Iterator{store: s, pattern: constPattern(watched, false, true, false)}
+	byPO = &Iterator{store: s, pattern: constPattern(watched, false, true, true)}
+	step("one position") // builds byPO, holding the watched key's single entry
+	if s.byPO == nil || len(gotP) != 1 || len(gotPO) != 1 {
+		t.Fatalf("after the first position: byPO built %v, iterators at %d and %d", s.byPO != nil, len(gotP), len(gotPO))
+	}
+	for k := 2; k <= 3*inlinePostings; k++ {
+		add(noise(), rdf.IDTriple{S: rdf.TermID(k), P: p, O: o}, noise())
+		step("position " + strconv.Itoa(k))
+	}
+	if len(gotPO) != 3*inlinePostings {
+		t.Fatalf("the PO iterator saw %d positions, want %d", len(gotPO), 3*inlinePostings)
+	}
+	ones := 0
+	for _, v := range s.byPO.idx {
+		if v >= 0 {
+			ones++
+		}
+	}
+	if ones == 0 || ones == len(s.byPO.idx) {
+		t.Fatalf("%d of %d PO keys single-entry: the noise must leave some keys single and promote others", ones, len(s.byPO.idx))
+	}
+}
