@@ -15,13 +15,16 @@ test: build
 # concurrent and must stay race-clean. The package tests include the
 # allocation pins of the ingest path (turtle.TestParseAllocations, the 0
 # allocs/op disabled-path pins of obs and resource), which hold under -race
-# too. The paper-scale environment test (1 531 pods, ~3 GB) runs in a second
+# too. The executor's determinism and stress tests run once more at
+# GOMAXPROCS 1 and 4 (-cpu 1,4): scheduling must never change a result.
+# The paper-scale environment test (1 531 pods, ~3 GB) runs in a second
 # pass without the race detector, which would slow it past the CI timeout on
 # a 2-CPU runner.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "verify: unformatted files:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
+	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestBatchOpsMatchRowSemantics)$$' ./internal/exec
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench
 
 # Differential harness on its own: 150 generated SELECT queries over the

@@ -200,7 +200,6 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	env := exec.NewEnv(src)
 	env.Prov = x.prov
 	env.Events = emitter
-	env.Workers = e.cfg.ExecWorkers
 	env.Ledger = ledger
 	out := make(chan rdf.Binding)
 	go func() {

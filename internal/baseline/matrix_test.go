@@ -11,22 +11,26 @@ import (
 )
 
 // matrixCell is one combination of the facade options the differential
-// harness varies. Every option claims never to change the result multiset;
-// the matrix checks that claim for each option in every combination.
+// harness varies, plus how the consumer reads the results. Every option
+// claims never to change the result multiset; the matrix checks that claim
+// for each option in every combination. A consumer that closes early must
+// get a sub-multiset of the answer and leave nothing running behind it.
 type matrixCell struct {
 	QueuePolicy   string
 	MaxConcurrent int
 	Explain       bool
-	ExecWorkers   int
+	CloseEarly    bool // read closeAfter rows, then Close without draining
 	SharedCache   bool // the one cache all shared-cache cells use; else none
 	Observed      bool // an Observer of the cell's own; else nil
 }
+
+// closeAfter is the number of rows a close-early cell reads before Close.
+const closeAfter = 2
 
 // The axes of the matrix, in walk order: the first varies fastest.
 var (
 	matrixQueuePolicies = []string{"fifo", "guided"}
 	matrixConcurrency   = []int{6, 1}
-	matrixExecWorkers   = []int{0, 1}
 	matrixSharedCache   = []bool{true, false}
 	matrixFlags         = []bool{false, true}
 )
@@ -37,7 +41,7 @@ var (
 // comes round once per len(cells) queries.
 func configMatrix() []matrixCell {
 	n := len(matrixQueuePolicies) * len(matrixConcurrency) * len(matrixFlags) *
-		len(matrixExecWorkers) * len(matrixSharedCache) * len(matrixFlags)
+		len(matrixFlags) * len(matrixSharedCache) * len(matrixFlags)
 	cells := make([]matrixCell, n)
 	for c := range cells {
 		rest := c
@@ -50,7 +54,7 @@ func configMatrix() []matrixCell {
 			QueuePolicy:   matrixQueuePolicies[digit(len(matrixQueuePolicies))],
 			MaxConcurrent: matrixConcurrency[digit(len(matrixConcurrency))],
 			Explain:       matrixFlags[digit(len(matrixFlags))],
-			ExecWorkers:   matrixExecWorkers[digit(len(matrixExecWorkers))],
+			CloseEarly:    matrixFlags[digit(len(matrixFlags))],
 			SharedCache:   matrixSharedCache[digit(len(matrixSharedCache))],
 			Observed:      matrixFlags[digit(len(matrixFlags))],
 		}
@@ -59,15 +63,18 @@ func configMatrix() []matrixCell {
 }
 
 func (c matrixCell) String() string {
-	cache, obs := "shared", "nil"
+	consumer, cache, obs := "drain", "shared", "nil"
+	if c.CloseEarly {
+		consumer = fmt.Sprintf("close-after-%d", closeAfter)
+	}
 	if !c.SharedCache {
 		cache = "none"
 	}
 	if c.Observed {
 		obs = "observer"
 	}
-	return fmt.Sprintf("queue=%s concurrent=%d explain=%t workers=%d cache=%s obs=%s",
-		c.QueuePolicy, c.MaxConcurrent, c.Explain, c.ExecWorkers, cache, obs)
+	return fmt.Sprintf("queue=%s concurrent=%d explain=%t consumer=%s cache=%s obs=%s",
+		c.QueuePolicy, c.MaxConcurrent, c.Explain, consumer, cache, obs)
 }
 
 // config builds the cell's engine configuration over the environment.
@@ -78,7 +85,6 @@ func (c matrixCell) config(env *simenv.Env, cache *ltqp.SharedDocumentCache) ltq
 		QueuePolicy:   c.QueuePolicy,
 		MaxConcurrent: c.MaxConcurrent,
 		Explain:       c.Explain,
-		ExecWorkers:   c.ExecWorkers,
 	}
 	if c.SharedCache {
 		cfg.SharedCache = cache

@@ -50,11 +50,6 @@ type RetryPolicy struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// DefaultRetryPolicy returns the policy used by the CLI's resilience flags.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{}
-}
-
 const (
 	defaultMaxAttempts    = 4
 	defaultBaseDelay      = 100 * time.Millisecond

@@ -18,11 +18,21 @@ func groupRows(env *Env, g algebra.Group, rows []rdf.Binding) []rdf.Binding {
 		key  rdf.Binding
 		rows []rdf.Binding
 	}
+	// Every row keys over the same names, one per condition, so an unbound
+	// key position cannot shift the others: (UNDEF, x) and (x, UNDEF) are
+	// two groups. Unnamed expression keys take a synthetic name.
+	keyVars := make([]string, len(g.By))
+	for i, c := range g.By {
+		keyVars[i] = c.Var
+		if c.Var == "" {
+			keyVars[i] = "__groupkey" + strconv.Itoa(i)
+		}
+	}
 	groups := map[string]*grp{}
 	var order []string
 	for _, row := range rows {
 		key := rdf.NewBinding()
-		for _, c := range g.By {
+		for i, c := range g.By {
 			switch {
 			case c.Expr == nil:
 				if t, ok := row.Get(c.Var); ok {
@@ -30,17 +40,11 @@ func groupRows(env *Env, g algebra.Group, rows []rdf.Binding) []rdf.Binding {
 				}
 			default:
 				if v, err := evalExpr(env, c.Expr, row); err == nil {
-					if c.Var != "" {
-						key[c.Var] = v
-					} else {
-						// Unnamed expression keys participate in
-						// grouping via a synthetic name.
-						key["__groupkey"+strconv.Itoa(len(key))] = v
-					}
+					key[keyVars[i]] = v
 				}
 			}
 		}
-		ks := key.Key(key.Vars())
+		ks := key.Key(keyVars)
 		gr, ok := groups[ks]
 		if !ok {
 			gr = &grp{key: key}

@@ -26,13 +26,6 @@ const (
 	batchCap = 1024
 	// batchChanCap is the buffer size of inter-operator batch channels.
 	batchChanCap = 4
-	// morselSize is the number of rows a worker claims per steal when a
-	// join probe or grouping phase runs morsel-parallel.
-	morselSize = 256
-	// morselMinRows is the row count below which morsel phases stay
-	// sequential: spinning up workers for a near-empty batch costs more
-	// than it saves.
-	morselMinRows = 2 * morselSize
 )
 
 // Batch is one unit of vectorized execution: up to batchCap solution rows

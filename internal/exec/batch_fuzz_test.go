@@ -62,7 +62,6 @@ func FuzzBatchSelection(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		rig.env.Workers = 1 + int(opSel)%4
 		input := []*Batch{b}
 		rows := rig.flatten(input)
 		values := algebra.Values{Variables: schema, Rows: rows}

@@ -13,15 +13,9 @@ import (
 // Vectorized GROUP BY. Grouping is blocking either way (a group over a
 // still-growing source would be retractable), so the win here is what
 // happens after the drain: rows stay dictionary-encoded in a columnar
-// arena, group keys hash over TermIDs, and the per-partition aggregation
-// runs morsel-parallel — workers own disjoint hash partitions, so no group
-// is ever touched by two workers and same-input runs produce the same
-// groups regardless of worker count.
-
-// groupParts is the fixed partition count. It is independent of the worker
-// count on purpose: the row→partition mapping, and hence each partition's
-// group set, never changes when the pool is resized.
-const groupParts = 64
+// arena, group keys hash over TermIDs in one idTable pass, and only group
+// keys and aggregate results become terms. Groups come out in first-seen
+// order, as groupRows emits them.
 
 // vectorizableGroup reports whether a Group can run on the columnar path:
 // variable-only keys, no HAVING, and aggregates that are order-insensitive
@@ -47,8 +41,9 @@ func vectorizableGroup(g algebra.Group) bool {
 		switch call.Func {
 		case "COUNT", "SUM", "MIN", "MAX", "AVG":
 		default:
-			// SAMPLE and GROUP_CONCAT depend on encounter order, which the
-			// parallel path does not preserve.
+			// SAMPLE and GROUP_CONCAT depend on encounter order. Leaving
+			// them to groupRows, which Reference shares, keeps one
+			// implementation of that order.
 			return false
 		}
 		if call.Star {
@@ -67,20 +62,9 @@ func vectorizableGroup(g algebra.Group) bool {
 	return true
 }
 
-// hashIDKey mixes an idKey into a partition index.
-func hashIDKey(k idKey) uint64 {
-	h := k.packed*0x9E3779B97F4A7C15 + 0x85EBCA6B
-	h ^= h >> 33
-	for i := 0; i < len(k.rest); i++ {
-		h = h*1099511628211 ^ uint64(k.rest[i])
-	}
-	h ^= h >> 29
-	return h
-}
-
-// batchGroup drains the input into a columnar arena and aggregates it
-// partition-parallel; only group keys and aggregate results become terms,
-// encoded back into batches over the group's variables.
+// batchGroup drains the input into a columnar arena and aggregates it group
+// by group; only group keys and aggregate results become terms, encoded
+// back into batches over the group's variables.
 func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	in := EvalBatch(ctx, g.Input, env)
@@ -148,12 +132,11 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 			return
 		}
 
-		// The drained arena plus the per-row partition and group postings
-		// are retained until the groups are emitted; charge them now and
-		// release when the operator finishes. 12 bytes covers the partition
-		// byte, the partition posting and the group's row posting per row.
+		// The drained arena plus each row's group slot and its place in the
+		// group-ordered row list are retained until the groups are emitted;
+		// charge them now and release when the operator finishes.
 		if env.Ledger != nil && n > 0 {
-			arenaBytes := int64(n) * (int64(len(arenaVars))*termIDBytes + 12)
+			arenaBytes := int64(n) * (int64(len(arenaVars))*termIDBytes + 8)
 			if withProv {
 				arenaBytes += int64(n) * provRefBytes
 			}
@@ -161,160 +144,103 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 			defer env.Ledger.Release(resource.Exec, arenaBytes)
 		}
 
-		// Phase 2: partition every row by its key, morsel-parallel.
-		parts := make([]uint8, n)
-		keyOf := func(key []rdf.TermID, r int32) []rdf.TermID {
+		// Phase 2: number the groups in first-seen order with one idTable
+		// pass, then lay the rows out group by group (a stable counting
+		// sort): group g's rows are order[at[g]:at[g+1]], in input order.
+		var groups idTable
+		slot := make([]int32, n)
+		var first []int32 // each group's first row
+		key := make([]rdf.TermID, len(keyVars))
+		for r := range slot {
 			for k := range key {
 				key[k] = cols[k][r]
 			}
-			return key
-		}
-		runMorsels(env, n, func(_, lo, hi int) {
-			key := make([]rdf.TermID, len(keyVars))
-			for i := lo; i < hi; i++ {
-				parts[i] = uint8(hashIDKey(idKeyOf(keyOf(key, int32(i)))) % groupParts)
+			s, fresh := groups.slot(key)
+			if fresh {
+				first = append(first, int32(r))
 			}
-		})
-		byPart := make([][]int32, groupParts)
-		for i := 0; i < n; i++ {
-			byPart[parts[i]] = append(byPart[parts[i]], int32(i))
+			slot[r] = s
+		}
+		// An aggregate query without GROUP BY has one group even over an
+		// empty input (COUNT() = 0 etc.), as in groupRows.
+		if n == 0 && len(g.By) == 0 {
+			first = append(first, -1)
+		}
+		at := make([]int32, len(first)+1)
+		for _, s := range slot {
+			at[s+1]++
+		}
+		for gi := range first {
+			at[gi+1] += at[gi]
+		}
+		order := make([]int32, n)
+		fill := slices.Clone(at[:len(first)])
+		for r, s := range slot {
+			order[fill[s]] = int32(r)
+			fill[s]++
 		}
 
-		// Phase 3: aggregate, one worker per disjoint partition set. Each
-		// group becomes one ID row over outVars: key IDs copied from the
-		// arena, aggregate results interned.
-		type grp struct {
-			first int32
-			rows  []int32
-		}
-		type partResult struct {
-			groups []grp        // by slot in the partition's idTable: first-seen order
-			ids    []rdf.TermID // one row of len(outVars) IDs per group
-			prov   [][]rdf.TermID
-		}
-		results := make([]partResult, groupParts, groupParts+1)
-		aggregatePart := func(p int) {
-			rows := byPart[p]
-			if len(rows) == 0 {
-				return
+		// Phase 3: aggregate each group into one ID row over outVars — key
+		// IDs copied from the arena, aggregate results interned — and send
+		// the rows in batches.
+		row := make([]rdf.TermID, len(outVars))
+		var values []rdf.Term
+		var seen map[rdf.TermID]bool
+		var b *Batch
+		for gi, fr := range first {
+			rows := order[at[gi]:at[gi+1]]
+			clear(row)
+			for c, o := range keyOut {
+				row[o] = cols[c][fr]
 			}
-			pr := &results[p]
-			var slots idTable
-			key := make([]rdf.TermID, len(keyVars))
-			for _, r := range rows {
-				if s, fresh := slots.slot(keyOf(key, r)); fresh {
-					pr.groups = append(pr.groups, grp{first: r, rows: []int32{r}})
-				} else {
-					pr.groups[s].rows = append(pr.groups[s].rows, r)
+			var pv []rdf.TermID
+			if withProv {
+				// An aggregate row descends from every row of its group:
+				// its provenance is the union of theirs.
+				for _, r := range rows {
+					pv = append(pv, prov[r]...)
 				}
+				slices.Sort(pv)
+				pv = slices.Compact(pv)
 			}
-			var values []rdf.Term
-			var seen map[rdf.TermID]bool
-			for gi := range pr.groups {
-				gr := &pr.groups[gi]
-				row := len(pr.ids)
-				for range outVars {
-					pr.ids = append(pr.ids, rdf.NoTerm)
+			for ii, ai := range items {
+				if ai.call.Func == "COUNT" {
+					row[itemOut[ii]] = env.dict.Intern(countAgg(ai, cols, rows, &seen))
+					continue
 				}
-				ids := pr.ids[row:]
-				for c, o := range keyOut {
-					ids[o] = cols[c][gr.first]
-				}
-				if withProv {
-					// An aggregate row descends from every row of its
-					// group: its provenance is the union of theirs.
-					var srcs []rdf.TermID
-					for _, r := range gr.rows {
-						srcs = append(srcs, prov[r]...)
+				values = values[:0]
+				if ai.call.Distinct {
+					if seen == nil {
+						seen = map[rdf.TermID]bool{}
+					} else {
+						clear(seen)
 					}
-					slices.Sort(srcs)
-					pr.prov = append(pr.prov, slices.Compact(srcs))
 				}
-				for ii, ai := range items {
-					if ai.call.Func == "COUNT" {
-						ids[itemOut[ii]] = env.dict.Intern(countAgg(ai, cols, gr.rows, &seen))
+				for _, r := range rows {
+					id := cols[ai.col][r]
+					if id == rdf.NoTerm {
 						continue
 					}
-					values = values[:0]
 					if ai.call.Distinct {
-						if seen == nil {
-							seen = map[rdf.TermID]bool{}
-						} else {
-							clear(seen)
-						}
-					}
-					for _, r := range gr.rows {
-						id := cols[ai.col][r]
-						if id == rdf.NoTerm {
+						if seen[id] {
 							continue
 						}
-						if ai.call.Distinct {
-							if seen[id] {
-								continue
-							}
-							seen[id] = true
-						}
-						values = append(values, env.dict.Decode(id))
+						seen[id] = true
 					}
-					if v, err := aggCompute(ai.call, values); err == nil {
-						ids[itemOut[ii]] = env.dict.Intern(v)
-					}
+					values = append(values, env.dict.Decode(id))
+				}
+				if v, err := aggCompute(ai.call, values); err == nil {
+					row[itemOut[ii]] = env.dict.Intern(v)
 				}
 			}
-		}
-		workers := env.workerCount()
-		if workers > groupParts {
-			workers = groupParts
-		}
-		if n < morselMinRows {
-			workers = 1
-		}
-		if workers <= 1 {
-			for p := 0; p < groupParts; p++ {
-				aggregatePart(p)
+			if b == nil {
+				b = env.getBatch(outVars, withProv)
 			}
-		} else {
-			done := make(chan struct{})
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer func() { done <- struct{}{} }()
-					for p := w; p < groupParts; p += workers {
-						aggregatePart(p)
-					}
-				}(w)
-			}
-			for w := 0; w < workers; w++ {
-				<-done
-			}
-		}
-
-		// Implicit single group for aggregate queries without GROUP BY over
-		// an empty input (COUNT() = 0 etc.), as in groupRows.
-		if n == 0 && len(g.By) == 0 {
-			ids := make([]rdf.TermID, len(outVars))
-			for ii, ai := range items {
-				if v, err := aggCompute(ai.call, nil); err == nil {
-					ids[itemOut[ii]] = env.dict.Intern(v)
+			if b.appendRow(row, pv); b.n == batchCap {
+				if !sendBatch(ctx, out, b) {
+					return
 				}
-			}
-			results = append(results, partResult{groups: make([]grp, 1), ids: ids, prov: make([][]rdf.TermID, 1)})
-		}
-		var b *Batch
-		for _, pr := range results {
-			for i := range pr.groups {
-				if b == nil {
-					b = env.getBatch(outVars, withProv)
-				}
-				var pv []rdf.TermID
-				if withProv {
-					pv = pr.prov[i]
-				}
-				if b.appendRow(pr.ids[i*len(outVars):], pv); b.n == batchCap {
-					if !sendBatch(ctx, out, b) {
-						return
-					}
-					b = nil
-				}
+				b = nil
 			}
 		}
 		if b != nil {

@@ -4,21 +4,18 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"ltqp/internal/rdf"
 	"ltqp/internal/resource"
 	"ltqp/internal/sparql"
 )
 
-// Vectorized symmetric hash join. A sequential coordinator alternates
-// between the two input batch streams; each arriving batch is first
-// inserted into its side's columnar arena, then probed against the other
-// side's arena — insert-before-probe per batch gives exactly-once pair
-// emission. The probe phase is morsel-driven: workers steal fixed-size row
-// ranges of the just-inserted batch and probe concurrently, which is safe
-// because both arenas are read-only between coordinator steps. OPTIONAL is
-// the same join with a filter on each pair and a matched flag per left row.
+// Vectorized symmetric hash join. One goroutine alternates between the two
+// input batch streams; each arriving batch is first inserted into its
+// side's columnar arena, then probed against the other side's arena —
+// insert-before-probe per batch gives exactly-once pair emission. That
+// goroutine owns both arenas, so neither needs a lock. OPTIONAL is the same
+// join with a filter on each pair and a matched flag per left row.
 
 // joinArena is one side's accumulated rows, stored column-wise over the
 // join's output schema (absent variables are NoTerm).
@@ -36,18 +33,7 @@ type joinArena struct {
 	partial []int32
 	keys    idTable      // the join's key slots, on the left arena only
 	ids     []rdf.TermID // insertBatch's shared-key scratch
-	// matched flags the rows that joined, for OPTIONAL's left arena only:
-	// probes of either side set it atomically.
-	matched []uint32
-}
-
-// joinWorker is one probe worker's state: the output batch under
-// construction, a scratch row over the output schema, and the reader that
-// evaluates OPTIONAL's filters (nil without filters).
-type joinWorker struct {
-	b   *Batch
-	ids []rdf.TermID
-	rr  *rowReader
+	matched []bool       // the rows that joined, for OPTIONAL's left arena only
 }
 
 // chain is the first and last row of one exact-key bucket.
@@ -72,8 +58,7 @@ func getJoinArena(width int, withProv bool) *joinArena {
 	return a
 }
 
-// putJoinArena empties a and returns it to the pool. No probe may still
-// read it: runMorsels returns only after its workers finish.
+// putJoinArena empties a and returns it to the pool.
 func putJoinArena(a *joinArena) {
 	if len(a.next) > maxPooledArenaRows || a.keys.n > maxPooledArenaRows {
 		return
@@ -171,42 +156,35 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 		var arenaBytes int64
 		defer func() { env.Ledger.Release(resource.Exec, arenaBytes) }()
 
-		// Per-worker probe state: an output batch under construction, a
-		// scratch row and a filter reader. Workers send full batches
-		// themselves; leftovers are flushed by the coordinator.
-		ws := make([]joinWorker, env.workerCount())
-		defer func() {
-			for _, jw := range ws {
-				putBatch(jw.b)
-			}
-		}()
-		for w := range ws {
-			ws[w].ids = make([]rdf.TermID, len(outVars))
-			if filters != nil {
-				ws[w].rr = newRowReader(filters...)
-				ws[w].rr.bind(outVars)
-			}
+		// The output batch under construction, a scratch row over the
+		// output schema, and the reader that evaluates OPTIONAL's filters
+		// (nil without filters).
+		var ob *Batch
+		ids := make([]rdf.TermID, len(outVars))
+		var rr *rowReader
+		if filters != nil {
+			rr = newRowReader(filters...)
+			rr.bind(outVars)
 		}
-		var aborted atomic.Bool
-		emit := func(jw *joinWorker, prov []rdf.TermID) {
-			if jw.b == nil {
-				jw.b = env.getBatch(outVars, withProv)
+		aborted := false
+		emit := func(prov []rdf.TermID) {
+			if ob == nil {
+				ob = env.getBatch(outVars, withProv)
 			}
-			if jw.b.appendRow(jw.ids, prov); jw.b.n >= batchCap {
-				b := jw.b
-				jw.b = nil
+			if ob.appendRow(ids, prov); ob.n >= batchCap {
+				b := ob
+				ob = nil
 				if !sendBatch(ctx, out, b) {
-					aborted.Store(true)
+					aborted = true
 				}
 			}
 		}
 
-		// tryPair merges arena rows (mr of mine, or of other) into worker
-		// w's output batch; incompatible rows (both bind a variable to
+		// tryPair merges arena rows (mr of mine, or of other) into the
+		// output batch; incompatible rows (both bind a variable to
 		// different terms) and pairs failing the filters emit nothing.
-		tryPair := func(w int, mine, other *joinArena, mr, or int32) {
-			jw := &ws[w]
-			for c := range jw.ids {
+		tryPair := func(mine, other *joinArena, mr, or int32) {
+			for c := range ids {
 				v := mine.cols[c][mr]
 				if ov := other.cols[c][or]; ov != rdf.NoTerm {
 					if v == rdf.NoTerm {
@@ -215,9 +193,9 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 						return
 					}
 				}
-				jw.ids[c] = v
+				ids[c] = v
 			}
-			if jw.rr != nil && !holds(env, jw.rr.rowOf(env, jw.ids), filters...) {
+			if rr != nil && !holds(env, rr.rowOf(env, ids), filters...) {
 				return
 			}
 			if outer {
@@ -225,7 +203,7 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 				if mine != la {
 					lr = or
 				}
-				atomic.StoreUint32(&la.matched[lr], 1)
+				la.matched[lr] = true
 			}
 			var prov []rdf.TermID
 			if withProv {
@@ -233,12 +211,12 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 				prov = make([]rdf.TermID, 0, len(mp)+len(op))
 				prov = append(append(prov, mp...), op...)
 			}
-			emit(jw, prov)
+			emit(prov)
 		}
 
 		var slots []int32
-		// processBatch inserts b into mine, then probes other over the
-		// inserted rows, morsel-parallel.
+		// processBatch inserts b into mine, then probes other with each
+		// inserted row.
 		processBatch := func(b *Batch, mine, other *joinArena) {
 			cmap := schemaMap(b.vars, outVars)
 			var first int32
@@ -254,51 +232,39 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 				env.Ledger.Charge(resource.Exec, delta)
 				arenaBytes += delta
 			}
-			runMorsels(env, len(slots), func(w, lo, hi int) {
-				for k := lo; k < hi && !aborted.Load(); k++ {
-					mr := first + int32(k)
-					if s := slots[k]; s >= 0 {
-						if int(s) < len(other.chains) {
-							for or := other.chains[s].head; or >= 0; or = other.next[or] {
-								tryPair(w, mine, other, mr, or)
-							}
-						}
-						for _, or := range other.partial {
-							tryPair(w, mine, other, mr, or)
-						}
-					} else {
-						for or := int32(0); or < other.n; or++ {
-							tryPair(w, mine, other, mr, or)
+			for k := 0; k < len(slots) && !aborted; k++ {
+				mr := first + int32(k)
+				if s := slots[k]; s >= 0 {
+					if int(s) < len(other.chains) {
+						for or := other.chains[s].head; or >= 0; or = other.next[or] {
+							tryPair(mine, other, mr, or)
 						}
 					}
-				}
-			})
-		}
-
-		// flush forwards every worker's partial output batch. Called by
-		// the coordinator between batches (keeping the pipeline
-		// incremental: results never wait for a batch to fill across
-		// input batches) and at stream end.
-		flush := func() bool {
-			for w := range ws {
-				b := ws[w].b
-				if b == nil {
-					continue
-				}
-				ws[w].b = nil
-				if b.Len() == 0 {
-					putBatch(b)
-					continue
-				}
-				if !sendBatch(ctx, out, b) {
-					return false
+					for _, or := range other.partial {
+						tryPair(mine, other, mr, or)
+					}
+				} else {
+					for or := int32(0); or < other.n; or++ {
+						tryPair(mine, other, mr, or)
+					}
 				}
 			}
-			return true
+		}
+
+		// flush forwards the partial output batch. Called between input
+		// batches (keeping the pipeline incremental: results never wait for
+		// a batch to fill across input batches) and at stream end.
+		flush := func() bool {
+			if ob == nil {
+				return true
+			}
+			b := ob
+			ob = nil
+			return sendBatch(ctx, out, b)
 		}
 
 		l, r := left, right
-		for (l != nil || r != nil) && !aborted.Load() {
+		for (l != nil || r != nil) && !aborted {
 			select {
 			case b, ok := <-l:
 				if !ok {
@@ -319,20 +285,19 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 				return
 			}
 		}
-		if outer && !aborted.Load() && ctx.Err() == nil {
-			jw := &ws[0]
-			for r := int32(0); r < la.n && !aborted.Load(); r++ {
-				if la.matched[r] != 0 {
+		if outer && !aborted && ctx.Err() == nil {
+			for r := int32(0); r < la.n && !aborted; r++ {
+				if la.matched[r] {
 					continue
 				}
-				for c := range jw.ids {
-					jw.ids[c] = la.cols[c][r]
+				for c := range ids {
+					ids[c] = la.cols[c][r]
 				}
 				var prov []rdf.TermID
 				if withProv {
 					prov = la.prov[r]
 				}
-				emit(jw, prov)
+				emit(prov)
 			}
 		}
 		flush()

@@ -134,7 +134,6 @@ func TestConcurrentJoinsShareArenaPool(t *testing.T) {
 			}
 			s.Close()
 			env := NewEnv(s)
-			env.Workers = 4
 			env.Ledger = resource.New(int64(j), "", 0)
 			prefix := fmt.Sprintf("j%d ", j)
 			n := 0

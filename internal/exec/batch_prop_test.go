@@ -20,12 +20,11 @@ import (
 // semantics: for randomly generated batches with random selection vectors
 // (nil, ordered-sparse, out-of-order, reversed, empty, single-row), each
 // batch operator must produce the same solution multiset as Reference run
-// over the flattened input — across worker counts, so morsel scheduling can
-// never change results.
+// over the flattened input.
 
 type propRig struct {
 	r    *rand.Rand
-	env  *Env // Workers swept per run; Reference ignores them
+	env  *Env
 	pool []rdf.TermID
 }
 
@@ -165,22 +164,23 @@ func collect(in Stream) []rdf.Binding {
 }
 
 // checkOp runs the vectorized operator (given a fresh input stream factory)
-// across worker counts and requires each run to equal the reference
-// multiset.
-func checkOp(t *testing.T, rig *propRig, workers []int, name string, allVars []string, want []string,
+// and requires its solution multiset to equal the reference's.
+func checkOp(t *testing.T, rig *propRig, name string, allVars []string, want []string,
 	vectorized func() BatchStream) {
 	t.Helper()
-	for _, w := range workers {
-		rig.env.Workers = w
-		got := canon(allVars, collect(batchesToRows(context.Background(), rig.env, vectorized())))
-		if len(got) != len(want) {
-			t.Fatalf("%s workers=%d: %d solutions, reference %d\ngot:  %v\nwant: %v",
-				name, w, len(got), len(want), sample(got), sample(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s workers=%d: solution %d differs\ngot:  %s\nwant: %s", name, w, i, got[i], want[i])
-			}
+	checkRows(t, name, want, canon(allVars, collect(batchesToRows(context.Background(), rig.env, vectorized()))))
+}
+
+// checkRows requires two rendered solution lists to be equal.
+func checkRows(t *testing.T, name string, want, got []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d solutions, reference %d\ngot:  %v\nwant: %v",
+			name, len(got), len(want), sample(got), sample(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: solution %d differs\ngot:  %s\nwant: %s", name, i, got[i], want[i])
 		}
 	}
 }
@@ -218,7 +218,7 @@ func (p *propRig) randExprOver(vars []string) sparql.Expression {
 
 // testBatchOpsOnce drives one random instance of every vectorized operator
 // against the reference semantics, with batch sizes in [lo, hi].
-func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers []int) {
+func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int) {
 	rig := newPropRig(seed)
 	ctx := context.Background()
 
@@ -241,7 +241,7 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 	// FILTER.
 	fexpr := rig.randExprOver(schemaL)
 	want := canon(schemaL, Reference(algebra.Filter{Input: valuesL, Expr: fexpr}, rig.env))
-	checkOp(t, rig, workers, "filter", schemaL, want, func() BatchStream {
+	checkOp(t, rig, "filter", schemaL, want, func() BatchStream {
 		return batchFilter(ctx, rig.env, fexpr, streamOf(left))
 	})
 
@@ -249,24 +249,24 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 	bexpr := rig.randExprOver(schemaL)
 	extVars := append(append([]string{}, schemaL...), "z")
 	want = canon(extVars, Reference(algebra.Extend{Input: valuesL, Var: "z", Expr: bexpr}, rig.env))
-	checkOp(t, rig, workers, "bind-fresh", extVars, want, func() BatchStream {
+	checkOp(t, rig, "bind-fresh", extVars, want, func() BatchStream {
 		return batchExtend(ctx, rig.env, "z", bexpr, streamOf(left))
 	})
 	want = canon(schemaL, Reference(algebra.Extend{Input: valuesL, Var: "c", Expr: bexpr}, rig.env))
-	checkOp(t, rig, workers, "bind-existing", schemaL, want, func() BatchStream {
+	checkOp(t, rig, "bind-existing", schemaL, want, func() BatchStream {
 		return batchExtend(ctx, rig.env, "c", bexpr, streamOf(left))
 	})
 
 	// DISTINCT.
 	want = canon(schemaL, Reference(algebra.Distinct{Input: valuesL}, rig.env))
-	checkOp(t, rig, workers, "distinct", schemaL, want, func() BatchStream {
+	checkOp(t, rig, "distinct", schemaL, want, func() BatchStream {
 		return batchDedup(ctx, rig.env, schemaL, true, streamOf(left))
 	})
 
 	// UNION of the two schemas.
 	unionVars := algebra.Union{Left: valuesL, Right: valuesR}.Vars()
 	want = canon(unionVars, Reference(algebra.Union{Left: valuesL, Right: valuesR}, rig.env))
-	checkOp(t, rig, workers, "union", unionVars, want, func() BatchStream {
+	checkOp(t, rig, "union", unionVars, want, func() BatchStream {
 		return batchUnion(ctx, streamOf(left), streamOf(right))
 	})
 
@@ -276,17 +276,37 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 	outVars := join.Vars()
 	shared := algebra.SharedVars(valuesL, valuesR)
 	want = canon(outVars, Reference(join, rig.env))
-	checkOp(t, rig, workers, "join", outVars, want, func() BatchStream {
+	checkOp(t, rig, "join", outVars, want, func() BatchStream {
 		return batchJoin(ctx, rig.env, outVars, shared, nil, false, streamOf(left), streamOf(right))
 	})
 
 	// OPTIONAL with a filter over the merged row: matched flags are set by
-	// probes from both sides, morsel-parallel.
+	// probes from both sides.
 	lj := algebra.LeftJoin{Left: valuesL, Right: valuesR, Filters: []sparql.Expression{rig.randExprOver(outVars)}}
 	want = canon(outVars, Reference(lj, rig.env))
-	checkOp(t, rig, workers, "leftjoin", outVars, want, func() BatchStream {
+	checkOp(t, rig, "leftjoin", outVars, want, func() BatchStream {
 		return batchJoin(ctx, rig.env, outVars, shared, lj.Filters, true, streamOf(left), streamOf(right))
 	})
+
+	// GROUP BY on the columnar path: groups come out in first-seen order,
+	// as groupRows emits them, so the two agree as a sequence.
+	arg := func(v string) []sparql.Expression { return []sparql.Expression{sparql.ExprVar{Name: v}} }
+	by := [][]sparql.GroupCondition{nil, {{Var: "a"}}, {{Var: "a"}, {Var: "b"}}, {{Var: "a"}, {Var: "b"}, {Var: "c"}}}
+	group := algebra.Group{Input: valuesL, By: by[rig.r.Intn(len(by))], Items: []sparql.SelectItem{
+		{Var: "n", Expr: sparql.ExprCall{Func: "COUNT", Star: true}},
+		{Var: "nb", Expr: sparql.ExprCall{Func: "COUNT", Distinct: true, Args: arg("b")}},
+		{Var: "lo", Expr: sparql.ExprCall{Func: "MIN", Args: arg("c")}},
+		{Var: "sum", Expr: sparql.ExprCall{Func: "SUM", Args: arg("c")}},
+	}}
+	for _, c := range group.By {
+		group.Items = append(group.Items, sparql.SelectItem{Var: c.Var})
+	}
+	if !vectorizableGroup(group) {
+		t.Fatal("group: not on the columnar path")
+	}
+	groupVars := group.Vars()
+	checkRows(t, "group", render(groupVars, groupRows(rig.env, group, leftRows)),
+		render(groupVars, collect(batchesToRows(ctx, rig.env, batchGroup(ctx, group, rig.env)))))
 
 	for _, b := range append(left, right...) {
 		putBatch(b)
@@ -298,21 +318,20 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int, workers 
 func TestBatchOpsMatchRowSemantics(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			testBatchOpsOnce(t, seed, 0, 40, 3, []int{1, 2, 3, 8})
+			testBatchOpsOnce(t, seed, 0, 40, 3)
 		})
 	}
 }
 
-// TestBatchOpsMatchRowSemanticsLargeBatches uses batches above
-// morselMinRows so join probes actually run morsel-parallel — worker
-// scheduling must still never change the multiset.
+// TestBatchOpsMatchRowSemanticsLargeBatches uses batches of several hundred
+// rows, so every join probe walks long chains and partial-row lists.
 func TestBatchOpsMatchRowSemanticsLargeBatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-batch property sweep")
 	}
 	for seed := int64(100); seed < 102; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			testBatchOpsOnce(t, seed, morselMinRows, morselMinRows+128, 1, []int{1, 8})
+			testBatchOpsOnce(t, seed, 512, 640, 1)
 		})
 	}
 }

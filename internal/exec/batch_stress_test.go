@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ltqp/internal/algebra"
@@ -13,9 +14,9 @@ import (
 	"ltqp/internal/store"
 )
 
-// Stress suite for the vectorized pipeline, meant to run under -race: the
-// morsel workers, the store's batch iterator, and traversal's concurrent
-// AddDocument all interleave here.
+// Stress suite for the vectorized pipeline, meant to run under -race and
+// `-cpu 1,4`: the operator goroutines, the store's batch iterator, and
+// traversal's concurrent AddDocument all interleave here.
 
 func stressPlan(t *testing.T, query string) algebra.Operator {
 	t.Helper()
@@ -44,7 +45,6 @@ func TestConcurrentAddDocumentAndQuery(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		s := store.New()
 		env := NewEnv(s)
-		env.Workers = 4
 		ctx := context.Background()
 
 		type row struct{ s, o, w string }
@@ -90,7 +90,7 @@ func TestConcurrentAddDocumentAndQuery(t *testing.T) {
 }
 
 // stressStore builds a deterministic store with enough rows that join
-// probes and grouping run morsel-parallel.
+// probes and grouping span many batches.
 func stressStore() *store.Store {
 	r := rand.New(rand.NewSource(7))
 	s := store.New()
@@ -109,11 +109,11 @@ func stressStore() *store.Store {
 	return s
 }
 
-// TestResultsDeterministicAcrossWorkerCounts pins the acceptance criterion
-// that morsel scheduling never leaks into results: the same query over the
-// same store yields the same solution multiset for every worker-pool size,
-// including the GOMAXPROCS default (so `go test -cpu 1,4,8` sweeps it too).
+// TestResultsDeterministicAcrossWorkerCounts pins that goroutine scheduling
+// never leaks into results: the same query over the same store yields the
+// same solution multiset at every GOMAXPROCS.
 func TestResultsDeterministicAcrossWorkerCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	s := stressStore()
 	queries := []string{
 		`SELECT ?m ?c ?id WHERE {
@@ -137,9 +137,9 @@ func TestResultsDeterministicAcrossWorkerCounts(t *testing.T) {
 		op := stressPlan(t, query)
 		vars := op.Vars()
 		var base []string
-		for _, workers := range []int{1, 0, 2, 4, 8} {
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
 			env := NewEnv(s)
-			env.Workers = workers
 			got := canon(vars, collect(Eval(ctx, op, env)))
 			if len(got) == 0 {
 				t.Fatalf("query %d produced no rows; store shape regressed", qi)
@@ -149,12 +149,12 @@ func TestResultsDeterministicAcrossWorkerCounts(t *testing.T) {
 				continue
 			}
 			if len(got) != len(base) {
-				t.Fatalf("query %d workers=%d: %d rows vs %d at workers=1", qi, workers, len(got), len(base))
+				t.Fatalf("query %d GOMAXPROCS=%d: %d rows vs %d at GOMAXPROCS=1", qi, procs, len(got), len(base))
 			}
 			for i := range got {
 				if got[i] != base[i] {
-					t.Fatalf("query %d workers=%d: row %d differs\ngot:  %s\nwant: %s",
-						qi, workers, i, got[i], base[i])
+					t.Fatalf("query %d GOMAXPROCS=%d: row %d differs\ngot:  %s\nwant: %s",
+						qi, procs, i, got[i], base[i])
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 // Package exec implements the physical, pipelined execution of logical
 // plans over the growing triple source. EvalBatch is the one dispatcher:
-// every operator is a goroutine exchanging batches of dictionary term IDs
-// over channels, and Eval decodes the root's batches into bindings.
+// every operator is one goroutine, owning its state, exchanging batches of
+// dictionary term IDs over channels, and Eval decodes the root's batches
+// into bindings. No operator splits its work across further goroutines.
 // Monotonic operators (pattern scans, symmetric hash joins and OPTIONAL's
 // matches, unions, filters, binds, projections, distinct, LIMIT) emit
 // solutions incrementally while traversal is still dereferencing documents,
@@ -49,9 +50,6 @@ type Env struct {
 	// stream while a subscriber is attached. Nil or audience-less events
 	// cost one atomic load per operator, nothing per solution.
 	Events *obs.Emitter
-	// Workers is the morsel worker-pool size for parallel join probes and
-	// grouping; 0 means GOMAXPROCS.
-	Workers int
 	// Ledger, when non-nil, is charged (under resource.Exec) for the
 	// memory execution retains: batch slab capacity in flight, join and
 	// grouping arenas, and rows buffered by blocking operators. Nil

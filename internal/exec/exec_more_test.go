@@ -370,3 +370,28 @@ SELECT ?g WHERE { GRAPH ?g { ?s ex:p ?v . ?s ex:q ?w } }`)
 		t.Errorf("cross-document join inside one GRAPH should be empty: %v", got)
 	}
 }
+
+// TestGroupKeysKeepUnboundPositions pins that an unbound key position does
+// not shift the others: (UNDEF, x) and (x, UNDEF) are two groups, on the
+// columnar path and on groupRows (forced by HAVING) alike.
+func TestGroupKeysKeepUnboundPositions(t *testing.T) {
+	for _, having := range []string{"", "HAVING (COUNT(*) > 0)"} {
+		got := runQuery(t, `@prefix ex: <http://example.org/> . ex:a ex:p ex:b .`, `
+PREFIX ex: <http://example.org/>
+SELECT ?a ?b (COUNT(*) AS ?n) WHERE {
+  VALUES (?a ?b) { (UNDEF ex:x) (ex:x UNDEF) (ex:x UNDEF) }
+} GROUP BY ?a ?b `+having)
+		if len(got) != 2 {
+			t.Fatalf("%q: %d groups, want 2: %v", having, len(got), got)
+		}
+		for _, b := range got {
+			want := "1"
+			if _, ok := b["a"]; ok {
+				want = "2"
+			}
+			if b["n"].Value != want {
+				t.Errorf("%q: group %v counts %s rows, want %s", having, b, b["n"].Value, want)
+			}
+		}
+	}
+}

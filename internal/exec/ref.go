@@ -11,7 +11,7 @@ import (
 
 // Reference evaluates op over the store's current contents and returns all
 // its solutions, materialising each operator's result before its parent
-// runs: no streaming, gating, morsels, tracing or ledger. Over a closed
+// runs: no streaming, gating, tracing or ledger. Over a closed
 // store that is the plain SPARQL semantics the pipeline must reproduce, so
 // the differential oracle and the property tests run it, and EXISTS probes
 // it once the store has closed. The blocking operators (MINUS, ORDER BY,

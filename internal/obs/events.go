@@ -36,7 +36,8 @@ const (
 	// EventMorselProcessed records one batch forwarded by a vectorized
 	// operator stage: Stage names the operator, Rows the batch's live row
 	// count, Row the batch ordinal within the stage. Only emitted while a
-	// subscriber is attached. (Additive to schema 1.)
+	// subscriber is attached. (Additive to schema 1; the name outlived the
+	// executor's morsel pool and is kept for the journal schema.)
 	EventMorselProcessed EventKind = "morsel_processed"
 	// EventDocumentDereferenced records one completed dereference — URL,
 	// status, triple/byte counts and wall time on success, Err on failure.

@@ -80,14 +80,6 @@ func New() *Server {
 	return &Server{docs: map[string]servedDoc{}, modTime: time.Now().UTC().Truncate(time.Second)}
 }
 
-// SetModTime sets the Last-Modified stamp applied to subsequently
-// registered (or rebased) documents — tests use it to step document age.
-func (s *Server) SetModTime(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.modTime = t.UTC().Truncate(time.Second)
-}
-
 // AddPod materializes the pod (containers included) and registers all its
 // documents.
 func (s *Server) AddPod(p *solid.Pod) {

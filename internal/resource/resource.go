@@ -21,7 +21,6 @@
 package resource
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -426,25 +425,4 @@ func (t *TenantLedger) MaxPeak() int64 {
 		}
 	}
 	return max
-}
-
-// ---------------------------------------------------------------------------
-// Context plumbing
-
-type ctxKey struct{}
-
-// ContextWith attaches a ledger to a context, so layers reached only
-// through ctx (rather than explicit wiring) can still charge.
-func ContextWith(ctx context.Context, l *Ledger) context.Context {
-	if l == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, l)
-}
-
-// FromContext returns the ledger attached to ctx, or nil (a valid no-op
-// ledger) when none is.
-func FromContext(ctx context.Context) *Ledger {
-	l, _ := ctx.Value(ctxKey{}).(*Ledger)
-	return l
 }

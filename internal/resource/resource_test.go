@@ -1,7 +1,6 @@
 package resource
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -241,13 +240,9 @@ func TestTenantLedger(t *testing.T) {
 // just a benchmark: the nil-ledger hot path performs zero allocations.
 func TestLedgerOffZeroAllocs(t *testing.T) {
 	var l *Ledger
-	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		l.Charge(Exec, 4096)
 		l.Release(Exec, 4096)
-		if FromContext(ctx) != nil {
-			t.Error("ledger on bare context")
-		}
 	})
 	if allocs != 0 {
 		t.Errorf("nil-ledger hot path allocates %.1f allocs/op, want 0", allocs)
@@ -270,17 +265,15 @@ func TestFormatBytes(t *testing.T) {
 }
 
 // BenchmarkLedgerOff measures the no-ledger hot path: a nil receiver
-// charge/release pair plus a context lookup. Must report 0 allocs/op —
+// charge/release pair. Must report 0 allocs/op —
 // this is the zero-overhead-when-off guarantee the engine relies on.
 func BenchmarkLedgerOff(b *testing.B) {
 	var l *Ledger
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Charge(Exec, 4096)
 		l.Release(Exec, 4096)
-		_ = FromContext(ctx)
 	}
 }
 

@@ -66,12 +66,6 @@ var parserPool = sync.Pool{New: func() any {
 	return &parser{prefixes: map[string]string{}, names: map[string]string{}, scratch: make([]byte, 0, 4<<10)}
 }}
 
-// ParseString parses with an empty configuration; relative IRIs are kept
-// as-is. It is a convenience for tests and embedded documents.
-func ParseString(input string) ([]rdf.Triple, error) {
-	return Parse(input, Options{})
-}
-
 // parser is a recursive-descent Turtle parser over an input string: one
 // scanner, which cuts terms out of the input as substrings (a builder only
 // runs once an escape is met), and two sinks behind emit.
