@@ -612,7 +612,9 @@ func (t *traversal) visit(l linkqueue.Link) {
 				URL: l.URL, Via: l.Via, Depth: l.Depth, Err: err.Error(),
 				DurationUS: time.Since(fetchStart).Microseconds()})
 		}
-		dspan.SetAttr(obs.Str("error", err.Error()))
+		if dspan != nil {
+			dspan.SetAttr(obs.Str("error", err.Error()))
+		}
 		// An oversized or slow-loris body is a contained defense trip, not a
 		// generic fetch failure: lenient traversals go on without it.
 		switch origin := linkqueue.Origin(l.URL); {

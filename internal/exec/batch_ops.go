@@ -20,11 +20,11 @@ func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
 	case algebra.Values:
 		return batchMaterialize(ctx, env, x.Variables, false, func([][]rdf.Binding) []rdf.Binding { return x.Rows })
 	case algebra.Pattern:
-		return tracedBatch(ctx, env, "scan", opAttrs(algebra.String(x)), func(ctx context.Context) BatchStream {
+		return tracedBatch(ctx, env, "scan", func() string { return algebra.String(x) }, func(ctx context.Context) BatchStream {
 			return batchScan(ctx, x, env)
 		})
 	case algebra.PathPattern:
-		return tracedBatch(ctx, env, "path", opAttrs(algebra.String(x)), func(ctx context.Context) BatchStream {
+		return tracedBatch(ctx, env, "path", func() string { return algebra.String(x) }, func(ctx context.Context) BatchStream {
 			return batchMaterialize(ctx, env, x.Vars(), true, func([][]rdf.Binding) []rdf.Binding {
 				return evalPathSnapshot(env, x)
 			})

@@ -12,18 +12,28 @@ import (
 // stage_finished event pair carrying the live row count plus one
 // morsel_processed event per forwarded batch (Rows = live rows of that
 // batch) — so traced executions record per-operator timings and row counts
-// (the join/iterator stages of a query's span tree). With no trace on the
-// context and no event subscriber this is a context lookup plus one atomic
-// load: the inner stream is returned untouched, so unobserved queries pay
-// nothing per batch.
-func tracedBatch(ctx0 context.Context, env *Env, name string, attrs []obs.Attr, inner func(context.Context) BatchStream) BatchStream {
+// (the join/iterator stages of a query's span tree). describe, when not
+// nil, renders the operator for the span's "op" attribute and the events'
+// Detail. With no trace on the context and no event subscriber this is a
+// context lookup plus one atomic load: describe never runs and the inner
+// stream is returned untouched, so unobserved queries pay nothing per
+// batch.
+func tracedBatch(ctx0 context.Context, env *Env, name string, describe func() string, inner func(context.Context) BatchStream) BatchStream {
+	ev := env.Events
+	if obs.SpanFromContext(ctx0) == nil && !ev.Active() {
+		return inner(ctx0)
+	}
+	var attrs []obs.Attr
+	detail := ""
+	if describe != nil {
+		if detail = describe(); len(detail) > 80 {
+			detail = detail[:77] + "..."
+		}
+		attrs = []obs.Attr{obs.Str("op", detail)}
+	}
 	ctx, sp := obs.StartSpan(ctx0, name, attrs...)
 	s := inner(ctx)
-	ev := env.Events
-	if sp == nil && !ev.Active() {
-		return s
-	}
-	ev.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name, Detail: attrDetail(attrs)})
+	ev.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name, Detail: detail})
 	start := time.Now()
 	out := make(chan *Batch, batchChanCap)
 	go func() {
@@ -42,26 +52,7 @@ func tracedBatch(ctx0 context.Context, env *Env, name string, attrs []obs.Attr, 
 		sp.SetAttr(obs.Int("rows", rows))
 		sp.End()
 		ev.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: name, Rows: rows,
-			DurationUS: time.Since(start).Microseconds(), Detail: attrDetail(attrs)})
+			DurationUS: time.Since(start).Microseconds(), Detail: detail})
 	}()
 	return out
-}
-
-// attrDetail pulls the operator description out of span attributes for
-// event annotation.
-func attrDetail(attrs []obs.Attr) string {
-	for _, a := range attrs {
-		if a.Key == "op" {
-			return a.Value
-		}
-	}
-	return ""
-}
-
-// opAttrs abbreviates an operator description for span annotation.
-func opAttrs(desc string) []obs.Attr {
-	if len(desc) > 80 {
-		desc = desc[:77] + "..."
-	}
-	return []obs.Attr{obs.Str("op", desc)}
 }

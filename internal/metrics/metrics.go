@@ -233,25 +233,36 @@ type Stats struct {
 
 // Stats aggregates the recorded events.
 func (r *Recorder) Stats() Stats {
-	reqs := r.Requests()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	reqs := r.requests
 	s := Stats{Requests: len(reqs)}
 	if len(reqs) == 0 {
 		return s
 	}
+	// The log in start order, as a permutation of its indices. The sort
+	// makes the comparisons Requests' sort of a copy makes, so requests that
+	// start at the same instant come out in the same order.
+	order := make([]int32, len(reqs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return reqs[a].Start.Compare(reqs[b].Start) })
 	// Per document: its depth in the fetch tree and whether any request for
-	// it succeeded. reqs is in start order, so a parent precedes its children.
+	// it succeeded. In start order a parent precedes its children.
 	type doc struct {
 		depth int
 		ok    bool
 	}
 	docs := make(map[string]doc, len(reqs))
 	hosts := map[string]struct{}{}
-	// Max parallelism is a sweep over starts (reqs, in order) and ends, as
-	// offsets from the first start.
-	epoch := reqs[0].Start
+	// Max parallelism is a sweep over starts (in order) and ends, as offsets
+	// from the first start.
+	epoch := reqs[order[0]].Start
 	ends := make([]time.Duration, len(reqs))
-	maxEnd := reqs[0].End
-	for i, q := range reqs {
+	maxEnd := reqs[order[0]].End
+	for i, j := range order {
+		q := &reqs[j]
 		d := docs[q.URL]
 		d.depth = 0
 		if q.Parent != "" {
@@ -292,8 +303,8 @@ func (r *Recorder) Stats() Stats {
 	// (nor, with zero duration, itself): ends go first.
 	slices.Sort(ends)
 	cur, ended := 0, 0
-	for _, q := range reqs {
-		for start := q.Start.Sub(epoch); ended < len(ends) && ends[ended] <= start; ended++ {
+	for _, j := range order {
+		for start := reqs[j].Start.Sub(epoch); ended < len(ends) && ends[ended] <= start; ended++ {
 			cur--
 		}
 		cur++

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -306,8 +308,9 @@ func TestHostAndPod(t *testing.T) {
 	}
 }
 
-// Stats costs a fixed number of allocations — the copy of the rows, the sweep
-// of their ends and two maps — not two per request for the pod prefix.
+// Stats costs a fixed number of allocations — the start-order permutation,
+// the sweep of the ends and two maps — not two per request for the pod
+// prefix.
 func TestStatsAllocations(t *testing.T) {
 	r := NewRecorder()
 	const requests = 128
@@ -329,5 +332,112 @@ func TestStatsAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, func() { r.PodsTouched() }); got > limit {
 		t.Errorf("PodsTouched over %d requests: %.0f allocations, want at most %d", requests, got, limit)
+	}
+}
+
+// referenceStats is Stats as it was written first, over a start-sorted copy
+// of the requests: the reference the permutation walk is checked against.
+func referenceStats(r *Recorder) Stats {
+	reqs := r.Requests()
+	s := Stats{Requests: len(reqs)}
+	if len(reqs) == 0 {
+		return s
+	}
+	type doc struct {
+		depth int
+		ok    bool
+	}
+	docs := make(map[string]doc, len(reqs))
+	hosts := map[string]struct{}{}
+	epoch := reqs[0].Start
+	ends := make([]time.Duration, len(reqs))
+	maxEnd := reqs[0].End
+	for i, q := range reqs {
+		d := docs[q.URL]
+		d.depth = 0
+		if q.Parent != "" {
+			d.depth = docs[q.Parent].depth + 1
+		}
+		s.MaxDepth = max(s.MaxDepth, d.depth)
+		failed := q.Failed()
+		switch {
+		case failed && q.Cached:
+			s.NegativeHits++
+			s.Failed++
+		case failed:
+			s.Failed++
+		case q.Cached:
+			s.CacheHits++
+		}
+		d.ok = d.ok || !failed
+		docs[q.URL] = d
+		if q.Attempt > 1 {
+			s.Retries++
+		}
+		s.TotalBytes += q.Bytes
+		s.TotalTriples += q.Triples
+		hosts[hostAndPod(q.URL)] = struct{}{}
+		ends[i] = q.End.Sub(epoch)
+		if q.End.After(maxEnd) {
+			maxEnd = q.End
+		}
+	}
+	s.DistinctHosts = len(hosts)
+	for _, d := range docs {
+		if !d.ok {
+			s.FailedDocuments++
+		}
+	}
+	s.WallTime = maxEnd.Sub(epoch)
+	slices.Sort(ends)
+	cur, ended := 0, 0
+	for _, q := range reqs {
+		for start := q.Start.Sub(epoch); ended < len(ends) && ends[ended] <= start; ended++ {
+			cur--
+		}
+		cur++
+		s.MaxParallel = max(s.MaxParallel, cur)
+	}
+	return s
+}
+
+// TestStatsMatchesReference checks Stats against referenceStats over random
+// logs recorded out of start order: few distinct start instants (so many
+// requests tie, a child with its parent included), retries of one URL,
+// cached documents and cached negative hits, transport errors, and children
+// that end before their parents.
+func TestStatsMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRecorder()
+		epoch := r.Epoch()
+		n := rng.Intn(60)
+		var urls []string
+		for i := 0; i < n; i++ {
+			url := fmt.Sprintf("http://h/pods/%d/doc%d", rng.Intn(5), rng.Intn(25))
+			parent := ""
+			if len(urls) > 0 && rng.Intn(4) > 0 {
+				parent = urls[rng.Intn(len(urls))]
+			}
+			urls = append(urls, url)
+			start := time.Duration(rng.Intn(8)) * time.Millisecond
+			req := Request{
+				URL: url, Parent: parent, Reason: "test",
+				Start:   epoch.Add(start),
+				End:     epoch.Add(start + time.Duration(rng.Intn(5))*time.Millisecond),
+				Status:  []int{200, 200, 200, 404, 503, 0}[rng.Intn(6)],
+				Bytes:   rng.Int63n(1000),
+				Triples: rng.Intn(50),
+				Cached:  rng.Intn(3) == 0,
+				Attempt: rng.Intn(3),
+			}
+			if rng.Intn(8) == 0 {
+				req.Err = "parse error"
+			}
+			r.Record(req)
+		}
+		if got, want := r.Stats(), referenceStats(r); got != want {
+			t.Fatalf("seed %d, %d requests: Stats = %+v, reference %+v", seed, n, got, want)
+		}
 	}
 }

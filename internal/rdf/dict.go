@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,10 +41,14 @@ func (t IDTriple) PO() uint64 { return uint64(t.P)<<32 | uint64(t.O) }
 func PackID2(a, b TermID) uint64 { return uint64(a)<<32 | uint64(b) }
 
 const (
-	// dictShards is the number of lock stripes of the intern map. Power of
+	// dictShards is the number of lock stripes of the intern table. Power of
 	// two; 64 stripes keep contention negligible at the engine's default
 	// dereference parallelism while costing ~3 KiB of mutexes.
 	dictShards = 64
+
+	// dictSlotsMin is the size of a stripe's slot table when its first term
+	// arrives. A table doubles before more than 3/4 of its slots are full.
+	dictSlotsMin = 8
 
 	// dictChunkSize is the number of terms per decode-table chunk. Chunks
 	// are append-only: once a slot is published it never moves, so readers
@@ -58,12 +64,14 @@ const (
 // Dict is a concurrent term dictionary: an engine-scoped bijection between
 // Terms and dense TermIDs.
 //
-// Interning is lock-striped: the Term→ID map is split over dictShards
+// Interning is lock-striped: the Term→ID index is split over dictShards
 // stripes, each guarded by its own RWMutex, so concurrent interning from
 // many dereference workers rarely contends, and the common re-intern (hit)
-// path takes only a read lock. Decoding is lock-free: the ID→Term table is
-// a list of fixed-size append-only chunks published with atomic operations,
-// so pattern scans and joins decode IDs with two atomic loads and an index.
+// path takes only a read lock. A stripe holds IDs and a probe compares the
+// decoded term, so each term is stored once. Decoding is lock-free: the
+// ID→Term table is a list of fixed-size append-only chunks published with
+// atomic operations, so pattern scans and joins decode IDs with two atomic
+// loads and an index.
 //
 // The dictionary is append-only and grows for the lifetime of its engine;
 // it never forgets a term. That is the standard trade-off of dictionary
@@ -71,6 +79,10 @@ const (
 // comparisons everywhere downstream.
 type Dict struct {
 	shards [dictShards]dictShard
+
+	// seed keys the term hash, so documents, which choose the terms, cannot
+	// pile them onto one stripe or probe sequence.
+	seed maphash.Seed
 
 	// tableMu serializes ID allocation, decode-table appends and arena
 	// writes.
@@ -87,38 +99,78 @@ type Dict struct {
 	n atomic.Uint32
 }
 
+// dictShard is one stripe of the intern index: an open-addressing table of
+// IDs, NoTerm marking an empty slot. It is nil until the stripe's first term
+// and then a power of two long and at most 3/4 full, so every probe ends.
 type dictShard struct {
-	mu sync.RWMutex
-	m  map[Term]TermID
+	mu    sync.RWMutex
+	slots []TermID
+	shift uint8 // 64 - log2(len(slots)): a hash's high bits pick its first slot
+	n     int
 }
 
 type dictChunk [dictChunkSize]Term
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	d := &Dict{}
-	for i := range d.shards {
-		d.shards[i].m = make(map[Term]TermID)
-	}
+	d := &Dict{seed: maphash.MakeSeed()}
 	empty := make([]*dictChunk, 0)
 	d.chunks.Store(&empty)
 	return d
 }
 
-// shardOf selects the lock stripe for a term (FNV-1a over its components).
-func shardOf(t Term) uint32 {
-	h := uint32(2166136261)
-	h = (h ^ uint32(t.Kind)) * 16777619
-	for i := 0; i < len(t.Value); i++ {
-		h = (h ^ uint32(t.Value[i])) * 16777619
+// hash is the seeded hash of t; its low bits pick the stripe. Each string
+// is hashed on its own, so terms whose bytes split differently over Value,
+// Datatype and Language do not collide whatever the seed.
+func (d *Dict) hash(t *Term) uint64 {
+	h := maphash.String(d.seed, t.Value) ^ uint64(t.Kind)
+	if t.Datatype != "" {
+		h = h*0x9e3779b97f4a7c15 ^ maphash.String(d.seed, t.Datatype)
 	}
-	for i := 0; i < len(t.Datatype); i++ {
-		h = (h ^ uint32(t.Datatype[i])) * 16777619
+	if t.Language != "" {
+		h = h*0xc2b2ae3d27d4eb4f ^ maphash.String(d.seed, t.Language)
 	}
-	for i := 0; i < len(t.Language); i++ {
-		h = (h ^ uint32(t.Language[i])) * 16777619
+	return h
+}
+
+// slot returns the index of the slot holding t's ID, or else of the empty
+// slot that ends t's probe sequence. The triangular steps (1, 2, 3, ...)
+// visit every slot of a power-of-two table. Caller holds sh.mu and the
+// table is not nil.
+func (sh *dictShard) slot(d *Dict, t *Term, h uint64) uint64 {
+	mask, i := uint64(len(sh.slots)-1), h>>sh.shift
+	for step := uint64(1); ; i, step = (i+step)&mask, step+1 {
+		if id := sh.slots[i]; id == NoTerm || *d.at(id) == *t {
+			return i
+		}
 	}
-	return h & (dictShards - 1)
+}
+
+// find returns the ID of t, or NoTerm if the stripe does not hold it.
+// Caller holds sh.mu.
+func (sh *dictShard) find(d *Dict, t *Term, h uint64) TermID {
+	if sh.slots == nil {
+		return NoTerm
+	}
+	return sh.slots[sh.slot(d, t, h)]
+}
+
+// insert adds the ID of a term the stripe does not hold, doubling the table
+// first if it would pass 3/4 full. Caller holds sh.mu for writing.
+func (sh *dictShard) insert(d *Dict, t *Term, id TermID, h uint64) {
+	if (sh.n+1)*4 > len(sh.slots)*3 {
+		old := sh.slots
+		sh.slots = make([]TermID, max(2*len(old), dictSlotsMin))
+		sh.shift = uint8(64 - bits.TrailingZeros(uint(len(sh.slots))))
+		for _, id := range old {
+			if id != NoTerm {
+				t := d.at(id)
+				sh.slots[sh.slot(d, t, d.hash(t))] = id
+			}
+		}
+	}
+	sh.slots[sh.slot(d, t, h)] = id
+	sh.n++
 }
 
 // Intern returns the ID of t, assigning a fresh one on first sight. The
@@ -137,27 +189,23 @@ func (d *Dict) intern(t Term, borrowed bool) TermID {
 	if t.Kind == TermUndef {
 		return NoTerm
 	}
-	sh := &d.shards[shardOf(t)]
-	sh.mu.RLock()
-	id, ok := sh.m[t]
-	sh.mu.RUnlock()
-	if ok {
+	id, sh, h := d.lookup(&t)
+	if id != NoTerm {
 		return id
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if id, ok := sh.m[t]; ok {
+	if id := sh.find(d, &t, h); id != NoTerm {
 		return id
 	}
-	id, t = d.appendTerm(t, borrowed)
-	sh.m[t] = id
+	id = d.appendTerm(t, borrowed)
+	sh.insert(d, &t, id, h)
 	return id
 }
 
 // appendTerm allocates the next ID and publishes t in the decode table, with
-// a borrowed t's strings first copied into the arena. It returns the ID and
-// the term as stored.
-func (d *Dict) appendTerm(t Term, borrowed bool) (TermID, Term) {
+// a borrowed t's strings first copied into the arena.
+func (d *Dict) appendTerm(t Term, borrowed bool) TermID {
 	d.tableMu.Lock()
 	defer d.tableMu.Unlock()
 	if borrowed {
@@ -176,7 +224,13 @@ func (d *Dict) appendTerm(t Term, borrowed bool) (TermID, Term) {
 	chunks[idx/dictChunkSize][idx%dictChunkSize] = t
 	id := TermID(next + 1)
 	d.n.Store(uint32(id)) // release: publishes the slot write above
-	return id, t
+	return id
+}
+
+// at returns the decode slot of a published ID.
+func (d *Dict) at(id TermID) *Term {
+	idx := int(id) - 1
+	return &(*d.chunks.Load())[idx/dictChunkSize][idx%dictChunkSize]
 }
 
 // own returns a copy of s the dictionary owns: a view of the arena, or for
@@ -202,11 +256,18 @@ func (d *Dict) Lookup(t Term) (TermID, bool) {
 	if t.Kind == TermUndef {
 		return NoTerm, true
 	}
-	sh := &d.shards[shardOf(t)]
+	id, _, _ := d.lookup(&t)
+	return id, id != NoTerm
+}
+
+// lookup returns the ID of t, or NoTerm, found under the read lock of t's
+// stripe, together with the stripe and t's hash.
+func (d *Dict) lookup(t *Term) (TermID, *dictShard, uint64) {
+	h := d.hash(t)
+	sh := &d.shards[h&(dictShards-1)]
 	sh.mu.RLock()
-	id, ok := sh.m[t]
-	sh.mu.RUnlock()
-	return id, ok
+	defer sh.mu.RUnlock()
+	return sh.find(d, t, h), sh, h
 }
 
 // Decode returns the term for an ID. NoTerm and out-of-range IDs decode to
@@ -216,9 +277,7 @@ func (d *Dict) Decode(id TermID) Term {
 	if id == NoTerm || uint32(id) > d.n.Load() { // acquire: pairs with appendTerm
 		return Term{}
 	}
-	idx := int(id) - 1
-	chunks := *d.chunks.Load()
-	return chunks[idx/dictChunkSize][idx%dictChunkSize]
+	return *d.at(id)
 }
 
 // Canonical interns t and returns the dictionary's copy of it. The

@@ -95,3 +95,93 @@ func TestDictConcurrentCanonical(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDictConcurrentGrowth interns a term set large enough to double every
+// stripe's table several times, from goroutines that each take the set in a
+// different order, while readers look the terms up and decode what they
+// find. A reader must see a term either absent or with its final ID, never
+// with another; every interner must get the same ID for a term; and once
+// the interners finish, the IDs are exactly 1..n.
+func TestDictConcurrentGrowth(t *testing.T) {
+	const (
+		interners = 4
+		readers   = 2
+		terms     = 6000 // about 94 a stripe: tables of 8, 16, 32, 64 and 128 slots
+	)
+	d := NewDict()
+	mk := func(i int) Term {
+		if i%3 == 0 {
+			return NewTypedLiteral(fmt.Sprint(i), XSDInteger)
+		}
+		return NewIRI(fmt.Sprintf("https://pod%d.example/posts/%d#it", i%7, i))
+	}
+	ids := make([][]TermID, interners)
+	done := make(chan struct{})
+	var interning, reading sync.WaitGroup
+	for g := 0; g < interners; g++ {
+		interning.Add(1)
+		go func(g int) {
+			defer interning.Done()
+			ids[g] = make([]TermID, terms)
+			for i := 0; i < terms; i++ {
+				k := (i*[interners]int{1, 7, 11, 13}[g] + g*977) % terms // strides prime to terms
+				ids[g][k] = d.InternBorrowed(mk(k))
+			}
+		}(g)
+	}
+	seen := make([][]TermID, readers)
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			seen[r] = make([]TermID, terms)
+			for pass := 0; ; pass++ {
+				for i := r; i < terms; i += readers {
+					id, ok := d.Lookup(mk(i))
+					if !ok {
+						continue
+					}
+					if got := d.Decode(id); got != mk(i) {
+						t.Errorf("reader %d: Lookup(term %d) = %d, which decodes to %s", r, i, id, got)
+						return
+					}
+					if prev := seen[r][i]; prev != NoTerm && prev != id {
+						t.Errorf("reader %d: term %d moved from ID %d to %d", r, i, prev, id)
+						return
+					}
+					seen[r][i] = id
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	interning.Wait()
+	close(done)
+	reading.Wait()
+
+	used := make([]bool, terms+1)
+	for i := 0; i < terms; i++ {
+		id := ids[0][i]
+		for g := 1; g < interners; g++ {
+			if ids[g][i] != id {
+				t.Fatalf("term %d: interner %d got ID %d, interner 0 got %d", i, g, ids[g][i], id)
+			}
+		}
+		for r := 0; r < readers; r++ {
+			if seen[r][i] != NoTerm && seen[r][i] != id {
+				t.Fatalf("term %d: reader %d saw ID %d, final ID %d", i, r, seen[r][i], id)
+			}
+		}
+		if id == NoTerm || int(id) > terms || used[id] {
+			t.Fatalf("term %d: ID %d is out of 1..%d or given twice", i, id, terms)
+		}
+		used[id] = true
+	}
+	if d.Size() != terms {
+		t.Errorf("Size = %d, want %d", d.Size(), terms)
+	}
+}

@@ -139,7 +139,7 @@ func TestDictGrowsAcrossChunks(t *testing.T) {
 // empty dictionary, overwrites the buffer, and decodes: every term must read
 // as before, the long ones (over a quarter of an arena chunk, given their own
 // allocation) included. Copying into the arena leaves a miss allocating only
-// when a map or table grows: at most 0.05 times a term, amortised over the
+// when a table grows: at most 0.05 times a term, amortised over the
 // dictionary's first 50 000 terms.
 func TestInternBorrowedCopiesIntoArena(t *testing.T) {
 	const n = 50000
@@ -213,6 +213,27 @@ func BenchmarkDictInternHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Intern(terms[i%len(terms)])
+	}
+}
+
+// BenchmarkDictInternFresh is the intern work of a fresh engine: a new
+// dictionary takes 2 000 distinct pod IRIs as borrowed misses, then the same
+// terms again as hits.
+func BenchmarkDictInternFresh(b *testing.B) {
+	terms := make([]Term, 2000)
+	for i := range terms {
+		terms[i] = NewIRI(fmt.Sprintf("https://pod%d.example/posts/%d#it", i%12, i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := NewDict()
+		for _, term := range terms {
+			d.InternBorrowed(term)
+		}
+		for _, term := range terms {
+			d.InternBorrowed(term)
+		}
 	}
 }
 

@@ -1,6 +1,11 @@
 package rdf
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"unsafe"
+)
 
 // FuzzDictRoundTrip pins the dictionary bijection for arbitrary valid
 // terms: intern→decode must be the identity, and re-interning must return
@@ -58,6 +63,110 @@ func FuzzDictRoundTrip(f *testing.F) {
 		}
 		if got, ok := d.Lookup(term); !ok || got != id {
 			t.Fatalf("Lookup(%s) = (%d, %v), want (%d, true)", term, got, ok, id)
+		}
+	})
+}
+
+// FuzzDictAgainstMap runs a byte-coded sequence of operations on a Dict and
+// on a map[Term]TermID that assigns IDs in first-intern order, and requires
+// the two to agree on every Intern, InternBorrowed, Lookup, Decode and Size.
+// Each operation takes three bytes (op, a, b):
+//
+//   - op 0: intern term(a, b), borrowed when a is odd;
+//   - op 1: look term(a, b) up;
+//   - op 2: intern 8a pod IRIs of family b, enough to double the stripes'
+//     tables through several sizes;
+//   - op 3: look up 8a IRIs that are never interned, so misses probe dense
+//     stripes;
+//   - op 4: intern every cut of the first a%41 bytes of "abcdeabcde..." into
+//     Value, Datatype and Language, with Kind 1+b%4: up to 861 terms whose
+//     bytes are the same, so every probe that meets a full slot compares
+//     two of them.
+//
+// term(a, b) cuts a prefix of "abcde" into Value, Datatype and Language at
+// points taken from a and b and gives it a Kind from a, the undefined kind
+// included: the small space is full of terms that differ only in Kind or
+// only in where their bytes split.
+func FuzzDictAgainstMap(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 0, 2, 5, 0, 3, 5, 0, 4, 5, 1, 1, 5})
+	f.Add([]byte{0, 9, 21, 0, 17, 45, 0, 25, 5, 1, 9, 45, 1, 17, 21})
+	f.Add([]byte{2, 40, 0, 3, 40, 0, 2, 120, 1, 3, 255, 1, 0, 1, 5, 1, 2, 5})
+	f.Add([]byte{2, 255, 3, 0, 3, 4, 3, 255, 3, 2, 255, 4, 1, 3, 4})
+	f.Add([]byte{4, 40, 1, 4, 40, 0, 4, 12, 2, 1, 9, 45, 3, 100, 0})
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := NewDict()
+		ref := map[Term]TermID{}
+		var scratch []byte
+		intern := func(term Term, borrowed bool) {
+			want, ok := ref[term]
+			if !ok && !term.IsZero() {
+				want = TermID(len(ref) + 1)
+				ref[term] = want
+			}
+			var got TermID
+			if borrowed {
+				// Hand the dictionary views of a buffer that is overwritten
+				// before the next call.
+				scratch = append(scratch[:0], term.Value+term.Datatype+term.Language...)
+				view := func(lo, hi int) string { return unsafe.String(unsafe.SliceData(scratch[lo:]), hi-lo) }
+				v, dt := len(term.Value), len(term.Value)+len(term.Datatype)
+				got = d.InternBorrowed(Term{Kind: term.Kind, Value: view(0, v), Datatype: view(v, dt), Language: view(dt, len(scratch))})
+				clear(scratch)
+			} else {
+				got = d.Intern(term)
+			}
+			if got != want {
+				t.Fatalf("Intern(%#v) = %d, want %d", term, got, want)
+			}
+		}
+		lookup := func(term Term) {
+			want, ok := ref[term]
+			if term.IsZero() {
+				ok = true
+			}
+			if got, gotOK := d.Lookup(term); got != want || gotOK != ok {
+				t.Fatalf("Lookup(%#v) = (%d, %v), want (%d, %v)", term, got, gotOK, want, ok)
+			}
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			a, b := int(ops[i+1]), int(ops[i+2])
+			switch ops[i] % 5 {
+			case 0, 1:
+				s := "abcde"[:b%6]
+				cut1 := (a >> 3) % (len(s) + 1)
+				cut2 := cut1 + (b>>3)%(len(s)-cut1+1)
+				term := Term{Kind: TermKind(a % 5), Value: s[:cut1], Datatype: s[cut1:cut2], Language: s[cut2:]}
+				if ops[i]%5 == 0 {
+					intern(term, a%2 == 1)
+				} else {
+					lookup(term)
+				}
+			case 2:
+				for k := 0; k < 8*a; k++ {
+					intern(NewIRI(fmt.Sprintf("https://pod%d.example/f%d/%d", k%7, b, k)), k%2 == 0)
+				}
+			case 3:
+				for k := 0; k < 8*a; k++ {
+					lookup(NewIRI(fmt.Sprintf("https://absent.example/f%d/%d", b, k)))
+				}
+			case 4:
+				s := strings.Repeat("abcde", 9)[:a%41]
+				for cut1 := 0; cut1 <= len(s); cut1++ {
+					for cut2 := cut1; cut2 <= len(s); cut2++ {
+						intern(Term{Kind: TermKind(1 + b%4), Value: s[:cut1], Datatype: s[cut1:cut2], Language: s[cut2:]}, cut2%2 == 0)
+					}
+				}
+			}
+		}
+		if d.Size() != len(ref) {
+			t.Fatalf("Size = %d, want %d", d.Size(), len(ref))
+		}
+		for term, id := range ref {
+			if got := d.Decode(id); got != term {
+				t.Fatalf("Decode(%d) = %#v, want %#v", id, got, term)
+			}
+			lookup(term)
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package rdf
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Triple is an RDF triple. Pattern triples may contain variables in any
 // position; data triples must be ground (no variables, no undef terms).
@@ -28,15 +31,17 @@ func (t Triple) IsGround() bool {
 }
 
 // Vars returns the distinct variable names appearing in the triple, in
-// subject-predicate-object order.
+// subject-predicate-object order; nil for a ground triple.
 func (t Triple) Vars() []string {
 	var vars []string
-	seen := map[string]bool{}
 	for _, x := range [3]Term{t.S, t.P, t.O} {
-		if x.Kind == TermVar && !seen[x.Value] {
-			seen[x.Value] = true
-			vars = append(vars, x.Value)
+		if x.Kind != TermVar || slices.Contains(vars, x.Value) {
+			continue
 		}
+		if vars == nil {
+			vars = make([]string, 0, 3)
+		}
+		vars = append(vars, x.Value)
 	}
 	return vars
 }

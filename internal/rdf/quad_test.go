@@ -27,7 +27,31 @@ func TestTripleGroundAndVars(t *testing.T) {
 	if got := dup.Vars(); len(got) != 2 {
 		t.Errorf("Vars() with repeats = %v", got)
 	}
+	if got := data.Vars(); got != nil {
+		t.Errorf("Vars() of a ground triple = %#v, want nil", got)
+	}
 }
+
+// TestTripleVarsAllocatesOnce pins Vars at one allocation for a pattern with
+// variables and none for a ground triple: the planner calls it for every
+// pattern it orders.
+func TestTripleVarsAllocatesOnce(t *testing.T) {
+	for _, c := range []struct {
+		pat  Triple
+		want float64
+	}{
+		{tr("http://a", "http://p", "http://b"), 0},
+		{NewTriple(NewVar("s"), NewIRI("http://p"), NewIRI("http://b")), 1},
+		{NewTriple(NewVar("s"), NewVar("p"), NewVar("o")), 1},
+		{NewTriple(NewVar("x"), NewIRI("http://p"), NewVar("x")), 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { sinkVars = c.pat.Vars() }); got != c.want {
+			t.Errorf("Vars() of %s: %.0f allocations, want %.0f", c.pat, got, c.want)
+		}
+	}
+}
+
+var sinkVars []string
 
 func TestTripleMatches(t *testing.T) {
 	data := tr("http://a", "http://p", "http://b")
