@@ -63,11 +63,15 @@ loadgen-smoke: build
 # Distributed-tracing smoke (CI): the 3-hop pod-server query under the race
 # detector, asserting client and server span counts match the document
 # count, and exporting the merged client+server trace as a JSON artifact.
+# benchreport --trace then parses the artifact and renders its waterfall and
+# critical path, so a kept-trace export that stops parsing or rendering
+# fails here.
 trace-smoke: build
 	LTQP_TRACE_ARTIFACT=$(CURDIR)/trace-smoke.json \
 		$(GO) test -race -run 'TestCriticalPathThreeHop|TestTraceSmokeThreeHop' -v .
 	@test -s trace-smoke.json \
 		|| { echo "trace-smoke: trace artifact missing or empty"; exit 1; }
+	$(GO) run ./cmd/benchreport --trace trace-smoke.json > /dev/null
 
 # Adversarial-pod smoke (CI): every attack class (link bomb, alias loop,
 # cross-origin spoofing, slow-loris, oversized documents) against a defended

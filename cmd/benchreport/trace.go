@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"ltqp/internal/metrics"
 	"ltqp/internal/obs"
 )
 
@@ -52,9 +51,9 @@ func renderTraces(path string, topN, width int, out io.Writer) error {
 	return nil
 }
 
-// renderJournalTraces reconstructs each journaled query's dereference DAG
-// (parents from the recorded Via links) and prints the topN slowest
-// queries' critical paths.
+// renderJournalTraces walks each journaled query's dereference DAG (the
+// replay's Parent links) and prints the topN slowest queries' critical
+// paths.
 func renderJournalTraces(summary *obs.JournalSummary, topN, width int, out io.Writer) error {
 	queries := append([]*obs.QueryReplay(nil), summary.Queries...)
 	sort.SliceStable(queries, func(i, j int) bool { return queries[i].Duration > queries[j].Duration })
@@ -63,21 +62,9 @@ func renderJournalTraces(summary *obs.JournalSummary, topN, width int, out io.Wr
 		queries = queries[:topN]
 	}
 	for _, q := range queries {
-		reqs := make([]metrics.Request, 0, len(q.Docs))
-		for _, d := range q.Docs {
-			reqs = append(reqs, metrics.Request{
-				URL:    d.URL,
-				Parent: d.Via,
-				Start:  d.End.Add(-d.Duration),
-				End:    d.End,
-				Status: d.Status,
-				Bytes:  d.Bytes,
-				Err:    d.Err,
-			})
-		}
 		fmt.Fprintf(out, "== query %d — %d results in %.1fms, %d documents ==\n%s\n",
 			q.ID, q.Results, float64(q.Duration.Microseconds())/1000, len(q.Docs), q.Query)
-		if len(reqs) == 0 {
+		if len(q.Docs) == 0 {
 			fmt.Fprintln(out, "(no dereferences recorded)")
 			continue
 		}
@@ -85,7 +72,7 @@ func renderJournalTraces(summary *obs.JournalSummary, topN, width int, out io.Wr
 		if q.HasTTFR {
 			resultTimes = []time.Duration{q.TTFR}
 		}
-		cp := obs.ComputeCritPath(reqs, q.Start, resultTimes, nil)
+		cp := obs.ComputeCritPath(q.Docs, q.Start, resultTimes, nil)
 		fmt.Fprint(out, cp.Render(width))
 		fmt.Fprintln(out)
 	}

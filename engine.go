@@ -53,6 +53,9 @@ func (e *Engine) Query(ctx context.Context, query string) (*Result, error) {
 // any, the engine's default seeds (Config.Seeds) apply, and without those
 // the IRIs the query mentions.
 func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []string) (*Result, error) {
+	if e.policyErr != nil {
+		return nil, e.policyErr
+	}
 	if len(seeds) == 0 {
 		seeds = e.cfg.Seeds
 	}
@@ -259,8 +262,9 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 				}
 				if kept, _ := ts.Offer(o, func(tr *obs.TraceRecord) {
 					tr.Root = trace.Snapshot()
-					tr.Requests = obs.RequestsJSON(recorder.Requests(), recorder.Epoch())
-					tr.CriticalPath = x.criticalPath()
+					reqs := recorder.Requests()
+					tr.Requests = obs.RequestsJSON(reqs, recorder.Epoch())
+					tr.CriticalPath = x.criticalPath(reqs)
 				}); kept {
 					keptTrace = o.TraceID
 				}

@@ -57,7 +57,7 @@ func (r *Result) Explain() *Explain {
 		Contributions: r.prov.Contributions(),
 		Topology:      r.topo.Snapshot(),
 		Resources:     r.ledger.Snapshot(),
-		CriticalPath:  r.criticalPath(),
+		CriticalPath:  r.criticalPath(r.recorder.Requests()),
 		QueuePolicy:   string(r.queuePolicy),
 		LimitTrips:    r.recorder.LimitTrips(),
 	}

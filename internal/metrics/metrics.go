@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"ltqp/internal/timeline"
 )
 
 // Request is one recorded HTTP dereference.
@@ -299,18 +297,60 @@ func (r *Recorder) Stats() Stats {
 		}
 	}
 	s.WallTime = maxEnd.Sub(epoch)
-	// A request that ends the instant another starts does not overlap it
-	// (nor, with zero duration, itself): ends go first.
 	slices.Sort(ends)
-	cur, ended := 0, 0
-	for _, j := range order {
-		for start := reqs[j].Start.Sub(epoch); ended < len(ends) && ends[ended] <= start; ended++ {
-			cur--
-		}
-		cur++
-		s.MaxParallel = max(s.MaxParallel, cur)
-	}
+	s.MaxParallel, _ = inFlight(ends, func(i int) time.Duration { return reqs[order[i]].Start.Sub(epoch) })
 	return s
+}
+
+// Concurrency profiles how the requests overlapped: the most in flight at
+// once (Stats.MaxParallel) and the mean number in flight over the time any
+// was (0 when no request has a measurable span).
+func Concurrency(reqs []Request) (peak int, mean float64) {
+	if len(reqs) == 0 {
+		return 0, 0
+	}
+	offsets := make([]time.Duration, 2*len(reqs))
+	starts, ends := offsets[:len(reqs)], offsets[len(reqs):]
+	for i, q := range reqs {
+		starts[i], ends[i] = q.Start.Sub(reqs[0].Start), q.End.Sub(reqs[0].Start)
+	}
+	slices.Sort(starts)
+	slices.Sort(ends)
+	return inFlight(ends, func(i int) time.Duration { return starts[i] })
+}
+
+// inFlight sweeps request spans, given as their end offsets in ascending
+// order and the i-th smallest start offset as start(i), for the most
+// requests in flight at once and the mean number in flight weighted by
+// time. A request that ends the instant another starts does not overlap it
+// (nor, with zero duration, itself): ends go first.
+func inFlight(ends []time.Duration, start func(i int) time.Duration) (peak int, mean float64) {
+	cur, ended := 0, 0
+	var prev, busy time.Duration
+	var weighted float64
+	step := func(t time.Duration, delta int) {
+		if cur > 0 {
+			weighted += float64(cur) * (t - prev).Seconds()
+			busy += t - prev
+		}
+		prev = t
+		cur += delta
+	}
+	for i := range ends {
+		t := start(i)
+		for ; ended < len(ends) && ends[ended] <= t; ended++ {
+			step(ends[ended], -1)
+		}
+		step(t, 1)
+		peak = max(peak, cur)
+	}
+	for ; ended < len(ends); ended++ {
+		step(ends[ended], -1)
+	}
+	if busy > 0 {
+		mean = weighted / busy.Seconds()
+	}
+	return peak, mean
 }
 
 // Degradation summarizes how far a lenient execution ran short of the
@@ -341,8 +381,9 @@ func (d Degradation) Degraded() bool {
 // Degradation computes the degradation summary from the recorded events.
 func (r *Recorder) Degradation() Degradation {
 	var d Degradation
+	reqs := r.Requests()
 	succeeded := map[string]bool{}
-	for _, q := range r.Requests() {
+	for _, q := range reqs {
 		if q.Attempt > 1 {
 			d.Retries++
 		}
@@ -351,7 +392,7 @@ func (r *Recorder) Degradation() Degradation {
 		}
 	}
 	seen := map[string]bool{}
-	for _, q := range r.Requests() {
+	for _, q := range reqs {
 		if succeeded[q.URL] || seen[q.URL] {
 			continue
 		}
@@ -391,16 +432,15 @@ func (r *Recorder) PodsTouched() int {
 }
 
 // Waterfall renders an ASCII resource waterfall like the browser network
-// tab of Figs. 4 and 5: one row per request in start order, bars on a
-// common time axis, with status, size and the discovery reason.
+// tab of Figs. 4 and 5: Chart of the requests in start order, then the
+// traversal statistics.
 func (r *Recorder) Waterfall(width int) string {
 	reqs := r.Requests()
 	if len(reqs) == 0 {
 		return "(no requests)\n"
 	}
-	epoch := reqs[0].Start
 	var b strings.Builder
-	b.WriteString(timeline.Render(WaterfallRows(reqs, epoch, nil), timeline.Options{Width: width}))
+	b.WriteString(Chart(reqs, nil, width))
 	s := r.Stats()
 	fmt.Fprintf(&b, "\n%d requests (%d failed, %d retries), %d triples, %d bytes, max depth %d, max parallel %d, wall %s\n",
 		s.Requests, s.Failed, s.Retries, s.TotalTriples, s.TotalBytes, s.MaxDepth, s.MaxParallel, s.WallTime.Round(time.Microsecond))
@@ -408,40 +448,6 @@ func (r *Recorder) Waterfall(width int) string {
 		fmt.Fprintf(&b, "%d documents abandoned after exhausting retries\n", s.FailedDocuments)
 	}
 	return b.String()
-}
-
-// shorten abbreviates long URLs for display, keeping the tail.
-func shorten(u string, max int) string { return timeline.Shorten(u, max) }
-
-// WaterfallRows converts requests to timeline rows against the given epoch:
-// status/cache/error columns, retry annotation in the note, and rows whose
-// URL appears in mark drawn highlighted (the critical-path rendering in
-// /debug/traces). Shared by Waterfall and the obs trace views.
-func WaterfallRows(reqs []Request, epoch time.Time, mark map[string]bool) []timeline.Row {
-	rows := make([]timeline.Row, 0, len(reqs))
-	for _, q := range reqs {
-		status := fmt.Sprintf("%d", q.Status)
-		if q.Err != "" {
-			status = "ERR"
-		}
-		if q.Cached {
-			status = "cache"
-		}
-		note := q.Reason
-		if q.Attempt > 1 {
-			note += fmt.Sprintf(" (retry %d)", q.Attempt-1)
-		}
-		rows = append(rows, timeline.Row{
-			Label:  q.URL,
-			Status: status,
-			Bytes:  q.Bytes,
-			Start:  q.Start.Sub(epoch),
-			End:    q.End.Sub(epoch),
-			Note:   note,
-			Mark:   mark[q.URL],
-		})
-	}
-	return rows
 }
 
 // DependencyEdges returns parent→child fetch dependencies, reproducing the

@@ -2,11 +2,11 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"ltqp/internal/metrics"
-	"ltqp/internal/timeline"
 )
 
 // Critical-path analysis over a query's dereference DAG. LTQP latency is
@@ -18,19 +18,6 @@ import (
 // traversal latency to that chain, splitting each hop into server cost
 // (from Server-Timing) and network/client cost.
 
-// CPStep is one dereference on a critical path, seed first.
-type CPStep struct {
-	URL    string `json:"url"`
-	Reason string `json:"reason,omitempty"`
-	// StartMS/DurMS position the fetch relative to the query's recorder
-	// epoch; ServerMS is the server-reported share of DurMS.
-	StartMS  float64 `json:"start_ms"`
-	DurMS    float64 `json:"duration_ms"`
-	ServerMS float64 `json:"server_ms,omitempty"`
-	Status   int     `json:"status,omitempty"`
-	Cached   bool    `json:"cached,omitempty"`
-}
-
 // CritPath attributes a query's latency to its gating dereference chains.
 type CritPath struct {
 	// TTFRMS is the time to first result (0 when none was produced).
@@ -38,11 +25,12 @@ type CritPath struct {
 	// TotalMS is the end of the last dereference relative to the epoch.
 	TotalMS float64 `json:"total_ms"`
 	// FirstResultChain is the dependent fetch chain (seed → ... → gating
-	// document) that gated the first result.
-	FirstResultChain []CPStep `json:"first_result_chain,omitempty"`
+	// document) that gated the first result, offsets relative to the
+	// query's recorder epoch.
+	FirstResultChain []RequestJSON `json:"first_result_chain,omitempty"`
 	// LongestChain is the chain ending at the last-finishing dereference —
 	// what gated total traversal time.
-	LongestChain []CPStep `json:"longest_chain,omitempty"`
+	LongestChain []RequestJSON `json:"longest_chain,omitempty"`
 	// GatingMS sums FirstResultChain fetch durations: the serialized
 	// dereference time on the path to the first result. ServerMS is the
 	// server-reported share of it.
@@ -132,8 +120,8 @@ func ComputeCritPath(reqs []metrics.Request, epoch time.Time, resultTimes []time
 // chainSteps walks parent links from url back to a seed and returns the
 // chain seed-first. A missing parent truncates the chain; a cycle (possible
 // with adversarial cross-linking) terminates it.
-func chainSteps(best map[string]metrics.Request, url string, epoch time.Time) []CPStep {
-	var rev []CPStep
+func chainSteps(best map[string]metrics.Request, url string, epoch time.Time) []RequestJSON {
+	var rev []metrics.Request
 	seen := map[string]bool{}
 	for url != "" && !seen[url] {
 		seen[url] = true
@@ -141,26 +129,15 @@ func chainSteps(best map[string]metrics.Request, url string, epoch time.Time) []
 		if !ok {
 			break
 		}
-		rev = append(rev, CPStep{
-			URL:      q.URL,
-			Reason:   q.Reason,
-			StartMS:  durMS(q.Start.Sub(epoch)),
-			DurMS:    durMS(q.Duration()),
-			ServerMS: durMS(q.Server),
-			Status:   q.Status,
-			Cached:   q.Cached,
-		})
+		rev = append(rev, q)
 		url = q.Parent
 	}
-	// Reverse to seed-first order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	slices.Reverse(rev)
+	return RequestsJSON(rev, epoch)
 }
 
-// URLs returns the chain's URLs in order.
-func chainURLs(chain []CPStep) []string {
+// chainURLs returns the chain's URLs in order.
+func chainURLs(chain []RequestJSON) []string {
 	out := make([]string, len(chain))
 	for i, s := range chain {
 		out[i] = s.URL
@@ -176,7 +153,7 @@ func (cp *CritPath) FirstResultURLs() []string {
 	return chainURLs(cp.FirstResultChain)
 }
 
-// Render draws the critical path as highlighted timeline charts.
+// Render draws the critical path as highlighted waterfall charts.
 func (cp *CritPath) Render(width int) string {
 	if cp == nil || (len(cp.FirstResultChain) == 0 && len(cp.LongestChain) == 0) {
 		return "(no critical path)\n"
@@ -185,46 +162,20 @@ func (cp *CritPath) Render(width int) string {
 	if len(cp.FirstResultChain) > 0 {
 		fmt.Fprintf(&b, "critical path to first result — TTFR %.1fms, chain fetch %.1fms (server %.1fms):\n",
 			cp.TTFRMS, cp.GatingMS, cp.ServerMS)
-		b.WriteString(timeline.Render(stepRows(cp.FirstResultChain), timeline.Options{Width: width}))
+		b.WriteString(chainChart(cp.FirstResultChain, width))
 	}
-	if len(cp.LongestChain) > 0 && !sameChain(cp.FirstResultChain, cp.LongestChain) {
+	if len(cp.LongestChain) > 0 && !slices.Equal(chainURLs(cp.FirstResultChain), chainURLs(cp.LongestChain)) {
 		fmt.Fprintf(&b, "longest dereference chain — gates total %.1fms:\n", cp.TotalMS)
-		b.WriteString(timeline.Render(stepRows(cp.LongestChain), timeline.Options{Width: width}))
+		b.WriteString(chainChart(cp.LongestChain, width))
 	}
 	return b.String()
 }
 
-func stepRows(chain []CPStep) []timeline.Row {
-	rows := make([]timeline.Row, 0, len(chain))
-	for _, s := range chain {
-		status := fmt.Sprintf("%d", s.Status)
-		if s.Cached {
-			status = "cache"
-		}
-		note := s.Reason
-		if s.ServerMS > 0 {
-			note += fmt.Sprintf(" (server %.1fms)", s.ServerMS)
-		}
-		rows = append(rows, timeline.Row{
-			Label:  s.URL,
-			Status: status,
-			Start:  time.Duration(s.StartMS * float64(time.Millisecond)),
-			End:    time.Duration((s.StartMS + s.DurMS) * float64(time.Millisecond)),
-			Note:   strings.TrimSpace(note),
-			Mark:   true,
-		})
+// chainChart draws a chain with every row marked.
+func chainChart(chain []RequestJSON, width int) string {
+	mark := map[string]bool{}
+	for _, u := range chainURLs(chain) {
+		mark[u] = true
 	}
-	return rows
-}
-
-func sameChain(a, b []CPStep) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].URL != b[i].URL {
-			return false
-		}
-	}
-	return true
+	return metrics.Chart(requests(chain, time.Time{}), mark, width)
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"ltqp/internal/metrics"
 	"ltqp/internal/resource"
 )
 
@@ -170,21 +172,6 @@ type ReplayPhase struct {
 	Duration time.Duration
 }
 
-// ReplayDoc is one dereference reconstructed from the journal.
-type ReplayDoc struct {
-	URL string
-	// Via is the document the link to this one was discovered in (empty for
-	// seeds) — the dependency edge critical-path analysis walks.
-	Via      string
-	Status   int
-	Triples  int
-	Bytes    int64
-	Duration time.Duration
-	End      time.Time
-	Failed   bool
-	Err      string
-}
-
 // QueryReplay is the offline reconstruction of one query's execution from
 // its journal events: what a live observer would have seen, recovered
 // entirely from recorded timestamps.
@@ -203,7 +190,11 @@ type QueryReplay struct {
 	HasTTFR bool
 
 	Phases []ReplayPhase
-	Docs   []ReplayDoc
+	// Docs are the query's dereferences in journal order: Parent is the
+	// document the link was discovered in (empty for seeds), the dependency
+	// edge critical-path analysis walks, and Start is End less the
+	// recorded duration.
+	Docs []metrics.Request
 
 	LinksDiscovered int
 	LinksQueued     int
@@ -216,8 +207,8 @@ type QueryReplay struct {
 	PeakMem      int64
 	MemBreakdown string
 
-	// MaxConcurrency / MeanConcurrency profile the dereference overlap,
-	// reconstructed by sweeping each document's [End-Duration, End] span.
+	// MaxConcurrency / MeanConcurrency profile the dereference overlap
+	// (metrics.Concurrency of Docs).
 	MaxConcurrency  int
 	MeanConcurrency float64
 
@@ -368,18 +359,16 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 				q.HasTTFR = true
 			}
 		case EventDocumentDereferenced:
-			d := ReplayDoc{
-				URL:      ev.URL,
-				Via:      ev.Via,
-				Status:   ev.Status,
-				Triples:  ev.Triples,
-				Bytes:    ev.Bytes,
-				Duration: time.Duration(ev.DurationUS) * time.Microsecond,
-				End:      ev.Time,
-				Failed:   ev.Err != "",
-				Err:      ev.Err,
-			}
-			q.Docs = append(q.Docs, d)
+			q.Docs = append(q.Docs, metrics.Request{
+				URL:     ev.URL,
+				Parent:  ev.Via,
+				Start:   ev.Time.Add(-time.Duration(ev.DurationUS) * time.Microsecond),
+				End:     ev.Time,
+				Status:  ev.Status,
+				Bytes:   ev.Bytes,
+				Triples: ev.Triples,
+				Err:     ev.Err,
+			})
 		case EventLinkDiscovered:
 			q.LinksDiscovered++
 		case EventLinkQueued:
@@ -396,7 +385,7 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 		}
 	}
 	for _, q := range s.Queries {
-		q.MaxConcurrency, q.MeanConcurrency = concurrencyProfile(q.Docs)
+		q.MaxConcurrency, q.MeanConcurrency = metrics.Concurrency(q.Docs)
 	}
 	return s, nil
 }
@@ -411,68 +400,22 @@ func isCorePhase(name string) bool {
 	return false
 }
 
-// concurrencyProfile sweeps document fetch spans to find how many
-// dereferences overlapped: the maximum in flight at once, and the mean
-// in-flight count weighted by time (0 when fetches never overlap spans of
-// measurable length).
-func concurrencyProfile(docs []ReplayDoc) (max int, mean float64) {
-	type edge struct {
-		t     time.Time
-		delta int
-	}
-	var edges []edge
-	for _, d := range docs {
-		start := d.End.Add(-d.Duration)
-		edges = append(edges, edge{start, 1}, edge{d.End, -1})
-	}
-	if len(edges) == 0 {
-		return 0, 0
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t.Equal(edges[j].t) {
-			return edges[i].delta < edges[j].delta
-		}
-		return edges[i].t.Before(edges[j].t)
-	})
-	cur := 0
-	var weighted float64
-	var total time.Duration
-	prev := edges[0].t
-	for _, e := range edges {
-		span := e.t.Sub(prev)
-		if span > 0 && cur > 0 {
-			weighted += float64(cur) * span.Seconds()
-			total += span
-		}
-		prev = e.t
-		cur += e.delta
-		if cur > max {
-			max = cur
-		}
-	}
-	if total > 0 {
-		mean = weighted / total.Seconds()
-	}
-	return max, mean
-}
-
 // SlowestDocs returns the n slowest successful-or-failed dereferences,
 // slowest first.
-func (q *QueryReplay) SlowestDocs(n int) []ReplayDoc {
-	docs := make([]ReplayDoc, len(q.Docs))
-	copy(docs, q.Docs)
-	sort.SliceStable(docs, func(i, j int) bool { return docs[i].Duration > docs[j].Duration })
+func (q *QueryReplay) SlowestDocs(n int) []metrics.Request {
+	docs := slices.Clone(q.Docs)
+	sort.SliceStable(docs, func(i, j int) bool { return docs[i].Duration() > docs[j].Duration() })
 	if n > 0 && len(docs) > n {
 		docs = docs[:n]
 	}
 	return docs
 }
 
-// FailedDocs counts dereferences that ended in error.
+// FailedDocs counts dereferences that brought no document (Request.Failed).
 func (q *QueryReplay) FailedDocs() int {
 	n := 0
 	for _, d := range q.Docs {
-		if d.Failed {
+		if d.Failed() {
 			n++
 		}
 	}
@@ -533,10 +476,10 @@ func (s *JournalSummary) WriteReport(w io.Writer, topN int) {
 			fmt.Fprintf(w, "  slowest documents:\n")
 			for _, d := range q.SlowestDocs(topN) {
 				st := fmt.Sprintf("%d", d.Status)
-				if d.Failed {
+				if d.Failed() {
 					st = "ERR"
 				}
-				fmt.Fprintf(w, "    %8s %5s %s\n", ms(d.Duration), st, d.URL)
+				fmt.Fprintf(w, "    %8s %5s %s\n", ms(d.Duration()), st, d.URL)
 			}
 		}
 	}

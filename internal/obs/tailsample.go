@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -78,8 +79,9 @@ type TraceRecord struct {
 	CriticalPath *CritPath    `json:"critical_path,omitempty"`
 }
 
-// RequestJSON is the wire shape of one recorded dereference inside a kept
-// trace, offsets relative to the query's recorder epoch.
+// RequestJSON is the wire shape of one recorded dereference, in a kept
+// trace and on a critical path, offsets relative to the query's recorder
+// epoch.
 type RequestJSON struct {
 	URL      string  `json:"url"`
 	Parent   string  `json:"parent,omitempty"`
@@ -110,6 +112,31 @@ func RequestsJSON(reqs []metrics.Request, epoch time.Time) []RequestJSON {
 			Cached:   q.Cached,
 			Attempt:  q.Attempt,
 			Err:      q.Err,
+		})
+	}
+	return out
+}
+
+// requests is the reverse of RequestsJSON: the wire rows as recorded
+// dereferences against epoch, to the microsecond the wire keeps. The wire
+// carries no triple counts.
+func requests(rows []RequestJSON, epoch time.Time) []metrics.Request {
+	ms := func(v float64) time.Duration { return time.Duration(math.Round(v*1000)) * time.Microsecond }
+	out := make([]metrics.Request, 0, len(rows))
+	for _, q := range rows {
+		start := epoch.Add(ms(q.StartMS))
+		out = append(out, metrics.Request{
+			URL:     q.URL,
+			Parent:  q.Parent,
+			Reason:  q.Reason,
+			Start:   start,
+			End:     start.Add(ms(q.DurMS)),
+			Status:  q.Status,
+			Bytes:   q.Bytes,
+			Cached:  q.Cached,
+			Attempt: q.Attempt,
+			Server:  ms(q.ServerMS),
+			Err:     q.Err,
 		})
 	}
 	return out

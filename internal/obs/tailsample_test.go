@@ -127,3 +127,19 @@ func TestTailSampleMetricsCounters(t *testing.T) {
 		t.Errorf("dropped counter = %v, want 1", got)
 	}
 }
+
+// requests undoes RequestsJSON to the microsecond; only the triple count,
+// which the wire does not carry, is lost.
+func TestRequestsJSONRoundTrip(t *testing.T) {
+	reqs, epoch := goldenRequests()
+	back := requests(RequestsJSON(reqs, epoch), epoch)
+	if len(back) != len(reqs) {
+		t.Fatalf("round trip kept %d of %d requests", len(back), len(reqs))
+	}
+	for i, want := range reqs {
+		want.Triples = 0
+		if back[i] != want {
+			t.Errorf("request %d: round trip gave %+v, want %+v", i, back[i], want)
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"ltqp/internal/timeline"
+	"ltqp/internal/metrics"
 )
 
 // /debug/traces — the tail-sampled trace store's exposition endpoint.
@@ -119,33 +119,7 @@ func RenderTraceWaterfall(rec *TraceRecord, width int) string {
 	for _, u := range rec.CriticalPath.FirstResultURLs() {
 		mark[u] = true
 	}
-	rows := make([]timeline.Row, 0, len(rec.Requests))
-	for _, q := range rec.Requests {
-		status := fmt.Sprintf("%d", q.Status)
-		if q.Err != "" {
-			status = "ERR"
-		}
-		if q.Cached {
-			status = "cache"
-		}
-		note := q.Reason
-		if q.Attempt > 1 {
-			note += fmt.Sprintf(" (retry %d)", q.Attempt-1)
-		}
-		if q.ServerMS > 0 {
-			note += fmt.Sprintf(" (server %.1fms)", q.ServerMS)
-		}
-		rows = append(rows, timeline.Row{
-			Label:  q.URL,
-			Status: status,
-			Bytes:  q.Bytes,
-			Start:  time.Duration(q.StartMS * float64(time.Millisecond)),
-			End:    time.Duration((q.StartMS + q.DurMS) * float64(time.Millisecond)),
-			Note:   strings.TrimSpace(note),
-			Mark:   mark[q.URL],
-		})
-	}
-	b.WriteString(timeline.Render(rows, timeline.Options{Width: width}))
+	b.WriteString(metrics.Chart(requests(rec.Requests, time.Time{}), mark, width))
 	if rec.CriticalPath != nil {
 		b.WriteString(rec.CriticalPath.Render(width))
 	}

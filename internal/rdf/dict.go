@@ -48,7 +48,10 @@ const (
 
 	// dictSlotsMin is the size of a stripe's slot table when its first term
 	// arrives. A table doubles before more than 3/4 of its slots are full.
-	dictSlotsMin = 8
+	// 64 slots (256 bytes) hold the ~32 terms a stripe gets from a fresh
+	// engine's first couple of thousand, which started at 8 would take
+	// three doublings to reach.
+	dictSlotsMin = 64
 
 	// dictChunkSize is the number of terms per decode-table chunk. Chunks
 	// are append-only: once a slot is published it never moves, so readers

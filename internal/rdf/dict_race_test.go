@@ -101,12 +101,13 @@ func TestDictConcurrentCanonical(t *testing.T) {
 // different order, while readers look the terms up and decode what they
 // find. A reader must see a term either absent or with its final ID, never
 // with another; every interner must get the same ID for a term; and once
-// the interners finish, the IDs are exactly 1..n.
+// the interners finish, the IDs are exactly 1..n and every stripe's table
+// has doubled at least twice.
 func TestDictConcurrentGrowth(t *testing.T) {
 	const (
 		interners = 4
 		readers   = 2
-		terms     = 6000 // about 94 a stripe: tables of 8, 16, 32, 64 and 128 slots
+		terms     = 12000 // about 188 a stripe: tables of 64, 128, 256 and some of 512 slots
 	)
 	d := NewDict()
 	mk := func(i int) Term {
@@ -183,5 +184,10 @@ func TestDictConcurrentGrowth(t *testing.T) {
 	}
 	if d.Size() != terms {
 		t.Errorf("Size = %d, want %d", d.Size(), terms)
+	}
+	for i := range d.shards {
+		if n := len(d.shards[i].slots); n < 4*dictSlotsMin {
+			t.Errorf("stripe %d ended at %d slots, want two doublings from %d", i, n, dictSlotsMin)
+		}
 	}
 }

@@ -74,8 +74,9 @@ func FuzzDictRoundTrip(f *testing.F) {
 //
 //   - op 0: intern term(a, b), borrowed when a is odd;
 //   - op 1: look term(a, b) up;
-//   - op 2: intern 8a pod IRIs of family b, enough to double the stripes'
-//     tables through several sizes;
+//   - op 2: intern 8a pod IRIs of family b; two of them at a = 255 (the
+//     fourth seed) give the stripes about 64 terms each, past the 48 a
+//     dictSlotsMin table holds, so nearly every stripe doubles;
 //   - op 3: look up 8a IRIs that are never interned, so misses probe dense
 //     stripes;
 //   - op 4: intern every cut of the first a%41 bytes of "abcdeabcde..." into
@@ -91,7 +92,7 @@ func FuzzDictAgainstMap(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 0, 2, 5, 0, 3, 5, 0, 4, 5, 1, 1, 5})
 	f.Add([]byte{0, 9, 21, 0, 17, 45, 0, 25, 5, 1, 9, 45, 1, 17, 21})
 	f.Add([]byte{2, 40, 0, 3, 40, 0, 2, 120, 1, 3, 255, 1, 0, 1, 5, 1, 2, 5})
-	f.Add([]byte{2, 255, 3, 0, 3, 4, 3, 255, 3, 2, 255, 4, 1, 3, 4})
+	f.Add([]byte{2, 255, 3, 0, 3, 4, 3, 255, 3, 2, 255, 4, 1, 3, 4}) // grows the stripes
 	f.Add([]byte{4, 40, 1, 4, 40, 0, 4, 12, 2, 1, 9, 45, 3, 100, 0})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {

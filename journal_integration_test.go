@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ltqp"
+	"ltqp/internal/metrics"
 	"ltqp/internal/obs"
 	"ltqp/internal/podserver"
 	"ltqp/internal/simenv"
@@ -81,6 +82,7 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 		t.Fatalf("journal close: %v", err)
 	}
 
+	raw := bytes.Clone(buf.Bytes())
 	summary, err := obs.ReadJournal(&buf)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -120,13 +122,14 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 		t.Fatalf("replay docs = %+v, want 3", q.Docs)
 	}
 	for _, d := range q.Docs {
-		if d.Failed || d.Status != 200 || d.Triples == 0 {
+		if d.Failed() || d.Status != 200 || d.Triples == 0 {
 			t.Errorf("doc %s = %+v", d.URL, d)
 		}
 	}
 	if q.MaxConcurrency < 1 {
 		t.Errorf("max concurrency = %d", q.MaxConcurrency)
 	}
+	assertReplayedRequests(t, raw, q, res)
 
 	// The topology is a fold of the event stream, so the replay arrives at
 	// the live run's: same nodes, edges, result sources and timeline offsets.
@@ -160,6 +163,35 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 	} {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, report.String())
+		}
+	}
+}
+
+// assertReplayedRequests checks that a fault-free query's replayed
+// dereferences are the live recorder's: the same request statistics, and
+// each row failed exactly when its journaled document_dereferenced event
+// carries an error.
+func assertReplayedRequests(t *testing.T, journal []byte, q *obs.QueryReplay, res *ltqp.Result) {
+	t.Helper()
+	replayed := metrics.NewRecorder()
+	for _, d := range q.Docs {
+		replayed.Record(d)
+	}
+	got, live := replayed.Stats(), res.Stats()
+	if got.Requests != live.Requests || got.Failed != live.Failed || got.TotalBytes != live.TotalBytes ||
+		got.TotalTriples != live.TotalTriples || got.MaxDepth != live.MaxDepth || got.DistinctHosts != live.DistinctHosts {
+		t.Errorf("replayed request stats differ from the live ones\nlive:     %+v\nreplayed: %+v", live, got)
+	}
+	errFlag := map[string]bool{}
+	for _, line := range bytes.Split(journal, []byte("\n")) {
+		var ev obs.Event
+		if json.Unmarshal(line, &ev) == nil && ev.Kind == obs.EventDocumentDereferenced {
+			errFlag[ev.URL] = ev.Err != ""
+		}
+	}
+	for _, d := range q.Docs {
+		if flag, ok := errFlag[d.URL]; !ok || d.Failed() != flag {
+			t.Errorf("replayed %s: Failed() = %v, journal error flag %v (journaled: %v)", d.URL, d.Failed(), flag, ok)
 		}
 	}
 }

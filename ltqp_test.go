@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ltqp/internal/linkqueue"
 	"ltqp/internal/rdf"
 	"ltqp/internal/simenv"
 	"ltqp/internal/solidbench"
@@ -116,6 +117,37 @@ func TestPrioritizedQueue(t *testing.T) {
 	}
 	if len(results) == 0 {
 		t.Error("prioritized queue found no results")
+	}
+}
+
+// An unknown queue policy fails every query with an error naming it, while
+// "" (FIFO), "fifo" and "guided" run and agree on the answer.
+func TestQueuePolicyValidated(t *testing.T) {
+	env := testEnv(t)
+	q := env.Dataset.Discover(1, 2).Text
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := New(Config{Client: env.Client(), QueuePolicy: "nonsense"}).Query(ctx, q); err == nil ||
+		!strings.Contains(err.Error(), `"nonsense"`) {
+		t.Errorf(`QueuePolicy "nonsense": err = %v, want an error naming the value`, err)
+	}
+	counts := map[string]int{}
+	for policy, want := range map[string]linkqueue.Policy{
+		"": linkqueue.PolicyFIFO, "fifo": linkqueue.PolicyFIFO, "guided": linkqueue.PolicyGuided,
+	} {
+		res, err := New(Config{Client: env.Client(), Lenient: true, QueuePolicy: policy}).Query(ctx, q)
+		if err != nil {
+			t.Fatalf("QueuePolicy %q: %v", policy, err)
+		}
+		for range res.Results {
+			counts[policy]++
+		}
+		if res.queuePolicy != want {
+			t.Errorf("QueuePolicy %q ran as %q, want %q", policy, res.queuePolicy, want)
+		}
+	}
+	if counts[""] == 0 || counts["fifo"] != counts[""] || counts["guided"] != counts[""] {
+		t.Errorf("result counts by policy = %v, want one nonzero count", counts)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestWarmQueryMakesNoOriginRequest(t *testing.T) {
 	for i, jq := range summary.Queries {
 		journaled[i] = map[string]string{}
 		for _, d := range jq.Docs {
-			if d.Failed {
+			if d.Failed() {
 				journaled[i][d.URL] = d.Err
 			}
 		}
