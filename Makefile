@@ -65,13 +65,19 @@ loadgen-smoke: build
 # count, and exporting the merged client+server trace as a JSON artifact.
 # benchreport --trace then parses the artifact and renders its waterfall and
 # critical path, so a kept-trace export that stops parsing or rendering
-# fails here.
+# fails here. The same query's event journal is rendered too, and the job
+# fails when a critical-path row replayed from it has no discovery reason.
 trace-smoke: build
-	LTQP_TRACE_ARTIFACT=$(CURDIR)/trace-smoke.json \
+	LTQP_TRACE_ARTIFACT=$(CURDIR)/trace-smoke.json LTQP_JOURNAL_ARTIFACT=$(CURDIR)/trace-smoke.jsonl \
 		$(GO) test -race -run 'TestCriticalPathThreeHop|TestTraceSmokeThreeHop' -v .
 	@test -s trace-smoke.json \
 		|| { echo "trace-smoke: trace artifact missing or empty"; exit 1; }
+	@test -s trace-smoke.jsonl \
+		|| { echo "trace-smoke: journal artifact missing or empty"; exit 1; }
 	$(GO) run ./cmd/benchreport --trace trace-smoke.json > /dev/null
+	$(GO) run ./cmd/benchreport --trace trace-smoke.jsonl > trace-smoke-journal.txt
+	@grep -q '\] [^ ]' trace-smoke-journal.txt && ! grep -q '\] *$$' trace-smoke-journal.txt \
+		|| { echo "trace-smoke: journal critical-path rows carry no discovery reason"; cat trace-smoke-journal.txt; exit 1; }
 
 # Adversarial-pod smoke (CI): every attack class (link bomb, alias loop,
 # cross-origin spoofing, slow-loris, oversized documents) against a defended

@@ -62,7 +62,7 @@ func renderJournalTraces(summary *obs.JournalSummary, topN, width int, out io.Wr
 		queries = queries[:topN]
 	}
 	for _, q := range queries {
-		fmt.Fprintf(out, "== query %d — %d results in %.1fms, %d documents ==\n%s\n",
+		fmt.Fprintf(out, "== query %d — %d results in %.1fms, %d dereferences ==\n%s\n",
 			q.ID, q.Results, float64(q.Duration.Microseconds())/1000, len(q.Docs), q.Query)
 		if len(q.Docs) == 0 {
 			fmt.Fprintln(out, "(no dereferences recorded)")

@@ -272,11 +272,15 @@ func serveQuery(w http.ResponseWriter, r *http.Request, env *simenv.Env) {
 func traversalLine(ev ltqp.Event) string {
 	switch ev.Kind {
 	case obs.EventDocumentDereferenced:
-		if ev.Err != "" {
-			return fmt.Sprintf("deref FAIL %s: %s", ev.URL, ev.Err)
+		how := fmt.Sprintf("attempt %d", ev.Attempt)
+		if ev.Cached {
+			how = "cache"
 		}
-		return fmt.Sprintf("deref %s [%d] %d triples in %.1fms",
-			ev.URL, ev.Status, ev.Triples, float64(ev.DurationUS)/1000)
+		if ev.Err != "" {
+			return fmt.Sprintf("deref FAIL %s (%s): %s", ev.URL, how, ev.Err)
+		}
+		return fmt.Sprintf("deref %s [%d, %s] %d triples in %.1fms",
+			ev.URL, ev.Status, how, ev.Triples, float64(ev.DurationUS)/1000)
 	case obs.EventLinkQueued:
 		return fmt.Sprintf("queue %s (%s, depth %d)", ev.URL, ev.Extractor, ev.Depth)
 	case obs.EventRetryScheduled:

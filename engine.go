@@ -61,18 +61,20 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	}
 	qid := obs.NextQueryID()
 	qctx := obs.ContextWithQueryID(ctx, qid)
-	// Every occurrence of the query is reported once, as an event; the
-	// explain topology is a fold over them, attached to the emitter so it
-	// sees each one whether or not anyone subscribes to the bus.
-	var topo *obs.Topology
-	if e.cfg.Explain {
-		topo = obs.NewTopology()
-	}
-	emitter := obs.NewEmitter(e.cfg.Events, qid, topo)
 	var trace *obs.Trace
 	if e.cfg.Trace || (e.cfg.Obs != nil && e.cfg.Obs.TraceQueries) {
 		qctx, trace = obs.NewTrace(qctx, "query", obs.Str("query", compactQuery(query)))
 	}
+	// Every occurrence of the query is reported once, as an event. The
+	// explain topology, the request recorder and the deref instruments are
+	// folds over them, attached to the emitter so they see each one whether
+	// or not anyone subscribes to the bus.
+	var topo *obs.Topology
+	if e.cfg.Explain {
+		topo = obs.NewTopology()
+	}
+	recorder := metrics.NewRecorder()
+	emitter := obs.NewEmitter(e.cfg.Events, qid, topo, recorder, e.cfg.Obs.M(), trace.ID())
 
 	stage := func(name string) func() {
 		emitter.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name})
@@ -123,7 +125,6 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	planDone()
 
 	src := store.NewWithDict(e.dict)
-	recorder := metrics.NewRecorder()
 	runCtx, cancel := context.WithCancel(qctx)
 
 	x := &Result{
@@ -475,10 +476,8 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 	t.deref = &deref.Dereferencer{
 		Client:       e.cfg.Client,
 		Auth:         e.cfg.Auth,
-		Recorder:     recorder,
 		Shared:       e.shared,
 		Retry:        e.cfg.Retry,
-		Obs:          e.cfg.Obs.M(),
 		Events:       events,
 		UserAgent:    "ltqp-go/1.0 (link-traversal SPARQL engine)",
 		Dict:         e.dict,
@@ -608,14 +607,8 @@ func (t *traversal) visit(l linkqueue.Link) {
 	wctx, dspan := obs.StartSpan(t.ctx, "document",
 		obs.Str("url", l.URL), obs.Str("reason", l.Reason), obs.Int("depth", l.Depth))
 	defer dspan.End()
-	fetchStart := time.Now()
 	res, derefCat, err := t.deref.DereferenceTracked(wctx, l.URL, l.Via, l.Reason)
 	if err != nil {
-		if t.events.Active() {
-			t.events.Emit(obs.Event{Kind: obs.EventDocumentDereferenced,
-				URL: l.URL, Via: l.Via, Depth: l.Depth, Err: err.Error(),
-				DurationUS: time.Since(fetchStart).Microseconds()})
-		}
 		if dspan != nil {
 			dspan.SetAttr(obs.Str("error", err.Error()))
 		}
@@ -651,10 +644,6 @@ func (t *traversal) visit(l linkqueue.Link) {
 	if learns, ok := t.queue.(linkqueue.Feedback); ok {
 		learns.DocumentIngested(res.FinalURL, relevantTriples(res.Triples, t.shape), len(res.Triples))
 	}
-	t.events.Emit(obs.Event{Kind: obs.EventDocumentDereferenced,
-		URL: res.FinalURL, Via: l.Via, Depth: l.Depth, Status: res.Status,
-		Triples: len(res.Triples), Bytes: res.Bytes,
-		DurationUS: time.Since(fetchStart).Microseconds()})
 	dspan.SetAttr(obs.Int("triples", len(res.Triples)))
 
 	// The built-in extractors read the document's precomputed link table; an

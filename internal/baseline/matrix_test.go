@@ -131,8 +131,10 @@ func quiesce(t *testing.T, env *simenv.Env) int {
 // execution keeps it (Result.Resources, Explain) and it is never released.
 func checkHygiene(t *testing.T, env *simenv.Env, engine *ltqp.Engine, res *ltqp.Result, before int, config string) {
 	t.Helper()
-	env.Client().CloseIdleConnections()
+	// A dial that a cancelled request started can finish, and park its
+	// connection in the idle pool, after any one close: close on every poll.
 	settle(t, "goroutines outlive the query ("+config+")", func() bool {
+		env.Client().CloseIdleConnections()
 		return runtime.NumGoroutine() <= before
 	})
 	observer := engine.Observer()

@@ -10,8 +10,9 @@
 // dereferencer retries transient failures (transport errors, 429/5xx,
 // stalled responses) with capped exponential backoff and honors Retry-After
 // hints, while terminal failures (other 4xx, unparseable or oversized
-// documents) surface immediately. Every attempt is recorded in the metrics
-// waterfall, so degraded networks stay observable.
+// documents) surface immediately. Every attempt, a shared-cache answer
+// included, is reported as one document_dereferenced event, so degraded
+// networks stay observable.
 package deref
 
 import (
@@ -181,19 +182,20 @@ type Dereferencer struct {
 	Client *http.Client
 	// Auth, when non-nil, is attached to every request.
 	Auth *Credentials
-	// Recorder, when non-nil, receives request metrics (one event per
-	// attempt, so retries are visible in the waterfall).
+	// Recorder, when non-nil, also receives each attempt's row
+	// (obs.RequestOf). Only callers without an emitter need it: the
+	// engine's emitter folds attempts into the query's recorder, and leaves
+	// this nil. It goes when the benchmark's replay traversal does (ROADMAP
+	// item 1b).
 	Recorder *metrics.Recorder
 	// Retry, when non-nil, retries transient failures with backoff. Nil
 	// means a single attempt with no per-attempt timeout.
 	Retry *RetryPolicy
-	// Obs, when non-nil, receives process-level metrics (documents
-	// fetched, cache hits/misses, dereference latency) aggregated across
-	// all queries of the owning engine.
-	Obs *obs.Metrics
-	// Events, when non-nil, publishes retry_scheduled events to the
-	// owning query's event stream whenever a transient failure is about
-	// to be retried after a backoff delay.
+	// Events, when non-nil, receives one document_dereferenced event per
+	// attempt — the owning query's record of the dereference, folded into
+	// its recorder, metrics and topology — and a retry_scheduled event
+	// whenever a transient failure is about to be retried after a backoff
+	// delay.
 	Events *obs.Emitter
 	// UserAgent is sent as the User-Agent header.
 	UserAgent string
@@ -249,8 +251,7 @@ func (d *Dereferencer) BodyLimit() int64 {
 
 // Dereference fetches one document and parses it, retrying transient
 // failures per the Retry policy. Failures return an error (a *Error for
-// HTTP/transport/parse failures); the metrics recorder captures one event
-// per attempt either way.
+// HTTP/transport/parse failures); each attempt is reported either way.
 func (d *Dereferencer) Dereference(ctx context.Context, url, parent, reason string) (*Result, error) {
 	res, _, err := d.DereferenceTracked(ctx, url, parent, reason)
 	return res, err
@@ -275,8 +276,8 @@ func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reas
 					return d.fetchWithRetry(fctx, url, parent, reason, vals)
 				})
 		}
-		// A fetch recorded its attempts itself; a hit, the cached absence of
-		// a document included, is recorded here so the query's record is the
+		// A fetch reported its attempts itself; a hit, the cached absence of
+		// a document included, is reported here so the query's record is the
 		// same whether or not the cache answered.
 		if hit {
 			d.recordCacheHit(ctx, url, parent, reason, res, err)
@@ -309,13 +310,12 @@ func (d *Dereferencer) charge(cat resource.Category, res *Result) {
 	d.Ledger.Charge(cat, res.Bytes)
 }
 
-// recordCacheHit records a dereference served from the shared cache in the
-// per-query waterfall, span stream and process metrics: the document res, or
-// the failure a negative entry holds, as the fetch that found it recorded it.
+// recordCacheHit reports a dereference served from the shared cache as one
+// attempt, and in the span stream: the document res, or the failure a
+// negative entry holds, as the fetch that found it reported it.
 func (d *Dereferencer) recordCacheHit(ctx context.Context, url, parent, reason string, res *Result, failure error) {
-	start := time.Now()
-	ev := metrics.Request{URL: url, Parent: parent, Reason: reason,
-		Start: start, End: start, Cached: true, Attempt: 1}
+	ev := obs.Event{Kind: obs.EventDocumentDereferenced, Time: time.Now(),
+		URL: url, Via: parent, Reason: reason, Attempt: 1, Cached: true}
 	_, sp := obs.StartSpan(ctx, "deref", obs.Str("url", url), obs.Bool("cached", true))
 	defer sp.End()
 	// Asserted, not errors.As: its target would escape, one allocation a hit.
@@ -325,12 +325,16 @@ func (d *Dereferencer) recordCacheHit(ctx context.Context, url, parent, reason s
 	} else {
 		ev.Status, ev.Bytes, ev.Triples = http.StatusOK, res.Bytes, len(res.Triples)
 		sp.SetAttr(obs.Int("triples", ev.Triples))
-		m := obs.On(d.Obs)
-		m.CacheHits.Inc()
-		m.DerefDuration.ObserveExemplar(time.Since(start).Seconds(), sp.TraceIDString())
 	}
+	d.report(ev)
+}
+
+// report is an attempt's one reporting call: its event, and the row of the
+// compatibility Recorder when one is set.
+func (d *Dereferencer) report(ev obs.Event) {
+	d.Events.Emit(ev)
 	if d.Recorder != nil {
-		d.Recorder.Record(ev)
+		d.Recorder.Record(obs.RequestOf(ev))
 	}
 }
 
@@ -372,49 +376,32 @@ func (d *Dereferencer) fetchWithRetry(ctx context.Context, url, parent, reason s
 	return nil, lastErr
 }
 
-// fetchOnce performs one fetch+parse attempt and records one metrics event.
-// When vals carries validators the request is conditional and a 304 answer
-// yields a NotModified result instead of an error.
+// fetchOnce performs one fetch+parse attempt and reports it. When vals
+// carries validators the request is conditional and a 304 answer yields a
+// NotModified result instead of an error.
 func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string, attempt int, vals Validators) (*Result, error) {
 	client := d.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	ev := metrics.Request{URL: url, Parent: parent, Reason: reason, Start: time.Now(), Attempt: attempt}
+	start := time.Now()
+	ev := obs.Event{Kind: obs.EventDocumentDereferenced, URL: url, Via: parent, Reason: reason, Attempt: attempt}
 	_, span := obs.StartSpan(ctx, "deref", obs.Str("url", url), obs.Int("attempt", attempt))
-	m := obs.On(d.Obs)
-	if attempt > 1 {
-		m.Retries.Inc()
-	}
-	record := func() {
-		ev.End = time.Now()
-		if d.Recorder != nil {
-			d.Recorder.Record(ev)
+	// Every return below reports the attempt as ev then holds it.
+	defer func() {
+		ev.Time = time.Now()
+		ev.DurationUS = ev.Time.Sub(start).Microseconds()
+		d.report(ev)
+		if ev.ServerUS > 0 {
+			span.SetAttr(obs.Int64("server_us", ev.ServerUS))
 		}
-		if ev.Status != 0 {
-			m.DocumentsByStatus.With(strconv.Itoa(ev.Status)).Inc()
-		}
-		if ev.Server > 0 {
-			span.SetAttr(obs.Int64("server_us", ev.Server.Microseconds()))
-		}
-		switch {
-		case ev.Err != "":
+		if ev.Err != "" {
 			span.SetAttr(obs.Str("error", ev.Err))
-			m.FetchFailures.Inc()
-		case ev.Status == http.StatusNotModified:
-			// Revalidation confirmed the cached copy: no new document,
-			// bytes or triples — only the round trip itself.
-			span.SetAttr(obs.Int("status", ev.Status))
-			m.DerefDuration.ObserveExemplar(ev.End.Sub(ev.Start).Seconds(), span.TraceIDString())
-		default:
+		} else {
 			span.SetAttr(obs.Int("status", ev.Status), obs.Int64("bytes", ev.Bytes), obs.Int("triples", ev.Triples))
-			m.DocumentsFetched.Inc()
-			m.BytesFetched.Add(ev.Bytes)
-			m.TriplesParsed.Add(int64(ev.Triples))
-			m.DerefDuration.ObserveExemplar(ev.End.Sub(ev.Start).Seconds(), span.TraceIDString())
 		}
 		span.End()
-	}
+	}()
 
 	attemptCtx := ctx
 	if t := d.Retry.attemptTimeout(); t > 0 {
@@ -433,7 +420,6 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	req, err := http.NewRequestWithContext(attemptCtx, http.MethodGet, url, nil)
 	if err != nil {
 		ev.Err = err.Error()
-		record()
 		return nil, fmt.Errorf("deref: %w", err)
 	}
 	req.Header.Set("Accept", AcceptHeader)
@@ -459,7 +445,6 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	resp, err := client.Do(req)
 	if err != nil {
 		ev.Err = err.Error()
-		record()
 		return nil, &Error{URL: url, Retryable: classifyTransport(ctx, err), Err: err}
 	}
 	defer resp.Body.Close()
@@ -468,7 +453,7 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	// configured/injected delays), splitting wall time into server cost
 	// and network cost for the critical-path analysis.
 	if st := resp.Header.Values(obs.ServerTimingHeader); len(st) > 0 {
-		ev.Server = obs.ParseServerTiming(st)
+		ev.ServerUS = obs.ParseServerTiming(st).Microseconds()
 	}
 
 	// Headers are in; from here the body must arrive in full within
@@ -497,19 +482,16 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	if err != nil {
 		if slowTripped.Load() {
 			ev.Err = ErrSlowBody.Error()
-			record()
 			return nil, &Error{URL: url, Status: resp.StatusCode,
 				Err: fmt.Errorf("body not complete within %v: %w", d.BodyTimeout, ErrSlowBody)}
 		}
 		ev.Err = err.Error()
-		record()
 		return nil, &Error{URL: url, Status: resp.StatusCode,
 			Retryable: classifyTransport(ctx, err),
 			Err:       fmt.Errorf("reading body: %w", err)}
 	}
 	if int64(len(body)) > limit {
 		ev.Err = "body exceeds size limit"
-		record()
 		return nil, &Error{URL: url, Status: resp.StatusCode,
 			Err: fmt.Errorf("body exceeds %d-byte limit: %w", limit, ErrBodyLimit)}
 	}
@@ -517,16 +499,14 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 
 	if resp.StatusCode == http.StatusNotModified && !vals.Zero() {
 		// The cached copy is current; the caller (a shared cache) keeps
-		// serving its stored parse. Recorded as a 304 in the waterfall,
-		// not as a fetched document.
-		record()
+		// serving its stored parse. Reported as a 304, not as a fetched
+		// document.
 		return &Result{URL: url, FinalURL: url, Status: resp.StatusCode,
 			NotModified: true, Validators: vals}, nil
 	}
 
 	if resp.StatusCode != http.StatusOK {
 		ev.Err = statusErr(resp.StatusCode)
-		record()
 		derr := &Error{URL: url, Status: resp.StatusCode, Retryable: RetryableStatus(resp.StatusCode)}
 		if derr.Retryable {
 			if ra, ok := ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
@@ -551,7 +531,6 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 		// Parse below; N-Triples is a Turtle subset.
 	default:
 		ev.Err = "unsupported content type " + ctype
-		record()
 		return nil, &Error{URL: url, Status: resp.StatusCode,
 			Err: fmt.Errorf("unsupported content type %q", ctype)}
 	}
@@ -574,12 +553,10 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	}
 	if err != nil {
 		ev.Err = err.Error()
-		record()
 		return nil, &Error{URL: url, Status: resp.StatusCode, Err: err}
 	}
 	ev.Triples = len(triples)
 	seg.Links = extract.Scan(triples)
-	record()
 	return &Result{URL: url, FinalURL: finalURL, Triples: triples, Segment: seg, Status: resp.StatusCode, Bytes: ev.Bytes,
 		Validators: Validators{ETag: resp.Header.Get("ETag"), LastModified: resp.Header.Get("Last-Modified")}}, nil
 }

@@ -35,7 +35,7 @@ func Chart(reqs []Request, mark map[string]bool, width int) string {
 // waterfallRows is the one place a recorded dereference becomes a chart row:
 // its status column ("ERR" for an error, "cache" for a cache hit), its size,
 // and a note naming the discovery reason, the retry and the server-reported
-// share of the fetch.
+// share of the fetch when it rounds to a non-zero value.
 func waterfallRows(reqs []Request, mark map[string]bool) []row {
 	rows := make([]row, 0, len(reqs))
 	for _, q := range reqs {
@@ -50,8 +50,9 @@ func waterfallRows(reqs []Request, mark map[string]bool) []row {
 		if q.Attempt > 1 {
 			note += fmt.Sprintf(" (retry %d)", q.Attempt-1)
 		}
-		if q.Server > 0 {
-			note += fmt.Sprintf(" (server %.1fms)", float64(q.Server.Microseconds())/1000)
+		// Only a share that shows at the note's 0.1 ms precision.
+		if us := q.Server.Microseconds(); us >= 50 {
+			note += fmt.Sprintf(" (server %.1fms)", float64(us)/1000)
 		}
 		rows = append(rows, row{
 			label:  q.URL,

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -154,14 +153,12 @@ func (r *Recorder) LimitTrips() []LimitTrip {
 	return out
 }
 
-// QueueEvolution returns the recorded link-queue samples in time order.
+// QueueEvolution returns the recorded link-queue samples in time order: a
+// sample's offset is read under the lock it is appended under.
 func (r *Recorder) QueueEvolution() []QueueSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]QueueSample, len(r.queue))
-	copy(out, r.queue)
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+	return slices.Clone(r.queue)
 }
 
 // PeakQueueLength returns the maximum observed queue length.
@@ -380,26 +377,22 @@ func (d Degradation) Degraded() bool {
 
 // Degradation computes the degradation summary from the recorded events.
 func (r *Recorder) Degradation() Degradation {
-	var d Degradation
+	d := Degradation{LimitTrips: r.LimitTrips()}
 	reqs := r.Requests()
-	succeeded := map[string]bool{}
+	// A URL is done once it succeeded or was listed as failed.
+	done := map[string]bool{}
 	for _, q := range reqs {
 		if q.Attempt > 1 {
 			d.Retries++
 		}
-		if !q.Failed() {
-			succeeded[q.URL] = true
-		}
+		done[q.URL] = done[q.URL] || !q.Failed()
 	}
-	seen := map[string]bool{}
 	for _, q := range reqs {
-		if succeeded[q.URL] || seen[q.URL] {
-			continue
+		if !done[q.URL] {
+			done[q.URL] = true
+			d.FailedDocuments = append(d.FailedDocuments, q.URL)
 		}
-		seen[q.URL] = true
-		d.FailedDocuments = append(d.FailedDocuments, q.URL)
 	}
-	d.LimitTrips = r.LimitTrips()
 	return d
 }
 
@@ -448,17 +441,4 @@ func (r *Recorder) Waterfall(width int) string {
 		fmt.Fprintf(&b, "%d documents abandoned after exhausting retries\n", s.FailedDocuments)
 	}
 	return b.String()
-}
-
-// DependencyEdges returns parent→child fetch dependencies, reproducing the
-// "some HTTP requests depend on other requests due to links between them"
-// aspect of the demo (Fig. 4).
-func (r *Recorder) DependencyEdges() [][2]string {
-	var out [][2]string
-	for _, q := range r.Requests() {
-		if q.Parent != "" {
-			out = append(out, [2]string{q.Parent, q.URL})
-		}
-	}
-	return out
 }

@@ -85,11 +85,18 @@ func TestWaterfallRendering(t *testing.T) {
 	r := NewRecorder()
 	record(r, "http://h/pods/1/profile/card", "", 0, 10, 200, 321)
 	record(r, "http://h/pods/1/posts/a", "http://h/pods/1/profile/card", 10, 30, 200, 999)
+	// A local pod's handler time rounds to 0.0 ms: no server note.
+	r.Record(Request{URL: "http://h/pods/1/posts/b", Parent: "http://h/pods/1/profile/card", Reason: "test",
+		Start: r.Epoch().Add(10 * time.Millisecond), End: r.Epoch().Add(12 * time.Millisecond),
+		Status: 200, Bytes: 10, Server: 30 * time.Microsecond})
 	out := r.Waterfall(40)
 	if !strings.Contains(out, "profile/card") {
 		t.Errorf("missing URL:\n%s", out)
 	}
-	if !strings.Contains(out, "2 requests") {
+	if strings.Contains(out, "(server") {
+		t.Errorf("a 30µs server share printed a note:\n%s", out)
+	}
+	if !strings.Contains(out, "3 requests") {
 		t.Errorf("missing summary:\n%s", out)
 	}
 	if !strings.Contains(out, "=") || !strings.Contains(out, "|") {
@@ -105,17 +112,6 @@ func TestWaterfallEmpty(t *testing.T) {
 	r := NewRecorder()
 	if out := r.Waterfall(40); !strings.Contains(out, "no requests") {
 		t.Errorf("empty waterfall = %q", out)
-	}
-}
-
-func TestDependencyEdges(t *testing.T) {
-	r := NewRecorder()
-	record(r, "http://a", "", 0, 5, 200, 1)
-	record(r, "http://b", "http://a", 5, 5, 200, 1)
-	record(r, "http://c", "http://a", 6, 5, 200, 1)
-	edges := r.DependencyEdges()
-	if len(edges) != 2 || edges[0] != [2]string{"http://a", "http://b"} {
-		t.Errorf("edges = %v", edges)
 	}
 }
 

@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"testing"
+
+	"ltqp/internal/metrics"
 )
 
 // BenchmarkStartSpanUntraced measures the opt-out cost the hot paths pay
@@ -126,7 +128,18 @@ func BenchmarkEventPublishNoSubscriber(b *testing.B) {
 // BenchmarkEmitterNoSubscriber measures the same opt-out through the
 // per-query Emitter wrapper core/deref/exec actually hold.
 func BenchmarkEmitterNoSubscriber(b *testing.B) {
-	e := NewEmitter(NewBus(), 1, nil)
+	e := NewEmitter(NewBus(), 1, nil, nil, nil, "")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Emit(Event{Kind: EventLinkDiscovered, URL: "http://pod/a", Via: "http://pod/b"})
+	}
+}
+
+// BenchmarkEmitterRecorderOnly measures the emitter every query has without
+// a bus or Explain: it holds only the query's recorder, and an event that is
+// not a dereference attempt has nothing to fold. Must stay 0 allocs/op.
+func BenchmarkEmitterRecorderOnly(b *testing.B) {
+	e := NewEmitter(nil, 1, nil, metrics.NewRecorder(), nil, "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Emit(Event{Kind: EventLinkDiscovered, URL: "http://pod/a", Via: "http://pod/b"})

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ltqp/internal/metrics"
 )
 
 // EventSchemaVersion identifies the engine event wire layout (the JSON shape
@@ -39,8 +41,13 @@ const (
 	// subscriber is attached. (Additive to schema 1; the name outlived the
 	// executor's morsel pool and is kept for the journal schema.)
 	EventMorselProcessed EventKind = "morsel_processed"
-	// EventDocumentDereferenced records one completed dereference — URL,
-	// status, triple/byte counts and wall time on success, Err on failure.
+	// EventDocumentDereferenced records one dereference attempt, a retry or
+	// a shared-cache answer included; Via is the document whose link led
+	// here, DurationUS ends at Time, Err marks a failure. It is the only
+	// record of a dereference: the Recorder's rows (RequestOf), the deref
+	// instruments and the topology nodes are its folds, live and on replay.
+	// (Per attempt, with Reason, Attempt, Cached and ServerUS: additive to
+	// schema 1.)
 	EventDocumentDereferenced EventKind = "document_dereferenced"
 	// EventLinkDiscovered records a link an extractor found in a document
 	// (URL discovered in Via by Extractor).
@@ -148,6 +155,11 @@ type Event struct {
 	// Sources carries a result_emitted solution's source documents when the
 	// query ran with provenance. (Additive to schema 1.)
 	Sources []string `json:"sources,omitempty"`
+	// Cached marks a document_dereferenced attempt answered by the shared
+	// document cache; ServerUS is a fetch's server-reported share
+	// (Server-Timing). (Both additive to schema 1.)
+	Cached   bool  `json:"cached,omitempty"`
+	ServerUS int64 `json:"server_us,omitempty"`
 }
 
 // Bus fans engine events out to subscribers. Publishing is bounded and
@@ -403,40 +415,48 @@ func TenantFromContext(ctx context.Context) string {
 // *Emitter no-ops every method at zero cost, mirroring the nil-span and
 // nil-metrics idiom.
 //
-// An emitter may also carry the query's Topology: every event is then folded
-// into it synchronously, before it is published — never through a droppable
-// subscriber channel — and under one lock, so the fold sees a query's events
-// in the order the bus numbers them and a journal replays to the same graph.
+// The emitter folds the query's events synchronously, before publishing
+// them — never through a droppable subscriber channel — and under one lock,
+// so each fold sees the events in the order the bus numbers them and a
+// journal replays to the same state. Every event goes into the query's
+// Topology, when there is one; every document_dereferenced attempt also
+// into its Recorder (as RequestOf's row) and into the deref instruments of
+// its Metrics, with the query's trace ID as the latency exemplar.
 type Emitter struct {
 	bus   *Bus
 	query int64
+	rec   *metrics.Recorder
+	m     *Metrics
+	trace string
 
-	mu   sync.Mutex // orders fold + publish; unused without topo
+	mu   sync.Mutex // orders fold + publish
 	topo *Topology
 }
 
 // NewEmitter returns the emitter of one query: events go to bus (nil means
-// no event stream) and are folded into topo (nil means no explain layer).
-// With neither it returns nil, the free disabled state.
-func NewEmitter(bus *Bus, id int64, topo *Topology) *Emitter {
-	if bus == nil && topo == nil {
+// no event stream) and are folded into topo (nil means no explain layer),
+// attempts into rec and m (nil: not recorded, not counted). With no bus,
+// topology or recorder it returns nil, the free disabled state.
+func NewEmitter(bus *Bus, id int64, topo *Topology, rec *metrics.Recorder, m *Metrics, traceID string) *Emitter {
+	if bus == nil && topo == nil && rec == nil {
 		return nil
 	}
-	return &Emitter{bus: bus, query: id, topo: topo}
+	return &Emitter{bus: bus, query: id, topo: topo, rec: rec, m: On(m), trace: traceID}
 }
 
 // Active reports whether emitted events currently have an audience: a bus
 // subscriber or the query's topology.
 func (e *Emitter) Active() bool { return e != nil && (e.topo != nil || e.bus.Active()) }
 
-// Emit stamps the event with the emitter's query id, folds it into the
-// topology when one is attached, and publishes it.
+// Emit stamps the event with the emitter's query id, folds it and
+// publishes it.
 func (e *Emitter) Emit(ev Event) {
 	if e == nil {
 		return
 	}
 	ev.Query = e.query
-	if e.topo == nil {
+	attempt := ev.Kind == EventDocumentDereferenced
+	if e.topo == nil && !attempt {
 		e.bus.Publish(ev)
 		return
 	}
@@ -446,5 +466,22 @@ func (e *Emitter) Emit(ev Event) {
 		ev.Time = time.Now()
 	}
 	e.topo.Apply(ev)
+	if attempt {
+		if e.rec != nil {
+			e.rec.Record(RequestOf(ev))
+		}
+		e.m.countAttempt(ev, e.trace)
+	}
 	e.bus.Publish(ev)
+}
+
+// RequestOf is the waterfall row of one document_dereferenced attempt, the
+// one conversion behind the live Recorder and journal replay's rows.
+func RequestOf(ev Event) metrics.Request {
+	// Wall clock only, as a replayed event has it.
+	end := ev.Time.Round(0)
+	return metrics.Request{URL: ev.URL, Parent: ev.Via, Reason: ev.Reason,
+		Start: end.Add(-time.Duration(ev.DurationUS) * time.Microsecond), End: end,
+		Status: ev.Status, Bytes: ev.Bytes, Triples: ev.Triples, Cached: ev.Cached,
+		Attempt: ev.Attempt, Server: time.Duration(ev.ServerUS) * time.Microsecond, Err: ev.Err}
 }

@@ -78,7 +78,8 @@ func summarize(r *QueryRecord, withTrace bool) querySummaryJSON {
 		Contributions: r.Contributions(),
 	}
 	if topo := r.Topology(); topo != nil {
-		out.Topology = &topoSummaryJSON{Documents: topo.Documents(), Links: topo.Links(), Results: topo.Results()}
+		s := topo.summary()
+		out.Topology = &s
 	}
 	if lg := r.Ledger(); lg != nil {
 		out.MemPeakBytes = lg.Peak()
@@ -172,7 +173,7 @@ func TopologyHandler(t *QueryTracker) http.Handler {
 					ID:       r.ID,
 					Query:    r.Query,
 					Done:     r.Done(),
-					Topology: topoSummaryJSON{Documents: topo.Documents(), Links: topo.Links(), Results: topo.Results()},
+					Topology: topo.summary(),
 				})
 			}
 			w.Header().Set("Content-Type", "application/json")

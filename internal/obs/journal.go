@@ -190,10 +190,10 @@ type QueryReplay struct {
 	HasTTFR bool
 
 	Phases []ReplayPhase
-	// Docs are the query's dereferences in journal order: Parent is the
-	// document the link was discovered in (empty for seeds), the dependency
-	// edge critical-path analysis walks, and Start is End less the
-	// recorded duration.
+	// Docs are the query's dereference attempts in journal order, each the
+	// RequestOf its document_dereferenced event — the rows the live
+	// Recorder holds, so a Recorder fed Docs has the live run's Stats.
+	// Parent is the dependency edge critical-path analysis walks.
 	Docs []metrics.Request
 
 	LinksDiscovered int
@@ -206,11 +206,6 @@ type QueryReplay struct {
 	// string ("" when the query ran without a ledger attached).
 	PeakMem      int64
 	MemBreakdown string
-
-	// MaxConcurrency / MeanConcurrency profile the dereference overlap
-	// (metrics.Concurrency of Docs).
-	MaxConcurrency  int
-	MeanConcurrency float64
 
 	// Topology is the traversal graph folded from the query's events — the
 	// fold the live engine runs, so it equals the Explain report's topology
@@ -359,16 +354,7 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 				q.HasTTFR = true
 			}
 		case EventDocumentDereferenced:
-			q.Docs = append(q.Docs, metrics.Request{
-				URL:     ev.URL,
-				Parent:  ev.Via,
-				Start:   ev.Time.Add(-time.Duration(ev.DurationUS) * time.Microsecond),
-				End:     ev.Time,
-				Status:  ev.Status,
-				Bytes:   ev.Bytes,
-				Triples: ev.Triples,
-				Err:     ev.Err,
-			})
+			q.Docs = append(q.Docs, RequestOf(ev))
 		case EventLinkDiscovered:
 			q.LinksDiscovered++
 		case EventLinkQueued:
@@ -383,9 +369,6 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 				q.MemBreakdown = ev.Detail
 			}
 		}
-	}
-	for _, q := range s.Queries {
-		q.MaxConcurrency, q.MeanConcurrency = metrics.Concurrency(q.Docs)
 	}
 	return s, nil
 }
@@ -411,15 +394,14 @@ func (q *QueryReplay) SlowestDocs(n int) []metrics.Request {
 	return docs
 }
 
-// FailedDocs counts dereferences that brought no document (Request.Failed).
-func (q *QueryReplay) FailedDocs() int {
-	n := 0
+// Stats folds Docs as the live Recorder folds its rows: the recorded run's
+// Result.Stats(), field for field.
+func (q *QueryReplay) Stats() metrics.Stats {
+	r := metrics.NewRecorder()
 	for _, d := range q.Docs {
-		if d.Failed() {
-			n++
-		}
+		r.Record(d)
 	}
-	return n
+	return r.Stats()
 }
 
 // WriteReport renders the replay as a human-readable timeline analysis:
@@ -462,8 +444,9 @@ func (s *JournalSummary) WriteReport(w io.Writer, topN int) {
 			}
 			fmt.Fprintf(w, "  phases: %s\n", strings.Join(parts, " | "))
 		}
+		// Docs has a row per attempt; the topology a node per document.
 		fmt.Fprintf(w, "  traversal: %d documents (%d failed), %d links discovered (%d queued, %d pruned), %d retries\n",
-			len(q.Docs), q.FailedDocs(), q.LinksDiscovered, q.LinksQueued, q.LinksPruned, q.Retries)
+			q.Topology.summary().Documents, q.Stats().FailedDocuments, q.LinksDiscovered, q.LinksQueued, q.LinksPruned, q.Retries)
 		if q.PeakMem > 0 {
 			fmt.Fprintf(w, "  peak memory: %s", resource.FormatBytes(q.PeakMem))
 			if q.MemBreakdown != "" {
@@ -472,7 +455,8 @@ func (s *JournalSummary) WriteReport(w io.Writer, topN int) {
 			fmt.Fprintln(w)
 		}
 		if len(q.Docs) > 0 {
-			fmt.Fprintf(w, "  dereference concurrency: max %d in flight, mean %.2f\n", q.MaxConcurrency, q.MeanConcurrency)
+			peak, mean := metrics.Concurrency(q.Docs)
+			fmt.Fprintf(w, "  dereference concurrency: max %d in flight, mean %.2f\n", peak, mean)
 			fmt.Fprintf(w, "  slowest documents:\n")
 			for _, d := range q.SlowestDocs(topN) {
 				st := fmt.Sprintf("%d", d.Status)

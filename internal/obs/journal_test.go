@@ -13,7 +13,7 @@ import (
 func emitSyntheticQuery(b *Bus, id int64) time.Time {
 	t0 := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-	e := NewEmitter(b, id, nil)
+	e := NewEmitter(b, id, nil, nil, nil, "")
 	e.Emit(Event{Kind: EventQueryStarted, Time: t0, Detail: "SELECT ?x WHERE { ?x ?p ?o }",
 		Seeds: []string{"http://pod/a"}})
 	e.Emit(Event{Kind: EventStageStarted, Stage: "parse", Time: t0})
@@ -94,14 +94,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if q.Phases[0].Name != "parse" || q.Phases[0].Duration != time.Millisecond {
 		t.Fatalf("parse phase = %+v", q.Phases[0])
 	}
-	if len(q.Docs) != 2 || q.FailedDocs() != 0 {
-		t.Fatalf("docs = %+v", q.Docs)
+	if st := q.Stats(); len(q.Docs) != 2 || st.Failed != 0 || st.MaxParallel != 2 {
+		t.Fatalf("docs = %+v, stats %+v", q.Docs, st)
 	}
 	if q.LinksDiscovered != 2 || q.LinksQueued != 1 || q.LinksPruned != 1 || q.Retries != 1 {
 		t.Fatalf("link tallies = %+v", q)
-	}
-	if q.MaxConcurrency != 2 {
-		t.Fatalf("max concurrency = %d, want 2", q.MaxConcurrency)
 	}
 	slow := q.SlowestDocs(1)
 	if len(slow) != 1 || slow[0].URL != "http://pod/a" {

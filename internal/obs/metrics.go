@@ -1,6 +1,11 @@
 package obs
 
-import "ltqp/internal/resource"
+import (
+	"net/http"
+	"strconv"
+
+	"ltqp/internal/resource"
+)
 
 // Metrics is the engine's standard instrument set, registered under the
 // ltqp_ namespace. One Metrics aggregates across every query an engine
@@ -132,6 +137,37 @@ func NewMetrics(r *Registry) *Metrics {
 		LimitTrips:      r.CounterVec("ltqp_traversal_limit_trips_total", "Traversal defenses fired, by limit kind.", "kind"),
 		LinksOutOfScope: r.Counter("ltqp_links_out_of_scope_total", "Links pruned by the traversal scope allowlist."),
 	}
+}
+
+// countAttempt folds one document_dereferenced attempt into the deref
+// instruments, with traceID as the exemplar of every latency that did not
+// fail. A negative cache hit counts nowhere.
+func (m *Metrics) countAttempt(ev Event, traceID string) {
+	secs := float64(ev.DurationUS) / 1e6
+	if ev.Cached {
+		if ev.Err == "" {
+			m.CacheHits.Inc()
+			m.DerefDuration.ObserveExemplar(secs, traceID)
+		}
+		return
+	}
+	if ev.Attempt > 1 {
+		m.Retries.Inc()
+	}
+	if ev.Status != 0 && m.DocumentsByStatus != nil {
+		m.DocumentsByStatus.With(strconv.Itoa(ev.Status)).Inc()
+	}
+	if ev.Err != "" {
+		m.FetchFailures.Inc()
+		return
+	}
+	// A 304 confirmed a cached copy: no new document, only the round trip.
+	if ev.Status != http.StatusNotModified {
+		m.DocumentsFetched.Inc()
+		m.BytesFetched.Add(ev.Bytes)
+		m.TriplesParsed.Add(int64(ev.Triples))
+	}
+	m.DerefDuration.ObserveExemplar(secs, traceID)
 }
 
 // Observer bundles the observability surfaces one engine shares across its

@@ -115,14 +115,14 @@ func logEvent(logger *slog.Logger, ev Event) {
 		}
 		logger.LogAttrs(ctx, lvl, "query finished", attrs...)
 	case EventDocumentDereferenced:
+		attrs := []slog.Attr{slog.String("url", ev.URL), slog.Int("attempt", ev.Attempt), slog.Bool("cached", ev.Cached)}
 		if ev.Err != "" {
 			logger.LogAttrs(ctx, slog.LevelWarn, "dereference failed",
-				slog.String("url", ev.URL), slog.String("error", ev.Err), dur())
+				append(attrs, slog.String("error", ev.Err), dur())...)
 			return
 		}
-		logger.LogAttrs(ctx, slog.LevelDebug, "document dereferenced",
-			slog.String("url", ev.URL), slog.Int("status", ev.Status),
-			slog.Int("triples", ev.Triples), slog.Int64("bytes", ev.Bytes), dur())
+		logger.LogAttrs(ctx, slog.LevelDebug, "document dereferenced", append(attrs,
+			slog.Int("status", ev.Status), slog.Int("triples", ev.Triples), slog.Int64("bytes", ev.Bytes), dur())...)
 	case EventRetryScheduled:
 		logger.LogAttrs(ctx, slog.LevelWarn, "retry scheduled",
 			slog.String("url", ev.URL), slog.Int("attempt", ev.Attempt),

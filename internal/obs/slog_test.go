@@ -65,6 +65,7 @@ func TestEventLoggerLevels(t *testing.T) {
 		{Kind: EventQueryStarted, Query: 7, Detail: "SELECT *", Seeds: []string{"http://pod/a"}},
 		{Kind: EventLinkDiscovered, Query: 7, URL: "http://pod/b", Via: "http://pod/a", Extractor: "match"},
 		{Kind: EventDocumentDereferenced, Query: 7, URL: "http://pod/b", Err: "boom"},
+		{Kind: EventDocumentDereferenced, Query: 7, URL: "http://pod/c", Status: 200, Attempt: 1, Cached: true},
 		{Kind: EventRetryScheduled, Query: 7, URL: "http://pod/b", Attempt: 1, Err: "boom"},
 		{Kind: EventQueryFinished, Query: 7, Rows: 0, Err: "traversal failed"},
 	}
@@ -105,6 +106,9 @@ func TestEventLoggerLevels(t *testing.T) {
 	debug := run("debug")
 	if !strings.Contains(debug, "link discovered") {
 		t.Errorf("debug log missing traversal detail:\n%s", debug)
+	}
+	if !strings.Contains(debug, `"msg":"document dereferenced","url":"http://pod/c","attempt":1,"cached":true`) {
+		t.Errorf("debug log lacks the attempt's number and cache flag:\n%s", debug)
 	}
 }
 

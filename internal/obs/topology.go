@@ -24,6 +24,7 @@ type Topology struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	nodes   map[string]*TopoNode
+	depths  map[string]int // a queued link's depth, by URL
 	order   []string
 	edges   []TopoEdge
 	results []ResultEvent
@@ -63,7 +64,9 @@ const (
 	FateOriginBudgetPruned = "origin-budget-pruned"
 )
 
-// TopoNode is one dereferenced (or attempted) document.
+// TopoNode is one dereferenced (or attempted) document. It spans from its
+// first attempt's start to its last attempt's end and shows the last
+// attempt's outcome.
 type TopoNode struct {
 	URL     string  `json:"url"`
 	Depth   int     `json:"depth"`
@@ -74,6 +77,8 @@ type TopoNode struct {
 	DurMS   float64 `json:"duration_ms"`
 	Seed    bool    `json:"seed,omitempty"`
 	Error   string  `json:"error,omitempty"`
+
+	start time.Time // the first attempt's
 }
 
 // TopoEdge is one discovered link.
@@ -124,7 +129,7 @@ type TopologyJSON struct {
 // NewTopology returns an empty topology. Timeline offsets are relative to
 // the time of the first event applied — a query's query_started.
 func NewTopology() *Topology {
-	return &Topology{nodes: map[string]*TopoNode{}}
+	return &Topology{nodes: map[string]*TopoNode{}, depths: map[string]int{}}
 }
 
 func (t *Topology) sinceMS(at time.Time) float64 {
@@ -146,10 +151,11 @@ func (t *Topology) node(url string, depth int) *TopoNode {
 // Apply folds one engine event into the topology. The topology is a pure
 // function of its query's event sequence: the engine applies each event as
 // it emits it, ReadJournal applies the recorded ones, and both arrive at the
-// same graph. A document_dereferenced becomes (or completes) a node, a
-// link_queued a followed edge — a seed node too when it has no source
-// document — a link_pruned an edge labeled with its fate, a result_emitted a
-// point on the result timeline; every other kind is ignored.
+// same graph. A document_dereferenced attempt becomes (or extends) a node at
+// the depth its link was queued with, a link_queued a followed edge — a seed
+// node too when it has no source document — a link_pruned an edge labeled
+// with its fate, a result_emitted a point on the result timeline; every
+// other kind is ignored.
 func (t *Topology) Apply(ev Event) {
 	if t == nil {
 		return
@@ -164,11 +170,15 @@ func (t *Topology) Apply(ev Event) {
 	}
 	switch ev.Kind {
 	case EventDocumentDereferenced:
-		n := t.node(ev.URL, ev.Depth)
+		n := t.node(ev.URL, t.depths[ev.URL])
 		n.Status, n.Triples, n.Bytes, n.Error = ev.Status, ev.Triples, ev.Bytes, ev.Err
-		n.StartMS = t.sinceMS(at.Add(-time.Duration(ev.DurationUS) * time.Microsecond))
-		n.DurMS = float64(ev.DurationUS) / 1000
+		if ev.Attempt <= 1 {
+			n.start = at.Add(-time.Duration(ev.DurationUS) * time.Microsecond)
+			n.StartMS = t.sinceMS(n.start)
+		}
+		n.DurMS = float64(at.Sub(n.start).Microseconds()) / 1000
 	case EventLinkQueued:
+		t.depths[ev.URL] = ev.Depth
 		if ev.Via == "" {
 			t.node(ev.URL, 0).Seed = true
 		}
@@ -200,34 +210,15 @@ func (t *Topology) FirstResultSources() []string {
 	return append([]string(nil), t.results[0].Sources...)
 }
 
-// Documents returns the number of recorded nodes.
-func (t *Topology) Documents() int {
+// summary counts the recorded nodes, edges (seed edges included) and
+// result arrivals.
+func (t *Topology) summary() topoSummaryJSON {
 	if t == nil {
-		return 0
+		return topoSummaryJSON{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.nodes)
-}
-
-// Links returns the number of recorded edges (seed edges included).
-func (t *Topology) Links() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.edges)
-}
-
-// Results returns the number of recorded result arrivals.
-func (t *Topology) Results() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.results)
+	return topoSummaryJSON{Documents: len(t.nodes), Links: len(t.edges), Results: len(t.results)}
 }
 
 // Snapshot exports the topology. Nodes appear in first-touch order, edges

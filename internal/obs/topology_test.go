@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ltqp/internal/metrics"
 )
 
 // at stamps an event with an offset from epoch, as the emitter would.
@@ -25,18 +27,20 @@ func TestTopologyFoldsEvents(t *testing.T) {
 		at(epoch, 3*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/card", Status: 200, Triples: 12, Bytes: 800, DurationUS: 2000}),
 		at(epoch, 3*ms, Event{Kind: EventLinkDiscovered, URL: "http://pod/posts/", Via: "http://pod/card"}), // ignored
 		at(epoch, 3*ms, Event{Kind: EventLinkQueued, URL: "http://pod/posts/", Via: "http://pod/card", Extractor: "solid-profile", Reason: "storage", Depth: 1}),
-		at(epoch, 7*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/posts/", Via: "http://pod/card", Depth: 1, Status: 200, Triples: 30, Bytes: 2000, DurationUS: 3000}),
+		// Two attempts: the node spans both and shows the second.
+		at(epoch, 5*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/posts/", Via: "http://pod/card", Attempt: 1, Status: 503, Err: "status 503", DurationUS: 1000}),
+		at(epoch, 7*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/posts/", Via: "http://pod/card", Attempt: 2, Status: 200, Triples: 30, Bytes: 2000, DurationUS: 1000}),
 		at(epoch, 7*ms, Event{Kind: EventLinkPruned, URL: "http://pod/card", Via: "http://pod/posts/", Extractor: "match", Reason: "match", Detail: EdgeDuplicate}),
 		at(epoch, 7*ms, Event{Kind: EventLinkPruned, URL: "http://pod/deep", Via: "http://pod/posts/", Extractor: "ldp-container", Reason: "ldp-container", Detail: EdgeDepthPruned}),
 		at(epoch, 7*ms, Event{Kind: EventLinkPruned, URL: "http://pod/bomb", Via: "http://pod/posts/", Extractor: "ldp-container", Reason: "ldp-container", Detail: FateFanoutPruned}),
-		at(epoch, 8*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/missing", Depth: 1, Err: "404", DurationUS: 1000}),
+		at(epoch, 8*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/missing", Err: "404", DurationUS: 1000}),
 		at(epoch, 9*ms, Event{Kind: EventResultEmitted, Row: 1, Sources: []string{"http://pod/card", "http://pod/posts/"}}),
 	} {
 		topo.Apply(ev)
 	}
 
-	if topo.Documents() != 3 || topo.Links() != 5 || topo.Results() != 1 {
-		t.Fatalf("counts: %d docs, %d links, %d results", topo.Documents(), topo.Links(), topo.Results())
+	if s := topo.summary(); s != (topoSummaryJSON{Documents: 3, Links: 5, Results: 1}) {
+		t.Fatalf("counts: %+v", s)
 	}
 
 	snap := topo.Snapshot()
@@ -46,7 +50,7 @@ func TestTopologyFoldsEvents(t *testing.T) {
 	if n := snap.Nodes[0]; n.Status != 200 || n.Triples != 12 || n.Bytes != 800 || n.StartMS != 1 || n.DurMS != 2 {
 		t.Errorf("seed node = %+v", n)
 	}
-	if n := snap.Nodes[1]; n.Depth != 1 || n.StartMS != 4 || n.DurMS != 3 {
+	if n := snap.Nodes[1]; n.Depth != 1 || n.StartMS != 4 || n.DurMS != 3 || n.Status != 200 || n.Error != "" || n.Triples != 30 {
 		t.Errorf("second node = %+v", n)
 	}
 	if snap.Nodes[2].Error != "404" {
@@ -92,7 +96,7 @@ func TestTopologyDOT(t *testing.T) {
 		{Kind: EventDocumentDereferenced, URL: "http://pod/card", Status: 200, Triples: 5, Bytes: 100, DurationUS: 1000},
 		{Kind: EventLinkQueued, URL: "http://pod/posts/", Via: "http://pod/card", Extractor: "ldp-container", Reason: "ldp-container"},
 		{Kind: EventLinkPruned, URL: "http://pod/dup", Via: "http://pod/card", Extractor: "match", Reason: "match", Detail: EdgeDuplicate},
-		{Kind: EventDocumentDereferenced, URL: "http://pod/dead", Depth: 1, Err: "boom"},
+		{Kind: EventDocumentDereferenced, URL: "http://pod/dead", Err: "boom"},
 	} {
 		topo.Apply(at(time.Now(), 0, ev))
 	}
@@ -118,7 +122,7 @@ func TestTopologyNilSafe(t *testing.T) {
 	var topo *Topology
 	topo.Apply(Event{Kind: EventDocumentDereferenced, URL: "x"})
 	topo.Apply(Event{Kind: EventResultEmitted, Row: 1})
-	if topo.Documents() != 0 || topo.Links() != 0 || topo.Results() != 0 {
+	if topo.summary() != (topoSummaryJSON{}) {
 		t.Error("nil topology reported non-zero counts")
 	}
 	snap := topo.Snapshot()
@@ -135,14 +139,14 @@ func TestTopologyNilSafe(t *testing.T) {
 // leave the fold and the bus agreeing on the order — the property that makes
 // a journal replay to the live topology.
 func TestEmitterFoldsInPublishOrder(t *testing.T) {
-	if e := NewEmitter(nil, 1, NewTopology()); !e.Active() {
+	if e := NewEmitter(nil, 1, NewTopology(), nil, nil, ""); !e.Active() {
 		t.Fatal("an emitter with a topology has an audience without a bus")
 	}
 	bus := NewBus()
 	sub := bus.Subscribe(1024)
 	defer sub.Close()
 	topo := NewTopology()
-	e := NewEmitter(bus, 7, topo)
+	e := NewEmitter(bus, 7, topo, nil, nil, "")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -163,6 +167,46 @@ func TestEmitterFoldsInPublishOrder(t *testing.T) {
 	for i, ev := range events {
 		if ev.Query != 7 || edges[i].To != ev.URL {
 			t.Fatalf("position %d: bus delivered %s (query %d), fold recorded %s", i, ev.URL, ev.Query, edges[i].To)
+		}
+	}
+}
+
+// TestEmitterFoldsAttempts: every document_dereferenced attempt becomes the
+// recorder's row and is counted in the deref instruments — a retried fetch,
+// a revalidation, a cache hit and a negative cache hit.
+func TestEmitterFoldsAttempts(t *testing.T) {
+	rec := metrics.NewRecorder()
+	m := NewMetrics(NewRegistry())
+	e := NewEmitter(nil, 1, nil, rec, m, "")
+	epoch, ms := time.Now(), time.Millisecond
+	for _, ev := range []Event{
+		at(epoch, 0, Event{Kind: EventLinkQueued, URL: "http://pod/a"}),
+		at(epoch, 1*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/a", Attempt: 1, Status: 503, Err: "status 503", DurationUS: 900}),
+		at(epoch, 3*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/a", Attempt: 2, Status: 200, Bytes: 90, Triples: 3, DurationUS: 1000, ServerUS: 400}),
+		at(epoch, 4*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/b", Attempt: 1, Status: 304, DurationUS: 500}),
+		at(epoch, 5*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/c", Attempt: 1, Status: 200, Bytes: 50, Triples: 2, Cached: true}),
+		at(epoch, 6*ms, Event{Kind: EventDocumentDereferenced, URL: "http://pod/gone", Attempt: 1, Status: 404, Err: "status 404", Cached: true}),
+	} {
+		e.Emit(ev)
+	}
+	want := metrics.Stats{Requests: 5, Failed: 2, TotalBytes: 140, TotalTriples: 5, MaxParallel: 1, WallTime: 5900 * time.Microsecond,
+		DistinctHosts: 1, Retries: 1, FailedDocuments: 1, CacheHits: 1, NegativeHits: 1}
+	if st := rec.Stats(); st != want {
+		t.Errorf("recorder stats = %+v, want %+v", st, want)
+	}
+	if reqs := rec.Requests(); reqs[1].Server != 400*time.Microsecond || reqs[1].Duration() != time.Millisecond {
+		t.Errorf("retried row = %+v", reqs[1])
+	}
+	for name, got := range map[string]int64{
+		"fetched": m.DocumentsFetched.Value(), "bytes": m.BytesFetched.Value(), "triples": m.TriplesParsed.Value(),
+		"failures": m.FetchFailures.Value(), "retries": m.Retries.Value(), "cache hits": m.CacheHits.Value(),
+		"503s": m.DocumentsByStatus.With("503").Value(), "304s": m.DocumentsByStatus.With("304").Value(),
+		"404s": m.DocumentsByStatus.With("404").Value(), "latencies": m.DerefDuration.Count(),
+	} {
+		want := map[string]int64{"fetched": 1, "bytes": 90, "triples": 3, "failures": 1, "retries": 1,
+			"cache hits": 1, "503s": 1, "304s": 1, "404s": 0, "latencies": 3}[name]
+		if got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

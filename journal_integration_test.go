@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ltqp"
+	"ltqp/internal/faultinject"
 	"ltqp/internal/metrics"
 	"ltqp/internal/obs"
 	"ltqp/internal/podserver"
@@ -47,8 +49,10 @@ func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Eng
 // capture a query over the 3-hop podserver fixture to a JSONL journal, then
 // replay it offline and check the reconstruction reproduces the live run —
 // same result count, a TTFR bounded by the recorded timestamps, all three
-// documents, the full phase set, and the very topology the live run's
-// Explain report carries.
+// documents, the full phase set, the live request rows and statistics, and
+// the very topology the live run's Explain report carries. The rows and the
+// topology must also match under injected faults with retries and on a warm
+// shared cache.
 func TestJournalReplayMatchesLiveRun(t *testing.T) {
 	bus := ltqp.NewEventBus()
 	var buf bytes.Buffer
@@ -82,7 +86,6 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 		t.Fatalf("journal close: %v", err)
 	}
 
-	raw := bytes.Clone(buf.Bytes())
 	summary, err := obs.ReadJournal(&buf)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -126,10 +129,10 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 			t.Errorf("doc %s = %+v", d.URL, d)
 		}
 	}
-	if q.MaxConcurrency < 1 {
-		t.Errorf("max concurrency = %d", q.MaxConcurrency)
+	if !slices.ContainsFunc(q.Docs, func(d metrics.Request) bool { return d.Server > 0 }) {
+		t.Errorf("no replayed row carries a server share: %+v", q.Docs)
 	}
-	assertReplayedRequests(t, raw, q, res)
+	assertReplayedRequests(t, q, res)
 
 	// The topology is a fold of the event stream, so the replay arrives at
 	// the live run's: same nodes, edges, result sources and timeline offsets.
@@ -165,33 +168,117 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, report.String())
 		}
 	}
+
+	t.Run("faulted", func(t *testing.T) {
+		// Discover 1.1 with ~20% of requests answered 503, at most twice per
+		// URL, four attempts each: the retries are rows of their own.
+		env := simenv.New(solidbench.SmallConfig())
+		defer env.Close()
+		inj := faultinject.New(1234, faultinject.Rule{Probability: 0.2, Kind: faultinject.Status,
+			Status: 503, MaxFaultsPerURL: 2})
+		res, summary := journalQueries(t, ltqp.Config{Client: inj.Client(env.Client()), Lenient: true, Explain: true,
+			Retry: &ltqp.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Seed: 1}},
+			env.Dataset.Discover(1, 1).Text, 1)
+		st := res[0].Stats()
+		if st.Retries == 0 || st.Failed <= st.FailedDocuments {
+			t.Fatalf("live stats %+v: the faults caused no retried failure", st)
+		}
+		t.Logf("live stats %+v", st)
+		q := summary.Replay(res[0].ID())
+		assertReplayedRequests(t, q, res[0])
+		assertReplayedTopology(t, q, res[0])
+	})
+
+	t.Run("warm", func(t *testing.T) {
+		// The second run of Discover 1.1 over one shared cache: every row a
+		// hit, the dead vocabulary links negative hits.
+		env := simenv.New(solidbench.SmallConfig())
+		defer env.Close()
+		res, summary := journalQueries(t, ltqp.Config{Client: env.Client(), Lenient: true, Explain: true,
+			SharedCache: ltqp.NewSharedCache(ltqp.SharedCacheOptions{})}, env.Dataset.Discover(1, 1).Text, 2)
+		if st := res[1].Stats(); st.CacheHits == 0 || st.NegativeHits == 0 {
+			t.Fatalf("warm stats %+v: want cache hits and negative hits", st)
+		}
+		for _, r := range res {
+			q := summary.Replay(r.ID())
+			assertReplayedRequests(t, q, r)
+			assertReplayedTopology(t, q, r)
+		}
+	})
 }
 
-// assertReplayedRequests checks that a fault-free query's replayed
-// dereferences are the live recorder's: the same request statistics, and
-// each row failed exactly when its journaled document_dereferenced event
-// carries an error.
-func assertReplayedRequests(t *testing.T, journal []byte, q *obs.QueryReplay, res *ltqp.Result) {
+// journalQueries runs query n times, one after another, on one engine built
+// from cfg with a journal attached, and returns the finished results with
+// the journal's replay.
+func journalQueries(t *testing.T, cfg ltqp.Config, query string, n int) ([]*ltqp.Result, *obs.JournalSummary) {
 	t.Helper()
+	cfg.Events = ltqp.NewEventBus()
+	var buf bytes.Buffer
+	journal, err := ltqp.NewJournal(&buf, cfg.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := ltqp.New(cfg)
+	var out []*ltqp.Result
+	for range n {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		res, err := engine.Query(ctx, query)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		for range res.Results {
+		}
+		cancel()
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	summary, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if summary.Dropped != 0 {
+		t.Fatalf("journal dropped %d events", summary.Dropped)
+	}
+	return out, summary
+}
+
+// assertReplayedRequests checks that a query's replayed dereference rows are
+// the live recorder's, reason, attempt, cache flag and server share
+// included, so a recorder fed them has the live statistics, every field.
+func assertReplayedRequests(t *testing.T, q *obs.QueryReplay, res *ltqp.Result) {
+	t.Helper()
+	if q == nil {
+		t.Fatalf("query %d not in the journal", res.ID())
+	}
+	if got, live := q.Stats(), res.Stats(); got != live {
+		t.Errorf("replayed request stats differ from the live ones\nlive:     %+v\nreplayed: %+v", live, got)
+	}
 	replayed := metrics.NewRecorder()
 	for _, d := range q.Docs {
 		replayed.Record(d)
 	}
-	got, live := replayed.Stats(), res.Stats()
-	if got.Requests != live.Requests || got.Failed != live.Failed || got.TotalBytes != live.TotalBytes ||
-		got.TotalTriples != live.TotalTriples || got.MaxDepth != live.MaxDepth || got.DistinctHosts != live.DistinctHosts {
-		t.Errorf("replayed request stats differ from the live ones\nlive:     %+v\nreplayed: %+v", live, got)
+	got, live := replayed.Requests(), res.Metrics().Requests()
+	if len(got) != len(live) {
+		t.Fatalf("replayed %d rows, live %d", len(got), len(live))
 	}
-	errFlag := map[string]bool{}
-	for _, line := range bytes.Split(journal, []byte("\n")) {
-		var ev obs.Event
-		if json.Unmarshal(line, &ev) == nil && ev.Kind == obs.EventDocumentDereferenced {
-			errFlag[ev.URL] = ev.Err != ""
+	for i, l := range live {
+		r := got[i]
+		if r.Reason == "" || r.Attempt < 1 {
+			t.Errorf("replayed row %s has no reason or attempt: %+v", r.URL, r)
 		}
-	}
-	for _, d := range q.Docs {
-		if flag, ok := errFlag[d.URL]; !ok || d.Failed() != flag {
-			t.Errorf("replayed %s: Failed() = %v, journal error flag %v (journaled: %v)", d.URL, d.Failed(), flag, ok)
+		// The times are equal instants; only their locations may differ.
+		if !r.Start.Equal(l.Start) || !r.End.Equal(l.End) {
+			t.Errorf("row %d: replayed %v–%v, live %v–%v", i, r.Start, r.End, l.Start, l.End)
+		}
+		r.Start, r.End, l.Start, l.End = time.Time{}, time.Time{}, time.Time{}, time.Time{}
+		if r != l {
+			t.Errorf("row %d:\nlive:     %+v\nreplayed: %+v", i, l, r)
 		}
 	}
 }

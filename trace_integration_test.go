@@ -1,6 +1,7 @@
 package ltqp_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,8 +19,9 @@ import (
 
 // traceEnv serves the explain tests' three-document chain a.ttl → b.ttl →
 // c.ttl with injected per-request latency and a server-side span log, so
-// the client and server halves of the distributed trace can be joined.
-func traceEnv(t *testing.T, latency time.Duration) (base string, engine *ltqp.Engine, ps *podserver.Server, cleanup func()) {
+// the client and server halves of the distributed trace can be joined. The
+// engine publishes its events to bus (nil: none).
+func traceEnv(t *testing.T, latency time.Duration, bus *ltqp.EventBus) (base string, engine *ltqp.Engine, ps *podserver.Server, cleanup func()) {
 	t.Helper()
 	ps = podserver.New()
 	ps.Latency = latency
@@ -37,6 +39,7 @@ func traceEnv(t *testing.T, latency time.Duration) (base string, engine *ltqp.En
 		Strategy: ltqp.StrategyCMatch,
 		Explain:  true,
 		Trace:    true,
+		Events:   bus,
 	})
 	return base, engine, ps, srv.Close
 }
@@ -46,7 +49,7 @@ func traceEnv(t *testing.T, latency time.Duration) (base string, engine *ltqp.En
 // path in Result.Explain() naming the exact chain that gated the first
 // result, with a server-side share absorbed from Server-Timing.
 func TestCriticalPathThreeHop(t *testing.T) {
-	base, engine, _, done := traceEnv(t, 5*time.Millisecond)
+	base, engine, _, done := traceEnv(t, 5*time.Millisecond, nil)
 	defer done()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -103,9 +106,16 @@ func TestCriticalPathThreeHop(t *testing.T) {
 // the query's trace ID propagates via traceparent to every pod request, the
 // pod's span log records one server span per dereference, and the counts
 // agree with --stats' document count. With LTQP_TRACE_ARTIFACT set, the
-// merged trace is exported as JSON (the CI trace-smoke artifact).
+// merged trace is exported as JSON, and with LTQP_JOURNAL_ARTIFACT set the
+// query's event journal is written as JSONL (the CI trace-smoke artifacts).
 func TestTraceSmokeThreeHop(t *testing.T) {
-	base, engine, ps, done := traceEnv(t, 2*time.Millisecond)
+	bus := ltqp.NewEventBus()
+	var journal bytes.Buffer
+	j, err := ltqp.NewJournal(&journal, bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, engine, ps, done := traceEnv(t, 2*time.Millisecond, bus)
 	defer done()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -188,5 +198,13 @@ func TestTraceSmokeThreeHop(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("trace artifact written to %s (%d bytes)", path, len(data))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if path := os.Getenv("LTQP_JOURNAL_ARTIFACT"); path != "" {
+		if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
