@@ -13,7 +13,9 @@ test: build
 # (including the chaos integration tests and the traversal-vs-oracle
 # differential harness) under the race detector — the engine is heavily
 # concurrent and must stay race-clean. The package tests include the
-# allocation pins of the ingest path (turtle.TestParseAllocations, the 0
+# allocation pins of the ingest path (turtle.TestParseAllocations,
+# extract.TestScanAllocatesPerDocument — two allocations a link table,
+# scanned from triples or from IDs as BenchmarkScanIDs does — and the 0
 # allocs/op disabled-path pins of obs and resource), which hold under -race
 # too. The executor's determinism and stress tests run once more at
 # GOMAXPROCS 1 and 4 (-cpu 1,4): scheduling must never change a result.
@@ -99,12 +101,15 @@ adversarial-smoke: build
 # of the oracle's sequence, or a LIMIT answer that is not part of the
 # unlimited one, fails it. The two per-document micro-benchmarks of a warm
 # query (link-table filtering, segment attach) run 100 iterations each so
-# they keep compiling and running, and so do the dictionary's intern
-# benchmarks: a hit on a known term, and a fresh dictionary taking 2 000 pod
-# IRIs twice, as a cold engine does.
+# they keep compiling and running, and so do the link table's ID scan
+# (BenchmarkScanIDs: a cold fetch building a document's table from its ID
+# triples, 2 allocs/op) and the dictionary's intern benchmarks: a hit on a
+# known term, and a fresh dictionary taking 2 000 pod IRIs twice, as a cold
+# engine does.
 bench-smoke:
 	cd bench/ltqpbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendLinksTable$$' -benchtime 100x ./internal/extract
+	$(GO) test -run '^$$' -bench '^BenchmarkScanIDs$$' -benchtime 100x -benchmem ./internal/extract
 	$(GO) test -run '^$$' -bench '^BenchmarkAttachWarmSegments$$' -benchtime 100x ./internal/store
 	$(GO) test -run '^$$' -bench '^BenchmarkDictIntern(Hit|Fresh)$$' -benchtime 100x -benchmem ./internal/rdf
 	bash bench/ltqpbench/run.sh --workload discover_warm --seed 7 --seconds 3 --trace 1 > /dev/null

@@ -68,7 +68,7 @@ func TestBlankScopesDistinctAcrossQueriesSharingACache(t *testing.T) {
 			t.Fatalf("%s not cached (hit %v, err %v)", url, hit, err)
 		}
 		out := map[string]bool{}
-		for _, tr := range res.Triples {
+		for _, tr := range res.DecodedTriples() {
 			for _, term := range []ltqp.Term{tr.S, tr.O} {
 				if term.IsBlank() {
 					out[term.Value] = true

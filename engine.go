@@ -632,29 +632,26 @@ func (t *traversal) visit(l linkqueue.Link) {
 		defer t.ledger.Release(derefCat, res.Bytes)
 	}
 	t.guard.addBytes(res.FinalURL, res.Bytes)
-	// A segment encoded against this engine's dictionary goes in as it is.
-	// One from another engine sharing the cache (other IDs), or a result
-	// without one, is interned here.
+	// A segment encoded against this engine's dictionary goes in as it is;
+	// one from another engine sharing the cache (other IDs) is decoded and
+	// interned here.
 	seg := res.Segment
-	if seg != nil && seg.Dict == t.src.Dict() {
+	if seg.Dict == t.src.Dict() {
 		t.src.AddEncoded(seg.Source, seg.Triples)
 	} else {
-		t.src.AddDocument(res.FinalURL, res.Triples)
+		t.src.AddDocument(res.FinalURL, res.DecodedTriples())
 	}
 	if learns, ok := t.queue.(linkqueue.Feedback); ok {
-		learns.DocumentIngested(res.FinalURL, relevantTriples(res.Triples, t.shape), len(res.Triples))
+		learns.DocumentIngested(res.FinalURL, relevantTriples(seg, t.shape), len(seg.Triples))
 	}
-	dspan.SetAttr(obs.Int("triples", len(res.Triples)))
+	dspan.SetAttr(obs.Int("triples", len(seg.Triples)))
 
-	// The built-in extractors read the document's precomputed link table; an
-	// rdf.Graph is built only for extractors that want one.
-	doc := extract.Document{IRI: res.FinalURL}
-	if seg != nil {
-		doc.Links = seg.Links
-	}
-	if t.needGraph || doc.Links == nil {
+	// The built-in extractors read the document's link table; an rdf.Graph
+	// is built only for extractors that want one.
+	doc := extract.Document{IRI: res.FinalURL, Links: seg.Links}
+	if t.needGraph {
 		doc.Graph = rdf.NewGraph()
-		doc.Graph.AddAll(res.Triples)
+		doc.Graph.AddAll(res.DecodedTriples())
 	}
 	_, xspan := obs.StartSpan(wctx, "extract")
 	accepted := 0

@@ -110,7 +110,7 @@ func TestLyingContentLength(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	res, err := d.Dereference(context.Background(), ts.URL+"/short", "", "seed")
 	runtime.ReadMemStats(&after)
-	if err != nil || len(res.Triples) != 1 || hits.Load() != 2 || len(slept) != 1 {
+	if err != nil || len(res.DecodedTriples()) != 1 || hits.Load() != 2 || len(slept) != 1 {
 		t.Fatalf("truncated body: %d hits, %d backoffs, error %v; want one retry and then the document", hits.Load(), len(slept), err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
@@ -125,8 +125,8 @@ func TestLyingContentLength(t *testing.T) {
 
 // TestPooledBodyIsNeverAliased dereferences documents back to back on one
 // goroutine — so each fetch reads into the buffer the previous one used —
-// and checks the earlier results are untouched: with a dictionary nothing
-// points into the buffer, without one the triples alias a private copy.
+// and checks the earlier results are untouched: with the engine's
+// dictionary or a private one, nothing points into the buffer.
 func TestPooledBodyIsNeverAliased(t *testing.T) {
 	ts := newServer(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/turtle")
@@ -149,8 +149,8 @@ func TestPooledBodyIsNeverAliased(t *testing.T) {
 				{S: rdf.NewIRI(ts.URL + path + "#it"), P: rdf.NewIRI("http://example.org/name"), O: rdf.NewLiteral("document " + path)},
 				{S: rdf.NewIRI(ts.URL + path + "#it"), P: rdf.NewIRI("http://example.org/n"), O: rdf.NewTypedLiteral(strings.Repeat(path, 20), "http://example.org/dt")},
 			}
-			if len(res.Triples) != 2 || res.Triples[0] != want[0] || res.Triples[1] != want[1] {
-				t.Errorf("dict %v: %s reads %v after later fetches, want %v", dict != nil, path, res.Triples, want)
+			if len(res.DecodedTriples()) != 2 || res.DecodedTriples()[0] != want[0] || res.DecodedTriples()[1] != want[1] {
+				t.Errorf("dict %v: %s reads %v after later fetches, want %v", dict != nil, path, res.DecodedTriples(), want)
 			}
 			if dict != nil && (len(res.Segment.Triples) != 2 || dict.DecodeTriple(res.Segment.Triples[1]) != want[1]) {
 				t.Errorf("%s: segment decodes to something else than the document", path)

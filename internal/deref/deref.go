@@ -66,15 +66,16 @@ type Credentials struct {
 
 // Result is a successful dereference. The shared cache holds and hands out
 // the *Result itself, so one is shared, read-only, by every query that hits
-// it.
+// it. The document is held once, as its Segment.
 type Result struct {
 	// URL is the requested document URL; FinalURL the post-redirect URL.
 	URL      string
 	FinalURL string
-	// Triples are the parsed statements, with relative IRIs resolved
-	// against the final URL and blank nodes scoped to this document.
+	// Triples are the statements as terms, set only on the copy a
+	// Dereferencer with a Recorder returns, never on a cached Result: the
+	// benchmark's replay reads them, and they go with it (ROADMAP item 1b).
 	Triples []rdf.Triple
-	// Segment is the document version's pre-encoded form, built once by the
+	// Segment is the document version's parsed form, built once by the
 	// fetch that produced this Result; nil on a 304 answer.
 	Segment *Segment
 	Status  int
@@ -85,26 +86,37 @@ type Result struct {
 	Validators Validators
 	// NotModified is set when a conditional fetch was answered with
 	// 304 Not Modified: the caller's cached copy is still current and
-	// Triples is empty.
+	// Segment is nil.
 	NotModified bool
 }
 
-// Segment is what ingesting a document needs, computed once per fetched
-// document version instead of once per query that reads it: the triples as
-// dictionary IDs and the document's link table. It is immutable and lives
-// on the Result, so it is cached, partitioned by requesting identity and
-// evicted exactly as the Result is.
+// DecodedTriples returns the document's statements as terms: Triples when
+// set, else a decode of the segment into a new slice.
+func (r *Result) DecodedTriples() []rdf.Triple {
+	if r.Triples != nil || r.Segment == nil {
+		return r.Triples
+	}
+	return r.Segment.Dict.DecodeTriples(r.Segment.Triples)
+}
+
+// Segment is a fetched document, parsed once per document version instead
+// of once per query that reads it: the triples as dictionary IDs and the
+// document's link table. It is immutable and lives on the Result, so it is
+// cached, partitioned by requesting identity and evicted exactly as the
+// Result is.
 type Segment struct {
-	// Dict is the dictionary Source and Triples are encoded against — the
-	// fetching Dereferencer's, nil (and both empty) if it had none. IDs mean
+	// Dict is the dictionary Source and Triples are encoded against: the
+	// fetching Dereferencer's, or a private one if it had none. IDs mean
 	// nothing under another dictionary: a consumer whose store uses a
-	// different one (engines sharing a cache) ingests Result.Triples instead.
+	// different one (engines sharing a cache) decodes them through Dict.
 	Dict *rdf.Dict
 	// Source is the ID of the document's final URL as an IRI term.
 	Source rdf.TermID
-	// Triples parallels Result.Triples.
+	// Triples are the parsed statements, with relative IRIs resolved
+	// against the final URL and blank nodes scoped to this document.
 	Triples []rdf.IDTriple
-	// Links is the document's link table; it does not depend on Dict.
+	// Links is the document's link table, scanned from Triples; it holds
+	// strings, not IDs, so it reads alike under any dictionary.
 	Links *extract.LinkTable
 }
 
@@ -200,9 +212,9 @@ type Dereferencer struct {
 	// UserAgent is sent as the User-Agent header.
 	UserAgent string
 	// Dict, when non-nil, is the engine term dictionary: parsed documents
-	// are canonicalized into it and their Segment is encoded against it, so
-	// a store over the same dictionary ingests a document — fetched or
-	// cached — without interning anything.
+	// are encoded against it, so a store over the same dictionary ingests a
+	// document — fetched or cached — without interning anything. Without
+	// one, each document is parsed into a private dictionary.
 	Dict *rdf.Dict
 	// Shared, when non-nil, layers a cross-engine shared document cache
 	// under the dereferencer (see internal/serve): fresh entries are
@@ -266,11 +278,15 @@ func (d *Dereferencer) Dereference(ctx context.Context, url, parent, reason stri
 // The category is returned rather than stored on Result because Result
 // pointers are shared across queries by the shared-cache singleflight.
 func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reason string) (*Result, resource.Category, error) {
-	if d.Shared != nil {
+	var res *Result
+	var hit bool
+	var err error
+	if d.Shared == nil {
+		res, err = d.fetchWithRetry(ctx, url, parent, reason, Validators{})
+	} else {
 		// The fetch closure is built only once the cache has no fresh entry.
 		key := cacheKey(url, d.Auth)
-		res, hit, err := d.Shared.Lookup(ctx, key, url)
-		if !hit {
+		if res, hit, err = d.Shared.Lookup(ctx, key, url); !hit {
 			res, hit, err = d.Shared.Dereference(ctx, key, url,
 				func(fctx context.Context, vals Validators) (*Result, error) {
 					return d.fetchWithRetry(fctx, url, parent, reason, vals)
@@ -282,32 +298,25 @@ func (d *Dereferencer) DereferenceTracked(ctx context.Context, url, parent, reas
 		if hit {
 			d.recordCacheHit(ctx, url, parent, reason, res, err)
 		}
-		if err != nil {
-			return nil, 0, err
-		}
-		cat := resource.Deref
-		if hit {
-			cat = resource.Serve
-		}
-		d.charge(cat, res)
-		return res, cat, nil
 	}
-
-	res, err := d.fetchWithRetry(ctx, url, parent, reason, Validators{})
 	if err != nil {
 		return nil, 0, err
 	}
-	d.charge(resource.Deref, res)
-	return res, resource.Deref, nil
-}
-
-// charge bills the ledger for a successfully dereferenced document. 304
-// revalidations carry no new payload and are never charged.
-func (d *Dereferencer) charge(cat resource.Category, res *Result) {
-	if res.NotModified {
-		return
+	cat := resource.Deref
+	if hit {
+		cat = resource.Serve
 	}
-	d.Ledger.Charge(cat, res.Bytes)
+	// 304 revalidations carry no new payload and are never charged.
+	if !res.NotModified {
+		d.Ledger.Charge(cat, res.Bytes)
+	}
+	if d.Recorder != nil {
+		// A copy with Triples decoded: the cached Result never holds them.
+		r := *res
+		r.Triples = res.DecodedTriples()
+		res = &r
+	}
+	return res, cat, nil
 }
 
 // recordCacheHit reports a dereference served from the shared cache as one
@@ -323,7 +332,7 @@ func (d *Dereferencer) recordCacheHit(ctx context.Context, url, parent, reason s
 		ev.Status, ev.Err = gone.Status, statusErr(gone.Status)
 		sp.SetAttr(obs.Str("error", ev.Err))
 	} else {
-		ev.Status, ev.Bytes, ev.Triples = http.StatusOK, res.Bytes, len(res.Triples)
+		ev.Status, ev.Bytes, ev.Triples = http.StatusOK, res.Bytes, len(res.Segment.Triples)
 		sp.SetAttr(obs.Int("triples", ev.Triples))
 	}
 	d.report(ev)
@@ -537,26 +546,22 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 
 	// One pass from the response bytes to the segment, built here, by the one
 	// fetch of this document version: no query that hits it in the cache
-	// builds anything. With a dictionary the parser emits IDs, looking terms
-	// up by substrings of the body, and Result.Triples is one exactly-sized
-	// decode of them; without one the triples alias a private copy.
-	opts := turtle.Options{Base: finalURL, BlankPrefix: "d" + strconv.FormatInt(docCounter.Add(1), 10) + ".", Dict: d.Dict}
-	seg := &Segment{Dict: d.Dict}
-	var triples []rdf.Triple
-	if d.Dict != nil {
-		if seg.Triples, err = turtle.ParseIDs(body, opts); err == nil {
-			triples = d.Dict.DecodeTriples(seg.Triples)
-			seg.Source = d.Dict.Intern(rdf.NewIRI(finalURL))
-		}
-	} else {
-		triples, err = turtle.Parse(string(body), opts)
+	// builds anything. The parser emits IDs, looking terms up by substrings
+	// of the body, and the link table is scanned from those IDs: nothing is
+	// decoded.
+	dict := d.Dict
+	if dict == nil {
+		dict = rdf.NewDict()
 	}
-	if err != nil {
+	opts := turtle.Options{Base: finalURL, BlankPrefix: "d" + strconv.FormatInt(docCounter.Add(1), 10) + ".", Dict: dict}
+	seg := &Segment{Dict: dict}
+	if seg.Triples, err = turtle.ParseIDs(body, opts); err != nil {
 		ev.Err = err.Error()
 		return nil, &Error{URL: url, Status: resp.StatusCode, Err: err}
 	}
-	ev.Triples = len(triples)
-	seg.Links = extract.Scan(triples)
-	return &Result{URL: url, FinalURL: finalURL, Triples: triples, Segment: seg, Status: resp.StatusCode, Bytes: ev.Bytes,
+	seg.Source = dict.Intern(rdf.NewIRI(finalURL))
+	ev.Triples = len(seg.Triples)
+	seg.Links = extract.ScanIDs(dict, seg.Triples)
+	return &Result{URL: url, FinalURL: finalURL, Segment: seg, Status: resp.StatusCode, Bytes: ev.Bytes,
 		Validators: Validators{ETag: resp.Header.Get("ETag"), LastModified: resp.Header.Get("Last-Modified")}}, nil
 }

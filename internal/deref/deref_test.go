@@ -122,8 +122,8 @@ func TestDereferenceBlankNodeScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Triples[0].S == r2.Triples[0].S {
-		t.Errorf("blank nodes from different documents must not collide: %v", r1.Triples[0].S)
+	if r1.DecodedTriples()[0].S == r2.DecodedTriples()[0].S {
+		t.Errorf("blank nodes from different documents must not collide: %v", r1.DecodedTriples()[0].S)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestDereferenceRedirect(t *testing.T) {
 		t.Errorf("FinalURL = %s", res.FinalURL)
 	}
 	// Relative IRIs resolve against the final (post-redirect) URL.
-	if res.Triples[0].S != rdf.NewIRI(ts.URL+"/doc") {
-		t.Errorf("subject = %v", res.Triples[0].S)
+	if res.DecodedTriples()[0].S != rdf.NewIRI(ts.URL+"/doc") {
+		t.Errorf("subject = %v", res.DecodedTriples()[0].S)
 	}
 }
 
@@ -230,5 +230,58 @@ func TestCacheKeyIncludesIdentity(t *testing.T) {
 	alice.Dereference(context.Background(), ts.URL+"/doc", "", "seed")
 	if hits != 2 {
 		t.Errorf("identity-scoped keys: server hits = %d, want 2", hits)
+	}
+}
+
+// An engine-configured Dereferencer hands out the document as its segment
+// only, fetched or cached; one with a Recorder still gets Triples, decoded
+// from the segment, on a fetch and on a hit of an entry another dictionary
+// filled. The cached Result itself never holds them.
+func TestTriplesOnlyForRecorder(t *testing.T) {
+	ts := newServer(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/turtle")
+		w.Write([]byte(`<#me> <http://p> "v" ; <http://www.w3.org/2000/01/rdf-schema#seeAlso> <other> .`))
+	})
+	want := []rdf.Triple{
+		rdf.NewTriple(rdf.NewIRI(ts.URL+"/doc#me"), rdf.NewIRI("http://p"), rdf.NewLiteral("v")),
+		rdf.NewTriple(rdf.NewIRI(ts.URL+"/doc#me"), rdf.NewIRI(rdf.RDFSSeeAlso), rdf.NewIRI(ts.URL+"/other")),
+	}
+	check := func(name string, res *Result, err error, wantTriples bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Segment == nil || len(res.Segment.Triples) != 2 || res.Segment.Links == nil {
+			t.Fatalf("%s: segment %+v", name, res.Segment)
+		}
+		if got := res.Triples; wantTriples != (got != nil) {
+			t.Errorf("%s: Triples %v, want them set: %v", name, got, wantTriples)
+		}
+		if got := res.DecodedTriples(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("%s: decodes to %v, want %v", name, got, want)
+		}
+	}
+	engineDict, benchDict := rdf.NewDict(), rdf.NewDict()
+	for _, cached := range []bool{false, true} {
+		cache := mapCache{}
+		engine := &Dereferencer{Client: ts.Client(), Dict: engineDict}
+		recorded := &Dereferencer{Client: ts.Client(), Dict: benchDict, Recorder: metrics.NewRecorder()}
+		if cached {
+			engine.Shared, recorded.Shared = cache, cache
+		}
+		res, err := engine.Dereference(context.Background(), ts.URL+"/doc", "", "seed")
+		check("engine fetch", res, err, false)
+		res, err = recorded.Dereference(context.Background(), ts.URL+"/doc", "", "seed")
+		name := "recorder fetch"
+		if cached {
+			name = "recorder hit of the engine's entry"
+			if res.Segment.Dict != engineDict {
+				t.Fatal("the hit must serve the entry the engine filled")
+			}
+		}
+		check(name, res, err, true)
+		if cached && cache[ts.URL+"/doc"].Triples != nil {
+			t.Error("the cached Result must not hold Triples")
+		}
 	}
 }

@@ -270,8 +270,8 @@ func TestAttemptTimeoutRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stalled first attempt should be retried: %v", err)
 	}
-	if len(res.Triples) != 1 || len(slept) != 1 {
-		t.Errorf("triples = %d, sleeps = %d", len(res.Triples), len(slept))
+	if len(res.DecodedTriples()) != 1 || len(slept) != 1 {
+		t.Errorf("triples = %d, sleeps = %d", len(res.DecodedTriples()), len(slept))
 	}
 }
 
@@ -329,8 +329,8 @@ func TestBodyAtLimitStillParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("body exactly at the cap is complete: %v", err)
 	}
-	if len(res.Triples) != 1 {
-		t.Errorf("triples = %d", len(res.Triples))
+	if len(res.DecodedTriples()) != 1 {
+		t.Errorf("triples = %d", len(res.DecodedTriples()))
 	}
 }
 
@@ -353,8 +353,8 @@ func TestCacheStoresRetriedSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Triples) != 1 || hits != 3 {
-		t.Fatalf("triples = %d, hits = %d", len(res.Triples), hits)
+	if len(res.DecodedTriples()) != 1 || hits != 3 {
+		t.Fatalf("triples = %d, hits = %d", len(res.DecodedTriples()), hits)
 	}
 	if len(cache) != 1 {
 		t.Errorf("cache holds %d entries after the retried fetch, want 1", len(cache))

@@ -2,12 +2,14 @@ package extract_test
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"ltqp/internal/core"
 	"ltqp/internal/extract"
 	"ltqp/internal/linkqueue"
+	"ltqp/internal/rdf"
 	"ltqp/internal/solidbench"
 	"ltqp/internal/sparql"
 )
@@ -91,27 +93,79 @@ func TestTableLinksEqualReference(t *testing.T) {
 	t.Logf("%d documents x %d shapes, %d links compared", docs, len(shapes), links)
 }
 
+// TestIDTableEqualsTripleTable is the gate of the fetch path's scan: for
+// every document of the 12-person SolidBench fixture, encoded against one
+// dictionary as an engine encodes what it fetches, the table scanned from
+// the IDs equals the table scanned from the decoded triples, entry for entry
+// and key for key, so every catalog shape follows the same links from both.
+func TestIDTableEqualsTripleTable(t *testing.T) {
+	cfg := solidbench.DefaultConfig()
+	cfg.Persons = 12
+	ds := solidbench.Generate(cfg)
+	shapes := catalogShapes(t, ds)
+	if len(shapes) != 18 {
+		t.Fatalf("%d shapes, want the 18 of the catalog", len(shapes))
+	}
+	dict := rdf.NewDict()
+	docs := 0
+	for _, pod := range ds.BuildPods() {
+		for path, d := range pod.Materialize() {
+			docs++
+			iri := pod.IRI(path)
+			var ids []rdf.IDTriple
+			for _, tr := range d.Graph.Triples() {
+				ids = append(ids, dict.InternTriple(tr))
+			}
+			fromIDs, fromTriples := extract.ScanIDs(dict, ids), extract.Scan(dict.DecodeTriples(ids))
+			if !reflect.DeepEqual(fromIDs, fromTriples) {
+				t.Fatalf("%s: the table scanned from IDs differs from the one scanned from triples", iri)
+			}
+			for _, shape := range shapes {
+				set := extract.DefaultSolidSet(shape)
+				got := extract.AppendLinks(nil, set, extract.Document{IRI: iri, Links: fromIDs})
+				want := extract.AppendLinks(nil, set, extract.Document{IRI: iri, Links: fromTriples})
+				if diff := diffLinks(got, want); diff != "" {
+					t.Fatalf("%s, shape %v: %s", iri, shape, diff)
+				}
+			}
+		}
+	}
+	if docs != 1469 {
+		t.Fatalf("compared %d documents, want 1469", docs)
+	}
+}
+
 // TestScanAllocatesPerDocument pins what a link table costs: the table and
-// the one array behind its five sections, whatever the document — no
+// the one array behind its five sections and its keys, whatever the
+// document and whether it is scanned from triples or from IDs — no
 // per-section map, no per-link growth. It holds for every document of the
 // fixture. A count above two is retried a few times: under the race detector
-// the pool behind Scan drops items at random, and a call that finds it empty
-// pays for a new builder.
+// the pool behind the scans drops items at random, and a call that finds it
+// empty pays for a new builder.
 func TestScanAllocatesPerDocument(t *testing.T) {
 	cfg := solidbench.DefaultConfig()
 	cfg.Persons = 12
+	dict := rdf.NewDict()
 	docs := 0
 	for _, pod := range solidbench.Generate(cfg).BuildPods() {
 		for path, d := range pod.Materialize() {
 			docs++
 			triples := d.Graph.Triples()
-			scan := func() { extract.Scan(triples) }
-			n := testing.AllocsPerRun(1, scan)
-			for try := 0; n > 2 && try < 10; try++ {
-				n = testing.AllocsPerRun(1, scan)
+			ids := make([]rdf.IDTriple, len(triples))
+			for i, tr := range triples {
+				ids[i] = dict.InternTriple(tr)
 			}
-			if n > 2 {
-				t.Fatalf("%s: Scan of %d triples makes %v allocations, want at most 2", pod.IRI(path), len(triples), n)
+			for name, scan := range map[string]func(){
+				"Scan":    func() { extract.Scan(triples) },
+				"ScanIDs": func() { extract.ScanIDs(dict, ids) },
+			} {
+				n := testing.AllocsPerRun(1, scan)
+				for try := 0; n > 2 && try < 10; try++ {
+					n = testing.AllocsPerRun(1, scan)
+				}
+				if n > 2 {
+					t.Fatalf("%s: %s of %d triples makes %v allocations, want at most 2", pod.IRI(path), name, len(triples), n)
+				}
 			}
 		}
 	}

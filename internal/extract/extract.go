@@ -33,7 +33,7 @@ func (d Document) table(want section) *LinkTable {
 	if d.Links != nil {
 		return d.Links
 	}
-	return scan(d.Graph.Triples(), 1<<want)
+	return scanTriples(d.Graph.Triples(), 1<<want)
 }
 
 // Link is a proposed traversal step.

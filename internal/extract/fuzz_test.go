@@ -14,8 +14,10 @@ import (
 // absolute http(s) link URLs, and URL normalization (the dedup key) stays
 // idempotent — a document cannot mint links that dodge deduplication or
 // smuggle non-dereferenceable schemes into the queue. It also runs the
-// table-filtering extractors against the graph-scanning reference ones: the
-// same links in the same order under the same labels, whatever the document.
+// table-filtering extractors, over a table scanned from the triples and one
+// scanned from the document parsed into IDs, against the graph-scanning
+// reference ones: the same links in the same order under the same labels,
+// whatever the document.
 func FuzzLinkExtraction(f *testing.F) {
 	f.Add("<http://pod/a> <http://www.w3.org/2000/01/rdf-schema#seeAlso> <http://pod/b> .")
 	f.Add(`<http://pod/> <http://www.w3.org/ns/ldp#contains> <http://pod/x>, <HTTP://POD:80/y> .`)
@@ -52,13 +54,20 @@ func FuzzLinkExtraction(f *testing.F) {
 		g.AddAll(triples)
 		doc := Document{IRI: "http://fuzz.example/doc", Graph: g}
 		tabled := Document{IRI: doc.IRI, Links: Scan(triples)}
+		dict := rdf.NewDict()
+		ids, err := turtle.ParseIDs([]byte(body), turtle.Options{Base: doc.IRI, Dict: dict})
+		if err != nil {
+			t.Fatalf("parses as triples but not as IDs: %v", err)
+		}
+		fromIDs := Document{IRI: doc.IRI, Links: ScanIDs(dict, ids)}
 		for _, sh := range []*QueryShape{shape, nil, {}} {
 			want := RefDefaultSolidSet(sh, doc)
 			var bare []Link
 			for _, ex := range DefaultSolidSet(sh) {
 				bare = append(bare, ex.Extract(doc)...)
 			}
-			for name, got := range map[string][]Link{"table": AppendLinks(nil, DefaultSolidSet(sh), tabled), "bare": bare} {
+			for name, got := range map[string][]Link{"table": AppendLinks(nil, DefaultSolidSet(sh), tabled), "bare": bare,
+				"ID table": AppendLinks(nil, DefaultSolidSet(sh), fromIDs)} {
 				if len(got) != len(want) {
 					t.Fatalf("%s path, shape %v: %d links, reference %d\n got %+v\nwant %+v", name, sh, len(got), len(want), got, want)
 				}

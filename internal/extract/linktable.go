@@ -1,7 +1,9 @@
 package extract
 
 import (
+	"slices"
 	"sync"
+	"unsafe"
 
 	"ltqp/internal/linkqueue"
 	"ltqp/internal/rdf"
@@ -12,20 +14,23 @@ import (
 // normalized once, in the order the extractor would emit it. The links of a
 // document are a property of the document; only which of them a query
 // follows depends on the query. The dereferencer therefore builds the table
-// once per document version (Scan) and the built-in extractors merely
-// filter it against the QueryShape — no rdf.Graph, no URL parsing and no
-// per-call dedup set on the per-query path.
+// once per document version, from its ID triples (ScanIDs), and the
+// built-in extractors merely filter it against the QueryShape — no
+// rdf.Graph, no URL parsing and no per-call dedup set on the per-query path.
 //
-// A table is immutable after Scan and safe for concurrent readers. It
-// refers to the triple slice it was scanned from, which must not change.
+// A table is immutable after a scan and safe for concurrent readers. It
+// holds no triples: what the filter reads of them, the follow keys, is
+// stored with the links.
 type LinkTable struct {
-	triples []rdf.Triple
 	// One section per built-in extractor, each in that extractor's emission
 	// order, all five views of one backing array. The profile, LDP and
 	// see-also sections do not depend on the query and are stored already
 	// deduplicated; the type-index and match sections keep every candidate
 	// and are deduplicated while filtering (see appendSection).
 	secs [numSections][]tableLink
+	// all is that array. It opens with the document's distinct follow keys
+	// (see tableLink.k), in which url holds a predicate and key a class.
+	all []tableLink
 }
 
 // tableLink is one followable IRI occurrence.
@@ -33,25 +38,16 @@ type tableLink struct {
 	// url is the target document: fragment stripped, http(s), parses with a
 	// host. key is linkqueue.Normalize(url), the queue's dedup key.
 	url, key string
-	// tri indexes the triple that decides whether a query follows the link:
-	// for match links the triple the IRI occurs in, for type-index links
-	// the registration's first solid:forClass triple (-1: none with an IRI
-	// class, always followed). Unused in the other sections.
-	tri int32
+	// k indexes the key that decides if a query follows the link, -1 if
+	// none: the predicate (and rdf:type IRI class) of a match link's triple,
+	// the IRI class of a type-index link's registration. appendSection asks
+	// the shape once per key, for the first memoKeys keys.
+	k int32
 	// prev is the previous entry of the section with the same url, -1 if
 	// none: the chain first-occurrence dedup walks.
 	prev  int32
 	label label
-	// mk numbers a match entry's matchKey, from 1, in the document; 0 for
-	// other entries and past memoKeys-1 keys. See decide.
-	mk uint8
 }
-
-// matchKey is what cMatch reads of a triple: the predicate, and the class
-// of an rdf:type triple with an IRI object. Entries with one key are
-// followed alike, so appendSection asks the shape once per key, for the
-// first memoKeys-1 keys of a document.
-type matchKey struct{ p, class string }
 
 const memoKeys = 64
 
@@ -98,81 +94,143 @@ const (
 const owlSameAs = "http://www.w3.org/2002/07/owl#sameAs"
 
 var (
-	rdfTypeTerm          = rdf.NewIRI(rdf.RDFType)
 	typeRegistrationTerm = rdf.NewIRI(rdf.SolidTypeRegistration)
 	forClassTerm         = rdf.NewIRI(rdf.SolidForClass)
 	instanceTerm         = rdf.NewIRI(rdf.SolidInstance)
 	instanceContainer    = rdf.NewIRI(rdf.SolidInstanceContainer)
 )
 
-// Scan builds the link table of a document from its triples. The slice is
-// retained, not copied.
-func Scan(triples []rdf.Triple) *LinkTable { return scan(triples, 1<<numSections-1) }
+// ScanIDs builds the link table of a document from its triples as IDs of
+// dict, reading terms through dict without copying them and resolving each
+// distinct IRI to its document and queue key once.
+func ScanIDs(dict *rdf.Dict, triples []rdf.IDTriple) *LinkTable {
+	return builders.Get().(*builder).scan(dict, triples, 1<<numSections-1)
+}
+
+// Scan builds the link table of a document from its triples.
+func Scan(triples []rdf.Triple) *LinkTable { return scanTriples(triples, 1<<numSections-1) }
+
+// scanTriples numbers the terms of triples, then scans the IDs for the
+// sections whose bits are set in want.
+func scanTriples(triples []rdf.Triple, want uint8) *LinkTable {
+	b := builders.Get().(*builder)
+	id := func(t rdf.Term) rdf.TermID {
+		n, ok := b.localIDs[t]
+		if !ok {
+			b.local = append(b.local, t)
+			n = rdf.TermID(len(b.local))
+			b.localIDs[t] = n
+		}
+		return n
+	}
+	for _, t := range triples {
+		b.ids = append(b.ids, rdf.IDTriple{S: id(t.S), P: id(t.P), O: id(t.O)})
+	}
+	return b.scan(nil, b.ids, want)
+}
 
 // builder is the scratch a scan fills the sections in before copying them
 // into the table. Scans take it from a pool, so building a table allocates
 // the table and the one array behind its sections, and nothing per link.
 type builder struct {
-	want uint8 // bit s set: fill section s
-	secs [numSections][]tableLink
-	// latest finds a URL's row in lasts: per section, the index of the URL's
-	// latest entry there, -1 if none — what chains equal URLs.
-	latest map[string]int32
-	lasts  [][numSections]int32
-	regs   []rdf.Term // type registrations, in first-occurrence order
-	keys   map[matchKey]uint8
+	want uint8     // bit s set: fill section s
+	dict *rdf.Dict // decodes the IDs; nil: local does, from 1
+	// scanTriples numbers a triple slice into local, localIDs and ids.
+	local    []rdf.Term
+	localIDs map[rdf.Term]rdf.TermID
+	ids      []rdf.IDTriple
+	secs     [numSections][]tableLink
+	// byID is the row of the document a term links to (-1: none), byURL
+	// that of a URL.
+	byID  map[rdf.TermID]int32
+	byURL map[string]int32
+	rows  []row
+	regs  []rdf.TermID // type registrations, in first-occurrence order
+	// keyIDs numbers keys by the IDs of their predicate and class (NoTerm
+	// predicate: a type-index class).
+	keyIDs map[[2]rdf.TermID]int32
+	keys   []tableLink
 }
 
-var builders = sync.Pool{New: func() any { return &builder{latest: map[string]int32{}, keys: map[matchKey]uint8{}} }}
+// row is a document links point to: its URL, queue key and, per section,
+// the index of its latest entry there (-1: none), which chains equal URLs.
+type row struct {
+	url, key string
+	last     [numSections]int32
+}
 
-// add appends t's document to section sec as a link if t is a
-// dereferenceable IRI. With keepDuplicates false an URL already in the
-// section is dropped, which is first-occurrence dedup for sections no query
-// filters.
-func (b *builder) add(sec section, t rdf.Term, lb label, tri int, keepDuplicates bool) {
-	if b.want&(1<<sec) == 0 {
+var builders = sync.Pool{New: func() any {
+	return &builder{localIDs: map[rdf.Term]rdf.TermID{}, byID: map[rdf.TermID]int32{},
+		byURL: map[string]int32{}, keyIDs: map[[2]rdf.TermID]int32{}}
+}}
+
+func (b *builder) term(id rdf.TermID) rdf.Term {
+	if b.dict != nil {
+		return b.dict.Decode(id)
+	}
+	return b.local[id-1]
+}
+
+// row returns the row of the document a link to term id would fetch, -1
+// for terms target rejects.
+func (b *builder) row(id rdf.TermID) int32 {
+	r, seen := b.byID[id]
+	if !seen {
+		r = -1
+		if u, key, ok := target(b.term(id)); ok {
+			var known bool
+			if r, known = b.byURL[u]; !known {
+				r = int32(len(b.rows))
+				b.byURL[u] = r
+				b.rows = append(b.rows, row{url: u, key: key, last: [numSections]int32{-1, -1, -1, -1, -1}})
+			}
+		}
+		b.byID[id] = r
+	}
+	return r
+}
+
+// add appends the document of row r, if any, to section sec if that is
+// wanted. With keepDuplicates false an URL already in the section is
+// dropped, which is first-occurrence dedup for sections no query filters.
+func (b *builder) add(sec section, r int32, lb label, k int32, keepDuplicates bool) {
+	if r < 0 || b.want&(1<<sec) == 0 {
 		return
 	}
-	u, key, ok := target(t)
-	if !ok {
-		return
-	}
-	row, known := b.latest[u]
-	if !known {
-		row = int32(len(b.lasts))
-		b.latest[u] = row
-		b.lasts = append(b.lasts, [numSections]int32{-1, -1, -1, -1, -1})
-	}
-	last := &b.lasts[row][sec]
+	doc := &b.rows[r]
+	last := &doc.last[sec]
 	if *last >= 0 && !keepDuplicates {
 		return
 	}
 	links := b.secs[sec]
-	b.secs[sec] = append(links, tableLink{url: u, key: key, tri: int32(tri), prev: *last, label: lb})
+	b.secs[sec] = append(links, tableLink{url: doc.url, key: doc.key, k: k, prev: *last, label: lb})
 	*last = int32(len(links))
 }
 
-// table copies the sections into one exactly-sized array behind a new
-// table, and returns the builder to the pool emptied.
-func (b *builder) table(triples []rdf.Triple) *LinkTable {
-	n := 0
+// table copies the sections and the keys into one exactly-sized array
+// behind a new table, and returns the builder to the pool emptied.
+func (b *builder) table() *LinkTable {
+	n := len(b.keys)
 	for _, links := range b.secs {
 		n += len(links)
 	}
-	all := make([]tableLink, n)
-	t := &LinkTable{triples: triples}
-	n = 0
+	t := &LinkTable{all: make([]tableLink, n)}
+	n = copy(t.all, b.keys)
 	for i, links := range b.secs {
-		t.secs[i] = all[n : n+len(links) : n+len(links)]
+		t.secs[i] = t.all[n : n+len(links) : n+len(links)]
 		copy(t.secs[i], links)
 		n += len(links)
 		clear(links) // drop the strings, so the pool pins no document
 		b.secs[i] = links[:0]
 	}
-	clear(b.latest)
+	clear(b.localIDs)
+	clear(b.byID)
+	clear(b.byURL)
+	clear(b.keyIDs)
+	clear(b.local)
+	clear(b.rows)
 	clear(b.keys)
-	clear(b.regs)
-	b.lasts, b.regs = b.lasts[:0], b.regs[:0]
+	b.local, b.ids, b.rows, b.regs, b.keys, b.dict = b.local[:0], b.ids[:0], b.rows[:0], b.regs[:0], b.keys[:0], nil
 	builders.Put(b)
 	return t
 }
@@ -190,92 +248,90 @@ func target(t rdf.Term) (u, key string, ok bool) {
 	return u, key, ok
 }
 
-// scan builds a table with the sections whose bits are set in want.
-func scan(triples []rdf.Triple, want uint8) *LinkTable {
-	b := builders.Get().(*builder)
-	b.want = want
+// scan fills the sections whose bits are set in want from triples, IDs of
+// dict (nil: of b.local), and builds the table.
+func (b *builder) scan(dict *rdf.Dict, triples []rdf.IDTriple, want uint8) *LinkTable {
+	b.dict, b.want = dict, want
 	for i := range triples {
 		t := &triples[i]
-		if t.P.Kind != rdf.TermIRI {
+		p := b.term(t.P)
+		if p.Kind != rdf.TermIRI {
 			continue
 		}
-		switch t.P.Value {
+		switch p.Value {
 		case rdf.SolidPublicTypeIndex:
-			b.add(secProfile, t.O, labelProfile, i, false)
+			b.add(secProfile, b.row(t.O), labelProfile, -1, false)
 		case rdf.PIMStorage:
-			b.add(secProfile, t.O, labelStorage, i, false)
+			b.add(secProfile, b.row(t.O), labelStorage, -1, false)
 		case rdf.LDPContains:
-			b.add(secLDP, t.O, labelLDP, i, false)
+			b.add(secLDP, b.row(t.O), labelLDP, -1, false)
 		case rdf.RDFSSeeAlso, owlSameAs:
-			b.add(secSeeAlso, t.O, labelSeeAlso, i, false)
+			b.add(secSeeAlso, b.row(t.O), labelSeeAlso, -1, false)
 		case rdf.RDFType:
-			if want&(1<<secTypeIndex) != 0 && t.P == rdfTypeTerm && t.O == typeRegistrationTerm && !containsTerm(b.regs, t.S) {
+			if want&(1<<secTypeIndex) != 0 && !slices.Contains(b.regs, t.S) && b.term(t.O) == typeRegistrationTerm {
 				b.regs = append(b.regs, t.S)
 			}
 		}
-		n := len(b.secs[secMatch])
-		b.add(secMatch, t.S, labelMatch, i, true)
-		b.add(secMatch, t.O, labelMatch, i, true)
-		if added := b.secs[secMatch][n:]; len(added) > 0 {
-			mk := b.matchKey(t)
-			for j := range added {
-				added[j].mk = mk
+		if want&(1<<secMatch) == 0 {
+			continue
+		}
+		if s, o := b.row(t.S), b.row(t.O); s >= 0 || o >= 0 {
+			ids, class := [2]rdf.TermID{t.P}, ""
+			if c := b.term(t.O); p.Value == rdf.RDFType && c.Kind == rdf.TermIRI {
+				ids[1], class = t.O, c.Value
 			}
+			k := b.key(ids, p.Value, class)
+			b.add(secMatch, s, labelMatch, k, true)
+			b.add(secMatch, o, labelMatch, k, true)
 		}
 	}
 	b.scanTypeIndex(triples)
-	return b.table(triples)
+	return b.table()
 }
 
-// matchKey returns the number of t's match key (see tableLink.mk), giving
-// the next one to a key not seen before in this document.
-func (b *builder) matchKey(t *rdf.Triple) uint8 {
-	k := matchKey{p: t.P.Value}
-	if t.P.Value == rdf.RDFType && t.O.Kind == rdf.TermIRI {
-		k.class = t.O.Value
+// key returns the number of the follow key (p, class), whose terms have the
+// IDs ids, giving the next one to a key not seen before in this document.
+func (b *builder) key(ids [2]rdf.TermID, p, class string) int32 {
+	n, ok := b.keyIDs[ids]
+	if !ok {
+		n = int32(len(b.keys))
+		b.keyIDs[ids] = n
+		b.keys = append(b.keys, tableLink{url: p, key: class})
 	}
-	mk, ok := b.keys[k]
-	if !ok && len(b.keys) < memoKeys-1 {
-		mk = uint8(len(b.keys) + 1)
-		b.keys[k] = mk
-	}
-	return mk
+	return n
 }
 
 // scanTypeIndex lists, registration by registration, the instance links and
 // then the instance-container links of a Solid type index (paper Listing
-// 3), each tied to the registration's solid:forClass triple.
-func (b *builder) scanTypeIndex(triples []rdf.Triple) {
+// 3), each keyed by the class of the registration's solid:forClass triple.
+func (b *builder) scanTypeIndex(triples []rdf.IDTriple) {
 	for _, reg := range b.regs {
-		forClass := -1
+		k := int32(-1)
 		for i := range triples {
-			if t := &triples[i]; t.S == reg && t.P == forClassTerm {
-				if t.O.Kind == rdf.TermIRI {
-					forClass = i
+			if t := &triples[i]; t.S == reg && b.term(t.P) == forClassTerm {
+				if class := b.term(t.O); class.Kind == rdf.TermIRI {
+					k = b.key([2]rdf.TermID{rdf.NoTerm, t.O}, "", class.Value)
 				}
 				break // only the first solid:forClass counts
 			}
 		}
 		for i := range triples {
-			if t := &triples[i]; t.S == reg && t.P == instanceTerm {
-				b.add(secTypeIndex, t.O, labelTypeIndex, forClass, true)
+			if t := &triples[i]; t.S == reg && b.term(t.P) == instanceTerm {
+				b.add(secTypeIndex, b.row(t.O), labelTypeIndex, k, true)
 			}
 		}
 		for i := range triples {
-			if t := &triples[i]; t.S == reg && t.P == instanceContainer {
-				b.add(secTypeIndex, t.O, labelTypeIndexContainer, forClass, true)
+			if t := &triples[i]; t.S == reg && b.term(t.P) == instanceContainer {
+				b.add(secTypeIndex, b.row(t.O), labelTypeIndexContainer, k, true)
 			}
 		}
 	}
 }
 
-func containsTerm(ts []rdf.Term, t rdf.Term) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
+// Bytes is what the table retains of its own, its entries and keys; their
+// strings are shared with the scanned terms.
+func (t *LinkTable) Bytes() int64 {
+	return int64(unsafe.Sizeof(*t)) + int64(len(t.all))*int64(unsafe.Sizeof(tableLink{}))
 }
 
 // follows reports whether a query of the given shape follows e.
@@ -284,36 +340,35 @@ func (t *LinkTable) follows(e *tableLink, shape *QueryShape) bool {
 	case labelMatch:
 		// cMatch: the triple could contribute to the query.
 		if askHook != nil {
-			askHook(e)
+			askHook(t, e)
 		}
-		tr := &t.triples[e.tri]
-		return shape.Predicates[tr.P.Value] ||
-			tr.P.Value == rdf.RDFType && tr.O.Kind == rdf.TermIRI && shape.Classes[tr.O.Value]
+		k := &t.all[e.k]
+		return shape.Predicates[k.url] || k.url == rdf.RDFType && k.key != "" && shape.Classes[k.key]
 	case labelTypeIndex, labelTypeIndexContainer:
 		// Class pruning [14]: with constant classes in the query, only
 		// registrations for those classes; without, every registration.
-		return shape == nil || len(shape.Classes) == 0 || e.tri < 0 ||
-			shape.Classes[t.triples[e.tri].O.Value]
+		return shape == nil || len(shape.Classes) == 0 || e.k < 0 ||
+			shape.Classes[t.all[e.k].key]
 	}
 	return true
 }
 
 // askHook, when set, runs on every cMatch decision that reads the shape.
-var askHook func(*tableLink)
+var askHook func(*LinkTable, *tableLink)
 
-// decide is follows, asked of the shape once per match key: the first entry
-// with a key records the answer in memo (1 followed, -1 not).
+// decide is follows, asked of the shape once per follow key: the first
+// entry with a key records the answer in memo (1 followed, -1 not).
 func (t *LinkTable) decide(e *tableLink, shape *QueryShape, memo *[memoKeys]int8) bool {
-	if e.mk == 0 {
+	if e.k < 0 || e.k >= memoKeys {
 		return t.follows(e, shape)
 	}
-	if memo[e.mk] == 0 {
-		memo[e.mk] = -1
+	if memo[e.k] == 0 {
+		memo[e.k] = -1
 		if t.follows(e, shape) {
-			memo[e.mk] = 1
+			memo[e.k] = 1
 		}
 	}
-	return memo[e.mk] > 0
+	return memo[e.k] > 0
 }
 
 // appendSection appends the links of sec the shape follows, first

@@ -106,7 +106,7 @@ func TestMatchMemoEqualsReference(t *testing.T) {
 	}
 	unmemoized := 0
 	for _, e := range Scan(memoDocs()["many keys"]).secs[secMatch] {
-		if e.mk == 0 {
+		if e.k >= memoKeys {
 			unmemoized++
 		}
 	}
@@ -117,25 +117,18 @@ func TestMatchMemoEqualsReference(t *testing.T) {
 
 // cMatch asks the shape at most once per distinct match key of a document,
 // however many entries share the key and however often prev walks pass
-// them; only entries past the memo's first memoKeys-1 keys ask for
+// them; only entries past the memo's first memoKeys keys ask for
 // themselves.
 func TestMatchAsksShapeOncePerKey(t *testing.T) {
-	asks := map[matchKey]int{}
-	var triples []rdf.Triple
-	askHook = func(e *tableLink) {
-		if e.mk != 0 {
-			tr := &triples[e.tri]
-			k := matchKey{p: tr.P.Value}
-			if tr.P.Value == rdf.RDFType && tr.O.Kind == rdf.TermIRI {
-				k.class = tr.O.Value
-			}
-			asks[k]++
+	asks := map[tableLink]int{}
+	askHook = func(t *LinkTable, e *tableLink) {
+		if e.k < memoKeys {
+			asks[t.all[e.k]]++
 		}
 	}
 	defer func() { askHook = nil }()
 	for name, doc := range memoDocs() {
-		triples = doc
-		table := Scan(triples)
+		table := Scan(doc)
 		for _, shape := range memoShapes() {
 			if shape == nil {
 				continue
@@ -172,10 +165,9 @@ func TestAppendLinksTableAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendLinksTable filters a SolidBench-sized document's link table
-// through the default extractor set: the per-document link work of a warm
-// query.
-func BenchmarkAppendLinksTable(b *testing.B) {
+// benchDoc is a SolidBench-sized post document: 19 posts, each typed and
+// linked to its creator.
+func benchDoc() []rdf.Triple {
 	var triples []rdf.Triple
 	typ := rdf.NewIRI(rdf.RDFType)
 	for i := 0; i < 19; i++ {
@@ -184,7 +176,14 @@ func BenchmarkAppendLinksTable(b *testing.B) {
 		triples = append(triples, rdf.NewTriple(s, p, rdf.NewIRI("https://pod.example/profile/card#me")))
 		triples = append(triples, rdf.NewTriple(s, typ, rdf.NewIRI("http://www.ldbc.eu/ldbc_socialnet/1.0/vocabulary/Post")))
 	}
-	doc := Document{IRI: "https://pod.example/posts/2010-01", Links: Scan(triples)}
+	return triples
+}
+
+// BenchmarkAppendLinksTable filters a SolidBench-sized document's link table
+// through the default extractor set: the per-document link work of a warm
+// query.
+func BenchmarkAppendLinksTable(b *testing.B) {
+	doc := Document{IRI: "https://pod.example/posts/2010-01", Links: Scan(benchDoc())}
 	set := DefaultSolidSet(&QueryShape{
 		Predicates: map[string]bool{"http://www.ldbc.eu/ldbc_socialnet/1.0/vocabulary/hasCreator": true},
 		Classes:    map[string]bool{"http://www.ldbc.eu/ldbc_socialnet/1.0/vocabulary/Post": true},
@@ -194,5 +193,21 @@ func BenchmarkAppendLinksTable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = AppendLinks(dst[:0], set, doc)
+	}
+}
+
+// BenchmarkScanIDs builds the link table of a SolidBench-sized document from
+// its ID triples: the link work of a cold fetch, which a dereference pays
+// once per document version.
+func BenchmarkScanIDs(b *testing.B) {
+	dict := rdf.NewDict()
+	var ids []rdf.IDTriple
+	for _, t := range benchDoc() {
+		ids = append(ids, dict.InternTriple(t))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ScanIDs(dict, ids)
 	}
 }

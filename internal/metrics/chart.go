@@ -50,10 +50,7 @@ func waterfallRows(reqs []Request, mark map[string]bool) []row {
 		if q.Attempt > 1 {
 			note += fmt.Sprintf(" (retry %d)", q.Attempt-1)
 		}
-		// Only a share that shows at the note's 0.1 ms precision.
-		if us := q.Server.Microseconds(); us >= 50 {
-			note += fmt.Sprintf(" (server %.1fms)", float64(us)/1000)
-		}
+		note += ServerNote(q.Server)
 		rows = append(rows, row{
 			label:  q.URL,
 			status: status,
@@ -65,6 +62,16 @@ func waterfallRows(reqs []Request, mark map[string]bool) []row {
 		})
 	}
 	return rows
+}
+
+// ServerNote is the " (server X ms)" note of a server-reported share, or ""
+// for a share that does not show at the note's 0.1 ms precision.
+func ServerNote(d time.Duration) string {
+	us := d.Microseconds()
+	if us < 50 {
+		return ""
+	}
+	return fmt.Sprintf(" (server %.1fms)", float64(us)/1000)
 }
 
 // labelWidth is the width of the chart's label column.

@@ -160,8 +160,8 @@ func (cp *CritPath) Render(width int) string {
 	}
 	var b strings.Builder
 	if len(cp.FirstResultChain) > 0 {
-		fmt.Fprintf(&b, "critical path to first result — TTFR %.1fms, chain fetch %.1fms (server %.1fms):\n",
-			cp.TTFRMS, cp.GatingMS, cp.ServerMS)
+		fmt.Fprintf(&b, "critical path to first result — TTFR %.1fms, chain fetch %.1fms%s:\n",
+			cp.TTFRMS, cp.GatingMS, metrics.ServerNote(time.Duration(cp.ServerMS*float64(time.Millisecond))))
 		b.WriteString(chainChart(cp.FirstResultChain, width))
 	}
 	if len(cp.LongestChain) > 0 && !slices.Equal(chainURLs(cp.FirstResultChain), chainURLs(cp.LongestChain)) {

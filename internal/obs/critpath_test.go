@@ -131,3 +131,21 @@ func TestCritPathRenderMarksChain(t *testing.T) {
 		t.Errorf("server share not annotated:\n%s", out)
 	}
 }
+
+// A chain against a local pod server has no server share worth a note: the
+// header leaves it out, as the rows do.
+func TestCritPathRenderOmitsZeroServerShare(t *testing.T) {
+	epoch := time.Now()
+	reqs := chainEnv(epoch)
+	for i := range reqs {
+		reqs[i].Server = 10 * time.Microsecond
+	}
+	cp := ComputeCritPath(reqs, epoch, []time.Duration{31 * time.Millisecond}, []string{"http://x/c.ttl"})
+	out := cp.Render(40)
+	if !strings.Contains(out, "chain fetch 30.0ms:\n") {
+		t.Errorf("header must end at the chain fetch time:\n%s", out)
+	}
+	if strings.Contains(out, "server") {
+		t.Errorf("a 30 µs server share rounds to nothing and must not be noted:\n%s", out)
+	}
+}

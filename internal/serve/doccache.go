@@ -3,9 +3,9 @@
 //
 //   - SharedCache: a cross-query (and cross-engine) document cache layered
 //     under internal/deref. Entries hold the *deref.Result of a dereferenced
-//     document — its parsed triples, its pre-encoded segment (ID triples and
-//     link table) and its HTTP cache validators; fresh entries are served
-//     without a network request, stale entries revalidate with a conditional
+//     document — its segment (ID triples and link table) and its HTTP
+//     cache validators; fresh entries are served without a network
+//     request, stale entries revalidate with a conditional
 //     GET (a 304 keeps the cached Result, segment included), the whole cache
 //     is bounded by a byte budget with LRU eviction,
 //     and an epoch counter invalidates everything at once without dropping
@@ -36,9 +36,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"ltqp/internal/deref"
 	"ltqp/internal/obs"
+	"ltqp/internal/rdf"
 )
 
 // DefaultMaxBytes is the default shared-cache byte budget (64 MiB).
@@ -50,8 +52,9 @@ const DefaultTTL = time.Minute
 
 // SharedCacheOptions configures a SharedCache.
 type SharedCacheOptions struct {
-	// MaxBytes bounds the total body bytes of cached documents (default
-	// DefaultMaxBytes). Documents larger than the budget are never cached.
+	// MaxBytes bounds the total bytes cached documents retain (default
+	// DefaultMaxBytes; see retained). Documents larger than the budget are
+	// never cached.
 	MaxBytes int64
 	// TTL is the freshness lifetime before an entry must revalidate
 	// (default DefaultTTL; negative means every access revalidates).
@@ -104,10 +107,19 @@ type sharedEntry struct {
 	gone    *deref.Error
 	fetched time.Time // when the entry was fetched or last revalidated
 	epoch   uint64    // invalidation epoch the entry is valid for
-	// cost is the body size: the budget's proxy for what the entry retains
-	// (parsed triples plus a segment of at most about as much again);
-	// negativeCost for a negative entry.
+	// cost is what the entry retains (see retained); negativeCost for a
+	// negative entry.
 	cost int64
+}
+
+// retained is what a cached document counts against the byte budget: what
+// holding res keeps alive, 12 B per ID triple, the link table and the URL.
+// A Result without a segment (built by hand) counts its body bytes.
+func retained(res *deref.Result) int64 {
+	if res.Segment == nil {
+		return res.Bytes
+	}
+	return int64(unsafe.Sizeof(rdf.IDTriple{}))*int64(len(res.Segment.Triples)) + res.Segment.Links.Bytes() + int64(len(res.URL))
 }
 
 // negativeCost is what a negative entry counts against the byte budget:
@@ -260,7 +272,7 @@ func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.
 			c.lru.MoveToFront(el)
 		} else {
 			// Evicted while we revalidated: reinstate the stale parse.
-			c.insertLocked(&sharedEntry{key: key, url: url, res: stale, cost: stale.Bytes}, now)
+			c.insertLocked(&sharedEntry{key: key, url: url, res: stale, cost: retained(stale)}, now)
 		}
 		c.mu.Unlock()
 		c.notModified.Add(1)
@@ -274,7 +286,7 @@ func (c *SharedCache) refresh(ctx context.Context, key, url string, fetch deref.
 	}
 
 	c.mu.Lock()
-	c.insertLocked(&sharedEntry{key: key, url: url, res: res, cost: res.Bytes}, now)
+	c.insertLocked(&sharedEntry{key: key, url: url, res: res, cost: retained(res)}, now)
 	c.mu.Unlock()
 	c.publishGauges()
 	if stale != nil && c.events.Active() {

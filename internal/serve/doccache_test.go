@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -449,11 +450,11 @@ func TestSegmentSurvivesRevalidation(t *testing.T) {
 
 	first := get()
 	seg := first.Segment
-	if seg == nil || seg.Dict != dict || seg.Links == nil || len(seg.Triples) != 1 || len(first.Triples) != 1 {
-		t.Fatalf("fetched result carries segment %+v for %d triples", seg, len(first.Triples))
+	if seg == nil || seg.Dict != dict || seg.Links == nil || len(seg.Triples) != 1 || len(first.DecodedTriples()) != 1 {
+		t.Fatalf("fetched result carries segment %+v for %d triples", seg, len(first.DecodedTriples()))
 	}
-	if got := dict.DecodeTriple(seg.Triples[0]); got != first.Triples[0] {
-		t.Errorf("segment triple decodes to %v, parsed %v", got, first.Triples[0])
+	if got := dict.DecodeTriple(seg.Triples[0]); got != first.DecodedTriples()[0] {
+		t.Errorf("segment triple decodes to %v, parsed %v", got, first.DecodedTriples()[0])
 	}
 	if got := dict.Decode(seg.Source); got != rdf.NewIRI(first.FinalURL) {
 		t.Errorf("segment source decodes to %v, want the final URL %s", got, first.FinalURL)
@@ -476,8 +477,8 @@ func TestSegmentSurvivesRevalidation(t *testing.T) {
 	if changed == first || changed.Segment == nil || changed.Segment == seg {
 		t.Fatal("a changed body must produce a new Result with a new segment")
 	}
-	if len(changed.Segment.Triples) != 2 || len(changed.Triples) != 2 {
-		t.Errorf("new segment has %d ID triples for %d parsed", len(changed.Segment.Triples), len(changed.Triples))
+	if len(changed.Segment.Triples) != 2 || len(changed.DecodedTriples()) != 2 {
+		t.Errorf("new segment has %d ID triples for %d parsed", len(changed.Segment.Triples), len(changed.DecodedTriples()))
 	}
 }
 
@@ -520,5 +521,51 @@ func TestSharedCacheNegativeTTLRevalidates(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Revalidations != n-1 || st.NotModified != n-1 {
 		t.Errorf("stats = %+v, want 0 hits, 1 miss, %d revalidations all answered 304", st, n-1)
+	}
+}
+
+// The byte budget counts what an entry retains, its ID triples, link table
+// and URL, not its body: a budget that fits N documents by retained size
+// holds N of them although each body alone is larger than the budget, and
+// document N+1 evicts the least recently used one.
+func TestBudgetCountsRetainedSize(t *testing.T) {
+	padding := "# " + strings.Repeat("padding ", 512) + "\n"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/turtle")
+		fmt.Fprintf(w, "%s<#it> <http://www.w3.org/2000/01/rdf-schema#seeAlso> <other%s>, <more%s> ; <http://x/p> \"v\" .\n",
+			padding, r.URL.Path[1:], r.URL.Path[1:])
+	}))
+	defer srv.Close()
+
+	const n = 3
+	dict := rdf.NewDict()
+	var sizes []int64
+	direct := &deref.Dereferencer{Client: srv.Client(), Dict: dict}
+	for i := 0; i <= n; i++ {
+		res, err := direct.Dereference(context.Background(), fmt.Sprintf("%s/d%d", srv.URL, i), "", "seed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := retained(res); r <= int64(12*len(res.Segment.Triples)) || r >= res.Bytes {
+			t.Fatalf("document %d retains %d bytes for %d ID triples and a %d-byte body", i, r, len(res.Segment.Triples), res.Bytes)
+		}
+		sizes = append(sizes, retained(res))
+	}
+	budget := sizes[0] + sizes[1] + sizes[2]
+
+	cache := newTestCache(newFakeClock(), budget, time.Hour)
+	d := &deref.Dereferencer{Client: srv.Client(), Dict: dict, Shared: cache}
+	for i := 0; i <= n; i++ {
+		if _, err := d.Dereference(context.Background(), fmt.Sprintf("%s/d%d", srv.URL, i), "", "seed"); err != nil {
+			t.Fatal(err)
+		}
+		st := cache.Stats()
+		if i < n && (st.Documents != i+1 || st.Evictions != 0) {
+			t.Fatalf("after %d documents: %d cached, %d evicted; the budget fits %d", i+1, st.Documents, st.Evictions, n)
+		}
+		if i == n && (st.Documents != n || st.Evictions != 1 || st.Bytes != sizes[1]+sizes[2]+sizes[3]) {
+			t.Fatalf("document %d: %d cached, %d evicted, %d bytes held; want %d, 1 and %d", n+1,
+				st.Documents, st.Evictions, st.Bytes, n, sizes[1]+sizes[2]+sizes[3])
+		}
 	}
 }

@@ -292,7 +292,7 @@ func TestNegativeEntriesArePartitionedByIdentity(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		res, err := alice.Dereference(ctx, url, "", "seed")
-		if err != nil || len(res.Triples) != 1 {
+		if err != nil || len(res.DecodedTriples()) != 1 {
 			t.Fatalf("owner access %d behind a cached anonymous 404: %v, %v", i, res, err)
 		}
 	}

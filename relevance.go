@@ -1,6 +1,7 @@
 package ltqp
 
 import (
+	"ltqp/internal/deref"
 	"ltqp/internal/extract"
 	"ltqp/internal/linkqueue"
 	"ltqp/internal/rdf"
@@ -26,18 +27,16 @@ func relevanceOf(shape *extract.QueryShape) *linkqueue.Relevance {
 // to the query: their predicate is one of the query's constant predicates,
 // or they type an entity into one of the query's classes. The ratio
 // relevant/total is the productivity signal the guided queue feeds back
-// into scoring links discovered in that document.
-func relevantTriples(triples []rdf.Triple, shape *extract.QueryShape) int {
+// into scoring links discovered in that document. The triples are read
+// through the segment's dictionary, one term at a time.
+func relevantTriples(seg *deref.Segment, shape *extract.QueryShape) int {
 	if shape == nil {
 		return 0
 	}
 	n := 0
-	for _, t := range triples {
-		if shape.Predicates[t.P.Value] {
-			n++
-			continue
-		}
-		if t.P.Value == rdf.RDFType && t.O.Kind == rdf.TermIRI && shape.Classes[t.O.Value] {
+	for _, t := range seg.Triples {
+		p, o := seg.Dict.Decode(t.P), seg.Dict.Decode(t.O)
+		if shape.Predicates[p.Value] || p.Value == rdf.RDFType && o.Kind == rdf.TermIRI && shape.Classes[o.Value] {
 			n++
 		}
 	}
