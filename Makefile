@@ -26,7 +26,7 @@ verify:
 	@test -z "$$(gofmt -l .)" || { echo "verify: unformatted files:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
-	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestBatchOpsMatchRowSemantics)$$' ./internal/exec
+	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestConcurrentBGPsOverClosedStore|TestBatchOpsMatchRowSemantics)$$' ./internal/exec
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench
 
 # Differential harness on its own: 150 generated SELECT queries over the
@@ -105,13 +105,15 @@ adversarial-smoke: build
 # (BenchmarkScanIDs: a cold fetch building a document's table from its ID
 # triples, 2 allocs/op) and the dictionary's intern benchmarks: a hit on a
 # known term, and a fresh dictionary taking 2 000 pod IRIs twice, as a cold
-# engine does.
+# engine does. BenchmarkBGPClosed runs Complex 1's basic graph pattern as one
+# operator over a closed 12-person SolidBench store, with -benchmem.
 bench-smoke:
 	cd bench/ltqpbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendLinksTable$$' -benchtime 100x ./internal/extract
 	$(GO) test -run '^$$' -bench '^BenchmarkScanIDs$$' -benchtime 100x -benchmem ./internal/extract
 	$(GO) test -run '^$$' -bench '^BenchmarkAttachWarmSegments$$' -benchtime 100x ./internal/store
 	$(GO) test -run '^$$' -bench '^BenchmarkDictIntern(Hit|Fresh)$$' -benchtime 100x -benchmem ./internal/rdf
+	$(GO) test -run '^$$' -bench '^BenchmarkBGPClosed$$' -benchtime 100x -benchmem ./internal/exec
 	bash bench/ltqpbench/run.sh --workload discover_warm --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload discover_cold --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload complex_exec --seed 7 --seconds 3 --trace 0 > /dev/null

@@ -208,3 +208,36 @@ func TestBudgetUnderLimitCompletes(t *testing.T) {
 		t.Errorf("snapshot not populated: peak %d, top layer %q", snap.Peak, snap.TopLayer)
 	}
 }
+
+// TestDiscoverExecChargeIsSmall pins what the executor charges the ledger
+// over Discover 1.1 on the small dataset: one operator for its five-pattern
+// basic graph pattern holds positions and emits a batch per step with
+// results, where a scan per pattern and a join per pair held about 600 KB
+// of batches and row copies.
+func TestDiscoverExecChargeIsSmall(t *testing.T) {
+	env := simenv.New(solidbench.SmallConfig())
+	defer env.Close()
+	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, MemBudget: 1 << 40})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := engine.Query(ctx, env.Dataset.Discover(1, 1).Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for range res.Results {
+		rows++
+	}
+	if err := res.Err(); err != nil || rows == 0 {
+		t.Fatalf("%d rows, error %v", rows, err)
+	}
+	for _, l := range res.Resources().Layers {
+		if l.Layer == "exec" {
+			if l.Charged > 300_000 {
+				t.Errorf("exec charged %d bytes over %d rows, want <= 300 KB", l.Charged, rows)
+			}
+			return
+		}
+	}
+	t.Error("no exec layer in the ledger")
+}

@@ -214,7 +214,10 @@ type Dereferencer struct {
 	// Dict, when non-nil, is the engine term dictionary: parsed documents
 	// are encoded against it, so a store over the same dictionary ingests a
 	// document — fetched or cached — without interning anything. Without
-	// one, each document is parsed into a private dictionary.
+	// one, every document this Dereferencer fetches is parsed into one
+	// private dictionary of its own, made on the first fetch: a dictionary's
+	// first decode chunk and arena cost about 80 KB, too much to pay again
+	// for every document.
 	Dict *rdf.Dict
 	// Shared, when non-nil, layers a cross-engine shared document cache
 	// under the dereferencer (see internal/serve): fresh entries are
@@ -236,6 +239,19 @@ type Dereferencer struct {
 	// from a cache on this query's behalf. The traversal worker releases
 	// the charge once the document is ingested and its links extracted.
 	Ledger *resource.Ledger
+
+	privOnce sync.Once
+	priv     *rdf.Dict
+}
+
+// dict returns the dictionary a fetched document is encoded against: Dict,
+// or the Dereferencer's private one.
+func (d *Dereferencer) dict() *rdf.Dict {
+	if d.Dict != nil {
+		return d.Dict
+	}
+	d.privOnce.Do(func() { d.priv = rdf.NewDict() })
+	return d.priv
 }
 
 // docCounter scopes blank node labels per parsed document version. It is
@@ -549,10 +565,7 @@ func (d *Dereferencer) fetchOnce(ctx context.Context, url, parent, reason string
 	// builds anything. The parser emits IDs, looking terms up by substrings
 	// of the body, and the link table is scanned from those IDs: nothing is
 	// decoded.
-	dict := d.Dict
-	if dict == nil {
-		dict = rdf.NewDict()
-	}
+	dict := d.dict()
 	opts := turtle.Options{Base: finalURL, BlankPrefix: "d" + strconv.FormatInt(docCounter.Add(1), 10) + ".", Dict: dict}
 	seg := &Segment{Dict: dict}
 	if seg.Triples, err = turtle.ParseIDs(body, opts); err != nil {

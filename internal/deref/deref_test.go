@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -283,5 +284,40 @@ func TestTriplesOnlyForRecorder(t *testing.T) {
 		if cached && cache[ts.URL+"/doc"].Triples != nil {
 			t.Error("the cached Result must not hold Triples")
 		}
+	}
+}
+
+// TestPrivateDictIsMadeOnce fetches a two-triple document repeatedly
+// through a Dereferencer without Dict: every fetch after the first reuses
+// the private dictionary the first one made, so it costs the request and
+// the parse, not a fresh dictionary's first decode chunk and arena (about
+// 80 KB). The HTTP stack's own share varies from fetch to fetch, so the pin
+// is on the cheapest of five.
+func TestPrivateDictIsMadeOnce(t *testing.T) {
+	ts := newServer(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/turtle")
+		w.Write([]byte(`<#me> <http://xmlns.com/foaf/0.1/name> "Alice" . <rel> <http://p> <http://o> .`))
+	})
+	d := &Dereferencer{Client: ts.Client()}
+	first, err := d.Dereference(context.Background(), ts.URL+"/card", "", "seed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(1 << 62)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := d.Dereference(context.Background(), ts.URL+"/card", "", "seed")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Segment.Dict != first.Segment.Dict || len(res.Segment.Triples) != 2 {
+			t.Errorf("fetch %d: %d triples, same dictionary %v", i+2, len(res.Segment.Triples), res.Segment.Dict == first.Segment.Dict)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 16<<10 {
+		t.Errorf("a repeated fetch of a two-triple document allocated at least %d bytes, want < 16 KB", least)
 	}
 }

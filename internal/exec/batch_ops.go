@@ -19,20 +19,22 @@ func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
 		return batchMaterialize(ctx, env, nil, false, func([][]rdf.Binding) []rdf.Binding { return []rdf.Binding{{}} })
 	case algebra.Values:
 		return batchMaterialize(ctx, env, x.Variables, false, func([][]rdf.Binding) []rdf.Binding { return x.Rows })
-	case algebra.Pattern:
-		return tracedBatch(ctx, env, "scan", func() string { return algebra.String(x) }, func(ctx context.Context) BatchStream {
-			return batchScan(ctx, x, env)
+	case algebra.Pattern, algebra.Join:
+		if pats, ok := bgpPatterns(op, nil); ok {
+			return tracedBatch(ctx, env, "scan", func() string { return algebra.String(op) }, func(ctx context.Context) BatchStream {
+				return batchBGP(ctx, env, op.Vars(), pats)
+			})
+		}
+		return tracedBatch(ctx, env, "join", nil, func(ctx context.Context) BatchStream {
+			j := op.(algebra.Join)
+			return batchJoin(ctx, env, j.Vars(), algebra.SharedVars(j.Left, j.Right), nil, false,
+				EvalBatch(ctx, j.Left, env), EvalBatch(ctx, j.Right, env))
 		})
 	case algebra.PathPattern:
 		return tracedBatch(ctx, env, "path", func() string { return algebra.String(x) }, func(ctx context.Context) BatchStream {
 			return batchMaterialize(ctx, env, x.Vars(), true, func([][]rdf.Binding) []rdf.Binding {
 				return evalPathSnapshot(env, x)
 			})
-		})
-	case algebra.Join:
-		return tracedBatch(ctx, env, "join", nil, func(ctx context.Context) BatchStream {
-			return batchJoin(ctx, env, x.Vars(), algebra.SharedVars(x.Left, x.Right), nil, false,
-				EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
 		})
 	case algebra.LeftJoin:
 		return tracedBatch(ctx, env, "leftjoin", nil, func(ctx context.Context) BatchStream {
@@ -196,101 +198,6 @@ func exprContainsExists(e sparql.Expression) bool {
 		}
 	}
 	return false
-}
-
-// batchScan emits matches of a triple pattern as ID batches straight out of
-// the store postings: no term is decoded. Each NextBatch call drains
-// whatever the store holds (up to batchCap), so first results keep row
-// latency while steady-state flow is batch-granular. A GRAPH term is
-// checked against each match's source document: a constant must equal it,
-// a variable binds to it.
-func batchScan(ctx context.Context, p algebra.Pattern, env *Env) BatchStream {
-	out := make(chan *Batch, batchChanCap)
-	vars := p.Vars()
-	// pos[c] is the position (0=S,1=P,2=O, 3=source document) the c-th
-	// variable reads from: its first occurrence, the store having already
-	// enforced repeated-variable equality within the triple.
-	pos := make([]int, len(vars))
-	pats := [4]rdf.Term{p.Triple.S, p.Triple.P, p.Triple.O, p.Graph}
-	gcol := -1 // column a GRAPH variable must agree with the source on
-	for c, v := range vars {
-		for i, t := range pats {
-			if t.Kind == rdf.TermVar && t.Value == v {
-				pos[c] = i
-				break
-			}
-		}
-		if p.Graph.IsVar() && p.Graph.Value == v {
-			gcol = c
-		}
-	}
-	graph := !p.Graph.IsZero()
-	var gid rdf.TermID
-	if graph && gcol < 0 {
-		gid = env.dict.Intern(p.Graph)
-	}
-	go func() {
-		defer close(out)
-		it := env.Store.Match(p.Triple)
-		defer it.Close()
-		withProv := env.Prov != nil
-		ids := make([]rdf.IDTriple, batchCap)
-		var srcs []rdf.TermID
-		if withProv || graph {
-			srcs = make([]rdf.TermID, batchCap)
-		}
-		for {
-			n, ok := it.NextBatch(ctx, ids, srcs)
-			if !ok {
-				return
-			}
-			b := env.getBatch(vars, withProv)
-			for c := range b.cols {
-				col := b.cols[c]
-				switch pos[c] {
-				case 0:
-					for i := 0; i < n; i++ {
-						col = append(col, ids[i].S)
-					}
-				case 1:
-					for i := 0; i < n; i++ {
-						col = append(col, ids[i].P)
-					}
-				case 2:
-					for i := 0; i < n; i++ {
-						col = append(col, ids[i].O)
-					}
-				default:
-					col = append(col, srcs[:n]...)
-				}
-				b.cols[c] = col
-			}
-			b.n = n
-			if graph {
-				compactSel(b, func(r int32) bool {
-					want := gid
-					if gcol >= 0 {
-						want = b.cols[gcol][r]
-					}
-					return srcs[r] != rdf.NoTerm && srcs[r] == want
-				})
-			}
-			if withProv {
-				for i := 0; i < n; i++ {
-					b.prov = append(b.prov, []rdf.TermID{srcs[i]})
-				}
-				for i := 0; i < b.Len(); i++ {
-					env.Prov.add(env.dict.Decode(srcs[b.Row(i)]).Value)
-				}
-			}
-			if b.Len() == 0 {
-				putBatch(b)
-			} else if !sendBatch(ctx, out, b) {
-				return
-			}
-		}
-	}()
-	return out
 }
 
 // rowReader decodes the columns an expression needs from a batch into a

@@ -3,12 +3,14 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/plan"
 	"ltqp/internal/rdf"
+	"ltqp/internal/solidbench"
 	"ltqp/internal/sparql"
 	"ltqp/internal/store"
 )
@@ -207,6 +209,44 @@ SELECT ?m ?u WHERE {
 		}
 		if n != 5000 {
 			b.Fatalf("results = %d", n)
+		}
+	}
+}
+
+// BenchmarkBGPClosed evaluates the basic graph pattern of Complex 1 (a
+// person's friends, their messages, and each message's id and date) over
+// the closed store of a 12-person SolidBench dataset, as the complex_exec
+// workload does: one operator, probing the store's own postings.
+func BenchmarkBGPClosed(b *testing.B) {
+	cfg := solidbench.DefaultConfig()
+	cfg.Persons = 12
+	ds := solidbench.Generate(cfg)
+	st := store.New()
+	for _, pod := range ds.BuildPods() {
+		for path, doc := range pod.Materialize() {
+			st.AddDocument(pod.IRI(path), doc.Graph.Triples())
+		}
+	}
+	st.Close()
+	var bgp algebra.Operator
+	for _, q := range ds.ComplexQueries() {
+		if strings.HasPrefix(q.Name, "Complex 1:") {
+			bgp = benchPlan(b, q.Text)
+		}
+	}
+	// slice(project(orderby(join(...)))): keep the join chain.
+	bgp = bgp.(algebra.Slice).Input.(algebra.Project).Input.(algebra.OrderBy).Input
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for batch := range EvalBatch(ctx, bgp, NewEnv(st)) {
+			n += batch.Len()
+			putBatch(batch)
+		}
+		if n == 0 {
+			b.Fatal("no solutions")
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // every operator is one goroutine, owning its state, exchanging batches of
 // dictionary term IDs over channels, and Eval decodes the root's batches
 // into bindings. No operator splits its work across further goroutines.
-// Monotonic operators (pattern scans, symmetric hash joins and OPTIONAL's
+// Monotonic operators (basic graph patterns, joins and OPTIONAL's
 // matches, unions, filters, binds, projections, distinct, LIMIT) emit
 // solutions incrementally while traversal is still dereferencing documents,
 // which is what lets first results appear long before the link queue
@@ -40,8 +40,8 @@ type Env struct {
 	Store *store.Store
 	// NowFunc returns the evaluation time for NOW(); fixed per query.
 	Now func() rdf.Term
-	// Prov, when non-nil, makes pattern scans annotate every solution with
-	// the source document of the matched triple, so results carry the set
+	// Prov, when non-nil, makes pattern operators annotate every solution
+	// with the source documents of its triples, so results carry the set
 	// of documents whose triples joined to produce them. Nil (the default)
 	// disables provenance at zero cost.
 	Prov *Prov

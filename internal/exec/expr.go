@@ -216,7 +216,7 @@ func toGroup(p sparql.GraphPattern) *sparql.GroupPattern {
 	return &sparql.GroupPattern{Elements: []sparql.GraphPattern{p}}
 }
 
-// substituteOp replaces bound variables with their values in pattern scans.
+// substituteOp replaces bound variables with their values in patterns.
 func substituteOp(op algebra.Operator, b rdf.Binding) algebra.Operator {
 	switch x := op.(type) {
 	case algebra.Pattern:

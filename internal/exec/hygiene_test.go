@@ -213,3 +213,54 @@ func holdsRowsNotBatches(t *testing.T, query string, docs, rows int, held int64)
 		t.Errorf("ledger holds %d exec bytes after the query", cur)
 	}
 }
+
+// TestBGPIsOneGoroutine runs a 4-pattern basic graph pattern over a store
+// that stays open: once it has emitted what the store holds and blocks for
+// more, it runs on exactly one goroutine (a scan per pattern and a join per
+// pair ran on seven), and after cancellation none is left and the ledger's
+// exec bytes are back to zero.
+func TestBGPIsOneGoroutine(t *testing.T) {
+	st := hygieneStore(false)
+	defer st.Close()
+	op := testPlan(t, `PREFIX ex: <http://example.org/>
+SELECT * WHERE { ?s ex:p ?v . ?s ex:q ?w . ?s ex:next ?n . ?n ex:p ?x }`)
+	if pats, ok := bgpPatterns(op, nil); !ok || len(pats) != 4 {
+		t.Fatalf("plan %s is not a 4-pattern BGP", algebra.String(op))
+	}
+	env := NewEnv(st)
+	env.Ledger = resource.New(1, "", 0)
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := EvalBatch(ctx, op, env)
+	rows := 0
+	for done := false; !done; {
+		select {
+		case b := <-out:
+			rows += b.Len()
+			putBatch(b)
+		case <-time.After(50 * time.Millisecond): // blocked on the open store
+			done = true
+		}
+	}
+	if rows != 20 {
+		t.Errorf("rows = %d, want 20", rows)
+	}
+	if g := runtime.NumGoroutine() - base; g != 1 {
+		t.Errorf("a blocked 4-pattern BGP runs on %d goroutines, want 1", g)
+	}
+	cancel()
+	for b := range out {
+		putBatch(b)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine() - base; g > 0 {
+		t.Errorf("%d goroutines left after cancellation", g)
+	}
+	if cur := env.Ledger.CurrentBy(resource.Exec); cur != 0 {
+		t.Errorf("ledger holds %d exec bytes after cancellation", cur)
+	}
+}

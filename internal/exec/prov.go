@@ -8,8 +8,8 @@ import (
 )
 
 // Prov is the per-execution provenance sink. When attached to an Env,
-// pattern scans annotate every solution with the document the matched
-// triple was first contributed by (see rdf prov pseudo-variables); joins
+// pattern operators annotate every solution with the documents its triples
+// were first contributed by (see rdf prov pseudo-variables); joins
 // then accumulate the union of both sides' documents, so every final result
 // carries the exact set of documents whose triples produced it.
 //
@@ -25,8 +25,8 @@ func NewProv() *Prov {
 	return &Prov{docs: map[string]int{}}
 }
 
-// add tallies one pattern match contributed by the document; the scan
-// carries the source ID in the batch provenance column.
+// add tallies one pattern match contributed by the document; the pattern
+// operator carries the source IDs in the batch provenance column.
 func (p *Prov) add(doc string) {
 	if p == nil {
 		return

@@ -35,8 +35,12 @@ type postings struct {
 	arena *arena
 }
 
-// arena hands out runs from the tail of its current chunk.
-type arena struct{ chunk []int32 }
+// arena hands out runs from the tail of its current chunk; allocated counts
+// the positions of every chunk it has made.
+type arena struct {
+	chunk     []int32
+	allocated int
+}
 
 const (
 	inlinePostings = 4
@@ -99,6 +103,7 @@ func (ps *postings) grow(p *posting) {
 			n = size
 		}
 		a.chunk = make([]int32, 0, n)
+		a.allocated += n
 	}
 	at := len(a.chunk)
 	a.chunk = a.chunk[:at+size]

@@ -1,12 +1,14 @@
 // Package store provides the engine's internal triple source: a concurrent,
 // append-only, indexed triple store that grows while link traversal is
-// running and supports *live* pattern iterators.
+// running, and evaluates basic graph patterns over it incrementally.
 //
-// A live iterator first streams all currently known matches of a triple
-// pattern and then blocks until either new matching triples arrive or the
-// store is closed (traversal finished). This is what allows the query
-// pipeline to start producing results while documents are still being
-// dereferenced, as described in the paper's architecture (Fig. 1).
+// The executor reads it through BGP (bgp.go), which joins a basic graph
+// pattern's triple patterns over the store's positions each time the store
+// grows, blocking in between until new triples arrive or the store is
+// closed (traversal finished). This is what allows the query pipeline to
+// start producing results while documents are still being dereferenced, as
+// described in the paper's architecture (Fig. 1). A live iterator (Match)
+// does the same for a single pattern, one triple at a time.
 //
 // Internally the store is dictionary-encoded: every term is interned in an
 // engine-scoped rdf.Dict, triples are stored once as 12-byte rdf.IDTriple
@@ -430,9 +432,10 @@ func (it *Iterator) Next(ctx context.Context) (rdf.Triple, bool) {
 	}
 }
 
-// waiter is what one blocking call (Next, NextBatch, WaitClosed) registers
-// so that its context's cancellation wakes it: once, on its first wait, not
-// on every wake-up, and not at all when the call never blocks.
+// waiter is what one blocking call (Next, NextBatch, WaitClosed), or a BGP
+// for its lifetime, registers so that its context's cancellation wakes it:
+// once, on its first wait, not on every wake-up, and not at all when it
+// never blocks.
 type waiter struct{ stop func() bool }
 
 // waitLocked blocks until the next broadcast: new triples, Close, an
