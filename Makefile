@@ -17,8 +17,11 @@ test: build
 # extract.TestScanAllocatesPerDocument — two allocations a link table,
 # scanned from triples or from IDs as BenchmarkScanIDs does — and the 0
 # allocs/op disabled-path pins of obs and resource), which hold under -race
-# too. The executor's determinism and stress tests run once more at
-# GOMAXPROCS 1 and 4 (-cpu 1,4): scheduling must never change a result.
+# too. The executor's determinism and stress tests, and the store's
+# concurrency tests (writers attaching documents while live BGP readers,
+# MatchNow and Source read, and blocked readers woken or cancelled), run
+# once more at GOMAXPROCS 1 and 4 (-cpu 1,4): scheduling must never change
+# a result.
 # The paper-scale environment test (1 531 pods, ~3 GB) runs in a second
 # pass without the race detector, which would slow it past the CI timeout on
 # a 2-CPU runner.
@@ -27,6 +30,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
 	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestConcurrentBGPsOverClosedStore|TestBatchOpsMatchRowSemantics)$$' ./internal/exec
+	$(GO) test -race -cpu 1,4 -run '^(TestStoreConcurrentAddMatchIterate|TestOnDemandIndexBuiltUnderIngest|TestConcurrentProducersConsumers|TestSourceConcurrent|TestPostingsMatchReferenceIndexes|TestLiveIteratorDrainsThenBlocks|TestBlockedCallsReturnOnCancel)$$' ./internal/store
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench
 
 # Differential harness on its own: 150 generated SELECT queries over the
@@ -47,6 +51,7 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./internal/sparql
 	$(GO) test -run '^$$' -fuzz '^FuzzDictRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzDictAgainstMap$$' -fuzztime $(FUZZTIME) ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzBGPAgainstNestedLoop$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchSelection$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSON$$' -fuzztime $(FUZZTIME) ./internal/results
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs

@@ -51,7 +51,9 @@ func BenchmarkMatchNowByPredicate(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveIteratorDrain(b *testing.B) {
+// BenchmarkLiveBGPDrain reads one predicate's matches out of a closed store
+// through a lone-pattern BGP, rows of TermIDs, nothing decoded.
+func BenchmarkLiveBGPDrain(b *testing.B) {
 	s := New()
 	doc := rdf.NewIRI("http://example.org/doc")
 	for _, t := range benchTriples(10000) {
@@ -60,17 +62,16 @@ func BenchmarkLiveIteratorDrain(b *testing.B) {
 	s.Close()
 	pattern := rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://example.org/p3"), rdf.NewVar("o"))
 	ctx := context.Background()
+	n := 0
+	count := func(_, _ []rdf.TermID) bool { n++; return true }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := s.Match(pattern)
-		n := 0
-		for {
-			if _, ok := it.Next(ctx); !ok {
-				break
-			}
-			n++
+		bgp := loneBGP(s, pattern)
+		n = 0
+		for bgp.Next(ctx, count) {
 		}
-		it.Close()
+		bgp.Release()
 		if n != 1000 {
 			b.Fatalf("drained = %d", n)
 		}
@@ -78,7 +79,7 @@ func BenchmarkLiveIteratorDrain(b *testing.B) {
 }
 
 func BenchmarkConcurrentAddAndMatch(b *testing.B) {
-	// The LTQP workload: one writer (traversal) and live readers (joins).
+	// The LTQP workload: one writer (traversal) and a live reader (a join).
 	triples := benchTriples(5000)
 	doc := rdf.NewIRI("http://example.org/doc")
 	b.ResetTimer()
@@ -87,14 +88,10 @@ func BenchmarkConcurrentAddAndMatch(b *testing.B) {
 		pattern := rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://example.org/p3"), rdf.NewVar("o"))
 		done := make(chan int)
 		go func() {
-			it := s.Match(pattern)
-			defer it.Close()
+			bgp := loneBGP(s, pattern)
+			defer bgp.Release()
 			n := 0
-			for {
-				if _, ok := it.Next(context.Background()); !ok {
-					break
-				}
-				n++
+			for bgp.Next(context.Background(), func(_, _ []rdf.TermID) bool { n++; return true }) {
 			}
 			done <- n
 		}()
@@ -150,7 +147,7 @@ func BenchmarkAttachWarmSegments(b *testing.B) {
 			s.AddEncoded(rdf.TermID(1+d), seg)
 		}
 		s.mu.Lock()
-		if len(s.candidates(&probe)) != 1 {
+		if list, _ := s.candidates(&probe, true); len(list) != 1 {
 			b.Fatal("the probed key must hold one position")
 		}
 		s.mu.Unlock()

@@ -450,59 +450,15 @@ func (s *Store) await(ctx context.Context, n int32, w *waiter) (v view, ok bool)
 }
 
 // delta appends to into, in ascending order, the positions in [lo, hi)
-// whose triples match p, and returns it. With index set it reads the
-// pattern's most selective posting list, as candidates does: for a closed
-// store, whose indexes every query over it shares. Without it, it reads
-// only the predicate postings every store keeps, or every position of the
-// range when the predicate is not constant.
+// whose triples match p, and returns it. With index it reads the pattern's
+// most selective posting list: for a closed store, whose indexes every
+// query over it shares. Without it, it reads only the predicate postings
+// every store keeps, or every position of the range when the predicate is
+// not constant.
 func (s *Store) delta(p *idPattern, lo, hi int32, index bool, into []int32) []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var list []int32
-	switch {
-	case index && !p.fullScan():
-		list = s.candidates(p)
-	case !p.isVar[1] && p.id[1] != rdf.NoTerm:
-		list = s.byPredicate.list(uint64(p.id[1]))
-	default:
-		for i := lo; i < hi; i++ {
-			if p.matches(s.triples[i]) {
-				into = append(into, i)
-			}
-		}
-		return into
-	}
-	list = list[sort.Search(len(list), func(k int) bool { return list[k] >= lo }):]
-	list = list[:sort.Search(len(list), func(k int) bool { return list[k] >= hi })]
-	if p.keyed(index) {
-		return append(into, list...)
-	}
-	into = slices.Grow(into, len(list))
-	for _, i := range list {
-		if p.matches(s.triples[i]) {
-			into = append(into, i)
-		}
-	}
-	return into
-}
-
-// keyed reports whether every triple on the list delta reads for p matches
-// p: p repeats no variable and its constants are exactly the list's key,
-// the predicate alone without index.
-func (p *idPattern) keyed(index bool) bool {
-	var consts uint8
-	for k := 0; k < 3; k++ {
-		if p.sameAs[k] >= 0 || !p.isVar[k] && p.id[k] == rdf.NoTerm {
-			return false
-		}
-		if !p.isVar[k] {
-			consts |= 1 << k
-		}
-	}
-	if !index {
-		return consts == 0b010
-	}
-	return consts != 0 && consts != 0b101 && consts != 0b111
+	return s.scan(p, lo, hi, index, into)
 }
 
 // prepare reports whether the store is closed and, if it is, builds every
@@ -520,9 +476,7 @@ func (s *Store) prepare(pats []bgpPattern) bool {
 					q.id[k], q.isVar[k] = 1, false // any term: the shape picks the index
 				}
 			}
-			if !q.fullScan() {
-				s.candidates(&q)
-			}
+			s.candidates(&q, true)
 		}
 	}
 	return s.closed
@@ -549,24 +503,7 @@ func (s *Store) probe(p *idPattern, bound [3]rdf.TermID, into []int32) []int32 {
 		}
 		return into
 	}
-	if q.fullScan() {
-		for i, t := range s.triples {
-			if q.matches(t) {
-				into = append(into, int32(i))
-			}
-		}
-		return into
-	}
-	list := s.candidates(&q)
-	if q.keyed(true) {
-		return append(into, list...)
-	}
-	for _, i := range list {
-		if q.matches(s.triples[i]) {
-			into = append(into, i)
-		}
-	}
-	return into
+	return s.scan(&q, 0, int32(len(s.triples)), true, into)
 }
 
 // count returns the length of the posting list delta reads with index set:
@@ -574,10 +511,10 @@ func (s *Store) probe(p *idPattern, bound [3]rdf.TermID, into []int32) []int32 {
 func (s *Store) count(p *idPattern) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p.fullScan() {
-		return len(s.triples)
+	if list, all := s.candidates(p, true); !all {
+		return len(list)
 	}
-	return len(s.candidates(p))
+	return len(s.triples)
 }
 
 // posIndex files positions under uint64 keys, each key's in the order they

@@ -23,11 +23,12 @@ import "ltqp/internal/rdf"
 //     their chunk (at most as much again as the live runs, by the
 //     doubling), so allocations are per chunk, not per key.
 //
-// A list is always contiguous — in one, in the slot or in its run — so
-// reading it is reading a slice, and every move keeps the list's prefix, so
-// a live iterator's cursor into it stays valid. The slice aliases one, the
-// slab or the arena and is valid only while the store lock is held: add may
-// move them.
+// A list is always contiguous — in one, in the slot or in its run — and
+// ascending, so reading it is reading a slice, and a reader finds the
+// positions of any range [lo, hi) on it by binary search: it keeps its
+// place as a position, which no move, promotion or late index build
+// changes. The slice aliases one, the slab or the arena and is valid only
+// while the store lock is held: add may move them.
 type postings struct {
 	idx   map[uint64]int32
 	one   []int32

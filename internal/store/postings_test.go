@@ -44,8 +44,8 @@ func constPattern(t rdf.IDTriple, s, p, o bool) idPattern {
 // store and a map[K][]int32 reference side by side and compares the
 // candidate list of every index shape — P, and the four built on demand (S,
 // O, SP, PO), each first probed at a different point mid-stream so both its
-// bulk build and its incremental maintenance are covered — while live
-// iterators drain a predicate from the start and a subject and an object
+// bulk build and its incremental maintenance are covered — while live BGP
+// readers drain a predicate from the start and a subject and an object
 // from mid-stream, concurrently with the ingest (run under -race). Keys are
 // drawn from small ranges so lists outgrow the inline slots and several
 // arena runs.
@@ -57,26 +57,27 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 	const docs, perDoc = 120, 60
 	term := func(n int) rdf.TermID { return rdf.TermID(1 + rng.Intn(n)) }
 
-	// drain counts what a live iterator over pat yields until the store
-	// closes, checking every triple against keep and the order of arrival
-	// against the store's insertion order.
+	// drain counts what a live BGP over pat yields until the store closes,
+	// checking every triple against keep and the order of arrival against
+	// the store's insertion order.
 	drain := func(pat idPattern, keep func(rdf.IDTriple) bool) chan int {
-		live := &Iterator{store: s, pattern: pat}
+		live := idBGP(s, pat)
 		drained := make(chan int)
 		go func() {
-			n := 0
-			buf := make([]rdf.IDTriple, 16)
+			defer live.Release()
+			n, last := 0, int32(-1)
 			for {
-				k, ok := live.NextBatch(context.Background(), buf, nil)
+				at, ok := step(context.Background(), live)
+				for _, pos := range at {
+					if tr := live.v.triples[pos]; !keep(tr) || pos <= last {
+						t.Errorf("live BGP over %+v yielded %v at %d after %d", pat.id, tr, pos, last)
+					}
+					last = pos
+				}
+				n += len(at)
 				if !ok {
 					break
 				}
-				for _, tr := range buf[:k] {
-					if !keep(tr) {
-						t.Errorf("live iterator over %+v yielded %v", pat.id, tr)
-					}
-				}
-				n += k
 			}
 			drained <- n
 		}()
@@ -119,7 +120,7 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 				if d < firstProbe[sh.name] {
 					continue
 				}
-				got := s.candidates(&sh.pat)
+				got, _ := s.candidates(&sh.pat, true)
 				if len(got) == 0 && len(sh.want) == 0 {
 					continue
 				}
@@ -132,8 +133,8 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 	}
 
 	for d := 0; d < docs; d++ {
-		// Live readers whose first batch is the first probe of S and of O:
-		// they see what the build indexed, then what ingest keeps adding.
+		// Live readers of S and of O, started when their index is first
+		// probed: they see what is there, then what ingest keeps adding.
 		if d == firstProbe["S"] {
 			byS = drain(constPattern(rdf.IDTriple{S: 1}, true, false, false), func(tr rdf.IDTriple) bool { return tr.S == 1 })
 		}
@@ -166,7 +167,7 @@ func TestPostingsMatchReferenceIndexes(t *testing.T) {
 		want int
 	}{"predicate 1": {byP, len(ref.p[1])}, "subject 1": {byS, len(ref.s[1])}, "object 1": {byO, len(ref.o[1])}} {
 		if got := <-live.got; got != live.want {
-			t.Errorf("live iterator drained %d triples with %s, reference has %d", got, name, live.want)
+			t.Errorf("live BGP drained %d triples with %s, reference has %d", got, name, live.want)
 		}
 	}
 }
@@ -311,13 +312,23 @@ func TestPostingsGrowth(t *testing.T) {
 	}
 }
 
+// idBGP returns a BGP over s of the one pattern p, compiled by hand over IDs
+// the dictionary need not hold.
+func idBGP(s *Store, p idPattern) *BGP {
+	b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o")))
+	b.pats[0].p = p
+	return b
+}
+
 // A key's list moves from its single entry in one into a slot on its second
 // position and into an arena run past inlinePostings. The test follows two
 // such keys — a predicate in the eager byPredicate index and a (p,o) key in
 // byPO, built on demand while that key holds one position — against the
-// map reference, with a live iterator over each whose cursor sits on the
-// key's single entry when the key is promoted: it must go on with exactly
-// the positions added after it, none twice and none skipped.
+// map reference, with a lone-pattern BGP over each, stepped once per
+// attached document, and a delta read of the (p,o) list by position range,
+// the read that builds byPO: each step must yield exactly the positions
+// added since the last, none twice and none skipped, whatever moved the
+// key's list.
 func TestPostingsPromotionUnderLiveCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := New()
@@ -337,40 +348,37 @@ func TestPostingsPromotionUnderLiveCursor(t *testing.T) {
 		}
 		s.mu.Unlock()
 	}
-	var byP, byPO *Iterator
-	var gotP, gotPO []int32
-	// step drains what each live iterator can yield now and compares it,
-	// and every P and PO candidate list, with the reference.
-	step := func(when string) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, it := range []struct {
-			it  *Iterator
+	var byP, byPO *BGP
+	var gotP, gotPO, gotIdx []int32
+	pat := constPattern(watched, false, true, true)
+	read := int32(0) // delta has read the (p,o) list below this position
+	// check steps each BGP over the document just attached, reads the new
+	// range of the (p,o) list, and compares what each has yielded, and
+	// every P and PO candidate list, with the reference.
+	check := func(when string) {
+		n := int32(s.Len())
+		gotIdx, read = s.delta(&pat, read, n, true, gotIdx), n
+		for _, r := range []struct {
+			b   *BGP
 			got *[]int32
 		}{{byP, &gotP}, {byPO, &gotPO}} {
-			if it.it == nil {
-				continue
+			at, ok := step(context.Background(), r.b)
+			if !ok {
+				t.Fatalf("%s: the BGP ended on an open store", when)
 			}
-			for {
-				_, i, ok := it.it.scanLockedIdx()
-				if !ok {
-					break
-				}
-				*it.got = append(*it.got, i)
-			}
+			*r.got = append(*r.got, at...)
 		}
-		if byP != nil && !reflect.DeepEqual(gotP, ref.p[p]) {
-			t.Fatalf("%s: live iterator over P yielded %v, reference %v", when, gotP, ref.p[p])
+		if !reflect.DeepEqual(gotP, ref.p[p]) {
+			t.Fatalf("%s: BGP over P yielded %v, reference %v", when, gotP, ref.p[p])
 		}
-		if byPO != nil && !reflect.DeepEqual(gotPO, ref.po[watched.PO()]) {
-			t.Fatalf("%s: live iterator over PO yielded %v, reference %v", when, gotPO, ref.po[watched.PO()])
+		if !reflect.DeepEqual(gotPO, ref.po[watched.PO()]) || !reflect.DeepEqual(gotIdx, gotPO) {
+			t.Fatalf("%s: BGP over PO yielded %v, delta over byPO %v, reference %v", when, gotPO, gotIdx, ref.po[watched.PO()])
 		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		for _, tr := range s.triples {
 			if got := s.byPredicate.list(uint64(tr.P)); !reflect.DeepEqual(append([]int32(nil), got...), ref.p[tr.P]) {
 				t.Fatalf("%s: P list of %d = %v, reference %v", when, tr.P, got, ref.p[tr.P])
-			}
-			if s.byPO == nil {
-				continue
 			}
 			if got := s.byPO.list(tr.PO()); !reflect.DeepEqual(append([]int32(nil), got...), ref.po[tr.PO()]) {
 				t.Fatalf("%s: PO list of %v = %v, reference %v", when, tr, got, ref.po[tr.PO()])
@@ -381,19 +389,21 @@ func TestPostingsPromotionUnderLiveCursor(t *testing.T) {
 	for d := 0; d < 5; d++ {
 		add(noise(), noise(), noise())
 	}
+	byP = idBGP(s, constPattern(watched, false, true, false))
+	defer byP.Release()
+	byPO = idBGP(s, constPattern(watched, false, true, true))
+	defer byPO.Release()
 	add(rdf.IDTriple{S: 1, P: p, O: o}, noise())
-	byP = &Iterator{store: s, pattern: constPattern(watched, false, true, false)}
-	byPO = &Iterator{store: s, pattern: constPattern(watched, false, true, true)}
-	step("one position") // builds byPO, holding the watched key's single entry
+	check("one position") // builds byPO, holding the watched key's single entry
 	if s.byPO == nil || len(gotP) != 1 || len(gotPO) != 1 {
-		t.Fatalf("after the first position: byPO built %v, iterators at %d and %d", s.byPO != nil, len(gotP), len(gotPO))
+		t.Fatalf("after the first position: byPO built %v, the BGPs yielded %d and %d", s.byPO != nil, len(gotP), len(gotPO))
 	}
 	for k := 2; k <= 3*inlinePostings; k++ {
 		add(noise(), rdf.IDTriple{S: rdf.TermID(k), P: p, O: o}, noise())
-		step("position " + strconv.Itoa(k))
+		check("position " + strconv.Itoa(k))
 	}
 	if len(gotPO) != 3*inlinePostings {
-		t.Fatalf("the PO iterator saw %d positions, want %d", len(gotPO), 3*inlinePostings)
+		t.Fatalf("the PO BGP saw %d positions, want %d", len(gotPO), 3*inlinePostings)
 	}
 	ones := 0
 	for _, v := range s.byPO.idx {

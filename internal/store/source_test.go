@@ -40,7 +40,7 @@ func TestSourceFirstWriterWins(t *testing.T) {
 	}
 }
 
-// TestSourceConcurrent hammers Add, Match and Source from many goroutines
+// TestSourceConcurrent hammers Add, a live BGP and Source from many goroutines
 // (run under -race): every attributed source must be one of the documents
 // that actually inserted the triple, and duplicates across workers must
 // resolve to a single stable attribution.
@@ -72,19 +72,21 @@ func TestSourceConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	// A reader drains a live iterator while writers insert.
+	// A reader drains a live BGP while writers insert.
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		it := s.Match(rdf.NewTriple(rdf.NewVar("s"), p, rdf.NewVar("o")))
-		defer it.Close()
+		b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), p, rdf.NewVar("o")))
+		defer b.Release()
 		for {
-			tr, ok := it.Next(context.Background())
-			if !ok {
-				return
+			got, ok := stepTriples(context.Background(), b)
+			for _, tr := range got {
+				if src, ok := s.Source(tr); !ok || src.Value == "" {
+					t.Error("matched triple has no source")
+					return
+				}
 			}
-			if src, ok := s.Source(tr); !ok || src.Value == "" {
-				t.Error("matched triple has no source")
+			if !ok {
 				return
 			}
 		}

@@ -7,8 +7,8 @@
 // grows, blocking in between until new triples arrive or the store is
 // closed (traversal finished). This is what allows the query pipeline to
 // start producing results while documents are still being dereferenced, as
-// described in the paper's architecture (Fig. 1). A live iterator (Match)
-// does the same for a single pattern, one triple at a time.
+// described in the paper's architecture (Fig. 1). MatchNow answers a single
+// pattern once, over the triples held at the time of the call.
 //
 // Internally the store is dictionary-encoded: every term is interned in an
 // engine-scoped rdf.Dict, triples are stored once as 12-byte rdf.IDTriple
@@ -16,14 +16,13 @@
 // indexes are keyed by integer TermIDs (plus uint64 composite keys for the
 // two-constant (s,p) and (p,o) shapes).
 // The hot ingest and match paths therefore hash and compare small integers
-// instead of lexical strings; terms are decoded back to rdf.Term only at
-// the iterator emission boundary.
+// instead of lexical strings; terms are decoded back to rdf.Term only by
+// MatchNow and Snapshot, and by the executor at its projection boundary.
 package store
 
 import (
 	"context"
 	"slices"
-	"sort"
 	"sync"
 
 	"ltqp/internal/rdf"
@@ -135,8 +134,8 @@ func (s *Store) SetLedger(l *resource.Ledger) {
 // returning false.
 func (s *Store) Add(t rdf.Triple, source rdf.Term) bool {
 	// Intern outside the store lock: interning takes the dictionary's
-	// stripe locks and must not extend the critical section that blocks
-	// live iterators.
+	// stripe locks and must not extend the critical section that readers
+	// wait on.
 	it := s.dict.InternTriple(t)
 	src := s.dict.Intern(source)
 	s.mu.Lock()
@@ -187,13 +186,6 @@ func (s *Store) addLocked(src rdf.TermID, ids ...rdf.IDTriple) int {
 	return n
 }
 
-// sourceLocked returns the document that contributed triples[i]. Caller
-// holds s.mu.
-func (s *Store) sourceLocked(i int32) rdf.TermID {
-	k := sort.Search(len(s.origins), func(k int) bool { return s.origins[k].from > i })
-	return s.origins[k-1].src
-}
-
 // AddDocument ingests all triples of a dereferenced document, with the
 // document IRI as their source, and reports how many were new. The whole
 // document is interned outside the store lock, then ingested by AddEncoded.
@@ -208,8 +200,8 @@ func (s *Store) AddDocument(docIRI string, triples []rdf.Triple) int {
 // AddEncoded is AddDocument for a document that is already encoded: ids and
 // src (the document IRI's ID) must come from this store's dictionary, and
 // ids is only read. The document is inserted under one lock acquisition
-// with a single iterator wakeup, so ingest cost per document is one
-// critical section, not one per triple, and nothing is interned.
+// with a single wake-up of the blocked readers, so ingest cost per document
+// is one critical section, not one per triple, and nothing is interned.
 func (s *Store) AddEncoded(src rdf.TermID, ids []rdf.IDTriple) int {
 	s.mu.Lock()
 	n := s.addLocked(src, ids...)
@@ -217,8 +209,9 @@ func (s *Store) AddEncoded(src rdf.TermID, ids []rdf.IDTriple) int {
 	return n
 }
 
-// Close marks the store complete: no further triples will arrive. All
-// blocked iterators drain their remaining matches and then terminate.
+// Close marks the store complete: no further triples will arrive. Every
+// blocked BGP reads what it has not read yet and then ends, and WaitClosed
+// returns.
 // Close is idempotent.
 func (s *Store) Close() {
 	s.mu.Lock()
@@ -246,7 +239,7 @@ func (s *Store) Source(t rdf.Triple) (rdf.Term, bool) {
 	var src rdf.TermID
 	i, _, ok := s.seen.find(s.triples, it)
 	if ok {
-		src = s.sourceLocked(i)
+		src = view{origins: s.origins}.source(i)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -310,43 +303,82 @@ func (p *idPattern) matches(t rdf.IDTriple) bool {
 	return true
 }
 
-// fullScan reports whether the pattern has no constant position.
-func (p *idPattern) fullScan() bool {
-	for i := 0; i < 3; i++ {
-		if !p.isVar[i] {
-			// An undef "constant" is not indexable (its ID is NoTerm, which
-			// is never indexed), but it also matches nothing; the full-scan
-			// path handles it like the pre-dictionary store did.
-			if p.id[i] == rdf.NoTerm {
-				continue
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// candidates returns the index list to scan for a compiled pattern,
-// choosing the most selective available index. Caller holds s.mu; the list
-// aliases the index and must not be used after the lock is released.
-func (s *Store) candidates(p *idPattern) []int32 {
+// candidates returns the posting list to read for p, or all when every
+// position must be read instead. With index it is the most selective list
+// of the store's, built on the first probe of its shape; without, the
+// predicate's, the one index every store keeps from the start. An undef
+// "constant" (NoTerm) is never indexed, and matches nothing. Caller holds
+// s.mu; the list aliases the index and must not be used after the lock is
+// released.
+func (s *Store) candidates(p *idPattern, index bool) (list []int32, all bool) {
 	constS := !p.isVar[0] && p.id[0] != rdf.NoTerm
 	constP := !p.isVar[1] && p.id[1] != rdf.NoTerm
 	constO := !p.isVar[2] && p.id[2] != rdf.NoTerm
 	switch {
-	case constS && constP:
-		return s.index(&s.bySP, rdf.IDTriple.SP).list(rdf.PackID2(p.id[0], p.id[1]))
-	case constP && constO:
-		return s.index(&s.byPO, rdf.IDTriple.PO).list(rdf.PackID2(p.id[1], p.id[2]))
-	case constS:
-		return s.index(&s.bySubject, subjectKey).list(uint64(p.id[0]))
-	case constO:
-		return s.index(&s.byObject, objectKey).list(uint64(p.id[2]))
+	case index && constS && constP:
+		return s.index(&s.bySP, rdf.IDTriple.SP).list(rdf.PackID2(p.id[0], p.id[1])), false
+	case index && constP && constO:
+		return s.index(&s.byPO, rdf.IDTriple.PO).list(rdf.PackID2(p.id[1], p.id[2])), false
+	case index && constS:
+		return s.index(&s.bySubject, subjectKey).list(uint64(p.id[0])), false
+	case index && constO:
+		return s.index(&s.byObject, objectKey).list(uint64(p.id[2])), false
 	case constP:
-		return s.byPredicate.list(uint64(p.id[1]))
-	default:
-		return nil // full scan
+		return s.byPredicate.list(uint64(p.id[1])), false
 	}
+	return nil, true
+}
+
+// scan appends to into, in ascending order, the positions in [lo, hi)
+// whose triples match p, reading what candidates picks for index, and
+// returns it. Caller holds s.mu, or the store is closed and prepared for p.
+func (s *Store) scan(p *idPattern, lo, hi int32, index bool, into []int32) []int32 {
+	list, all := s.candidates(p, index)
+	if all {
+		for i := lo; i < hi; i++ {
+			if p.matches(s.triples[i]) {
+				into = append(into, i)
+			}
+		}
+		return into
+	}
+	if len(list) > 0 && list[0] < lo {
+		k, _ := slices.BinarySearch(list, lo)
+		list = list[k:]
+	}
+	if len(list) > 0 && list[len(list)-1] >= hi {
+		k, _ := slices.BinarySearch(list, hi)
+		list = list[:k]
+	}
+	if p.keyed(index) {
+		return append(into, list...)
+	}
+	into = slices.Grow(into, len(list))
+	for _, i := range list {
+		if p.matches(s.triples[i]) {
+			into = append(into, i)
+		}
+	}
+	return into
+}
+
+// keyed reports whether every triple on the list candidates picks for p
+// matches p: p repeats no variable and its constants are exactly the list's
+// key, the predicate alone without index.
+func (p *idPattern) keyed(index bool) bool {
+	var consts uint8
+	for k := 0; k < 3; k++ {
+		if p.sameAs[k] >= 0 || !p.isVar[k] && p.id[k] == rdf.NoTerm {
+			return false
+		}
+		if !p.isVar[k] {
+			consts |= 1 << k
+		}
+	}
+	if !index {
+		return consts == 0b010
+	}
+	return consts != 0 && consts != 0b101 && consts != 0b111
 }
 
 func subjectKey(t rdf.IDTriple) uint64 { return uint64(t.S) }
@@ -366,80 +398,33 @@ func (s *Store) index(ps **postings, key func(rdf.IDTriple) uint64) *postings {
 	return *ps
 }
 
-// MatchNow returns a snapshot of all current matches of the pattern.
+// MatchNow returns a snapshot of all current matches of the pattern, in
+// insertion order.
 func (s *Store) MatchNow(pattern rdf.Triple) []rdf.Triple {
 	p := s.compilePattern(pattern)
+	var buf [64]int32 // most calls (a path step, DESCRIBE) match a few
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []rdf.Triple
-	if p.fullScan() {
-		for _, t := range s.triples {
-			if p.matches(t) {
-				out = append(out, s.dict.DecodeTriple(t))
-			}
-		}
-		return out
+	pos := s.scan(&p, 0, int32(len(s.triples)), true, buf[:0])
+	triples := s.triples // its first len() entries never change
+	s.mu.Unlock()
+	if len(pos) == 0 {
+		return nil
 	}
-	for _, i := range s.candidates(&p) {
-		if t := s.triples[i]; p.matches(t) {
-			out = append(out, s.dict.DecodeTriple(t))
-		}
+	out := make([]rdf.Triple, len(pos))
+	for k, i := range pos {
+		out[k] = s.dict.DecodeTriple(triples[i])
 	}
 	return out
 }
 
-// Match returns a live iterator over current and future matches of the
-// pattern. The iterator terminates once the store is closed and all matches
-// are drained, or when the iterator itself is closed.
-func (s *Store) Match(pattern rdf.Triple) *Iterator {
-	p := s.compilePattern(pattern)
-	return &Iterator{store: s, pattern: p, scan: p.fullScan()}
-}
-
-// Iterator is a live triple-pattern iterator. It is not safe for concurrent
-// use by multiple goroutines; each pipeline operator owns its iterators.
-type Iterator struct {
-	store   *Store
-	pattern idPattern
-	// next is the cursor: an index into the candidate list (or the triples
-	// slice for full scans) of the next entry to examine.
-	next   int
-	scan   bool
-	closed bool
-	mu     sync.Mutex
-}
-
-// Next blocks until a new matching triple is available and returns it, or
-// returns ok=false when the store closed (and matches are exhausted), the
-// iterator was closed, or the context was cancelled.
-func (it *Iterator) Next(ctx context.Context) (rdf.Triple, bool) {
-	s := it.store
-	var w waiter
-	defer w.done()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if it.isClosed() || ctx.Err() != nil {
-			return rdf.Triple{}, false
-		}
-		if t, ok := it.scanLocked(); ok {
-			return s.dict.DecodeTriple(t), true
-		}
-		if s.closed {
-			return rdf.Triple{}, false
-		}
-		s.waitLocked(ctx, &w)
-	}
-}
-
-// waiter is what one blocking call (Next, NextBatch, WaitClosed), or a BGP
-// for its lifetime, registers so that its context's cancellation wakes it:
-// once, on its first wait, not on every wake-up, and not at all when it
-// never blocks.
+// waiter is what a blocking call registers so that its context's
+// cancellation wakes it: WaitClosed for one call, a BGP for its lifetime.
+// It registers once, on its first wait, not on every wake-up, and not at all
+// when it never blocks.
 type waiter struct{ stop func() bool }
 
-// waitLocked blocks until the next broadcast: new triples, Close, an
-// iterator's Close, or the cancellation of ctx. Caller holds s.mu.
+// waitLocked blocks until the next broadcast: new triples, Close, or the
+// cancellation of ctx. Caller holds s.mu.
 func (s *Store) waitLocked(ctx context.Context, w *waiter) {
 	if w.stop == nil {
 		w.stop = context.AfterFunc(ctx, s.wake)
@@ -454,59 +439,6 @@ func (w *waiter) done() {
 	if w.stop != nil {
 		w.stop()
 	}
-}
-
-// TryNext returns the next available match without blocking.
-func (it *Iterator) TryNext() (rdf.Triple, bool) {
-	s := it.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if it.isClosed() {
-		return rdf.Triple{}, false
-	}
-	t, ok := it.scanLocked()
-	if !ok {
-		return rdf.Triple{}, false
-	}
-	return s.dict.DecodeTriple(t), true
-}
-
-// Done reports whether the iterator can produce no further results without
-// blocking AND the store is closed — i.e. the stream has truly ended.
-func (it *Iterator) Done() bool {
-	it.store.mu.Lock()
-	defer it.store.mu.Unlock()
-	if it.isClosed() {
-		return true
-	}
-	if !it.store.closed {
-		return false
-	}
-	// Peek: are there unscanned matches left?
-	save := it.next
-	_, ok := it.scanLocked()
-	it.next = save
-	return !ok
-}
-
-// scanLocked advances the cursor to the next match. Caller holds store.mu.
-func (it *Iterator) scanLocked() (rdf.IDTriple, bool) {
-	t, _, ok := it.scanLockedIdx()
-	return t, ok
-}
-
-// Close releases the iterator; pending and future Next calls return false.
-func (it *Iterator) Close() {
-	it.mu.Lock()
-	it.closed = true
-	it.mu.Unlock()
-	it.store.wake()
-}
-
-func (it *Iterator) isClosed() bool {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.closed
 }
 
 // Snapshot returns a copy of all triples currently in the store, in

@@ -21,7 +21,7 @@ func raceTriple(i int) rdf.Triple {
 }
 
 // checkCorrelated fails the test if t is not one of the triples raceTriple
-// can produce — i.e. if an iterator or snapshot observed a torn triple.
+// can produce — i.e. if a reader or snapshot observed a torn triple.
 func checkCorrelated(t *testing.T, tr rdf.Triple) {
 	t.Helper()
 	var i, p int
@@ -43,7 +43,7 @@ func checkCorrelated(t *testing.T, tr rdf.Triple) {
 
 // TestStoreConcurrentAddMatchIterate is the ID-keyed store's -race stress
 // test: writers Add and AddDocument concurrently with readers running
-// MatchNow, Source, and a live Iterator that drains the full stream. Every
+// MatchNow, Source, and live BGP readers that drain the full stream. Every
 // observed triple must be internally consistent (never torn) and the final
 // state must contain exactly the distinct triples written.
 func TestStoreConcurrentAddMatchIterate(t *testing.T) {
@@ -56,39 +56,31 @@ func TestStoreConcurrentAddMatchIterate(t *testing.T) {
 	)
 	s := New()
 
-	// Live iterator over everything, started before any writes.
-	all := s.Match(rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o")))
+	// A live reader over everything, started before any writes.
+	all := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o")))
+	defer all.Release()
 	iterDone := make(chan int)
 	go func() {
-		n := 0
-		for {
-			tr, ok := all.Next(context.Background())
-			if !ok {
-				break
-			}
+		got := drain(context.Background(), all)
+		for _, tr := range got {
 			checkCorrelated(t, tr)
-			n++
 		}
-		iterDone <- n
+		iterDone <- len(got)
 	}()
 
-	// A second live iterator on a single predicate stripe.
-	stripe := s.Match(rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://example.org/p/3"), rdf.NewVar("o")))
+	// A second live reader on a single predicate stripe.
+	stripe := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://example.org/p/3"), rdf.NewVar("o")))
+	defer stripe.Release()
 	stripeDone := make(chan int)
 	go func() {
-		n := 0
-		for {
-			tr, ok := stripe.Next(context.Background())
-			if !ok {
-				break
-			}
+		got := drain(context.Background(), stripe)
+		for _, tr := range got {
 			checkCorrelated(t, tr)
 			if tr.P.Value != "http://example.org/p/3" {
-				t.Errorf("stripe iterator leaked predicate %q", tr.P.Value)
+				t.Errorf("stripe reader leaked predicate %q", tr.P.Value)
 			}
-			n++
 		}
-		stripeDone <- n
+		stripeDone <- len(got)
 	}()
 
 	var wg sync.WaitGroup
@@ -145,7 +137,7 @@ func TestStoreConcurrentAddMatchIterate(t *testing.T) {
 	docTriples := docWriters * docsPerWriter * perDoc
 	wantAll := distinct + docTriples
 	if gotAll != wantAll {
-		t.Errorf("live iterator saw %d triples, want %d", gotAll, wantAll)
+		t.Errorf("live reader saw %d triples, want %d", gotAll, wantAll)
 	}
 	if s.Len() != wantAll {
 		t.Errorf("Len = %d, want %d", s.Len(), wantAll)
@@ -162,7 +154,7 @@ func TestStoreConcurrentAddMatchIterate(t *testing.T) {
 		}
 	}
 	if gotStripe != wantStripe {
-		t.Errorf("stripe iterator saw %d triples, want %d", gotStripe, wantStripe)
+		t.Errorf("stripe reader saw %d triples, want %d", gotStripe, wantStripe)
 	}
 	// Every distinct triple resolves via Source and carries a stable ID.
 	d := s.Dict()
@@ -182,10 +174,10 @@ func TestStoreConcurrentAddMatchIterate(t *testing.T) {
 	}
 }
 
-// TestStoreIteratorNeverTornUnderIngest drives a snapshotting reader
-// (Snapshot) against heavy document ingest and checks that every snapshot is
+// TestSnapshotNeverTornUnderIngest drives a snapshotting reader (Snapshot)
+// against heavy document ingest and checks that every snapshot is
 // prefix-consistent: correlated triples only, monotonically growing.
-func TestStoreIteratorNeverTornUnderIngest(t *testing.T) {
+func TestSnapshotNeverTornUnderIngest(t *testing.T) {
 	s := New()
 	stop := make(chan struct{})
 	// The writer takes one token per document and the reader hands out one
@@ -229,10 +221,12 @@ func TestStoreIteratorNeverTornUnderIngest(t *testing.T) {
 }
 
 // TestOnDemandIndexBuiltUnderIngest has the first probe of the subject and of
-// the object index arrive mid-stream, from live iterators and MatchNow
-// readers, while several writers keep attaching documents (run under
-// -race): the build sees a prefix of the stream, maintenance the rest, and
-// every reader must end up with exactly the triples of its key, each once.
+// the object index arrive mid-stream, from MatchNow readers, while several
+// writers keep attaching documents and live BGP readers of the same two
+// shapes, started mid-stream too, read the growth by position range (run
+// under -race): the build sees a prefix of the stream, maintenance the
+// rest, and every reader must end up with exactly the triples of its key,
+// each once.
 func TestOnDemandIndexBuiltUnderIngest(t *testing.T) {
 	const writers, docsPerWriter, perDoc = 4, 40, 24
 	s := New()
@@ -281,16 +275,12 @@ func TestOnDemandIndexBuiltUnderIngest(t *testing.T) {
 	counts := make(chan [2]int, 2)
 	for side, pattern := range []rdf.Triple{fromHub, toHub} {
 		go func(side int, pattern rdf.Triple) {
-			it := s.Match(pattern)
-			defer it.Close()
+			b := loneBGP(s, pattern)
+			defer b.Release()
 			seen := map[rdf.Triple]bool{}
-			for {
-				tr, ok := it.Next(context.Background())
-				if !ok {
-					break
-				}
+			for _, tr := range drain(context.Background(), b) {
 				if (side == 0 && tr.S != hub) || (side == 1 && tr.O != hub) || seen[tr] {
-					t.Errorf("live iterator %d yielded %v (seen before: %v)", side, tr, seen[tr])
+					t.Errorf("live reader %d yielded %v (seen before: %v)", side, tr, seen[tr])
 				}
 				seen[tr] = true
 			}
@@ -319,7 +309,7 @@ func TestOnDemandIndexBuiltUnderIngest(t *testing.T) {
 	const want = writers * docsPerWriter * perDoc / 2
 	for i := 0; i < 2; i++ {
 		if c := <-counts; c[1] != want {
-			t.Errorf("live iterator %d saw %d triples, want %d", c[0], c[1], want)
+			t.Errorf("live reader %d saw %d triples, want %d", c[0], c[1], want)
 		}
 	}
 	for side, pattern := range []rdf.Triple{fromHub, toHub} {

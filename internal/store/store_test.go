@@ -3,9 +3,9 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"ltqp/internal/rdf"
@@ -94,77 +94,118 @@ func TestMatchNowIndexSelection(t *testing.T) {
 	}
 }
 
+// loneBGP returns a BGP over s of the one pattern, its variables in order
+// of appearance.
+func loneBGP(s *Store, pattern rdf.Triple) *BGP {
+	var vars []string
+	for _, t := range []rdf.Term{pattern.S, pattern.P, pattern.O} {
+		if t.IsVar() && !slices.Contains(vars, t.Value) {
+			vars = append(vars, t.Value)
+		}
+	}
+	return s.BGP(vars, []rdf.Quad{{Triple: pattern}}, nil)
+}
+
+// step calls b.Next once and returns the positions its lone pattern matched,
+// in the order emitted.
+func step(ctx context.Context, b *BGP) ([]int32, bool) {
+	var at []int32
+	ok := b.Next(ctx, func(_, _ []rdf.TermID) bool {
+		at = append(at, b.at[0])
+		return true
+	})
+	return at, ok
+}
+
+// stepTriples is step returning the matched triples.
+func stepTriples(ctx context.Context, b *BGP) ([]rdf.Triple, bool) {
+	at, ok := step(ctx, b)
+	var out []rdf.Triple
+	for _, pos := range at {
+		out = append(out, b.s.dict.DecodeTriple(b.v.triples[pos]))
+	}
+	return out, ok
+}
+
+// drain steps b until it ends and returns every triple it matched.
+func drain(ctx context.Context, b *BGP) []rdf.Triple {
+	var all []rdf.Triple
+	for {
+		got, ok := stepTriples(ctx, b)
+		all = append(all, got...)
+		if !ok {
+			return all
+		}
+	}
+}
+
+// TestLiveIteratorDrainsThenBlocks reads a growing store through a BGP, the
+// store's live reader: it yields what is there, blocks, resumes with the
+// next document and ends once the store is closed and read.
 func TestLiveIteratorDrainsThenBlocks(t *testing.T) {
 	s := New()
 	s.Add(tp("a", "p", "b"), doc)
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
-	defer it.Close()
-	ctx := context.Background()
+	b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
+	defer b.Release()
+	ctx, cancel := newProbeCtx()
+	defer cancel()
 
-	got, ok := it.Next(ctx)
-	if !ok || got != tp("a", "p", "b") {
-		t.Fatalf("first Next = %v, %v", got, ok)
+	got, ok := stepTriples(ctx, b)
+	if !ok || len(got) != 1 || got[0] != tp("a", "p", "b") {
+		t.Fatalf("first step = %v, %v", got, ok)
 	}
+	<-ctx.checks // the first step's own check
 
-	// Add from another goroutine while Next blocks.
-	done := make(chan rdf.Triple)
+	// Attach a document while Next blocks.
+	done := make(chan []rdf.Triple)
 	go func() {
-		tr, ok := it.Next(ctx)
-		if !ok {
-			close(done)
-			return
-		}
-		done <- tr
+		got, _ := stepTriples(ctx, b)
+		done <- got
 	}()
-	time.Sleep(20 * time.Millisecond)
-	s.Add(tp("c", "p", "d"), doc)
+	waitBlocked(s, ctx)
+	s.AddEncoded(s.dict.Intern(doc), []rdf.IDTriple{s.dict.InternTriple(tp("c", "p", "d"))})
 	select {
-	case tr := <-done:
-		if tr != tp("c", "p", "d") {
-			t.Errorf("live triple = %v", tr)
+	case got := <-done:
+		if len(got) != 1 || got[0] != tp("c", "p", "d") {
+			t.Errorf("live step = %v", got)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("iterator did not observe live addition")
+		t.Fatal("the BGP did not observe the attached document")
 	}
 
 	// Closing the store ends the stream.
 	go s.Close()
-	if _, ok := it.Next(ctx); ok {
+	if got := drain(ctx, b); len(got) != 0 {
+		t.Errorf("after close: %v", got)
+	}
+	if _, ok := step(ctx, b); ok {
 		t.Error("Next after close+drain should report false")
 	}
 }
 
 func TestIteratorIgnoresNonMatching(t *testing.T) {
 	s := New()
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o")))
-	defer it.Close()
+	b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o")))
+	defer b.Release()
 	s.Add(tp("a", "other", "b"), doc)
 	s.Add(tp("a", "wanted", "b"), doc)
 	s.Close()
-	var got []rdf.Triple
-	for {
-		tr, ok := it.Next(context.Background())
-		if !ok {
-			break
-		}
-		got = append(got, tr)
-	}
-	if len(got) != 1 || got[0] != tp("a", "wanted", "b") {
+	if got := drain(context.Background(), b); len(got) != 1 || got[0] != tp("a", "wanted", "b") {
 		t.Errorf("got %v", got)
 	}
 }
 
 func TestIteratorContextCancel(t *testing.T) {
 	s := New()
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o")))
-	defer it.Close()
-	ctx, cancel := context.WithCancel(context.Background())
+	b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o")))
+	defer b.Release()
+	ctx, cancel := newProbeCtx()
 	res := make(chan bool)
 	go func() {
-		_, ok := it.Next(ctx)
+		_, ok := step(ctx, b)
 		res <- ok
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitBlocked(s, ctx)
 	cancel()
 	select {
 	case ok := <-res:
@@ -174,63 +215,40 @@ func TestIteratorContextCancel(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Next did not observe cancellation")
 	}
+	if _, ok := step(ctx, b); ok {
+		t.Error("Next after a cancelled Next should report false")
+	}
 }
 
+// TestIteratorClose closes a BGP reader: a BGP registers its context's
+// cancellation hook at its first wait and keeps it across steps, and
+// Release unregisters it. Without Release the hook stays registered.
 func TestIteratorClose(t *testing.T) {
-	s := New()
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), rdf.NewVar("p"), rdf.NewVar("o")))
-	res := make(chan bool)
-	go func() {
-		_, ok := it.Next(context.Background())
-		res <- ok
-	}()
-	time.Sleep(20 * time.Millisecond)
-	it.Close()
-	select {
-	case ok := <-res:
-		if ok {
-			t.Error("closed iterator should report false")
+	for _, release := range []bool{false, true} {
+		s := New()
+		b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
+		ctx, cancel := newProbeCtx()
+		res := make(chan []rdf.Triple)
+		go func() {
+			got, _ := stepTriples(ctx, b)
+			res <- got
+		}()
+		waitBlocked(s, ctx)
+		s.Add(tp("a", "p", "b"), doc)
+		if got := <-res; len(got) != 1 {
+			t.Fatalf("the step after a wait yielded %v", got)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Next did not observe iterator close")
-	}
-	if !it.Done() {
-		t.Error("closed iterator should be Done")
-	}
-}
-
-func TestTryNextAndDone(t *testing.T) {
-	s := New()
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
-	defer it.Close()
-	if _, ok := it.TryNext(); ok {
-		t.Error("TryNext on empty store should be false")
-	}
-	if it.Done() {
-		t.Error("open store: iterator is not Done even when drained")
-	}
-	s.Add(tp("a", "p", "b"), doc)
-	if tr, ok := it.TryNext(); !ok || tr != tp("a", "p", "b") {
-		t.Errorf("TryNext = %v, %v", tr, ok)
-	}
-	s.Close()
-	if !it.Done() {
-		t.Error("closed+drained iterator should be Done")
-	}
-}
-
-func TestDoneDoesNotConsume(t *testing.T) {
-	s := New()
-	s.Add(tp("a", "p", "b"), doc)
-	s.Close()
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
-	defer it.Close()
-	if it.Done() {
-		t.Error("iterator with pending match should not be Done")
-	}
-	// The peek inside Done must not consume the match.
-	if tr, ok := it.TryNext(); !ok || tr != tp("a", "p", "b") {
-		t.Errorf("TryNext after Done peek = %v, %v", tr, ok)
+		if b.w.stop == nil {
+			t.Fatal("a BGP that waited registered no cancellation hook")
+		}
+		if release {
+			b.Release()
+		}
+		// stop reports whether the hook was still registered.
+		if registered := b.w.stop(); registered == release {
+			t.Errorf("Release called %v: hook still registered %v", release, registered)
+		}
+		cancel()
 	}
 }
 
@@ -284,16 +302,9 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			it := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
-			defer it.Close()
-			n := 0
-			for {
-				_, ok := it.Next(context.Background())
-				if !ok {
-					break
-				}
-				n++
-			}
+			b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
+			defer b.Release()
+			n := len(drain(context.Background(), b))
 			mu.Lock()
 			consumed += n
 			mu.Unlock()
@@ -317,53 +328,5 @@ func TestSnapshotIsCopy(t *testing.T) {
 	s.Add(tp("c", "p", "d"), doc)
 	if len(snap) != 1 {
 		t.Errorf("snapshot should not grow: %d", len(snap))
-	}
-}
-
-func TestMatchNowEqualsIteratorDrain(t *testing.T) {
-	// Property: for a closed store, MatchNow and iterator drain agree.
-	f := func(seed int64) bool {
-		s := New()
-		r := seed
-		next := func(n int64) int64 {
-			r = r*6364136223846793005 + 1442695040888963407
-			v := r % n
-			if v < 0 {
-				v = -v
-			}
-			return v
-		}
-		for i := 0; i < 100; i++ {
-			s.Add(tp(
-				fmt.Sprintf("s%d", next(10)),
-				fmt.Sprintf("p%d", next(4)),
-				fmt.Sprintf("o%d", next(6)),
-			), doc)
-		}
-		s.Close()
-		pattern := rdf.NewTriple(rdf.NewVar("s"), iri(fmt.Sprintf("p%d", next(4))), rdf.NewVar("o"))
-		want := s.MatchNow(pattern)
-		it := s.Match(pattern)
-		defer it.Close()
-		var got []rdf.Triple
-		for {
-			tr, ok := it.Next(context.Background())
-			if !ok {
-				break
-			}
-			got = append(got, tr)
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }

@@ -38,18 +38,18 @@ func waitBlocked(s *Store, ctx probeCtx) {
 	s.mu.Unlock()
 }
 
-// TestBlockedCallsReturnOnCancel blocks each of Next, NextBatch and
-// WaitClosed on an open store, wakes it a few times with triples it does not
-// want, then cancels: the call returns at once, and no goroutine outlives it.
+// TestBlockedCallsReturnOnCancel blocks each of BGP.Next and WaitClosed on
+// an open store, wakes it a few times with triples it does not want, then
+// cancels: the call returns at once, and no goroutine outlives it.
 func TestBlockedCallsReturnOnCancel(t *testing.T) {
 	calls := map[string]func(*Store, context.Context) bool{
-		"Next": func(s *Store, ctx context.Context) bool {
-			_, ok := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o"))).Next(ctx)
-			return ok
-		},
-		"NextBatch": func(s *Store, ctx context.Context) bool {
-			_, ok := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o"))).NextBatch(ctx, make([]rdf.IDTriple, 8), nil)
-			return ok
+		"BGP.Next": func(s *Store, ctx context.Context) bool {
+			b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o")))
+			defer b.Release()
+			found := false
+			for b.Next(ctx, func(_, _ []rdf.TermID) bool { found = true; return true }) {
+			}
+			return found
 		},
 		"WaitClosed": func(s *Store, ctx context.Context) bool { return s.WaitClosed(ctx) == nil },
 	}
@@ -83,29 +83,52 @@ func TestBlockedCallsReturnOnCancel(t *testing.T) {
 	}
 }
 
-// TestBlockedNextBatchWakeUpDoesNotAllocate pins the cost of waking a
-// blocked cursor for triples it does not want — what every insert does to
-// every blocked cursor during traversal — at zero: the cancellation hook is
-// registered once per blocking call, not per wake-up.
-func TestBlockedNextBatchWakeUpDoesNotAllocate(t *testing.T) {
+// TestBlockedBGPWakeUpDoesNotAllocate pins the cost of waking a blocked BGP
+// for triples it does not want — what every attached document does to every
+// blocked BGP during traversal — at zero: the cancellation hook is
+// registered once per BGP, not per wake-up, and a step that matches nothing
+// allocates nothing. The store's own growth is amortized below one
+// allocation a document.
+func TestBlockedBGPWakeUpDoesNotAllocate(t *testing.T) {
 	s := New()
-	ctx, cancel := newProbeCtx()
+	probe, cancel := newProbeCtx()
 	defer cancel()
-	it := s.Match(rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o")))
+	var ctx context.Context = probe // converted once, not per Next
+	b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o")))
+	defer b.Release()
+	other, src := s.dict.Intern(iri("other")), s.dict.Intern(doc)
+	ids := make([]rdf.IDTriple, 1)
+	next := rdf.TermID(1 << 20)
+	attach := func() {
+		ids[0] = rdf.IDTriple{S: next, P: other, O: next}
+		next++
+		s.AddEncoded(src, ids)
+	}
+	for i := 0; i < 1000; i++ { // past the store's first doublings
+		attach()
+	}
 	res := make(chan bool)
+	emit := func(_, _ []rdf.TermID) bool { return false }
 	go func() {
-		_, ok := it.NextBatch(ctx, make([]rdf.IDTriple, 8), nil)
-		res <- ok
+		for b.Next(ctx, emit) {
+		}
+		res <- b.w.stop != nil
 	}()
-	waitBlocked(s, ctx)
+	waitBlocked(s, probe)
+	if n := testing.AllocsPerRun(100, func() {
+		attach()
+		waitBlocked(s, probe)
+	}); n != 0 {
+		t.Errorf("waking a blocked BGP.Next with an unwanted triple allocates %v times, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		s.wake()
-		waitBlocked(s, ctx)
+		waitBlocked(s, probe)
 	}); n != 0 {
-		t.Errorf("a wake-up of a blocked NextBatch allocates %v times, want 0", n)
+		t.Errorf("a spurious wake-up of a blocked BGP.Next allocates %v times, want 0", n)
 	}
 	s.Close()
-	if ok := <-res; ok {
-		t.Error("NextBatch on a closed store without matches reports a batch")
+	if registered := <-res; !registered {
+		t.Error("the BGP never blocked")
 	}
 }
