@@ -30,7 +30,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
 	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestConcurrentBGPsOverClosedStore|TestBatchOpsMatchRowSemantics)$$' ./internal/exec
-	$(GO) test -race -cpu 1,4 -run '^(TestStoreConcurrentAddMatchIterate|TestOnDemandIndexBuiltUnderIngest|TestConcurrentProducersConsumers|TestSourceConcurrent|TestPostingsMatchReferenceIndexes|TestLiveIteratorDrainsThenBlocks|TestBlockedCallsReturnOnCancel)$$' ./internal/store
+	$(GO) test -race -cpu 1,4 -run '^(TestStoreConcurrentAddMatchBGP|TestOnDemandIndexBuiltUnderIngest|TestConcurrentProducersConsumers|TestSourceConcurrent|TestPostingsMatchReferenceIndexes|TestLiveBGPDrainsThenBlocks|TestBlockedCallsReturnOnCancel)$$' ./internal/store
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench
 
 # Differential harness on its own: 150 generated SELECT queries over the
@@ -111,14 +111,16 @@ adversarial-smoke: build
 # triples, 2 allocs/op) and the dictionary's intern benchmarks: a hit on a
 # known term, and a fresh dictionary taking 2 000 pod IRIs twice, as a cold
 # engine does. BenchmarkBGPClosed runs Complex 1's basic graph pattern as one
-# operator over a closed 12-person SolidBench store, with -benchmem.
+# operator over a closed 12-person SolidBench store, and BenchmarkDistinctChain
+# runs Discover 8.1 (DISTINCT over part of a chain with an alternative path in
+# it) over the same store, both with -benchmem.
 bench-smoke:
 	cd bench/ltqpbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendLinksTable$$' -benchtime 100x ./internal/extract
 	$(GO) test -run '^$$' -bench '^BenchmarkScanIDs$$' -benchtime 100x -benchmem ./internal/extract
 	$(GO) test -run '^$$' -bench '^BenchmarkAttachWarmSegments$$' -benchtime 100x ./internal/store
 	$(GO) test -run '^$$' -bench '^BenchmarkDictIntern(Hit|Fresh)$$' -benchtime 100x -benchmem ./internal/rdf
-	$(GO) test -run '^$$' -bench '^BenchmarkBGPClosed$$' -benchtime 100x -benchmem ./internal/exec
+	$(GO) test -run '^$$' -bench '^(BenchmarkBGPClosed|BenchmarkDistinctChain)$$' -benchtime 100x -benchmem ./internal/exec
 	bash bench/ltqpbench/run.sh --workload discover_warm --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload discover_cold --seed 7 --seconds 3 --trace 1 > /dev/null
 	bash bench/ltqpbench/run.sh --workload complex_exec --seed 7 --seconds 3 --trace 0 > /dev/null

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,35 +210,62 @@ func TestBudgetUnderLimitCompletes(t *testing.T) {
 	}
 }
 
-// TestDiscoverExecChargeIsSmall pins what the executor charges the ledger
-// over Discover 1.1 on the small dataset: one operator for its five-pattern
-// basic graph pattern holds positions and emits a batch per step with
-// results, where a scan per pattern and a join per pair held about 600 KB
-// of batches and row copies.
+// TestDiscoverExecChargeIsSmall pins what the executor charges the ledger,
+// cumulatively, over four queries on the small dataset, each well above
+// the highest of a dozen runs. Discover 1.1's five-pattern basic graph
+// pattern is one operator that holds positions and emits a batch per step
+// with results, where a scan per pattern and a join per pair held about
+// 600 KB of batches and row copies; Discover 5.1 and Complex 1 are one
+// operator too (25-75 KB and 240-530 KB measured). Discover 8.1 is one
+// operator per alternative of its (hasPost|hasComment) path, each
+// deduplicating the liked messages' creators before the fan-out to their
+// messages: 660-770 KB, where a join per pattern charged 1.7-2.2 MB.
 func TestDiscoverExecChargeIsSmall(t *testing.T) {
 	env := simenv.New(solidbench.SmallConfig())
 	defer env.Close()
-	engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, MemBudget: 1 << 40})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	res, err := engine.Query(ctx, env.Dataset.Discover(1, 1).Text)
-	if err != nil {
-		t.Fatal(err)
+	queries := []struct {
+		name, text string
+		limit      int64
+	}{
+		{"Discover 1.1", env.Dataset.Discover(1, 1).Text, 300_000},
+		{"Discover 5.1", env.Dataset.Discover(5, 1).Text, 150_000},
+		{"Discover 8.1", env.Dataset.Discover(8, 1).Text, 1_000_000},
 	}
-	rows := 0
-	for range res.Results {
-		rows++
-	}
-	if err := res.Err(); err != nil || rows == 0 {
-		t.Fatalf("%d rows, error %v", rows, err)
-	}
-	for _, l := range res.Resources().Layers {
-		if l.Layer == "exec" {
-			if l.Charged > 300_000 {
-				t.Errorf("exec charged %d bytes over %d rows, want <= 300 KB", l.Charged, rows)
-			}
-			return
+	for _, q := range env.Dataset.ComplexQueries() {
+		if strings.HasPrefix(q.Name, "Complex 1:") {
+			queries = append(queries, struct {
+				name, text string
+				limit      int64
+			}{"Complex 1", q.Text, 700_000})
 		}
 	}
-	t.Error("no exec layer in the ledger")
+	for _, q := range queries {
+		engine := ltqp.New(ltqp.Config{Client: env.Client(), Lenient: true, MemBudget: 1 << 40})
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		res, err := engine.Query(ctx, q.text)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		rows := 0
+		for range res.Results {
+			rows++
+		}
+		cancel()
+		if err := res.Err(); err != nil || rows == 0 {
+			t.Fatalf("%s: %d rows, error %v", q.name, rows, err)
+		}
+		charged := int64(-1)
+		for _, l := range res.Resources().Layers {
+			if l.Layer == "exec" {
+				charged = l.Charged
+			}
+		}
+		switch {
+		case charged < 0:
+			t.Errorf("%s: no exec layer in the ledger", q.name)
+		case charged > q.limit:
+			t.Errorf("%s: exec charged %d bytes over %d rows, want <= %d", q.name, charged, rows, q.limit)
+		}
+	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/exec"
-	"ltqp/internal/plan"
 	"ltqp/internal/rdf"
 	"ltqp/internal/solid"
 	"ltqp/internal/sparql"
@@ -56,9 +55,10 @@ func scopeBlank(t rdf.Term, doc int) rdf.Term {
 
 // RunQuery evaluates a SPARQL query over a closed store (no traversal) and
 // returns all solutions. It runs exec.Reference, the materialising
-// evaluator, never the batch pipeline: the differential harness compares
-// the pipeline against this answer, so the oracle must not route through
-// the code under test.
+// evaluator, over the algebra as translated, never the planner's rewrite of
+// it nor the batch pipeline: the differential harness compares the planned
+// pipeline against this answer, so the oracle must not route through the
+// code under test.
 func RunQuery(ctx context.Context, st *store.Store, query string) ([]rdf.Binding, error) {
 	q, err := sparql.ParseQuery(query)
 	if err != nil {
@@ -68,6 +68,5 @@ func RunQuery(ctx context.Context, st *store.Store, query string) ([]rdf.Binding
 	if err != nil {
 		return nil, err
 	}
-	op = plan.New(q.MentionedIRIs()).Optimize(op)
 	return exec.Reference(op, exec.NewEnv(st)), ctx.Err()
 }

@@ -31,6 +31,8 @@ import (
 //     values: COUNT, MIN/MAX, and SUM over the dataset's integer ids.
 //     SAMPLE and GROUP_CONCAT depend on encounter order and would diff
 //     spuriously between the two systems.
+//   - SELECT DISTINCT may project part of a join chain, with an
+//     alternative path inside it.
 //   - Groups use BGPs, OPTIONAL, FILTER, UNION, MINUS (always sharing the
 //     anchored subject variable), GROUP BY with and without HAVING, ORDER
 //     BY, property paths (anchored snvoc:knows+ closures and
@@ -124,7 +126,18 @@ func (g *diffGen) Next() (query, unlimited string) {
 	if g.r.Intn(3) == 0 {
 		distinct = "DISTINCT "
 	}
-	switch g.r.Intn(17) {
+	switch g.r.Intn(18) {
+	case 17: // DISTINCT over part of a chain: the creators of a person's
+		// liked messages, through one predicate or an alternative of two,
+		// and an attribute of every message of theirs.
+		path := [...]string{"snvoc:hasPost", "snvoc:hasComment", "(snvoc:hasPost|snvoc:hasComment)"}[g.r.Intn(3)]
+		return fmt.Sprintf(`%sSELECT DISTINCT ?c ?v WHERE {
+  %s snvoc:likes ?l .
+  ?l %s ?msg .
+  ?msg snvoc:hasCreator ?c .
+  ?other snvoc:hasCreator ?c .
+  ?other snvoc:%s ?v .
+}`, g.prefix(), g.person(), path, messageAttrs[g.r.Intn(len(messageAttrs))]), ""
 	case 11: // VALUES: two creators' messages.
 		return fmt.Sprintf(`%sSELECT %s?c ?m ?id WHERE {
   VALUES ?c { %s %s }

@@ -14,16 +14,25 @@ import (
 // EvalBatch evaluates a logical operator into a stream of ID batches. It is
 // the executor's one dispatcher: every operator of every plan runs here.
 func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
+	return evalBatch(ctx, op, env, nil)
+}
+
+// evalBatch is EvalBatch for a consumer that, when keep is not nil, reads
+// only the variables in keep and under set semantics: it needs every
+// distinct combination of their values, not every solution. DISTINCT sets
+// it; a projection of plain variables, a filter and a union pass it on,
+// widened by what they read themselves, and a basic graph pattern uses it
+// to skip partial rows that could only repeat such a combination. Every
+// other operator evaluates its inputs in full.
+func evalBatch(ctx context.Context, op algebra.Operator, env *Env, keep []string) BatchStream {
 	switch x := op.(type) {
 	case algebra.Unit:
 		return batchMaterialize(ctx, env, nil, false, func([][]rdf.Binding) []rdf.Binding { return []rdf.Binding{{}} })
 	case algebra.Values:
 		return batchMaterialize(ctx, env, x.Variables, false, func([][]rdf.Binding) []rdf.Binding { return x.Rows })
 	case algebra.Pattern, algebra.Join:
-		if pats, ok := bgpPatterns(op, nil); ok {
-			return tracedBatch(ctx, env, "scan", func() string { return algebra.String(op) }, func(ctx context.Context) BatchStream {
-				return batchBGP(ctx, env, op.Vars(), pats)
-			})
+		if s, ok := evalBGP(ctx, env, op, keep); ok {
+			return s
 		}
 		return tracedBatch(ctx, env, "join", nil, func(ctx context.Context) BatchStream {
 			j := op.(algebra.Join)
@@ -43,7 +52,7 @@ func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
 		})
 	case algebra.Union:
 		return tracedBatch(ctx, env, "union", nil, func(ctx context.Context) BatchStream {
-			return batchUnion(ctx, EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
+			return batchUnion(ctx, evalBatch(ctx, x.Left, env, keep), evalBatch(ctx, x.Right, env, keep))
 		})
 	case algebra.Minus:
 		return tracedBatch(ctx, env, "minus", nil, func(ctx context.Context) BatchStream {
@@ -60,17 +69,36 @@ func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
 				return filterRows(env, x.Expr, in[0])
 			}, EvalBatch(ctx, x.Input, env))
 		}
-		return batchFilter(ctx, env, x.Expr, EvalBatch(ctx, x.Input, env))
+		if keep != nil {
+			vars := map[string]bool{}
+			sparql.ExprVars(x.Expr, vars)
+			for v := range vars {
+				if !slices.Contains(keep, v) {
+					keep = append(slices.Clip(keep), v)
+				}
+			}
+		}
+		return batchFilter(ctx, env, x.Expr, evalBatch(ctx, x.Input, env, keep))
 	case algebra.Extend:
 		return batchExtend(ctx, env, x.Var, x.Expr, EvalBatch(ctx, x.Input, env))
 	case algebra.Project:
 		if len(x.Items) == 0 {
-			return EvalBatch(ctx, x.Input, env)
+			return evalBatch(ctx, x.Input, env, keep)
 		}
-		return batchProject(ctx, env, x.Items, EvalBatch(ctx, x.Input, env))
+		if keep != nil {
+			keep = make([]string, len(x.Items))
+			for i, item := range x.Items {
+				if item.Expr != nil {
+					keep = nil
+					break
+				}
+				keep[i] = item.Var
+			}
+		}
+		return batchProject(ctx, env, x.Items, evalBatch(ctx, x.Input, env, keep))
 	case algebra.Distinct:
 		return tracedBatch(ctx, env, "distinct", nil, func(ctx context.Context) BatchStream {
-			return batchDedup(ctx, env, x.Input.Vars(), true, EvalBatch(ctx, x.Input, env))
+			return batchDedup(ctx, env, x.Input.Vars(), true, evalBatch(ctx, x.Input, env, x.Input.Vars()))
 		})
 	case algebra.Reduced:
 		return batchDedup(ctx, env, x.Input.Vars(), false, EvalBatch(ctx, x.Input, env))
@@ -471,6 +499,7 @@ func batchDedup(ctx context.Context, env *Env, keyVars []string, distinct bool, 
 		defer close(out)
 		defer discard(in)
 		var seen idTable
+		var narrow keySet
 		first := true
 		ids := make([]rdf.TermID, len(keyVars))
 		var last []rdf.TermID
@@ -493,6 +522,9 @@ func batchDedup(ctx context.Context, env *Env, keyVars []string, distinct bool, 
 						} else {
 							ids[i] = rdf.NoTerm
 						}
+					}
+					if distinct && len(ids) <= 2 {
+						return narrow.add(idKeyOf(ids).packed)
 					}
 					if distinct {
 						_, fresh := seen.slot(ids)
@@ -520,9 +552,9 @@ func batchDedup(ctx context.Context, env *Env, keyVars []string, distinct bool, 
 	return out
 }
 
-// batchUnion forwards the batches of both operands into one stream. Batches
+// batchUnion forwards the batches of its operands into one stream. Batches
 // keep their own schemas; downstream operators resolve schemas per batch.
-func batchUnion(ctx context.Context, left, right BatchStream) BatchStream {
+func batchUnion(ctx context.Context, ins ...BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	var wg sync.WaitGroup
 	forward := func(in BatchStream) {
@@ -542,9 +574,10 @@ func batchUnion(ctx context.Context, left, right BatchStream) BatchStream {
 			}
 		}
 	}
-	wg.Add(2)
-	go forward(left)
-	go forward(right)
+	wg.Add(len(ins))
+	for _, in := range ins {
+		go forward(in)
+	}
 	go func() {
 		wg.Wait()
 		close(out)

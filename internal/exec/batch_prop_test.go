@@ -507,7 +507,11 @@ func bgpStore(r *rand.Rand, st *store.Store, docs []rdf.Term, triples [][]rdf.Tr
 // while it runs and over the same store closed before it starts, and
 // requires the reference's solution multiset from both. Each solution's
 // sources must be exactly the documents of the triples it joined, and the
-// provenance tallies the same in both runs.
+// provenance tallies the same in both runs. Then it runs SELECT DISTINCT
+// over a random subset of the chain's variables, sometimes through a
+// FILTER on another variable and sometimes with one pattern's predicate
+// widened to an alternative (p|q): the operator may skip partial rows that
+// repeat what the kept variables need, never a projected solution.
 func TestBGPMatchesReference(t *testing.T) {
 	ex := "http://example.org/"
 	var terms []rdf.Term
@@ -537,7 +541,7 @@ func TestBGPMatchesReference(t *testing.T) {
 			op = algebra.Join{Left: op, Right: p}
 		}
 		vars := op.Vars()
-		run := func(growing bool) ([]rdf.Binding, *Env) {
+		run := func(op algebra.Operator, growing bool) ([]rdf.Binding, *Env) {
 			st := store.New()
 			env := NewEnv(st)
 			env.Prov = NewProv()
@@ -552,8 +556,8 @@ func TestBGPMatchesReference(t *testing.T) {
 			}
 			return collect(out), env
 		}
-		grown, genv := run(true)
-		closed, cenv := run(false)
+		grown, genv := run(op, true)
+		closed, cenv := run(op, false)
 		want := canon(vars, Reference(op, cenv))
 		checkRows(t, fmt.Sprintf("seed %d growing %v", seed, op), want, canon(vars, grown))
 		checkRows(t, fmt.Sprintf("seed %d closed %v", seed, op), want, canon(vars, closed))
@@ -574,5 +578,43 @@ func TestBGPMatchesReference(t *testing.T) {
 		if g, c := genv.Prov.Contributions(), cenv.Prov.Contributions(); !slices.Equal(g, c) {
 			t.Fatalf("seed %d: tallies growing %v, closed %v", seed, g, c)
 		}
+		if len(vars) == 0 {
+			continue
+		}
+		var chain algebra.Operator
+		alt := r.Intn(len(pats))
+		for j, p := range pats {
+			var leaf algebra.Operator = p
+			if j == alt && !p.Triple.P.IsVar() && r.Intn(2) == 0 {
+				q := p
+				q.Triple.P = terms[(slices.Index(terms, p.Triple.P)+1)%3]
+				leaf = algebra.Union{Left: p, Right: q}
+			}
+			if chain == nil {
+				chain = leaf
+			} else {
+				chain = algebra.Join{Left: chain, Right: leaf}
+			}
+		}
+		if r.Intn(3) == 0 {
+			chain = algebra.Filter{Input: chain, Expr: sparql.ExprBinary{Op: "!=",
+				L: sparql.ExprVar{Name: vars[r.Intn(len(vars))]}, R: sparql.ExprTerm{Term: terms[3+r.Intn(4)]}}}
+		}
+		var items []sparql.SelectItem
+		var kept []string
+		for _, v := range vars {
+			if r.Intn(2) == 0 {
+				items, kept = append(items, sparql.SelectItem{Var: v}), append(kept, v)
+			}
+		}
+		if items == nil {
+			items, kept = []sparql.SelectItem{{Var: vars[0]}}, vars[:1]
+		}
+		dop := algebra.Distinct{Input: algebra.Project{Input: chain, Items: items}}
+		want = canon(kept, Reference(dop, cenv))
+		grown, _ = run(dop, true)
+		closed, _ = run(dop, false)
+		checkRows(t, fmt.Sprintf("seed %d growing %v", seed, dop), want, canon(kept, grown))
+		checkRows(t, fmt.Sprintf("seed %d closed %v", seed, dop), want, canon(kept, closed))
 	}
 }

@@ -213,21 +213,60 @@ SELECT ?m ?u WHERE {
 	}
 }
 
+// solidBenchStore builds the closed store of a 12-person SolidBench
+// dataset, every document attached once with its blank nodes scoped to it,
+// as dereferencing scopes them (every pod's likes are _:like1, _:like2,
+// ...): the store the complex_exec workload queries.
+func solidBenchStore() (*store.Store, *solidbench.Dataset) {
+	cfg := solidbench.DefaultConfig()
+	cfg.Persons = 12
+	ds := solidbench.Generate(cfg)
+	st := store.New()
+	doc := 0
+	for _, pod := range ds.BuildPods() {
+		for path, d := range pod.Materialize() {
+			doc++
+			scope := func(t rdf.Term) rdf.Term {
+				if t.Kind == rdf.TermBlank {
+					return rdf.NewBlank(fmt.Sprintf("d%d.%s", doc, t.Value))
+				}
+				return t
+			}
+			var ts []rdf.Triple
+			for _, t := range d.Graph.Triples() {
+				ts = append(ts, rdf.NewTriple(scope(t.S), t.P, scope(t.O)))
+			}
+			st.AddDocument(pod.IRI(path), ts)
+		}
+	}
+	st.Close()
+	return st, ds
+}
+
+// benchRows evaluates op over st b.N times and fails unless every run
+// yields want rows (want < 0: any but none).
+func benchRows(b *testing.B, st *store.Store, op algebra.Operator, want int) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for batch := range EvalBatch(ctx, op, NewEnv(st)) {
+			n += batch.Len()
+			putBatch(batch)
+		}
+		if n == 0 || want >= 0 && n != want {
+			b.Fatalf("%d solutions, want %d", n, want)
+		}
+	}
+}
+
 // BenchmarkBGPClosed evaluates the basic graph pattern of Complex 1 (a
 // person's friends, their messages, and each message's id and date) over
 // the closed store of a 12-person SolidBench dataset, as the complex_exec
 // workload does: one operator, probing the store's own postings.
 func BenchmarkBGPClosed(b *testing.B) {
-	cfg := solidbench.DefaultConfig()
-	cfg.Persons = 12
-	ds := solidbench.Generate(cfg)
-	st := store.New()
-	for _, pod := range ds.BuildPods() {
-		for path, doc := range pod.Materialize() {
-			st.AddDocument(pod.IRI(path), doc.Graph.Triples())
-		}
-	}
-	st.Close()
+	st, ds := solidBenchStore()
 	var bgp algebra.Operator
 	for _, q := range ds.ComplexQueries() {
 		if strings.HasPrefix(q.Name, "Complex 1:") {
@@ -236,17 +275,16 @@ func BenchmarkBGPClosed(b *testing.B) {
 	}
 	// slice(project(orderby(join(...)))): keep the join chain.
 	bgp = bgp.(algebra.Slice).Input.(algebra.Project).Input.(algebra.OrderBy).Input
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for batch := range EvalBatch(ctx, bgp, NewEnv(st)) {
-			n += batch.Len()
-			putBatch(batch)
-		}
-		if n == 0 {
-			b.Fatal("no solutions")
-		}
-	}
+	benchRows(b, st, bgp, -1)
+}
+
+// BenchmarkDistinctChain evaluates Discover 8.1 (the creators of the
+// messages a person likes, and every message of theirs, DISTINCT on
+// creator and content) over the same closed store, as the complex_exec
+// workload does: the join chain around its (hasPost|hasComment) alternative
+// is one operator per alternative, deduplicating the creators before the
+// fan-out to their messages.
+func BenchmarkDistinctChain(b *testing.B) {
+	st, ds := solidBenchStore()
+	benchRows(b, st, benchPlan(b, ds.Discover(8, 1).Text), 2011)
 }

@@ -78,3 +78,44 @@ func (t *idTable) reset() {
 	clear(t.wide)
 	t.n = 0
 }
+
+// keySet is DISTINCT's seen-set of keys of up to two IDs, packed as idKeyOf
+// packs them: open addressing over a power-of-two table of the keys
+// themselves, eight bytes a slot at a load of at most 3/4, where idTable's
+// map spends about seventeen a slot on a slot number DISTINCT never reads.
+// Key 0 (every value unbound) marks an empty slot, so it is a flag.
+type keySet struct {
+	slots []uint64
+	n     int
+	zero  bool
+}
+
+// add adds k and reports whether it was absent.
+func (s *keySet) add(k uint64) bool {
+	if k == 0 {
+		fresh := !s.zero
+		s.zero = true
+		return fresh
+	}
+	if 4*(s.n+1) > 3*len(s.slots) {
+		old := s.slots
+		s.slots, s.n = make([]uint64, max(16, 2*len(old))), 0
+		for _, k := range old {
+			if k != 0 {
+				s.add(k)
+			}
+		}
+	}
+	mask := uint64(len(s.slots) - 1)
+	h := k * 0x9e3779b97f4a7c15
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			s.n++
+			return true
+		case k:
+			return false
+		}
+	}
+}

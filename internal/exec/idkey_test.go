@@ -205,3 +205,26 @@ func TestUnboundRoundTripsThroughBatchJoin(t *testing.T) {
 		t.Fatalf("partial-row probe lost unbound pairings: only %d solutions: %v", len(got), got)
 	}
 }
+
+// TestKeySetMatchesMap adds random packed keys, the all-unbound key 0
+// among them, drawn from ranges small enough to repeat, to a keySet and to
+// a map through many doublings: add must report a key fresh exactly when
+// the map did not hold it.
+func TestKeySetMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var s keySet
+	ref := map[uint64]bool{}
+	for i := 0; i < 20000; i++ {
+		k := uint64(r.Intn(40))<<32 | uint64(r.Intn(300))
+		if i%5000 == 7 {
+			k = 0
+		}
+		if fresh := s.add(k); fresh == ref[k] {
+			t.Fatalf("add %#x: fresh %v, map held it %v", k, fresh, ref[k])
+		}
+		ref[k] = true
+	}
+	if s.n+1 != len(ref) || !s.zero {
+		t.Fatalf("%d keys besides 0 (0 held: %v), map %d", s.n, s.zero, len(ref))
+	}
+}

@@ -63,13 +63,19 @@ func BenchmarkLiveBGPDrain(b *testing.B) {
 	pattern := rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("http://example.org/p3"), rdf.NewVar("o"))
 	ctx := context.Background()
 	n := 0
-	count := func(_, _ []rdf.TermID) bool { n++; return true }
+	rows := &Rows{Cols: make([][]rdf.TermID, 2), Cap: 1024}
+	rows.Flush = func() bool {
+		n += rows.N
+		rows.N, rows.Cols[0], rows.Cols[1] = 0, rows.Cols[0][:0], rows.Cols[1][:0]
+		return true
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bgp := loneBGP(s, pattern)
 		n = 0
-		for bgp.Next(ctx, count) {
+		for bgp.Next(ctx, rows) {
+			rows.Flush()
 		}
 		bgp.Release()
 		if n != 1000 {
@@ -91,7 +97,7 @@ func BenchmarkConcurrentAddAndMatch(b *testing.B) {
 			bgp := loneBGP(s, pattern)
 			defer bgp.Release()
 			n := 0
-			for bgp.Next(context.Background(), func(_, _ []rdf.TermID) bool { n++; return true }) {
+			for next(context.Background(), bgp, func(_, _ []rdf.TermID) bool { n++; return true }) {
 			}
 			done <- n
 		}()

@@ -36,13 +36,21 @@ import (
 // it is the evaluator's own pooled indexes, each keyed on the variables one
 // pattern is probed on and holding positions, not copies of rows; the store
 // builds nothing for them, in particular no subject-keyed index.
+//
+// When the caller keeps only some of the variables, under set semantics,
+// a level of a driver's probe order whose pattern binds or last reads a
+// variable that neither the caller nor a later level reads keeps a seen-set
+// of the bound values still needed after it: a partial row whose needed
+// values that level has already extended in the current drive is skipped,
+// since the levels after it, over the same position limits, would only
+// repeat the kept values they gave (see DESIGN.md, "Seen-sets").
 type BGP struct {
 	s     *Store
 	pats  []bgpPattern
 	v     view
 	index bool // the store was closed at start: probes read its postings
 	tally func(src rdf.TermID)
-	emit  func(row, srcs []rdf.TermID) bool
+	out   *Rows
 	ctx   context.Context
 	// w makes ctx's cancellation wake a wait for growth: registered at the
 	// first wait and kept until Release, not once per step.
@@ -62,9 +70,8 @@ type BGP struct {
 	bound        []bool
 	// row is the solution being built, over the evaluator's variables;
 	// at[j] is the position pattern j matched in it.
-	row  []rdf.TermID
-	at   []int32
-	srcs []rdf.TermID
+	row []rdf.TermID
+	at  []int32
 	// all[j] holds pattern j's matches so far, those before the current
 	// step up to from[j]; tabs[j][mask] indexes them on the masked
 	// positions. bufs holds each level's closed-store probe.
@@ -73,7 +80,47 @@ type BGP struct {
 	tabs   [][16]*posIndex
 	bufs   [][]int32
 	lo, hi int32
+	// keep marks the columns the caller reads; nil: every column. With it,
+	// need[k] lists, for a level k that keeps a seen-set (dedup[k]), the
+	// columns bound by then and read after it, and seen[k] holds the values
+	// at them that level k extended in the current drive. live and boundAt
+	// are plan's scratch.
+	keep    []bool
+	dedup   []bool
+	need    [][]int
+	seen    []seenSet
+	live    []bool
+	boundAt []int
 }
+
+// Rows is where BGP.Next appends solutions, column-wise: a solution's term
+// for variable c goes to Cols[c] and, when the evaluator tallies, the
+// documents of the triples it joined to Srcs, and N counts it. Before it
+// appends a solution to Rows already holding Cap of them, Next calls Flush,
+// which must leave room (hand the rows on and empty Rows, or give it new
+// columns and a larger Cap) or return false to stop the evaluation. A zero
+// Cap makes the first solution ask Flush for columns.
+type Rows struct {
+	Cols   [][]rdf.TermID
+	Srcs   [][]rdf.TermID
+	N, Cap int
+	Flush  func() bool
+}
+
+// seenSet is one level's seen-set: the needed values, in need order, of the
+// partial rows the level extended. maxSeenKey bounds how many a level may
+// need; a level that needs more keeps no seen-set, which only forgoes the
+// skipping.
+type seenSet map[[maxSeenKey]rdf.TermID]struct{}
+
+const (
+	maxSeenKey = 4
+	// seenEntryBytes estimates one seen-set entry: its key and the map's
+	// per-slot overhead.
+	seenEntryBytes = 24
+)
+
+var seenPool = sync.Pool{New: func() any { return seenSet{} }}
 
 // bgpPattern is one compiled pattern: the row column each of S, P, O and
 // the GRAPH term binds (-1: a constant, or no GRAPH), the positions that
@@ -93,14 +140,25 @@ type bgpPattern struct {
 // them. A pattern's G is its GRAPH term, zero for none. With tally set, it
 // is called with the document of every match of every pattern, and each
 // solution comes with the documents of the triples it joined.
-func (s *Store) BGP(vars []string, patterns []rdf.Quad, tally func(src rdf.TermID)) *BGP {
+//
+// keep, when not nil, lists the variables the caller reads, under set
+// semantics: the evaluator still yields every distinct combination of their
+// values but may skip solutions that repeat one, and a skipped solution's
+// other variables are not reported. nil keeps every variable and every
+// solution.
+func (s *Store) BGP(vars, keep []string, patterns []rdf.Quad, tally func(src rdf.TermID)) *BGP {
 	n := len(patterns)
 	b := &BGP{s: s, pats: make([]bgpPattern, n), tally: tally,
 		rank: make([]int, n), cost: make([]int, n), bound: make([]bool, len(vars)),
 		row: make([]rdf.TermID, len(vars)), at: make([]int32, n), all: make([][]int32, n),
 		from: make([]int, n), tabs: make([][16]*posIndex, n), bufs: make([][]int32, n)}
-	if tally != nil {
-		b.srcs = make([]rdf.TermID, n)
+	if keep != nil && slices.ContainsFunc(vars, func(v string) bool { return !slices.Contains(keep, v) }) {
+		b.keep = make([]bool, len(vars))
+		for c, v := range vars {
+			b.keep[c] = slices.Contains(keep, v)
+		}
+		b.dedup, b.need, b.seen = make([]bool, n), make([][]int, n), make([]seenSet, n)
+		b.live, b.boundAt = make([]bool, len(vars)), make([]int, len(vars))
 	}
 	for j, q := range patterns {
 		bp := bgpPattern{p: s.compilePattern(q.Triple), graph: !q.G.IsZero()}
@@ -123,18 +181,17 @@ func (s *Store) BGP(vars []string, patterns []rdf.Quad, tally func(src rdf.TermI
 }
 
 // Next waits until the store has grown or closed since the last call, then
-// calls emit with every solution the growth completes: row and srcs are
-// valid only during the call, and srcs is nil without tally. It reports
-// false once there is nothing left to wait for: the store was closed and
-// fully read, ctx was cancelled, or emit returned false. Every call passes
-// the same ctx.
-func (b *BGP) Next(ctx context.Context, emit func(row, srcs []rdf.TermID) bool) bool {
+// appends to out every solution the growth completes (Srcs only with
+// tally). It reports false once there is nothing left to wait for: the
+// store was closed and fully read, ctx was cancelled, or out.Flush returned
+// false. Every call passes the same ctx.
+func (b *BGP) Next(ctx context.Context, out *Rows) bool {
 	if b.done {
 		return false
 	}
 	lo := b.v.len()
 	v, ok := b.s.await(ctx, lo, &b.w)
-	b.v, b.ctx, b.emit, b.done = v, ctx, emit, !ok
+	b.v, b.ctx, b.out, b.done = v, ctx, out, !ok
 	if ok && v.len() > lo {
 		b.step(lo, v.len())
 	}
@@ -229,7 +286,7 @@ func (b *BGP) drive(i int) {
 		if b.done || k%64 == 0 && b.ctx.Err() != nil {
 			return
 		}
-		if b.bind(i, pos, 0, b.fresh[0]) {
+		if b.bind(i, pos, 0, b.fresh[0]) && (b.keep == nil || b.unseen(0)) {
 			b.extend(1)
 		}
 	}
@@ -251,6 +308,9 @@ func (b *BGP) plan(i int) {
 		}
 		b.fresh = append(b.fresh, fresh)
 		if len(b.order) == len(b.pats) {
+			if b.keep != nil {
+				b.planSeen()
+			}
 			return
 		}
 		for _, c := range pt.col {
@@ -276,14 +336,83 @@ func (b *BGP) plan(i int) {
 	}
 }
 
+// planSeen decides, for the driver's probe order, which levels keep a
+// seen-set and on which columns. Walking the order backwards it tracks the
+// columns live after each level: kept, or read (probed on and checked) by
+// a later level. A level other than the last whose pattern holds a column
+// not live after it binds or last reads that column, so the rows it
+// extends may repeat on the live columns bound so far: those are its
+// needed columns, and it keeps a seen-set on them unless they are more than
+// maxSeenKey. The last level needs none: the caller deduplicates whole
+// solutions. Every seen-set is emptied, since it holds the previous
+// drive's rows, in another probe order.
+func (b *BGP) planSeen() {
+	n := len(b.order)
+	for c := range b.boundAt {
+		b.boundAt[c] = n
+	}
+	for k, j := range b.order {
+		for p, c := range b.pats[j].col {
+			if b.fresh[k]&(1<<p) != 0 {
+				b.boundAt[c] = k
+			}
+		}
+	}
+	copy(b.live, b.keep)
+	for k := n - 1; k >= 0; k-- {
+		pt := &b.pats[b.order[k]]
+		dies := false
+		for _, c := range pt.col {
+			dies = dies || c >= 0 && !b.live[c]
+		}
+		need := b.need[k][:0]
+		if dies && k < n-1 {
+			for c, at := range b.boundAt {
+				if at <= k && b.live[c] {
+					need = append(need, c)
+				}
+			}
+		}
+		b.need[k], b.dedup[k] = need, dies && k < n-1 && len(need) <= maxSeenKey
+		for p, c := range pt.col {
+			if b.masks[k]&(1<<p) != 0 {
+				b.live[c] = true
+			}
+		}
+		if s := b.seen[k]; len(s) > 0 {
+			clear(s)
+		}
+	}
+}
+
+// unseen reports whether the row bound through level k is to be extended:
+// the level keeps no seen-set, or its seen-set did not hold the row's
+// needed values yet, and now does.
+func (b *BGP) unseen(k int) bool {
+	if !b.dedup[k] {
+		return true
+	}
+	var key [maxSeenKey]rdf.TermID
+	for i, c := range b.need[k] {
+		key[i] = b.row[c]
+	}
+	s := b.seen[k]
+	if s == nil {
+		s = seenPool.Get().(seenSet)
+		b.seen[k] = s
+	}
+	if _, ok := s[key]; ok {
+		return false
+	}
+	s[key] = struct{}{}
+	return true
+}
+
 // extend binds the patterns of the probe order from level k on and emits
 // every complete row.
 func (b *BGP) extend(k int) {
 	if k == len(b.order) {
-		for j := range b.srcs {
-			b.srcs[j] = b.v.source(b.at[j])
-		}
-		b.done = !b.emit(b.row, b.srcs)
+		b.emit()
 		return
 	}
 	j := b.order[k]
@@ -295,10 +424,31 @@ func (b *BGP) extend(k int) {
 		if pos >= lim || b.done {
 			return
 		}
-		if b.bind(j, pos, b.masks[k], b.fresh[k]) {
+		if b.bind(j, pos, b.masks[k], b.fresh[k]) && (b.keep == nil || b.unseen(k)) {
 			b.extend(k + 1)
 		}
 	}
+}
+
+// emit appends the complete row, and with tally the documents of the
+// triples it joined, to the output, flushing the output first when full.
+func (b *BGP) emit() {
+	out := b.out
+	if out.N == out.Cap && !out.Flush() {
+		b.done = true
+		return
+	}
+	for c, id := range b.row {
+		out.Cols[c] = append(out.Cols[c], id)
+	}
+	if b.tally != nil {
+		srcs := make([]rdf.TermID, len(b.at))
+		for j, pos := range b.at {
+			srcs[j] = b.v.source(pos)
+		}
+		out.Srcs = append(out.Srcs, srcs)
+	}
+	out.N++
 }
 
 // probe returns the ascending positions that may match pattern j at level
@@ -390,7 +540,7 @@ func (b *BGP) bind(j int, pos int32, check, fresh uint8) bool {
 }
 
 // Bytes estimates the memory the evaluator holds: four bytes per pattern
-// match, and its indexes.
+// match, its indexes, and its seen-sets' entries.
 func (b *BGP) Bytes() int64 {
 	var n int64
 	for j := range b.pats {
@@ -401,11 +551,14 @@ func (b *BGP) Bytes() int64 {
 			}
 		}
 	}
+	for _, s := range b.seen {
+		n += int64(len(s)) * seenEntryBytes
+	}
 	return n
 }
 
-// Release returns the evaluator's indexes to their pool and unregisters its
-// wake-up; b must not be used again.
+// Release returns the evaluator's indexes and seen-sets to their pools and
+// unregisters its wake-up; b must not be used again.
 func (b *BGP) Release() {
 	b.w.done()
 	for j := range b.tabs {
@@ -413,6 +566,12 @@ func (b *BGP) Release() {
 			if x != nil {
 				x.release()
 			}
+		}
+	}
+	for _, s := range b.seen {
+		if s != nil && len(s) <= maxPooledIndex {
+			clear(s)
+			seenPool.Put(s)
 		}
 	}
 }

@@ -25,11 +25,12 @@ func (in *fuzzInput) next(n int) int {
 }
 
 // bgpCase is a store's documents, in attach order, and a basic graph
-// pattern over them.
+// pattern over them, with the variables its caller keeps (nil: all).
 type bgpCase struct {
 	docs    []rdf.Term
 	triples [][]rdf.Triple
 	vars    []string
+	keep    []string
 	pats    []rdf.Quad
 	tally   bool
 }
@@ -77,22 +78,44 @@ func readBGPCase(in fuzzInput) bgpCase {
 		}
 	}
 	c.tally = in.next(2) == 1
+	if mask := in.next(16); mask != 0 { // a subset of the variables, maybe empty
+		c.keep = []string{}
+		for i, v := range c.vars {
+			if mask&(1<<i) != 0 {
+				c.keep = append(c.keep, v)
+			}
+		}
+	}
 	return c
 }
 
 // solutions collects a BGP's rows, with their sources when it tallies, as a
-// multiset, and the tallies per document.
+// multiset, the set of their values at the kept variables, and the tallies
+// per document.
 type solutions struct {
 	rows    map[string]int
+	kept    map[string]bool
 	tallies map[rdf.TermID]int
+	cols    []int // the kept variables' columns
 }
 
-func newSolutions() *solutions {
-	return &solutions{rows: map[string]int{}, tallies: map[rdf.TermID]int{}}
+func (c bgpCase) newSolutions() *solutions {
+	sol := &solutions{rows: map[string]int{}, kept: map[string]bool{}, tallies: map[rdf.TermID]int{}}
+	for i, v := range c.vars {
+		if c.keep == nil || slices.Contains(c.keep, v) {
+			sol.cols = append(sol.cols, i)
+		}
+	}
+	return sol
 }
 
 func (s *solutions) emit(row, srcs []rdf.TermID) bool {
 	s.rows[fmt.Sprint(row, srcs)]++
+	kept := make([]rdf.TermID, len(s.cols))
+	for i, c := range s.cols {
+		kept[i] = row[c]
+	}
+	s.kept[fmt.Sprint(kept)] = true
 	return true
 }
 
@@ -101,14 +124,14 @@ func (c bgpCase) bgp(st *Store, sol *solutions) *BGP {
 	if c.tally {
 		tally = func(src rdf.TermID) { sol.tallies[src]++ }
 	}
-	return st.BGP(c.vars, c.pats, tally)
+	return st.BGP(c.vars, c.keep, c.pats, tally)
 }
 
 // nestedLoop is the reference: pattern after pattern, every current match
 // of the pattern by MatchNow that agrees with the row so far, its GRAPH
 // term bound to the triple's source document.
 func (c bgpCase) nestedLoop(st *Store) *solutions {
-	sol := newSolutions()
+	sol := c.newSolutions()
 	d := st.Dict()
 	row := make([]rdf.TermID, len(c.vars))
 	set := make([]bool, len(c.vars))
@@ -183,7 +206,10 @@ func (c bgpCase) nestedLoop(st *Store) *solutions {
 // while the BGP steps, reading the predicate postings and its own pooled
 // indexes, and closed before it starts, probing the store's postings. Both
 // must give the multiset of solutions, sources and tallies of a nested-loop
-// join over MatchNow.
+// join over MatchNow. When the case keeps a subset of the variables, the
+// evaluator may skip solutions: each one it gives, with its sources, must
+// be one of the nested loop's, and together they must give the same set of
+// kept values, and the same tallies.
 func FuzzBGPAgainstNestedLoop(f *testing.F) {
 	// A lone (?a, p0, ?b) against MatchNow, over 100 random triples in four
 	// documents; then a few random inputs.
@@ -196,6 +222,10 @@ func FuzzBGPAgainstNestedLoop(f *testing.F) {
 		}
 	}
 	f.Add(append(lone, 0, 0, 6, 1, 0, 0))
+	// The chain (?a p0 ?b) (?b p1 ?c), keeping ?c, with tallies; and
+	// (?a p0 ?b) (?b p1 ?c) (?c p2 e0), keeping ?a.
+	f.Add(append(slices.Clip(lone), 1, 0, 6, 1, 0, 1, 7, 2, 0, 1, 4))
+	f.Add(append(slices.Clip(lone), 2, 0, 6, 1, 0, 1, 7, 2, 0, 2, 8, 9, 0, 0, 1))
 	for seed := int64(0); seed < 8; seed++ {
 		data := make([]byte, 40+20*seed)
 		rand.New(rand.NewSource(seed)).Read(data)
@@ -206,32 +236,40 @@ func FuzzBGPAgainstNestedLoop(f *testing.F) {
 		dict := rdf.NewDict()
 		ctx := context.Background()
 
-		grown, growing := newSolutions(), NewWithDict(dict)
+		grown, growing := c.newSolutions(), NewWithDict(dict)
 		b := c.bgp(growing, grown)
 		for d, doc := range c.docs {
-			if growing.AddDocument(doc.Value, c.triples[d]) > 0 && !b.Next(ctx, grown.emit) {
+			if growing.AddDocument(doc.Value, c.triples[d]) > 0 && !next(ctx, b, grown.emit) {
 				t.Fatal("the BGP ended on an open store")
 			}
 		}
 		growing.Close()
-		for b.Next(ctx, grown.emit) {
+		for next(ctx, b, grown.emit) {
 		}
 		b.Release()
 
-		closed, st := newSolutions(), NewWithDict(dict)
+		closed, st := c.newSolutions(), NewWithDict(dict)
 		for d, doc := range c.docs {
 			st.AddDocument(doc.Value, c.triples[d])
 		}
 		st.Close()
 		b = c.bgp(st, closed)
-		for b.Next(ctx, closed.emit) {
+		for next(ctx, b, closed.emit) {
 		}
 		b.Release()
 
 		want := c.nestedLoop(st)
 		for mode, got := range map[string]*solutions{"growing": grown, "closed": closed} {
-			if !maps.Equal(got.rows, want.rows) {
+			if c.keep == nil && !maps.Equal(got.rows, want.rows) {
 				t.Errorf("%s %v: rows %v, nested loop %v", mode, c.pats, got.rows, want.rows)
+			}
+			for row := range got.rows {
+				if want.rows[row] == 0 {
+					t.Errorf("%s %v keeping %v: row %s is not the nested loop's", mode, c.pats, c.keep, row)
+				}
+			}
+			if !maps.Equal(got.kept, want.kept) {
+				t.Errorf("%s %v keeping %v: kept values %v, nested loop %v", mode, c.pats, c.keep, got.kept, want.kept)
 			}
 			if !maps.Equal(got.tallies, want.tallies) {
 				t.Errorf("%s %v: tallies %v, nested loop %v", mode, c.pats, got.tallies, want.tallies)

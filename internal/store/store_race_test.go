@@ -41,12 +41,12 @@ func checkCorrelated(t *testing.T, tr rdf.Triple) {
 	}
 }
 
-// TestStoreConcurrentAddMatchIterate is the ID-keyed store's -race stress
+// TestStoreConcurrentAddMatchBGP is the ID-keyed store's -race stress
 // test: writers Add and AddDocument concurrently with readers running
 // MatchNow, Source, and live BGP readers that drain the full stream. Every
 // observed triple must be internally consistent (never torn) and the final
 // state must contain exactly the distinct triples written.
-func TestStoreConcurrentAddMatchIterate(t *testing.T) {
+func TestStoreConcurrentAddMatchBGP(t *testing.T) {
 	const (
 		writers       = 4
 		perWriter     = 400

@@ -103,15 +103,55 @@ func loneBGP(s *Store, pattern rdf.Triple) *BGP {
 			vars = append(vars, t.Value)
 		}
 	}
-	return s.BGP(vars, []rdf.Quad{{Triple: pattern}}, nil)
+	return s.BGP(vars, nil, []rdf.Quad{{Triple: pattern}}, nil)
+}
+
+// next calls b.Next once, into Rows of three solutions a flush, and hands fn
+// every solution it appended, in order; it returns false, handing on no
+// more, once fn does.
+func next(ctx context.Context, b *BGP, fn func(row, srcs []rdf.TermID) bool) bool {
+	rows := &Rows{Cols: make([][]rdf.TermID, len(b.row)), Cap: 3}
+	deliver := func() bool {
+		for i := 0; i < rows.N; i++ {
+			row := make([]rdf.TermID, len(rows.Cols))
+			for c := range rows.Cols {
+				row[c] = rows.Cols[c][i]
+			}
+			var srcs []rdf.TermID
+			if rows.Srcs != nil {
+				srcs = rows.Srcs[i]
+			}
+			if !fn(row, srcs) {
+				return false
+			}
+		}
+		for c := range rows.Cols {
+			rows.Cols[c] = rows.Cols[c][:0]
+		}
+		rows.N, rows.Srcs = 0, rows.Srcs[:0]
+		return true
+	}
+	rows.Flush = deliver
+	return b.Next(ctx, rows) && deliver()
 }
 
 // step calls b.Next once and returns the positions its lone pattern matched,
-// in the order emitted.
+// in the order emitted: each solution, with the pattern's constants, is a
+// triple the store holds once.
 func step(ctx context.Context, b *BGP) ([]int32, bool) {
 	var at []int32
-	ok := b.Next(ctx, func(_, _ []rdf.TermID) bool {
-		at = append(at, b.at[0])
+	pt := &b.pats[0]
+	ok := next(ctx, b, func(row, _ []rdf.TermID) bool {
+		id := pt.p.id
+		for k, c := range pt.col[:3] {
+			if c >= 0 {
+				id[k] = row[c]
+			}
+		}
+		b.s.mu.Lock()
+		pos, _, _ := b.s.seen.find(b.s.triples, rdf.IDTriple{S: id[0], P: id[1], O: id[2]})
+		b.s.mu.Unlock()
+		at = append(at, pos)
 		return true
 	})
 	return at, ok
@@ -139,10 +179,10 @@ func drain(ctx context.Context, b *BGP) []rdf.Triple {
 	}
 }
 
-// TestLiveIteratorDrainsThenBlocks reads a growing store through a BGP, the
+// TestLiveBGPDrainsThenBlocks reads a growing store through a BGP, the
 // store's live reader: it yields what is there, blocks, resumes with the
 // next document and ends once the store is closed and read.
-func TestLiveIteratorDrainsThenBlocks(t *testing.T) {
+func TestLiveBGPDrainsThenBlocks(t *testing.T) {
 	s := New()
 	s.Add(tp("a", "p", "b"), doc)
 	b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("p"), rdf.NewVar("o")))
@@ -328,5 +368,103 @@ func TestSnapshotIsCopy(t *testing.T) {
 	s.Add(tp("c", "p", "d"), doc)
 	if len(snap) != 1 {
 		t.Errorf("snapshot should not grow: %d", len(snap))
+	}
+}
+
+// TestSeenSetsOnlyForPrivateVariables runs the chain (?a p ?b) (?b q ?c),
+// driven from its shorter first pattern, keeping each subset of its
+// variables. The first level keeps a seen-set only when it binds a
+// variable that neither the caller nor the second level reads: then the
+// second like's fan-out to the same ?b is skipped. A variable private to
+// the last level, as the middle person of Short 3's knows/knows is, or
+// none at all, builds no seen-set and skips nothing.
+func TestSeenSetsOnlyForPrivateVariables(t *testing.T) {
+	s := New()
+	s.Add(tp("a1", "p", "b1"), doc)
+	s.Add(tp("a2", "p", "b1"), doc)
+	for i := 1; i <= 5; i++ {
+		s.Add(tp("b1", "q", fmt.Sprintf("c%d", i)), doc)
+	}
+	s.Close()
+	pats := []rdf.Quad{
+		{Triple: rdf.NewTriple(rdf.NewVar("a"), iri("p"), rdf.NewVar("b"))},
+		{Triple: rdf.NewTriple(rdf.NewVar("b"), iri("q"), rdf.NewVar("c"))},
+	}
+	for _, c := range []struct {
+		keep []string
+		rows int
+		seen bool
+	}{
+		{nil, 10, false},
+		{[]string{"a", "b", "c"}, 10, false},
+		{[]string{"a", "c"}, 10, false},
+		{[]string{"a"}, 10, false},
+		{[]string{"b", "c"}, 5, true},
+		{[]string{"c"}, 5, true},
+		{[]string{}, 5, true},
+	} {
+		b := s.BGP([]string{"a", "b", "c"}, c.keep, pats, nil)
+		rows := 0
+		for next(context.Background(), b, func(_, _ []rdf.TermID) bool { rows++; return true }) {
+		}
+		if seen := b.seen != nil && b.seen[0] != nil; rows != c.rows || seen != c.seen {
+			t.Errorf("keeping %v: %d rows, seen-set %v; want %d, %v", c.keep, rows, seen, c.rows, c.seen)
+		}
+		b.Release()
+	}
+}
+
+// TestSeenSetsLastOneDrive grows a store under the chain (?a p ?b)
+// (?b q ?c) (?c r ?d), keeping ?a and ?d. In the second step the p driver's
+// second level keeps a seen-set on (?a, ?c) and meets (y, w); the r
+// driver's second level, later in the same step, keeps one on (?b, ?d) and
+// meets (y, w) too, on its way to the step's one new answer, (y, w). A set
+// that outlived the p driver's drive would skip that row and lose it.
+func TestSeenSetsLastOneDrive(t *testing.T) {
+	s := New()
+	v := rdf.NewVar
+	b := s.BGP([]string{"a", "b", "c", "d"}, []string{"a", "d"}, []rdf.Quad{
+		{Triple: rdf.NewTriple(v("a"), iri("p"), v("b"))},
+		{Triple: rdf.NewTriple(v("b"), iri("q"), v("c"))},
+		{Triple: rdf.NewTriple(v("c"), iri("r"), v("d"))},
+	}, nil)
+	defer b.Release()
+	rows := 0
+	count := func(_, _ []rdf.TermID) bool { rows++; return true }
+	ctx := context.Background()
+	s.AddDocument("http://example.org/d1", []rdf.Triple{tp("y", "p", "y"), tp("y", "q", "y"), tp("y", "r", "y")})
+	next(ctx, b, count)
+	s.AddDocument("http://example.org/d2", []rdf.Triple{tp("y", "p", "u"), tp("u", "q", "w"), tp("y", "r", "w")})
+	s.Close()
+	for next(ctx, b, count) {
+	}
+	if rows != 2 {
+		t.Errorf("%d solutions, want 2", rows)
+	}
+}
+
+// TestSeenSetKeysOnEarlierColumns runs (?a p ?b) (?b q ?c) (?a r ?d),
+// keeping ?d, over a closed store. The second level kills ?b and ?c but ?a,
+// bound by the first, is still read by the third, so the second level's
+// seen-set keys on ?a: both answers survive.
+func TestSeenSetKeysOnEarlierColumns(t *testing.T) {
+	s := New()
+	for _, tr := range []rdf.Triple{tp("a1", "p", "b1"), tp("a2", "p", "b2"), tp("b1", "q", "c1"),
+		tp("b2", "q", "c2"), tp("a1", "r", "d1"), tp("a2", "r", "d2")} {
+		s.Add(tr, doc)
+	}
+	s.Close()
+	v := rdf.NewVar
+	b := s.BGP([]string{"a", "b", "c", "d"}, []string{"d"}, []rdf.Quad{
+		{Triple: rdf.NewTriple(v("a"), iri("p"), v("b"))},
+		{Triple: rdf.NewTriple(v("b"), iri("q"), v("c"))},
+		{Triple: rdf.NewTriple(v("a"), iri("r"), v("d"))},
+	}, nil)
+	defer b.Release()
+	got := map[rdf.TermID]bool{}
+	for next(context.Background(), b, func(row, _ []rdf.TermID) bool { got[row[3]] = true; return true }) {
+	}
+	if len(got) != 2 || b.seen[1] == nil {
+		t.Errorf("%d distinct ?d, want 2; second level's seen-set %v", len(got), b.seen[1])
 	}
 }

@@ -47,7 +47,7 @@ func TestBlockedCallsReturnOnCancel(t *testing.T) {
 			b := loneBGP(s, rdf.NewTriple(rdf.NewVar("s"), iri("wanted"), rdf.NewVar("o")))
 			defer b.Release()
 			found := false
-			for b.Next(ctx, func(_, _ []rdf.TermID) bool { found = true; return true }) {
+			for next(ctx, b, func(_, _ []rdf.TermID) bool { found = true; return true }) {
 			}
 			return found
 		},
@@ -108,9 +108,9 @@ func TestBlockedBGPWakeUpDoesNotAllocate(t *testing.T) {
 		attach()
 	}
 	res := make(chan bool)
-	emit := func(_, _ []rdf.TermID) bool { return false }
+	rows := &Rows{Flush: func() bool { return false }}
 	go func() {
-		for b.Next(ctx, emit) {
+		for b.Next(ctx, rows) {
 		}
 		res <- b.w.stop != nil
 	}()
