@@ -21,7 +21,10 @@ test: build
 # concurrency tests (writers attaching documents while live BGP readers,
 # MatchNow and Source read, and blocked readers woken or cancelled), run
 # once more at GOMAXPROCS 1 and 4 (-cpu 1,4): scheduling must never change
-# a result.
+# a result. So do the tests of a query's event fold (replay equals live,
+# process counters equal the queries' recorders, concurrent queries), which
+# is entered from the traversal workers, the executor and the finishing
+# goroutine at once.
 # The paper-scale environment test (1 531 pods, ~3 GB) runs in a second
 # pass without the race detector, which would slow it past the CI timeout on
 # a 2-CPU runner.
@@ -31,6 +34,7 @@ verify:
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
 	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestConcurrentBGPsOverClosedStore|TestBatchOpsMatchRowSemantics)$$' ./internal/exec
 	$(GO) test -race -cpu 1,4 -run '^(TestStoreConcurrentAddMatchBGP|TestOnDemandIndexBuiltUnderIngest|TestConcurrentProducersConsumers|TestSourceConcurrent|TestPostingsMatchReferenceIndexes|TestLiveBGPDrainsThenBlocks|TestBlockedCallsReturnOnCancel)$$' ./internal/store
+	$(GO) test -race -cpu 1,4 -run '^(TestJournalReplayMatchesLiveRun|TestObserverMetricsMatchRecorder|TestConcurrentQueriesAggregateCleanly)$$' .
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench
 
 # Differential harness on its own: 150 generated SELECT queries over the

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"ltqp/internal/obs"
 )
@@ -62,17 +61,13 @@ func renderJournalTraces(summary *obs.JournalSummary, topN, width int, out io.Wr
 		queries = queries[:topN]
 	}
 	for _, q := range queries {
+		cp := obs.QueryCritPath(q.Recorder, q.Topology)
 		fmt.Fprintf(out, "== query %d — %d results in %.1fms, %d dereferences ==\n%s\n",
-			q.ID, q.Results, float64(q.Duration.Microseconds())/1000, len(q.Docs), q.Query)
-		if len(q.Docs) == 0 {
+			q.ID, len(q.ResultTimes()), float64(q.Duration.Microseconds())/1000, q.Stats().Requests, q.Query)
+		if cp == nil {
 			fmt.Fprintln(out, "(no dereferences recorded)")
 			continue
 		}
-		var resultTimes []time.Duration
-		if q.HasTTFR {
-			resultTimes = []time.Duration{q.TTFR}
-		}
-		cp := obs.ComputeCritPath(q.Docs, q.Start, resultTimes, nil)
 		fmt.Fprint(out, cp.Render(width))
 		fmt.Fprintln(out)
 	}

@@ -427,7 +427,7 @@ func TestCLIJournalAndLog(t *testing.T) {
 	if !summary.HasFooter || len(summary.Queries) != 1 {
 		t.Fatalf("journal summary = %+v", summary)
 	}
-	if got := summary.Queries[0].Results; got != results {
+	if got := len(summary.Queries[0].ResultTimes()); got != results {
 		t.Errorf("journal results = %d, CLI printed %d", got, results)
 	}
 

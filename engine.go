@@ -65,25 +65,6 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	if e.cfg.Trace || (e.cfg.Obs != nil && e.cfg.Obs.TraceQueries) {
 		qctx, trace = obs.NewTrace(qctx, "query", obs.Str("query", compactQuery(query)))
 	}
-	// Every occurrence of the query is reported once, as an event. The
-	// explain topology, the request recorder and the deref instruments are
-	// folds over them, attached to the emitter so they see each one whether
-	// or not anyone subscribes to the bus.
-	var topo *obs.Topology
-	if e.cfg.Explain {
-		topo = obs.NewTopology()
-	}
-	recorder := metrics.NewRecorder()
-	emitter := obs.NewEmitter(e.cfg.Events, qid, topo, recorder, e.cfg.Obs.M(), trace.ID())
-
-	stage := func(name string) func() {
-		emitter.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name})
-		start := time.Now()
-		return func() {
-			emitter.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: name,
-				DurationUS: time.Since(start).Microseconds()})
-		}
-	}
 
 	t0 := time.Now()
 	_, parseSpan := obs.StartSpan(qctx, "parse")
@@ -100,16 +81,42 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	if len(seeds) == 0 {
 		return nil, errors.New("ltqp: no seed URLs: provide seeds or mention IRIs in the query")
 	}
-	// query_started is always a query's first event; the parse stage pair
-	// is emitted retroactively (with explicit timestamps) once the seeds
-	// it produced are known. A query that fails before this point emits
-	// nothing: no started event without a matching finished one.
-	if emitter.Active() {
-		emitter.Emit(obs.Event{Kind: obs.EventQueryStarted, Time: t0,
-			Detail: compactQuery(query), Seeds: seeds})
-		emitter.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: "parse", Time: t0})
-		emitter.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: "parse",
-			Time: t0.Add(parseDur), DurationUS: parseDur.Microseconds()})
+
+	// From here on every occurrence of the query is one event, and the
+	// recorder, topology, process instruments, tracker record and tail
+	// sampler are folds of them, run by the emitter whether or not anyone
+	// subscribes to the bus. A query that fails before this emits nothing.
+	var topo *obs.Topology
+	if e.cfg.Explain {
+		topo = obs.NewTopology()
+	}
+	var rec *obs.QueryRecord
+	if e.cfg.Obs != nil {
+		rec = e.cfg.Obs.Tracker.Start(qid, query, seeds, trace)
+		rec.SetTenant(obs.TenantFromContext(ctx))
+		rec.AttachTopology(topo)
+	}
+	recorder := metrics.NewRecorder()
+	emitter := obs.NewEmitter(e.cfg.Events, qid, topo, recorder, e.cfg.Obs, rec, trace)
+
+	// query_started is always a query's first event, and its time the
+	// recorder's epoch; the parse stage pair is emitted retroactively (with
+	// explicit timestamps) once the seeds it produced are known.
+	started := obs.Event{Kind: obs.EventQueryStarted, Time: t0}
+	if emitter.Active() || trace != nil {
+		started.Detail, started.Seeds = compactQuery(query), seeds
+	}
+	emitter.Emit(started)
+	emitter.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: "parse", Time: t0})
+	emitter.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: "parse",
+		Time: t0.Add(parseDur), DurationUS: parseDur.Microseconds()})
+	stage := func(name string) func() {
+		emitter.Emit(obs.Event{Kind: obs.EventStageStarted, Stage: name})
+		start := time.Now()
+		return func() {
+			emitter.Emit(obs.Event{Kind: obs.EventStageFinished, Stage: name,
+				DurationUS: time.Since(start).Microseconds()})
+		}
 	}
 
 	planDone := stage("plan")
@@ -118,6 +125,9 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	if err != nil {
 		planSpan.End()
 		planDone()
+		trace.End()
+		emitter.Emit(obs.Event{Kind: obs.EventQueryFinished, Err: err.Error(),
+			DurationUS: time.Since(t0).Microseconds()})
 		return nil, err
 	}
 	op = plan.New(seeds).Optimize(op)
@@ -141,20 +151,8 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 		queryStr:    query,
 		queuePolicy: e.policy,
 	}
-
-	m := obs.On(e.cfg.Obs.M())
-	m.QueriesStarted.Inc()
-	m.QueriesInFlight.Inc()
-	var rec *obs.QueryRecord
-	if e.cfg.Obs != nil {
-		rec = e.cfg.Obs.Tracker.Start(qid, query, seeds, trace)
-		rec.SetTenant(obs.TenantFromContext(ctx))
-	}
-	queryStart := time.Now()
-	x.start = queryStart
 	if e.cfg.Explain {
 		x.prov = exec.NewProv()
-		rec.AttachTopology(topo)
 	}
 
 	// The resource ledger accounts every layer's memory against this query:
@@ -167,12 +165,9 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 		ledger = resource.New(qid, obs.TenantFromContext(ctx), e.cfg.MemBudget)
 		ledger.OnExceeded(func(berr *resource.BudgetExceededError) {
 			x.setErr(berr)
-			m.MemBudgetExceeded.Inc()
-			if emitter.Active() {
-				emitter.Emit(obs.Event{Kind: obs.EventResourceSnapshot,
-					MemBytes: berr.Attempted, MemPeak: berr.Breakdown.Peak,
-					Detail: berr.Breakdown.BreakdownString(), Err: berr.Error()})
-			}
+			ev := snapshotEvent(berr.Breakdown)
+			ev.MemBytes, ev.Err = berr.Attempted, berr.Error()
+			emitter.Emit(ev)
 			cancel()
 		})
 		x.ledger = ledger
@@ -199,8 +194,8 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 		src.Close()
 	}()
 
-	// The executor pipeline drains into the public results channel, where
-	// result timestamps are recorded.
+	// The executor pipeline drains into the public results channel; every
+	// row delivered there is one result_emitted event.
 	env := exec.NewEnv(src)
 	env.Prov = x.prov
 	env.Events = emitter
@@ -208,86 +203,24 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 	out := make(chan rdf.Binding)
 	go func() {
 		defer close(out)
-		first := true
 		row := 0
+		// Emitted before the deferred close(out) above runs (LIFO), so the
+		// journal's query_finished always precedes the caller observing the
+		// end of the result stream.
 		defer func() {
-			err := x.Err()
-			if err != nil {
-				m.QueriesFailed.Inc()
-			} else {
-				m.QueriesSucceeded.Inc()
-			}
-			m.QueriesInFlight.Dec()
-			dur := time.Since(queryStart)
 			if ledger != nil {
-				m.QueryMemPeak.Observe(float64(ledger.Peak()))
-				if charged := ledger.Charged(); charged > 0 {
-					tenant := ledger.Tenant()
-					if tenant == "" {
-						tenant = "default"
-					}
-					m.TenantMemCharged.With(tenant).Add(charged)
-				}
-				e.cfg.Obs.Res().Record(ledger)
-				if emitter.Active() {
-					emitter.Emit(obs.Event{Kind: obs.EventResourceSnapshot,
-						MemBytes: ledger.Current(), MemPeak: ledger.Peak(),
-						Detail: ledger.Snapshot().BreakdownString()})
-				}
+				emitter.Emit(snapshotEvent(ledger.Snapshot()))
 			}
-			trace.End()
-			// Tail-sampling keep decision: now that the outcome is known,
-			// offer the trace to the store. The span tree, request timeline
-			// and critical path are materialized only when kept; the trace
-			// ID stamps the query-duration bucket as an exemplar so a slow
-			// bucket on /metrics points at a retained trace.
-			var keptTrace string
-			if ts := e.cfg.Obs.TraceStore(); ts != nil && trace != nil {
-				o := obs.TraceOutcome{
-					TraceID:  trace.ID(),
-					QueryID:  qid,
-					Query:    compactQuery(query),
-					Tenant:   obs.TenantFromContext(ctx),
-					Start:    queryStart,
-					Duration: dur,
-					Results:  row,
-					Degraded: recorder.Degradation().Degraded(),
-				}
-				if t, ok := recorder.TimeToFirstResult(); ok {
-					o.TTFR = t
-				}
-				if err != nil {
-					o.Err = err.Error()
-					var berr *resource.BudgetExceededError
-					o.BudgetExceeded = errors.As(err, &berr)
-				}
-				if kept, _ := ts.Offer(o, func(tr *obs.TraceRecord) {
-					tr.Root = trace.Snapshot()
-					reqs := recorder.Requests()
-					tr.Requests = obs.RequestsJSON(reqs, recorder.Epoch())
-					tr.CriticalPath = x.criticalPath(reqs)
-				}); kept {
-					keptTrace = o.TraceID
-				}
-			}
-			m.QueryDuration.ObserveExemplar(dur.Seconds(), keptTrace)
 			if x.prov != nil {
 				rec.SetContributions(x.prov.Contributions())
 			}
-			if e.cfg.Obs != nil {
-				e.cfg.Obs.Tracker.Finish(rec, err)
+			trace.End()
+			ev := obs.Event{Kind: obs.EventQueryFinished, Rows: row,
+				DurationUS: time.Since(t0).Microseconds()}
+			if err := x.Err(); err != nil {
+				ev.Err = err.Error()
 			}
-			// Emitted before the deferred close(out) above runs (LIFO), so
-			// the journal's query_finished always precedes the caller
-			// observing the end of the result stream.
-			if emitter.Active() {
-				ev := obs.Event{Kind: obs.EventQueryFinished, Rows: row,
-					DurationUS: time.Since(queryStart).Microseconds()}
-				if err != nil {
-					ev.Err = err.Error()
-				}
-				emitter.Emit(ev)
-			}
+			emitter.Emit(ev)
 		}()
 		// A finished pipeline normally aborts any remaining traversal; a
 		// DESCRIBE query still needs the full traversed store for its
@@ -305,37 +238,32 @@ func (e *Engine) QueryWithSeeds(ctx context.Context, query string, seeds []strin
 		defer execDone()
 		ectx, espan := obs.StartSpan(runCtx, "exec")
 		defer espan.End()
-		emit := func(b rdf.Binding) bool {
+		for b := range exec.Eval(ectx, op, env) {
 			select {
 			case out <- b:
-				if first {
-					first = false
-					m.TimeToFirstResult.Observe(time.Since(queryStart).Seconds())
-				}
-				m.ResultsEmitted.Inc()
-				rec.AddResult()
 				row++
 				ev := obs.Event{Kind: obs.EventResultEmitted, Row: row}
 				if x.prov != nil {
 					ev.Sources = b.Sources()
 				}
 				emitter.Emit(ev)
-				return true
 			case <-runCtx.Done():
 				// Close cancels runCtx: a caller that stops reading must not
 				// strand this goroutine on a row nobody will take.
-				return false
-			}
-		}
-		for b := range exec.Eval(ectx, op, env) {
-			recorder.RecordResult()
-			if !emit(b) {
 				return
 			}
 		}
 	}()
 	x.Results = out
 	return x, nil
+}
+
+// snapshotEvent is a ledger snapshot as a resource_snapshot event: the
+// tenant, the bytes charged in all, the live bytes, the peak and the
+// per-layer breakdown.
+func snapshotEvent(s *resource.Snapshot) obs.Event {
+	return obs.Event{Kind: obs.EventResourceSnapshot, Tenant: s.Tenant, Bytes: s.Charged,
+		MemBytes: s.Current, MemPeak: s.Peak, Detail: s.BreakdownString()}
 }
 
 // compactQuery collapses a query's whitespace for span/tracker annotation.
@@ -539,12 +467,16 @@ func (t *traversal) next() (l linkqueue.Link, ok bool) {
 		t.m.LinkQueueDepth.Dec()
 		// Track the link queue's evolution over the execution [34].
 		t.recorder.RecordQueueSample(t.queue.Len(), t.queue.Seen())
+		// At the document cap, or with its origin over its document or byte
+		// budget, the link drains without fetching. (Unlocked: a trip may
+		// fail the traversal; the cap is no trip.)
 		if max := t.e.cfg.MaxDocuments; max > 0 && t.fetched >= max {
-			continue // cap reached: drain without fetching
+			t.mu.Unlock()
+			t.settle(l, obs.FateDocCapPruned, nil)
+			t.mu.Lock()
+			continue
 		}
 		if admitted, trip := t.guard.admitFetch(l.URL); !admitted {
-			// Origin over its document or byte budget: drain without
-			// fetching. (Unlocked: a trip may fail the traversal.)
 			t.mu.Unlock()
 			t.settle(l, obs.FateOriginBudgetPruned, trip)
 			t.mu.Lock()
@@ -576,8 +508,6 @@ func (t *traversal) push(l linkqueue.Link) bool {
 	if !t.queue.Push(l) {
 		return false
 	}
-	t.m.LinksQueued.Inc()
-	t.m.LinkQueueDepth.Inc()
 	ev := obs.Event{Kind: obs.EventLinkQueued, URL: l.URL,
 		Via: l.Via, Extractor: l.Extractor, Reason: l.Reason, Depth: l.Depth}
 	if ranked, ok := t.queue.(linkqueue.Scorer); ok && t.events.Active() {

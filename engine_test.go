@@ -498,6 +498,8 @@ func TestCloseWithoutDrainLeavesNothingBehind(t *testing.T) {
 		before = n
 		return stable
 	})
+	events := observer.Events.Subscribe(1 << 16)
+	defer events.Close()
 	x, err := e.Query(context.Background(), env.Dataset.Discover(1, 1).Text)
 	if err != nil {
 		t.Fatal(err)
@@ -505,9 +507,15 @@ func TestCloseWithoutDrainLeavesNothingBehind(t *testing.T) {
 	if _, ok := <-x.Results; !ok {
 		t.Fatal("no first row")
 	}
-	// A row is recorded right before it is handed over: once the second is,
-	// the forwarding goroutine is on its way to, or blocked in, the send.
-	settle(t, "no second row", func() bool { return len(x.Metrics().ResultTimes()) >= 2 })
+	// Once traversal is over the pipeline has every row: the forwarding
+	// goroutine is on its way to, or blocked in, the send of the second.
+	traversed := false
+	settle(t, "traversal does not finish", func() bool {
+		for _, ev := range events.Drain() {
+			traversed = traversed || ev.Kind == obs.EventStageFinished && ev.Stage == "traverse"
+		}
+		return traversed
+	})
 	x.Close()
 	settle(t, "goroutines outlive the closed query", func() bool {
 		env.Client().CloseIdleConnections()

@@ -53,13 +53,13 @@ func (r *Result) Explain() *Explain {
 		Schema:        explainSchemaVersion,
 		Query:         r.queryStr,
 		Seeds:         r.Seeds,
-		DurationMS:    float64(time.Since(r.start).Microseconds()) / 1000,
+		DurationMS:    float64(time.Since(r.recorder.Epoch()).Microseconds()) / 1000,
 		Contributions: r.prov.Contributions(),
 		Topology:      r.topo.Snapshot(),
 		Resources:     r.ledger.Snapshot(),
-		CriticalPath:  r.criticalPath(r.recorder.Requests()),
+		CriticalPath:  obs.QueryCritPath(r.recorder, r.topo),
 		QueuePolicy:   string(r.queuePolicy),
-		LimitTrips:    r.recorder.LimitTrips(),
+		LimitTrips:    r.recorder.Degradation().LimitTrips,
 	}
 }
 

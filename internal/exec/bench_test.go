@@ -221,6 +221,14 @@ func solidBenchStore() (*store.Store, *solidbench.Dataset) {
 	cfg := solidbench.DefaultConfig()
 	cfg.Persons = 12
 	ds := solidbench.Generate(cfg)
+	st := openStore(ds)
+	st.Close()
+	return st, ds
+}
+
+// openStore holds every document of ds in a store that is still open, as a
+// traversal's is until it ends.
+func openStore(ds *solidbench.Dataset) *store.Store {
 	st := store.New()
 	doc := 0
 	for _, pod := range ds.BuildPods() {
@@ -239,8 +247,7 @@ func solidBenchStore() (*store.Store, *solidbench.Dataset) {
 			st.AddDocument(pod.IRI(path), ts)
 		}
 	}
-	st.Close()
-	return st, ds
+	return st
 }
 
 // benchRows evaluates op over st b.N times and fails unless every run

@@ -2,12 +2,15 @@ package exec
 
 import (
 	"context"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/obs"
 	"ltqp/internal/plan"
 	"ltqp/internal/rdf"
+	"ltqp/internal/resource"
 	"ltqp/internal/sparql"
 	"ltqp/internal/store"
 )
@@ -64,5 +67,59 @@ func TestDistinctFilterReadsItsVariables(t *testing.T) {
 	got := collect(Eval(context.Background(), op, NewEnv(st)))
 	if len(got) != 1 || got[0]["c"] != ex("c1") {
 		t.Errorf("answers %v, want ?c = c1", got)
+	}
+}
+
+// TestPooledIndexChargesItsOwnFill: over a store that is still growing, a
+// basic graph pattern files its matches in pooled indexes, and the ledger
+// charges each query what it filled, not the capacity an earlier query grew
+// them to: Complex 1's join chain charges exec the same bytes alone and
+// after Discover 8.1. (The chain, not the whole query, and the bytes charged
+// in all, not the peak: how many batches are in flight at the peak, and how
+// many the ORDER BY sends before LIMIT cancels it, depend on scheduling.)
+func TestPooledIndexChargesItsOwnFill(t *testing.T) {
+	_, ds := solidBenchStore()
+	var complex1 string
+	for _, q := range ds.ComplexQueries() {
+		if strings.HasPrefix(q.Name, "Complex 1:") {
+			complex1 = q.Text
+		}
+	}
+	plans := make([]algebra.Operator, 3)
+	for i, query := range []string{complex1, ds.Discover(8, 1).Text, complex1} {
+		parsed, err := sparql.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := algebra.Translate(parsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = plan.New(parsed.MentionedIRIs()).Optimize(op)
+	}
+	// slice(project(orderby(join(...)))): keep Complex 1's join chain.
+	for _, i := range []int{0, 2} {
+		plans[i] = plans[i].(algebra.Slice).Input.(algebra.Project).Input.(algebra.OrderBy).Input
+	}
+	stores := make([]*store.Store, len(plans))
+	for i := range stores {
+		stores[i] = openStore(ds)
+	}
+	// No collection while the queries run: it would empty the pool between
+	// them, and each would start from fresh indexes.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	charged := make([]int64, len(plans))
+	for i, op := range plans {
+		env := NewEnv(stores[i])
+		env.Ledger = resource.New(1, "", 0)
+		rows := Eval(context.Background(), op, env)
+		stores[i].Close() // after the operators saw the store open
+		if len(collect(rows)) == 0 {
+			t.Fatalf("no answers to %s", algebra.String(op))
+		}
+		charged[i] = env.Ledger.ChargedBy(resource.Exec)
+	}
+	if charged[2] != charged[0] {
+		t.Errorf("Complex 1's join chain charged exec %d bytes after Discover 8.1, %d alone", charged[2], charged[0])
 	}
 }

@@ -93,7 +93,8 @@ func (t LimitTrip) String() string {
 }
 
 // Recorder collects request events and result timestamps. It is safe for
-// concurrent use.
+// concurrent use. An engine query's epoch, rows, result times and limit
+// trips are written by the event fold of internal/obs, live and on replay.
 type Recorder struct {
 	mu       sync.Mutex
 	started  time.Time
@@ -115,6 +116,13 @@ func (r *Recorder) Epoch() time.Time {
 	return r.started
 }
 
+// SetEpoch moves the epoch that result times and queue samples count from.
+func (r *Recorder) SetEpoch(t time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.started = t
+}
+
 // Record appends one request event.
 func (r *Recorder) Record(req Request) {
 	r.mu.Lock()
@@ -122,11 +130,11 @@ func (r *Recorder) Record(req Request) {
 	r.requests = append(r.requests, req)
 }
 
-// RecordResult notes that a query result was delivered at time now.
-func (r *Recorder) RecordResult() {
+// RecordResult notes that a query result was delivered at time at.
+func (r *Recorder) RecordResult(at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.results = append(r.results, time.Now())
+	r.results = append(r.results, at)
 }
 
 // RecordQueueSample notes the link queue's length and total accepted URLs
@@ -142,15 +150,6 @@ func (r *Recorder) RecordLimitTrip(t LimitTrip) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.trips = append(r.trips, t)
-}
-
-// LimitTrips returns the recorded defense firings in trip order.
-func (r *Recorder) LimitTrips() []LimitTrip {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]LimitTrip, len(r.trips))
-	copy(out, r.trips)
-	return out
 }
 
 // QueueEvolution returns the recorded link-queue samples in time order: a
@@ -377,7 +376,9 @@ func (d Degradation) Degraded() bool {
 
 // Degradation computes the degradation summary from the recorded events.
 func (r *Recorder) Degradation() Degradation {
-	d := Degradation{LimitTrips: r.LimitTrips()}
+	r.mu.Lock()
+	d := Degradation{LimitTrips: slices.Clone(r.trips)}
+	r.mu.Unlock()
 	reqs := r.Requests()
 	// A URL is done once it succeeded or was listed as failed.
 	done := map[string]bool{}

@@ -69,14 +69,16 @@ func TestResultTimes(t *testing.T) {
 	if _, ok := r.TimeToFirstResult(); ok {
 		t.Error("TTFR before any result should be !ok")
 	}
-	r.RecordResult()
-	r.RecordResult()
+	epoch := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	r.SetEpoch(epoch)
+	r.RecordResult(epoch.Add(3 * time.Millisecond))
+	r.RecordResult(epoch.Add(5 * time.Millisecond))
 	times := r.ResultTimes()
-	if len(times) != 2 {
-		t.Fatalf("results = %d", len(times))
+	if len(times) != 2 || times[1] != 5*time.Millisecond {
+		t.Fatalf("result times = %v", times)
 	}
 	ttfr, ok := r.TimeToFirstResult()
-	if !ok || ttfr < 0 {
+	if !ok || ttfr != 3*time.Millisecond {
 		t.Errorf("TTFR = %v, %v", ttfr, ok)
 	}
 }

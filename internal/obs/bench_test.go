@@ -128,7 +128,7 @@ func BenchmarkEventPublishNoSubscriber(b *testing.B) {
 // BenchmarkEmitterNoSubscriber measures the same opt-out through the
 // per-query Emitter wrapper core/deref/exec actually hold.
 func BenchmarkEmitterNoSubscriber(b *testing.B) {
-	e := NewEmitter(NewBus(), 1, nil, nil, nil, "")
+	e := NewEmitter(NewBus(), 1, nil, nil, nil, nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Emit(Event{Kind: EventLinkDiscovered, URL: "http://pod/a", Via: "http://pod/b"})
@@ -139,7 +139,7 @@ func BenchmarkEmitterNoSubscriber(b *testing.B) {
 // a bus or Explain: it holds only the query's recorder, and an event that is
 // not a dereference attempt has nothing to fold. Must stay 0 allocs/op.
 func BenchmarkEmitterRecorderOnly(b *testing.B) {
-	e := NewEmitter(nil, 1, nil, metrics.NewRecorder(), nil, "")
+	e := NewEmitter(nil, 1, nil, metrics.NewRecorder(), nil, nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Emit(Event{Kind: EventLinkDiscovered, URL: "http://pod/a", Via: "http://pod/b"})

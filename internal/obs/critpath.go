@@ -38,6 +38,13 @@ type CritPath struct {
 	ServerMS float64 `json:"server_ms,omitempty"`
 }
 
+// QueryCritPath is the critical path of one query's recorded run: rec's
+// requests and first result, the gate pinned by the topology's first-result
+// sources when the query ran with provenance. Nil before any request.
+func QueryCritPath(rec *metrics.Recorder, topo *Topology) *CritPath {
+	return ComputeCritPath(rec.Requests(), rec.Epoch(), rec.ResultTimes(), topo.FirstResultSources())
+}
+
 // ComputeCritPath derives the critical path from a query's recorded
 // requests. resultTimes are result-delivery offsets from epoch (the
 // recorder's ResultTimes); firstSources, when known, names the documents

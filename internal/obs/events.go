@@ -57,9 +57,10 @@ const (
 	// EventLinkPruned records a link not followed; Detail names its fate
 	// (the Fate*/Edge* constants of topology.go: duplicate, self,
 	// depth-pruned, scope-pruned, fanout-pruned, queue-cap-pruned at
-	// discovery, origin-budget-pruned when its origin's budget refuses it at
-	// pop time) and Reason its discovery label. (Reason, Depth and the
-	// pop-time event are additive to schema 1.)
+	// discovery; at pop time origin-budget-pruned when its origin's budget
+	// refuses it, doc-cap-pruned when the traversal has fetched its
+	// MaxDocuments) and Reason its discovery label. (Reason, Depth and the
+	// pop-time events are additive to schema 1.)
 	EventLinkPruned EventKind = "link_pruned"
 	// EventRetryScheduled records a transient dereference failure about to
 	// be retried after DelayUS.
@@ -93,15 +94,18 @@ const (
 	EventQueryRejected EventKind = "query_rejected"
 	// EventLimitTripped records a traversal defense firing: a per-origin
 	// document/byte budget, the traversal scope allowlist, a per-document
-	// fanout cap, or the total queued-links cap. URL names the link (or
-	// origin) that tripped it, Reason the limit kind, and Detail the
-	// limit-vs-observed accounting.
+	// fanout cap, the total queued-links cap, or an oversized or slow body.
+	// URL names the link that tripped it, Origin the origin whose budget it
+	// was, Reason the limit kind, Limit and Observed the bound and the value
+	// that crossed it, and Detail the accounting as text. (Origin, Limit and
+	// Observed are additive to schema 1.)
 	EventLimitTripped EventKind = "limit_tripped"
 	// EventResourceSnapshot records a query's resource-ledger state:
 	// MemBytes the live bytes at snapshot time, MemPeak the high-water
 	// mark, Detail the per-layer breakdown (largest spender first). Emitted
-	// at query finish and when a memory budget is crossed; Err carries the
-	// budget-exceeded message in the latter case. (Additive to schema 1.)
+	// when a memory budget is crossed, with the budget-exceeded message in
+	// Err, and at query finish, with the query's Tenant and the bytes it
+	// charged in total in Bytes. (Additive to schema 1.)
 	EventResourceSnapshot EventKind = "resource_snapshot"
 )
 
@@ -160,6 +164,11 @@ type Event struct {
 	// (Server-Timing). (Both additive to schema 1.)
 	Cached   bool  `json:"cached,omitempty"`
 	ServerUS int64 `json:"server_us,omitempty"`
+	// Origin, Limit and Observed carry a limit_tripped defense's origin,
+	// bound and crossing value. (Additive to schema 1.)
+	Origin   string `json:"origin,omitempty"`
+	Limit    int64  `json:"limit,omitempty"`
+	Observed int64  `json:"observed,omitempty"`
 }
 
 // Bus fans engine events out to subscribers. Publishing is bounded and
@@ -415,38 +424,35 @@ func TenantFromContext(ctx context.Context) string {
 // *Emitter no-ops every method at zero cost, mirroring the nil-span and
 // nil-metrics idiom.
 //
-// The emitter folds the query's events synchronously, before publishing
-// them — never through a droppable subscriber channel — and under one lock,
-// so each fold sees the events in the order the bus numbers them and a
-// journal replays to the same state. Every event goes into the query's
-// Topology, when there is one; every document_dereferenced attempt also
-// into its Recorder (as RequestOf's row) and into the deref instruments of
-// its Metrics, with the query's trace ID as the latency exemplar.
+// Every occurrence of a query is one Emit, and the emitter folds the event
+// synchronously, before publishing it — never through a droppable
+// subscriber channel. Kinds the fold records go in under one lock, in the
+// order the bus numbers them, so a journal replays to the same state; kinds
+// it only counts skip the lock unless the query keeps a topology.
 type Emitter struct {
-	bus   *Bus
-	query int64
-	rec   *metrics.Recorder
-	m     *Metrics
-	trace string
-
-	mu   sync.Mutex // orders fold + publish
-	topo *Topology
+	bus *Bus
+	mu  sync.Mutex // orders fold + publish
+	f   queryFold
 }
 
-// NewEmitter returns the emitter of one query: events go to bus (nil means
-// no event stream) and are folded into topo (nil means no explain layer),
-// attempts into rec and m (nil: not recorded, not counted). With no bus,
-// topology or recorder it returns nil, the free disabled state.
-func NewEmitter(bus *Bus, id int64, topo *Topology, rec *metrics.Recorder, m *Metrics, traceID string) *Emitter {
+// NewEmitter returns the emitter of one query: events go to bus and are
+// folded into topo, rec, o's instruments, tracker, tenant rollup and trace
+// store, the tracker record track and the tail sampler's offer of trace (nil
+// means none). With no bus, topology or recorder it returns nil, the free
+// disabled state.
+func NewEmitter(bus *Bus, id int64, topo *Topology, rec *metrics.Recorder, o *Observer, track *QueryRecord, trace *Trace) *Emitter {
 	if bus == nil && topo == nil && rec == nil {
 		return nil
 	}
-	return &Emitter{bus: bus, query: id, topo: topo, rec: rec, m: On(m), trace: traceID}
+	if rec == nil {
+		rec = metrics.NewRecorder()
+	}
+	return &Emitter{bus: bus, f: newFold(id, rec, topo, o, track, trace)}
 }
 
 // Active reports whether emitted events currently have an audience: a bus
 // subscriber or the query's topology.
-func (e *Emitter) Active() bool { return e != nil && (e.topo != nil || e.bus.Active()) }
+func (e *Emitter) Active() bool { return e != nil && (e.f.Topology != nil || e.bus.Active()) }
 
 // Emit stamps the event with the emitter's query id, folds it and
 // publishes it.
@@ -454,9 +460,8 @@ func (e *Emitter) Emit(ev Event) {
 	if e == nil {
 		return
 	}
-	ev.Query = e.query
-	attempt := ev.Kind == EventDocumentDereferenced
-	if e.topo == nil && !attempt {
+	ev.Query = e.f.ID
+	if e.f.Topology == nil && e.f.count(&ev) {
 		e.bus.Publish(ev)
 		return
 	}
@@ -465,13 +470,7 @@ func (e *Emitter) Emit(ev Event) {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
-	e.topo.Apply(ev)
-	if attempt {
-		if e.rec != nil {
-			e.rec.Record(RequestOf(ev))
-		}
-		e.m.countAttempt(ev, e.trace)
-	}
+	e.f.apply(ev)
 	e.bus.Publish(ev)
 }
 

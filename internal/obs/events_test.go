@@ -27,7 +27,7 @@ func TestBusNilSafety(t *testing.T) {
 		t.Fatal("nil emitter must be inactive")
 	}
 	e.Emit(Event{Kind: EventResultEmitted}) // must not panic
-	if NewEmitter(b, 7, nil, nil, nil, "") != nil {
+	if NewEmitter(b, 7, nil, nil, nil, nil, nil) != nil {
 		t.Fatal("nil bus must yield nil emitter")
 	}
 }
@@ -163,7 +163,7 @@ func TestEmitterStampsQueryID(t *testing.T) {
 	b := NewBus()
 	s := b.Subscribe(4)
 	defer s.Close()
-	NewEmitter(b, 42, nil, nil, nil, "").Emit(Event{Kind: EventResultEmitted})
+	NewEmitter(b, 42, nil, nil, nil, nil, nil).Emit(Event{Kind: EventResultEmitted})
 	if ev := <-s.C; ev.Query != 42 {
 		t.Fatalf("query = %d, want 42", ev.Query)
 	}

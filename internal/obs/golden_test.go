@@ -83,7 +83,7 @@ func TestJournalReportGolden(t *testing.T) {
 	}
 	t0 := emitSyntheticQuery(bus, 1)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-	e := NewEmitter(bus, 2, nil, nil, nil, "")
+	e := NewEmitter(bus, 2, nil, nil, nil, nil, nil)
 	e.Emit(Event{Kind: EventQueryStarted, Time: at(100), Detail: "SELECT ?t WHERE { ?p <http://v/title> ?t }",
 		Seeds: []string{"http://pod/c"}})
 	e.Emit(Event{Kind: EventDocumentDereferenced, URL: "http://pod/c", Status: 200,

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,8 +21,8 @@ func TestTrackerLifecycle(t *testing.T) {
 	}
 	r1.AddResult()
 	r1.AddResult()
-	tr.Finish(r1, nil)
-	tr.Finish(r2, errors.New("boom"))
+	tr.Finish(r1, "")
+	tr.Finish(r2, "boom")
 	if len(tr.InFlight()) != 0 {
 		t.Fatal("in-flight not drained")
 	}
@@ -36,7 +35,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	}
 	// Capacity bound: a third finished query evicts the oldest.
 	r3 := tr.Start(0, "SELECT 3", nil, nil)
-	tr.Finish(r3, nil)
+	tr.Finish(r3, "")
 	if got := len(tr.Recent()); got != 2 {
 		t.Fatalf("recent = %d, want capacity 2", got)
 	}
@@ -46,7 +45,7 @@ func TestTrackerNilSafe(t *testing.T) {
 	var tr *QueryTracker
 	rec := tr.Start(0, "q", nil, nil)
 	rec.AddResult()
-	tr.Finish(rec, nil)
+	tr.Finish(rec, "")
 	if tr.InFlight() != nil || tr.Recent() != nil {
 		t.Fatal("nil tracker must return nil slices")
 	}
@@ -61,7 +60,7 @@ func TestExpositionEndpoints(t *testing.T) {
 	trace.End()
 	rec := o.Tracker.Start(0, "SELECT ?x WHERE {}", []string{"http://x/a"}, trace)
 	rec.AddResult()
-	o.Tracker.Finish(rec, nil)
+	o.Tracker.Finish(rec, "")
 
 	mux := http.NewServeMux()
 	o.Register(mux)
@@ -149,11 +148,11 @@ func TestTopologyEndpoint(t *testing.T) {
 	}
 	rec.AttachTopology(topo)
 	rec.SetContributions([]DocMatches{{Document: "http://x/a", Matches: 2}})
-	o.Tracker.Finish(rec, nil)
+	o.Tracker.Finish(rec, "")
 
 	// A query without topology must not appear in the index.
 	bare := o.Tracker.Start(0, "SELECT ?y WHERE {}", nil, nil)
-	o.Tracker.Finish(bare, nil)
+	o.Tracker.Finish(bare, "")
 
 	mux := http.NewServeMux()
 	o.Register(mux)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -174,44 +173,19 @@ type ReplayPhase struct {
 
 // QueryReplay is the offline reconstruction of one query's execution from
 // its journal events: what a live observer would have seen, recovered
-// entirely from recorded timestamps.
+// entirely from recorded timestamps. Its fold is the live query's — the
+// same apply over the same events — so its Recorder has the live run's
+// Stats, Degradation (limit trips included) and ResultTimes, its Topology
+// the live Explain report's, and PeakMem the live ledger's peak.
 type QueryReplay struct {
-	ID       int64
-	Query    string
-	Seeds    []string
-	Start    time.Time
-	End      time.Time
-	Duration time.Duration
-	Finished bool
-	Err      string
-
-	Results int
-	TTFR    time.Duration
-	HasTTFR bool
+	queryFold
 
 	Phases []ReplayPhase
-	// Docs are the query's dereference attempts in journal order, each the
-	// RequestOf its document_dereferenced event — the rows the live
-	// Recorder holds, so a Recorder fed Docs has the live run's Stats.
-	// Parent is the dependency edge critical-path analysis walks.
-	Docs []metrics.Request
 
 	LinksDiscovered int
 	LinksQueued     int
 	LinksPruned     int
 	Retries         int
-
-	// PeakMem / MemBreakdown replay the query's resource_snapshot events:
-	// the ledger high-water mark in bytes and the per-layer breakdown
-	// string ("" when the query ran without a ledger attached).
-	PeakMem      int64
-	MemBreakdown string
-
-	// Topology is the traversal graph folded from the query's events — the
-	// fold the live engine runs, so it equals the Explain report's topology
-	// of the recorded run (result sources included when it ran with
-	// provenance).
-	Topology *Topology
 }
 
 // JournalSummary is a parsed journal: header metadata plus one replay per
@@ -299,62 +273,26 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 	// interleave by a few positions, so restore the total order.
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 
-	replay := func(id int64) *QueryReplay {
-		q, ok := byID[id]
+	replay := func(ev Event) *QueryReplay {
+		q, ok := byID[ev.Query]
 		if !ok {
-			q = &QueryReplay{ID: id, Topology: NewTopology()}
-			byID[id] = q
+			q = &QueryReplay{queryFold: newFold(ev.Query, metrics.NewRecorder(), NewTopology(), nil, nil, nil)}
+			q.SetEpoch(ev.Time) // until its query_started, if the journal has it
+			byID[ev.Query] = q
 			s.Queries = append(s.Queries, q)
 		}
 		return q
 	}
-	stageStart := map[[2]interface{}]time.Time{}
 	for _, ev := range events {
-		q := replay(ev.Query)
-		q.Topology.Apply(ev)
+		q := replay(ev)
+		q.apply(ev)
 		switch ev.Kind {
-		case EventQueryStarted:
-			q.Query = ev.Detail
-			q.Seeds = ev.Seeds
-			q.Start = ev.Time
-		case EventQueryFinished:
-			q.End = ev.Time
-			q.Finished = true
-			q.Results = ev.Rows
-			// Prefer the timestamp span so Duration shares an origin with
-			// TTFR and phase offsets; the event's own DurationUS is measured
-			// from a post-parse origin and would undercount slightly.
-			q.Duration = time.Duration(ev.DurationUS) * time.Microsecond
-			if !q.Start.IsZero() && ev.Time.After(q.Start) {
-				q.Duration = ev.Time.Sub(q.Start)
-			}
-			q.Err = ev.Err
-		case EventStageStarted:
-			stageStart[[2]interface{}{ev.Query, ev.Stage}] = ev.Time
 		case EventStageFinished:
-			start, ok := stageStart[[2]interface{}{ev.Query, ev.Stage}]
-			if !ok {
-				start = ev.Time.Add(-time.Duration(ev.DurationUS) * time.Microsecond)
-			}
 			if isCorePhase(ev.Stage) {
-				off := time.Duration(0)
-				if !q.Start.IsZero() {
-					off = start.Sub(q.Start)
-				}
-				q.Phases = append(q.Phases, ReplayPhase{
-					Name:     ev.Stage,
-					Start:    off,
-					Duration: time.Duration(ev.DurationUS) * time.Microsecond,
-				})
+				dur := time.Duration(ev.DurationUS) * time.Microsecond
+				q.Phases = append(q.Phases, ReplayPhase{Name: ev.Stage,
+					Start: ev.Time.Add(-dur).Sub(q.Epoch()), Duration: dur})
 			}
-		case EventResultEmitted:
-			q.Results++
-			if !q.HasTTFR && !q.Start.IsZero() {
-				q.TTFR = ev.Time.Sub(q.Start)
-				q.HasTTFR = true
-			}
-		case EventDocumentDereferenced:
-			q.Docs = append(q.Docs, RequestOf(ev))
 		case EventLinkDiscovered:
 			q.LinksDiscovered++
 		case EventLinkQueued:
@@ -363,11 +301,6 @@ func ReadJournal(r io.Reader) (*JournalSummary, error) {
 			q.LinksPruned++
 		case EventRetryScheduled:
 			q.Retries++
-		case EventResourceSnapshot:
-			if ev.MemPeak > q.PeakMem {
-				q.PeakMem = ev.MemPeak
-				q.MemBreakdown = ev.Detail
-			}
 		}
 	}
 	return s, nil
@@ -386,22 +319,12 @@ func isCorePhase(name string) bool {
 // SlowestDocs returns the n slowest successful-or-failed dereferences,
 // slowest first.
 func (q *QueryReplay) SlowestDocs(n int) []metrics.Request {
-	docs := slices.Clone(q.Docs)
+	docs := q.Requests()
 	sort.SliceStable(docs, func(i, j int) bool { return docs[i].Duration() > docs[j].Duration() })
 	if n > 0 && len(docs) > n {
 		docs = docs[:n]
 	}
 	return docs
-}
-
-// Stats folds Docs as the live Recorder folds its rows: the recorded run's
-// Result.Stats(), field for field.
-func (q *QueryReplay) Stats() metrics.Stats {
-	r := metrics.NewRecorder()
-	for _, d := range q.Docs {
-		r.Record(d)
-	}
-	return r.Stats()
 }
 
 // WriteReport renders the replay as a human-readable timeline analysis:
@@ -433,10 +356,10 @@ func (s *JournalSummary) WriteReport(w io.Writer, topN int) {
 			}
 		}
 		ttfr := "no results"
-		if q.HasTTFR {
-			ttfr = ms(q.TTFR)
+		if t, ok := q.TimeToFirstResult(); ok {
+			ttfr = ms(t)
 		}
-		fmt.Fprintf(w, "  %s — %d results, first after %s\n", status, q.Results, ttfr)
+		fmt.Fprintf(w, "  %s — %d results, first after %s\n", status, len(q.ResultTimes()), ttfr)
 		if len(q.Phases) > 0 {
 			var parts []string
 			for _, p := range q.Phases {
@@ -454,8 +377,8 @@ func (s *JournalSummary) WriteReport(w io.Writer, topN int) {
 			}
 			fmt.Fprintln(w)
 		}
-		if len(q.Docs) > 0 {
-			peak, mean := metrics.Concurrency(q.Docs)
+		if docs := q.Requests(); len(docs) > 0 {
+			peak, mean := metrics.Concurrency(docs)
 			fmt.Fprintf(w, "  dereference concurrency: max %d in flight, mean %.2f\n", peak, mean)
 			fmt.Fprintf(w, "  slowest documents:\n")
 			for _, d := range q.SlowestDocs(topN) {

@@ -13,7 +13,7 @@ import (
 func emitSyntheticQuery(b *Bus, id int64) time.Time {
 	t0 := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-	e := NewEmitter(b, id, nil, nil, nil, "")
+	e := NewEmitter(b, id, nil, nil, nil, nil, nil)
 	e.Emit(Event{Kind: EventQueryStarted, Time: t0, Detail: "SELECT ?x WHERE { ?x ?p ?o }",
 		Seeds: []string{"http://pod/a"}})
 	e.Emit(Event{Kind: EventStageStarted, Stage: "parse", Time: t0})
@@ -79,14 +79,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	if q == nil {
 		t.Fatal("no replay for query 1")
 	}
-	if !q.Finished || q.Results != 2 || q.Err != "" {
+	if !q.Finished || len(q.ResultTimes()) != 2 || q.Err != "" {
 		t.Fatalf("replay outcome = %+v", q)
 	}
 	if q.Duration != 18*time.Millisecond {
 		t.Fatalf("duration = %v", q.Duration)
 	}
-	if !q.HasTTFR || q.TTFR != 15*time.Millisecond {
-		t.Fatalf("ttfr = %v (has=%v)", q.TTFR, q.HasTTFR)
+	if ttfr, ok := q.TimeToFirstResult(); !ok || ttfr != 15*time.Millisecond {
+		t.Fatalf("ttfr = %v (has=%v)", ttfr, ok)
 	}
 	if len(q.Phases) != 4 {
 		t.Fatalf("phases = %+v", q.Phases)
@@ -94,8 +94,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if q.Phases[0].Name != "parse" || q.Phases[0].Duration != time.Millisecond {
 		t.Fatalf("parse phase = %+v", q.Phases[0])
 	}
-	if st := q.Stats(); len(q.Docs) != 2 || st.Failed != 0 || st.MaxParallel != 2 {
-		t.Fatalf("docs = %+v, stats %+v", q.Docs, st)
+	if st := q.Stats(); st.Requests != 2 || st.Failed != 0 || st.MaxParallel != 2 {
+		t.Fatalf("docs = %+v, stats %+v", q.Requests(), st)
 	}
 	if q.LinksDiscovered != 2 || q.LinksQueued != 1 || q.LinksPruned != 1 || q.Retries != 1 {
 		t.Fatalf("link tallies = %+v", q)
@@ -203,8 +203,8 @@ func TestReadJournalTruncated(t *testing.T) {
 		t.Fatalf("truncated query must be unfinished: %+v", q)
 	}
 	// The per-event tally still counts the results that did land.
-	if q.Results != 2 {
-		t.Fatalf("results = %d, want 2 from result_emitted tally", q.Results)
+	if n := len(q.ResultTimes()); n != 2 {
+		t.Fatalf("results = %d, want 2 from result_emitted tally", n)
 	}
 	var report strings.Builder
 	s.WriteReport(&report, 3)

@@ -44,8 +44,9 @@ const (
 	// EdgeScopePruned marks a link rejected by the traversal allowlist.
 	EdgeScopePruned = "scope-pruned"
 	// EdgeLimitPruned marks a link rejected by a traversal defense (a
-	// per-origin budget, a per-document fanout cap, or the queue cap): the
-	// edge status of the three Fate* values below.
+	// per-origin budget, a per-document fanout cap, the queue cap) or left
+	// unfetched at the document cap: the edge status of the Fate* values
+	// below.
 	EdgeLimitPruned = "limit-pruned"
 )
 
@@ -62,6 +63,9 @@ const (
 	// FateOriginBudgetPruned: the link was queued, but when its turn came
 	// its origin had used up its document or byte budget.
 	FateOriginBudgetPruned = "origin-budget-pruned"
+	// FateDocCapPruned: the link was queued, but when its turn came the
+	// traversal had fetched its MaxDocuments.
+	FateDocCapPruned = "doc-cap-pruned"
 )
 
 // TopoNode is one dereferenced (or attempted) document. It spans from its
@@ -186,7 +190,7 @@ func (t *Topology) Apply(ev Event) {
 	case EventLinkPruned:
 		status := ev.Detail
 		switch status {
-		case FateFanoutPruned, FateQueueCapPruned, FateOriginBudgetPruned:
+		case FateFanoutPruned, FateQueueCapPruned, FateOriginBudgetPruned, FateDocCapPruned:
 			status = EdgeLimitPruned
 		}
 		t.edges = append(t.edges, TopoEdge{From: ev.Via, To: ev.URL, Extractor: ev.Extractor, Reason: ev.Reason, Status: status})

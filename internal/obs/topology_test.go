@@ -139,14 +139,14 @@ func TestTopologyNilSafe(t *testing.T) {
 // leave the fold and the bus agreeing on the order — the property that makes
 // a journal replay to the live topology.
 func TestEmitterFoldsInPublishOrder(t *testing.T) {
-	if e := NewEmitter(nil, 1, NewTopology(), nil, nil, ""); !e.Active() {
+	if e := NewEmitter(nil, 1, NewTopology(), nil, nil, nil, nil); !e.Active() {
 		t.Fatal("an emitter with a topology has an audience without a bus")
 	}
 	bus := NewBus()
 	sub := bus.Subscribe(1024)
 	defer sub.Close()
 	topo := NewTopology()
-	e := NewEmitter(bus, 7, topo, nil, nil, "")
+	e := NewEmitter(bus, 7, topo, nil, nil, nil, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -177,7 +177,7 @@ func TestEmitterFoldsInPublishOrder(t *testing.T) {
 func TestEmitterFoldsAttempts(t *testing.T) {
 	rec := metrics.NewRecorder()
 	m := NewMetrics(NewRegistry())
-	e := NewEmitter(nil, 1, nil, rec, m, "")
+	e := NewEmitter(nil, 1, nil, rec, &Observer{Metrics: m}, nil, nil)
 	epoch, ms := time.Now(), time.Millisecond
 	for _, ev := range []Event{
 		at(epoch, 0, Event{Kind: EventLinkQueued, URL: "http://pod/a"}),

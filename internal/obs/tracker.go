@@ -218,8 +218,9 @@ func (r *QueryRecord) Done() bool {
 	return !r.end.IsZero()
 }
 
-// Finish moves the record from in-flight to recent, noting the outcome.
-func (t *QueryTracker) Finish(rec *QueryRecord, err error) {
+// Finish moves the record from in-flight to recent, noting the outcome:
+// errMsg is the query's failure ("" for none).
+func (t *QueryTracker) Finish(rec *QueryRecord, errMsg string) {
 	if t == nil || rec == nil {
 		return
 	}
@@ -227,8 +228,8 @@ func (t *QueryTracker) Finish(rec *QueryRecord, err error) {
 	if rec.end.IsZero() {
 		rec.end = time.Now()
 	}
-	if err != nil {
-		rec.errMsg = err.Error()
+	if errMsg != "" {
+		rec.errMsg = errMsg
 	}
 	rec.mu.Unlock()
 	t.mu.Lock()

@@ -362,17 +362,16 @@ func NewTenantLedger() *TenantLedger {
 	return &TenantLedger{tenants: map[string]*TenantUsage{}}
 }
 
-// Record folds one finished query's ledger into its tenant's totals.
-// An empty tenant rolls up under "default".
-func (t *TenantLedger) Record(l *Ledger) {
-	if t == nil || l == nil {
+// Record folds one finished query's ledger totals — its tenant, the bytes
+// it charged, its peak and whether it crossed its budget — into the
+// tenant's totals. An empty tenant rolls up under "default".
+func (t *TenantLedger) Record(tenant string, charged, peak int64, exceeded bool) {
+	if t == nil {
 		return
 	}
-	tenant := l.Tenant()
 	if tenant == "" {
 		tenant = "default"
 	}
-	charged, peak := l.Charged(), l.Peak()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	u := t.tenants[tenant]
@@ -385,7 +384,7 @@ func (t *TenantLedger) Record(l *Ledger) {
 	if peak > u.MaxPeak {
 		u.MaxPeak = peak
 	}
-	if l.Exceeded() {
+	if exceeded {
 		u.Exceeded++
 	}
 }

@@ -161,7 +161,7 @@ func TestNilLedger(t *testing.T) {
 		t.Error("nil ledger reported identity")
 	}
 	var tl *TenantLedger
-	tl.Record(l)
+	tl.Record(l.Tenant(), l.Charged(), l.Peak(), l.Exceeded())
 	if tl.Snapshot() != nil || tl.MaxPeak() != 0 {
 		t.Error("nil tenant ledger reported usage")
 	}
@@ -216,7 +216,7 @@ func TestTenantLedger(t *testing.T) {
 	b := New(3, "", 0)
 	b.Charge(Deref, 300)
 	for _, l := range []*Ledger{a1, a2, b} {
-		tl.Record(l)
+		tl.Record(l.Tenant(), l.Charged(), l.Peak(), l.Exceeded())
 	}
 	snap := tl.Snapshot()
 	if len(snap) != 2 {

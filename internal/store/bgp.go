@@ -698,10 +698,12 @@ func (x *posIndex) add(key uint64, pos int32) { x.ps.add(key, pos) }
 
 func (x *posIndex) list(key uint64) []int32 { return x.ps.list(key) }
 
-// bytes estimates the memory x holds: the key table, the single-position
-// and inline slots, and the arena runs.
+// bytes estimates the memory x filled since it left the pool: the key
+// table, the single-position and inline slots in use and the arena runs it
+// carved. The capacity a pooled index kept from an earlier evaluator is not
+// this one's.
 func (x *posIndex) bytes() int64 {
-	return int64(len(x.ps.idx))*16 + int64(cap(x.ps.one))*4 + int64(cap(x.ps.slab))*48 + int64(x.runs.allocated)*4
+	return int64(len(x.ps.idx))*16 + int64(len(x.ps.one))*4 + int64(len(x.ps.slab))*48 + int64(x.runs.carved)*4
 }
 
 // release empties x and returns it to the pool.
@@ -712,6 +714,6 @@ func (x *posIndex) release() {
 	clear(x.ps.idx)
 	clear(x.ps.slab)
 	x.ps.one, x.ps.slab = x.ps.one[:0], x.ps.slab[:0]
-	x.runs.chunk, x.runs.allocated = x.runs.chunk[:0], cap(x.runs.chunk)
+	x.runs.chunk, x.runs.carved = x.runs.chunk[:0], 0
 	indexPool.Put(x)
 }

@@ -36,11 +36,11 @@ type postings struct {
 	arena *arena
 }
 
-// arena hands out runs from the tail of its current chunk; allocated counts
-// the positions of every chunk it has made.
+// arena hands out runs from the tail of its current chunk; carved counts
+// the positions of every run it has handed out.
 type arena struct {
-	chunk     []int32
-	allocated int
+	chunk  []int32
+	carved int
 }
 
 const (
@@ -104,8 +104,8 @@ func (ps *postings) grow(p *posting) {
 			n = size
 		}
 		a.chunk = make([]int32, 0, n)
-		a.allocated += n
 	}
+	a.carved += size
 	at := len(a.chunk)
 	a.chunk = a.chunk[:at+size]
 	// The three-index slice caps the run, so its appends never reach into

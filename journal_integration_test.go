@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -23,8 +24,9 @@ import (
 
 // journalEnv is the 3-hop chain of explainEnv with an event bus attached,
 // so a query's full event stream can be journaled and replayed; Explain is
-// on, so the live run also folds that stream into its topology.
-func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Engine) {
+// on, so the live run also folds that stream into its topology, and a
+// budget no query reaches keeps a ledger.
+func journalEnv(t *testing.T, bus *ltqp.EventBus, maxDocs int) (base string, engine *ltqp.Engine) {
 	t.Helper()
 	ps := podserver.New()
 	srv := httptest.NewServer(ps)
@@ -37,10 +39,12 @@ func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Eng
 	ps.AddDocument(base+"/c.ttl", fmt.Sprintf(
 		"<%s/c.ttl#p1> <http://v/title> \"hello\".", base), solid.PublicAccess)
 	engine = ltqp.New(ltqp.Config{
-		Client:   srv.Client(),
-		Strategy: ltqp.StrategyCMatch,
-		Events:   bus,
-		Explain:  true,
+		Client:       srv.Client(),
+		Strategy:     ltqp.StrategyCMatch,
+		Events:       bus,
+		Explain:      true,
+		MemBudget:    1 << 40,
+		MaxDocuments: maxDocs,
 	})
 	return base, engine
 }
@@ -48,11 +52,11 @@ func journalEnv(t *testing.T, bus *ltqp.EventBus) (base string, engine *ltqp.Eng
 // TestJournalReplayMatchesLiveRun is the acceptance test for the journal:
 // capture a query over the 3-hop podserver fixture to a JSONL journal, then
 // replay it offline and check the reconstruction reproduces the live run —
-// same result count, a TTFR bounded by the recorded timestamps, all three
-// documents, the full phase set, the live request rows and statistics, and
-// the very topology the live run's Explain report carries. The rows and the
-// topology must also match under injected faults with retries and on a warm
-// shared cache.
+// same result count, the live TTFR exactly, all three documents, the full
+// phase set, the live request rows, statistics, degradation report, result
+// times and memory peak, and the very topology the live run's Explain report
+// carries. The fold and the topology must also match under injected faults
+// with retries, on a warm shared cache, and with a tripping traversal limit.
 func TestJournalReplayMatchesLiveRun(t *testing.T) {
 	bus := ltqp.NewEventBus()
 	var buf bytes.Buffer
@@ -60,7 +64,7 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, engine := journalEnv(t, bus)
+	base, engine := journalEnv(t, bus, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -103,36 +107,38 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 	if !q.Finished || q.Err != "" {
 		t.Errorf("replay finished=%v err=%q", q.Finished, q.Err)
 	}
-	if q.Results != live {
-		t.Errorf("replay results = %d, live = %d", q.Results, live)
+	if n := len(q.ResultTimes()); n != live {
+		t.Errorf("replay results = %d, live = %d", n, live)
 	}
 
-	// TTFR is reconstructed purely from recorded timestamps: it must exist
-	// and sit inside the query's replayed duration. Compare against the live
-	// recorder loosely — both clocks watched the same run.
-	if !q.HasTTFR {
-		t.Fatal("replay has no TTFR")
+	// TTFR has one definition, the first result_emitted's time since
+	// query_started's, so the replay has the live recorder's to the
+	// nanosecond, inside the query's replayed duration.
+	ttfr, ok := q.TimeToFirstResult()
+	if !ok || ttfr != liveTTFR {
+		t.Errorf("replay TTFR %v (%v), live %v", ttfr, ok, liveTTFR)
 	}
-	if q.TTFR <= 0 || q.TTFR > q.Duration {
-		t.Errorf("replay TTFR = %v outside (0, %v]", q.TTFR, q.Duration)
-	}
-	if diff := (q.TTFR - liveTTFR).Abs(); diff > 250*time.Millisecond {
-		t.Errorf("replay TTFR %v vs live %v (diff %v)", q.TTFR, liveTTFR, diff)
+	if ttfr <= 0 || ttfr > q.Duration {
+		t.Errorf("replay TTFR = %v outside (0, %v]", ttfr, q.Duration)
 	}
 
 	// All three documents of the chain, each successfully dereferenced.
-	if len(q.Docs) != 3 {
-		t.Fatalf("replay docs = %+v, want 3", q.Docs)
+	docs := q.Requests()
+	if len(docs) != 3 {
+		t.Fatalf("replay docs = %+v, want 3", docs)
 	}
-	for _, d := range q.Docs {
+	for _, d := range docs {
 		if d.Failed() || d.Status != 200 || d.Triples == 0 {
 			t.Errorf("doc %s = %+v", d.URL, d)
 		}
 	}
-	if !slices.ContainsFunc(q.Docs, func(d metrics.Request) bool { return d.Server > 0 }) {
-		t.Errorf("no replayed row carries a server share: %+v", q.Docs)
+	if !slices.ContainsFunc(docs, func(d metrics.Request) bool { return d.Server > 0 }) {
+		t.Errorf("no replayed row carries a server share: %+v", docs)
 	}
-	assertReplayedRequests(t, q, res)
+	if q.PeakMem == 0 {
+		t.Error("the replay has no memory peak: the query ran without a ledger")
+	}
+	assertReplayedFold(t, q, res)
 
 	// The topology is a fold of the event stream, so the replay arrives at
 	// the live run's: same nodes, edges, result sources and timeline offsets.
@@ -185,7 +191,7 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 		}
 		t.Logf("live stats %+v", st)
 		q := summary.Replay(res[0].ID())
-		assertReplayedRequests(t, q, res[0])
+		assertReplayedFold(t, q, res[0])
 		assertReplayedTopology(t, q, res[0])
 	})
 
@@ -201,9 +207,23 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 		}
 		for _, r := range res {
 			q := summary.Replay(r.ID())
-			assertReplayedRequests(t, q, r)
+			assertReplayedFold(t, q, r)
 			assertReplayedTopology(t, q, r)
 		}
+	})
+
+	t.Run("tripped", func(t *testing.T) {
+		// Discover 1.1 with a per-origin document budget the traversal
+		// outgrows: a lenient query records the trip in its degradation
+		// report, and the replay records the same one.
+		env := simenv.New(solidbench.SmallConfig())
+		defer env.Close()
+		res, summary := journalQueries(t, ltqp.Config{Client: env.Client(), Lenient: true,
+			Limits: ltqp.TraversalLimits{MaxDocsPerOrigin: 5}}, env.Dataset.Discover(1, 1).Text, 1)
+		if trips := res[0].Degradation().LimitTrips; len(trips) == 0 {
+			t.Fatal("the document budget did not trip")
+		}
+		assertReplayedFold(t, summary.Replay(res[0].ID()), res[0])
 	})
 }
 
@@ -213,6 +233,7 @@ func TestJournalReplayMatchesLiveRun(t *testing.T) {
 func journalQueries(t *testing.T, cfg ltqp.Config, query string, n int) ([]*ltqp.Result, *obs.JournalSummary) {
 	t.Helper()
 	cfg.Events = ltqp.NewEventBus()
+	cfg.MemBudget = 1 << 40 // a ledger, which no query fills
 	var buf bytes.Buffer
 	journal, err := ltqp.NewJournal(&buf, cfg.Events)
 	if err != nil {
@@ -248,10 +269,11 @@ func journalQueries(t *testing.T, cfg ltqp.Config, query string, n int) ([]*ltqp
 	return out, summary
 }
 
-// assertReplayedRequests checks that a query's replayed dereference rows are
-// the live recorder's, reason, attempt, cache flag and server share
-// included, so a recorder fed them has the live statistics, every field.
-func assertReplayedRequests(t *testing.T, q *obs.QueryReplay, res *ltqp.Result) {
+// assertReplayedFold checks that a query's replayed fold is the live one:
+// the request rows (reason, attempt, cache flag and server share included)
+// and the statistics and degradation report they give, limit trips
+// included, the result times, and the ledger's peak.
+func assertReplayedFold(t *testing.T, q *obs.QueryReplay, res *ltqp.Result) {
 	t.Helper()
 	if q == nil {
 		t.Fatalf("query %d not in the journal", res.ID())
@@ -259,11 +281,16 @@ func assertReplayedRequests(t *testing.T, q *obs.QueryReplay, res *ltqp.Result) 
 	if got, live := q.Stats(), res.Stats(); got != live {
 		t.Errorf("replayed request stats differ from the live ones\nlive:     %+v\nreplayed: %+v", live, got)
 	}
-	replayed := metrics.NewRecorder()
-	for _, d := range q.Docs {
-		replayed.Record(d)
+	if got, live := q.Degradation(), res.Degradation(); !reflect.DeepEqual(got, live) {
+		t.Errorf("replayed degradation differs from the live one\nlive:     %+v\nreplayed: %+v", live, got)
 	}
-	got, live := replayed.Requests(), res.Metrics().Requests()
+	if got, live := q.ResultTimes(), res.Metrics().ResultTimes(); !slices.Equal(got, live) {
+		t.Errorf("replayed result times %v, live %v", got, live)
+	}
+	if live := res.Resources(); live == nil || q.PeakMem != live.Peak {
+		t.Errorf("replayed memory peak %d, live ledger %+v", q.PeakMem, live)
+	}
+	got, live := q.Requests(), res.Metrics().Requests()
 	if len(got) != len(live) {
 		t.Fatalf("replayed %d rows, live %d", len(got), len(live))
 	}
@@ -343,4 +370,105 @@ func TestJournalReplayTopologyUnderConcurrency(t *testing.T) {
 		t.Fatalf("only %d edges: not a concurrent traversal", n)
 	}
 	assertReplayedTopology(t, q, res)
+}
+
+// TestEveryStartedQueryFinishes: a query that parses but fails to plan has
+// emitted its query_started, so it emits its query_finished too, with the
+// error; one that fails to parse emits nothing. A replay shows every query
+// finished, and the lifecycle counters, folds of the same two events, give
+// started = succeeded + failed with none in flight.
+func TestEveryStartedQueryFinishes(t *testing.T) {
+	observer := ltqp.NewObserver()
+	var buf bytes.Buffer
+	journal, err := ltqp.NewJournal(&buf, observer.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := ltqp.New(ltqp.Config{Obs: observer})
+	seeds := []string{"http://ex.org/seed"}
+	for _, query := range []string{
+		`SELECT ?x WHERE { ?x <http://ex.org/p> ?y } ORDER BY COUNT(?x)`, // fails in plan
+		`SELECT ?x WHERE {`, // fails in parse
+	} {
+		if _, err := engine.QueryWithSeeds(context.Background(), query, seeds); err == nil {
+			t.Fatalf("%s: no error", query)
+		}
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	summary, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(summary.Queries) != 1 {
+		t.Fatalf("replayed %d queries, want the one that parsed", len(summary.Queries))
+	}
+	if q := summary.Queries[0]; !q.Finished || q.Err == "" {
+		t.Errorf("replayed query finished=%v err=%q, want finished with the plan error", q.Finished, q.Err)
+	}
+	m := observer.Metrics
+	started, succeeded, failed := m.QueriesStarted.Value(), m.QueriesSucceeded.Value(), m.QueriesFailed.Value()
+	if started != 1 || started != succeeded+failed || m.QueriesInFlight.Value() != 0 {
+		t.Errorf("started %d, succeeded %d, failed %d, in flight %d", started, succeeded, failed, m.QueriesInFlight.Value())
+	}
+	if n := len(observer.Tracker.InFlight()); n != 0 {
+		t.Errorf("%d queries still tracked in flight", n)
+	}
+}
+
+// TestDocCapSettlesEveryQueuedLink: the links a traversal at MaxDocuments
+// drains without fetching are settled as doc-cap-pruned, so in a completed
+// capped traversal every queued URL ends in a dereference or a pop-time
+// prune. The cap is no defense trip: a strict query does not fail on it.
+func TestDocCapSettlesEveryQueuedLink(t *testing.T) {
+	bus := ltqp.NewEventBus()
+	sub := bus.Subscribe(1 << 12)
+	defer sub.Close()
+	base, engine := journalEnv(t, bus, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := engine.Query(ctx, explainQuery(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range res.Results {
+	}
+	if err := res.Err(); err != nil {
+		t.Fatalf("a strict query failed at the document cap: %v", err)
+	}
+	if trips := res.Degradation().LimitTrips; len(trips) != 0 {
+		t.Errorf("the document cap reported trips %v", trips)
+	}
+	queued, settled, capped := map[string]bool{}, map[string]bool{}, 0
+	for _, ev := range sub.Drain() {
+		switch {
+		case ev.Kind == obs.EventLinkQueued:
+			queued[ev.URL] = true
+		case ev.Kind == obs.EventDocumentDereferenced:
+			settled[ev.URL] = true
+		case ev.Kind == obs.EventLinkPruned && ev.Detail == obs.FateDocCapPruned:
+			capped++
+			settled[ev.URL] = true
+		case ev.Kind == obs.EventLinkPruned && ev.Detail == obs.FateOriginBudgetPruned:
+			settled[ev.URL] = true
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no link was drained at the document cap")
+	}
+	for u := range queued {
+		if !settled[u] {
+			t.Errorf("queued %s was neither dereferenced nor pruned at pop", u)
+		}
+	}
+	limitPruned := 0
+	for _, e := range res.Explain().Topology.Edges {
+		if e.To == base+"/b.ttl" && e.Status == obs.EdgeLimitPruned {
+			limitPruned++
+		}
+	}
+	if limitPruned != 1 {
+		t.Errorf("topology has %d limit-pruned edges to b.ttl, want 1", limitPruned)
+	}
 }

@@ -258,31 +258,21 @@ func (t *traversal) fate(l linkqueue.Link, requested string, accepted int) (stri
 // is the one place a link not followed is reported (push announces the
 // followed ones).
 func (t *traversal) settle(l linkqueue.Link, fate string, trip *metrics.LimitTrip) {
-	if fate == obs.EdgeFollowed {
-		t.m.LinksByExtractor.With(l.Extractor).Inc()
-	} else {
-		if fate == obs.EdgeScopePruned {
-			t.m.LinksOutOfScope.Inc()
-		}
+	if fate != obs.EdgeFollowed {
 		t.events.Emit(obs.Event{Kind: obs.EventLinkPruned, URL: l.URL, Via: l.Via,
 			Extractor: l.Extractor, Reason: l.Reason, Depth: l.Depth, Detail: fate})
 	}
 	t.tripped(trip)
 }
 
-// tripped reports one deduplicated defense firing on every surface: the
-// per-query degradation report, the limit_tripped event, and the
-// process-wide trip counter. Non-lenient traversals also fail with the typed
-// error.
+// tripped reports one deduplicated defense firing as its limit_tripped
+// event, which the degradation report and the process-wide trip counter
+// fold. Non-lenient traversals also fail with the typed error.
 func (t *traversal) tripped(trip *metrics.LimitTrip) {
 	if trip == nil {
 		return
 	}
-	t.recorder.RecordLimitTrip(*trip)
-	t.m.LimitTrips.With(trip.Kind).Inc()
-	if t.events.Active() {
-		t.events.Emit(obs.Event{Kind: obs.EventLimitTripped, URL: trip.URL,
-			Reason: trip.Kind, Detail: trip.String()})
-	}
+	t.events.Emit(obs.Event{Kind: obs.EventLimitTripped, URL: trip.URL, Reason: trip.Kind,
+		Origin: trip.Origin, Limit: trip.Limit, Observed: trip.Observed, Detail: trip.String()})
 	t.fail(&TraversalLimitError{Trip: *trip})
 }

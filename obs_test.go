@@ -114,6 +114,32 @@ func TestObserverMetricsMatchRecorder(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+
+	// A third run, on an engine with a per-origin document budget the
+	// traversal outgrows, trips it. The trip counter and the result counter
+	// fold the same events as the queries' recorders.
+	limited := New(Config{Client: env.Client(), Lenient: true, Obs: observer,
+		Limits: TraversalLimits{MaxDocsPerOrigin: 5}})
+	res3, _ := drainAll(t, limited, q.Text)
+	trips, results := 0, 0
+	for _, res := range []*Result{res1, res2, res3} {
+		trips += len(res.Degradation().LimitTrips)
+		results += len(res.Metrics().ResultTimes())
+	}
+	if trips == 0 {
+		t.Fatal("the document budget did not trip")
+	}
+	var tripped int64
+	for _, kind := range []string{limitDocsPerOrigin, limitBytesPerOrigin, limitScope, limitFanout,
+		limitQueueCap, limitDocBytes, limitSlowBody} {
+		tripped += m.LimitTrips.With(kind).Value()
+	}
+	if tripped != int64(trips) {
+		t.Errorf("traversal_limit_trips_total = %d, want the queries' %d trips", tripped, trips)
+	}
+	if got := m.ResultsEmitted.Value(); got != int64(results) {
+		t.Errorf("results_total = %d, want the queries' %d result times", got, results)
+	}
 }
 
 // TestTraceMatchesWaterfall asserts the acceptance contract of --trace:

@@ -23,10 +23,13 @@ import (
 )
 
 // newFateTraversal is a traversal with just enough state for next, fate and
-// settle: a queue, the guard and a recorder, no dereferencer.
+// settle: a queue, the guard and a recorder its events fold into, no
+// dereferencer.
 func newFateTraversal(cfg Config, seeds []string) *traversal {
+	rec := metrics.NewRecorder()
 	t := &traversal{e: New(cfg), ctx: context.Background(), queue: linkqueue.NewFIFO(),
-		guard: newLimitGuard(cfg.Limits, seeds), recorder: metrics.NewRecorder(), m: obs.On(nil)}
+		guard: newLimitGuard(cfg.Limits, seeds), recorder: rec, m: obs.On(nil),
+		events: obs.NewEmitter(nil, 1, nil, rec, nil, nil, nil)}
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
@@ -81,8 +84,8 @@ func TestLinkFate(t *testing.T) {
 	if got, want := tr.queue.Seen(), 3; got != want {
 		t.Errorf("queue accepted %d links, want %d (the seed and the two followed)", got, want)
 	}
-	if got := len(tr.recorder.LimitTrips()); got != 4 {
-		t.Errorf("recorded %d trips, want 4: %v", got, tr.recorder.LimitTrips())
+	if trips := tr.recorder.Degradation().LimitTrips; len(trips) != 4 {
+		t.Errorf("recorded %d trips, want 4: %v", len(trips), trips)
 	}
 	if tr.err != nil {
 		t.Errorf("a lenient traversal failed on a trip: %v", tr.err)

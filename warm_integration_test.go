@@ -134,7 +134,7 @@ func TestWarmQueryMakesNoOriginRequest(t *testing.T) {
 	var journaled [2]map[string]string
 	for i, jq := range summary.Queries {
 		journaled[i] = map[string]string{}
-		for _, d := range jq.Docs {
+		for _, d := range jq.Requests() {
 			if d.Failed() {
 				journaled[i][d.URL] = d.Err
 			}
