@@ -82,11 +82,12 @@ type Values struct {
 	Rows      []rdf.Binding
 }
 
-// Project restricts solutions to the given variables, evaluating expression
-// projections ((expr AS ?v)) first.
+// Project restricts solutions to the named variables, in order. Translate
+// binds a select expression ((expr AS ?v)) with an Extend below it and
+// builds no Project for SELECT *.
 type Project struct {
 	Input Operator
-	Items []sparql.SelectItem // empty means keep all (SELECT *)
+	Names []string
 }
 
 // Distinct removes duplicate solutions.
@@ -108,12 +109,15 @@ type Slice struct {
 	Offset, Limit int
 }
 
-// Group evaluates GROUP BY + aggregate projections + HAVING (blocking).
+// Group is GROUP BY (blocking): one row per distinct combination of the
+// key variables' values, binding each item's variable to its aggregate over
+// the group's rows. Translate lowers everything else a grouped query says
+// around it (see lowerGroup), so a key is a variable and an item is an
+// aggregate call whose argument is a variable or *.
 type Group struct {
-	Input  Operator
-	By     []sparql.GroupCondition
-	Items  []sparql.SelectItem // projection incl. aggregate expressions
-	Having []sparql.Expression
+	Input Operator
+	By    []string
+	Items []sparql.SelectItem
 }
 
 func (Unit) isOperator()        {}
@@ -217,16 +221,7 @@ func (e Extend) Vars() []string {
 func (v Values) Vars() []string { return append([]string(nil), v.Variables...) }
 
 // Vars returns the projected variables.
-func (p Project) Vars() []string {
-	if len(p.Items) == 0 {
-		return p.Input.Vars()
-	}
-	out := make([]string, len(p.Items))
-	for i, it := range p.Items {
-		out[i] = it.Var
-	}
-	return out
-}
+func (p Project) Vars() []string { return append([]string(nil), p.Names...) }
 
 // Vars returns the input's variables.
 func (d Distinct) Vars() []string { return d.Input.Vars() }
@@ -243,10 +238,8 @@ func (s Slice) Vars() []string { return s.Input.Vars() }
 // Vars returns group keys plus aggregate output variables.
 func (g Group) Vars() []string {
 	set := map[string]bool{}
-	for _, c := range g.By {
-		if c.Var != "" {
-			set[c.Var] = true
-		}
+	for _, v := range g.By {
+		set[v] = true
 	}
 	for _, it := range g.Items {
 		set[it.Var] = true

@@ -36,27 +36,37 @@ func Translate(q *sparql.Query) (Operator, error) {
 		}
 	}
 
+	having := q.Having
 	if needsGroup {
-		op = Group{Input: op, By: q.GroupBy, Items: q.Projection, Having: q.Having}
-		if len(q.OrderBy) > 0 {
-			op = OrderBy{Input: op, Conds: q.OrderBy}
+		// A grouped solution binds only keys and aggregates, some of them
+		// hidden, so SPARQL 1.1 does not allow SELECT * over it.
+		if q.Form == sparql.FormSelect && len(q.Projection) == 0 {
+			return nil, fmt.Errorf("algebra: SELECT * is not allowed with GROUP BY, HAVING or aggregates")
 		}
-		if len(q.Projection) > 0 {
-			// Group already computed the projection values; restrict to the
-			// projected names.
-			items := make([]sparql.SelectItem, len(q.Projection))
-			for i, it := range q.Projection {
-				items[i] = sparql.SelectItem{Var: it.Var}
-			}
-			op = Project{Input: op, Items: items}
+		var err error
+		if op, having, err = lowerGroup(op, q); err != nil {
+			return nil, err
 		}
-	} else {
-		if len(q.OrderBy) > 0 {
-			op = OrderBy{Input: op, Conds: q.OrderBy}
+	}
+	// A select expression extends the solutions (§18.2.4.4; lowerGroup
+	// placed those of a grouped query), HAVING filters them, and the
+	// projection keeps the projected names, which drops a lowered group's
+	// hidden variables.
+	names := make([]string, len(q.Projection))
+	for i, it := range q.Projection {
+		if it.Expr != nil && !needsGroup {
+			op = Extend{Input: op, Var: it.Var, Expr: it.Expr}
 		}
-		if len(q.Projection) > 0 {
-			op = Project{Input: op, Items: q.Projection}
-		}
+		names[i] = it.Var
+	}
+	for _, h := range having {
+		op = Filter{Input: op, Expr: h}
+	}
+	if len(q.OrderBy) > 0 {
+		op = OrderBy{Input: op, Conds: q.OrderBy}
+	}
+	if len(names) > 0 {
+		op = Project{Input: op, Names: names}
 	}
 
 	switch {
@@ -73,6 +83,109 @@ func Translate(q *sparql.Query) (Operator, error) {
 		op = Slice{Input: op, Offset: q.Offset, Limit: limit}
 	}
 	return op, nil
+}
+
+// lowerGroup translates the grouping of q over op as SPARQL 1.1 §18.2.4.1
+// does. Expression keys and aggregate arguments are bound by Extends below
+// the Group (an evaluation error leaves them unbound). Each aggregate call
+// in SELECT or HAVING is an item of the Group, bound to the select item's
+// variable when it is the whole item and to a hidden one otherwise, and
+// every other select expression is an Extend above the Group. It returns
+// those Extends over the Group, and HAVING with its aggregate calls
+// replaced by their hidden variables.
+func lowerGroup(op Operator, q *sparql.Query) (Operator, []sparql.Expression, error) {
+	l := grouping{below: op}
+	l.g.By = make([]string, len(q.GroupBy))
+	for i, c := range q.GroupBy {
+		if c.Expr != nil {
+			if c.Var == "" {
+				c.Var = l.hiddenVar()
+			}
+			l.below = Extend{Input: l.below, Var: c.Var, Expr: c.Expr}
+		}
+		l.g.By[i] = c.Var
+	}
+	var above []Extend
+	for _, it := range q.Projection {
+		if call, ok := it.Expr.(sparql.ExprCall); ok && call.IsAggregate() {
+			l.aggregate(it.Expr, it.Var)
+		} else if it.Expr != nil {
+			above = append(above, Extend{Var: it.Var, Expr: l.lower(it.Expr)})
+		}
+	}
+	having := l.lowerAll(q.Having)
+	l.g.Input = l.below
+	op = l.g
+	for _, x := range above {
+		op = Extend{Input: op, Var: x.Var, Expr: x.Expr}
+	}
+	return op, having, l.err
+}
+
+// grouping is the state of one lowerGroup: the Group it builds, the
+// operator below it and the hidden variables minted so far.
+type grouping struct {
+	g     Group
+	below Operator
+	n     int
+	err   error
+}
+
+// hiddenVar mints a variable the query's projection drops; the "." cannot
+// start a variable name in the grammar, so no user variable collides.
+func (l *grouping) hiddenVar() string {
+	l.n++
+	return fmt.Sprintf(".agg%d", l.n)
+}
+
+// aggregate makes the aggregate call e an item of the Group bound to v; an
+// argument that is an expression is bound to a hidden variable below the
+// Group.
+func (l *grouping) aggregate(e sparql.Expression, v string) {
+	if call := e.(sparql.ExprCall); !call.Star {
+		if len(call.Args) != 1 {
+			l.err = fmt.Errorf("algebra: %s takes one argument", call.Func)
+		} else if _, ok := call.Args[0].(sparql.ExprVar); !ok {
+			arg := l.hiddenVar()
+			l.below = Extend{Input: l.below, Var: arg, Expr: call.Args[0]}
+			call.Args = []sparql.Expression{sparql.ExprVar{Name: arg}}
+			e = call
+		}
+	}
+	l.g.Items = append(l.g.Items, sparql.SelectItem{Var: v, Expr: e})
+}
+
+// lower replaces every aggregate call in e by a hidden variable bound to
+// it.
+func (l *grouping) lower(e sparql.Expression) sparql.Expression {
+	switch x := e.(type) {
+	case sparql.ExprCall:
+		if !x.IsAggregate() {
+			x.Args = l.lowerAll(x.Args)
+			return x
+		}
+		v := l.hiddenVar()
+		l.aggregate(e, v)
+		return sparql.ExprVar{Name: v}
+	case sparql.ExprBinary:
+		x.L, x.R = l.lower(x.L), l.lower(x.R)
+		return x
+	case sparql.ExprUnary:
+		x.X = l.lower(x.X)
+		return x
+	case sparql.ExprIn:
+		x.X, x.List = l.lower(x.X), l.lowerAll(x.List)
+		return x
+	}
+	return e
+}
+
+func (l *grouping) lowerAll(es []sparql.Expression) []sparql.Expression {
+	out := make([]sparql.Expression, len(es))
+	for i, e := range es {
+		out[i] = l.lower(e)
+	}
+	return out
 }
 
 // translator holds fresh-variable state for path rewriting, and the

@@ -193,6 +193,20 @@ SELECT ?a WHERE { ?a ex:p ?b } GROUP BY ?a ORDER BY DESC(COUNT(?b))`)
 	}
 }
 
+// TestTranslateGroupedSelectStarRejected: a grouped solution binds only
+// keys and aggregates, some of them hidden, so SELECT * over it is an error.
+func TestTranslateGroupedSelectStarRejected(t *testing.T) {
+	for _, tail := range []string{"GROUP BY ?a", "HAVING (COUNT(?b) > 1)", "GROUP BY ?a HAVING (COUNT(?b) > 1)"} {
+		q, err := sparql.ParseQuery("PREFIX ex: <http://example.org/>\nSELECT * WHERE { ?a ex:p ?b } " + tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Translate(q); err == nil {
+			t.Errorf("SELECT * with %s should be rejected", tail)
+		}
+	}
+}
+
 func TestVarsComputation(t *testing.T) {
 	p1 := Pattern{Triple: rdf.NewTriple(rdf.NewVar("a"), rdf.NewIRI("http://p"), rdf.NewVar("b"))}
 	p2 := Pattern{Triple: rdf.NewTriple(rdf.NewVar("b"), rdf.NewIRI("http://q"), rdf.NewVar("c"))}
@@ -282,7 +296,7 @@ func TestStringCoversAllOperators(t *testing.T) {
 	if got := (Slice{Input: p}).Vars(); len(got) != 2 {
 		t.Errorf("slice vars = %v", got)
 	}
-	g := Group{Input: p, By: []sparql.GroupCondition{{Var: "s"}},
+	g := Group{Input: p, By: []string{"s"},
 		Items: []sparql.SelectItem{{Var: "n", Expr: sparql.ExprCall{Func: "COUNT", Star: true}}}}
 	if got := g.Vars(); len(got) != 2 {
 		t.Errorf("group vars = %v", got)

@@ -33,12 +33,14 @@ import (
 //     spuriously between the two systems.
 //   - SELECT DISTINCT may project part of a join chain, with an
 //     alternative path inside it.
-//   - Groups use BGPs, OPTIONAL, FILTER, UNION, MINUS (always sharing the
-//     anchored subject variable), GROUP BY with and without HAVING, ORDER
-//     BY, property paths (anchored snvoc:knows+ closures and
-//     replyOf/hasCreator sequences), VALUES, GRAPH ?g, FILTER (NOT) EXISTS,
-//     BIND, projection expressions and LIMIT/OFFSET — every operator the
-//     executor implements, streaming or blocking.
+//   - Groups use BGPs, OPTIONAL, FILTER, UNION, MINUS (sharing the anchored
+//     subject variable, sharing no variable, or sharing one that an
+//     OPTIONAL on its right side leaves unbound in some rows), GROUP BY with
+//     and without HAVING and on an expression key, ORDER BY, property paths
+//     (anchored snvoc:knows+ closures and replyOf/hasCreator sequences),
+//     VALUES, GRAPH ?g, FILTER (NOT) EXISTS (with an inner FILTER on an
+//     outer variable too), BIND, projection expressions and LIMIT/OFFSET —
+//     every operator the executor implements, streaming or blocking.
 type diffGen struct {
 	r  *rand.Rand
 	ds *solidbench.Dataset
@@ -126,7 +128,33 @@ func (g *diffGen) Next() (query, unlimited string) {
 	if g.r.Intn(3) == 0 {
 		distinct = "DISTINCT "
 	}
-	switch g.r.Intn(18) {
+	switch g.r.Intn(22) {
+	case 18: // MINUS over disjoint domains: it removes nothing.
+		return fmt.Sprintf(`%sSELECT %s?m ?d WHERE {
+  ?m snvoc:hasCreator %s .
+  ?m snvoc:creationDate ?d .
+  MINUS { ?x snvoc:imageFile ?img }
+}`, g.prefix(), distinct, g.person()), ""
+	case 19: // MINUS sharing ?d, which the right side's OPTIONAL binds only
+		// for messages with an image: a row leaving it unbound removes nothing.
+		return fmt.Sprintf(`%sSELECT %s?m ?d WHERE {
+  ?m snvoc:hasCreator %s .
+  ?m snvoc:creationDate ?d .
+  MINUS { ?o snvoc:hasCreator %s . OPTIONAL { ?o snvoc:imageFile ?img . ?o snvoc:creationDate ?d } }
+}`, g.prefix(), distinct, g.person(), g.person()), ""
+	case 20: // GROUP BY an expression key, HAVING over an aggregate expression.
+		return fmt.Sprintf(`%sSELECT ?k (COUNT(?m) AS ?n) WHERE {
+  ?m snvoc:hasCreator ?c .
+  ?m snvoc:browserUsed ?b .
+} GROUP BY (UCASE(?b) AS ?k) HAVING (COUNT(?m) * 2 > %d)`, g.prefix(), g.r.Intn(40)), ""
+	case 21: // NOT EXISTS whose inner FILTER reads the outer row: a
+		// person's earliest messages.
+		p := g.person()
+		return fmt.Sprintf(`%sSELECT %s?m ?d WHERE {
+  ?m snvoc:hasCreator %s .
+  ?m snvoc:creationDate ?d .
+  FILTER NOT EXISTS { ?o snvoc:hasCreator %s . ?o snvoc:creationDate ?e . FILTER(?e < ?d) }
+}`, g.prefix(), distinct, p, p), ""
 	case 17: // DISTINCT over part of a chain: the creators of a person's
 		// liked messages, through one predicate or an alternative of two,
 		// and an attribute of every message of theirs.

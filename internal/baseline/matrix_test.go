@@ -144,11 +144,21 @@ func checkHygiene(t *testing.T, env *simenv.Env, engine *ltqp.Engine, res *ltqp.
 	settle(t, "link queue depth gauge does not return to 0 ("+config+")", func() bool {
 		return observer.Metrics.LinkQueueDepth.Value() == 0
 	})
-	snap := res.Resources()
-	if snap == nil {
+	if res.Resources() == nil {
 		t.Fatalf("observed query (%s) has no resource ledger", config)
 	}
-	for _, l := range snap.Layers {
+	// An exec goroutine can still hold a batch when the goroutine count is
+	// back at its earlier value, since goroutines unrelated to the query
+	// exit too: poll the ledger as well, and report what it still holds.
+	poll(func() bool {
+		for _, l := range res.Resources().Layers {
+			if l.Layer != "store" && l.Current != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for _, l := range res.Resources().Layers {
 		if l.Layer == "store" {
 			if l.Current != l.Charged {
 				t.Errorf("store ledger (%s): %d bytes live of %d charged", config, l.Current, l.Charged)
@@ -163,10 +173,19 @@ func checkHygiene(t *testing.T, env *simenv.Env, engine *ltqp.Engine, res *ltqp.
 // goroutine's stack when it does not within ten seconds.
 func settle(t *testing.T, what string, done func() bool) {
 	t.Helper()
+	if !poll(done) {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%s\n%s", what, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// poll calls done every five milliseconds until it reports true, for at
+// most ten seconds, and returns its last answer.
+func poll(done func() bool) bool {
 	for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%s\n%s", what, buf[:runtime.Stack(buf, true)])
+			return false
 		}
 	}
+	return true
 }

@@ -6,9 +6,13 @@
 // provenance column (per-row source-document ID sets), so Result.Explain()
 // is unchanged when batches flow through the pipeline.
 //
-// Reference (ref.go) is the semantics every batch operator is pinned
-// against: by the property-based suite (batch_prop_test.go), the
-// differential harness (internal/baseline), and FuzzBatchSelection.
+// Batches are the only form solutions take inside the executor: rows become
+// bindings only where they leave it (batchesToRows) and are built from
+// bindings only for VALUES, Unit and property paths (batchMaterialize).
+// Reference (ref.go), which production never calls, is the semantics every
+// batch operator is pinned against: by the property-based suite
+// (batch_prop_test.go), the differential harness (internal/baseline), and
+// FuzzBatchSelection.
 package exec
 
 import (
@@ -237,8 +241,14 @@ func putBatch(b *Batch) {
 }
 
 // sendBatch delivers b unless the context is cancelled; it reports success.
-// On failure the batch is released — the caller must not use it again.
+// On failure the batch is released — the caller must not use it again. A
+// cancelled context fails it even when out has room, so an operator stops
+// building batches once its consumer is done.
 func sendBatch(ctx context.Context, out chan<- *Batch, b *Batch) bool {
+	if ctx.Err() != nil {
+		putBatch(b)
+		return false
+	}
 	select {
 	case out <- b:
 		return true
@@ -289,7 +299,7 @@ func discard(in BatchStream) {
 }
 
 // decodeRow decodes physical row r of b into a binding, provenance
-// included: IDs become terms only at the pipeline's decode boundaries.
+// included: IDs become terms only where rows leave the pipeline.
 func decodeRow(env *Env, b *Batch, r int32) rdf.Binding {
 	bind := make(rdf.Binding, len(b.vars))
 	for c, v := range b.vars {
@@ -304,34 +314,6 @@ func decodeRow(env *Env, b *Batch, r int32) rdf.Binding {
 		}
 	}
 	return bind
-}
-
-// encodeRows interns rows into batches over vars (an absent variable is
-// NoTerm) and sends them; it reports whether every batch was delivered.
-func encodeRows(ctx context.Context, env *Env, out chan<- *Batch, vars []string, rows []rdf.Binding) bool {
-	var b *Batch
-	for _, row := range rows {
-		if b == nil {
-			b = env.getBatch(vars, env.Prov != nil)
-		}
-		for c, v := range vars {
-			var id rdf.TermID
-			if t, ok := row[v]; ok {
-				id = env.dict.Intern(t)
-			}
-			b.cols[c] = append(b.cols[c], id)
-		}
-		if b.prov != nil {
-			b.prov = append(b.prov, row.SourceIDs(env.dict))
-		}
-		if b.n++; b.n == batchCap {
-			if !sendBatch(ctx, out, b) {
-				return false
-			}
-			b = nil
-		}
-	}
-	return b == nil || sendBatch(ctx, out, b)
 }
 
 // batchesToRows decodes a batch stream back into bindings at the pipeline

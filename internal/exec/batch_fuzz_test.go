@@ -91,7 +91,7 @@ func FuzzBatchSelection(f *testing.F) {
 			join := algebra.Join{Left: values, Right: values}
 			want = canon(schema, Reference(join, rig.env))
 			got = canon(schema, collect(batchesToRows(ctx, rig.env,
-				batchJoin(ctx, rig.env, join.Vars(), algebra.SharedVars(values, values), nil, false,
+				batchJoin(ctx, rig.env, join.Vars(), algebra.SharedVars(values, values), nil, innerJoin,
 					streamOf(input), streamOf(input)))))
 		}
 		if len(got) != len(want) {

@@ -10,57 +10,13 @@ import (
 	"ltqp/internal/sparql"
 )
 
-// Vectorized GROUP BY. Grouping is blocking either way (a group over a
-// still-growing source would be retractable), so the win here is what
-// happens after the drain: rows stay dictionary-encoded in a columnar
-// arena, group keys hash over TermIDs in one idTable pass, and only group
-// keys and aggregate results become terms. Groups come out in first-seen
-// order, as groupRows emits them.
-
-// vectorizableGroup reports whether a Group can run on the columnar path:
-// variable-only keys, no HAVING, and aggregates that are order-insensitive
-// folds of a plain variable (or COUNT(*)). Everything else runs groupRows
-// in batchMaterialize.
-func vectorizableGroup(g algebra.Group) bool {
-	if len(g.Having) > 0 {
-		return false
-	}
-	for _, c := range g.By {
-		if c.Expr != nil || c.Var == "" {
-			return false
-		}
-	}
-	for _, item := range g.Items {
-		if item.Expr == nil {
-			continue
-		}
-		call, ok := item.Expr.(sparql.ExprCall)
-		if !ok || !call.IsAggregate() {
-			return false
-		}
-		switch call.Func {
-		case "COUNT", "SUM", "MIN", "MAX", "AVG":
-		default:
-			// SAMPLE and GROUP_CONCAT depend on encounter order. Leaving
-			// them to groupRows, which Reference shares, keeps one
-			// implementation of that order.
-			return false
-		}
-		if call.Star {
-			if call.Distinct {
-				return false // COUNT(DISTINCT *) keys whole rows
-			}
-			continue
-		}
-		if len(call.Args) != 1 {
-			return false
-		}
-		if _, ok := call.Args[0].(sparql.ExprVar); !ok {
-			return false
-		}
-	}
-	return true
-}
+// GROUP BY on ID columns. Grouping is blocking (a group over a
+// still-growing source would be retractable), so the work happens after the
+// drain: rows stay dictionary-encoded in a columnar arena, group keys hash
+// over TermIDs in one idTable pass, and only aggregate inputs and results
+// become terms. Groups come out in first-seen order, as groupRows emits
+// them, and every aggregate reads its group's rows in input order, which
+// SAMPLE and GROUP_CONCAT depend on.
 
 // batchGroup drains the input into a columnar arena and aggregates it group
 // by group; only group keys and aggregate results become terms, encoded
@@ -69,41 +25,32 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	in := EvalBatch(ctx, g.Input, env)
 
-	keyVars := make([]string, len(g.By))
-	for i, c := range g.By {
-		keyVars[i] = c.Var
-	}
-	arenaVars := append([]string{}, keyVars...)
+	arenaVars := slices.Clone(g.By)
 	colOf := func(v string) int {
-		for i, w := range arenaVars {
-			if w == v {
-				return i
-			}
+		if i := slices.Index(arenaVars, v); i >= 0 {
+			return i
 		}
 		arenaVars = append(arenaVars, v)
 		return len(arenaVars) - 1
 	}
-	items := make([]aggItem, 0, len(g.Items))
-	for _, item := range g.Items {
-		if item.Expr == nil {
-			continue
-		}
+	items := make([]aggItem, len(g.Items))
+	itemVars := make([]string, len(g.Items))
+	for i, item := range g.Items {
 		call := item.Expr.(sparql.ExprCall)
-		ai := aggItem{col: -1, call: call}
+		items[i] = aggItem{col: -1, call: call}
+		itemVars[i] = item.Var
 		if !call.Star {
-			ai.col = colOf(call.Args[0].(sparql.ExprVar).Name)
-		}
-		items = append(items, ai)
-	}
-	itemVars := make([]string, 0, len(items))
-	for _, item := range g.Items {
-		if item.Expr != nil {
-			itemVars = append(itemVars, item.Var)
+			items[i].col = colOf(call.Args[0].(sparql.ExprVar).Name)
+		} else if call.Distinct {
+			// COUNT(DISTINCT *) keys the whole input row.
+			for _, v := range g.Input.Vars() {
+				colOf(v)
+			}
 		}
 	}
 	// The output row's column of each group key and each aggregate.
 	outVars := g.Vars()
-	keyOut, itemOut := schemaMap(outVars, keyVars), schemaMap(outVars, itemVars)
+	keyOut, itemOut := schemaMap(outVars, g.By), schemaMap(outVars, itemVars)
 
 	go func() {
 		defer close(out)
@@ -150,7 +97,7 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 		var groups idTable
 		slot := make([]int32, n)
 		var first []int32 // each group's first row
-		key := make([]rdf.TermID, len(keyVars))
+		key := make([]rdf.TermID, len(g.By))
 		for r := range slot {
 			for k := range key {
 				key[k] = cols[k][r]
@@ -182,10 +129,14 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 
 		// Phase 3: aggregate each group into one ID row over outVars — key
 		// IDs copied from the arena, aggregate results interned — and send
-		// the rows in batches.
+		// the rows in batches. An aggregate reads the group's bound values
+		// of its argument (the distinct ones under DISTINCT) in input order;
+		// COUNT counts their IDs, the others fold the terms.
 		row := make([]rdf.TermID, len(outVars))
+		var whole []rdf.TermID
 		var values []rdf.Term
-		var seen map[rdf.TermID]bool
+		seen := map[rdf.TermID]bool{}
+		var rowSet idTable
 		var b *Batch
 		for gi, fr := range first {
 			rows := order[at[gi]:at[gi+1]]
@@ -204,34 +155,45 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 				pv = slices.Compact(pv)
 			}
 			for ii, ai := range items {
-				if ai.call.Func == "COUNT" {
-					row[itemOut[ii]] = env.dict.Intern(countAgg(ai, cols, rows, &seen))
-					continue
-				}
-				values = values[:0]
-				if ai.call.Distinct {
-					if seen == nil {
-						seen = map[rdf.TermID]bool{}
-					} else {
-						clear(seen)
+				var v rdf.Term
+				switch {
+				case ai.call.Star && ai.call.Distinct:
+					// The arena holds every input column: count distinct rows.
+					rowSet.reset()
+					for _, r := range rows {
+						whole = whole[:0]
+						for c := range cols {
+							whole = append(whole, cols[c][r])
+						}
+						rowSet.slot(whole)
 					}
-				}
-				for _, r := range rows {
-					id := cols[ai.col][r]
-					if id == rdf.NoTerm {
-						continue
-					}
-					if ai.call.Distinct {
-						if seen[id] {
+					v = rdf.Integer(int64(rowSet.n))
+				case ai.call.Star:
+					v = rdf.Integer(int64(len(rows)))
+				default:
+					values = values[:0]
+					clear(seen)
+					n := 0
+					for _, r := range rows {
+						id := cols[ai.col][r]
+						if id == rdf.NoTerm || ai.call.Distinct && seen[id] {
 							continue
 						}
-						seen[id] = true
+						if n++; ai.call.Distinct {
+							seen[id] = true
+						}
+						if ai.call.Func != "COUNT" {
+							values = append(values, env.dict.Decode(id))
+						}
 					}
-					values = append(values, env.dict.Decode(id))
+					var err error
+					if ai.call.Func == "COUNT" {
+						v = rdf.Integer(int64(n))
+					} else if v, err = aggCompute(ai.call, values); err != nil {
+						continue
+					}
 				}
-				if v, err := aggCompute(ai.call, values); err == nil {
-					row[itemOut[ii]] = env.dict.Intern(v)
-				}
+				row[itemOut[ii]] = env.dict.Intern(v)
 			}
 			if b == nil {
 				b = env.getBatch(outVars, withProv)
@@ -255,34 +217,4 @@ func batchGroup(ctx context.Context, g algebra.Group, env *Env) BatchStream {
 type aggItem struct {
 	col  int
 	call sparql.ExprCall
-}
-
-// countAgg computes COUNT over a group without decoding a single term:
-// COUNT(*) is the row count, COUNT(?v) the bound count, COUNT(DISTINCT ?v)
-// the distinct bound count.
-func countAgg(ai aggItem, cols [][]rdf.TermID, rows []int32, seen *map[rdf.TermID]bool) rdf.Term {
-	if ai.call.Star {
-		return rdf.Integer(int64(len(rows)))
-	}
-	n := 0
-	if ai.call.Distinct {
-		if *seen == nil {
-			*seen = map[rdf.TermID]bool{}
-		} else {
-			clear(*seen)
-		}
-		for _, r := range rows {
-			if id := cols[ai.col][r]; id != rdf.NoTerm && !(*seen)[id] {
-				(*seen)[id] = true
-				n++
-			}
-		}
-		return rdf.Integer(int64(n))
-	}
-	for _, r := range rows {
-		if cols[ai.col][r] != rdf.NoTerm {
-			n++
-		}
-	}
-	return rdf.Integer(int64(n))
 }

@@ -15,7 +15,17 @@ import (
 // side's columnar arena, then probed against the other side's arena —
 // insert-before-probe per batch gives exactly-once pair emission. That
 // goroutine owns both arenas, so neither needs a lock. OPTIONAL is the same
-// join with a filter on each pair and a matched flag per left row.
+// join with a filter on each pair and a matched flag per left row, and
+// MINUS the same join emitting no pair and only the unmatched left rows.
+
+// joinMode selects what batchJoin emits.
+type joinMode uint8
+
+const (
+	innerJoin joinMode = iota // every compatible pair
+	leftJoin                  // OPTIONAL: the pairs passing the filters, then the bare left rows
+	antiJoin                  // MINUS: the left rows no right row removes
+)
 
 // joinArena is one side's accumulated rows, stored column-wise over the
 // join's output schema (absent variables are NoTerm).
@@ -33,7 +43,7 @@ type joinArena struct {
 	partial []int32
 	keys    idTable      // the join's key slots, on the left arena only
 	ids     []rdf.TermID // insertBatch's shared-key scratch
-	matched []bool       // the rows that joined, for OPTIONAL's left arena only
+	matched []bool       // the rows that joined, for the left arena of OPTIONAL and MINUS
 }
 
 // chain is the first and last row of one exact-key bucket.
@@ -120,12 +130,16 @@ func (a *joinArena) insertBatch(b *Batch, cmap []int, sharedIdx []int, keys *idT
 	return start, slots
 }
 
-// batchJoin joins left and right on the shared variables. With outer set
-// it is OPTIONAL's left join: a pair is kept only when filters hold on the
-// merged row, matches stream as they are found, and the left rows that
-// never matched are emitted bare once both inputs have ended.
-func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters []sparql.Expression, outer bool, left, right BatchStream) BatchStream {
+// batchJoin joins left and right on the shared variables. As leftJoin it
+// is OPTIONAL: a pair is kept only when filters hold on the merged row,
+// matches stream as they are found, and the left rows that never matched
+// are emitted bare once both inputs have ended. As antiJoin it is MINUS: a
+// pair emits nothing and marks its left row when the rows share a bound
+// variable (§18.5; an exact key always does), and only the unmarked left
+// rows are emitted, once both inputs have ended.
+func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters []sparql.Expression, mode joinMode, left, right BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
+	env = env.forExprs(ctx, filters...)
 	sharedIdx := make([]int, len(shared))
 	for i, v := range shared {
 		for c, w := range outVars {
@@ -195,14 +209,23 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 				}
 				ids[c] = v
 			}
+			lr := mr
+			if mine != la {
+				lr = or
+			}
+			if mode == antiJoin {
+				for _, c := range sharedIdx {
+					if mine.cols[c][mr] != rdf.NoTerm && other.cols[c][or] != rdf.NoTerm {
+						la.matched[lr] = true
+						break
+					}
+				}
+				return
+			}
 			if rr != nil && !holds(env, rr.rowOf(env, ids), filters...) {
 				return
 			}
-			if outer {
-				lr := mr
-				if mine != la {
-					lr = or
-				}
+			if mode == leftJoin {
 				la.matched[lr] = true
 			}
 			var prov []rdf.TermID
@@ -222,7 +245,7 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 			var first int32
 			first, slots = mine.insertBatch(b, cmap, sharedIdx, &la.keys, slots)
 			putBatch(b)
-			if outer && mine == la {
+			if mode != innerJoin && mine == la {
 				n := len(la.matched)
 				la.matched = slices.Grow(la.matched, len(slots))[:n+len(slots)]
 				clear(la.matched[n:])
@@ -285,7 +308,7 @@ func batchJoin(ctx context.Context, env *Env, outVars, shared []string, filters 
 				return
 			}
 		}
-		if outer && !aborted && ctx.Err() == nil {
+		if mode != innerJoin && !aborted && ctx.Err() == nil {
 			for r := int32(0); r < la.n && !aborted; r++ {
 				if la.matched[r] {
 					continue

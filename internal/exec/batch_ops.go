@@ -7,7 +7,6 @@ import (
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/rdf"
-	"ltqp/internal/resource"
 	"ltqp/internal/sparql"
 )
 
@@ -20,34 +19,32 @@ func EvalBatch(ctx context.Context, op algebra.Operator, env *Env) BatchStream {
 // evalBatch is EvalBatch for a consumer that, when keep is not nil, reads
 // only the variables in keep and under set semantics: it needs every
 // distinct combination of their values, not every solution. DISTINCT sets
-// it; a projection of plain variables, a filter and a union pass it on,
-// widened by what they read themselves, and a basic graph pattern uses it
-// to skip partial rows that could only repeat such a combination. Every
-// other operator evaluates its inputs in full.
+// it; a projection, a filter and a union pass it on, widened by what they
+// read themselves, and a basic graph pattern uses it to skip partial rows
+// that could only repeat such a combination. Every other operator evaluates
+// its inputs in full.
 func evalBatch(ctx context.Context, op algebra.Operator, env *Env, keep []string) BatchStream {
 	switch x := op.(type) {
 	case algebra.Unit:
-		return batchMaterialize(ctx, env, nil, false, func([][]rdf.Binding) []rdf.Binding { return []rdf.Binding{{}} })
+		return batchMaterialize(ctx, env, nil, false, func() []rdf.Binding { return []rdf.Binding{{}} })
 	case algebra.Values:
-		return batchMaterialize(ctx, env, x.Variables, false, func([][]rdf.Binding) []rdf.Binding { return x.Rows })
+		return batchMaterialize(ctx, env, x.Variables, false, func() []rdf.Binding { return x.Rows })
 	case algebra.Pattern, algebra.Join:
 		if s, ok := evalBGP(ctx, env, op, keep); ok {
 			return s
 		}
 		return tracedBatch(ctx, env, "join", nil, func(ctx context.Context) BatchStream {
 			j := op.(algebra.Join)
-			return batchJoin(ctx, env, j.Vars(), algebra.SharedVars(j.Left, j.Right), nil, false,
+			return batchJoin(ctx, env, j.Vars(), algebra.SharedVars(j.Left, j.Right), nil, innerJoin,
 				EvalBatch(ctx, j.Left, env), EvalBatch(ctx, j.Right, env))
 		})
 	case algebra.PathPattern:
 		return tracedBatch(ctx, env, "path", func() string { return algebra.String(x) }, func(ctx context.Context) BatchStream {
-			return batchMaterialize(ctx, env, x.Vars(), true, func([][]rdf.Binding) []rdf.Binding {
-				return evalPathSnapshot(env, x)
-			})
+			return batchMaterialize(ctx, env, x.Vars(), true, func() []rdf.Binding { return evalPathSnapshot(env, x) })
 		})
 	case algebra.LeftJoin:
 		return tracedBatch(ctx, env, "leftjoin", nil, func(ctx context.Context) BatchStream {
-			return batchJoin(ctx, env, x.Vars(), algebra.SharedVars(x.Left, x.Right), x.Filters, true,
+			return batchJoin(ctx, env, x.Vars(), algebra.SharedVars(x.Left, x.Right), x.Filters, leftJoin,
 				EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
 		})
 	case algebra.Union:
@@ -55,19 +52,18 @@ func evalBatch(ctx context.Context, op algebra.Operator, env *Env, keep []string
 			return batchUnion(ctx, evalBatch(ctx, x.Left, env, keep), evalBatch(ctx, x.Right, env, keep))
 		})
 	case algebra.Minus:
+		shared := algebra.SharedVars(x.Left, x.Right)
+		if len(shared) == 0 { // no right row can share a variable with a left row (§18.5)
+			return EvalBatch(ctx, x.Left, env)
+		}
 		return tracedBatch(ctx, env, "minus", nil, func(ctx context.Context) BatchStream {
-			return batchMaterialize(ctx, env, x.Vars(), false, func(in [][]rdf.Binding) []rdf.Binding {
-				return minusRows(in[0], in[1])
-			}, EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
+			return batchJoin(ctx, env, x.Vars(), shared, nil, antiJoin,
+				EvalBatch(ctx, x.Left, env), EvalBatch(ctx, x.Right, env))
 		})
 	case algebra.Filter:
-		if exprContainsExists(x.Expr) {
-			// EXISTS is non-monotonic: the filter holds its input until the
-			// store has closed, so no later-arriving triple can invalidate
-			// its answer.
-			return batchMaterialize(ctx, env, x.Vars(), true, func(in [][]rdf.Binding) []rdf.Binding {
-				return filterRows(env, x.Expr, in[0])
-			}, EvalBatch(ctx, x.Input, env))
+		if eachExists(x.Expr, nil) {
+			// The substituted pattern reads the whole row.
+			keep = nil
 		}
 		if keep != nil {
 			vars := map[string]bool{}
@@ -82,20 +78,10 @@ func evalBatch(ctx context.Context, op algebra.Operator, env *Env, keep []string
 	case algebra.Extend:
 		return batchExtend(ctx, env, x.Var, x.Expr, EvalBatch(ctx, x.Input, env))
 	case algebra.Project:
-		if len(x.Items) == 0 {
-			return evalBatch(ctx, x.Input, env, keep)
-		}
 		if keep != nil {
-			keep = make([]string, len(x.Items))
-			for i, item := range x.Items {
-				if item.Expr != nil {
-					keep = nil
-					break
-				}
-				keep[i] = item.Var
-			}
+			keep = x.Names
 		}
-		return batchProject(ctx, env, x.Items, evalBatch(ctx, x.Input, env, keep))
+		return batchProject(ctx, x.Names, evalBatch(ctx, x.Input, env, keep))
 	case algebra.Distinct:
 		return tracedBatch(ctx, env, "distinct", nil, func(ctx context.Context) BatchStream {
 			return batchDedup(ctx, env, x.Input.Vars(), true, evalBatch(ctx, x.Input, env, x.Input.Vars()))
@@ -110,12 +96,7 @@ func evalBatch(ctx context.Context, op algebra.Operator, env *Env, keep []string
 		return batchSlice(ctx, env, x)
 	case algebra.Group:
 		return tracedBatch(ctx, env, "group", nil, func(ctx context.Context) BatchStream {
-			if vectorizableGroup(x) {
-				return batchGroup(ctx, x, env)
-			}
-			return batchMaterialize(ctx, env, x.Vars(), false, func(in [][]rdf.Binding) []rdf.Binding {
-				return groupRows(env, x, in[0])
-			}, EvalBatch(ctx, x.Input, env))
+			return batchGroup(ctx, x, env)
 		})
 	}
 	out := make(chan *Batch)
@@ -123,36 +104,39 @@ func evalBatch(ctx context.Context, op algebra.Operator, env *Env, keep []string
 	return out
 }
 
-// batchMaterialize is the one operator for the blocking operators the
-// pipeline has no columnar form of (MINUS, property paths, the GROUP BY
-// shapes the columnar grouping does not take, FILTER with EXISTS),
-// and with no inputs the source for VALUES and Unit. It drains its inputs,
-// decoding rows with their provenance and charging them to the ledger while
-// held, waits for the store to close when wait is set, runs the reference's
-// row function for the operator, and encodes the result into batches over
-// vars.
-func batchMaterialize(ctx context.Context, env *Env, vars []string, wait bool, fn func(in [][]rdf.Binding) []rdf.Binding, ins ...BatchStream) BatchStream {
+// batchMaterialize is the row source for VALUES, Unit and property paths:
+// it waits for the store to close when wait is set, then interns rows()
+// into batches over vars (an absent variable is NoTerm), which carry no
+// provenance.
+func batchMaterialize(ctx context.Context, env *Env, vars []string, wait bool, rows func() []rdf.Binding) BatchStream {
 	out := make(chan *Batch, batchChanCap)
 	go func() {
 		defer close(out)
-		rows := make([][]rdf.Binding, len(ins))
-		var charged int64
-		defer func() { env.Ledger.Release(resource.Exec, charged) }()
-		for i, in := range ins {
-			for b := range in {
-				if ctx.Err() == nil {
-					for li := 0; li < b.Len(); li++ {
-						rows[i] = append(rows[i], decodeRow(env, b, b.Row(li)))
-					}
-				}
-				putBatch(b)
-			}
-			charged += env.chargeBuffered(rows[i])
-		}
-		if ctx.Err() != nil || wait && env.Store.WaitClosed(ctx) != nil {
+		if wait && env.Store.WaitClosed(ctx) != nil {
 			return
 		}
-		encodeRows(ctx, env, out, vars, fn(rows))
+		var b *Batch
+		for _, row := range rows() {
+			if b == nil {
+				b = env.getBatch(vars, false)
+			}
+			for c, v := range vars {
+				var id rdf.TermID
+				if t, ok := row[v]; ok {
+					id = env.dict.Intern(t)
+				}
+				b.cols[c] = append(b.cols[c], id)
+			}
+			if b.n++; b.n == batchCap {
+				if !sendBatch(ctx, out, b) {
+					return
+				}
+				b = nil
+			}
+		}
+		if b != nil {
+			sendBatch(ctx, out, b)
+		}
 	}()
 	return out
 }
@@ -200,32 +184,30 @@ func batchSlice(ctx context.Context, env *Env, s algebra.Slice) BatchStream {
 	return out
 }
 
-// exprContainsExists reports whether the expression contains EXISTS.
-func exprContainsExists(e sparql.Expression) bool {
+// eachExists calls fn, when not nil, on every EXISTS in e outside another
+// EXISTS's pattern, and reports whether there is one.
+func eachExists(e sparql.Expression, fn func(sparql.ExprExists)) bool {
+	var args []sparql.Expression
 	switch x := e.(type) {
 	case sparql.ExprExists:
+		if fn != nil {
+			fn(x)
+		}
 		return true
 	case sparql.ExprBinary:
-		return exprContainsExists(x.L) || exprContainsExists(x.R)
+		args = []sparql.Expression{x.L, x.R}
 	case sparql.ExprUnary:
-		return exprContainsExists(x.X)
+		args = []sparql.Expression{x.X}
 	case sparql.ExprCall:
-		for _, a := range x.Args {
-			if exprContainsExists(a) {
-				return true
-			}
-		}
+		args = x.Args
 	case sparql.ExprIn:
-		if exprContainsExists(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if exprContainsExists(a) {
-				return true
-			}
-		}
+		args = append([]sparql.Expression{x.X}, x.List...)
 	}
-	return false
+	found := false
+	for _, a := range args {
+		found = eachExists(a, fn) || found
+	}
+	return found
 }
 
 // rowReader decodes the columns an expression needs from a batch into a
@@ -247,7 +229,7 @@ type rowReader struct {
 func newRowReader(exprs ...sparql.Expression) *rowReader {
 	need := map[string]bool{}
 	for _, e := range exprs {
-		if exprContainsExists(e) {
+		if eachExists(e, nil) {
 			return &rowReader{scratch: rdf.Binding{}}
 		}
 		sparql.ExprVars(e, need)
@@ -318,10 +300,10 @@ func compactSel(b *Batch, keep func(r int32) bool) {
 // batchFilter applies a FILTER vectorized: per batch it evaluates the
 // expression over the live rows and narrows the selection vector; the batch
 // itself (columns, provenance) is forwarded untouched. An evaluation error
-// drops the row, never the stream. A filter with EXISTS does not come here
-// (see EvalBatch).
+// drops the row, never the stream.
 func batchFilter(ctx context.Context, env *Env, expr sparql.Expression, in BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
+	env = env.forExprs(ctx, expr)
 	go func() {
 		defer close(out)
 		defer discard(in)
@@ -352,6 +334,7 @@ func batchFilter(ctx context.Context, env *Env, expr sparql.Expression, in Batch
 // leaves the variable as it was, a conflicting rebind drops the row.
 func batchExtend(ctx context.Context, env *Env, name string, expr sparql.Expression, in BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
+	env = env.forExprs(ctx, expr)
 	go func() {
 		defer close(out)
 		defer discard(in)
@@ -423,63 +406,44 @@ func batchExtend(ctx context.Context, env *Env, name string, expr sparql.Express
 	return out
 }
 
-// batchProject narrows batches to the projected variables by gathering the
-// kept columns into a fresh batch (whole-slab copies when no selection
-// vector is set), then fills each expression item's column by evaluating it
-// over the input row (an evaluation error leaves it unbound). SELECT * is a
-// passthrough in EvalBatch.
-func batchProject(ctx context.Context, env *Env, items []sparql.SelectItem, in BatchStream) BatchStream {
+// batchProject narrows batches to vars in place: it moves the kept column
+// slabs to the front in the projection's order, parks the dropped ones past
+// len(cols), where the pool finds them, and gives an absent variable a
+// NoTerm column and a variable named twice a copy of its column.
+func batchProject(ctx context.Context, vars []string, in BatchStream) BatchStream {
 	out := make(chan *Batch, batchChanCap)
-	vars := make([]string, len(items))
-	var exprs []sparql.Expression
-	for i, item := range items {
-		vars[i] = item.Var
-		if item.Expr != nil {
-			exprs = append(exprs, item.Expr)
-		}
-	}
 	go func() {
 		defer close(out)
 		defer discard(in)
-		var rr *rowReader
-		if exprs != nil {
-			rr = newRowReader(exprs...)
-		}
+		var held [8][]rdf.TermID // the input's slabs, on the stack for most schemas
+		slabs := held[:0]
 		for {
 			select {
 			case b, ok := <-in:
 				if !ok {
 					return
 				}
+				slabs = append(slabs[:0], b.cols[:cap(b.cols)]...)
 				src := schemaMap(b.vars, vars)
-				for c, item := range items {
-					if item.Expr != nil {
-						src[c] = -1
+				b.cols = b.cols[:0]
+				for i, j := range src {
+					switch first := slices.Index(src, j); {
+					case j < 0:
+						b.cols = append(b.cols, make([]rdf.TermID, b.n))
+					case first < i:
+						b.cols = append(b.cols, slices.Clone(b.cols[first]))
+					default:
+						b.cols, slabs[j] = append(b.cols, slabs[j]), nil
 					}
 				}
-				nb := env.getBatch(vars, b.prov != nil)
-				nb.prov = appendLive(nb.cols, nb.prov, b.prov != nil, b, src, 0, b.Len())
-				nb.n = b.Len()
-				if exprs != nil {
-					rr.bind(b.vars)
-					for i := 0; i < b.Len(); i++ {
-						row := rr.row(env, b, b.Row(i))
-						for c, item := range items {
-							if item.Expr == nil {
-								continue
-							}
-							if v, err := evalExpr(env, item.Expr, row); err == nil {
-								nb.cols[c][i] = env.dict.Intern(v)
-							}
-						}
+				for _, s := range slabs {
+					if s != nil {
+						b.cols = append(b.cols, s)
 					}
 				}
-				putBatch(b)
-				if nb.Len() == 0 {
-					putBatch(nb)
-					continue
-				}
-				if !sendBatch(ctx, out, nb) {
+				clear(b.cols[len(b.cols):cap(b.cols)]) // no slab twice
+				b.cols, b.vars = b.cols[:len(vars)], vars
+				if !sendBatch(ctx, out, b) {
 					return
 				}
 			case <-ctx.Done():

@@ -30,7 +30,7 @@ func batchOrderBy(ctx context.Context, env *Env, vars []string, conds []sparql.O
 			exprs = append(exprs, c.Expr)
 		}
 	}
-	wait := slices.ContainsFunc(exprs, exprContainsExists)
+	env = env.forExprs(ctx, exprs...)
 	go func() {
 		defer close(out)
 		withProv := env.Prov != nil
@@ -67,9 +67,7 @@ func batchOrderBy(ctx context.Context, env *Env, vars []string, conds []sparql.O
 			env.Ledger.Charge(resource.Exec, int64(b.Len())*keyRowBytes)
 			putBatch(b)
 		}
-		// An EXISTS key reads the store: like FILTER EXISTS, it waits for
-		// the store to close so no later triple can change a key.
-		if ctx.Err() != nil || wait && env.Store.WaitClosed(ctx) != nil {
+		if ctx.Err() != nil {
 			return
 		}
 

@@ -278,7 +278,7 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int) {
 	shared := algebra.SharedVars(valuesL, valuesR)
 	want = canon(outVars, Reference(join, rig.env))
 	checkOp(t, rig, "join", outVars, want, func() BatchStream {
-		return batchJoin(ctx, rig.env, outVars, shared, nil, false, streamOf(left), streamOf(right))
+		return batchJoin(ctx, rig.env, outVars, shared, nil, innerJoin, streamOf(left), streamOf(right))
 	})
 
 	// OPTIONAL with a filter over the merged row: matched flags are set by
@@ -286,25 +286,31 @@ func testBatchOpsOnce(t *testing.T, seed int64, lo, hi, maxBatches int) {
 	lj := algebra.LeftJoin{Left: valuesL, Right: valuesR, Filters: []sparql.Expression{rig.randExprOver(outVars)}}
 	want = canon(outVars, Reference(lj, rig.env))
 	checkOp(t, rig, "leftjoin", outVars, want, func() BatchStream {
-		return batchJoin(ctx, rig.env, outVars, shared, lj.Filters, true, streamOf(left), streamOf(right))
+		return batchJoin(ctx, rig.env, outVars, shared, lj.Filters, leftJoin, streamOf(left), streamOf(right))
 	})
 
-	// GROUP BY on the columnar path: groups come out in first-seen order,
-	// as groupRows emits them, so the two agree as a sequence.
+	// MINUS: NoTerm holes make right rows that share no bound variable with
+	// a left row, which must not remove it.
+	want = canon(schemaL, Reference(algebra.Minus{Left: valuesL, Right: valuesR}, rig.env))
+	checkOp(t, rig, "minus", schemaL, want, func() BatchStream {
+		return batchJoin(ctx, rig.env, schemaL, shared, nil, antiJoin, streamOf(left), streamOf(right))
+	})
+
+	// GROUP BY: groups come out in first-seen order and each aggregate
+	// reads its group's rows in input order, as groupRows does, so the two
+	// agree as a sequence, SAMPLE and GROUP_CONCAT included.
 	arg := func(v string) []sparql.Expression { return []sparql.Expression{sparql.ExprVar{Name: v}} }
-	by := [][]sparql.GroupCondition{nil, {{Var: "a"}}, {{Var: "a"}, {Var: "b"}}, {{Var: "a"}, {Var: "b"}, {Var: "c"}}}
+	by := [][]string{nil, {"a"}, {"a", "b"}, {"a", "b", "c"}}
 	group := algebra.Group{Input: valuesL, By: by[rig.r.Intn(len(by))], Items: []sparql.SelectItem{
 		{Var: "n", Expr: sparql.ExprCall{Func: "COUNT", Star: true}},
+		{Var: "nd", Expr: sparql.ExprCall{Func: "COUNT", Distinct: true, Star: true}},
 		{Var: "nb", Expr: sparql.ExprCall{Func: "COUNT", Distinct: true, Args: arg("b")}},
 		{Var: "lo", Expr: sparql.ExprCall{Func: "MIN", Args: arg("c")}},
 		{Var: "sum", Expr: sparql.ExprCall{Func: "SUM", Args: arg("c")}},
+		{Var: "any", Expr: sparql.ExprCall{Func: "SAMPLE", Args: arg("b")}},
+		{Var: "cat", Expr: sparql.ExprCall{Func: "GROUP_CONCAT", Args: arg("c"), Sep: ","}},
+		{Var: "catd", Expr: sparql.ExprCall{Func: "GROUP_CONCAT", Distinct: true, Args: arg("a")}},
 	}}
-	for _, c := range group.By {
-		group.Items = append(group.Items, sparql.SelectItem{Var: c.Var})
-	}
-	if !vectorizableGroup(group) {
-		t.Fatal("group: not on the columnar path")
-	}
 	groupVars := group.Vars()
 	checkRows(t, "group", render(groupVars, groupRows(rig.env, group, leftRows)),
 		render(groupVars, collect(batchesToRows(ctx, rig.env, batchGroup(ctx, group, rig.env)))))
@@ -412,7 +418,7 @@ func TestOrderByMatchesReference(t *testing.T) {
 		conds := rig.randOrderConds(schema)
 		order := algebra.OrderBy{Input: values, Conds: conds}
 		offset, limit := rig.r.Intn(5), rig.r.Intn(25)
-		proj := []sparql.SelectItem{{Var: "a"}, {Var: schema[1+rig.r.Intn(2)]}}
+		proj := []string{"a", schema[1+rig.r.Intn(2)]}
 
 		check := func(name string, vars []string, op algebra.Operator, got []rdf.Binding) {
 			t.Helper()
@@ -426,12 +432,12 @@ func TestOrderByMatchesReference(t *testing.T) {
 		slice := algebra.Slice{Input: order, Offset: offset, Limit: limit}
 		check("slice", schema, slice, collect(Eval(ctx, slice, rig.env)))
 		for name, op := range map[string]algebra.Operator{
-			"slice-project": algebra.Slice{Input: algebra.Project{Input: order, Items: proj}, Offset: offset, Limit: limit},
-			"slice-distinct": algebra.Slice{Input: algebra.Distinct{Input: algebra.Project{Input: order, Items: proj}},
+			"slice-project": algebra.Slice{Input: algebra.Project{Input: order, Names: proj}, Offset: offset, Limit: limit},
+			"slice-distinct": algebra.Slice{Input: algebra.Distinct{Input: algebra.Project{Input: order, Names: proj}},
 				Offset: offset, Limit: limit},
-			"distinct": algebra.Distinct{Input: algebra.Project{Input: order, Items: proj}},
+			"distinct": algebra.Distinct{Input: algebra.Project{Input: order, Names: proj}},
 		} {
-			check(name, []string{proj[0].Var, proj[1].Var}, op, collect(Eval(ctx, op, rig.env)))
+			check(name, proj, op, collect(Eval(ctx, op, rig.env)))
 		}
 		for _, b := range batches {
 			putBatch(b)
@@ -600,17 +606,16 @@ func TestBGPMatchesReference(t *testing.T) {
 			chain = algebra.Filter{Input: chain, Expr: sparql.ExprBinary{Op: "!=",
 				L: sparql.ExprVar{Name: vars[r.Intn(len(vars))]}, R: sparql.ExprTerm{Term: terms[3+r.Intn(4)]}}}
 		}
-		var items []sparql.SelectItem
 		var kept []string
 		for _, v := range vars {
 			if r.Intn(2) == 0 {
-				items, kept = append(items, sparql.SelectItem{Var: v}), append(kept, v)
+				kept = append(kept, v)
 			}
 		}
-		if items == nil {
-			items, kept = []sparql.SelectItem{{Var: vars[0]}}, vars[:1]
+		if kept == nil {
+			kept = vars[:1]
 		}
-		dop := algebra.Distinct{Input: algebra.Project{Input: chain, Items: items}}
+		dop := algebra.Distinct{Input: algebra.Project{Input: chain, Names: kept}}
 		want = canon(kept, Reference(dop, cenv))
 		grown, _ = run(dop, true)
 		closed, _ = run(dop, false)

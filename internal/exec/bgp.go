@@ -111,13 +111,16 @@ func batchBGP(ctx context.Context, env *Env, vars, keep []string, pats []rdf.Qua
 		w := &bgpWriter{ctx: ctx, env: env, out: out, vars: vars, prov: tally != nil}
 		w.Flush = w.flush
 		defer func() { putBatch(w.ob) }()
+		// The charge is the evaluator's high-water mark: what it holds can
+		// shrink, and the ledger takes no negative charge.
 		var charged int64
 		defer func() { env.Ledger.Release(resource.Exec, charged) }()
 		for bgp.Next(ctx, &w.Rows) {
 			if env.Ledger != nil {
-				n := bgp.Bytes()
-				env.Ledger.Charge(resource.Exec, n-charged)
-				charged = n
+				if n := bgp.Bytes(); n > charged {
+					env.Ledger.Charge(resource.Exec, n-charged)
+					charged = n
+				}
 			}
 			if !w.send() {
 				return

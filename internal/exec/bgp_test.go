@@ -11,6 +11,7 @@ import (
 	"ltqp/internal/plan"
 	"ltqp/internal/rdf"
 	"ltqp/internal/resource"
+	"ltqp/internal/solidbench"
 	"ltqp/internal/sparql"
 	"ltqp/internal/store"
 )
@@ -57,7 +58,7 @@ func TestDistinctFilterReadsItsVariables(t *testing.T) {
 	}
 	st.Close()
 	a, b, c := rdf.NewVar("a"), rdf.NewVar("b"), rdf.NewVar("c")
-	op := algebra.Distinct{Input: algebra.Project{Items: []sparql.SelectItem{{Var: "c"}}, Input: algebra.Filter{
+	op := algebra.Distinct{Input: algebra.Project{Names: []string{"c"}, Input: algebra.Filter{
 		Expr: sparql.ExprBinary{Op: "!=", L: sparql.ExprVar{Name: "a"}, R: sparql.ExprTerm{Term: ex("a1")}},
 		Input: algebra.Join{
 			Left:  algebra.Pattern{Triple: rdf.NewTriple(a, ex("p"), b)},
@@ -70,56 +71,99 @@ func TestDistinctFilterReadsItsVariables(t *testing.T) {
 	}
 }
 
+// TestExistsRunsOpenNoSpans traces a NOT EXISTS filter over the closed
+// 12-person store: its pattern runs once per row, and none of those runs
+// adds a span to the query's trace.
+func TestExistsRunsOpenNoSpans(t *testing.T) {
+	st, _ := solidBenchStore()
+	op := testPlan(t, `SELECT ?m WHERE {
+  ?m <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t
+  FILTER NOT EXISTS { ?m <http://example.org/none> ?x }
+}`)
+	ctx, trace := obs.NewTrace(context.Background(), "query")
+	n := len(collect(Eval(ctx, op, NewEnv(st))))
+	trace.End()
+	if scans := trace.Root().Count("scan"); n == 0 || scans != 1 {
+		t.Errorf("%d rows and %d scan spans, want rows and one scan span, the outer pattern's", n, scans)
+	}
+}
+
 // TestPooledIndexChargesItsOwnFill: over a store that is still growing, a
 // basic graph pattern files its matches in pooled indexes, and the ledger
 // charges each query what it filled, not the capacity an earlier query grew
-// them to: Complex 1's join chain charges exec the same bytes alone and
-// after Discover 8.1. (The chain, not the whole query, and the bytes charged
-// in all, not the peak: how many batches are in flight at the peak, and how
-// many the ORDER BY sends before LIMIT cancels it, depend on scheduling.)
+// them to: Complex 1 charges exec the same bytes alone and after Discover
+// 8.1. (The bytes charged in all, not the peak: how many batches are in
+// flight at the peak depends on scheduling.)
 func TestPooledIndexChargesItsOwnFill(t *testing.T) {
 	_, ds := solidBenchStore()
-	var complex1 string
-	for _, q := range ds.ComplexQueries() {
-		if strings.HasPrefix(q.Name, "Complex 1:") {
-			complex1 = q.Text
-		}
-	}
-	plans := make([]algebra.Operator, 3)
-	for i, query := range []string{complex1, ds.Discover(8, 1).Text, complex1} {
-		parsed, err := sparql.ParseQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, err := algebra.Translate(parsed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[i] = plan.New(parsed.MentionedIRIs()).Optimize(op)
-	}
-	// slice(project(orderby(join(...)))): keep Complex 1's join chain.
-	for _, i := range []int{0, 2} {
-		plans[i] = plans[i].(algebra.Slice).Input.(algebra.Project).Input.(algebra.OrderBy).Input
-	}
-	stores := make([]*store.Store, len(plans))
+	queries := []string{complex1(ds), ds.Discover(8, 1).Text, complex1(ds)}
+	stores := make([]*store.Store, len(queries))
 	for i := range stores {
 		stores[i] = openStore(ds)
 	}
 	// No collection while the queries run: it would empty the pool between
 	// them, and each would start from fresh indexes.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	charged := make([]int64, len(plans))
-	for i, op := range plans {
+	charged := make([]int64, len(queries))
+	for i, query := range queries {
 		env := NewEnv(stores[i])
 		env.Ledger = resource.New(1, "", 0)
-		rows := Eval(context.Background(), op, env)
+		rows := Eval(context.Background(), workloadPlan(t, query), env)
 		stores[i].Close() // after the operators saw the store open
 		if len(collect(rows)) == 0 {
-			t.Fatalf("no answers to %s", algebra.String(op))
+			t.Fatalf("no answers to %s", query)
 		}
 		charged[i] = env.Ledger.ChargedBy(resource.Exec)
 	}
 	if charged[2] != charged[0] {
-		t.Errorf("Complex 1's join chain charged exec %d bytes after Discover 8.1, %d alone", charged[2], charged[0])
+		t.Errorf("Complex 1 charged exec %d bytes after Discover 8.1, %d alone", charged[2], charged[0])
 	}
+}
+
+// TestLimitChargesTheSameEveryRun runs Complex 1 (ORDER BY, a projection,
+// LIMIT 20) twelve times over the closed store and wants exec charged the
+// same bytes in every run: the projection forwards ORDER BY's batches
+// instead of building its own, so how far LIMIT's cancellation has got when
+// ORDER BY's second batch arrives does not change the charge.
+func TestLimitChargesTheSameEveryRun(t *testing.T) {
+	st, ds := solidBenchStore()
+	op := workloadPlan(t, complex1(ds))
+	var first int64
+	for i := 0; i < 12; i++ {
+		env := NewEnv(st)
+		env.Ledger = resource.New(1, "", 0)
+		if n := len(collect(Eval(context.Background(), op, env))); n != 20 {
+			t.Fatalf("run %d: %d answers, want 20", i, n)
+		}
+		charged := env.Ledger.ChargedBy(resource.Exec)
+		if i == 0 {
+			first = charged
+		} else if charged != first {
+			t.Fatalf("run %d charged exec %d bytes, the first run %d", i, charged, first)
+		}
+	}
+}
+
+// workloadPlan plans a query as the complex_exec workload does.
+func workloadPlan(t *testing.T, query string) algebra.Operator {
+	t.Helper()
+	parsed, err := sparql.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := algebra.Translate(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.New(parsed.MentionedIRIs()).Optimize(op)
+}
+
+// complex1 returns the text of Complex 1 over ds.
+func complex1(ds *solidbench.Dataset) string {
+	for _, q := range ds.ComplexQueries() {
+		if strings.HasPrefix(q.Name, "Complex 1:") {
+			return q.Text
+		}
+	}
+	panic("no Complex 1")
 }

@@ -198,8 +198,8 @@ SELECT ?n WHERE { ?s ex:q ?n } ORDER BY ?n OFFSET 1`,
 		},
 	}
 	// EXISTS over MINUS, GROUP BY, ORDER BY + LIMIT, REDUCED and a
-	// filtered OPTIONAL: the reference evaluator EXISTS runs must handle
-	// every operator the pipeline does.
+	// filtered OPTIONAL: every operator runs with the outer row substituted
+	// into it, in the pipeline and in the reference.
 	all := []string{"?s=" + ex("s1"), "?s=" + ex("s2"), "?s=" + ex("s3")}
 	for _, c := range []struct {
 		name, inner string
@@ -235,6 +235,61 @@ SELECT ?s (EXISTS { SELECT * WHERE { ?s ex:label ?l } } AS ?b) WHERE { ?s ex:p ?
 			`?b="false"^^<http://www.w3.org/2001/XMLSchema#boolean> ?s=` + ex("s3"),
 			`?b="true"^^<http://www.w3.org/2001/XMLSchema#boolean> ?s=` + ex("s2"),
 		},
+	})
+	// SPARQL 1.1 §8.3.3: the outer row is substituted into the EXISTS
+	// pattern, inner FILTER included, while MINUS evaluates its right side
+	// on its own, where ?n is unbound.
+	const spec833 = `
+@prefix : <http://example/> .
+:a :p 1 . :a :q 1 , 2 .
+:b :p 3.0 . :b :q 4.0 , 5.0 .
+`
+	dec := func(s string) string { return `"` + s + `"^^<http://www.w3.org/2001/XMLSchema#decimal>` }
+	a := "?n=" + intLit("1") + " ?x=<http://example/a>"
+	b := "?n=" + dec("3.0") + " ?x=<http://example/b>"
+	cases = append(cases, conformanceCase{
+		name: "not exists substitutes into an inner filter",
+		data: spec833,
+		query: `PREFIX : <http://example/>
+SELECT * WHERE { ?x :p ?n FILTER NOT EXISTS { ?x :q ?m . FILTER(?n = ?m) } }`,
+		want: []string{b},
+	}, conformanceCase{
+		name: "minus does not see the left row in an inner filter",
+		data: spec833,
+		query: `PREFIX : <http://example/>
+SELECT * WHERE { ?x :p ?n MINUS { ?x :q ?m . FILTER(?n = ?m) } }`,
+		want: []string{a, b},
+	}, conformanceCase{
+		// §18.6: substitution reaches a nested EXISTS too, so its
+		// pattern sees ?n of the outermost row.
+		name: "nested not exists sees the outer row",
+		data: `@prefix : <http://example/> .
+:a :p 1 ; :q 1 .
+:b :p 2 ; :q 1 .
+`,
+		query: `PREFIX : <http://example/>
+SELECT ?x WHERE { ?x :p ?n FILTER EXISTS { ?x :q ?m FILTER NOT EXISTS { ?x :q ?n } } }`,
+		want: []string{"?x=<http://example/b>"},
+	}, conformanceCase{
+		// §18.2.4.4: select expressions extend the solutions in order,
+		// before ORDER BY, so a later one and the sort see an earlier one.
+		name: "select expressions bind before order by",
+		data: confData,
+		query: `PREFIX ex: <http://example.org/>
+SELECT ?s (-?q AS ?neg) (?neg + 10 AS ?r) WHERE { ?s ex:q ?q } ORDER BY ?neg LIMIT 1`,
+		want: []string{"?neg=" + intLit("-2") + " ?r=" + intLit("8") + " ?s=" + ex("s2")},
+	}, conformanceCase{
+		name: "variable projected twice",
+		data: confData,
+		query: `PREFIX ex: <http://example.org/>
+SELECT ?s ?n ?s WHERE { ?s ex:p ex:o1 OPTIONAL { ?s ex:q ?n } }`,
+		want: []string{"?n=" + intLit("1") + " ?s=" + ex("s1"), "?s=" + ex("s3")},
+	}, conformanceCase{
+		name: "distinct variable projected twice",
+		data: confData,
+		query: `PREFIX ex: <http://example.org/>
+SELECT DISTINCT ?o ?o WHERE { ?s ex:p ?o }`,
+		want: []string{"?o=" + ex("o1"), "?o=" + ex("o2")},
 	})
 
 	for _, c := range cases {

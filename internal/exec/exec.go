@@ -1,5 +1,5 @@
 // Package exec implements the physical, pipelined execution of logical
-// plans over the growing triple source. EvalBatch is the one dispatcher:
+// plans over the growing triple source. EvalBatch is the one executor:
 // every operator is one goroutine, owning its state, exchanging batches of
 // dictionary term IDs over channels, and Eval decodes the root's batches
 // into bindings. No operator splits its work across further goroutines.
@@ -7,12 +7,14 @@
 // matches, unions, filters, binds, projections, distinct, LIMIT) emit
 // solutions incrementally while traversal is still dereferencing documents,
 // which is what lets first results appear long before the link queue
-// drains. Blocking operators (ORDER BY, GROUP BY, MINUS, transitive property
-// paths, EXISTS filters, the bare-row phase of OPTIONAL) wait for their
-// inputs to end or the store to close.
+// drains. Blocking operators wait for their inputs to end (ORDER BY, GROUP
+// BY, MINUS, the bare-row phase of OPTIONAL) or for the store to close
+// (property paths, and every expression with EXISTS, which waits in
+// evalExists and then runs its pattern through EvalBatch).
 //
-// Reference is the materialising evaluator over a closed store: EXISTS runs
-// it, and it is the oracle the pipeline is tested against.
+// Reference is a materialising evaluator over a closed store with an
+// implementation of its own for every operator: it is the oracle the
+// pipeline is tested against, and production never calls it.
 package exec
 
 import (
@@ -24,6 +26,7 @@ import (
 	"ltqp/internal/obs"
 	"ltqp/internal/rdf"
 	"ltqp/internal/resource"
+	"ltqp/internal/sparql"
 	"ltqp/internal/store"
 )
 
@@ -60,35 +63,53 @@ type Env struct {
 	// operators (join, DISTINCT, OPTIONAL bookkeeping) key on packed term
 	// IDs from it instead of rendering lexical strings.
 	dict *rdf.Dict
+	// ctx stops the pattern runs of EXISTS: it is cancelled with the
+	// context of the operator whose expressions this copy of the env
+	// evaluates (see forExprs), and carries no trace.
+	ctx context.Context
+	// oracle makes EXISTS run its pattern with Reference (see Reference).
+	oracle bool
+	// outer is the row an enclosing EXISTS substituted into the pattern
+	// this env runs: a nested EXISTS substitutes it too (§18.6).
+	outer rdf.Binding
+	// q is the state every copy of one query's env shares.
+	q *queryState
+}
 
+// queryState is the mutable part of a query's environment.
+type queryState struct {
 	mu     sync.Mutex
 	bnodeN int
 	randN  uint64
+	// exists holds the operator of every EXISTS pattern translated so far,
+	// by the pattern's identity (see existsOp).
+	exists map[any]algebra.Operator
 }
 
 // NewEnv returns an environment over the given source with a fixed NOW()
 // value.
 func NewEnv(src *store.Store) *Env {
 	now := rdf.NewTypedLiteral("2024-03-25T00:00:00Z", rdf.XSDDateTime)
-	return &Env{Store: src, Now: func() rdf.Term { return now }, dict: src.Dict(), randN: 0x9E3779B97F4A7C15}
+	return &Env{Store: src, Now: func() rdf.Term { return now }, dict: src.Dict(), ctx: context.Background(),
+		q: &queryState{randN: 0x9E3779B97F4A7C15}}
 }
 
 // freshBNode mints a unique blank node for BNODE().
 func (e *Env) freshBNode() rdf.Term {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.bnodeN++
-	return rdf.NewBlank("e.b" + strconv.Itoa(e.bnodeN))
+	e.q.mu.Lock()
+	defer e.q.mu.Unlock()
+	e.q.bnodeN++
+	return rdf.NewBlank("e.b" + strconv.Itoa(e.q.bnodeN))
 }
 
 // nextRand returns a deterministic pseudo-random float in [0,1) for RAND().
 func (e *Env) nextRand() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.randN ^= e.randN << 13
-	e.randN ^= e.randN >> 7
-	e.randN ^= e.randN << 17
-	return float64(e.randN>>11) / float64(1<<53)
+	e.q.mu.Lock()
+	defer e.q.mu.Unlock()
+	e.q.randN ^= e.q.randN << 13
+	e.q.randN ^= e.q.randN >> 7
+	e.q.randN ^= e.q.randN << 17
+	return float64(e.q.randN>>11) / float64(1<<53)
 }
 
 // Eval evaluates a logical operator into a stream of bindings: the batch
@@ -98,18 +119,21 @@ func Eval(ctx context.Context, op algebra.Operator, env *Env) Stream {
 	return batchesToRows(ctx, env, EvalBatch(ctx, op, env))
 }
 
-// chargeBuffered bills the environment's ledger (resource.Exec) for rows a
-// blocking operator has materialized — an estimated map-plus-entries
-// footprint per binding. It returns the charged amount, which the caller
-// releases when the buffer is dropped. Nil env or ledger charges nothing.
-func (e *Env) chargeBuffered(rows []rdf.Binding) int64 {
-	if e == nil || e.Ledger == nil || len(rows) == 0 {
-		return 0
+// forExprs returns the env for an operator under ctx that evaluates exprs:
+// e itself, or, when they have an EXISTS, a copy whose EXISTS runs stop
+// with ctx but open no spans under its trace. It translates their EXISTS
+// patterns now, as the operator is built.
+func (e *Env) forExprs(ctx context.Context, exprs ...sparql.Expression) *Env {
+	found := false
+	for _, x := range exprs {
+		found = eachExists(x, func(x sparql.ExprExists) { e.existsOp(x) }) || found
 	}
-	var n int64
-	for _, b := range rows {
-		n += 64 + int64(len(b))*96
+	if !found {
+		return e
 	}
-	e.Ledger.Charge(resource.Exec, n)
-	return n
+	c := *e
+	var cancel context.CancelFunc
+	c.ctx, cancel = context.WithCancel(context.Background())
+	context.AfterFunc(ctx, cancel)
+	return &c
 }

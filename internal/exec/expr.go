@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/url"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,81 +190,166 @@ func evalIn(env *Env, x sparql.ExprIn, b rdf.Binding) (rdf.Term, error) {
 	return rdf.Boolean(found), nil
 }
 
-// evalExists evaluates EXISTS { pattern } by substituting the current
-// binding into the pattern and running the reference evaluator over the
-// store. Filters that contain EXISTS wait for the store to close first, so
-// the store is complete when it matters.
+// evalExists evaluates EXISTS { pattern } under b and the rows of the
+// EXISTS around it: it substitutes them into the pattern's operator and
+// runs that through the pipeline, reading until its first row. It waits
+// for the store to close first, so no later triple can change an answer:
+// this is the one gate for every expression EXISTS can appear in. The run
+// publishes no stage events or spans and carries no provenance; it charges
+// the query's ledger and releases the charge before it returns. The oracle
+// evaluates the pattern with Reference instead.
 func evalExists(env *Env, x sparql.ExprExists, b rdf.Binding) (rdf.Term, error) {
-	op, err := algebra.Translate(&sparql.Query{
-		Form:  sparql.FormSelect,
-		Where: toGroup(x.Pattern),
-		Limit: 1,
-	})
+	op, err := env.existsOp(x)
 	if err != nil {
 		return rdf.Term{}, typeErrf("EXISTS: %v", err)
 	}
-	found := len(Reference(substituteOp(op, b), env)) > 0
+	if env.outer != nil {
+		if m, ok := b.Merge(env.outer); ok {
+			b = m
+		}
+	}
+	op = substituteOp(op, b)
+	inner := *env
+	inner.outer = b
+	var found bool
+	if env.oracle {
+		found = len(Reference(op, &inner)) > 0
+	} else {
+		if err := env.Store.WaitClosed(env.ctx); err != nil {
+			return rdf.Term{}, err
+		}
+		inner.Events, inner.Prov = nil, nil
+		for bt := range EvalBatch(env.ctx, op, &inner) {
+			found = found || bt.Len() > 0
+			putBatch(bt)
+		}
+		if err := env.ctx.Err(); err != nil {
+			return rdf.Term{}, err
+		}
+	}
 	if x.Not {
 		found = !found
 	}
 	return rdf.Boolean(found), nil
 }
 
-func toGroup(p sparql.GraphPattern) *sparql.GroupPattern {
-	if g, ok := p.(sparql.GroupPattern); ok {
-		return &g
+// existsOp returns the operator of an EXISTS pattern, limited to one row.
+// It translates each pattern once per query, keyed by the identity of its
+// parsed elements or sub-select; a pattern built some other way is
+// translated at every call.
+func (e *Env) existsOp(x sparql.ExprExists) (algebra.Operator, error) {
+	var key any
+	switch p := x.Pattern.(type) {
+	case sparql.GroupPattern:
+		key = (*sparql.GraphPattern)(nil) // every empty group is the same
+		if len(p.Elements) > 0 {
+			key = &p.Elements[0]
+		}
+	case sparql.SubSelect:
+		key = p.Query
 	}
-	return &sparql.GroupPattern{Elements: []sparql.GraphPattern{p}}
+	e.q.mu.Lock()
+	defer e.q.mu.Unlock()
+	if op, ok := e.q.exists[key]; ok {
+		return op, nil
+	}
+	g, ok := x.Pattern.(sparql.GroupPattern)
+	if !ok {
+		g = sparql.GroupPattern{Elements: []sparql.GraphPattern{x.Pattern}}
+	}
+	op, err := algebra.Translate(&sparql.Query{Form: sparql.FormSelect, Where: &g, Limit: 1})
+	if err == nil && key != nil {
+		if e.q.exists == nil {
+			e.q.exists = map[any]algebra.Operator{}
+		}
+		e.q.exists[key] = op
+	}
+	return op, err
 }
 
-// substituteOp replaces bound variables with their values in patterns.
+// substituteOp replaces the variables b binds by their values in patterns
+// and expressions. Binding targets (an Extend's variable, group keys) stay
+// as they are; a nested EXISTS substitutes b when it runs (Env.outer).
 func substituteOp(op algebra.Operator, b rdf.Binding) algebra.Operator {
+	sub := func(t rdf.Term) rdf.Term {
+		if v, ok := b.Get(t.Value); ok && t.IsVar() {
+			return v
+		}
+		return t
+	}
 	switch x := op.(type) {
 	case algebra.Pattern:
-		graph := x.Graph
-		if graph.IsVar() {
-			if v, ok := b.Get(graph.Value); ok {
-				graph = v
-			}
-		}
-		return algebra.Pattern{Triple: x.Triple.Bind(b), Graph: graph}
+		return algebra.Pattern{Triple: x.Triple.Bind(b), Graph: sub(x.Graph)}
 	case algebra.PathPattern:
-		sub := func(t rdf.Term) rdf.Term {
-			if t.IsVar() {
-				if v, ok := b.Get(t.Value); ok {
-					return v
-				}
-			}
-			return t
-		}
 		return algebra.PathPattern{S: sub(x.S), O: sub(x.O), Path: x.Path}
 	case algebra.Join:
 		return algebra.Join{Left: substituteOp(x.Left, b), Right: substituteOp(x.Right, b)}
 	case algebra.LeftJoin:
-		return algebra.LeftJoin{Left: substituteOp(x.Left, b), Right: substituteOp(x.Right, b), Filters: x.Filters}
+		return algebra.LeftJoin{Left: substituteOp(x.Left, b), Right: substituteOp(x.Right, b), Filters: substituteExprs(x.Filters, b)}
 	case algebra.Union:
 		return algebra.Union{Left: substituteOp(x.Left, b), Right: substituteOp(x.Right, b)}
 	case algebra.Minus:
 		return algebra.Minus{Left: substituteOp(x.Left, b), Right: substituteOp(x.Right, b)}
 	case algebra.Filter:
-		return algebra.Filter{Input: substituteOp(x.Input, b), Expr: x.Expr}
+		return algebra.Filter{Input: substituteOp(x.Input, b), Expr: substituteExpr(x.Expr, b)}
 	case algebra.Extend:
-		return algebra.Extend{Input: substituteOp(x.Input, b), Var: x.Var, Expr: x.Expr}
+		return algebra.Extend{Input: substituteOp(x.Input, b), Var: x.Var, Expr: substituteExpr(x.Expr, b)}
 	case algebra.Slice:
 		return algebra.Slice{Input: substituteOp(x.Input, b), Offset: x.Offset, Limit: x.Limit}
 	case algebra.Project:
-		return algebra.Project{Input: substituteOp(x.Input, b), Items: x.Items}
+		return algebra.Project{Input: substituteOp(x.Input, b), Names: x.Names}
 	case algebra.Distinct:
 		return algebra.Distinct{Input: substituteOp(x.Input, b)}
 	case algebra.Reduced:
 		return algebra.Reduced{Input: substituteOp(x.Input, b)}
 	case algebra.OrderBy:
-		return algebra.OrderBy{Input: substituteOp(x.Input, b), Conds: x.Conds}
+		conds := slices.Clone(x.Conds)
+		for i := range conds {
+			conds[i].Expr = substituteExpr(conds[i].Expr, b)
+		}
+		return algebra.OrderBy{Input: substituteOp(x.Input, b), Conds: conds}
 	case algebra.Group:
-		return algebra.Group{Input: substituteOp(x.Input, b), By: x.By, Items: x.Items, Having: x.Having}
+		return algebra.Group{Input: substituteOp(x.Input, b), By: x.By, Items: x.Items}
 	default:
 		return op
 	}
+}
+
+// substituteExpr replaces the variables b binds by their values in e;
+// BOUND of such a variable becomes true.
+func substituteExpr(e sparql.Expression, b rdf.Binding) sparql.Expression {
+	switch x := e.(type) {
+	case sparql.ExprVar:
+		if t, ok := b.Get(x.Name); ok {
+			return sparql.ExprTerm{Term: t}
+		}
+	case sparql.ExprBinary:
+		x.L, x.R = substituteExpr(x.L, b), substituteExpr(x.R, b)
+		return x
+	case sparql.ExprUnary:
+		x.X = substituteExpr(x.X, b)
+		return x
+	case sparql.ExprIn:
+		x.X, x.List = substituteExpr(x.X, b), substituteExprs(x.List, b)
+		return x
+	case sparql.ExprCall:
+		if x.Func == "BOUND" && len(x.Args) == 1 {
+			if v, ok := x.Args[0].(sparql.ExprVar); ok && b.Has(v.Name) {
+				return sparql.ExprTerm{Term: rdf.Boolean(true)}
+			}
+		}
+		x.Args = substituteExprs(x.Args, b)
+		return x
+	}
+	return e
+}
+
+func substituteExprs(es []sparql.Expression, b rdf.Binding) []sparql.Expression {
+	out := make([]sparql.Expression, len(es))
+	for i, e := range es {
+		out[i] = substituteExpr(e, b)
+	}
+	return out
 }
 
 // builtin regexp cache; patterns in queries are static.

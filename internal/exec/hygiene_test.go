@@ -104,15 +104,13 @@ func TestOperatorsLeaveNothingBehind(t *testing.T) {
 	}
 }
 
-// TestExistsFilterHoldsRowsNotBatches feeds an EXISTS filter one-row
-// batches during traversal — one document per scan wake-up — and bounds the
-// ledger's exec peak by the decoded rows plus a few in-flight batches: the
-// filter must not keep a whole batch slab per arrival while it waits for
-// the store to close.
-func TestExistsFilterHoldsRowsNotBatches(t *testing.T) {
+// TestExistsFilterHoldsNoRows feeds an EXISTS filter documents one by one
+// during traversal. The filter holds no rows while it waits for the store to
+// close: its input backs up in the channels, so the ledger's exec peak is a
+// few in-flight batches, not a charge per row or per arrival.
+func TestExistsFilterHoldsNoRows(t *testing.T) {
 	const docs = 500
-	decoded := int64(docs) * (64 + 2*96) // chargeBuffered's estimate per row
-	holdsRowsNotBatches(t, "SELECT ?s ?v WHERE { ?s ex:p ?v FILTER EXISTS { ?s ex:q ?w } }", docs, docs/2, decoded)
+	holdsRowsNotBatches(t, "SELECT ?s ?v WHERE { ?s ex:p ?v FILTER EXISTS { ?s ex:q ?w } }", docs, docs/2, 0, true)
 }
 
 // TestOrderByHoldsRowsNotBatches is the same check for ORDER BY, which
@@ -121,46 +119,57 @@ func TestExistsFilterHoldsRowsNotBatches(t *testing.T) {
 func TestOrderByHoldsRowsNotBatches(t *testing.T) {
 	const docs = 500
 	held := int64(docs) * (2*termIDBytes + valueBytes + 4) // ?s ?v, one key, a permutation entry
-	holdsRowsNotBatches(t, "SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY DESC(?v)", docs, docs, held)
+	holdsRowsNotBatches(t, "SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY DESC(?v)", docs, docs, held, false)
 }
 
-// TestOrderByExistsKeyWaitsForStore sorts on an EXISTS key whose triples
-// arrive in a later document than the rows: like FILTER EXISTS, ORDER BY
-// must evaluate the key over the closed store, so the answer equals the
-// reference's over the final store.
-func TestOrderByExistsKeyWaitsForStore(t *testing.T) {
-	st := store.New()
-	env := NewEnv(st)
-	env.Ledger = resource.New(1, "", 0)
-	op := testPlan(t, `PREFIX ex: <http://example.org/>
-SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY DESC(EXISTS { ?s ex:q ?w }) ?v`)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	out := Eval(ctx, op, env)
-	ex := "http://example.org/"
-	var rows, later []rdf.Triple
-	for i := 0; i < 20; i++ {
-		s := rdf.NewIRI(fmt.Sprintf("%ss%d", ex, i))
-		rows = append(rows, rdf.NewTriple(s, rdf.NewIRI(ex+"p"), rdf.Integer(int64(i))))
-		if i%2 == 1 {
-			later = append(later, rdf.NewTriple(s, rdf.NewIRI(ex+"q"), rdf.Integer(1)))
-		}
-	}
-	st.AddDocument(ex+"rows", rows)
-	// Let ORDER BY take in the rows before their ex:q triples arrive.
-	for env.Ledger.ChargedBy(resource.Exec) == 0 && ctx.Err() == nil {
-		time.Sleep(10 * time.Microsecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	st.AddDocument(ex+"later", later)
-	st.Close()
-	vars := []string{"s", "v"}
-	got := render(vars, collect(out))
-	if want := render(vars, Reference(op, env)); !slices.Equal(got, want) {
-		t.Fatalf("got  %v\nwant %v", sample(got), sample(want))
-	}
-	if len(got) != 20 || got[0] != render(vars, []rdf.Binding{{"s": rdf.NewIRI(ex + "s1"), "v": rdf.Integer(1)}})[0] {
-		t.Fatalf("want the 20 rows led by s1, the first with an ex:q: %v", got)
+// TestExistsWaitsForStore evaluates EXISTS in every place an expression
+// can hold one, over rows whose ex:q triples arrive in a later document: each
+// must wait for the store to close, so the answer equals the reference's
+// over the final store. An ORDER BY is compared as a sequence.
+func TestExistsWaitsForStore(t *testing.T) {
+	for _, c := range []struct{ name, query string }{
+		{"filter", `SELECT ?s ?v WHERE { ?s ex:p ?v FILTER NOT EXISTS { ?s ex:q ?w } }`},
+		{"bind", `SELECT ?s ?b WHERE { ?s ex:p ?v BIND(EXISTS { ?s ex:q ?w } AS ?b) }`},
+		{"projection", `SELECT ?s (EXISTS { ?s ex:q ?w } AS ?b) WHERE { ?s ex:p ?v }`},
+		{"orderby", `SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY DESC(EXISTS { ?s ex:q ?w }) ?v`},
+		{"optional", `SELECT ?s ?n WHERE { ?s ex:p ?v OPTIONAL { ?s ex:r ?n FILTER NOT EXISTS { ?s ex:q ?w } } }`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := store.New()
+			env := NewEnv(st)
+			env.Ledger = resource.New(1, "", 0)
+			op := testPlan(t, "PREFIX ex: <http://example.org/>\n"+c.query)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			out := Eval(ctx, op, env)
+			ex := "http://example.org/"
+			var rows, later []rdf.Triple
+			for i := 0; i < 20; i++ {
+				s := rdf.NewIRI(fmt.Sprintf("%ss%d", ex, i))
+				rows = append(rows, rdf.NewTriple(s, rdf.NewIRI(ex+"p"), rdf.Integer(int64(i))),
+					rdf.NewTriple(s, rdf.NewIRI(ex+"r"), rdf.Integer(int64(i))))
+				if i%2 == 1 {
+					later = append(later, rdf.NewTriple(s, rdf.NewIRI(ex+"q"), rdf.Integer(1)))
+				}
+			}
+			st.AddDocument(ex+"rows", rows)
+			// Let the operators take in the rows before their ex:q triples arrive.
+			for env.Ledger.ChargedBy(resource.Exec) == 0 && ctx.Err() == nil {
+				time.Sleep(10 * time.Microsecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			st.AddDocument(ex+"later", later)
+			st.Close()
+			vars := op.Vars()
+			got, want := render(vars, collect(out)), render(vars, Reference(op, env))
+			if c.name != "orderby" {
+				slices.Sort(got)
+				slices.Sort(want)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("got  %v\nwant %v", sample(got), sample(want))
+			}
+		})
 	}
 }
 
@@ -168,7 +177,10 @@ SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY DESC(EXISTS { ?s ex:q ?w }) ?v`)
 // wake-up, each with one ex:p triple and every other one an ex:q triple.
 // It wants rows results, an exec peak of at least held bytes and at most
 // held plus a few in-flight batches, and no exec bytes left afterwards.
-func holdsRowsNotBatches(t *testing.T, query string, docs, rows int, held int64) {
+// A query that stalls stops reading before the store closes, which leaves
+// the scan waiting for room in its output, so a document then waits at most
+// 2 ms for its batch.
+func holdsRowsNotBatches(t *testing.T, query string, docs, rows int, held int64, stalls bool) {
 	t.Helper()
 	st := store.New()
 	env := NewEnv(st)
@@ -190,7 +202,9 @@ func holdsRowsNotBatches(t *testing.T, query string, docs, rows int, held int64)
 			before := env.Ledger.ChargedBy(resource.Exec)
 			st.AddDocument(fmt.Sprintf("%sdoc%d", ex, i), ts)
 			// Wait for the scan to turn this document into its own batch.
-			for env.Ledger.ChargedBy(resource.Exec) == before && ctx.Err() == nil {
+			wait := time.Now().Add(2 * time.Millisecond)
+			for env.Ledger.ChargedBy(resource.Exec) == before && ctx.Err() == nil &&
+				(!stalls || time.Now().Before(wait)) {
 				time.Sleep(10 * time.Microsecond)
 			}
 		}

@@ -188,7 +188,7 @@ func TestUnboundRoundTripsThroughBatchJoin(t *testing.T) {
 		return ch
 	}
 	got := canon(outVars, collect(batchesToRows(ctx, rig.env,
-		batchJoin(ctx, rig.env, outVars, algebra.SharedVars(valuesL, valuesR), nil, false, one(lb), one(rb)))))
+		batchJoin(ctx, rig.env, outVars, algebra.SharedVars(valuesL, valuesR), nil, innerJoin, one(lb), one(rb)))))
 
 	if len(got) != len(want) {
 		t.Fatalf("join through batches: %d solutions, reference %d\ngot:  %v\nwant: %v", len(got), len(want), got, want)

@@ -11,14 +11,19 @@ import (
 
 // Reference evaluates op over the store's current contents and returns all
 // its solutions, materialising each operator's result before its parent
-// runs: no streaming, gating, tracing or ledger. Over a closed
-// store that is the plain SPARQL semantics the pipeline must reproduce, so
-// the differential oracle and the property tests run it, and EXISTS probes
-// it once the store has closed. The blocking operators (MINUS, ORDER BY,
-// GROUP BY, paths, FILTER with EXISTS) share their row function with the
-// pipeline's materialising operator; every streaming operator has its own
-// implementation here.
+// runs: no streaming, gating, tracing or ledger. Over a closed store that
+// is the plain SPARQL semantics the pipeline must reproduce, so the
+// differential oracle and the property tests run it; production never
+// does. Every operator has its own implementation here, EXISTS included
+// (it runs its pattern with Reference). The pipeline shares expression
+// evaluation, the aggregate folds, EXISTS substitution and, until paths
+// stream, evalPathSnapshot.
 func Reference(op algebra.Operator, env *Env) []rdf.Binding {
+	if !env.oracle {
+		c := *env
+		c.oracle = true
+		env = &c
+	}
 	switch x := op.(type) {
 	case algebra.Unit:
 		return []rdf.Binding{{}}
@@ -64,7 +69,13 @@ func Reference(op algebra.Operator, env *Env) []rdf.Binding {
 	case algebra.Minus:
 		return minusRows(Reference(x.Left, env), Reference(x.Right, env))
 	case algebra.Filter:
-		return filterRows(env, x.Expr, Reference(x.Input, env))
+		var out []rdf.Binding
+		for _, b := range Reference(x.Input, env) {
+			if holds(env, b, x.Expr) {
+				out = append(out, b)
+			}
+		}
+		return out
 	case algebra.Extend:
 		var out []rdf.Binding
 		for _, b := range Reference(x.Input, env) {
@@ -81,24 +92,10 @@ func Reference(op algebra.Operator, env *Env) []rdf.Binding {
 		return out
 	case algebra.Project:
 		rows := Reference(x.Input, env)
-		if len(x.Items) == 0 {
-			return rows
-		}
-		out := make([]rdf.Binding, len(rows))
 		for i, b := range rows {
-			res := rdf.NewBinding()
-			for _, item := range x.Items {
-				if item.Expr == nil {
-					if t, ok := b.Get(item.Var); ok {
-						res[item.Var] = t
-					}
-				} else if v, err := evalExpr(env, item.Expr, b); err == nil {
-					res[item.Var] = v
-				}
-			}
-			out[i] = res
+			rows[i] = b.Project(x.Names)
 		}
-		return out
+		return rows
 	case algebra.Distinct:
 		return dedupRows(Reference(x.Input, env), x.Input.Vars(), true)
 	case algebra.Reduced:
@@ -174,17 +171,6 @@ func bindsAll(b rdf.Binding, vars []string) bool {
 		}
 	}
 	return true
-}
-
-// filterRows keeps the rows under which expr holds.
-func filterRows(env *Env, expr sparql.Expression, rows []rdf.Binding) []rdf.Binding {
-	var out []rdf.Binding
-	for _, b := range rows {
-		if holds(env, b, expr) {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // holds reports whether every expression has a true effective boolean

@@ -68,7 +68,7 @@ func (p *Planner) Optimize(op algebra.Operator) algebra.Operator {
 	case algebra.Extend:
 		return algebra.Extend{Input: p.Optimize(x.Input), Var: x.Var, Expr: x.Expr}
 	case algebra.Project:
-		return algebra.Project{Input: p.Optimize(x.Input), Items: x.Items}
+		return algebra.Project{Input: p.Optimize(x.Input), Names: x.Names}
 	case algebra.Distinct:
 		return algebra.Distinct{Input: p.Optimize(x.Input)}
 	case algebra.Reduced:
@@ -78,7 +78,7 @@ func (p *Planner) Optimize(op algebra.Operator) algebra.Operator {
 	case algebra.Slice:
 		return algebra.Slice{Input: p.Optimize(x.Input), Offset: x.Offset, Limit: x.Limit}
 	case algebra.Group:
-		return algebra.Group{Input: p.Optimize(x.Input), By: x.By, Items: x.Items, Having: x.Having}
+		return algebra.Group{Input: p.Optimize(x.Input), By: x.By, Items: x.Items}
 	default:
 		return op
 	}
