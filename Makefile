@@ -20,8 +20,9 @@ test: build
 # too. The executor's determinism and stress tests, its waiting (EXISTS
 # waits for the store to close wherever it appears) and anti-join (MINUS)
 # tests, and the store's concurrency tests (writers attaching documents
-# while live BGP readers, MatchNow and Source read, and blocked readers
-# woken or cancelled), run
+# while live BGP readers, MatchNow and Source read, documents that cross the
+# triple log's page boundaries among them, and blocked readers woken or
+# cancelled), run
 # once more at GOMAXPROCS 1 and 4 (-cpu 1,4): scheduling must never change
 # a result. So do the tests of a query's event fold (replay equals live,
 # process counters equal the queries' recorders, concurrent queries), which
@@ -35,7 +36,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) test -race -skip '^TestPaperScaleEnvironment$$' ./...
 	$(GO) test -race -cpu 1,4 -run '^(TestResultsDeterministicAcrossWorkerCounts|TestConcurrentAddDocumentAndQuery|TestConcurrentJoinsShareArenaPool|TestConcurrentBGPsOverClosedStore|TestBatchOpsMatchRowSemantics|TestExistsWaitsForStore|TestExistsFilterHoldsNoRows|TestMinus|TestMinusWithoutSharedVarsKeepsAll|TestLimitChargesTheSameEveryRun)$$' ./internal/exec
-	$(GO) test -race -cpu 1,4 -run '^(TestStoreConcurrentAddMatchBGP|TestOnDemandIndexBuiltUnderIngest|TestConcurrentProducersConsumers|TestSourceConcurrent|TestPostingsMatchReferenceIndexes|TestLiveBGPDrainsThenBlocks|TestBlockedCallsReturnOnCancel)$$' ./internal/store
+	$(GO) test -race -cpu 1,4 -run '^(TestStoreConcurrentAddMatchBGP|TestLiveBGPAcrossPages|TestOnDemandIndexBuiltUnderIngest|TestConcurrentProducersConsumers|TestSourceConcurrent|TestPostingsMatchReferenceIndexes|TestLiveBGPDrainsThenBlocks|TestBlockedCallsReturnOnCancel)$$' ./internal/store
 	$(GO) test -race -cpu 1,4 -run '^(TestJournalReplayMatchesLiveRun|TestObserverMetricsMatchRecorder|TestConcurrentQueriesAggregateCleanly)$$' .
 	$(GO) test -run '^TestPaperScaleEnvironment$$' ./internal/solidbench
 

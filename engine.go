@@ -432,8 +432,12 @@ func (e *Engine) traverse(ctx context.Context, seeds []string, extractors []extr
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			// One link buffer for every document this worker visits: it
+			// grows to the most links one document proposed, once.
+			var linkBuf [16]extract.Link
+			links := linkBuf[:0]
 			for l, ok := t.next(); ok; l, ok = t.next() {
-				t.visit(l)
+				links = t.visit(l, links[:0])
 				t.mu.Lock()
 				if t.active--; t.active == 0 {
 					t.cond.Broadcast() // nothing in flight can refill the queue
@@ -522,8 +526,10 @@ func (t *traversal) push(l linkqueue.Link) bool {
 
 // visit is one turn of the loop for one link: dereference it, add its
 // triples to the source, run the link extractors over it and offer every
-// link they propose to the queue.
-func (t *traversal) visit(l linkqueue.Link) {
+// link they propose to the queue. The extractors append to links, the
+// worker's buffer, which visit returns, grown when the document proposed
+// more links than it held.
+func (t *traversal) visit(l linkqueue.Link, links []extract.Link) []extract.Link {
 	// Hold a per-origin slot for the duration of the fetch, so one slow or
 	// hostile origin cannot absorb the whole global concurrency budget.
 	if slot := t.guard.originSlot(l.URL); slot != nil {
@@ -531,7 +537,7 @@ func (t *traversal) visit(l linkqueue.Link) {
 		case slot <- struct{}{}:
 			defer func() { <-slot }()
 		case <-t.ctx.Done():
-			return
+			return links
 		}
 	}
 	wctx, dspan := obs.StartSpan(t.ctx, "document",
@@ -552,7 +558,7 @@ func (t *traversal) visit(l linkqueue.Link) {
 		default:
 			t.fail(err)
 		}
-		return
+		return links
 	}
 	// The dereference charged the document's bytes to the ledger (the
 	// in-flight parse); released once it is ingested into the store — which
@@ -585,8 +591,8 @@ func (t *traversal) visit(l linkqueue.Link) {
 	}
 	_, xspan := obs.StartSpan(wctx, "extract")
 	accepted := 0
-	var linkBuf [16]extract.Link // on the stack: most documents propose fewer
-	for _, link := range extract.AppendLinks(linkBuf[:0], t.extractors, doc) {
+	links = extract.AppendLinks(links, t.extractors, doc)
+	for _, link := range links {
 		t.events.Emit(obs.Event{Kind: obs.EventLinkDiscovered,
 			URL: link.URL, Via: res.FinalURL, Extractor: link.Extractor, Reason: link.Reason})
 		found := linkqueue.Link{URL: link.URL, Via: res.FinalURL, Reason: link.Reason,
@@ -599,4 +605,5 @@ func (t *traversal) visit(l linkqueue.Link) {
 	}
 	xspan.SetAttr(obs.Int("links", accepted))
 	xspan.End()
+	return links
 }

@@ -517,7 +517,10 @@ func bgpStore(r *rand.Rand, st *store.Store, docs []rdf.Term, triples [][]rdf.Tr
 // over a random subset of the chain's variables, sometimes through a
 // FILTER on another variable and sometimes with one pattern's predicate
 // widened to an alternative (p|q): the operator may skip partial rows that
-// repeat what the kept variables need, never a projected solution.
+// repeat what the kept variables need, never a projected solution. Each
+// store holds a filler document first, on a predicate no pattern names,
+// which fills the store's first page (64 triples) and part of the next, so
+// the solutions are read from pages added while the operator runs.
 func TestBGPMatchesReference(t *testing.T) {
 	ex := "http://example.org/"
 	var terms []rdf.Term
@@ -541,6 +544,10 @@ func TestBGPMatchesReference(t *testing.T) {
 				triples[d] = append(triples[d], rdf.NewTriple(s, terms[r.Intn(3)], o))
 			}
 		}
+		var filler []rdf.Triple
+		for k := 0; k < 65+int(seed%64); k++ {
+			filler = append(filler, rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("%sf%d", ex, k)), rdf.NewIRI(ex+"filler"), rdf.Integer(int64(k))))
+		}
 		pats := randBGP(r, terms, docs)
 		var op algebra.Operator = pats[0]
 		for _, p := range pats[1:] {
@@ -549,6 +556,7 @@ func TestBGPMatchesReference(t *testing.T) {
 		vars := op.Vars()
 		run := func(op algebra.Operator, growing bool) ([]rdf.Binding, *Env) {
 			st := store.New()
+			st.AddDocument(ex+"filler", filler)
 			env := NewEnv(st)
 			env.Prov = NewProv()
 			if !growing {

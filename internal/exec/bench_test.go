@@ -295,3 +295,16 @@ func BenchmarkDistinctChain(b *testing.B) {
 	st, ds := solidBenchStore()
 	benchRows(b, st, benchPlan(b, ds.Discover(8, 1).Text), 2011)
 }
+
+// BenchmarkNotExistsSibling keeps the messages of the closed 12-person
+// store's first person that have no imageFile: a NOT EXISTS on a sibling
+// attribute of the outer row's subject, 115 rows, evaluated once per outer
+// row. Once the row is substituted into it, the pattern is one basic graph
+// pattern, which runs as the store's evaluator on the filter's goroutine.
+func BenchmarkNotExistsSibling(b *testing.B) {
+	st, ds := solidBenchStore()
+	query := fmt.Sprintf(`PREFIX snvoc: <%s>
+SELECT ?m WHERE { ?m snvoc:hasCreator <%s> FILTER NOT EXISTS { ?m snvoc:imageFile ?f } }`,
+		solidbench.NewVocab(ds.Config.Host).NS(), ds.WebID(0))
+	benchRows(b, st, benchPlan(b, query), 115)
+}

@@ -213,6 +213,11 @@ SELECT ?n WHERE { ?s ex:q ?n } ORDER BY ?n OFFSET 1`,
 		// SELECT * names no variable of its own: the outer row must still
 		// reach the sub-select's pattern.
 		{"exists over select star", `SELECT * WHERE { ?s ex:q ?w }`, []string{"?s=" + ex("s1"), "?s=" + ex("s2")}},
+		// Basic graph patterns, which run as the store's evaluator: one
+		// the row makes ground, and a chain none of whose variables the
+		// row binds past its first pattern.
+		{"exists over a ground pattern", `?s ex:p ex:o1`, []string{"?s=" + ex("s1"), "?s=" + ex("s3")}},
+		{"exists over a chain", `?s ex:q ?n . ?s2 ex:q ?n . ?s2 ex:label ?l`, []string{"?s=" + ex("s2")}},
 	} {
 		cases = append(cases, conformanceCase{name: c.name, data: confData, want: c.want,
 			query: "PREFIX ex: <http://example.org/>\nSELECT ?s WHERE { ?s ex:p ?o FILTER EXISTS { " + c.inner + " } }"})

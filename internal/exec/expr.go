@@ -17,7 +17,9 @@ import (
 
 	"ltqp/internal/algebra"
 	"ltqp/internal/rdf"
+	"ltqp/internal/resource"
 	"ltqp/internal/sparql"
+	"ltqp/internal/store"
 )
 
 // errTypeError is the base of SPARQL expression type errors; filters treat
@@ -192,12 +194,14 @@ func evalIn(env *Env, x sparql.ExprIn, b rdf.Binding) (rdf.Term, error) {
 
 // evalExists evaluates EXISTS { pattern } under b and the rows of the
 // EXISTS around it: it substitutes them into the pattern's operator and
-// runs that through the pipeline, reading until its first row. It waits
-// for the store to close first, so no later triple can change an answer:
-// this is the one gate for every expression EXISTS can appear in. The run
-// publishes no stage events or spans and carries no provenance; it charges
-// the query's ledger and releases the charge before it returns. The oracle
-// evaluates the pattern with Reference instead.
+// reads that until its first row. A pattern that is then one basic graph
+// pattern runs as the store's evaluator on the calling goroutine; any other
+// runs through the pipeline. It waits for the store to close first, so no
+// later triple can change an answer: this is the one gate for every
+// expression EXISTS can appear in. The run publishes no stage events or
+// spans and carries no provenance; it charges the query's ledger and
+// releases the charge before it returns. The oracle evaluates the pattern
+// with Reference instead.
 func evalExists(env *Env, x sparql.ExprExists, b rdf.Binding) (rdf.Term, error) {
 	op, err := env.existsOp(x)
 	if err != nil {
@@ -218,10 +222,15 @@ func evalExists(env *Env, x sparql.ExprExists, b rdf.Binding) (rdf.Term, error) 
 		if err := env.Store.WaitClosed(env.ctx); err != nil {
 			return rdf.Term{}, err
 		}
-		inner.Events, inner.Prov = nil, nil
-		for bt := range EvalBatch(env.ctx, op, &inner) {
-			found = found || bt.Len() > 0
-			putBatch(bt)
+		if sl, ok := op.(algebra.Slice); ok && sl.Offset == 0 && bgpCount(sl.Input) == 1 {
+			pats, _ := bgpPatterns(sl.Input, nil)
+			found = existsBGP(env, sl.Input.Vars(), pats)
+		} else {
+			inner.Events, inner.Prov = nil, nil
+			for bt := range EvalBatch(env.ctx, op, &inner) {
+				found = found || bt.Len() > 0
+				putBatch(bt)
+			}
 		}
 		if err := env.ctx.Err(); err != nil {
 			return rdf.Term{}, err
@@ -231,6 +240,24 @@ func evalExists(env *Env, x sparql.ExprExists, b rdf.Binding) (rdf.Term, error) 
 		found = !found
 	}
 	return rdf.Boolean(found), nil
+}
+
+// existsBGP reports whether the basic graph pattern pats, over vars, has a
+// solution in the closed store: the store's evaluator runs on the calling
+// goroutine, keeping no variable, and stops at the first solution.
+func existsBGP(env *Env, vars []string, pats []rdf.Quad) bool {
+	bgp := env.Store.BGP(vars, []string{}, pats, nil)
+	defer bgp.Release()
+	found := false
+	// No room for a row: the first solution asks Flush for some, and stops.
+	rows := store.Rows{Flush: func() bool { found = true; return false }}
+	for bgp.Next(env.ctx, &rows) {
+	}
+	if n := bgp.Bytes(); env.Ledger != nil && n > 0 {
+		env.Ledger.Charge(resource.Exec, n)
+		env.Ledger.Release(resource.Exec, n)
+	}
+	return found
 }
 
 // existsOp returns the operator of an EXISTS pattern, limited to one row.

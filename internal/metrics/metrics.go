@@ -98,9 +98,9 @@ func (t LimitTrip) String() string {
 type Recorder struct {
 	mu       sync.Mutex
 	started  time.Time
-	requests []Request
-	results  []time.Time
-	queue    []QueueSample
+	requests rows[Request]
+	results  rows[time.Time]
+	queue    rows[QueueSample]
 	trips    []LimitTrip
 }
 
@@ -127,14 +127,14 @@ func (r *Recorder) SetEpoch(t time.Time) {
 func (r *Recorder) Record(req Request) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.requests = append(r.requests, req)
+	r.requests.append(req)
 }
 
 // RecordResult notes that a query result was delivered at time at.
 func (r *Recorder) RecordResult(at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.results = append(r.results, at)
+	r.results.append(at)
 }
 
 // RecordQueueSample notes the link queue's length and total accepted URLs
@@ -142,7 +142,7 @@ func (r *Recorder) RecordResult(at time.Time) {
 func (r *Recorder) RecordQueueSample(length, seen int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.queue = append(r.queue, QueueSample{At: time.Since(r.started), Length: length, Seen: seen})
+	r.queue.append(QueueSample{At: time.Since(r.started), Length: length, Seen: seen})
 }
 
 // RecordLimitTrip notes a traversal defense firing.
@@ -157,16 +157,16 @@ func (r *Recorder) RecordLimitTrip(t LimitTrip) {
 func (r *Recorder) QueueEvolution() []QueueSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return slices.Clone(r.queue)
+	return r.queue.appendTo(nil)
 }
 
 // PeakQueueLength returns the maximum observed queue length.
 func (r *Recorder) PeakQueueLength() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	peak := 0
-	for _, s := range r.QueueEvolution() {
-		if s.Length > peak {
-			peak = s.Length
-		}
+	for i := 0; i < r.queue.len(); i++ {
+		peak = max(peak, r.queue.at(i).Length)
 	}
 	return peak
 }
@@ -175,7 +175,7 @@ func (r *Recorder) PeakQueueLength() int {
 func (r *Recorder) Requests() []Request {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := slices.Clone(r.requests)
+	out := r.requests.appendTo(make([]Request, 0, r.requests.len()))
 	slices.SortFunc(out, func(a, b Request) int { return a.Start.Compare(b.Start) })
 	return out
 }
@@ -184,9 +184,9 @@ func (r *Recorder) Requests() []Request {
 func (r *Recorder) ResultTimes() []time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]time.Duration, len(r.results))
-	for i, t := range r.results {
-		out[i] = t.Sub(r.started)
+	out := make([]time.Duration, r.results.len())
+	for i := range out {
+		out[i] = r.results.at(i).Sub(r.started)
 	}
 	return out
 }
@@ -229,34 +229,34 @@ type Stats struct {
 func (r *Recorder) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	reqs := r.requests
-	s := Stats{Requests: len(reqs)}
-	if len(reqs) == 0 {
+	reqs := &r.requests
+	s := Stats{Requests: reqs.len()}
+	if s.Requests == 0 {
 		return s
 	}
 	// The log in start order, as a permutation of its indices. The sort
 	// makes the comparisons Requests' sort of a copy makes, so requests that
 	// start at the same instant come out in the same order.
-	order := make([]int32, len(reqs))
+	order := make([]int32, s.Requests)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return reqs[a].Start.Compare(reqs[b].Start) })
+	slices.SortFunc(order, func(a, b int32) int { return reqs.at(int(a)).Start.Compare(reqs.at(int(b)).Start) })
 	// Per document: its depth in the fetch tree and whether any request for
 	// it succeeded. In start order a parent precedes its children.
 	type doc struct {
 		depth int
 		ok    bool
 	}
-	docs := make(map[string]doc, len(reqs))
+	docs := make(map[string]doc, s.Requests)
 	hosts := map[string]struct{}{}
 	// Max parallelism is a sweep over starts (in order) and ends, as offsets
 	// from the first start.
-	epoch := reqs[order[0]].Start
-	ends := make([]time.Duration, len(reqs))
-	maxEnd := reqs[order[0]].End
+	epoch := reqs.at(int(order[0])).Start
+	ends := make([]time.Duration, s.Requests)
+	maxEnd := reqs.at(int(order[0])).End
 	for i, j := range order {
-		q := &reqs[j]
+		q := reqs.at(int(j))
 		d := docs[q.URL]
 		d.depth = 0
 		if q.Parent != "" {
@@ -294,7 +294,7 @@ func (r *Recorder) Stats() Stats {
 	}
 	s.WallTime = maxEnd.Sub(epoch)
 	slices.Sort(ends)
-	s.MaxParallel, _ = inFlight(ends, func(i int) time.Duration { return reqs[order[i]].Start.Sub(epoch) })
+	s.MaxParallel, _ = inFlight(ends, func(i int) time.Duration { return reqs.at(int(order[i])).Start.Sub(epoch) })
 	return s
 }
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func record(r *Recorder, url, parent string, startMS, durMS int, status int, bytes int64) {
@@ -331,6 +333,33 @@ func TestStatsAllocations(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, func() { r.PodsTouched() }); got > limit {
 		t.Errorf("PodsTouched over %d requests: %.0f allocations, want at most %d", requests, got, limit)
+	}
+}
+
+// A recorder allocates about the rows it keeps: recording 128 requests,
+// results and queue samples allocates at most 1.3 times their size. Rows
+// appended to growing slices allocated about twice that.
+func TestRecorderAllocatesWhatItKeeps(t *testing.T) {
+	const n = 128
+	req := Request{URL: "http://h/pods/1/doc", Parent: "http://h/pods/1/", Reason: "test", Status: 200}
+	at := time.Now()
+	var m0, m1 runtime.MemStats
+	runtime.GC() // twice: pooled objects outlive one collection
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	r := NewRecorder()
+	for i := 0; i < n; i++ {
+		r.Record(req)
+		r.RecordResult(at)
+		r.RecordQueueSample(i, i)
+	}
+	runtime.ReadMemStats(&m1)
+	if s := r.Stats(); s.Requests != n || len(r.ResultTimes()) != n || len(r.QueueEvolution()) != n {
+		t.Fatalf("recorded %d requests, %d results and %d samples, want %d of each", s.Requests, len(r.ResultTimes()), len(r.QueueEvolution()), n)
+	}
+	kept := uint64(n * (unsafe.Sizeof(Request{}) + unsafe.Sizeof(time.Time{}) + unsafe.Sizeof(QueueSample{})))
+	if allocated := m1.TotalAlloc - m0.TotalAlloc; 10*allocated > 13*kept {
+		t.Errorf("recording %d rows of each kind allocated %d bytes for %d kept: more than 1.3 times", n, allocated, kept)
 	}
 }
 

@@ -499,7 +499,7 @@ func (b *BGP) key(mask uint8, v [4]rdf.TermID) uint64 {
 // vals returns the terms at S, P, O and, for a GRAPH pattern, the source
 // document of the triple at pos.
 func (b *BGP) vals(j int, pos int32) [4]rdf.TermID {
-	t := b.v.triples[pos]
+	t := b.v.triples.at(pos)
 	v := [4]rdf.TermID{t.S, t.P, t.O, rdf.NoTerm}
 	if b.pats[j].graph {
 		v[3] = b.v.source(pos)
@@ -514,7 +514,7 @@ func (b *BGP) vals(j int, pos int32) [4]rdf.TermID {
 // the levels after it read them, and they run only once it succeeds.
 func (b *BGP) bind(j int, pos int32, check, fresh uint8) bool {
 	pt := &b.pats[j]
-	t := b.v.triples[pos]
+	t := b.v.triples.at(pos)
 	v := [4]rdf.TermID{t.S, t.P, t.O, rdf.NoTerm}
 	if pt.graph {
 		if v[3] = b.v.source(pos); v[3] == rdf.NoTerm || pt.gid != rdf.NoTerm && v[3] != pt.gid {
@@ -580,12 +580,12 @@ func (b *BGP) Release() {
 // triples, which never change, the documents that contributed them, and
 // whether it was closed, in which case it holds every triple the store will.
 type view struct {
-	triples []rdf.IDTriple
+	triples tripleLog
 	origins []origin
 	closed  bool
 }
 
-func (v view) len() int32 { return int32(len(v.triples)) }
+func (v view) len() int32 { return v.triples.len() }
 
 // source returns the document that contributed the triple at pos.
 func (v view) source(pos int32) rdf.TermID {
@@ -599,7 +599,7 @@ func (v view) source(pos int32) rdf.TermID {
 func (s *Store) await(ctx context.Context, n int32, w *waiter) (v view, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for int32(len(s.triples)) <= n && !s.closed {
+	for s.triples.len() <= n && !s.closed {
 		if ctx.Err() != nil {
 			return view{}, false
 		}
@@ -657,12 +657,12 @@ func (s *Store) probe(p *idPattern, bound [3]rdf.TermID, into []int32) []int32 {
 		exact = exact && !q.isVar[k]
 	}
 	if exact {
-		if i, _, ok := s.seen.find(s.triples, rdf.IDTriple{S: q.id[0], P: q.id[1], O: q.id[2]}); ok {
+		if i, _, ok := s.seen.find(&s.triples, rdf.IDTriple{S: q.id[0], P: q.id[1], O: q.id[2]}); ok {
 			into = append(into, i)
 		}
 		return into
 	}
-	return s.scan(&q, 0, int32(len(s.triples)), true, into)
+	return s.scan(&q, 0, s.triples.len(), true, into)
 }
 
 // count returns the length of the posting list delta reads with index set:
@@ -673,7 +673,7 @@ func (s *Store) count(p *idPattern) int {
 	if list, all := s.candidates(p, true); !all {
 		return len(list)
 	}
-	return len(s.triples)
+	return int(s.triples.len())
 }
 
 // posIndex files positions under uint64 keys, each key's in the order they

@@ -47,7 +47,7 @@ func readBGPCase(in fuzzInput) bgpCase {
 	preds := []rdf.Term{iri("p0"), iri("p1"), iri("p2")}
 	c.triples = make([][]rdf.Triple, len(c.docs))
 	for d := range c.docs {
-		for k := in.next(32); k > 0; k-- {
+		for k := in.next(64); k > 0; k-- {
 			c.triples[d] = append(c.triples[d], rdf.NewTriple(terms[in.next(len(terms))], preds[in.next(len(preds))], terms[in.next(len(terms))]))
 		}
 	}
@@ -211,15 +211,23 @@ func (c bgpCase) nestedLoop(st *Store) *solutions {
 // be one of the nested loop's, and together they must give the same set of
 // kept values, and the same tallies.
 func FuzzBGPAgainstNestedLoop(f *testing.F) {
-	// A lone (?a, p0, ?b) against MatchNow, over 100 random triples in four
-	// documents; then a few random inputs.
+	// A lone (?a, p0, ?b) against MatchNow, over 240 random triples in four
+	// documents, which fill the store's first pages; then a few random
+	// inputs.
 	r := rand.New(rand.NewSource(1))
 	lone := []byte{3}
 	for d := 0; d < 4; d++ {
-		lone = append(lone, 25)
-		for k := 0; k < 75; k++ {
+		lone = append(lone, 60)
+		for k := 0; k < 3*60; k++ {
 			lone = append(lone, byte(r.Intn(256)))
 		}
+	}
+	loneCase, seedStore := readBGPCase(lone), New()
+	for d, doc := range loneCase.docs {
+		seedStore.AddDocument(doc.Value, loneCase.triples[d])
+	}
+	if n := seedStore.Len(); n <= 2<<firstShift {
+		f.Fatalf("the lone seed's store holds %d triples, within its first two pages", n)
 	}
 	f.Add(append(lone, 0, 0, 6, 1, 0, 0))
 	// The chain (?a p0 ?b) (?b p1 ?c), keeping ?c, with tallies; and

@@ -144,14 +144,14 @@ func hashTriple(t rdf.IDTriple) uint64 {
 
 // find returns the position of t among triples, or the empty slot where its
 // position belongs (reserve keeps one free).
-func (ps *positions) find(triples []rdf.IDTriple, t rdf.IDTriple) (pos int32, slot int, ok bool) {
+func (ps *positions) find(triples *tripleLog, t rdf.IDTriple) (pos int32, slot int, ok bool) {
 	mask := len(ps.slots) - 1
 	for slot = int(hashTriple(t)) & mask; ; slot = (slot + 1) & mask {
 		v := ps.slots[slot]
 		if v == 0 {
 			return 0, slot, false
 		}
-		if triples[v-1] == t {
+		if triples.at(v-1) == t {
 			return v - 1, slot, true
 		}
 	}
@@ -160,17 +160,17 @@ func (ps *positions) find(triples []rdf.IDTriple, t rdf.IDTriple) (pos int32, sl
 // reserve makes room for extra more triples at a load of at most 3/4,
 // re-placing the current ones in one pass when the table has to grow. Sizes
 // are powers of two, from the store's first.
-func (ps *positions) reserve(triples []rdf.IDTriple, extra int) {
+func (ps *positions) reserve(triples *tripleLog, extra int) {
 	size := len(ps.slots)
-	for 4*(len(triples)+extra) > 3*size {
+	for 4*(int(triples.len())+extra) > 3*size {
 		size *= 2
 	}
 	if size == len(ps.slots) {
 		return
 	}
 	ps.slots = make([]int32, size)
-	for i, t := range triples {
-		_, slot, _ := ps.find(triples, t)
-		ps.slots[slot] = int32(i) + 1
+	for i := int32(0); i < triples.len(); i++ {
+		_, slot, _ := ps.find(triples, triples.at(i))
+		ps.slots[slot] = i + 1
 	}
 }

@@ -46,7 +46,8 @@ type Store struct {
 	// with the parser and document cache of the owning engine.
 	dict *rdf.Dict
 
-	triples []rdf.IDTriple
+	// triples holds every distinct triple at its position (see log.go).
+	triples tripleLog
 	// seen finds a triple's position in triples (see postings.go).
 	seen positions
 	// origins attributes triples to the documents that contributed them
@@ -149,16 +150,15 @@ func (s *Store) addLocked(src rdf.TermID, ids ...rdf.IDTriple) int {
 	if s.closed {
 		return 0
 	}
-	first := len(s.triples)
-	s.seen.reserve(s.triples, len(ids))
-	s.triples = slices.Grow(s.triples, len(ids))
+	first := s.triples.len()
+	s.seen.reserve(&s.triples, len(ids))
 	for _, t := range ids {
-		_, slot, dup := s.seen.find(s.triples, t)
+		_, slot, dup := s.seen.find(&s.triples, t)
 		if dup {
 			continue
 		}
-		i := int32(len(s.triples))
-		s.triples = append(s.triples, t)
+		i := s.triples.len()
+		s.triples.append(t)
 		s.seen.slots[slot] = i + 1
 		s.byPredicate.add(uint64(t.P), i)
 		if s.bySubject != nil {
@@ -174,16 +174,16 @@ func (s *Store) addLocked(src rdf.TermID, ids ...rdf.IDTriple) int {
 			s.byPO.add(t.PO(), i)
 		}
 	}
-	n := len(s.triples) - first
+	n := s.triples.len() - first
 	if n == 0 {
 		return 0
 	}
 	if k := len(s.origins); k == 0 || s.origins[k-1].src != src {
-		s.origins = append(s.origins, origin{from: int32(first), src: src})
+		s.origins = append(s.origins, origin{from: first, src: src})
 	}
 	s.ledger.Charge(resource.Store, int64(n)*s.perTriple)
 	s.cond.Broadcast()
-	return n
+	return int(n)
 }
 
 // AddDocument ingests all triples of a dereferenced document, with the
@@ -226,7 +226,7 @@ func (s *Store) Close() {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.triples)
+	return int(s.triples.len())
 }
 
 // Source returns the document a ground triple was first contributed by.
@@ -237,7 +237,7 @@ func (s *Store) Source(t rdf.Triple) (rdf.Term, bool) {
 	}
 	s.mu.Lock()
 	var src rdf.TermID
-	i, _, ok := s.seen.find(s.triples, it)
+	i, _, ok := s.seen.find(&s.triples, it)
 	if ok {
 		src = view{origins: s.origins}.source(i)
 	}
@@ -336,7 +336,7 @@ func (s *Store) scan(p *idPattern, lo, hi int32, index bool, into []int32) []int
 	list, all := s.candidates(p, index)
 	if all {
 		for i := lo; i < hi; i++ {
-			if p.matches(s.triples[i]) {
+			if p.matches(s.triples.at(i)) {
 				into = append(into, i)
 			}
 		}
@@ -355,7 +355,7 @@ func (s *Store) scan(p *idPattern, lo, hi int32, index bool, into []int32) []int
 	}
 	into = slices.Grow(into, len(list))
 	for _, i := range list {
-		if p.matches(s.triples[i]) {
+		if p.matches(s.triples.at(i)) {
 			into = append(into, i)
 		}
 	}
@@ -388,11 +388,12 @@ func objectKey(t rdf.IDTriple) uint64  { return uint64(t.O) }
 // after indexing every current triple under key. Caller holds s.mu.
 func (s *Store) index(ps **postings, key func(rdf.IDTriple) uint64) *postings {
 	if *ps == nil {
-		*ps = newPostings(&s.runs, len(s.triples))
-		for i, t := range s.triples {
-			(*ps).add(key(t), int32(i))
+		n := s.triples.len()
+		*ps = newPostings(&s.runs, int(n))
+		for i := int32(0); i < n; i++ {
+			(*ps).add(key(s.triples.at(i)), i)
 		}
-		s.ledger.Charge(resource.Store, int64(len(s.triples))*bytesPerPosting)
+		s.ledger.Charge(resource.Store, int64(n)*bytesPerPosting)
 		s.perTriple += bytesPerPosting
 	}
 	return *ps
@@ -404,7 +405,7 @@ func (s *Store) MatchNow(pattern rdf.Triple) []rdf.Triple {
 	p := s.compilePattern(pattern)
 	var buf [64]int32 // most calls (a path step, DESCRIBE) match a few
 	s.mu.Lock()
-	pos := s.scan(&p, 0, int32(len(s.triples)), true, buf[:0])
+	pos := s.scan(&p, 0, s.triples.len(), true, buf[:0])
 	triples := s.triples // its first len() entries never change
 	s.mu.Unlock()
 	if len(pos) == 0 {
@@ -412,7 +413,7 @@ func (s *Store) MatchNow(pattern rdf.Triple) []rdf.Triple {
 	}
 	out := make([]rdf.Triple, len(pos))
 	for k, i := range pos {
-		out[k] = s.dict.DecodeTriple(triples[i])
+		out[k] = s.dict.DecodeTriple(triples.at(i))
 	}
 	return out
 }
@@ -446,9 +447,9 @@ func (w *waiter) done() {
 func (s *Store) Snapshot() []rdf.Triple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]rdf.Triple, len(s.triples))
-	for i, t := range s.triples {
-		out[i] = s.dict.DecodeTriple(t)
+	out := make([]rdf.Triple, s.triples.len())
+	for i := range out {
+		out[i] = s.dict.DecodeTriple(s.triples.at(int32(i)))
 	}
 	return out
 }

@@ -149,7 +149,7 @@ func step(ctx context.Context, b *BGP) ([]int32, bool) {
 			}
 		}
 		b.s.mu.Lock()
-		pos, _, _ := b.s.seen.find(b.s.triples, rdf.IDTriple{S: id[0], P: id[1], O: id[2]})
+		pos, _, _ := b.s.seen.find(&b.s.triples, rdf.IDTriple{S: id[0], P: id[1], O: id[2]})
 		b.s.mu.Unlock()
 		at = append(at, pos)
 		return true
@@ -162,7 +162,7 @@ func stepTriples(ctx context.Context, b *BGP) ([]rdf.Triple, bool) {
 	at, ok := step(ctx, b)
 	var out []rdf.Triple
 	for _, pos := range at {
-		out = append(out, b.s.dict.DecodeTriple(b.v.triples[pos]))
+		out = append(out, b.s.dict.DecodeTriple(b.v.triples.at(pos)))
 	}
 	return out, ok
 }
